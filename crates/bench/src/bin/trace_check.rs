@@ -3,8 +3,9 @@
 //!
 //! Usage: `trace_check <file.jsonl>`
 //!
-//! Checks, line by line with the in-tree JSON reader (no serde by
-//! policy):
+//! Checks, line by line with the in-tree JSON reader
+//! (`tradefl_runtime::json`, which rejects deep nesting and duplicate
+//! keys):
 //!
 //! - line 1 is a `meta` record with the exact schema tag, and its
 //!   `events` count matches the number of event lines that follow;
@@ -22,7 +23,7 @@
 //! trace on every build.
 
 use std::collections::BTreeMap;
-use tradefl_bench::json::Json;
+use tradefl_runtime::json::Json;
 
 const SCHEMA: &str = "tradefl-trace/v1";
 const SUBSYSTEMS: [&str; 7] = ["cgbd", "dbr", "primal", "fed", "pool", "ledger", "engine"];
@@ -133,7 +134,7 @@ fn check_trace(text: &str) -> Result<(usize, usize), String> {
     for (idx, raw) in lines {
         let lineno = idx + 1;
         let fail = |e: String| format!("line {lineno}: {e}");
-        let line = Json::parse(raw).map_err(fail)?;
+        let line = Json::parse(raw).map_err(|e| fail(e.into()))?;
         match field_str(&line, "kind").map_err(fail)? {
             "event" => {
                 if seen_metric {
@@ -209,6 +210,11 @@ mod tests {
 
     fn exported_trace() -> String {
         use tradefl_runtime::obs;
+        // `with_local` toggles the process-wide enable flag, so the two
+        // tests recording here take turns rather than switching each
+        // other's recording off mid-export.
+        static RECORDING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = RECORDING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let ((), snap) = obs::with_local(|| {
             obs::event(obs::Subsystem::Cgbd, "iteration", &[("k", 0u64.into())]);
             obs::event(obs::Subsystem::Cgbd, "iteration", &[("k", 1u64.into())]);
@@ -243,5 +249,11 @@ mod tests {
         assert!(check_trace(&format!("{trace}not json\n")).is_err());
         // Truncated to no meta.
         assert!(check_trace("").is_err());
+        // Deep nesting is a typed error, not a stack overflow.
+        let err = check_trace(&format!("{trace}{}\n", "[".repeat(200_000))).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // A record with a repeated key is rejected, not first-wins.
+        let dup = format!("{trace}{{\"kind\":\"gauge\",\"kind\":\"event\",\"name\":\"x\"}}\n");
+        assert!(check_trace(&dup).unwrap_err().contains("duplicate key"));
     }
 }

@@ -14,7 +14,6 @@ use tradefl_core::accuracy::SqrtAccuracy;
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
 
-pub mod json;
 pub mod timing;
 
 /// The seed every figure binary uses (reproducibility).

@@ -1,5 +1,4 @@
-//! Batched wall-clock measurement shared by the baseline recorders
-//! (`perf_baseline`, `gemm_baseline`).
+//! Batched wall-clock measurement for the `baseline` recorder.
 //!
 //! Sub-millisecond workloads timed one call per sample are dominated
 //! by scheduler and timer noise — the recorded dbr_solve "0.917x
@@ -23,40 +22,20 @@ pub fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times `work` and returns the per-call median in milliseconds: one
-/// warmup call doubles as a calibration probe sizing an inner batch so
-/// each of the `repeats` samples spans at least [`MIN_SAMPLE_MS`].
-pub fn time_ms(repeats: usize, mut work: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    work();
-    let probe_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let batch = ((MIN_SAMPLE_MS / probe_ms.max(1e-6)).ceil() as usize).clamp(1, 10_000);
-    let samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                work();
-            }
-            t0.elapsed().as_secs_f64() * 1e3 / batch as f64
-        })
-        .collect();
-    median_ms(samples)
-}
-
-/// Times several workloads with their samples interleaved round-robin
-/// (`w0, w1, …, wN, w0, w1, …`) and returns each workload's per-call
-/// median in milliseconds.
+/// Times one or more workloads with their samples interleaved
+/// round-robin (`w0, w1, …, wN, w0, w1, …`) and returns each workload's
+/// per-call median in milliseconds. One warmup call per workload
+/// doubles as a calibration probe sizing an inner batch so each of the
+/// `repeats` samples spans at least [`MIN_SAMPLE_MS`].
 ///
-/// Use this instead of back-to-back [`time_ms`] calls when the
-/// measurements will be *compared against each other* (speedup
-/// ratios): on a shared host, slow periods spanning many milliseconds
-/// hit whichever workload happens to be running, and disjoint
-/// measurement windows let such a period land entirely on one side of
-/// the ratio. Interleaving spreads every slow period across all
-/// workloads, so the medians drift together and the ratio stays
-/// honest. Batch sizes are calibrated per workload exactly as in
-/// [`time_ms`].
-pub fn time_interleaved_ms(repeats: usize, workloads: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+/// Interleaving matters when the measurements will be *compared
+/// against each other* (speedup ratios): on a shared host, slow periods
+/// spanning many milliseconds hit whichever workload happens to be
+/// running, and disjoint measurement windows let such a period land
+/// entirely on one side of the ratio. Interleaving spreads every slow
+/// period across all workloads, so the medians drift together and the
+/// ratio stays honest.
+pub fn time_ms(repeats: usize, workloads: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let batches: Vec<usize> = workloads
         .iter_mut()
         .map(|work| {
@@ -90,24 +69,16 @@ mod tests {
     }
 
     #[test]
-    fn time_ms_batches_fast_work_into_trustworthy_samples() {
-        let mut calls = 0usize;
-        let ms = time_ms(3, || calls += 1);
-        assert!(ms >= 0.0);
-        // A ~ns workload must have been batched well past one call per
-        // sample (capped at 10_000 per batch, 3 samples + 1 warmup).
-        assert!(calls > 3, "batching never engaged: {calls} calls");
-    }
-
-    #[test]
     fn interleaved_timing_measures_every_workload() {
         let mut a_calls = 0usize;
         let mut b_calls = 0usize;
         let mut a = || a_calls += 1;
         let mut b = || b_calls += 1;
-        let medians = time_interleaved_ms(3, &mut [&mut a, &mut b]);
+        let medians = time_ms(3, &mut [&mut a, &mut b]);
         assert_eq!(medians.len(), 2);
         assert!(medians.iter().all(|&ms| ms >= 0.0));
+        // A ~ns workload must have been batched well past one call per
+        // sample (capped at 10_000 per batch, 3 samples + 1 warmup).
         assert!(a_calls > 3 && b_calls > 3, "batching never engaged: {a_calls}/{b_calls}");
     }
 }

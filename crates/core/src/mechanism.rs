@@ -4,8 +4,8 @@
 //! computational efficiency (CE). The first two are *runtime-checkable*
 //! facts about a concrete equilibrium profile; [`MechanismAudit`]
 //! evaluates them so tests, examples and the settlement contract can
-//! assert them. CE is a complexity statement; the bench suite measures
-//! it empirically (`benches/complexity.rs`).
+//! assert them. CE is a complexity statement; the `dbr_solve_n*` rows
+//! of `BENCH_baselines.json` measure it empirically.
 
 use crate::accuracy::AccuracyModel;
 use crate::game::CoopetitionGame;

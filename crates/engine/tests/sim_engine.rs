@@ -54,14 +54,25 @@ fn adversarial_config(seed: u64) -> EngineConfig {
     config
 }
 
+/// Runs `f` under a local observability recorder and returns its result
+/// plus the recorded event stream. `obs::with_local` toggles the
+/// process-wide enable flag, so a traced run finishing on another test
+/// thread could switch this one's recording off mid-run and drop
+/// events; traced runs therefore take turns.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, String) {
+    static TRACED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = TRACED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (out, snapshot) = obs::with_local(f);
+    (out, snapshot.events_jsonl())
+}
+
 /// Runs `(config, seed)` to completion under a local observability
 /// recorder and returns the report plus the recorded event stream.
 fn run_traced(config: EngineConfig, seed: u64) -> (EngineReport, String) {
-    let (report, snapshot) = obs::with_local(|| {
+    traced(|| {
         let mut engine = Engine::new(config, seed).expect("engine boots");
         engine.run().expect("run completes")
-    });
-    (report, snapshot.events_jsonl())
+    })
 }
 
 /// The headline DST sweep: 100 seeds, each deriving its own fault
@@ -425,11 +436,10 @@ props! {
         let bytes = live.checkpoint();
 
         let run_restored = || {
-            let (report, snapshot) = obs::with_local(|| {
+            traced(|| {
                 let mut e = Engine::restore(adversarial_config(seed), seed, &bytes).unwrap();
                 e.run().unwrap()
-            });
-            (report, snapshot.events_jsonl())
+            })
         };
         let (a, ta) = run_restored();
         let (b, tb) = run_restored();

@@ -564,7 +564,7 @@ fn microtile(kc: usize, a_rows: &[&[f32]; MR], b_panel: &[f32]) -> [[f32; NR]; M
 
 /// The pre-kernel naive `a · b` (i-k-j over row slices with the
 /// ReLU-sparsity skip), kept as the reference implementation for the
-/// property tests and the `BENCH_gemm.json` baseline.
+/// property tests and the GEMM rows of `BENCH_baselines.json`.
 pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut out = Matrix::zeros(a.rows(), b.cols());

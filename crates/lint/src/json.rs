@@ -28,213 +28,19 @@
 //!
 //! v1 (the old ad-hoc `{"findings": …, "count": …}` shape with no
 //! `schema` key) is rejected by the checker; the CLI no longer emits
-//! it. Everything here is pure std: the checker carries its own
-//! minimal recursive-descent JSON parser rather than a registry dep.
+//! it. Parsing goes through the workspace's own reader,
+//! [`tradefl_runtime::json`], a path dependency: it rejects deep
+//! nesting and duplicate keys, so a report with two `count` keys fails
+//! closed instead of resolving to either one.
 
 use crate::engine::Finding;
+use tradefl_runtime::json::Json;
 
-/// One parsed JSON value — just enough structure for the checker.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    /// All JSON numbers; the checker only consumes integral ones.
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    /// Key order preserved (duplicates keep the last occurrence on
-    /// lookup, like serde's default).
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'v>(&'v self, key: &str) -> Option<&'v Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        match self {
-            // lint:allow(no-float-eq): exact integrality test on a parsed JSON number — 7.5 must not validate as a line number
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as u32)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Minimal JSON parser: returns the single top-level value or a
-/// message describing the first syntax error. No depth limit is needed
-/// — the only inputs are lint reports the binary itself produced.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Value::Str),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs never appear in our output
-                        // (we escape only control chars); map lone
-                        // surrogates to U+FFFD rather than erroring.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Advance one full UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "non-utf8 string")?;
-                let Some(c) = s.chars().next() else {
-                    return Err("unterminated string".to_string());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // [
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(out));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // {
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let val = parse_value(b, pos)?;
-        out.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(out));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-        }
-    }
+/// A non-negative integral number that fits a `u32` (`line`, `count`).
+fn as_u32(v: &Json) -> Option<u32> {
+    let n = v.as_num()?;
+    // lint:allow(no-float-eq): exact integrality test on a parsed JSON number — 7.5 must not validate as a line number
+    (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as u32)
 }
 
 fn escape(s: &str) -> String {
@@ -287,16 +93,16 @@ pub fn render_v2(findings: &[Finding]) -> String {
 /// output through this to catch schema drift between the renderer and
 /// consumers.
 pub fn check_v2(text: &str) -> Result<usize, String> {
-    let v = parse(text)?;
-    let Value::Obj(_) = &v else {
+    let v = Json::parse(text)?;
+    let Json::Obj(_) = &v else {
         return Err("top level is not an object".to_string());
     };
-    match v.get("schema").and_then(Value::as_str) {
+    match v.get("schema").and_then(Json::as_str) {
         Some("tradefl-lint/v2") => {}
         Some(other) => return Err(format!("schema is `{other}`, expected `tradefl-lint/v2`")),
         None => return Err("missing string `schema` key (v1 output?)".to_string()),
     }
-    let Some(Value::Arr(rules)) = v.get("rules") else {
+    let Some(Json::Arr(rules)) = v.get("rules") else {
         return Err("missing `rules` array".to_string());
     };
     let mut rule_ids = Vec::new();
@@ -310,37 +116,37 @@ pub fn check_v2(text: &str) -> Result<usize, String> {
     if sorted != rule_ids {
         return Err("`rules` is not sorted and deduplicated".to_string());
     }
-    let Some(Value::Arr(findings)) = v.get("findings") else {
+    let Some(Json::Arr(findings)) = v.get("findings") else {
         return Err("missing `findings` array".to_string());
     };
     for (i, f) in findings.iter().enumerate() {
-        let Value::Obj(_) = f else {
+        let Json::Obj(_) = f else {
             return Err(format!("findings[{i}] is not an object"));
         };
         let rule = f
             .get("rule")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("findings[{i}] missing string `rule`"))?;
         if !rule_ids.contains(&rule) {
             return Err(format!("findings[{i}] rule `{rule}` not in `rules`"));
         }
         let file = f
             .get("file")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("findings[{i}] missing string `file`"))?;
         if file.contains('\\') {
             return Err(format!("findings[{i}] file `{file}` is not /-separated"));
         }
         let line = f
             .get("line")
-            .and_then(Value::as_u32)
+            .and_then(as_u32)
             .ok_or(format!("findings[{i}] missing integer `line`"))?;
         if line < 1 {
             return Err(format!("findings[{i}] line {line} is not 1-based"));
         }
         let message = f
             .get("message")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("findings[{i}] missing string `message`"))?;
         if message.is_empty() {
             return Err(format!("findings[{i}] has an empty message"));
@@ -348,7 +154,7 @@ pub fn check_v2(text: &str) -> Result<usize, String> {
     }
     let count = v
         .get("count")
-        .and_then(Value::as_u32)
+        .and_then(as_u32)
         .ok_or("missing integer `count`")?;
     if count as usize != findings.len() {
         return Err(format!(
@@ -417,16 +223,28 @@ mod tests {
             message: "quote \" backslash \\ newline \n tab \t control \u{1}".to_string(),
         };
         let text = render_v2(&[f.clone()]);
-        let v = parse(&text).unwrap();
-        let Some(Value::Arr(fs)) = v.get("findings") else { panic!() };
-        assert_eq!(fs[0].get("message").and_then(Value::as_str), Some(f.message.as_str()));
+        let v = Json::parse(&text).unwrap();
+        let Some(Json::Arr(fs)) = v.get("findings") else { panic!() };
+        assert_eq!(fs[0].get("message").and_then(Json::as_str), Some(f.message.as_str()));
     }
 
     #[test]
-    fn parser_handles_nested_values_and_rejects_trailing_garbage() {
-        assert!(parse("{\"a\": [1, {\"b\": null}, true]}").is_ok());
-        assert!(parse("{} extra").is_err());
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1, 2").is_err());
+    fn duplicate_count_keys_are_rejected() {
+        let text = render_v2(&[]).replace("\"count\":0", "\"count\":0,\"count\":0");
+        let err = check_v2(&text).unwrap_err();
+        assert!(err.contains("duplicate key \"count\""), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_without_overflowing_the_stack() {
+        let err = check_v2(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn non_integral_line_numbers_are_rejected() {
+        let text = render_v2(&[finding("no-wallclock", "a.rs", 1)]);
+        let broken = text.replace("\"line\":1", "\"line\":1.5");
+        assert!(check_v2(&broken).unwrap_err().contains("line"));
     }
 }

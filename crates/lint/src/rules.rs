@@ -69,11 +69,11 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "no-wallclock",
-        summary: "no Instant::now/SystemTime::now outside runtime::bench and crates/bench",
+        summary: "no Instant::now/SystemTime::now outside crates/bench",
         rationale: "Wall-clock reads make control flow time-dependent, which breaks replayable \
                     seeds and makes equilibrium comparisons noisy (the exact failure mode \
                     coopetitive-CFL reproductions warn about). Timing belongs in \
-                    tradefl_runtime::bench and the bench harness crate, which are exempt. \
+                    the bench harness crate (crates/bench), which is exempt. \
                     One more sanctioned sink exists: obs::time_scope (DESIGN.md \u{a7}9), a \
                     doubly opt-in duration histogram whose reading can never reach control \
                     flow or the deterministic event stream — its single Instant::now call \
@@ -245,11 +245,9 @@ fn in_deterministic_crate(rel_path: &str) -> bool {
     .any(|p| rel_path.starts_with(p))
 }
 
-/// Paths allowed to read the wall clock.
+/// Paths allowed to read the wall clock (the bench harness crate).
 fn wallclock_exempt(rel_path: &str) -> bool {
     rel_path.starts_with("crates/bench/")
-        || rel_path == "crates/runtime/src/bench.rs"
-        || rel_path.starts_with("crates/runtime/src/bench/")
 }
 
 /// Paths allowed to spawn raw threads (the pool implementation).
@@ -465,7 +463,7 @@ pub fn run_token_rules(rel_path: &str, target: Target, tokens: &[Tok]) -> Vec<Ra
                 rule: "no-wallclock",
                 line: t[i].line,
                 message: format!(
-                    "`{}::now` outside runtime::bench/crates/bench: wall-clock reads break \
+                    "`{}::now` outside crates/bench: wall-clock reads break \
                      seed replay",
                     t[i].text
                 ),

@@ -75,10 +75,10 @@ fn hash_iteration_offending_clean_allowed() {
 fn wallclock_offending_clean_allowed() {
     offends(SOLVER, "fn f() { let t = Instant::now(); }\n", "no-wallclock");
     offends("tests/x.rs", "fn f() { let t = std::time::SystemTime::now(); }\n", "no-wallclock");
-    clean(SOLVER, "fn f() { let t = tradefl_runtime::bench::Timer::start(); }\n");
-    // The bench harness and runtime::bench are exempt.
+    // Only the bench harness crate is exempt; the runtime crate is not.
     clean("crates/bench/src/lib.rs", "fn f() { let t = Instant::now(); }\n");
-    clean("crates/runtime/src/bench.rs", "fn f() { let t = Instant::now(); }\n");
+    clean("crates/bench/src/bin/baseline.rs", "fn f() { let t = Instant::now(); }\n");
+    offends("crates/runtime/src/bench.rs", "fn f() { let t = Instant::now(); }\n", "no-wallclock");
     clean(
         SOLVER,
         "// lint:allow(no-wallclock): timeout guard, value never reaches results\n\

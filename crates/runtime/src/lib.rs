@@ -23,9 +23,9 @@
 //!   macro with generator methods on [`check::Gen`], fixed-seed
 //!   replay via `TRADEFL_PROP_SEED`, and structural tape-based
 //!   shrinking toward minimal counterexamples) replacing `proptest`;
-//! * [`bench`] — a wall-clock benchmark runner and the
-//!   [`bench_group!`]/[`bench_main!`] macros replacing `criterion` for
-//!   `harness = false` bench targets;
+//! * [`json`] — a depth-capped JSON reader with typed errors
+//!   replacing `serde_json` for the workspace's schema validators
+//!   (bench baselines, traces, lint reports);
 //! * [`obs`] — zero-cost-when-disabled observability: logical-clock
 //!   events, counters/gauges/histograms, and a deterministic JSONL
 //!   exporter (replacing `tracing` + `metrics`), honoring the
@@ -43,9 +43,9 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod check;
 pub mod codec;
+pub mod json;
 pub mod obs;
 pub mod rng;
 pub mod sim;

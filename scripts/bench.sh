@@ -1,58 +1,24 @@
 #!/usr/bin/env bash
-# Records the perf baselines: serial-vs-pooled solver/FL timings
-# (BENCH_solvers.json) and naive-vs-blocked GEMM kernel timings
-# (BENCH_gemm.json).
+# Records the layer baselines (BENCH_baselines.json, schema
+# tradefl-bench/v2) with the one `baseline` binary: GEMM kernels,
+# solvers, FedAvg and the market engine, every pool-gated row timed
+# serially and at 1 and 2 workers. The binary re-validates what it
+# wrote with its own --check and exits non-zero on a malformed file
+# or, in full mode, a broken acceptance bound.
 #
-# Full mode writes the committed baselines at the repo root; --fast
-# (or TRADEFL_BENCH_FAST=1) runs smoke scale and writes under target/
-# so CI never clobbers the recorded files. Full-mode scale rows include
-# the ten-thousand-org sparse-rho solve and the sparse-vs-dense
-# agreement row; both are validated by scale_baseline --check below. The solver smoke shrinks
-# instance sizes; the GEMM smoke keeps the same shapes and only cuts
-# repeats, so its fast output gates like-for-like against the
-# committed file. Either way every emitted file is re-validated with
-# the binary's own --check, which fails on malformed JSON.
+# Full mode writes the committed file at the repo root; --fast skips
+# the N >= 1000 rows and writes under target/ so CI never clobbers the
+# recorded file.
 #
 # Usage: scripts/bench.sh [--fast]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FAST="${TRADEFL_BENCH_FAST:-}"
-for arg in "$@"; do
-  case "$arg" in
-    --fast) FAST=1 ;;
-    *) echo "bench.sh: unknown argument '$arg'" >&2; exit 2 ;;
-  esac
-done
+case "${1:-}" in
+  "") args=(--out BENCH_baselines.json) ;;
+  --fast) args=(--fast --out target/BENCH_baselines.fast.json) ;;
+  *) echo "bench.sh: unknown argument '$1'" >&2; exit 2 ;;
+esac
 
-cargo build --release -q -p tradefl-bench --bin perf_baseline --bin gemm_baseline --bin engine_baseline --bin scale_baseline
-SOLVERS=target/release/perf_baseline
-GEMM=target/release/gemm_baseline
-ENGINE=target/release/engine_baseline
-SCALE=target/release/scale_baseline
-
-if [ -n "$FAST" ]; then
-  SOLVERS_OUT=target/BENCH_solvers.fast.json
-  GEMM_OUT=target/BENCH_gemm.fast.json
-  ENGINE_OUT=target/BENCH_engine.fast.json
-  SCALE_OUT=target/BENCH_scale.fast.json
-  TRADEFL_BENCH_FAST=1 "$SOLVERS" --fast --out "$SOLVERS_OUT"
-  TRADEFL_BENCH_FAST=1 "$GEMM" --fast --out "$GEMM_OUT"
-  TRADEFL_BENCH_FAST=1 "$ENGINE" --fast --out "$ENGINE_OUT"
-  TRADEFL_BENCH_FAST=1 "$SCALE" --fast --out "$SCALE_OUT"
-else
-  SOLVERS_OUT=BENCH_solvers.json
-  GEMM_OUT=BENCH_gemm.json
-  ENGINE_OUT=BENCH_engine.json
-  SCALE_OUT=BENCH_scale.json
-  "$SOLVERS" --out "$SOLVERS_OUT"
-  "$GEMM" --out "$GEMM_OUT"
-  "$ENGINE" --out "$ENGINE_OUT"
-  "$SCALE" --out "$SCALE_OUT"
-fi
-
-"$SOLVERS" --check "$SOLVERS_OUT"
-"$GEMM" --check "$GEMM_OUT"
-"$ENGINE" --check "$ENGINE_OUT"
-"$SCALE" --check "$SCALE_OUT"
-echo "bench.sh: baselines at $SOLVERS_OUT, $GEMM_OUT, $ENGINE_OUT and $SCALE_OUT"
+cargo build --release -q -p tradefl-bench --bin baseline
+target/release/baseline "${args[@]}"

@@ -36,52 +36,24 @@ cargo test -q
 echo "==> workspace tests (all crates, property suites included)"
 cargo test -q --workspace
 
-echo "==> bench targets build (harness = false, tradefl_runtime::bench)"
-cargo build --benches
-
 echo "==> examples build"
 cargo build --examples
 
-echo "==> perf smoke: scripts/bench.sh --fast (TRADEFL_BENCH_FAST scale)"
+echo "==> perf smoke: scripts/bench.sh --fast (every row but the N >= 1000 ones)"
 scripts/bench.sh --fast
 
-echo "==> committed BENCH_*.json baselines are well-formed"
-if [ -e BENCH_solvers.json ]; then
-  target/release/perf_baseline --check BENCH_solvers.json
-fi
-if [ -e BENCH_gemm.json ]; then
-  target/release/gemm_baseline --check BENCH_gemm.json
-fi
-if [ -e BENCH_engine.json ]; then
-  target/release/engine_baseline --check BENCH_engine.json
-fi
-if [ -e BENCH_scale.json ]; then
-  # --check also re-enforces the scaling criteria recorded in the
-  # committed file: dbr_solve_n1000 within 20x dbr_solve_n100,
-  # dbr_solve_n10000 within 25x dbr_solve_n1000 with its resident
-  # sparse-rho bytes under 100 MB, and the sparse-vs-dense agreement
-  # row bit-identical.
-  target/release/scale_baseline --check BENCH_scale.json
-fi
+echo "==> committed BENCH_baselines.json is well-formed and meets its bounds"
+# --check re-enforces the acceptance bounds recorded in the committed
+# file: dbr_solve_n1000 within 20x dbr_solve_n100, dbr_solve_n10000
+# within 25x dbr_solve_n1000 with its resident sparse-rho bytes under
+# 100 MB, the sparse-vs-dense agreement row bit-identical, and the
+# blocked GEMM at least 3x naive on the eval shape.
+target/release/baseline --check BENCH_baselines.json
 
-echo "==> bench-regression gate: smoke medians vs committed baselines (3x tolerance)"
-# The GEMM smoke reuses the committed shapes, so this is like-for-like;
-# the solver smoke runs smaller instances, so only order-of-magnitude
-# regressions can trip its half of the gate.
-if [ -e BENCH_solvers.json ]; then
-  target/release/perf_baseline --gate target/BENCH_solvers.fast.json BENCH_solvers.json
-fi
-if [ -e BENCH_gemm.json ]; then
-  target/release/gemm_baseline --gate target/BENCH_gemm.fast.json BENCH_gemm.json
-fi
-if [ -e BENCH_engine.json ]; then
-  target/release/engine_baseline --gate target/BENCH_engine.fast.json BENCH_engine.json
-fi
-if [ -e BENCH_scale.json ]; then
-  # Fast mode skips the N=1000 rows; the gate only compares rows both
-  # sides share (N=10/100 DBR solves, the FedAvg round, batched GEMM).
-  target/release/scale_baseline --gate target/BENCH_scale.fast.json BENCH_scale.json
-fi
+echo "==> bench-regression gate: smoke medians vs the committed file (3x tolerance)"
+# The smoke keeps every instance size and repeat count, so the rows
+# both files carry compare like-for-like.
+target/release/baseline --gate target/BENCH_baselines.fast.json BENCH_baselines.json
 
 echo "==> DST smoke: market_daemon under three seeded fault schedules"
 # Each run injects dropped/duplicated/delayed/corrupted gossip plus
