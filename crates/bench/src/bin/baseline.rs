@@ -6,14 +6,13 @@
 //! together. The rows back the perf claims in README.md, DESIGN.md and
 //! EXPERIMENTS.md:
 //!
-//! * **kernel** — the paper's GEMM layer shapes, naive vs cache-blocked
-//!   (plus pooled on the tall eval shape), checked for agreement before
-//!   anything is timed; the thousand-silo batched GEMM dispatch.
+//! * **kernel** — the paper's GEMM layer shapes, naive vs cache-blocked,
+//!   checked for agreement before anything is timed.
 //! * **solver** — CGBD master traversal (reference odometer vs table
-//!   scan), the exhaustive primal oracle, one DBR solve and one best
-//!   response; DBR at N = 10 / 100 / 1000 / 10 000 orgs (Theorem 2)
-//!   with sparse-vs-dense bit agreement; CGBD with the traversal master
-//!   at N = 2..5 (Lemma 4); the DESIGN.md §8 ablations.
+//!   scan), one DBR solve and one best response; DBR at N = 10 / 100 /
+//!   1000 / 10 000 orgs (Theorem 2) with sparse-vs-dense bit agreement;
+//!   CGBD with the traversal master at N = 2..5 (Lemma 4); the DESIGN.md
+//!   §8 ablations.
 //! * **fl** — FedAvg rounds at paper scale and at N = 10 / 100 / 1000
 //!   silos, with the streaming reduce's buffer footprint.
 //! * **engine** — the persistent market engine run to settlement on a
@@ -67,7 +66,7 @@ use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tradefl_runtime::sim::faults::FaultConfig;
 use tradefl_runtime::sync::pool::{host_parallelism, Pool};
 use tradefl_solver::bestresponse::{best_response_with, Objective};
-use tradefl_solver::cgbd::{exhaustive_optimum_with, CgbdOptions, CgbdSolver};
+use tradefl_solver::cgbd::{CgbdOptions, CgbdSolver};
 use tradefl_solver::dbr::{DbrOptions, DbrSolver, UpdateOrder};
 use tradefl_solver::gbd::{solve_master, traverse_pooled, traverse_reference, Cut, MasterSearch};
 use tradefl_solver::primal::PrimalProblem;
@@ -132,9 +131,7 @@ fn registry() -> Vec<Entry> {
     for spec in SPECS {
         rows.push(entry(spec.name, "kernel", false, 15, move |r| bench_gemm(spec, r)));
     }
-    rows.push(entry("batched_gemm_32x64x96", "kernel", false, 5, bench_batched_gemm));
     rows.push(entry("cgbd_traversal", "solver", false, 15, bench_cgbd_traversal));
-    rows.push(entry("exhaustive_optimum", "solver", false, 15, bench_exhaustive_optimum));
     rows.push(entry("dbr_solve", "solver", false, 15, bench_dbr_pooled));
     rows.push(entry("best_response", "solver", false, 15, bench_best_response));
     rows.push(Entry {
@@ -232,9 +229,6 @@ struct Spec {
     /// Zero ~half of the left operand, like post-ReLU activations —
     /// the case the naive kernel's exact-zero skip was tuned for.
     sparse: bool,
-    /// Also time the pooled kernel (only `MatMul` rows tall enough to
-    /// split on MC-aligned row boundaries).
-    pooled: bool,
 }
 
 /// The paper's layer shapes (ResNet-analog 64→96→48→10 on the dim-64
@@ -244,15 +238,15 @@ struct Spec {
 const SPECS: &[Spec] = &[
     // Largest shape in any figure run: full-test-set evaluation through
     // the ResNet-analog's first layer; the >=3x blocked bar is on it.
-    Spec { name: "eval_forward_1500x64x96", op: Op::MatMul, m: 1500, k: 64, n: 96, sparse: false, pooled: true },
-    Spec { name: "train_forward_32x64x96", op: Op::MatMul, m: 32, k: 64, n: 96, sparse: false, pooled: false },
-    Spec { name: "train_forward_32x36x32", op: Op::MatMul, m: 32, k: 36, n: 32, sparse: false, pooled: false },
+    Spec { name: "eval_forward_1500x64x96", op: Op::MatMul, m: 1500, k: 64, n: 96, sparse: false },
+    Spec { name: "train_forward_32x64x96", op: Op::MatMul, m: 32, k: 64, n: 96, sparse: false },
+    Spec { name: "train_forward_32x36x32", op: Op::MatMul, m: 32, k: 36, n: 32, sparse: false },
     // Weight gradient dW = actsᵀ · delta for the 64→96 layer.
-    Spec { name: "grad_weights_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: false, pooled: false },
+    Spec { name: "grad_weights_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: false },
     // Backprop delta_prev = delta · Wᵀ through the 96→48 layer.
-    Spec { name: "backprop_delta_32x48x96", op: Op::MatMulTransposed, m: 32, k: 48, n: 96, sparse: false, pooled: false },
+    Spec { name: "backprop_delta_32x48x96", op: Op::MatMulTransposed, m: 32, k: 48, n: 96, sparse: false },
     // The naive kernel's best case: ~50% exact zeros in the activations.
-    Spec { name: "grad_weights_relu_sparse_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: true, pooled: false },
+    Spec { name: "grad_weights_relu_sparse_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: true },
 ];
 
 /// Deterministic operand pair for a spec (values in `[-1, 1)`).
@@ -315,69 +309,26 @@ fn bench_gemm(spec: &Spec, repeats: usize) -> Fields {
     assert_blocked_agrees(spec, 42);
     let (a, b) = inputs(spec, 42);
     let mut ws = kernel::Workspace::new();
-    let [mut out, mut out1, mut out2] = [(); 3].map(|_| Matrix::zeros(0, 0));
-    let pools = WORKERS.map(Pool::new);
-    // All variants are interleaved: the numbers are consumed as ratios,
-    // and interleaving keeps a slow host period from landing on one
-    // side of a ratio only. The blocked kernel is the serial path.
-    let runs: &mut [&mut dyn FnMut()] = &mut [
-        &mut || {
-            black_box(naive(spec.op, &a, &b));
-        },
-        &mut || blocked(spec.op, &a, &b, &mut out, &mut ws),
-        &mut || kernel::matmul_into_pooled(&a, &b, &mut out1, &pools[0]),
-        &mut || kernel::matmul_into_pooled(&a, &b, &mut out2, &pools[1]),
-    ];
-    let ms = time_ms(repeats, &mut runs[..if spec.pooled { 4 } else { 2 }]);
-    let mut fields = vec![
+    let mut out = Matrix::zeros(0, 0);
+    // Interleaved: the numbers are consumed as a ratio, and
+    // interleaving keeps a slow host period from landing on one side
+    // of it only.
+    let ms = time_ms(
+        repeats,
+        &mut [
+            &mut || {
+                black_box(naive(spec.op, &a, &b));
+            },
+            &mut || blocked(spec.op, &a, &b, &mut out, &mut ws),
+        ],
+    );
+    vec![
         ("m", spec.m as f64),
         ("k", spec.k as f64),
         ("n", spec.n as f64),
         ("naive_ms", ms[0]),
         ("blocked_ms", ms[1]),
         ("blocked_speedup", ms[0] / ms[1]),
-    ];
-    if spec.pooled {
-        fields.extend([
-            ("pooled_1w_ms", ms[2]),
-            ("pooled_ms", ms[3]),
-            ("pooled_speedup", ms[0] / ms[3]),
-        ]);
-    }
-    fields
-}
-
-/// The per-silo gradient-shaped products of a thousand-silo round:
-/// serial loop vs [`kernel::matmul_batch_into_pooled`]'s one dispatch.
-fn bench_batched_gemm(repeats: usize) -> Fields {
-    let count = 1000;
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x7363_616c);
-    let pairs: Vec<(Matrix, Matrix)> = (0..count)
-        .map(|_| {
-            let a = Matrix::from_fn(32, 64, |_, _| rng.gen_range(-1.0..1.0));
-            let b = Matrix::from_fn(64, 96, |_, _| rng.gen_range(-1.0..1.0));
-            (a, b)
-        })
-        .collect();
-    let ops: Vec<(&Matrix, &Matrix)> = pairs.iter().map(|(a, b)| (a, b)).collect();
-    let mut outs_serial: Vec<Matrix> = (0..count).map(|_| Matrix::zeros(0, 0)).collect();
-    let mut outs_batched = outs_serial.clone();
-    let mut ws = kernel::Workspace::new();
-    let [serial, one, two] = time_pooled(
-        repeats,
-        &mut || {
-            for ((a, b), out) in ops.iter().zip(outs_serial.iter_mut()) {
-                kernel::matmul_into(a, b, out, &mut ws);
-            }
-        },
-        &mut |pool| kernel::matmul_batch_into_pooled(&ops, &mut outs_batched, pool),
-    );
-    vec![
-        ("serial_ms", serial),
-        ("batched_1w_ms", one),
-        ("batched_ms", two),
-        ("products", count as f64),
-        ("batched_speedup", serial / two),
     ]
 }
 
@@ -424,14 +375,6 @@ fn bench_cgbd_traversal(repeats: usize) -> Fields {
             black_box(traverse_pooled(&g, &cuts, &visited, cap, pool).expect("traversal"));
         },
     ))
-}
-
-/// Exhaustive primal oracle over every ladder assignment.
-fn bench_exhaustive_optimum(repeats: usize) -> Fields {
-    let g = game(4, 11);
-    pooled_fields(time_on_pools(repeats, &|pool| {
-        black_box(exhaustive_optimum_with(&g, 1e-9, pool).expect("oracle"));
-    }))
 }
 
 /// Full DBR solve (Algorithm 2) on the paper-scale market; below every
@@ -838,8 +781,6 @@ fn render(rows: &[Row], fast: bool) -> String {
 const RATIOS: &[(&str, &str, &str, f64)] = &[
     ("speedup", "serial_ms", "pooled_ms", 1.0),
     ("blocked_speedup", "naive_ms", "blocked_ms", 1.0),
-    ("pooled_speedup", "naive_ms", "pooled_ms", 1.0),
-    ("batched_speedup", "serial_ms", "batched_ms", 1.0),
     ("settlements_per_sec", "txs", "run_ms", 1e3),
 ];
 
@@ -1190,8 +1131,7 @@ mod tests {
         vec![
             row("eval_forward_1500x64x96", "kernel", &[
                 ("m", 1500.0), ("k", 64.0), ("n", 96.0), ("naive_ms", 1.0), ("blocked_ms", 0.2),
-                ("blocked_speedup", 5.0), ("pooled_1w_ms", 0.2), ("pooled_ms", 0.125),
-                ("pooled_speedup", 8.0),
+                ("blocked_speedup", 5.0),
             ]),
             row("dbr_solve", "solver", &[
                 ("serial_ms", 0.08), ("pooled_1w_ms", 0.08), ("pooled_ms", 0.08), ("speedup", 1.0),
@@ -1225,7 +1165,6 @@ mod tests {
             full_rows().into_iter().filter(|r| !r.name.contains("n10")).collect();
         set(&mut fast, "eval_forward_1500x64x96", "naive_ms", 0.5);
         set(&mut fast, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
-        set(&mut fast, "eval_forward_1500x64x96", "pooled_speedup", 4.0);
         assert_eq!(check(&render(&fast, true)), Ok(3));
     }
 
@@ -1243,7 +1182,6 @@ mod tests {
                 |r| {
                     set(r, "eval_forward_1500x64x96", "naive_ms", 0.5);
                     set(r, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
-                    set(r, "eval_forward_1500x64x96", "pooled_speedup", 4.0);
                 },
                 "cache-blocking",
             ),
@@ -1363,7 +1301,6 @@ mod tests {
         }
         for old in [
             "cgbd_traversal",
-            "exhaustive_optimum",
             "dbr_solve",
             "best_response",
             "fedavg_round",
@@ -1381,7 +1318,6 @@ mod tests {
             "fedavg_round_n10",
             "fedavg_round_n100",
             "fedavg_round_n1000",
-            "batched_gemm_32x64x96",
             "single_session_3v",
             "multi_session_4v",
             "multi_session_4v_faulty",

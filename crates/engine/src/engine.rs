@@ -43,26 +43,27 @@
 //! freshest live replica's, lowest index on ties) is healed: rebuilt
 //! from genesis and re-pulled from its peers.
 //!
-//! The engine still owns a non-validator *archive node*, but it is a
-//! passive observer demoted to two jobs: [`Engine::checkpoint`] /
-//! [`Engine::restore`] (the canonical chain is serialized through
-//! [`tradefl_ledger::codec::encode_chain`] and re-validated block by
-//! block on restore) and final reporting when no validator survived.
-//! During a run it stays at genesis — the DST suite asserts that.
-//! Since every stochastic stream (arrivals, tiebreaks, fault and
+//! The validators are the only nodes. [`Engine::checkpoint`]
+//! serializes the canonical chain through
+//! [`tradefl_ledger::codec::encode_chain`] (genesis alone when no
+//! validator is alive), and [`Engine::restore`] replays it straight
+//! into the validators' wire path, which re-executes every block; the
+//! freshest live replica must replay all of it. With no validator
+//! alive, the engine reports the genesis block every validator boots
+//! with. Since every stochastic stream (arrivals, tiebreaks, fault and
 //! Byzantine decisions) is a pure function of `(seed, counter)`,
 //! [`Engine::restore`] resumes bit-identically.
 
 use crate::session::{SessionPlan, SessionSpec};
 use std::fmt;
-use tradefl_ledger::chain::Block;
+use tradefl_ledger::chain::{Block, Blockchain};
 use tradefl_ledger::codec::{
     bounded_count, decode_chain, decode_tx_bytes, encode_block_bytes, encode_chain,
     encode_tx_bytes, CodecError,
 };
 use tradefl_ledger::contract::Contract;
 use tradefl_ledger::network::{FrameError, Network, NetworkError, WireLimits};
-use tradefl_ledger::node::{BlockApplyError, Node};
+use tradefl_ledger::node::BlockApplyError;
 use tradefl_ledger::tradefl_contract::TradeFlContract;
 use tradefl_ledger::tx::{ExecStatus, Transaction};
 use tradefl_ledger::types::{Address, Hash256, Wei};
@@ -81,14 +82,14 @@ const STREAM_FAULTS: u64 = 0xE1;
 const STREAM_BYZANTINE: u64 = 0xE2;
 const STREAM_ARRIVALS: u64 = 0xA0;
 
-/// Checkpoint format version. v2 replaced the archive-centric v1
-/// layout: the round-robin cursor became the election term, the
-/// Byzantine decision counter and the requeue/in-flight transaction
-/// sections were added, and per-replica heights let restore rebuild
-/// each replica at its exact checkpointed position instead of snapping
-/// everyone to the archive tip. v3 switched every counter and length
-/// prefix from fixed `u64_le` to LEB128 varints (the embedded chain
-/// rides the ledger codec, itself varint since its v2).
+/// Checkpoint format version. v2 replaced the v1 layout: the
+/// round-robin cursor became the election term, the Byzantine decision
+/// counter and the requeue/in-flight transaction sections were added,
+/// and per-replica heights let restore rebuild each replica at its
+/// exact checkpointed position instead of snapping everyone to one
+/// tip. v3 switched every counter and length prefix from fixed
+/// `u64_le` to LEB128 varints (the embedded chain rides the ledger
+/// codec, itself varint since its v2).
 const CHECKPOINT_VERSION: u8 = 3;
 
 /// Smallest possible encoding of one pending-event queue entry:
@@ -175,8 +176,6 @@ pub enum EngineError {
         /// Simulated time when the guard tripped.
         now: SimTime,
     },
-    /// An internal consistency failure (a bug, not bad input).
-    Internal(&'static str),
 }
 
 impl fmt::Display for EngineError {
@@ -193,7 +192,6 @@ impl fmt::Display for EngineError {
             EngineError::Stalled { now } => {
                 write!(f, "simulation stalled at tick {now} without completing")
             }
-            EngineError::Internal(what) => write!(f, "internal engine error: {what}"),
         }
     }
 }
@@ -307,7 +305,7 @@ pub struct EngineReport {
     /// proposer) — each re-mined without duplication.
     pub requeues: u64,
     /// Final chain height (canonical: the freshest surviving replica;
-    /// the archive's stale observer view if nobody survived).
+    /// genesis if nobody survived).
     pub final_height: usize,
     /// Final state root (canonical; all survivors match when
     /// `converged`).
@@ -347,7 +345,6 @@ pub struct Engine {
     allocations: Vec<(Address, Wei)>,
     contracts: Vec<Address>,
     net: Network,
-    archive: Node,
     queue: EventQueue<Event>,
     admission: Bounded<Transaction>,
     faults: FaultPlan,
@@ -388,8 +385,8 @@ pub struct Engine {
 
 impl Engine {
     /// Boots the engine: builds every session plan (solving its game to
-    /// equilibrium), boots the validator network and the archive node,
-    /// deploys one contract per session on all of them, and schedules
+    /// equilibrium), boots the validator network, deploys one contract
+    /// per session on every validator, and schedules
     /// the initial arrival/batch/crash events.
     ///
     /// # Errors
@@ -432,19 +429,12 @@ impl Engine {
             &allocations,
             WireLimits { max_frame_bytes: config.max_frame_bytes },
         );
-        let mut archive = Node::new(&allocations);
 
         let mut contracts = Vec::with_capacity(plans.len());
         for plan in &plans {
             let proto = TradeFlContract::new(plan.params.clone())
                 .map_err(|e| EngineError::Contract(e.to_string()))?;
-            let archive_proto = proto.snapshot();
-            let addr = net.deploy(Box::new(proto))?;
-            let archive_addr = archive.deploy(archive_proto);
-            if addr != archive_addr {
-                return Err(EngineError::Internal("archive deployment diverged"));
-            }
-            contracts.push(addr);
+            contracts.push(net.deploy(Box::new(proto))?);
         }
 
         let mut queue = EventQueue::new(substream(seed, STREAM_QUEUE));
@@ -496,7 +486,6 @@ impl Engine {
             allocations,
             contracts,
             net,
-            archive,
             queue,
             faults,
             byzantine,
@@ -514,20 +503,10 @@ impl Engine {
         self.queue.now()
     }
 
-    /// The canonical chain height: the freshest live replica's, or the
-    /// archive's stale observer view when nobody is alive.
+    /// The canonical chain height: the freshest live replica's, or 1
+    /// (genesis) when nobody is alive.
     pub fn height(&self) -> usize {
-        match self.canonical() {
-            Some(c) => self.height_of(c),
-            None => self.archive.chain().height(),
-        }
-    }
-
-    /// Read access to the archive node — a passive observer used only
-    /// for checkpoint/restore and as the reporting fallback when no
-    /// validator survived. During a run it stays at genesis.
-    pub fn archive(&self) -> &Node {
-        &self.archive
+        self.canonical().map_or(1, |c| self.height_of(c))
     }
 
     /// Read access to the validator network.
@@ -569,6 +548,11 @@ impl Engine {
     /// Chain height of replica `i`.
     fn height_of(&self, i: usize) -> usize {
         self.net.validator(i).node.chain().height()
+    }
+
+    /// The genesis-only chain every validator boots with.
+    fn genesis(&self) -> Blockchain {
+        self.net.validator(0).node.chain().prefix(1)
     }
 
     /// The canonical replica: the freshest live validator, lowest
@@ -949,9 +933,9 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::Stalled`] if the stall guard trips;
-    /// [`EngineError::Network`] / [`EngineError::Internal`] on
-    /// consistency failures (bugs, not fault injection — injected
-    /// faults surface as rejections and heals, never errors).
+    /// [`EngineError::Network`] on consistency failures (bugs, not
+    /// fault injection — injected faults surface as rejections and
+    /// heals, never errors).
     pub fn run(&mut self) -> Result<EngineReport, EngineError> {
         while self.step()? {}
         self.report()
@@ -978,14 +962,13 @@ impl Engine {
                 let node = &self.net.validator(c).node;
                 (node.chain().tip_hash(), node.state().root(), node.chain().height())
             }
-            // Nobody survived: all the engine can report is the
-            // archive's stale observer view (genesis unless restored
-            // from a checkpoint).
-            None => (
-                self.archive.chain().tip_hash(),
-                self.archive.state().root(),
-                self.archive.chain().height(),
-            ),
+            // Nobody survived: report the genesis every validator
+            // boots with.
+            None => {
+                let genesis = self.genesis();
+                let root = genesis.block(0).map_or(Hash256::ZERO, |b| b.header.state_root);
+                (genesis.tip_hash(), root, genesis.height())
+            }
         };
         let converged = !no_survivors
             && survivors.iter().all(|&i| {
@@ -994,9 +977,10 @@ impl Engine {
             })
             && self.net.converged_among(&survivors);
 
-        let receipt_ok = |tx: &Transaction| match self.canonical() {
-            Some(c) => self.net.validator(c).node.receipt(tx.hash()).cloned(),
-            None => self.archive.receipt(tx.hash()).cloned(),
+        // Genesis holds no transactions, so with nobody alive no
+        // receipt exists.
+        let receipt_ok = |tx: &Transaction| {
+            self.canonical().and_then(|c| self.net.validator(c).node.receipt(tx.hash()).cloned())
         };
         let mut sessions_settled = 0;
         for (s, plan) in self.plans.iter().enumerate() {
@@ -1031,7 +1015,7 @@ impl Engine {
     /// Serializes the live engine: simulation counters, session
     /// cursors, admission/requeue/in-flight transactions, per-replica
     /// heights, pending events, and the canonical chain (the freshest
-    /// live replica's — the archive's only if nobody is alive) through
+    /// live replica's — genesis alone if nobody is alive) through
     /// the chain export codec. Restoring with [`Engine::restore`]
     /// resumes bit-identically — every stochastic stream is a pure
     /// function of `(seed, counter)`, and all counters are here.
@@ -1087,21 +1071,25 @@ impl Engine {
         }
         let chain = match self.canonical() {
             Some(c) => encode_chain(self.net.validator(c).node.chain()),
-            None => encode_chain(self.archive.chain()),
+            None => encode_chain(&self.genesis()),
         };
         buf.put_varint_slice(&chain);
         buf.to_vec()
     }
 
     /// Rebuilds a live engine from a checkpoint: boots fresh (same
-    /// config and seed), imports the ledger through the chain codec
-    /// with full re-execution validation, replays every live replica up
-    /// to it, and restores the simulation counters and pending events.
+    /// config and seed), imports the ledger through the chain codec,
+    /// replays it into every replica up to its checkpointed height with
+    /// full re-execution validation, and restores the simulation
+    /// counters and pending events.
     ///
     /// # Errors
     ///
     /// [`EngineError::Checkpoint`] / [`EngineError::Codec`] on
-    /// malformed bytes or config mismatch.
+    /// malformed bytes or config mismatch, and when the chain's height
+    /// is not the largest declared height among live replicas (1 when
+    /// none is live) — a shorter declaration would leave the chain's
+    /// tail unvalidated.
     pub fn restore(
         config: EngineConfig,
         seed: u64,
@@ -1224,27 +1212,25 @@ impl Engine {
         if !buf.is_empty() {
             return Err(EngineError::Checkpoint("trailing bytes".into()));
         }
-        // Import through the chain codec, then replay into the fresh
-        // archive with full re-execution validation — a forged
-        // checkpoint cannot produce a diverging engine. (This is the
-        // archive's checkpoint-vessel role; it plays no part mid-run.)
+        // Import through the chain codec. Each replica re-executes its
+        // prefix below, so the freshest live replica must reach the tip:
+        // otherwise a forged checkpoint could smuggle in an unvalidated
+        // tail.
         let chain = decode_chain(&chain_bytes)?;
-        let blocks = chain.blocks();
-        let Some(genesis) = blocks.first() else {
-            return Err(EngineError::Checkpoint("empty chain".into()));
-        };
-        if engine.archive.chain().tip_hash() != genesis.hash() {
+        if chain.prefix(1) != engine.genesis() {
             return Err(EngineError::Checkpoint(
                 "checkpoint genesis does not match this config".into(),
             ));
         }
-        for block in blocks.iter().skip(1) {
-            if engine.archive.apply_block(block).is_err() {
-                return Err(EngineError::Checkpoint(
-                    "ledger replay failed validation".into(),
-                ));
-            }
+        let freshest_live =
+            heights.iter().zip(&engine.alive).filter(|(_, &a)| a).map(|(&h, _)| h).max();
+        if chain.height() != freshest_live.unwrap_or(1) {
+            return Err(EngineError::Checkpoint(format!(
+                "chain height {} is not the freshest live replica's",
+                chain.height()
+            )));
         }
+        let blocks = chain.blocks();
         // Rebuild every replica at its checkpointed height by replaying
         // the canonical prefix through its wire path. A dead replica's
         // height is capped by the canonical chain (its in-memory state
@@ -1486,15 +1472,43 @@ mod tests {
         assert!(Engine::restore(tiny_config(), 5, &bytes).is_err());
     }
 
-    /// The tentpole's observable invariant: mid-run the archive is a
-    /// passive observer, never written — all catch-up is peer-to-peer.
+    /// Forged heights: a checkpoint declaring every replica one block
+    /// short of its chain would leave the tip block unreplayed, hence
+    /// unvalidated, so restore must refuse it.
     #[test]
-    fn archive_stays_at_genesis_during_a_run() {
-        let mut engine = Engine::new(tiny_config(), 42).unwrap();
-        let report = engine.run().unwrap();
-        assert!(report.fully_settled(), "{report:?}");
-        assert!(report.final_height > 1);
-        assert_eq!(engine.archive().chain().height(), 1, "archive was written mid-run");
+    fn declared_heights_that_undercut_the_chain_are_rejected() {
+        let mut engine = Engine::new(tiny_config(), 5).unwrap();
+        for _ in 0..40 {
+            engine.step().unwrap();
+        }
+        let height = engine.height();
+        assert!(height > 1, "the chain must have grown past genesis");
+        let mut bytes = engine.checkpoint();
+        assert!(Engine::restore(tiny_config(), 5, &bytes).is_ok());
+        // Walk to the per-replica heights: version byte, seed + eleven
+        // counters, the alive flags, then the varint-counted heights.
+        let mut cur: &[u8] = &bytes;
+        cur.advance(1);
+        for _ in 0..12 {
+            cur.try_get_uvarint().unwrap();
+        }
+        let alive = cur.try_get_uvarint().unwrap() as usize;
+        cur.advance(alive);
+        let n = cur.try_get_uvarint().unwrap();
+        let start = bytes.len() - cur.remaining();
+        for _ in 0..n {
+            cur.try_get_uvarint().unwrap();
+        }
+        let end = bytes.len() - cur.remaining();
+        let mut forged = BytesMut::with_capacity(16);
+        for _ in 0..n {
+            forged.put_uvarint(height as u64 - 1);
+        }
+        bytes.splice(start..end, forged.to_vec());
+        assert!(matches!(
+            Engine::restore(tiny_config(), 5, &bytes),
+            Err(EngineError::Checkpoint(_))
+        ));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Off-chain, a session is a coopetition game: the engine solves it to
 //! equilibrium once (Algorithm 2 via `tradefl-solver`) at plan-build
 //! time. On-chain, it is the Fig. 3 procedure — register → deposit →
-//! contribute → calculate → transfer → record. [`SessionPlan::build`]
-//! unrolls that procedure into an ordered transaction list with
-//! correct per-organization nonces, so the *runtime* state of a live
-//! session is a single cursor into the script. That makes sessions
-//! trivially checkpointable: the cursor is the checkpoint.
+//! contribute → calculate → transfer → record — scripted by the same
+//! [`SettlementPlan`] the single-node settlement driver runs: an
+//! ordered transaction list with correct per-organization nonces, so
+//! the *runtime* state of a live session is a single cursor into the
+//! script. That makes sessions trivially checkpointable: the cursor is
+//! the checkpoint.
 //!
 //! Organization addresses are prefixed with the session name
 //! (`"{session}/{org}"`), so any number of sessions coexist on one
@@ -17,16 +18,12 @@ use crate::engine::EngineError;
 use tradefl_core::accuracy::SqrtAccuracy;
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
-use tradefl_ledger::settlement::DEFAULT_WEI_PER_UNIT;
+use tradefl_ledger::settlement::SettlementPlan;
 use tradefl_ledger::tradefl_contract::SessionParams;
-use tradefl_ledger::tx::{Transaction, TxPayload, Value};
-use tradefl_ledger::types::{Address, Fixed, Wei};
+use tradefl_ledger::tx::{Transaction, TxPayload};
+use tradefl_ledger::types::{Address, Wei};
 use tradefl_runtime::sync::pool::Pool;
 use tradefl_solver::DbrSolver;
-
-/// Gas limit on every scripted settlement call (mirrors the settlement
-/// driver's).
-const CALL_GAS: u64 = 10_000_000;
 
 /// What to simulate for one market session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,9 +61,9 @@ pub struct SessionPlan {
 
 impl SessionPlan {
     /// Builds the plan: draws the market, solves the game to
-    /// equilibrium on `pool`, converts parameters to the contract's
-    /// fixed-point units (the same conversion the settlement driver
-    /// uses), and scripts the Fig. 3 transaction sequence.
+    /// equilibrium on `pool`, and scripts the unattested Fig. 3
+    /// transaction sequence through [`SettlementPlan`] under
+    /// session-prefixed addresses.
     ///
     /// # Errors
     ///
@@ -91,90 +88,15 @@ impl SessionPlan {
             .map_err(|e| fail(format!("equilibrium solve: {e}")))?;
 
         let market = game.market();
-        let n = market.len();
-        let addresses: Vec<Address> = market
-            .orgs()
-            .iter()
-            .map(|o| Address::from_name(&format!("{}/{}", spec.name, o.name())))
-            .collect();
-
-        // Bond sizing: worst-case |R_i| is bounded by γ' · q_max · x_max
-        // (identical to the settlement driver's formula).
-        let gamma_per_gbit = market.params().gamma * 1e9;
-        let x_max = market
-            .orgs()
-            .iter()
-            .map(|o| o.data_bits() / 1e9 + market.params().lambda * o.max_frequency() / 1e9)
-            .fold(0.0f64, f64::max);
-        let q_max =
-            (0..n).map(|i| market.competition_pressure(i)).fold(0.0f64, f64::max);
-        let bound_units = gamma_per_gbit * q_max * x_max * 1.05 + 1.0;
-        let required_deposit =
-            Wei((bound_units * DEFAULT_WEI_PER_UNIT as f64).ceil() as u128);
-
-        let params = SessionParams {
-            participants: addresses.clone(),
-            gamma_per_gbit: Fixed::from_f64(gamma_per_gbit),
-            lambda: Fixed::from_f64(market.params().lambda),
-            rho: (0..n)
-                .map(|i| (0..n).map(|j| Fixed::from_f64(market.rho(i, j))).collect())
-                .collect(),
-            s_gbits: market
-                .orgs()
-                .iter()
-                .map(|o| Fixed::from_f64(o.data_bits() / 1e9))
-                .collect(),
-            required_deposit,
-            wei_per_payoff_unit: DEFAULT_WEI_PER_UNIT,
-            attestation_key: None,
-        };
-
-        let allocations: Vec<(Address, Wei)> =
-            addresses.iter().map(|&a| (a, Wei(required_deposit.0 * 4))).collect();
-
-        // Script the Fig. 3 sequence. Nonces are per address; the
-        // contract address is unknown until deployment, so a
-        // placeholder is patched in by `txs_for_contract`.
-        let mut nonces = vec![0u64; n];
-        let mut txs = Vec::with_capacity(4 * n + 2);
-        let mut push = |who: usize, function: &str, args: Vec<Value>, value: Wei| {
-            txs.push(Transaction {
-                from: addresses[who],
-                nonce: nonces[who],
-                value,
-                gas_limit: CALL_GAS,
-                payload: TxPayload::Call {
-                    contract: Address([0u8; 20]),
-                    function: function.into(),
-                    args,
-                },
-            });
-            nonces[who] += 1;
-        };
-        for i in 0..n {
-            push(i, "register", vec![], Wei::ZERO);
-        }
-        for i in 0..n {
-            push(i, "depositSubmit", vec![], required_deposit);
-        }
-        for i in 0..n {
-            let org = market.org(i);
-            let d = Fixed::from_f64(eq.profile[i].d);
-            let f_ghz = Fixed::from_f64(org.frequency(eq.profile[i].level) / 1e9);
-            push(
-                i,
-                "contributionSubmit",
-                vec![Value::Fixed(d), Value::Fixed(f_ghz)],
-                Wei::ZERO,
-            );
-        }
-        push(0, "payoffCalculate", vec![], Wei::ZERO);
-        push(0, "payoffTransfer", vec![], Wei::ZERO);
-        for i in 0..n {
-            let addr = addresses[i];
-            push(i, "profileRecord", vec![Value::Addr(addr)], Wei::ZERO);
-        }
-
+        let plan = SettlementPlan::new(
+            market,
+            |org| Address::from_name(&format!("{}/{}", spec.name, org)),
+            None,
+        );
+        // The contract address is unknown until deployment, so a
+        // placeholder is patched in by `tx_at`.
+        let txs = plan.script(market, &eq.profile, Address([0u8; 20]), |_| 0);
+        let SettlementPlan { addresses, allocations, params, .. } = plan;
         Ok(Self { spec, addresses, allocations, params, txs })
     }
 
@@ -214,27 +136,6 @@ mod tests {
 
     fn spec(name: &str, orgs: usize, seed: u64) -> SessionSpec {
         SessionSpec { name: name.into(), orgs, seed }
-    }
-
-    #[test]
-    fn plans_are_deterministic_and_worker_count_invariant() {
-        let p1 = SessionPlan::build(spec("s", 3, 7), &Pool::new(1)).unwrap();
-        let p4 = SessionPlan::build(spec("s", 3, 7), &Pool::new(4)).unwrap();
-        assert_eq!(p1.txs, p4.txs, "worker count must not change the script");
-        assert_eq!(p1.addresses, p4.addresses);
-        assert_eq!(p1.params, p4.params);
-    }
-
-    #[test]
-    fn scripts_carry_contiguous_per_org_nonces() {
-        let p = SessionPlan::build(spec("s", 4, 3), &Pool::new(1)).unwrap();
-        for &addr in &p.addresses {
-            let nonces: Vec<u64> =
-                p.txs.iter().filter(|t| t.from == addr).map(|t| t.nonce).collect();
-            let expected: Vec<u64> = (0..nonces.len() as u64).collect();
-            assert_eq!(nonces, expected, "nonces for {addr} must be 0..k in order");
-        }
-        assert_eq!(p.len(), 4 * 4 + 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! 1. **Convergence** — every surviving validator ends at the
 //!    canonical tip hash and state root, bit-identical, and every
-//!    session settles on-chain — with the archive demoted to a passive
-//!    observer (it stays at genesis; catch-up is gossip-only).
+//!    session settles on-chain — with catch-up gossip-only (replicas
+//!    pull from live peers; there is no trusted node).
 //! 2. **Replay identity** — running the same seed twice produces the
 //!    identical [`EngineReport`] *and* the identical observability
 //!    event stream, byte for byte — on any worker-pool size.
@@ -125,24 +125,18 @@ fn hundred_seeded_fault_schedules_converge_and_replay_identically() {
     assert!(byzantine_seeds >= 20, "only {byzantine_seeds}/100 runs saw a proposer lie");
 }
 
-/// The tentpole's proof: a sweep with the archive provably out of the
-/// loop. Catch-up is gossip-only — crashed, lagging, and lied-to
-/// replicas all recover by pulling from live peers — so the archive
-/// must still be at genesis after every adversarial run that
-/// nonetheless converged and settled.
+/// Gossip-only repair: catch-up has no trusted node — crashed,
+/// lagging, and lied-to replicas all recover by pulling from live
+/// peers — and every adversarial run must still converge, settle, and
+/// make blocks.
 #[test]
-fn thirty_adversarial_seeds_converge_with_the_archive_offline() {
+fn thirty_adversarial_seeds_converge_by_gossip_only_repair() {
     let mut repaired_seeds = 0u32;
     for seed in 0..30u64 {
         let mut engine = Engine::new(adversarial_config(seed), seed).expect("engine boots");
         let report = engine.run().expect("run completes");
         assert!(report.converged, "seed {seed}: {report:?}");
         assert!(report.fully_settled(), "seed {seed}: {report:?}");
-        assert_eq!(
-            engine.archive().chain().height(),
-            1,
-            "seed {seed}: the archive must stay a genesis-only observer"
-        );
         assert!(report.final_height > 1, "seed {seed}: the market must make blocks");
         if report.heals > 0 || report.byzantine_rounds > 0 {
             repaired_seeds += 1;
@@ -156,7 +150,7 @@ fn thirty_adversarial_seeds_converge_with_the_archive_offline() {
 
 /// Workers must never leak into simulation outcomes: the same
 /// adversarial schedule (faulted gossip + crashes + Byzantine
-/// proposers, archive demoted) converges bit-identically — report and
+/// proposers) converges bit-identically — report and
 /// event stream — across 1/4/8-worker pools.
 #[test]
 fn adversarial_runs_are_bit_identical_across_worker_pools() {
@@ -404,8 +398,7 @@ props! {
 
     /// The ledger export codec round-trips: export → import → export is
     /// byte-identical, and the imported chain carries the same tip.
-    /// (Exports now come from a converged replica — the archive is a
-    /// genesis-only observer during runs.)
+    /// (Exports come from a converged replica.)
     fn chain_export_import_export_is_byte_identical(g) {
         let seed = g.u64(0..1_000_000);
         let mut engine = Engine::new(adversarial_config(seed), seed).unwrap();

@@ -21,18 +21,12 @@
 //! - inside a microtile, each element accumulates its k-products in
 //!   ascending k order into a register, and per-`KC`-block partial
 //!   sums are added to the output in ascending `pc` order;
-//! - the pooled entry point ([`matmul_into_pooled`]) splits rows on
-//!   `MC`-aligned boundaries only, so every output element is computed
-//!   by exactly one task in exactly the serial traversal order —
-//!   bit-identical for any worker count (asserted by the unit tests
-//!   here and by `tests/determinism.rs`).
 //!
 //! The k dimension is never padded; M/N edge tiles are zero-padded in
 //! the packed panels and the padded lanes are discarded on write-back,
 //! so padding can never contaminate a valid output element.
 
 use super::Matrix;
-use tradefl_runtime::sync::pool::{host_parallelism, Pool};
 
 /// Microkernel tile height (rows of C held in registers).
 pub const MR: usize = 6;
@@ -111,23 +105,6 @@ const SMALL_SPARSE_FLOPS: usize = 1 << 19;
 /// below this the blocked kernel's SIMD tiles beat skipping.
 const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
 
-/// Smallest batch worth a pooled dispatch: below this, the cross-thread
-/// wakeup and join overhead (microseconds per worker) is on the order
-/// of the products themselves, measured on the per-silo matrices the
-/// batched path exists for. Smaller batches run the serial loop —
-/// bit-identical either way, since each product is computed by the
-/// serial kernel regardless of which thread runs it.
-const BATCH_DISPATCH_MIN: usize = 8;
-
-/// Worker count a pooled dispatch can actually profit from: capped by
-/// the hardware threads the host exposes. On a single-core host a pool
-/// of N workers time-slices one core and the dispatch overhead is pure
-/// loss (measured 1.004x — noise — on the recorded baseline), so the
-/// effective count drops to 1 and the serial path runs instead.
-fn effective_workers(pool: &Pool) -> usize {
-    pool.workers().min(host_parallelism())
-}
-
 /// `out = atᵀ · b` without materializing the transpose.
 ///
 /// Small shapes (`m·n·k <` [`SMALL_SPARSE_FLOPS`]) whose `at` operand
@@ -171,96 +148,6 @@ pub fn transposed_matmul_into(at: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mu
         }
     }
     gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
-}
-
-/// Pooled `out = a · b`: splits the row dimension across the pool on
-/// `MC`-aligned boundaries, so the result is bit-identical to
-/// [`matmul_into`] for any worker count (see the module docs).
-///
-/// Small products (fewer than two row blocks) and one-worker pools
-/// take the serial path directly.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn matmul_into_pooled(a: &Matrix, b: &Matrix, out: &mut Matrix, pool: &Pool) {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (m, n, k) = (a.rows(), b.cols(), a.cols());
-    out.resize(m, n);
-    let workers = effective_workers(pool);
-    if workers <= 1 || m < 2 * MC || n == 0 {
-        let mut ws = Workspace::new();
-        return matmul_into(a, b, out, &mut ws);
-    }
-    let blocks = m.div_ceil(MC);
-    // Rows per task, rounded to whole MC blocks so each task's internal
-    // ic loop lands on the same absolute block boundaries as the serial
-    // traversal (the determinism contract above).
-    let per = blocks.div_ceil(workers) * MC;
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    let chunks: Vec<(usize, &mut [f32])> =
-        out.as_mut_slice().chunks_mut(per * n).enumerate().collect();
-    pool.scope(|s| {
-        for (t, chunk) in chunks {
-            s.spawn(move || {
-                let r0 = t * per;
-                let rows = chunk.len() / n;
-                let mut ws = Workspace::new();
-                let a_rows = &ad[r0 * k..(r0 + rows) * k];
-                gemm_direct_a(rows, n, k, a_rows, |p, c| bd[p * n + c], chunk, &mut ws);
-            });
-        }
-    });
-}
-
-/// Batched small-GEMM dispatch: `outs[i] = ops[i].0 · ops[i].1` for a
-/// batch of independent products through one pooled dispatch.
-///
-/// The per-silo products of a thousand-silo round are individually
-/// far below [`matmul_into_pooled`]'s `2·MC` row threshold, so routing
-/// them one-by-one runs serial and pays a `Workspace` pack-buffer
-/// growth per call site. This driver instead splits the *batch* into
-/// contiguous chunks, one per worker, and reuses a single `Workspace`
-/// across every product in a chunk — the packing buffers are sized on
-/// the first product and stay warm for the rest.
-///
-/// Each product is computed by the serial [`matmul_into`], so results
-/// are bit-identical to a serial loop over the batch for any worker
-/// count (chunking only changes *which thread* runs a product, never
-/// the arithmetic inside it).
-///
-/// Falls back to the serial loop outright when the batch is below
-/// [`BATCH_DISPATCH_MIN`] or the host exposes a single hardware thread
-/// ([`effective_workers`]) — situations where the pooled dispatch is
-/// measured overhead with no parallelism to buy.
-///
-/// # Panics
-///
-/// Panics if `ops.len() != outs.len()` or any product's inner
-/// dimensions disagree.
-pub fn matmul_batch_into_pooled(ops: &[(&Matrix, &Matrix)], outs: &mut [Matrix], pool: &Pool) {
-    assert_eq!(ops.len(), outs.len(), "one output per product");
-    let workers = effective_workers(pool);
-    if workers <= 1 || ops.len() < BATCH_DISPATCH_MIN {
-        let mut ws = Workspace::new();
-        for ((a, b), out) in ops.iter().zip(outs.iter_mut()) {
-            matmul_into(a, b, out, &mut ws);
-        }
-        return;
-    }
-    let per = ops.len().div_ceil(workers);
-    pool.scope(|s| {
-        for (t, chunk) in outs.chunks_mut(per).enumerate() {
-            let ops = &ops[t * per..t * per + chunk.len()];
-            s.spawn(move || {
-                let mut ws = Workspace::new();
-                for ((a, b), out) in ops.iter().zip(chunk.iter_mut()) {
-                    matmul_into(a, b, out, &mut ws);
-                }
-            });
-        }
-    });
 }
 
 /// The blocked driver: `out = A · B` for `A` of shape `m×k` and `B`
@@ -709,24 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matmul_is_bit_identical_to_serial_for_any_worker_count() {
-        let a = random(3 * MC + 17, 64, 9);
-        let b = random(64, 96, 10);
-        let mut ws = Workspace::new();
-        let mut serial = Matrix::zeros(0, 0);
-        matmul_into(&a, &b, &mut serial, &mut ws);
-        for workers in [1usize, 2, 4, 8] {
-            let pool = Pool::new(workers);
-            let mut pooled = Matrix::zeros(0, 0);
-            matmul_into_pooled(&a, &b, &mut pooled, &pool);
-            assert_eq!(serial.as_slice().len(), pooled.as_slice().len());
-            for (s, p) in serial.as_slice().iter().zip(pooled.as_slice()) {
-                assert_eq!(s.to_bits(), p.to_bits(), "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn sparse_small_shape_dispatch_is_bit_identical_to_the_reference() {
         // ReLU-like operand: more than a quarter exact zeros, shape
         // under the flop bound — must take the naive skip loop, whose
@@ -766,32 +635,6 @@ mod tests {
         let mut out = Matrix::zeros(0, 0);
         transposed_matmul_into(&at, &b, &mut out, &mut ws);
         assert_close(&out, &reference, 1e-4 * k as f32);
-    }
-
-    #[test]
-    fn batched_matmul_is_bit_identical_to_a_serial_loop_for_any_worker_count() {
-        // Uneven batch size so the last chunk is ragged.
-        let count = 37;
-        let pairs: Vec<(Matrix, Matrix)> = (0..count)
-            .map(|i| (random(32, 64, i as u64), random(64, 96, 1000 + i as u64)))
-            .collect();
-        let ops: Vec<(&Matrix, &Matrix)> = pairs.iter().map(|(a, b)| (a, b)).collect();
-        let mut ws = Workspace::new();
-        let mut serial: Vec<Matrix> = (0..count).map(|_| Matrix::zeros(0, 0)).collect();
-        for ((a, b), out) in ops.iter().zip(serial.iter_mut()) {
-            matmul_into(a, b, out, &mut ws);
-        }
-        for workers in [1usize, 2, 4, 8] {
-            let pool = Pool::new(workers);
-            let mut batched: Vec<Matrix> = (0..count).map(|_| Matrix::zeros(0, 0)).collect();
-            matmul_batch_into_pooled(&ops, &mut batched, &pool);
-            for (s, p) in serial.iter().zip(&batched) {
-                assert_eq!((s.rows(), s.cols()), (p.rows(), p.cols()));
-                for (x, y) in s.as_slice().iter().zip(p.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -176,6 +176,13 @@ impl Blockchain {
         self.blocks.get(height)
     }
 
+    /// The first `len` blocks (the whole chain when `len` exceeds its
+    /// height) — a valid chain, since every prefix of a linked chain is
+    /// linked.
+    pub fn prefix(&self, len: usize) -> Blockchain {
+        Blockchain { blocks: self.blocks[..len.min(self.blocks.len())].to_vec() }
+    }
+
     /// Appends a block after validating its linkage and roots.
     ///
     /// # Errors

@@ -154,6 +154,13 @@ impl Node {
         self.contracts.contains_key(&addr)
     }
 
+    /// The nonce the next transaction from `addr` must carry: its
+    /// confirmed nonce plus its transactions queued for the next block.
+    pub fn next_nonce(&self, addr: Address) -> u64 {
+        let queued = self.pending.iter().filter(|p| p.from == addr).count() as u64;
+        self.state.nonce_of(addr) + queued
+    }
+
     /// Queues a transaction; validation happens at mining time, but the
     /// obvious failures are rejected immediately.
     ///
@@ -167,9 +174,7 @@ impl Node {
                 return Err(NodeError::NoSuchContract(*contract));
             }
         }
-        let queued_from_sender =
-            self.pending.iter().filter(|p| p.from == tx.from).count() as u64;
-        let expected = self.state.nonce_of(tx.from) + queued_from_sender;
+        let expected = self.next_nonce(tx.from);
         if tx.nonce != expected {
             return Err(NodeError::BadNonce { got: tx.nonce, expected });
         }

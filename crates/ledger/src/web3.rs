@@ -9,6 +9,7 @@
 
 use crate::contract::ContractError;
 use crate::node::{Node, NodeError};
+use crate::settlement::CALL_GAS;
 use crate::tx::{Log, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Hash256, Wei};
 use tradefl_runtime::sync::Mutex;
@@ -42,9 +43,24 @@ impl Web3 {
         self.node.lock().state().balance_of(addr)
     }
 
-    /// Next valid nonce for `addr` (confirmed state only).
+    /// The nonce the next transaction from `addr` must carry: its
+    /// confirmed nonce plus its transactions still queued for mining.
     pub fn nonce(&self, addr: Address) -> u64 {
-        self.node.lock().state().nonce_of(addr)
+        self.node.lock().next_nonce(addr)
+    }
+
+    /// Submits `payload` from `from` at its next nonce (counting its
+    /// queued transactions).
+    fn send_next(
+        &self,
+        from: Address,
+        value: Wei,
+        gas_limit: u64,
+        payload: TxPayload,
+    ) -> Result<Hash256, NodeError> {
+        let mut node = self.node.lock();
+        let nonce = node.next_nonce(from);
+        node.submit(Transaction { from, nonce, value, gas_limit, payload })
     }
 
     /// Submits a contract call transaction.
@@ -60,21 +76,8 @@ impl Web3 {
         args: Vec<Value>,
         value: Wei,
     ) -> Result<Hash256, NodeError> {
-        let mut node = self.node.lock();
-        let queued = 0; // callers submit sequentially through this helper
-        let _ = queued;
-        let nonce = {
-            // Account for transactions already queued from this sender.
-            let confirmed = node.state().nonce_of(from);
-            confirmed
-        };
-        node.submit(Transaction {
-            from,
-            nonce,
-            value,
-            gas_limit: 10_000_000,
-            payload: TxPayload::Call { contract, function: function.into(), args },
-        })
+        let payload = TxPayload::Call { contract, function: function.into(), args };
+        self.send_next(from, value, CALL_GAS, payload)
     }
 
     /// Submits a plain transfer.
@@ -88,15 +91,7 @@ impl Web3 {
         to: Address,
         value: Wei,
     ) -> Result<Hash256, NodeError> {
-        let mut node = self.node.lock();
-        let nonce = node.state().nonce_of(from);
-        node.submit(Transaction {
-            from,
-            nonce,
-            value,
-            gas_limit: 21_000,
-            payload: TxPayload::Transfer { to },
-        })
+        self.send_next(from, value, 21_000, TxPayload::Transfer { to })
     }
 
     /// Mines a block with everything pending; returns its hash.
@@ -119,11 +114,28 @@ impl Web3 {
         value: Wei,
     ) -> Result<Receipt, NodeError> {
         let hash = self.send_call(from, contract, function, args, value)?;
+        Ok(self.mine_receipt(hash))
+    }
+
+    /// Submits a fully formed transaction and immediately mines it,
+    /// returning the receipt.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError`] if submission fails; the receipt itself may still
+    /// be a revert — check [`Receipt::status`].
+    pub fn send_and_mine(&self, tx: Transaction) -> Result<Receipt, NodeError> {
+        let hash = self.node.lock().submit(tx)?;
+        Ok(self.mine_receipt(hash))
+    }
+
+    /// Mines a block and returns the receipt of `hash`, which the
+    /// caller has just submitted.
+    fn mine_receipt(&self, hash: Hash256) -> Receipt {
         self.mine();
-        Ok(self
-            .receipt(hash)
-            // lint:allow(no-panic-in-lib): the tx was mined by the preceding line of this method
-            .expect("just-mined transaction must have a receipt"))
+        self.receipt(hash)
+            // lint:allow(no-panic-in-lib): the caller submitted this tx just before the mine
+            .expect("just-mined transaction must have a receipt")
     }
 
     /// Receipt lookup.
@@ -200,5 +212,21 @@ mod tests {
         w.send_transfer(alice, bob, Wei(1)).unwrap();
         w.mine();
         assert_eq!(w.nonce(alice), 1);
+    }
+
+    /// Two transfers from one sender before a mine: the second must
+    /// take the nonce after the queued first one, not the confirmed
+    /// nonce (which failed with `BadNonce { got: 0, expected: 1 }`).
+    #[test]
+    fn second_unmined_transaction_takes_the_next_nonce() {
+        let alice = Address::from_name("alice");
+        let bob = Address::from_name("bob");
+        let w = Web3::new(Node::new(&[(alice, Wei(100))]));
+        w.send_transfer(alice, bob, Wei(1)).unwrap();
+        assert_eq!(w.nonce(alice), 1, "the queued transfer counts");
+        w.send_transfer(alice, bob, Wei(2)).unwrap();
+        w.mine();
+        assert_eq!(w.balance(bob), Wei(3));
+        assert_eq!(w.nonce(alice), 2);
     }
 }

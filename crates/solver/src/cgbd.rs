@@ -23,7 +23,6 @@ use std::collections::BTreeSet;
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::incremental::IncrementalEval;
 use tradefl_runtime::obs;
-use tradefl_runtime::sync::pool::Pool;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
 
@@ -260,9 +259,9 @@ impl CgbdSolver {
 }
 
 /// Brute-force oracle: solves the primal for **every** ladder assignment
-/// and returns the best profile and potential. Exponential in `|N|`;
-/// intended for tests and small-instance validation of Lemma 3. Runs
-/// on the global work-stealing pool (see [`exhaustive_optimum_with`]).
+/// and returns the best profile and potential (the first maximum in
+/// assignment-index order wins ties). Exponential in `|N|`; intended
+/// for tests and small-instance validation of Lemma 3.
 ///
 /// # Errors
 ///
@@ -272,75 +271,29 @@ pub fn exhaustive_optimum<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     primal_tol: f64,
 ) -> Result<(StrategyProfile, f64)> {
-    exhaustive_optimum_with(game, primal_tol, Pool::global())
-}
-
-/// [`exhaustive_optimum`] on an explicit pool: the ladder product
-/// space is split into index ranges, each chunk solves its primals
-/// independently, and chunk winners merge in index order with
-/// strict-improvement comparisons — the same first-maximum-wins rule
-/// as the serial loop, so results are bit-identical for every worker
-/// count. Primal solves depend only on `(game, levels)`, so
-/// parallelism cannot change any individual solution either.
-///
-/// # Errors
-///
-/// See [`exhaustive_optimum`]. When several assignments fail
-/// numerically, the error reported is the one at the smallest
-/// assignment index (the serial loop would have stopped at it first).
-pub fn exhaustive_optimum_with<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    primal_tol: f64,
-    pool: &Pool,
-) -> Result<(StrategyProfile, f64)> {
-    let market = game.market();
     let sizes: Vec<usize> =
-        market.orgs().iter().map(|o| o.compute_level_count()).collect();
+        game.market().orgs().iter().map(|o| o.compute_level_count()).collect();
     let total: usize = sizes.iter().product();
-    let results: Vec<Result<Option<(usize, StrategyProfile, f64)>>> =
-        pool.map_indexed(total.div_ceil(EXHAUSTIVE_CHUNK), |c| {
-            let lo = c * EXHAUSTIVE_CHUNK;
-            let hi = (lo + EXHAUSTIVE_CHUNK).min(total);
-            let mut levels = vec![0usize; sizes.len()];
-            let mut best: Option<(usize, StrategyProfile, f64)> = None;
-            for idx in lo..hi {
-                let mut rem = idx;
-                for (l, &m) in levels.iter_mut().zip(&sizes) {
-                    *l = rem % m;
-                    rem /= m;
-                }
-                let primal = PrimalProblem::new(game, &levels);
-                if primal.is_feasible() {
-                    let sol = primal.solve(primal_tol)?;
-                    if best.as_ref().map_or(true, |(_, _, u)| sol.value > *u) {
-                        let profile: StrategyProfile = sol
-                            .d
-                            .iter()
-                            .zip(&levels)
-                            .map(|(&d, &l)| Strategy::new(d, l))
-                            .collect();
-                        best = Some((idx, profile, sol.value));
-                    }
-                }
-            }
-            Ok(best)
-        });
-    let mut best: Option<(usize, StrategyProfile, f64)> = None;
-    for chunk in results {
-        if let Some((idx, profile, value)) = chunk? {
-            if best.as_ref().map_or(true, |(_, _, u)| value > *u) {
-                best = Some((idx, profile, value));
+    let mut levels = vec![0usize; sizes.len()];
+    let mut best: Option<(StrategyProfile, f64)> = None;
+    for idx in 0..total {
+        let mut rem = idx;
+        for (l, &m) in levels.iter_mut().zip(&sizes) {
+            *l = rem % m;
+            rem /= m;
+        }
+        let primal = PrimalProblem::new(game, &levels);
+        if primal.is_feasible() {
+            let sol = primal.solve(primal_tol)?;
+            if best.as_ref().map_or(true, |(_, u)| sol.value > *u) {
+                let profile: StrategyProfile =
+                    sol.d.iter().zip(&levels).map(|(&d, &l)| Strategy::new(d, l)).collect();
+                best = Some((profile, sol.value));
             }
         }
     }
-    best.map(|(_, profile, value)| (profile, value))
-        .ok_or(SolveError::InfeasibleProblem { org: 0 })
+    best.ok_or(SolveError::InfeasibleProblem { org: 0 })
 }
-
-/// Ladder assignments per oracle chunk: primal solves are the unit of
-/// work (hundreds of µs each), so modest chunks keep stealable slack
-/// without per-task overhead mattering.
-const EXHAUSTIVE_CHUNK: usize = 16;
 
 /// Convenience: the master epigraph value at a specific assignment,
 /// re-exported for diagnostics.

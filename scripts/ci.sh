@@ -39,6 +39,12 @@ cargo test -q --workspace
 echo "==> examples build"
 cargo build --examples
 
+echo "==> benchmark build: tradebench compiles against the workspace crates"
+# tradebench is its own workspace (path deps into crates/), so the
+# workspace build above never compiles it; an engine or ledger API
+# change that breaks it must fail here.
+cargo build --release --offline --manifest-path tradebench/Cargo.toml
+
 echo "==> perf smoke: scripts/bench.sh --fast (every row but the N >= 1000 ones)"
 scripts/bench.sh --fast
 

@@ -314,25 +314,6 @@ fn incremental_cgbd_master_is_bit_identical_to_scratch_for_any_worker_count() {
 }
 
 #[test]
-fn pooled_exhaustive_oracle_is_bit_identical_for_any_worker_count() {
-    use tradefl::solver::cgbd::exhaustive_optimum_with;
-
-    let market = MarketConfig::table_ii().with_orgs(3).build(4).unwrap();
-    let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
-    let runs: Vec<_> = [1usize, 4, 8]
-        .iter()
-        .map(|&w| exhaustive_optimum_with(&g, 1e-9, &Pool::new(w)).unwrap())
-        .collect();
-    for (profile, value) in &runs {
-        assert_eq!(value.to_bits(), runs[0].1.to_bits(), "oracle value differs");
-        for (s, s0) in profile.iter().zip(runs[0].0.iter()) {
-            assert_eq!(s.d.to_bits(), s0.d.to_bits(), "oracle d differs");
-            assert_eq!(s.level, s0.level, "oracle level differs");
-        }
-    }
-}
-
-#[test]
 fn pooled_dbr_is_bit_identical_for_any_worker_count() {
     let runs: Vec<_> = [1usize, 4, 8]
         .iter()
