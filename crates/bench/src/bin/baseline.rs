@@ -42,7 +42,6 @@
 //! count, so its medians gate like-for-like against the committed
 //! full-mode file.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -68,7 +67,7 @@ use tradefl_runtime::sync::pool::{host_parallelism, Pool};
 use tradefl_solver::bestresponse::{best_response_with, Objective};
 use tradefl_solver::cgbd::{CgbdOptions, CgbdSolver};
 use tradefl_solver::dbr::{DbrOptions, DbrSolver, UpdateOrder};
-use tradefl_solver::gbd::{solve_master, traverse_pooled, traverse_reference, Cut, MasterSearch};
+use tradefl_solver::gbd::{solve_master, traverse_reference, traverse_tables, Cut, MasterSearch};
 use tradefl_solver::primal::PrimalProblem;
 
 const SCHEMA: &str = "tradefl-bench/v2";
@@ -168,27 +167,19 @@ fn registry() -> Vec<Entry> {
 
 /// Times a pool-gated path serially and on a fixed pool of each
 /// [`WORKERS`] count, returning `[serial, 1 worker, 2 workers]` medians.
-/// The three are interleaved, so host drift spreads over all of them
-/// instead of opening a fake gap between identical code.
-fn time_pooled(
-    repeats: usize,
-    serial: &mut dyn FnMut(),
-    pooled: &mut dyn FnMut(&Pool),
-) -> [f64; 3] {
-    let pools = WORKERS.map(Pool::new);
-    let pooled = RefCell::new(pooled);
-    let mut one = || (*pooled.borrow_mut())(&pools[0]);
-    let mut two = || (*pooled.borrow_mut())(&pools[1]);
-    let ms = time_ms(repeats, &mut [serial, &mut one, &mut two]);
-    [ms[0], ms[1], ms[2]]
-}
-
-/// [`time_pooled`] for a path whose serial form is its own pooled entry
-/// point on a one-worker pool (its pool gate falls back to inline code),
-/// so the serial and 1-worker columns time the same code.
+/// The serial form is the path's own entry point on a one-worker pool
+/// (its pool gate falls back to inline code), so the serial and
+/// 1-worker columns time the same code. The three are interleaved, so
+/// host drift spreads over all of them instead of opening a fake gap
+/// between identical code.
 fn time_on_pools(repeats: usize, run: &dyn Fn(&Pool)) -> [f64; 3] {
     let serial = Pool::new(1);
-    time_pooled(repeats, &mut || run(&serial), &mut |pool| run(pool))
+    let pools = WORKERS.map(Pool::new);
+    let ms = time_ms(
+        repeats,
+        &mut [&mut || run(&serial), &mut || run(&pools[0]), &mut || run(&pools[1])],
+    );
+    [ms[0], ms[1], ms[2]]
 }
 
 /// The `serial_ms` / `pooled_1w_ms` / `pooled_ms` / `speedup` columns.
@@ -348,33 +339,34 @@ fn cut_stack(g: &CoopetitionGame<SqrtAccuracy>) -> Vec<Cut> {
     cuts
 }
 
-/// CGBD master traversal: the reference odometer scan is the serial
-/// path; the pooled table scan already wins on one worker through its
-/// per-cut lookup tables, so the 1-worker column isolates that half.
+/// CGBD master traversal: the reference odometer scan against the scan
+/// over per-cut lookup tables, both serial.
 fn bench_cgbd_traversal(repeats: usize) -> Fields {
     let g = game(8, 7);
     let cuts = cut_stack(&g);
     let visited = BTreeSet::new();
     let cap = 1u128 << 40;
     let reference = traverse_reference(&g, &cuts, &visited, cap).expect("reference traversal");
-    let pooled =
-        traverse_pooled(&g, &cuts, &visited, cap, &Pool::new(2)).expect("pooled traversal");
-    assert_eq!(reference.levels, pooled.levels, "traversal paths disagree");
+    let tables = traverse_tables(&g, &cuts, &visited, cap).expect("table traversal");
+    assert_eq!(reference.levels, tables.levels, "traversal paths disagree");
     assert!(
-        (reference.phi - pooled.phi).abs() <= 1e-9 * reference.phi.abs().max(1.0),
+        (reference.phi - tables.phi).abs() <= 1e-9 * reference.phi.abs().max(1.0),
         "traversal phi mismatch: {} vs {}",
         reference.phi,
-        pooled.phi
+        tables.phi
     );
-    pooled_fields(time_pooled(
+    let ms = time_ms(
         repeats,
-        &mut || {
-            black_box(traverse_reference(&g, &cuts, &visited, cap).expect("traversal"));
-        },
-        &mut |pool| {
-            black_box(traverse_pooled(&g, &cuts, &visited, cap, pool).expect("traversal"));
-        },
-    ))
+        &mut [
+            &mut || {
+                black_box(traverse_reference(&g, &cuts, &visited, cap).expect("traversal"));
+            },
+            &mut || {
+                black_box(traverse_tables(&g, &cuts, &visited, cap).expect("traversal"));
+            },
+        ],
+    );
+    vec![("serial_ms", ms[0]), ("tables_ms", ms[1]), ("tables_speedup", ms[0] / ms[1])]
 }
 
 /// Full DBR solve (Algorithm 2) on the paper-scale market; below every
@@ -427,8 +419,9 @@ fn bench_scaling(
 /// Share of off-diagonal ρ entries per org in the ten-thousand-org row.
 const SPARSE_DENSITY: f64 = 0.01;
 
-/// DBR on a ten-thousand-org market with a ~1%-dense CSR ρ; the dense
-/// matrix alone would be 800 MB.
+/// DBR on a ten-thousand-org market with a ~1%-dense CSR ρ (the dense
+/// matrix alone would be 800 MB), timed interleaved with one γ rebuild
+/// of the same market: the per-candidate overhead of a γ search.
 fn bench_dbr_sparse_10k(repeats: usize) -> Fields {
     let n = 10_000;
     let market = MarketConfig::table_ii()
@@ -437,15 +430,23 @@ fn bench_dbr_sparse_10k(repeats: usize) -> Fields {
         .expect("sparse market builds");
     let (nnz, resident) = (market.rho_nnz(), market.rho_resident_bytes());
     let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+    let params = g.market().params();
+    let candidate = params.with_gamma(2.0 * params.gamma);
     let mut iterations = 0usize;
-    let solve_ms = time_ms(
+    let ms = time_ms(
         repeats,
-        &mut [&mut || {
-            iterations = DbrSolver::new().solve(&g).expect("dbr converges").iterations;
-        }],
-    )[0];
+        &mut [
+            &mut || {
+                iterations = DbrSolver::new().solve(&g).expect("dbr converges").iterations;
+            },
+            &mut || {
+                black_box(g.market().with_params(candidate.clone()).expect("rebuild"));
+            },
+        ],
+    );
     vec![
-        ("solve_ms", solve_ms),
+        ("solve_ms", ms[0]),
+        ("with_params_ms", ms[1]),
         ("orgs", n as f64),
         ("iterations", iterations as f64),
         ("rho_nnz", nnz as f64),
@@ -515,16 +516,12 @@ fn bench_master_modes(repeats: usize) -> Fields {
         Cut::optimality(&g, vec![0.2; 6], vec![0.0; 6]),
     ];
     let visited = BTreeSet::new();
-    // The traversal runs on one worker: the row compares the search
-    // algorithms, and thread start-up on a loaded host would swamp a
-    // 0.1 ms scan (the pooled traversal is the `cgbd_traversal` row).
-    let serial = Pool::new(1);
     let descent = MasterSearch::CoordinateDescent { restarts: 8, max_sweeps: 20, seed: 1 };
     let ms = time_ms(
         repeats,
         &mut [
             &mut || {
-                black_box(traverse_pooled(&g, &cuts, &visited, 10_000, &serial).expect("master"));
+                black_box(traverse_tables(&g, &cuts, &visited, 10_000).expect("master"));
             },
             &mut || {
                 black_box(solve_master(&g, &cuts, descent, &visited).expect("master"));
@@ -780,6 +777,7 @@ fn render(rows: &[Row], fast: bool) -> String {
 /// Derived fields and their operands: `derived ≈ scale · num / den`.
 const RATIOS: &[(&str, &str, &str, f64)] = &[
     ("speedup", "serial_ms", "pooled_ms", 1.0),
+    ("tables_speedup", "serial_ms", "tables_ms", 1.0),
     ("blocked_speedup", "naive_ms", "blocked_ms", 1.0),
     ("settlements_per_sec", "txs", "run_ms", 1e3),
 ];
@@ -796,6 +794,8 @@ struct Bound {
 enum Limit {
     /// At most `factor ×` the same field of another row.
     TimesRow(&'static str, f64),
+    /// At most `factor ×` another field of the same row.
+    TimesField(&'static str, f64),
     AtMost(f64),
     AtLeast(f64),
     Exactly(f64),
@@ -818,6 +818,14 @@ const BOUNDS: &[Bound] = &[
         field: "solve_ms",
         limit: Limit::TimesRow("dbr_solve_n1000", 25.0),
         why: "the sparse sweep is no longer scaling in stored entries",
+    },
+    // A γ candidate shares the market's organizations and ρ; only the
+    // O(N + nnz) parameter checks run, a small share of one solve.
+    Bound {
+        row: "dbr_solve_n10000",
+        field: "with_params_ms",
+        limit: Limit::TimesField("solve_ms", 0.25),
+        why: "a gamma rebuild copies or re-validates the market again",
     },
     Bound {
         row: "dbr_solve_n10000",
@@ -912,17 +920,21 @@ fn check_row(i: usize, row: &Json) -> Result<&str, String> {
 
 /// Checks one bound; a row it reads must be present.
 fn check_bound(bound: &Bound, rows: &[Json]) -> Result<(), String> {
-    let value_of = |name: &str| {
+    let value_of = |name: &str, field: &str| {
         let row = find(rows, name).ok_or_else(|| {
             format!("row '{name}' missing: the bound on {}.{} needs it", bound.row, bound.field)
         })?;
-        num(row, bound.field).ok_or_else(|| format!("bench '{name}': missing \"{}\"", bound.field))
+        num(row, field).ok_or_else(|| format!("bench '{name}': missing \"{field}\""))
     };
-    let value = value_of(bound.row)?;
+    let value = value_of(bound.row, bound.field)?;
     let (ok, limit) = match bound.limit {
         Limit::TimesRow(other, factor) => {
-            let base = value_of(other)?;
+            let base = value_of(other, bound.field)?;
             (value <= factor * base, format!("at most {factor}x {other}'s {base}"))
+        }
+        Limit::TimesField(other, factor) => {
+            let base = value_of(bound.row, other)?;
+            (value <= factor * base, format!("at most {factor}x its {other} {base}"))
         }
         Limit::AtMost(max) => (value <= max, format!("at most {max}")),
         Limit::AtLeast(min) => (value >= min, format!("at least {min}")),
@@ -1139,7 +1151,8 @@ mod tests {
             row("dbr_solve_n100", "solver", &[("solve_ms", 2.0), ("orgs", 100.0)]),
             row("dbr_solve_n1000", "solver", &[("solve_ms", 30.0), ("orgs", 1000.0)]),
             row("dbr_solve_n10000", "solver", &[
-                ("solve_ms", 200.0), ("rho_nnz", 2e6), ("rho_resident_bytes", 33e6),
+                ("solve_ms", 200.0), ("with_params_ms", 20.0), ("rho_nnz", 2e6),
+                ("rho_resident_bytes", 33e6),
             ]),
             row("dbr_sparse_agreement_n1000", "solver", &[
                 ("dense_ms", 3.0), ("sparse_ms", 2.5), ("bit_identical", 1.0),
@@ -1176,6 +1189,7 @@ mod tests {
             ("20x", |r| set(r, "dbr_solve_n1000", "solve_ms", 41.0), "sub-quadratic"),
             ("25x", |r| set(r, "dbr_solve_n10000", "solve_ms", 751.0), "stored entries"),
             ("rho cap", |r| set(r, "dbr_solve_n10000", "rho_resident_bytes", 105e6), "toward dense"),
+            ("gamma rebuild", |r| set(r, "dbr_solve_n10000", "with_params_ms", 1000.0), "gamma rebuild"),
             ("bit identity", |r| set(r, "dbr_sparse_agreement_n1000", "bit_identical", 0.0), "bit-identical"),
             (
                 "3x gemm",

@@ -2,6 +2,7 @@
 
 use crate::error::{ensure_in_range, ensure_positive, ModelError, Result};
 use crate::org::Organization;
+use std::sync::Arc;
 
 /// Global mechanism and platform parameters (§III, Table II).
 ///
@@ -425,10 +426,15 @@ impl Iterator for RhoRowIter<'_> {
 ///   positive (Theorem 1);
 /// * every organization can meet the deadline at `D_min` on its fastest
 ///   compute level (otherwise it cannot participate at all).
+///
+/// The organizations and `ρ` never change after construction, so they
+/// are shared behind [`Arc`]s: a clone or a [`Market::with_params`]
+/// rebuild copies two pointers, and `ρ` is validated once, when it is
+/// first built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Market {
-    orgs: Vec<Organization>,
-    rho: RhoMatrix,
+    orgs: Arc<Vec<Organization>>,
+    rho: Arc<RhoMatrix>,
     params: MechanismParams,
 }
 
@@ -459,28 +465,32 @@ impl Market {
         rho: RhoMatrix,
         params: MechanismParams,
     ) -> Result<Self> {
-        params.validate()?;
         let n = orgs.len();
         if n == 0 {
             return Err(ModelError::NonPositive { name: "|N|", value: 0.0 });
         }
         rho.validate(n)?;
-        let market = Self { orgs, rho, params };
-        for i in 0..n {
-            let z = market.weight(i);
+        Self { orgs: Arc::new(orgs), rho: Arc::new(rho), params }.checked()
+    }
+
+    /// Runs every invariant that depends on the parameters or on the
+    /// organizations against a validated `ρ`: the parameter ranges,
+    /// `z_i > 0`, and deadline feasibility at `D_min`. O(N + nnz).
+    fn checked(self) -> Result<Self> {
+        self.params.validate()?;
+        for (i, org) in self.orgs.iter().enumerate() {
+            let z = self.weight(i);
             if z <= 0.0 {
                 return Err(ModelError::NonPositiveWeight { i, z });
             }
             // Participation must be possible at all: D_min at the fastest
             // frequency within the deadline.
-            let org = &market.orgs[i];
-            let t = org.comm_time()
-                + org.training_time(market.params.d_min, org.max_frequency());
-            if t > market.params.tau {
+            let t = org.comm_time() + org.training_time(self.params.d_min, org.max_frequency());
+            if t > self.params.tau {
                 return Err(ModelError::Infeasible { org: i });
             }
         }
-        Ok(market)
+        Ok(self)
     }
 
     /// Number of organizations `|N|`.
@@ -542,14 +552,17 @@ impl Market {
         &self.params
     }
 
-    /// Replaces the mechanism parameters (used by γ/ϖ_e sweeps).
+    /// Replaces the mechanism parameters (used by γ/ϖ_e sweeps). The
+    /// organizations and `ρ` are shared with `self`, not copied, and
+    /// `ρ` is not re-validated (no parameter can change it); every
+    /// parameter-dependent invariant is re-checked.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] if the new parameters are invalid or make
     /// some organization unable to participate within the deadline.
     pub fn with_params(&self, params: MechanismParams) -> Result<Self> {
-        Self::with_rho(self.orgs.clone(), self.rho.clone(), params)
+        Self { orgs: Arc::clone(&self.orgs), rho: Arc::clone(&self.rho), params }.checked()
     }
 
     /// Restricts the market to an organization subset (coalition
@@ -639,7 +652,7 @@ impl Market {
     /// Panics if `d.len() != |N|`.
     pub fn total_data(&self, d: &[f64]) -> f64 {
         assert_eq!(d.len(), self.orgs.len(), "fraction vector length mismatch");
-        d.iter().zip(&self.orgs).map(|(&di, o)| di * o.effective_bits()).sum()
+        d.iter().zip(self.orgs.iter()).map(|(&di, o)| di * o.effective_bits()).sum()
     }
 }
 
@@ -883,6 +896,53 @@ mod tests {
             Market::with_rho(orgs, diag, MechanismParams::default()),
             Err(ModelError::SelfCompetition { i: 0 })
         ));
+    }
+
+    /// One dense and one sparse Table II market.
+    fn dense_and_sparse_markets() -> [Market; 2] {
+        let config = crate::config::MarketConfig::table_ii().with_orgs(12);
+        [config.build(5).unwrap(), config.build_sparse(5, 0.3).unwrap()]
+    }
+
+    #[test]
+    fn with_params_equals_a_fresh_build_and_shares_storage() {
+        for m in dense_and_sparse_markets() {
+            let params = m.params().with_gamma(2.0 * m.params().gamma);
+            let rebuilt = m.with_params(params.clone()).unwrap();
+            let fresh =
+                Market::with_rho(m.orgs().to_vec(), m.rho_matrix().clone(), params).unwrap();
+            assert_eq!(rebuilt, fresh);
+            assert!(std::ptr::eq(m.rho_matrix(), rebuilt.rho_matrix()));
+            assert!(std::ptr::eq(m.orgs(), rebuilt.orgs()));
+        }
+    }
+
+    #[test]
+    fn with_params_rejects_what_a_fresh_build_rejects() {
+        for m in dense_and_sparse_markets() {
+            let mut short_tau = m.params().clone();
+            short_tau.tau = 1.0;
+            let errors: Vec<ModelError> =
+                [m.params().with_gamma(-1e-9), m.params().with_gamma(f64::NAN), short_tau]
+                    .into_iter()
+                    .map(|params| {
+                        let rebuilt = m.with_params(params.clone()).unwrap_err();
+                        let fresh =
+                            Market::with_rho(m.orgs().to_vec(), m.rho_matrix().clone(), params)
+                                .unwrap_err();
+                        assert_eq!(rebuilt, fresh);
+                        rebuilt
+                    })
+                    .collect();
+            assert!(matches!(
+                errors[..],
+                [
+                    ModelError::OutOfRange { name: "gamma", .. },
+                    ModelError::NotFinite { name: "gamma" },
+                    ModelError::Infeasible { org: 0 },
+                ]
+            ));
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::error::{Result, SolveError};
 use tradefl_runtime::obs;
 use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
-use tradefl_runtime::sync::pool::Pool;
 // Ordered set, not HashSet: the visited set participates in the
 // bit-identity contract and must never expose a nondeterministic
 // iteration order (`no-hash-iteration` lint).
@@ -227,13 +226,11 @@ pub struct MasterSolution {
 }
 
 /// Candidate spaces at least this large route the traversal through
-/// the pooled table scan ([`traverse_pooled`]); smaller ones stay on
-/// the reference odometer loop, whose per-candidate cost is already
-/// below the table-build overhead. The threshold deliberately depends
-/// only on the instance — never on the worker count — so the selected
-/// code path (and hence every last bit of the result) is identical
-/// under `TRADEFL_THREADS=1` and any other setting.
-const POOLED_TRAVERSAL_MIN_COMBOS: u128 = 512;
+/// the table scan ([`traverse_tables`]); smaller ones stay on the
+/// reference odometer loop, whose per-candidate cost is already below
+/// the table-build overhead. The switch depends only on the instance,
+/// so the selected code path is fixed per instance.
+const TABLE_TRAVERSAL_MIN_COMBOS: u128 = 512;
 
 /// Solves the master problem (23), preferring assignments not in
 /// `visited` (Lemma 2: no `f` repeats itself).
@@ -254,14 +251,13 @@ pub fn solve_master<A: AccuracyModel>(
     match search {
         MasterSearch::Traversal { cap } => {
             let combos = combination_count(game);
-            // The traversal visits every candidate; recorded here at
-            // the sequential entry point, not inside pooled chunks.
+            // The traversal visits every candidate.
             obs::counter_add(
                 "gbd.master_candidates_scanned",
                 u64::try_from(combos).unwrap_or(u64::MAX),
             );
-            if combos >= POOLED_TRAVERSAL_MIN_COMBOS {
-                traverse_pooled(game, cuts, visited, cap, Pool::global())
+            if combos >= TABLE_TRAVERSAL_MIN_COMBOS {
+                traverse_tables(game, cuts, visited, cap)
             } else {
                 traverse_reference(game, cuts, visited, cap)
             }
@@ -274,11 +270,11 @@ pub fn solve_master<A: AccuracyModel>(
 
 /// [`solve_master`] with **incrementally maintained** cut tables:
 /// `tables` must contain exactly the cuts in `cuts` (callers append
-/// via [`CutTables::push_cut`] as they grow the stack). The pooled
+/// via [`CutTables::push_cut`] as they grow the stack). The table
 /// traversal reuses the tables instead of rebuilding them; the small
 /// reference path and coordinate descent evaluate `cuts` directly,
 /// exactly as [`solve_master`] does — so results are bit-identical to
-/// the scratch-build entry point for every worker count.
+/// the scratch-build entry point.
 ///
 /// # Errors
 ///
@@ -306,8 +302,8 @@ pub fn solve_master_with<A: AccuracyModel>(
                 "gbd.master_candidates_scanned",
                 u64::try_from(combos).unwrap_or(u64::MAX),
             );
-            if combos >= POOLED_TRAVERSAL_MIN_COMBOS {
-                traverse_pooled_with(game, tables, visited, cap, Pool::global())
+            if combos >= TABLE_TRAVERSAL_MIN_COMBOS {
+                traverse_tables_with(game, tables, visited, cap)
             } else {
                 traverse_reference(game, cuts, visited, cap)
             }
@@ -339,7 +335,7 @@ fn ladder_sizes<A: AccuracyModel>(game: &CoopetitionGame<A>) -> Vec<usize> {
 /// The paper-faithful odometer traversal, evaluating
 /// [`Cut::evaluate`] per candidate. Kept as the reference
 /// implementation (and the fast path for small candidate spaces, where
-/// building the lookup tables of [`traverse_pooled`] costs more than
+/// building the lookup tables of [`traverse_tables`] costs more than
 /// it saves).
 ///
 /// # Errors
@@ -398,7 +394,7 @@ pub fn traverse_reference<A: AccuracyModel>(
     }
 }
 
-/// Per-cut lookup tables for the pooled traversal.
+/// Per-cut lookup tables for the table traversal.
 ///
 /// Every cut of (20)/(22) is **separable across organizations** at a
 /// fixed candidate: the optimality cut's epigraph value is a constant
@@ -408,9 +404,7 @@ pub fn traverse_reference<A: AccuracyModel>(
 /// whole cut stack collapses into `per_org[i][level]` tables built
 /// once per master solve — candidate evaluation then costs one add
 /// per (cut, org) instead of re-deriving frequencies, energy prices
-/// and Lagrangian coefficients every time. This is what makes the
-/// traversal worth parallelizing at all: the tables shrink the
-/// per-candidate constant, the pool splits the `Π m_i` candidates.
+/// and Lagrangian coefficients every time.
 ///
 /// The tables reproduce [`Cut::evaluate`]'s arithmetic with each
 /// organization's three sub-terms pre-summed; the grouping changes the
@@ -559,52 +553,39 @@ fn decode_levels(mut index: usize, sizes: &[usize], levels: &mut [usize]) {
     }
 }
 
-/// Chunk-local scan results: `(index, φ)` of the best candidate and of
-/// the best *unvisited* candidate, if any.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkBest {
-    best: Option<(usize, f64)>,
-    best_fresh: Option<(usize, f64)>,
-}
-
-/// The pooled traversal: per-cut tables built once, the `Π m_i`
-/// candidate space split into index ranges scanned by the
-/// work-stealing pool, chunk results merged **in chunk order with
-/// strict-improvement comparisons** — exactly the first-minimum-wins
-/// rule of the serial odometer loop, so the outcome is bit-identical
-/// for every worker count (including 1).
+/// The table traversal: per-cut tables built once, then one odometer
+/// scan over the `Π m_i` candidates with the reference loop's
+/// strict-improvement (first-minimum-wins) rule.
 ///
 /// # Errors
 ///
 /// See [`solve_master`].
-pub fn traverse_pooled<A: AccuracyModel>(
+pub fn traverse_tables<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     cuts: &[Cut],
     visited: &BTreeSet<Vec<usize>>,
     cap: u128,
-    pool: &Pool,
 ) -> Result<MasterSolution> {
     let tables = CutTables::build(game, cuts);
-    traverse_pooled_with(game, &tables, visited, cap, pool)
+    traverse_tables_with(game, &tables, visited, cap)
 }
 
-/// [`traverse_pooled`] over **prebuilt** cut tables: the incremental
+/// [`traverse_tables`] over **prebuilt** cut tables: the incremental
 /// master path. CGBD maintains one [`CutTables`] across its whole
 /// iteration loop and appends only each new cut, so the per-solve
 /// table-build cost drops from O(cuts · N · levels) (plus the O(N²)
 /// per-org constant recomputation the scratch build used to pay) to
-/// O(N · levels) for the newest cut — while the scan itself stays
-/// bit-identical for every worker count.
+/// O(N · levels) for the newest cut, while the scan itself stays
+/// bit-identical.
 ///
 /// # Errors
 ///
 /// See [`solve_master`].
-pub fn traverse_pooled_with<A: AccuracyModel>(
+pub fn traverse_tables_with<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     tables: &CutTables,
     visited: &BTreeSet<Vec<usize>>,
     cap: u128,
-    pool: &Pool,
 ) -> Result<MasterSolution> {
     let sizes = ladder_sizes(game);
     let combinations = sizes
@@ -616,69 +597,35 @@ pub fn traverse_pooled_with<A: AccuracyModel>(
     }
     let total = usize::try_from(combinations)
         .map_err(|_| SolveError::MasterTooLarge { combinations, cap })?;
-    let chunk = total.div_ceil(pool.workers() * 4).max(1);
-    let starts: Vec<usize> = (0..total).step_by(chunk).collect();
-    let chunk_bests: Vec<ChunkBest> = pool.map(
-        starts
-            .iter()
-            .map(|&lo| {
-                let (tables, sizes, visited) = (&tables, &sizes, visited);
-                move || {
-                    let hi = (lo + chunk).min(total);
-                    let mut levels = vec![0usize; sizes.len()];
-                    decode_levels(lo, sizes, &mut levels);
-                    let mut out = ChunkBest::default();
-                    for idx in lo..hi {
-                        if let Some(phi) = tables.value(&levels) {
-                            if out.best.map_or(true, |(_, b)| phi < b) {
-                                out.best = Some((idx, phi));
-                            }
-                            if out.best_fresh.map_or(true, |(_, b)| phi < b)
-                                && !visited.contains(levels.as_slice())
-                            {
-                                out.best_fresh = Some((idx, phi));
-                            }
-                        }
-                        // Odometer increment (digit 0 fastest).
-                        for (l, &m) in levels.iter_mut().zip(sizes.iter()) {
-                            *l += 1;
-                            if *l < m {
-                                break;
-                            }
-                            *l = 0;
-                        }
-                    }
-                    out
-                }
-            })
-            .collect(),
-    );
+    let mut levels = vec![0usize; sizes.len()];
+    // `(index, φ)` of the best candidate and of the best unvisited one.
     let mut best: Option<(usize, f64)> = None;
     let mut best_fresh: Option<(usize, f64)> = None;
-    for cb in chunk_bests {
-        if let Some((idx, phi)) = cb.best {
+    for idx in 0..total {
+        if let Some(phi) = tables.value(&levels) {
             if best.map_or(true, |(_, b)| phi < b) {
                 best = Some((idx, phi));
             }
-        }
-        if let Some((idx, phi)) = cb.best_fresh {
-            if best_fresh.map_or(true, |(_, b)| phi < b) {
+            if best_fresh.map_or(true, |(_, b)| phi < b) && !visited.contains(levels.as_slice()) {
                 best_fresh = Some((idx, phi));
             }
         }
+        // Odometer increment (digit 0 fastest).
+        for (l, &m) in levels.iter_mut().zip(sizes.iter()) {
+            *l += 1;
+            if *l < m {
+                break;
+            }
+            *l = 0;
+        }
     }
     let (gidx, phi) = best.ok_or(SolveError::InfeasibleProblem { org: 0 })?;
-    let mut levels = vec![0usize; sizes.len()];
-    Ok(match best_fresh {
-        Some((fidx, _)) => {
-            decode_levels(fidx, &sizes, &mut levels);
-            MasterSolution { levels, phi, fresh: true, evaluated: total }
-        }
-        None => {
-            decode_levels(gidx, &sizes, &mut levels);
-            MasterSolution { levels, phi, fresh: false, evaluated: total }
-        }
-    })
+    let (idx, fresh) = match best_fresh {
+        Some((fidx, _)) => (fidx, true),
+        None => (gidx, false),
+    };
+    decode_levels(idx, &sizes, &mut levels);
+    Ok(MasterSolution { levels, phi, fresh, evaluated: total })
 }
 
 fn coordinate_descent<A: AccuracyModel>(

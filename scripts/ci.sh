@@ -45,6 +45,9 @@ echo "==> benchmark build: tradebench compiles against the workspace crates"
 # change that breaks it must fail here.
 cargo build --release --offline --manifest-path tradebench/Cargo.toml
 
+echo "==> benchmark self-tests: tradebench's unit tests (metric registry vs BENCHMARK.json)"
+cargo test --release --offline --manifest-path tradebench/Cargo.toml
+
 echo "==> perf smoke: scripts/bench.sh --fast (every row but the N >= 1000 ones)"
 scripts/bench.sh --fast
 

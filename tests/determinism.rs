@@ -114,53 +114,6 @@ fn different_seeds_change_the_equilibrium() {
     assert_ne!(a.profile, b.profile);
 }
 
-// --- pooled-vs-serial bit-identity -----------------------------------
-//
-// The work-stealing pool changes chunking with the worker count, so
-// these tests run each pooled hot path on explicit 1-, 4- and 8-worker
-// pools and demand bit-identical outputs. (Explicit pools rather than
-// the TRADEFL_THREADS override: the env var configures the process-wide
-// global pool once, so a single test process cannot observe two
-// settings of it — `thread_override` parsing is unit-tested in
-// `tradefl_runtime::sync::pool` instead.)
-
-use tradefl_runtime::sync::pool::Pool;
-
-#[test]
-fn pooled_master_traversal_is_bit_identical_for_any_worker_count() {
-    use std::collections::BTreeSet;
-    use tradefl::solver::gbd::{traverse_pooled, traverse_reference, Cut};
-
-    let g = game(9); // 6 orgs → 4^6 = 4096 candidates
-    let cuts = vec![
-        Cut::optimality(&g, vec![0.2; 6], vec![0.0; 6]),
-        Cut::optimality(&g, vec![0.5; 6], vec![0.05; 6]),
-    ];
-    let visited: BTreeSet<Vec<usize>> = BTreeSet::new();
-    let reference = traverse_reference(&g, &cuts, &visited, 1 << 20).unwrap();
-    let runs: Vec<_> = [1usize, 4, 8]
-        .iter()
-        .map(|&w| {
-            traverse_pooled(&g, &cuts, &visited, 1 << 20, &Pool::new(w)).unwrap()
-        })
-        .collect();
-    for (k, sol) in runs.iter().enumerate() {
-        assert_eq!(
-            sol.levels, runs[0].levels,
-            "traversal levels differ at worker count index {k}"
-        );
-        assert_eq!(
-            sol.phi.to_bits(),
-            runs[0].phi.to_bits(),
-            "traversal phi differs at worker count index {k}"
-        );
-        // The table path may differ from the reference by reassociation
-        // only — same argmin, matching value to solver precision.
-        assert_eq!(sol.levels, reference.levels);
-        assert!((sol.phi - reference.phi).abs() <= 1e-9 * reference.phi.abs().max(1.0));
-    }
-}
-
 // --- sparse-vs-dense ρ bit-identity ----------------------------------
 //
 // A sparse ρ row iterates stored entries only; the dense reference
@@ -245,6 +198,56 @@ fn sparse_and_dense_incremental_aggregates_are_bit_identical() {
     assert_eq!(ed.rho_res(3).to_bits(), es.rho_res(3).to_bits());
 }
 
+// --- shared-ρ γ rebuilds --------------------------------------------
+
+#[test]
+fn gamma_tuning_on_shared_rho_matches_fresh_builds_bitwise() {
+    use tradefl::solver::tuning::{tune_gamma, TuneOptions};
+
+    // `tune_gamma` rebuilds each candidate with `with_params`, which
+    // shares the organizations and ρ instead of copying them; a market
+    // drawn from scratch at the candidate γ must solve to the same bits.
+    let (seed, density) = (4, 0.01);
+    let config = MarketConfig::table_ii().with_orgs(1000);
+    let market = config.clone().build_sparse(seed, density).unwrap();
+    let params = market.params().clone();
+    let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+    let options = TuneOptions { grid: 3, refine_iters: 1, ..TuneOptions::default() };
+    let report = tune_gamma(&game, options).unwrap();
+    assert!(report.samples.len() > 1);
+    for sample in &report.samples {
+        let fresh = config
+            .clone()
+            .with_params(params.with_gamma(sample.gamma))
+            .build_sparse(seed, density)
+            .unwrap();
+        let fresh = CoopetitionGame::new(fresh, SqrtAccuracy::paper_default());
+        let eq = DbrSolver::with_options(options.dbr).solve(&fresh).unwrap();
+        assert_eq!(eq.welfare.to_bits(), sample.welfare.to_bits(), "gamma {:e}", sample.gamma);
+    }
+}
+
+// --- CGBD table traversal -------------------------------------------
+
+#[test]
+fn table_master_traversal_agrees_with_the_reference() {
+    use std::collections::BTreeSet;
+    use tradefl::solver::gbd::{traverse_reference, traverse_tables, Cut};
+
+    let g = game(9); // 6 orgs → 4^6 = 4096 candidates
+    let cuts = vec![
+        Cut::optimality(&g, vec![0.2; 6], vec![0.0; 6]),
+        Cut::optimality(&g, vec![0.5; 6], vec![0.05; 6]),
+    ];
+    let visited: BTreeSet<Vec<usize>> = BTreeSet::new();
+    let reference = traverse_reference(&g, &cuts, &visited, 1 << 20).unwrap();
+    let sol = traverse_tables(&g, &cuts, &visited, 1 << 20).unwrap();
+    // The table path may differ from the reference by reassociation
+    // only — same argmin, matching value to solver precision.
+    assert_eq!(sol.levels, reference.levels);
+    assert!((sol.phi - reference.phi).abs() <= 1e-9 * reference.phi.abs().max(1.0));
+}
+
 // --- incremental CGBD bit-identity -----------------------------------
 
 #[test]
@@ -280,9 +283,9 @@ fn incremental_cut_tables_match_scratch_rebuild_bitwise() {
 }
 
 #[test]
-fn incremental_cgbd_master_is_bit_identical_to_scratch_for_any_worker_count() {
+fn incremental_cgbd_master_is_bit_identical_to_scratch() {
     use std::collections::BTreeSet;
-    use tradefl::solver::gbd::{traverse_pooled, traverse_pooled_with, Cut, CutTables};
+    use tradefl::solver::gbd::{traverse_tables, traverse_tables_with, Cut, CutTables};
 
     let g = game(9); // 6 orgs → 4^6 = 4096 candidates
     let mut cuts: Vec<Cut> = Vec::new();
@@ -297,21 +300,27 @@ fn incremental_cgbd_master_is_bit_identical_to_scratch_for_any_worker_count() {
         tables.push_cut(&g, &cut);
         cuts.push(cut);
         // The scratch rebuild is the pre-incremental (seed) behavior.
-        let scratch = traverse_pooled(&g, &cuts, &visited, 1 << 20, &Pool::new(4)).unwrap();
-        for w in [1usize, 4, 8] {
-            let inc =
-                traverse_pooled_with(&g, &tables, &visited, 1 << 20, &Pool::new(w)).unwrap();
-            assert_eq!(inc.levels, scratch.levels, "levels differ at {w} workers");
-            assert_eq!(inc.phi.to_bits(), scratch.phi.to_bits(), "phi differs at {w} workers");
-            assert_eq!(inc.fresh, scratch.fresh, "freshness differs at {w} workers");
-            assert_eq!(inc.evaluated, scratch.evaluated);
-        }
-        let next = traverse_pooled_with(&g, &tables, &visited, 1 << 20, &Pool::new(1))
-            .unwrap()
-            .levels;
-        visited.insert(next);
+        let scratch = traverse_tables(&g, &cuts, &visited, 1 << 20).unwrap();
+        let inc = traverse_tables_with(&g, &tables, &visited, 1 << 20).unwrap();
+        assert_eq!(inc.levels, scratch.levels);
+        assert_eq!(inc.phi.to_bits(), scratch.phi.to_bits());
+        assert_eq!(inc.fresh, scratch.fresh);
+        assert_eq!(inc.evaluated, scratch.evaluated);
+        visited.insert(inc.levels);
     }
 }
+
+// --- pooled-vs-serial bit-identity -----------------------------------
+//
+// The work-stealing pool changes chunking with the worker count, so
+// these tests run each pooled hot path on explicit 1-, 4- and 8-worker
+// pools and demand bit-identical outputs. (Explicit pools rather than
+// the TRADEFL_THREADS override: the env var configures the process-wide
+// global pool once, so a single test process cannot observe two
+// settings of it — `thread_override` parsing is unit-tested in
+// `tradefl_runtime::sync::pool` instead.)
+
+use tradefl_runtime::sync::pool::Pool;
 
 #[test]
 fn pooled_dbr_is_bit_identical_for_any_worker_count() {
