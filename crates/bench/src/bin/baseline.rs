@@ -1,7 +1,7 @@
 //! **baseline** — records, validates and gates the layer baselines in
 //! `BENCH_baselines.json` (schema `tradefl-bench/v2`).
 //!
-//! One registry ([`registry`]) lists every row with its layer and the
+//! The `registry` fn lists every row with its layer and the
 //! closure that measures it; rows a bound compares are measured
 //! together. The rows back the perf claims in README.md, DESIGN.md and
 //! EXPERIMENTS.md:
@@ -19,17 +19,17 @@
 //!   single-, a multi- and a faulty multi-session workload.
 //!
 //! Every pool-gated row is timed serially and on a fixed pool of each
-//! [`WORKERS`] count: its `X_1w_ms` field at one worker, its `X_ms`
+//! `WORKERS` count: its `X_1w_ms` field at one worker, its `X_ms`
 //! field at two. The file records the host's `nproc` and the compiled
 //! target features, so every speedup is read against its hardware.
 //!
 //! `--check` validates a file: schema and host metadata, positive
 //! finite `_ms` medians, derived ratios consistent with their operands,
-//! and, in a full-mode file, every cross-row [`BOUNDS`] entry (a
+//! and, in a full-mode file, every cross-row `BOUNDS` entry (a
 //! missing row fails). A `--fast` file has no N ≥ 1000 rows, so it is
 //! held to the shape checks and the gate only.
 //! `--gate` compares a fresh run against a committed file: no `_ms`
-//! median both carry may grow past [`GATE_TOLERANCE`]×.
+//! median both carry may grow past `GATE_TOLERANCE`×.
 //!
 //! Usage:
 //!   baseline [--fast] [--out FILE] [--trace FILE]  # record, write, check
@@ -64,7 +64,7 @@ use tradefl_runtime::json::Json;
 use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tradefl_runtime::sim::faults::FaultConfig;
 use tradefl_runtime::sync::pool::{host_parallelism, Pool};
-use tradefl_solver::bestresponse::{best_response_with, Objective};
+use tradefl_solver::bestresponse::{best_response, Objective};
 use tradefl_solver::cgbd::{CgbdOptions, CgbdSolver};
 use tradefl_solver::dbr::{DbrOptions, DbrSolver, UpdateOrder};
 use tradefl_solver::gbd::{solve_master, traverse_reference, traverse_tables, Cut, MasterSearch};
@@ -382,9 +382,13 @@ fn bench_dbr_pooled(repeats: usize) -> Fields {
 fn bench_best_response(repeats: usize) -> Fields {
     let g = game(10, 42);
     let profile = StrategyProfile::minimal(g.market());
-    pooled_fields(time_on_pools(repeats * 10, &|pool| {
-        black_box(best_response_with(&g, &profile, 0, Objective::Full, pool).expect("br"));
-    }))
+    let ms = time_ms(
+        repeats * 10,
+        &mut [&mut || {
+            black_box(best_response(&g, &profile, 0, Objective::Full).expect("br"));
+        }],
+    );
+    vec![("serial_ms", ms[0])]
 }
 
 /// One solve per market size, timed interleaved because these rows are

@@ -1416,12 +1416,12 @@ mod tests {
     /// admission variable sections).
     fn pending_count_offset(bytes: &[u8]) -> usize {
         let mut cur: &[u8] = bytes;
-        cur.advance(1); // version byte
+        cur.try_advance(1).unwrap(); // version byte
         for _ in 0..12 {
             cur.try_get_uvarint().unwrap(); // seed + eleven counters
         }
         let alive = cur.try_get_uvarint().unwrap() as usize;
-        cur.advance(alive); // one u8 per live validator
+        cur.try_advance(alive).unwrap(); // one u8 per live validator
         // Heights, cursors, and arrival_k are varint-count-prefixed
         // runs of varints.
         for _ in 0..3 {
@@ -1436,7 +1436,7 @@ mod tests {
             let txs = cur.try_get_uvarint().unwrap();
             for _ in 0..txs {
                 let len = cur.try_get_uvarint().unwrap() as usize;
-                cur.advance(len);
+                cur.try_advance(len).unwrap();
             }
         }
         bytes.len() - cur.remaining()
@@ -1488,12 +1488,12 @@ mod tests {
         // Walk to the per-replica heights: version byte, seed + eleven
         // counters, the alive flags, then the varint-counted heights.
         let mut cur: &[u8] = &bytes;
-        cur.advance(1);
+        cur.try_advance(1).unwrap();
         for _ in 0..12 {
             cur.try_get_uvarint().unwrap();
         }
         let alive = cur.try_get_uvarint().unwrap() as usize;
-        cur.advance(alive);
+        cur.try_advance(alive).unwrap();
         let n = cur.try_get_uvarint().unwrap();
         let start = bytes.len() - cur.remaining();
         for _ in 0..n {

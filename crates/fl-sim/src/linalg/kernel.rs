@@ -1,7 +1,7 @@
 //! Cache-blocked, register-tiled GEMM kernels (DESIGN.md §10).
 //!
 //! All three products the MLP substrate needs — `A·B`, `A·Bᵀ` and
-//! `Aᵀ·B` — funnel through one blocked driver ([`gemm`]) that packs
+//! `Aᵀ·B` — funnel through one blocked driver (`gemm`) that packs
 //! operand panels into contiguous scratch buffers ([`Workspace`]) and
 //! runs a fixed-size MR×NR register-tile microkernel over them. The
 //! microkernel is written as plain indexed loops over constant-length
@@ -107,8 +107,8 @@ const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
 
 /// `out = atᵀ · b` without materializing the transpose.
 ///
-/// Small shapes (`m·n·k <` [`SMALL_SPARSE_FLOPS`]) whose `at` operand
-/// is at least [`SMALL_SPARSE_MIN_ZEROS`] exact zeros — ReLU
+/// Small shapes (`m·n·k < SMALL_SPARSE_FLOPS`) whose `at` operand
+/// is at least `SMALL_SPARSE_MIN_ZEROS` exact zeros — ReLU
 /// activations in the backward weight-gradient product — dispatch to
 /// the naive k-outer loop with the sparsity skip (bit-identical to
 /// [`transposed_matmul_reference`]); everything else runs the blocked

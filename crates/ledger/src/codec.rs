@@ -1,7 +1,7 @@
 //! Deterministic binary codec for chain data.
 //!
-//! Lets a node export its chain as bytes (backup, cold storage,
-//! out-of-band sync to a late-joining validator) and re-import it with
+//! Lets a node export its chain as bytes (backup, cold storage, the
+//! engine checkpoint) and re-import it with
 //! full validation: the decoder is strict (no trailing bytes, length
 //! caps) and the importer replays every block through
 //! [`crate::node::Node::apply_block`], so a corrupted or forged export
@@ -65,11 +65,9 @@ impl From<DecodeError> for CodecError {
     fn from(e: DecodeError) -> Self {
         match e {
             DecodeError::Truncated => CodecError::Truncated,
-            DecodeError::BadTag(t) => CodecError::BadTag(t),
             DecodeError::LengthOverflow(n) => {
                 CodecError::LengthOverflow(usize::try_from(n).unwrap_or(usize::MAX))
             }
-            DecodeError::BadUtf8 => CodecError::BadUtf8,
         }
     }
 }
@@ -396,8 +394,8 @@ const FIELD_MIN_BYTES: usize = 2;
 /// A `Value` is at least its tag byte.
 const VALUE_MIN_BYTES: usize = 1;
 
-// All primitive reads go through the runtime's fallible `try_*` Buf
-// API: untrusted peer bytes must never reach the panicking getters.
+// All primitive reads go through the runtime's `Buf`, whose only reads
+// are the fallible `try_*` family: a short frame is always an error.
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {
     Ok(buf.try_get_u8()?)
 }

@@ -63,7 +63,7 @@ pub use chain::{Block, Blockchain, ChainError};
 pub use contract::{CallContext, Contract, ContractError, GasMeter};
 pub use codec::{decode_chain, encode_chain, CodecError};
 pub use merkle::{MerkleProof, MerkleTree};
-pub use network::{Network, NetworkError, RoundOutcome, Validator};
+pub use network::{Network, NetworkError, Validator};
 pub use node::{BlockApplyError, Node, NodeError};
 pub use settlement::{SettlementReport, SettlementSession};
 pub use tradefl_contract::{Phase, SessionParams, TradeFlContract};

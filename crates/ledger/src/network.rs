@@ -2,19 +2,25 @@
 //!
 //! The paper's prototype runs on an Ethereum *private chain* — in
 //! practice a small set of known validators (the organizations
-//! themselves) taking turns to produce blocks. This module simulates
-//! exactly that: a deterministic round-robin proposer schedule, full
-//! re-execution validation on every replica ([`Node::apply_block`]),
-//! and rejection of any proposer that lies about execution results.
-//! All replicas converge to identical state roots, which is what makes
-//! the settlement *decentralized* rather than trusted-third-party.
+//! themselves) producing blocks. This module holds those replicas and
+//! the one way a block reaches them. The caller elects a proposer (the
+//! engine's term election), which mines a batch on its own chain with
+//! [`Network::propose`] and gets the block back as a wire frame. Every
+//! other replica sees the block only as those untrusted bytes, through
+//! [`Network::deliver_frame`]: a size gate, a strict decoder built on
+//! fallible reads, then full re-execution ([`Node::apply_block`]), so a
+//! proposer that lies about execution results is refused. A replica
+//! that fell behind pulls each missing height with
+//! [`Network::frame_at`] through the same handler. Replicas that accept
+//! the same frames hold identical state roots, which is what makes the
+//! settlement *decentralized* rather than trusted-third-party.
 
 use crate::chain::Block;
 use crate::codec::{decode_block_bytes, encode_block_bytes, CodecError};
 use crate::contract::Contract;
-use crate::node::{BlockApplyError, Node, NodeError};
-use crate::tx::{Receipt, Transaction};
-use crate::types::{Address, Hash256, Wei};
+use crate::node::{BlockApplyError, Node};
+use crate::tx::Transaction;
+use crate::types::{Address, Wei};
 use std::fmt;
 use tradefl_runtime::obs;
 
@@ -35,32 +41,9 @@ impl fmt::Debug for Validator {
     }
 }
 
-/// Outcome of one consensus round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundOutcome {
-    /// Index of the proposing validator.
-    pub proposer: usize,
-    /// Hash of the produced block.
-    pub block_hash: Hash256,
-    /// Validators that accepted the block.
-    pub accepted_by: Vec<usize>,
-    /// Validators that rejected it, with their reasons.
-    pub rejected_by: Vec<(usize, BlockApplyError)>,
-}
-
-impl RoundOutcome {
-    /// Whether every replica accepted the block.
-    pub fn unanimous(&self) -> bool {
-        self.rejected_by.is_empty()
-    }
-}
-
 /// Errors from network operation.
 #[derive(Debug)]
 pub enum NetworkError {
-    /// A transaction was rejected at submission by the proposer's
-    /// mempool rules.
-    Submission(NodeError),
     /// The network has no validators.
     Empty,
     /// Replicas produced different addresses for the same deployment —
@@ -71,14 +54,6 @@ pub enum NetworkError {
         /// The diverging address.
         got: Address,
     },
-    /// A block from the sync source failed validation during catch-up
-    /// replay ([`Network::join`]).
-    Sync {
-        /// Height of the block that failed to replay.
-        height: u64,
-        /// Why the replica refused it.
-        source: BlockApplyError,
-    },
     /// An internal consistency failure (a bug, not bad peer input).
     Internal(&'static str),
 }
@@ -86,13 +61,9 @@ pub enum NetworkError {
 impl fmt::Display for NetworkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetworkError::Submission(e) => write!(f, "submission rejected: {e}"),
             NetworkError::Empty => write!(f, "network has no validators"),
             NetworkError::DeployDiverged { expected, got } => {
                 write!(f, "deployment diverged across replicas: {expected} vs {got}")
-            }
-            NetworkError::Sync { height, source } => {
-                write!(f, "sync failed replaying block {height}: {source}")
             }
             NetworkError::Internal(what) => write!(f, "internal network error: {what}"),
         }
@@ -160,7 +131,7 @@ impl Default for WireLimits {
     }
 }
 
-/// The round-robin PoA network.
+/// The PoA network: replicas that take blocks only as wire frames.
 ///
 /// # Examples
 ///
@@ -171,23 +142,24 @@ impl Default for WireLimits {
 ///
 /// let alice = Address::from_name("alice");
 /// let mut net = Network::new(&["v0", "v1", "v2"], &[(alice, Wei(1_000))]);
-/// net.submit(Transaction {
+/// let tx = Transaction {
 ///     from: alice,
 ///     nonce: 0,
 ///     value: Wei(10),
 ///     gas_limit: 21_000,
 ///     payload: TxPayload::Transfer { to: Address::from_name("bob") },
-/// });
-/// let outcome = net.round().expect("validators present");
-/// assert!(outcome.unanimous());
+/// };
+/// // The caller elected validator 0; it mines and returns the frame...
+/// let frame = net.propose(0, vec![tx]).expect("proposer in range");
+/// // ...and every other replica re-executes the frame's bytes.
+/// for peer in 1..net.len() {
+///     net.deliver_frame(peer, &frame).expect("honest block applies");
+/// }
 /// assert!(net.converged());
 /// ```
 #[derive(Debug)]
 pub struct Network {
     validators: Vec<Validator>,
-    next_proposer: usize,
-    /// Pending transactions awaiting the next block (network mempool).
-    mempool: Vec<Transaction>,
     limits: WireLimits,
 }
 
@@ -207,7 +179,7 @@ impl Network {
             .iter()
             .map(|&name| Validator { name: name.to_string(), node: Node::new(allocations) })
             .collect();
-        Self { validators, next_proposer: 0, mempool: Vec::new(), limits }
+        Self { validators, limits }
     }
 
     /// The wire-path limits this network enforces.
@@ -255,91 +227,6 @@ impl Network {
         addr.ok_or(NetworkError::Empty)
     }
 
-    /// Queues a transaction in the network mempool.
-    pub fn submit(&mut self, tx: Transaction) -> Hash256 {
-        let hash = tx.hash();
-        self.mempool.push(tx);
-        hash
-    }
-
-    /// Runs one consensus round: the scheduled proposer executes the
-    /// mempool into a block; every other replica re-executes and
-    /// accepts or rejects. An optional `tamper` closure mutates the
-    /// block in flight (Byzantine-proposer injection for tests).
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::Empty`] if there are no validators.
-    pub fn round_with(
-        &mut self,
-        tamper: Option<&dyn Fn(&mut Block)>,
-    ) -> Result<RoundOutcome, NetworkError> {
-        if self.validators.is_empty() {
-            return Err(NetworkError::Empty);
-        }
-        let proposer = self.next_proposer;
-        self.next_proposer = (self.next_proposer + 1) % self.validators.len();
-
-        // The proposer executes the mempool.
-        let txs: Vec<Transaction> = std::mem::take(&mut self.mempool);
-        {
-            let node = &mut self.validators[proposer].node;
-            for tx in txs {
-                // Invalid submissions are dropped (they would revert
-                // deterministically anyway; dropping keeps tests crisp).
-                let _ = node.submit(tx);
-            }
-            node.mine();
-        }
-        let Some(mined) = self.validators[proposer].node.chain().blocks().last() else {
-            return Err(NetworkError::Internal("proposer mined no block"));
-        };
-        let mut block = mined.clone();
-        if let Some(t) = tamper {
-            t(&mut block);
-        }
-        let block_hash = block.hash();
-
-        // Broadcast: every other replica re-executes.
-        let mut accepted_by = vec![proposer];
-        let mut rejected_by = Vec::new();
-        for i in 0..self.validators.len() {
-            if i == proposer {
-                continue;
-            }
-            match self.validators[i].node.apply_block(&block) {
-                Ok(()) => accepted_by.push(i),
-                Err(e) => rejected_by.push((i, e)),
-            }
-        }
-        Ok(RoundOutcome { proposer, block_hash, accepted_by, rejected_by })
-    }
-
-    /// Runs one honest consensus round.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::round_with`].
-    pub fn round(&mut self) -> Result<RoundOutcome, NetworkError> {
-        self.round_with(None)
-    }
-
-    /// Serializes a validator's tip block as a wire frame — what an
-    /// honest peer would put on the network for [`deliver_frame`].
-    ///
-    /// Returns `None` if that replica has no blocks.
-    ///
-    /// [`deliver_frame`]: Network::deliver_frame
-    pub fn tip_frame(&self, from: usize) -> Option<Vec<u8>> {
-        self.validators
-            .get(from)?
-            .node
-            .chain()
-            .blocks()
-            .last()
-            .map(encode_block_bytes)
-    }
-
     /// Serializes the block at `height` on validator `from`'s chain as
     /// a wire frame, or `None` if that replica has not reached it.
     /// This is the pull side of catch-up sync: a replica that fell
@@ -353,15 +240,14 @@ impl Network {
         Some(encode_block_bytes(block))
     }
 
-    /// Proposer-driven block production for an external scheduler (the
-    /// engine's event loop): validator `proposer` executes exactly
-    /// `txs` into a block on its *own* chain and returns the encoded
-    /// frame. Nothing is broadcast — the caller owns delivery, so it
-    /// can route the frame through fault injection, delays, or drops.
-    /// The shared mempool and round-robin schedule are untouched.
+    /// Block production by a proposer the caller elected (the engine's
+    /// term election): validator `proposer` executes exactly `txs` into
+    /// a block on its *own* chain and returns the encoded frame.
+    /// Nothing is broadcast — the caller owns delivery, so it can route
+    /// the frame through fault injection, delays, or drops.
     ///
-    /// Invalid submissions are dropped exactly as in
-    /// [`Network::round_with`]; an empty block is still produced.
+    /// Invalid submissions (bad nonce, overdraft) are dropped; an empty
+    /// block is still produced.
     ///
     /// # Errors
     ///
@@ -378,10 +264,10 @@ impl Network {
     /// [`Network::propose`] with an optional Byzantine mutation: after
     /// the proposer mines honestly on its own chain, `tamper` mutates a
     /// *copy* of the block and the returned frame encodes the lie. The
-    /// proposer keeps the honest block — exactly the fork
-    /// [`Network::round_with`] models: a lying proposer forks itself
-    /// off, and honest replicas refuse the frame on re-execution. The
-    /// caller is responsible for healing (or abandoning) the liar.
+    /// proposer keeps the honest block, so a lying proposer forks
+    /// itself off, and honest replicas refuse the frame on
+    /// re-execution. The caller is responsible for healing (or
+    /// abandoning) the liar.
     ///
     /// # Errors
     ///
@@ -515,56 +401,14 @@ impl Network {
         let root = first.node.state().root();
         members.all(|v| v.node.chain().tip_hash() == tip && v.node.state().root() == root)
     }
-
-    /// Receipt lookup on the first replica (all replicas agree once
-    /// converged).
-    pub fn receipt(&self, tx_hash: Hash256) -> Option<&Receipt> {
-        self.validators.first().and_then(|v| v.node.receipt(tx_hash))
-    }
-
-    /// A validator joining late: boots from the same genesis
-    /// allocations and contract set, then catches up by replaying every
-    /// block from an existing replica ([`Node::apply_block`] validates
-    /// each one). Returns the new validator's index.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::Empty`] when there is nobody to sync from;
-    /// [`NetworkError::DeployDiverged`] when the joiner's contract
-    /// deployments do not land on the expected addresses;
-    /// [`NetworkError::Sync`] when a replayed block fails validation —
-    /// a corrupt or lying sync source must not panic the joiner.
-    pub fn join(
-        &mut self,
-        name: &str,
-        allocations: &[(Address, Wei)],
-        contracts: &[(Address, Box<dyn Contract>)],
-    ) -> Result<usize, NetworkError> {
-        let source = self.validators.first().ok_or(NetworkError::Empty)?;
-        let blocks: Vec<Block> = source.node.chain().blocks().to_vec();
-        let mut node = Node::new(allocations);
-        for (expected_addr, prototype) in contracts {
-            let addr = node.deploy(prototype.snapshot());
-            if addr != *expected_addr {
-                return Err(NetworkError::DeployDiverged { expected: *expected_addr, got: addr });
-            }
-        }
-        // The fresh node mined its own genesis; replay everything after.
-        for block in blocks.iter().skip(1) {
-            node.apply_block(block).map_err(|source| NetworkError::Sync {
-                height: block.header.number,
-                source,
-            })?;
-        }
-        self.validators.push(Validator { name: name.to_string(), node });
-        Ok(self.validators.len() - 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_header_bytes;
     use crate::tx::TxPayload;
+    use crate::types::Hash256;
 
     fn transfer(from: &str, to: &str, nonce: u64, value: u128) -> Transaction {
         Transaction {
@@ -588,15 +432,43 @@ mod tests {
         )
     }
 
+    /// Validator `proposer` mines `txs` (mutated in flight by `tamper`)
+    /// and every other replica receives the frame; returns each peer's
+    /// verdict in index order.
+    fn broadcast(
+        net: &mut Network,
+        proposer: usize,
+        txs: Vec<Transaction>,
+        tamper: Option<&dyn Fn(&mut Block)>,
+    ) -> Vec<(usize, Result<(), FrameError>)> {
+        let frame = net.propose_with(proposer, txs, tamper).unwrap();
+        (0..net.len())
+            .filter(|&i| i != proposer)
+            .map(|i| (i, net.deliver_frame(i, &frame)))
+            .collect()
+    }
+
+    fn assert_all_accept(verdicts: &[(usize, Result<(), FrameError>)]) {
+        for (i, verdict) in verdicts {
+            assert!(verdict.is_ok(), "replica {i} refused: {verdict:?}");
+        }
+    }
+
+    /// An honest one-transfer block from a lone proposer, as wire bytes.
+    fn honest_frame() -> Vec<u8> {
+        boot(1).propose(0, vec![transfer("alice", "bob", 0, 100)]).unwrap()
+    }
+
     #[test]
     fn replicas_converge_over_many_rounds() {
         let mut net = boot(4);
         assert_eq!(net.len(), 4);
-        for k in 0..6 {
-            net.submit(transfer("alice", "bob", k, 100 + k as u128));
-            let outcome = net.round().unwrap();
-            assert!(outcome.unanimous(), "round {k}: {:?}", outcome.rejected_by);
-            assert_eq!(outcome.proposer, (k as usize) % 4);
+        for k in 0..6u64 {
+            // The caller elects the proposer; here it rotates.
+            let verdicts =
+                broadcast(&mut net, k as usize % 4, vec![transfer("alice", "bob", k, 100)], None);
+            assert_eq!(verdicts.len(), 3);
+            assert_all_accept(&verdicts);
         }
         assert!(net.converged());
         let bob = Address::from_name("bob");
@@ -609,19 +481,23 @@ mod tests {
     #[test]
     fn byzantine_proposer_is_rejected_by_all_replicas() {
         let mut net = boot(3);
-        net.submit(transfer("alice", "bob", 0, 100));
         // The proposer claims a different state root (e.g. silently
         // crediting itself).
-        let outcome = net
-            .round_with(Some(&|block: &mut Block| {
+        let verdicts = broadcast(
+            &mut net,
+            0,
+            vec![transfer("alice", "bob", 0, 100)],
+            Some(&|block: &mut Block| {
                 block.header.state_root = Hash256([0xde; 32]);
-            }))
-            .unwrap();
-        assert_eq!(outcome.rejected_by.len(), 2);
-        for (_, err) in &outcome.rejected_by {
+            }),
+        );
+        assert_eq!(verdicts.len(), 2);
+        for (_, verdict) in &verdicts {
             assert!(matches!(
-                err,
-                BlockApplyError::StateRootMismatch | BlockApplyError::ReceiptMismatch
+                verdict,
+                Err(FrameError::Apply(
+                    BlockApplyError::StateRootMismatch | BlockApplyError::ReceiptMismatch
+                ))
             ));
         }
         assert!(!net.converged(), "the lying proposer forked itself off");
@@ -630,19 +506,20 @@ mod tests {
     #[test]
     fn tampered_receipts_are_rejected() {
         let mut net = boot(3);
-        net.submit(transfer("alice", "bob", 0, 100));
-        let outcome = net
-            .round_with(Some(&|block: &mut Block| {
+        let verdicts = broadcast(
+            &mut net,
+            0,
+            vec![transfer("alice", "bob", 0, 100)],
+            Some(&|block: &mut Block| {
                 if let Some(r) = block.receipts.first_mut() {
                     r.gas_used += 1;
                 }
-            }))
-            .unwrap();
-        assert_eq!(outcome.rejected_by.len(), 2);
-        assert!(outcome
-            .rejected_by
+            }),
+        );
+        assert_eq!(verdicts.len(), 2);
+        assert!(verdicts
             .iter()
-            .all(|(_, e)| *e == BlockApplyError::ReceiptMismatch));
+            .all(|(_, v)| *v == Err(FrameError::Apply(BlockApplyError::ReceiptMismatch))));
     }
 
     #[test]
@@ -651,46 +528,26 @@ mod tests {
         // themselves) used to trip an `expect` deep in `apply_block`;
         // it must now surface as a rejection on every honest replica.
         let mut net = boot(3);
-        net.submit(transfer("alice", "bob", 0, 100));
-        let outcome = net
-            .round_with(Some(&|block: &mut Block| {
+        let verdicts = broadcast(
+            &mut net,
+            0,
+            vec![transfer("alice", "bob", 0, 100)],
+            Some(&|block: &mut Block| {
                 block.header.receipts_root = Hash256([0xbe; 32]);
-            }))
-            .unwrap();
-        assert_eq!(outcome.rejected_by.len(), 2);
-        assert!(outcome
-            .rejected_by
+            }),
+        );
+        assert_eq!(verdicts.len(), 2);
+        assert!(verdicts
             .iter()
-            .all(|(_, e)| *e == BlockApplyError::BadReceiptsRoot));
-    }
-
-    #[test]
-    fn honest_frames_flow_through_the_wire_path() {
-        // Sanity for the byzantine tests below: the byte path accepts
-        // exactly what the struct path accepts.
-        let mut net = boot(2);
-        net.submit(transfer("alice", "bob", 0, 100));
-        // Proposer 0 mines; replica 1 is rolled forward via round(). To
-        // exercise deliver_frame against a replica that has *not* seen
-        // the block, boot a third validator from scratch.
-        net.round().unwrap();
-        let frame = net.tip_frame(0).expect("proposer mined a block");
-        let mut behind = boot(2);
-        net.submit(transfer("alice", "bob", 1, 50));
-        behind.deliver_frame(0, &frame).expect("honest frame must apply");
-        behind.deliver_frame(1, &frame).expect("honest frame must apply");
-        assert!(behind.converged());
+            .all(|(_, v)| *v == Err(FrameError::Apply(BlockApplyError::BadReceiptsRoot))));
     }
 
     #[test]
     fn byzantine_truncated_frames_error_instead_of_panicking() {
         // A byzantine peer sends every possible truncation of a valid
         // block frame. Each one must come back as a Decode error — the
-        // pre-fix codec called the panicking `Buf` getters here.
-        let mut net = boot(1);
-        net.submit(transfer("alice", "bob", 0, 100));
-        net.round().unwrap();
-        let frame = net.tip_frame(0).unwrap();
+        // pre-fix codec called panicking cursor reads here.
+        let frame = honest_frame();
         let mut victim = boot(1);
         for cut in 0..frame.len() {
             match victim.deliver_frame(0, &frame[..cut]) {
@@ -704,12 +561,7 @@ mod tests {
 
     #[test]
     fn byzantine_oversized_length_prefixes_error_instead_of_panicking() {
-        use crate::codec::decode_block_bytes;
-
-        let mut net = boot(1);
-        net.submit(transfer("alice", "bob", 0, 100));
-        net.round().unwrap();
-        let frame = net.tip_frame(0).unwrap();
+        let frame = honest_frame();
 
         // Stamp an absurd little-endian length over every u64-aligned
         // position in the frame: whichever field it lands on (tx count,
@@ -752,12 +604,9 @@ mod tests {
         // consecutive bytes — spliced over the tx count must be
         // refused as malformed (LengthOverflow), never spun on,
         // misread, or allowed past the decoder.
-        let mut net = boot(1);
-        net.submit(transfer("alice", "bob", 0, 100));
-        net.round().unwrap();
-        let good = net.tip_frame(0).unwrap();
+        let good = honest_frame();
         let block = decode_block_bytes(&good).unwrap();
-        let header_len = crate::codec::encode_header_bytes(&block.header).len();
+        let header_len = encode_header_bytes(&block.header).len();
         let mut bad = good.clone();
         bad.splice(header_len..header_len, [0xFFu8; 11]);
         let mut victim = boot(1);
@@ -791,10 +640,7 @@ mod tests {
         // The gate is about *size*, not honesty: a perfectly valid
         // block bigger than the limit is refused, and the same block
         // passes once the limit accommodates it.
-        let mut net = boot(1);
-        net.submit(transfer("alice", "bob", 0, 100));
-        net.round().unwrap();
-        let frame = net.tip_frame(0).unwrap();
+        let frame = honest_frame();
 
         let names = ["v0"];
         let allocations = [
@@ -820,21 +666,17 @@ mod tests {
 
     #[test]
     fn byzantine_declared_lengths_beyond_the_frame_are_refused_before_allocation() {
-        use crate::codec::CodecError;
         use tradefl_runtime::codec::{Buf, BytesMut};
 
         // A frame whose tx-count field claims more elements than the
         // remaining bytes could possibly encode. The codec must reject
         // the *claim* (LengthOverflow), not run the element decoder
         // until it trips over the end.
-        let mut net = boot(1);
-        net.submit(transfer("alice", "bob", 0, 100));
-        net.round().unwrap();
-        let good = net.tip_frame(0).unwrap();
+        let good = honest_frame();
         // Re-splice the frame with a forged tx-count varint: header
         // bytes, the absurd count, then the original tx/receipt tail.
         let block = decode_block_bytes(&good).unwrap();
-        let header_len = crate::codec::encode_header_bytes(&block.header).len();
+        let header_len = encode_header_bytes(&block.header).len();
         let mut tail: &[u8] = &good[header_len..];
         tail.try_get_uvarint().unwrap(); // skip the honest count
         // Claim a count that passes the absolute MAX_LEN cap but not
@@ -906,9 +748,10 @@ mod tests {
     #[test]
     fn restarted_validator_recovers_by_ledger_replay() {
         let mut net = boot(3);
-        for k in 0..4 {
-            net.submit(transfer("alice", "bob", k, 100));
-            assert!(net.round().unwrap().unanimous());
+        for k in 0..4u64 {
+            let verdicts =
+                broadcast(&mut net, k as usize % 3, vec![transfer("alice", "bob", k, 100)], None);
+            assert_all_accept(&verdicts);
         }
         assert!(net.converged());
         let allocations = [
@@ -976,33 +819,11 @@ mod tests {
     #[test]
     fn empty_rounds_keep_replicas_in_sync() {
         let mut net = boot(2);
-        for _ in 0..3 {
-            let o = net.round().unwrap();
-            assert!(o.unanimous());
+        for k in 0..3 {
+            assert_all_accept(&broadcast(&mut net, k % 2, vec![], None));
         }
         assert!(net.converged());
         assert_eq!(net.validator(0).node.chain().height(), 4); // genesis + 3
-    }
-
-    #[test]
-    fn late_joining_validator_syncs_by_replay() {
-        let allocations = [
-            (Address::from_name("alice"), Wei(1_000_000)),
-            (Address::from_name("bob"), Wei(500_000)),
-        ];
-        let mut net = Network::new(&["v0", "v1"], &allocations);
-        for k in 0..4 {
-            net.submit(transfer("alice", "bob", k, 50));
-            assert!(net.round().unwrap().unanimous());
-        }
-        let idx = net.join("latecomer", &allocations, &[]).unwrap();
-        assert_eq!(idx, 2);
-        assert!(net.converged(), "the late joiner must hold the same state");
-        // And it participates in consensus from now on.
-        net.submit(transfer("alice", "bob", 4, 50));
-        let outcome = net.round().unwrap();
-        assert!(outcome.unanimous());
-        assert_eq!(outcome.accepted_by.len(), 3);
     }
 
     #[test]
@@ -1032,7 +853,7 @@ mod tests {
         };
         let contract = net.deploy(Box::new(TradeFlContract::new(params).unwrap())).unwrap();
 
-        // Full settlement, one tx per round, proposers rotating.
+        // Full settlement, one phase per block, proposers rotating.
         let call = |from: Address, nonce: u64, function: &str, args, value| Transaction {
             from,
             nonce,
@@ -1040,30 +861,36 @@ mod tests {
             gas_limit: 10_000_000,
             payload: TxPayload::Call { contract, function: function.into(), args },
         };
-        for &o in &orgs {
-            net.submit(call(o, 0, "register", vec![], Wei::ZERO));
+        let phases = [
+            orgs.iter().map(|&o| call(o, 0, "register", vec![], Wei::ZERO)).collect(),
+            orgs.iter().map(|&o| call(o, 1, "depositSubmit", vec![], Wei(1_000_000))).collect(),
+            orgs.iter()
+                .enumerate()
+                .map(|(k, &o)| {
+                    call(
+                        o,
+                        2,
+                        "contributionSubmit",
+                        vec![
+                            crate::tx::Value::Fixed(Fixed::from_f64(0.2 + 0.3 * k as f64)),
+                            crate::tx::Value::Fixed(Fixed::from_f64(3.0)),
+                        ],
+                        Wei::ZERO,
+                    )
+                })
+                .collect(),
+            vec![
+                call(orgs[0], 3, "payoffCalculate", vec![], Wei::ZERO),
+                call(orgs[0], 4, "payoffTransfer", vec![], Wei::ZERO),
+            ],
+        ];
+        for (k, txs) in phases.into_iter().enumerate() {
+            let n_txs = txs.len();
+            let proposer = k % net.len();
+            assert_all_accept(&broadcast(&mut net, proposer, txs, None));
+            let tip = net.validator(proposer).node.chain().blocks().last().unwrap();
+            assert_eq!(tip.txs.len(), n_txs, "phase {k}: every call made the block");
         }
-        assert!(net.round().unwrap().unanimous());
-        for &o in &orgs {
-            net.submit(call(o, 1, "depositSubmit", vec![], Wei(1_000_000)));
-        }
-        assert!(net.round().unwrap().unanimous());
-        for (k, &o) in orgs.iter().enumerate() {
-            net.submit(call(
-                o,
-                2,
-                "contributionSubmit",
-                vec![
-                    crate::tx::Value::Fixed(Fixed::from_f64(0.2 + 0.3 * k as f64)),
-                    crate::tx::Value::Fixed(Fixed::from_f64(3.0)),
-                ],
-                Wei::ZERO,
-            ));
-        }
-        assert!(net.round().unwrap().unanimous());
-        net.submit(call(orgs[0], 3, "payoffCalculate", vec![], Wei::ZERO));
-        net.submit(call(orgs[0], 4, "payoffTransfer", vec![], Wei::ZERO));
-        assert!(net.round().unwrap().unanimous());
         assert!(net.converged(), "all replicas hold the settled state");
     }
 }

@@ -149,11 +149,6 @@ impl Node {
         addr
     }
 
-    /// Whether a contract is deployed at `addr`.
-    pub fn is_contract(&self, addr: Address) -> bool {
-        self.contracts.contains_key(&addr)
-    }
-
     /// The nonce the next transaction from `addr` must carry: its
     /// confirmed nonce plus its transactions queued for the next block.
     pub fn next_nonce(&self, addr: Address) -> u64 {
@@ -292,12 +287,6 @@ impl Node {
             return Err(BlockApplyError::BadReceiptsRoot);
         }
         Ok(())
-    }
-
-    /// Drops any queued transactions (used when a proposer's block
-    /// already covers them).
-    pub fn clear_pending(&mut self) {
-        self.pending.clear();
     }
 
     /// Read-only contract call: executes against a scratch copy of the

@@ -251,21 +251,6 @@ props! {
         let _ = decode_chain(&bytes);
     }
 
-    /// The `runtime::codec` primitives underneath the wire decoders
-    /// uphold the same contract on raw bytes.
-    fn runtime_codec_never_panics_on_arbitrary_bytes(g) {
-        use tradefl_runtime::codec::ByteDecode;
-        let bytes = g.vec(0..200usize, |g| g.any_u8());
-        let _ = u64::decode_all(&bytes);
-        let _ = i128::decode_all(&bytes);
-        let _ = f64::decode_all(&bytes);
-        let _ = bool::decode_all(&bytes);
-        let _ = String::decode_all(&bytes);
-        let _ = <Vec<u64>>::decode_all(&bytes);
-        let _ = <Option<String>>::decode_all(&bytes);
-        let _ = <Vec<Vec<u8>>>::decode_all(&bytes);
-    }
-
     /// Contract 2: encode → decode is the identity on every wire type.
     fn wire_roundtrip_is_identity(g) {
         use tradefl_ledger::codec::{
@@ -301,6 +286,87 @@ props! {
             decode_tx_bytes(&bytes),
             Err(CodecError::TrailingBytes(n)) if n == extra
         ));
+    }
+
+    /// Random transfer batches between funded accounts, some with bad
+    /// nonces or overdrafts, mined by a rotating proposer and delivered
+    /// as frames to every other replica: every replica ends each round
+    /// on the proposer's tip hash and state root, and the proposer's
+    /// block holds exactly the transfers with a valid nonce, in batch
+    /// order. An overdraft still burns its nonce, so it is in the block
+    /// with a reverted receipt; an off-chain balance model predicts
+    /// which receipts revert.
+    fn proposed_frames_replicate_exactly_the_valid_transfers(g) {
+        use tradefl_ledger::network::Network;
+        use tradefl_ledger::tx::{Transaction, TxPayload};
+        use tradefl_ledger::types::{Address, Wei};
+
+        let accounts: Vec<Address> =
+            (0..4).map(|i| Address::from_name(&format!("acct-{i}"))).collect();
+        let mut balance: Vec<u128> = accounts.iter().map(|_| u128::from(g.u64(0..5_000))).collect();
+        let mut nonce = vec![0u64; accounts.len()];
+        let allocations: Vec<(Address, Wei)> =
+            accounts.iter().zip(&balance).map(|(&a, &w)| (a, Wei(w))).collect();
+        let validators = g.usize(2..5);
+        let names: Vec<String> = (0..validators).map(|i| format!("v{i}")).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut net = Network::new(&name_refs, &allocations);
+
+        let first = g.usize(0..validators);
+        for round in 0..g.usize(1..6) {
+            let proposer = (first + round) % validators;
+            let mut batch = Vec::new();
+            // The txs the model accepts, each with whether it succeeds.
+            let mut valid = Vec::new();
+            for _ in 0..g.usize(0..8) {
+                let (from, to) = (g.usize(0..accounts.len()), g.usize(0..accounts.len()));
+                let tx_nonce = if g.bool(0.2) {
+                    nonce[from] + g.u64(1..3)
+                } else {
+                    nonce[from]
+                };
+                let value = u128::from(g.u64(0..3_000));
+                let tx = Transaction {
+                    from: accounts[from],
+                    nonce: tx_nonce,
+                    value: Wei(value),
+                    gas_limit: 21_000,
+                    payload: TxPayload::Transfer { to: accounts[to] },
+                };
+                if tx_nonce == nonce[from] {
+                    nonce[from] += 1;
+                    let funded = balance[from] >= value;
+                    if funded {
+                        balance[from] -= value;
+                        balance[to] += value;
+                    }
+                    valid.push((tx.clone(), funded));
+                }
+                batch.push(tx);
+            }
+
+            let frame = net.propose(proposer, batch).unwrap();
+            for peer in (0..validators).filter(|&i| i != proposer) {
+                let verdict = net.deliver_frame(peer, &frame);
+                prop_assert!(verdict.is_ok(), "replica {peer} refused: {verdict:?}");
+            }
+            let lead = &net.validator(proposer).node;
+            for i in 0..validators {
+                let node = &net.validator(i).node;
+                prop_assert_eq!(node.chain().tip_hash(), lead.chain().tip_hash());
+                prop_assert_eq!(node.state().root(), lead.state().root());
+            }
+            let block = lead.chain().blocks().last().unwrap();
+            let mined: Vec<&Transaction> = block.txs.iter().collect();
+            let expected: Vec<&Transaction> = valid.iter().map(|(tx, _)| tx).collect();
+            prop_assert_eq!(mined, expected);
+            for (receipt, (_, funded)) in block.receipts.iter().zip(&valid) {
+                prop_assert_eq!(receipt.status.is_success(), *funded);
+            }
+        }
+        for (a, &want) in accounts.iter().zip(&balance) {
+            prop_assert_eq!(net.validator(0).node.state().balance_of(*a), Wei(want));
+        }
     }
 }
 

@@ -784,7 +784,7 @@ impl<'a> Parser<'a> {
         }
         // Unknown construct at item position: macro invocation item
         // (`props! { … }`) or stray tokens. A `path!{…}`/`path!(…);`
-        // item is common in this workspace (props!, impl_codec!).
+        // item is common in this workspace (props!, thread_local!).
         if self.peek(0).is_some_and(|t| t.kind == TokKind::Ident) {
             let name = self.eat_ident().unwrap_or_default();
             // Consume `::seg` path tails.

@@ -74,11 +74,11 @@ pub const RULES: &[RuleInfo] = &[
                     seeds and makes equilibrium comparisons noisy (the exact failure mode \
                     coopetitive-CFL reproductions warn about). Timing belongs in \
                     the bench harness crate (crates/bench), which is exempt. \
-                    One more sanctioned sink exists: obs::time_scope (DESIGN.md \u{a7}9), a \
-                    doubly opt-in duration histogram whose reading can never reach control \
-                    flow or the deterministic event stream — its single Instant::now call \
-                    carries an in-place lint:allow. Observability events themselves are keyed \
-                    by logical clocks (per-subsystem step counters), never wall time.",
+                    Observability reads no clock at all: runtime::obs keys its events by \
+                    logical clocks (per-subsystem step counters), never wall time (DESIGN.md \
+                    \u{a7}9). Any other site that must read a clock carries an in-place \
+                    lint:allow arguing why the reading can never reach control flow or \
+                    results.",
         in_tests: true,
     },
     RuleInfo {
@@ -344,7 +344,7 @@ pub fn applies(rule_id: &str, rel_path: &str, target: Target) -> bool {
 }
 
 /// Inclusive line spans covered by `no-alloc-in-hot-loop` in this
-/// file: everything for the kernel module, the [`HOT_FNS`] bodies for
+/// file: everything for the kernel module, the `HOT_FNS` bodies for
 /// the listed files (located by `fn <name>` and brace matching, like
 /// [`crate::engine::test_spans`]).
 pub fn hot_loop_spans(rel_path: &str, tokens: &[Tok]) -> Vec<(u32, u32)> {

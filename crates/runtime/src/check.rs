@@ -1,10 +1,12 @@
 //! A seeded property-testing harness — the in-tree replacement for
 //! `proptest`.
 //!
-//! Properties are written with the [`props!`] macro: each property is
-//! a function of a generator context [`Gen`] that draws its inputs and
-//! asserts with [`prop_assert!`]/[`prop_assert_eq!`], discarding
-//! uninteresting cases with [`prop_assume!`].
+//! Properties are written with the [`props!`](crate::props!) macro:
+//! each property is a function of a generator context [`Gen`] that
+//! draws its inputs and asserts with
+//! [`prop_assert!`](crate::prop_assert!)/[`prop_assert_eq!`](crate::prop_assert_eq!),
+//! discarding uninteresting cases with
+//! [`prop_assume!`](crate::prop_assume!).
 //!
 //! ```
 //! use tradefl_runtime::{prop_assert, props};
@@ -56,8 +58,9 @@ pub const BASE_SEED: u64 = 0x7452_6144_6546_4c31; // "TrRaDeFL1"
 /// Why a case did not pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CaseFail {
-    /// The case's preconditions did not hold ([`prop_assume!`]); the
-    /// harness draws a replacement case.
+    /// The case's preconditions did not hold
+    /// ([`prop_assume!`](crate::prop_assume!)); the harness draws a
+    /// replacement case.
     Discard,
     /// A property assertion failed with this message.
     Fail(String),
@@ -104,7 +107,7 @@ impl Source {
 /// Generator context handed to each property case.
 ///
 /// All draws go through a deterministic source (a seeded [`StdRng`],
-/// recorded on a shrink tape, or a replayed tape — see [`Source`])
+/// recorded on a shrink tape, or a replayed tape)
 /// and are scaled by the case's *size* in `(0, 1]`: at size 1 every
 /// range is sampled in full; at smaller sizes ranges contract toward
 /// their start and collections toward their minimum length.
@@ -545,7 +548,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Asserts equality inside a property (see [`prop_assert!`]).
+/// Asserts equality inside a property (see
+/// [`prop_assert!`](crate::prop_assert!)).
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr $(,)?) => {{

@@ -15,10 +15,10 @@
 //! * [`sync`] — std-backed, poison-transparent `Mutex`/`RwLock`
 //!   wrappers (replacing `parking_lot`) and scoped-thread + channel
 //!   helpers (replacing `crossbeam`);
-//! * [`codec`] — a byte-oriented buffer ([`codec::BytesMut`], the
-//!   [`codec::Buf`] cursor trait) replacing `bytes`, plus the
-//!   [`codec::ByteEncode`]/[`codec::ByteDecode`] traits and the
-//!   derive-free [`impl_codec!`] macro replacing `serde` derives;
+//! * [`codec`] — a growable write buffer ([`codec::BytesMut`]) and a
+//!   read cursor ([`codec::Buf`]) whose every read is fallible,
+//!   replacing `bytes`; the ledger wire codec, block/state hashing and
+//!   the engine checkpoint are written by hand on top of it;
 //! * [`check`] — a seeded property-testing harness (the [`props!`]
 //!   macro with generator methods on [`check::Gen`], fixed-seed
 //!   replay via `TRADEFL_PROP_SEED`, and structural tape-based

@@ -17,11 +17,8 @@
 //!   bumped from pool workers — totals are stable, per-worker
 //!   attribution (e.g. tasks stolen) is inherently scheduling-
 //!   dependent and therefore excluded from determinism comparisons.
-//! * The optional **duration sink** ([`time_scope`]) is the one place
-//!   that reads the wall clock. It is double-opt-in (recorder enabled
-//!   *and* [`enable_durations`]), carries an in-place
-//!   `lint:allow(no-wallclock)`, and its output lands in histograms,
-//!   never in the event stream.
+//! * Nothing here reads the wall clock, so a recording can never feed
+//!   time back into a replayable run.
 //!
 //! **Disabled-path cost.** The recorder is off by default. Every entry
 //! point begins with one relaxed atomic load and returns immediately;
@@ -347,8 +344,6 @@ impl Recorder {
 
 /// Master switch. Off ⇒ every entry point is a single relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Second switch for the wall-clock duration sink ([`time_scope`]).
-static DURATIONS: AtomicBool = AtomicBool::new(false);
 
 fn global() -> &'static Recorder {
     static GLOBAL: OnceLock<Recorder> = OnceLock::new();
@@ -383,13 +378,6 @@ pub fn disable() {
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Opts in to the wall-clock duration sink (see [`time_scope`]).
-/// Durations land in histograms only, never in the event stream, so
-/// determinism comparisons are unaffected.
-pub fn enable_durations() {
-    DURATIONS.store(true, Ordering::Relaxed);
 }
 
 /// Records an event on `subsystem`'s logical clock. No-op when
@@ -429,42 +417,13 @@ pub fn hist_record(name: &str, v: f64) {
     with_active(|rec| rec.hist_record(name, v));
 }
 
-/// Starts a wall-clock span that records elapsed microseconds into the
-/// histogram `name` when dropped. Returns a no-op guard unless **both**
-/// [`enable`] and [`enable_durations`] were called — the wall clock is
-/// never read on the default path, keeping replayable pipelines clock-
-/// free (the `no-wallclock` rule's intent; see DESIGN.md §9).
-pub fn time_scope(name: &'static str) -> TimeScope {
-    if !is_enabled() || !DURATIONS.load(Ordering::Relaxed) {
-        return TimeScope { name, start: None };
-    }
-    // lint:allow(no-wallclock): opt-in duration sink; off by default, histogram-only, excluded from determinism diffs
-    TimeScope { name, start: Some(std::time::Instant::now()) }
-}
-
-/// Guard returned by [`time_scope`].
-#[derive(Debug)]
-pub struct TimeScope {
-    name: &'static str,
-    start: Option<std::time::Instant>,
-}
-
-impl Drop for TimeScope {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let micros = start.elapsed().as_secs_f64() * 1e6;
-            hist_record(self.name, micros);
-        }
-    }
-}
-
 /// Clones out everything recorded so far (events + metrics).
 pub fn snapshot() -> Snapshot {
     with_active(Recorder::snapshot)
 }
 
 /// Clears the active recorder (events, clocks, and metrics). The
-/// enabled flags are left as they are.
+/// enabled flag is left as it is.
 pub fn reset() {
     with_active(Recorder::reset);
 }
@@ -812,16 +771,6 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.events.len(), MAX_EVENTS);
         assert_eq!(snap.events_dropped, 1);
-    }
-
-    #[test]
-    fn time_scope_is_noop_without_double_opt_in() {
-        let ((), snap) = with_local(|| {
-            // enabled (with_local) but durations NOT opted in:
-            let guard = time_scope("span.micros");
-            drop(guard);
-        });
-        assert!(snap.histograms.is_empty(), "no duration recorded without opt-in");
     }
 
     #[test]

@@ -8,19 +8,9 @@ use crate::outcome::{Equilibrium, Scheme};
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
-use tradefl_runtime::sync::pool::Pool;
-
-/// Grid sweeps below this many candidate evaluations run inline —
-/// payoff evaluations are sub-microsecond, so tiny sweeps don't cover
-/// the cost of standing up scoped workers. Depends only on the grid
-/// size, never on the worker count, and both paths merge with the same
-/// first-maximum-wins rule, so results are identical either way.
-const POOLED_SWEEP_MIN: usize = 64;
 
 /// Merges per-candidate `(strategy, payoff)` evaluations in input
-/// order with a strict `>`: exactly the serial sweep's
-/// first-maximum-wins tie-break (earliest grid point, then lowest
-/// level, wins), for any chunking.
+/// order with a strict `>`, so the first maximum in input order wins.
 fn best_of(
     candidates: impl IntoIterator<Item = Option<(Strategy, f64)>>,
 ) -> Option<(Strategy, f64)> {
@@ -92,22 +82,6 @@ pub fn solve_gca<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     options: GcaOptions,
 ) -> Result<Equilibrium> {
-    solve_gca_with(game, options, Pool::global())
-}
-
-/// [`solve_gca`] on an explicit pool: each organization's 1-D grid
-/// sweep fans out over pool workers in contiguous grid chunks and the
-/// chunk optima merge with [`best_of`] — bit-identical to the serial
-/// sweep for any worker count.
-///
-/// # Errors
-///
-/// See [`solve_gca`].
-pub fn solve_gca_with<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    options: GcaOptions,
-    pool: &Pool,
-) -> Result<Equilibrium> {
     let market = game.market();
     let n = market.len();
     let d_min = market.params().d_min;
@@ -155,14 +129,8 @@ pub fn solve_gca_with<A: AccuracyModel>(
                 let candidate = Strategy::new(d, level);
                 Some((candidate, game.payoff(&profile.with(i, candidate), i)))
             };
-            let best = if pool.workers() > 1 && options.grid + 1 >= POOLED_SWEEP_MIN
-            {
-                best_of(pool.map_indexed(options.grid + 1, evaluate))
-            } else {
-                best_of((0..=options.grid).map(evaluate))
-            };
-            let (candidate, payoff) =
-                best.ok_or(SolveError::InfeasibleProblem { org: i })?;
+            let (candidate, payoff) = best_of((0..=options.grid).map(evaluate))
+                .ok_or(SolveError::InfeasibleProblem { org: i })?;
             if payoff > current + 1e-9
                 && profile.with(i, candidate).distance(&profile) > 1e-9
             {
@@ -236,23 +204,6 @@ pub fn solve_fip<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     options: FipOptions,
 ) -> Result<Equilibrium> {
-    solve_fip_with(game, options, Pool::global())
-}
-
-/// [`solve_fip`] on an explicit pool: the `level × grid` sweep
-/// flattens to one candidate index per vertex (grid-major within each
-/// level, levels outer — the serial iteration order), fans out in
-/// contiguous chunks, and merges with [`best_of`] — bit-identical to
-/// the serial sweep for any worker count.
-///
-/// # Errors
-///
-/// See [`solve_fip`].
-pub fn solve_fip_with<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    options: FipOptions,
-    pool: &Pool,
-) -> Result<Equilibrium> {
     let market = game.market();
     let n = market.len();
     let d_min = market.params().d_min;
@@ -282,9 +233,8 @@ pub fn solve_fip_with<A: AccuracyModel>(
             let current = game.payoff(&profile, i);
             let org = market.org(i);
             let levels = org.compute_level_count();
-            // Flattened vertex index: level-major, grid inner — the
-            // serial double loop's order, so best_of's first-wins
-            // tie-break is unchanged.
+            // Vertex index: levels outer, grid inner; best_of keeps the
+            // first maximum in that order.
             let evaluate = |v: usize| {
                 let (level, k) = (v / grid.len(), v % grid.len());
                 let (lo, hi) = market.feasible_range(i, level)?;
@@ -295,14 +245,8 @@ pub fn solve_fip_with<A: AccuracyModel>(
                 let candidate = Strategy::new(d, level);
                 Some((candidate, game.payoff(&profile.with(i, candidate), i)))
             };
-            let vertices = levels * grid.len();
-            let best = if pool.workers() > 1 && vertices >= POOLED_SWEEP_MIN {
-                best_of(pool.map_indexed(vertices, evaluate))
-            } else {
-                best_of((0..vertices).map(evaluate))
-            };
-            let (candidate, payoff) =
-                best.ok_or(SolveError::InfeasibleProblem { org: i })?;
+            let (candidate, payoff) = best_of((0..levels * grid.len()).map(evaluate))
+                .ok_or(SolveError::InfeasibleProblem { org: i })?;
             if payoff > current + 1e-9
                 && profile.with(i, candidate).distance(&profile) > 1e-12
             {

@@ -10,7 +10,6 @@ use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::incremental::IncrementalEval;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
-use tradefl_runtime::sync::pool::Pool;
 
 /// Which payoff an organization best-responds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +92,11 @@ pub struct BestResponse {
     pub payoff: f64,
 }
 
-/// Computes organization `i`'s best response to `profile`'s `π_-i` on
-/// the global work-stealing pool (see [`best_response_with`]).
+/// Computes organization `i`'s best response to `profile`'s `π_-i`:
+/// one 1-D maximization per compute level, merged in ladder order with
+/// a strict-improvement comparison, so the first maximum wins (the
+/// lowest level wins ties). Each level's bisection depends only on
+/// `(game, profile, i, level)`.
 ///
 /// Returns `None` only if no compute level admits a feasible data
 /// fraction (the market constructor normally rules this out).
@@ -104,48 +106,11 @@ pub fn best_response<A: AccuracyModel>(
     i: usize,
     objective: Objective,
 ) -> Option<BestResponse> {
-    best_response_with(game, profile, i, objective, Pool::global())
-}
-
-/// Minimum estimated sweep work (`levels × |N|`, proportional to the
-/// number of payoff-term evaluations the bisections will do) before
-/// the per-level search fans out to the pool. `Pool::scope` stands up
-/// scoped workers per call (~100µs); a single level's bisection on a
-/// paper-scale market is ~25µs, so pooling only pays on markets with
-/// big ladders *and* many organizations. Depends only on the instance,
-/// never on the worker count — and both paths merge identically, so
-/// the choice cannot affect results.
-const POOLED_SEARCH_MIN_WORK: usize = 256;
-
-/// [`best_response`] on an explicit pool: the per-level 1-D
-/// maximizations run as independent pool jobs and the per-level optima
-/// merge in ladder order with a strict-improvement comparison — the
-/// serial loop's first-maximum-wins (lowest level wins ties) rule — so
-/// the result is bit-identical for every worker count. Each level's
-/// bisection depends only on `(game, profile, i, level)`, never on the
-/// other levels, so parallelism cannot perturb any individual
-/// candidate either.
-pub fn best_response_with<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    profile: &StrategyProfile,
-    i: usize,
-    objective: Objective,
-    pool: &Pool,
-) -> Option<BestResponse> {
     let levels = game.market().org(i).compute_level_count();
-    let work = levels * game.market().len();
-    let candidates: Vec<Option<BestResponse>> =
-        if pool.workers() > 1 && levels > 1 && work >= POOLED_SEARCH_MIN_WORK {
-            pool.map_indexed(levels, |level| {
-                level_candidate(game, profile, i, level, objective)
-            })
-        } else {
-            (0..levels)
-                .map(|level| level_candidate(game, profile, i, level, objective))
-                .collect()
-        };
     let mut best: Option<BestResponse> = None;
-    for candidate in candidates.into_iter().flatten() {
+    for candidate in
+        (0..levels).filter_map(|level| level_candidate(game, profile, i, level, objective))
+    {
         if best.map_or(true, |b| candidate.payoff > b.payoff) {
             best = Some(candidate);
         }
@@ -156,9 +121,8 @@ pub fn best_response_with<A: AccuracyModel>(
 /// [`best_response`] through an [`IncrementalEval`]: every candidate
 /// evaluation is `O(log N)` instead of `O(N)`, so the whole search
 /// costs `O(levels · log N)` — the building block of the sub-quadratic
-/// DBR sweep. Runs serially (the per-candidate work is far below any
-/// pool's dispatch cost at every market size) and merges levels with
-/// the same first-maximum-wins rule as [`best_response_with`].
+/// DBR sweep. Merges levels with the same first-maximum-wins rule as
+/// [`best_response`].
 ///
 /// The returned [`BestResponse::payoff`] is the **mover objective**
 /// ([`Objective::mover_payoff_incremental`]): exact for

@@ -190,7 +190,7 @@ impl DbrSolver {
     /// responses no longer fan out to the pool (each one is
     /// microseconds at any market size, far below dispatch cost); the
     /// pool instead parallelizes the per-round `O(N²)` payoff trace
-    /// matvec on large markets (see [`trace_payoffs`]). Every pooled
+    /// matvec on large markets (`trace_payoffs`). Every pooled
     /// element is computed independently and lands in its own slot,
     /// so results are bit-identical for every worker count.
     ///

@@ -50,13 +50,8 @@ pub mod primal;
 pub mod social;
 pub mod tuning;
 
-pub use baselines::{
-    solve_fip, solve_fip_with, solve_gca, solve_gca_with, solve_scheme, solve_tos,
-    FipOptions, GcaOptions,
-};
-pub use bestresponse::{
-    best_response, best_response_incremental, best_response_with, BestResponse, Objective,
-};
+pub use baselines::{solve_fip, solve_gca, solve_scheme, solve_tos, FipOptions, GcaOptions};
+pub use bestresponse::{best_response, best_response_incremental, BestResponse, Objective};
 pub use cache::PayoffCache;
 pub use certify::{certify_nash, certify_nash_for, NashCertificate};
 pub use cgbd::{exhaustive_optimum, CgbdOptions, CgbdReport, CgbdSolver};

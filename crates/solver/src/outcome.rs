@@ -110,7 +110,8 @@ impl Equilibrium {
     }
 
     /// [`Self::from_profile`] with every aggregate taken from an
-    /// [`IncrementalEval`] at the final profile, in `O(N)` instead of
+    /// [`IncrementalEval`](tradefl_core::incremental::IncrementalEval)
+    /// at the final profile, in `O(N)` instead of
     /// the game's `O(N²)` recomputation: welfare sums the last payoff
     /// trace row (the evaluator's own final payoff vector), potential
     /// and total damage use the evaluator's cached per-org constants.

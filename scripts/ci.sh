@@ -36,6 +36,12 @@ cargo test -q
 echo "==> workspace tests (all crates, property suites included)"
 cargo test -q --workspace
 
+echo "==> rustdoc: no broken or private intra-doc links"
+# A doc link to a deleted or private item fails here instead of
+# rotting into a dead reference in the rendered docs.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps --offline
+
 echo "==> examples build"
 cargo build --examples
 
