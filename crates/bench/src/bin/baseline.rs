@@ -67,7 +67,9 @@ use tradefl_runtime::sync::pool::{host_parallelism, Pool};
 use tradefl_solver::bestresponse::{best_response, Objective};
 use tradefl_solver::cgbd::{CgbdOptions, CgbdSolver};
 use tradefl_solver::dbr::{DbrOptions, DbrSolver, UpdateOrder};
-use tradefl_solver::gbd::{solve_master, traverse_reference, traverse_tables, Cut, MasterSearch};
+use tradefl_solver::gbd::{
+    solve_master, traverse_reference, traverse_tables, Cut, CutTables, MasterSearch,
+};
 use tradefl_solver::primal::PrimalProblem;
 
 const SCHEMA: &str = "tradefl-bench/v2";
@@ -347,7 +349,8 @@ fn bench_cgbd_traversal(repeats: usize) -> Fields {
     let visited = BTreeSet::new();
     let cap = 1u128 << 40;
     let reference = traverse_reference(&g, &cuts, &visited, cap).expect("reference traversal");
-    let tables = traverse_tables(&g, &cuts, &visited, cap).expect("table traversal");
+    let tables = traverse_tables(&g, &CutTables::build(&g, &cuts), &visited, cap)
+        .expect("table traversal");
     assert_eq!(reference.levels, tables.levels, "traversal paths disagree");
     assert!(
         (reference.phi - tables.phi).abs() <= 1e-9 * reference.phi.abs().max(1.0),
@@ -362,7 +365,8 @@ fn bench_cgbd_traversal(repeats: usize) -> Fields {
                 black_box(traverse_reference(&g, &cuts, &visited, cap).expect("traversal"));
             },
             &mut || {
-                black_box(traverse_tables(&g, &cuts, &visited, cap).expect("traversal"));
+                let tables = CutTables::build(&g, &cuts);
+                black_box(traverse_tables(&g, &tables, &visited, cap).expect("traversal"));
             },
         ],
     );
@@ -521,14 +525,18 @@ fn bench_master_modes(repeats: usize) -> Fields {
     ];
     let visited = BTreeSet::new();
     let descent = MasterSearch::CoordinateDescent { restarts: 8, max_sweeps: 20, seed: 1 };
+    // Coordinate descent ignores the tables, so they are built outside
+    // its timed closure; the traversal closure builds its own.
+    let tables = CutTables::build(&g, &cuts);
     let ms = time_ms(
         repeats,
         &mut [
             &mut || {
-                black_box(traverse_tables(&g, &cuts, &visited, 10_000).expect("master"));
+                let tables = CutTables::build(&g, &cuts);
+                black_box(traverse_tables(&g, &tables, &visited, 10_000).expect("master"));
             },
             &mut || {
-                black_box(solve_master(&g, &cuts, descent, &visited).expect("master"));
+                black_box(solve_master(&g, &cuts, &tables, descent, &visited).expect("master"));
             },
         ],
     );

@@ -210,11 +210,6 @@ mod tests {
 
     fn exported_trace() -> String {
         use tradefl_runtime::obs;
-        // `with_local` toggles the process-wide enable flag, so the two
-        // tests recording here take turns rather than switching each
-        // other's recording off mid-export.
-        static RECORDING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _turn = RECORDING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let ((), snap) = obs::with_local(|| {
             obs::event(obs::Subsystem::Cgbd, "iteration", &[("k", 0u64.into())]);
             obs::event(obs::Subsystem::Cgbd, "iteration", &[("k", 1u64.into())]);

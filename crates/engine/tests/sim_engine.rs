@@ -55,13 +55,8 @@ fn adversarial_config(seed: u64) -> EngineConfig {
 }
 
 /// Runs `f` under a local observability recorder and returns its result
-/// plus the recorded event stream. `obs::with_local` toggles the
-/// process-wide enable flag, so a traced run finishing on another test
-/// thread could switch this one's recording off mid-run and drop
-/// events; traced runs therefore take turns.
+/// plus the recorded event stream.
 fn traced<R>(f: impl FnOnce() -> R) -> (R, String) {
-    static TRACED: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _turn = TRACED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (out, snapshot) = obs::with_local(f);
     (out, snapshot.events_jsonl())
 }

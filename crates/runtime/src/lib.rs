@@ -12,9 +12,9 @@
 //!   with the `rand`-style trait surface the workspace uses
 //!   (`seed_from_u64`, `gen_range`, `gen_bool`, `shuffle`, Gaussian
 //!   draws for data synthesis);
-//! * [`sync`] — std-backed, poison-transparent `Mutex`/`RwLock`
-//!   wrappers (replacing `parking_lot`) and scoped-thread + channel
-//!   helpers (replacing `crossbeam`);
+//! * [`sync`] — a std-backed, poison-transparent `Mutex` (replacing
+//!   `parking_lot`) and the work-stealing [`sync::pool`] (replacing
+//!   `crossbeam`'s fork/join);
 //! * [`codec`] — a growable write buffer ([`codec::BytesMut`]) and a
 //!   read cursor ([`codec::Buf`]) whose every read is fallible,
 //!   replacing `bytes`; the ledger wire codec, block/state hashing and

@@ -21,10 +21,12 @@
 //!   time back into a replayable run.
 //!
 //! **Disabled-path cost.** The recorder is off by default. Every entry
-//! point begins with one relaxed atomic load and returns immediately;
-//! no allocation, no locking, no formatting happens until [`enable`]
-//! is called. Field values are `Copy` (`&'static str` for strings), so
-//! even *building the call arguments* allocates nothing.
+//! point begins with one relaxed atomic load and one thread-local
+//! check and returns immediately; no allocation, no locking, no
+//! formatting happens until [`enable`] is called or a [`with_local`]
+//! recorder is installed on the calling thread. Field values are
+//! `Copy` (`&'static str` for strings), so even *building the call
+//! arguments* allocates nothing.
 //!
 //! **Export.** [`export_jsonl`] renders the whole recording as JSON
 //! Lines (schema `tradefl-trace/v1`): a `meta` line, every event in
@@ -342,7 +344,8 @@ impl Recorder {
     }
 }
 
-/// Master switch. Off ⇒ every entry point is a single relaxed load.
+/// The global recorder's switch. Off, and with no [`with_local`]
+/// recorder on the calling thread, every entry point returns at once.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 fn global() -> &'static Recorder {
@@ -351,9 +354,10 @@ fn global() -> &'static Recorder {
 }
 
 thread_local! {
-    /// Test-scoped override: when set, this thread's recordings go to
-    /// the local recorder instead of the global one, so concurrently
-    /// running tests cannot interleave their streams.
+    /// Test-scoped override: when set, this thread records into the
+    /// local recorder instead of the global one, regardless of the
+    /// global switch, so concurrently running tests cannot interleave
+    /// their streams or switch each other's recording off.
     static LOCAL: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
 }
 
@@ -364,20 +368,23 @@ fn with_active<R>(f: impl FnOnce(&Recorder) -> R) -> R {
     })
 }
 
-/// Turns recording on (process-wide).
+/// Turns the global recorder on (process-wide).
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns recording off. Already-recorded data is kept until [`reset`].
+/// Turns the global recorder off. Already-recorded data is kept until
+/// [`reset`].
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether the recorder is on. This is the disabled path's entire cost.
+/// Whether calls on this thread record: a [`with_local`] recorder is
+/// installed here, or the process-wide flag is on. Call sites use it
+/// to skip work that only feeds the recorder.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) || LOCAL.with(|local| local.borrow().is_some())
 }
 
 /// Records an event on `subsystem`'s logical clock. No-op when
@@ -428,23 +435,22 @@ pub fn reset() {
     with_active(Recorder::reset);
 }
 
-/// Runs `f` with a fresh thread-local recorder installed and recording
-/// enabled, then restores the previous state and returns `f`'s result
-/// together with everything the closure recorded **on this thread**.
+/// Runs `f` with a fresh recorder installed on this thread, then
+/// restores the previous one and returns `f`'s result together with
+/// everything the closure recorded **on this thread**.
 ///
-/// Pool workers spawned inside `f` still record to the global recorder
-/// (counters are order-independent, so that is safe); events emitted
-/// from sequential orchestration code on the calling thread — the only
-/// place events are allowed — are captured exactly.
+/// The local recorder records for the whole of `f` whether or not the
+/// process-wide flag is on, and `with_local` neither reads nor writes
+/// that flag, so overlapping runs on other threads cannot switch it
+/// off. Pool workers spawned inside `f` have no local recorder: they
+/// record to the global one, and only while the process-wide flag is
+/// on. Events emitted from sequential orchestration code on the
+/// calling thread — the only place events are allowed — are captured
+/// exactly.
 pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     let rec = Arc::new(Recorder::new());
     let prev_local = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
-    let was_enabled = is_enabled();
-    enable();
     let out = f();
-    if !was_enabled {
-        disable();
-    }
     LOCAL.with(|local| *local.borrow_mut() = prev_local);
     let snap = rec.snapshot();
     (out, snap)
@@ -641,25 +647,58 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        // Fresh local recorder, *without* enabling: free functions on a
-        // disabled process must not touch it.
-        let rec = Arc::new(Recorder::new());
-        let prev = LOCAL.with(|l| l.borrow_mut().replace(Arc::clone(&rec)));
-        let was_enabled = is_enabled();
-        disable();
+        // No test in this crate turns the process-wide flag on, and a
+        // test thread has no local recorder outside `with_local`: free
+        // functions here must return before touching any recorder.
+        assert!(!is_enabled());
         event(Subsystem::Cgbd, "iteration", &[("k", 1u64.into())]);
         counter_add("c", 1);
         gauge_set("g", 1.0);
         hist_record("h", 1.0);
-        if was_enabled {
-            enable();
-        }
-        LOCAL.with(|l| *l.borrow_mut() = prev);
-        let snap = rec.snapshot();
+        let snap = global().snapshot();
         assert!(snap.events.is_empty());
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn overlapping_local_runs_do_not_switch_each_other_off() {
+        // B enters `with_local`; A enters and records event 1; B
+        // returns; A records event 2. A must keep both events.
+        use std::sync::Barrier;
+        let b_entered = Arc::new(Barrier::new(2));
+        let a_recorded = Arc::new(Barrier::new(2));
+        let b_returned = Arc::new(Barrier::new(2));
+        let b = {
+            let (b_entered, a_recorded) = (Arc::clone(&b_entered), Arc::clone(&a_recorded));
+            // lint:allow(no-raw-threads): the barriers need two live OS threads; a pool may run both closures on one worker and deadlock
+            std::thread::spawn(move || {
+                with_local(|| {
+                    b_entered.wait();
+                    a_recorded.wait();
+                })
+            })
+        };
+        let a = {
+            let b_returned = Arc::clone(&b_returned);
+            // lint:allow(no-raw-threads): the barriers need two live OS threads; a pool may run both closures on one worker and deadlock
+            std::thread::spawn(move || {
+                b_entered.wait();
+                let ((), snap) = with_local(|| {
+                    event(Subsystem::Engine, "one", &[]);
+                    a_recorded.wait();
+                    b_returned.wait();
+                    event(Subsystem::Engine, "two", &[]);
+                });
+                snap
+            })
+        };
+        b.join().unwrap();
+        b_returned.wait();
+        let snap = a.join().unwrap();
+        let names: Vec<&str> = snap.events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["one", "two"]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Synchronization primitives over `std::sync`, with the
-//! `parking_lot`-style ergonomics the workspace uses: `lock()`,
-//! `read()` and `write()` return guards directly instead of
-//! `Result`s.
+//! `parking_lot`-style ergonomics the workspace uses: `lock()` returns
+//! its guard directly instead of a `Result`.
 //!
 //! Lock poisoning is deliberately transparent: a panic while holding a
 //! lock does not brick every other holder. The workspace's shared
@@ -10,11 +9,8 @@
 //! unwinding panic in an unrelated thread is sound here — exactly the
 //! rationale `parking_lot` applies globally.
 //!
-//! Scoped fork/join helpers ([`scope`]) and mpsc channels
-//! ([`channel`]) cover what `crossbeam` provided for the bench
-//! harness. The [`pool`] submodule adds the work-stealing pool the
-//! solver and FL hot paths run on; [`parallel_map`] is now a thin
-//! fork/join veneer over it.
+//! The [`pool`] submodule holds the work-stealing pool the solver and
+//! FL hot paths run on.
 
 pub mod pool;
 
@@ -45,101 +41,15 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A readers-writer lock whose accessors never return `Err`.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// RAII read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// RAII write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Wraps a value in a new lock.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access. Poison-transparent.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access. Poison-transparent.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Scoped fork/join: spawned threads may borrow from the enclosing
-/// stack frame and are all joined before `scope` returns (the
-/// `crossbeam::scope` pattern, provided by std since 1.63).
-pub use std::thread::scope;
-
 /// Condition variable (std's; pairs with this module's [`Mutex`]
 /// because its guards are std guards).
 pub use std::sync::Condvar;
-
-/// Re-export of the scope handle type for signatures.
-pub use std::thread::Scope;
-
-/// Multi-producer single-consumer channels (the `crossbeam::channel`
-/// subset the bench harness needs).
-pub mod channel {
-    pub use std::sync::mpsc::{channel, sync_channel, Receiver, RecvError, SendError, Sender, SyncSender, TryRecvError};
-
-    /// Unbounded channel (crossbeam naming).
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel()
-    }
-
-    /// Bounded channel (crossbeam naming).
-    pub fn bounded<T>(cap: usize) -> (SyncSender<T>, Receiver<T>) {
-        sync_channel(cap)
-    }
-}
-
-/// Runs `jobs` closures on up to `workers` scoped threads and returns
-/// their results in input order — the fork/join shape the bench
-/// harness uses for embarrassingly parallel sweeps. Backed by the
-/// work-stealing [`pool::Pool`].
-///
-/// # Panics
-///
-/// Re-raises the first panic from any job **with its original
-/// payload** (a panicking job no longer surfaces as the opaque
-/// "a scoped thread panicked" join error, and never wedges the other
-/// workers).
-pub fn parallel_map<T, F>(workers: usize, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    assert!(workers > 0, "parallel_map needs at least one worker");
-    pool::Pool::new(workers).map(jobs)
-}
 
 #[cfg(test)]
 mod tests {
@@ -151,63 +61,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
         assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_reads() {
-        let l = RwLock::new(1);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!(*a + *b, 2);
-        drop((a, b));
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<_> = (0..17).map(|i| move || i * i).collect();
-        let got = parallel_map(4, jobs);
-        assert_eq!(got, (0..17).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_propagates_the_original_panic_payload() {
-        // Regression: the fork/join implementation used to surface job
-        // panics as std's opaque scope-join panic (or, with a poisoned
-        // slot mutex, hang follow-up lockers). The pool must re-raise
-        // the job's own payload.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 3 {
-                        std::panic::panic_any(format!("job {i} exploded"));
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(2, jobs)
-        }))
-        .unwrap_err();
-        assert_eq!(
-            err.downcast_ref::<String>().expect("payload preserved"),
-            "job 3 exploded"
-        );
-    }
-
-    #[test]
-    fn channels_deliver() {
-        let (tx, rx) = channel::unbounded();
-        scope(|s| {
-            s.spawn(move || {
-                for i in 0..10 {
-                    tx.send(i).unwrap();
-                }
-            });
-        });
-        let got: Vec<i32> = rx.iter().collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 }

@@ -15,7 +15,7 @@
 //! small instances.
 
 use crate::error::{Result, SolveError};
-use crate::gbd::{master_value, solve_master_with, Cut, CutTables, MasterSearch};
+use crate::gbd::{solve_master, Cut, CutTables, MasterSearch};
 use crate::outcome::{Equilibrium, Scheme};
 use crate::primal::PrimalProblem;
 // Ordered set, not HashSet — see the `no-hash-iteration` lint.
@@ -199,8 +199,7 @@ impl CgbdSolver {
                 tables.push_cut(game, &cut);
                 cuts.push(cut);
             }
-            let master =
-                solve_master_with(game, &cuts, &tables, self.options.master, &visited)?;
+            let master = solve_master(game, &cuts, &tables, self.options.master, &visited)?;
             lb = master.phi;
             trace.push(CgbdIteration {
                 k,
@@ -293,16 +292,6 @@ pub fn exhaustive_optimum<A: AccuracyModel>(
         }
     }
     best.ok_or(SolveError::InfeasibleProblem { org: 0 })
-}
-
-/// Convenience: the master epigraph value at a specific assignment,
-/// re-exported for diagnostics.
-pub fn master_epigraph<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    cuts: &[Cut],
-    levels: &[usize],
-) -> Option<f64> {
-    master_value(game, cuts, levels)
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! reach a Nash equilibrium in finitely many effective updates \[33\].
 
 use crate::bestresponse::{best_response_incremental, Objective};
-use crate::cache::PayoffCache;
 use crate::error::{Result, SolveError};
 use crate::outcome::{Equilibrium, Scheme};
 use tradefl_runtime::obs;
@@ -134,7 +133,8 @@ impl DbrSolver {
         &self.options
     }
 
-    /// Runs best-response dynamics from the minimal profile.
+    /// Runs best-response dynamics from the minimal profile on the
+    /// global work-stealing pool.
     ///
     /// # Errors
     ///
@@ -147,46 +147,16 @@ impl DbrSolver {
         &self,
         game: &CoopetitionGame<A>,
     ) -> Result<Equilibrium> {
-        self.solve_from(game, StrategyProfile::minimal(game.market()))
+        self.solve_with(game, Pool::global())
     }
 
-    /// [`DbrSolver::solve`] on an explicit pool (see
-    /// [`DbrSolver::solve_from_with`] for the threading contract).
-    ///
-    /// # Errors
-    ///
-    /// See [`DbrSolver::solve`].
-    pub fn solve_with<A: AccuracyModel>(
-        &self,
-        game: &CoopetitionGame<A>,
-        pool: &Pool,
-    ) -> Result<Equilibrium> {
-        self.solve_from_with(game, StrategyProfile::minimal(game.market()), pool)
-    }
-
-    /// Runs best-response dynamics from an explicit starting profile on
-    /// the global work-stealing pool.
-    ///
-    /// # Errors
-    ///
-    /// See [`DbrSolver::solve`]; additionally propagates validation
-    /// errors if `start` is not feasible.
-    pub fn solve_from<A: AccuracyModel>(
-        &self,
-        game: &CoopetitionGame<A>,
-        start: StrategyProfile,
-    ) -> Result<Equilibrium> {
-        self.solve_from_with(game, start, Pool::global())
-    }
-
-    /// [`DbrSolver::solve_from`] on an explicit pool. The dynamics stay
+    /// [`DbrSolver::solve`] on an explicit pool. The dynamics stay
     /// strictly sequential across organizations (Algorithm 2's
     /// Gauss-Seidel order is part of the convergence argument). Every
     /// candidate payoff runs through an
     /// [`IncrementalEval`] — `O(log N)` per evaluation instead of
     /// `O(N)` — so one sweep is `O(N log N)` and the solve is
-    /// sub-quadratic in the organization count; a [`PayoffCache`]
-    /// still memoizes the per-round trace vectors. The inner best
+    /// sub-quadratic in the organization count. The inner best
     /// responses no longer fan out to the pool (each one is
     /// microseconds at any market size, far below dispatch cost); the
     /// pool instead parallelizes the per-round `O(N²)` payoff trace
@@ -196,15 +166,16 @@ impl DbrSolver {
     ///
     /// # Errors
     ///
-    /// See [`DbrSolver::solve_from`].
-    pub fn solve_from_with<A: AccuracyModel>(
+    /// See [`DbrSolver::solve`].
+    pub fn solve_with<A: AccuracyModel>(
         &self,
         game: &CoopetitionGame<A>,
-        start: StrategyProfile,
         pool: &Pool,
     ) -> Result<Equilibrium> {
-        start.validate(game.market())?;
-        let cache = PayoffCache::new();
+        // `Market` guarantees at construction that every organization
+        // meets the deadline at `D_min` on its fastest level, so the
+        // minimal profile is always feasible.
+        let start = StrategyProfile::minimal(game.market());
         let n = game.market().len();
         let mut eval = IncrementalEval::new(game, start.clone());
         let mut profile = start;
@@ -214,9 +185,7 @@ impl DbrSolver {
         // the final row (pushed after the loop).
         let trace_every_round = n < TRACE_EVERY_ROUND_MAX_ORGS;
         let mut payoff_traces = if trace_every_round {
-            vec![cache
-                .payoffs_with(Objective::Full, &profile, || trace_payoffs(&eval, pool))
-                .to_vec()]
+            vec![trace_payoffs(&eval, pool)]
         } else {
             Vec::new()
         };
@@ -320,11 +289,7 @@ impl DbrSolver {
                 );
             }
             if trace_every_round {
-                payoff_traces.push(
-                    cache
-                        .payoffs_with(Objective::Full, &profile, || trace_payoffs(&eval, pool))
-                        .to_vec(),
-                );
+                payoff_traces.push(trace_payoffs(&eval, pool));
             }
             // Stop on a fixed point, or when the largest accepted payoff
             // improvement in a full round is below solver precision —
@@ -356,11 +321,7 @@ impl DbrSolver {
         // Large markets skip the per-round rows; the trace still ends
         // with the final profile's payoffs (Fig. 5's right edge).
         if !trace_every_round {
-            payoff_traces.push(
-                cache
-                    .payoffs_with(Objective::Full, &profile, || trace_payoffs(&eval, pool))
-                    .to_vec(),
-            );
+            payoff_traces.push(trace_payoffs(&eval, pool));
         }
         // `profile` and the evaluator's profile are kept identical by
         // the accept path; the evaluator's cached constants make the
@@ -422,6 +383,29 @@ mod tests {
         assert_eq!(eq.potential_trace.len(), eq.iterations + 1);
         assert_eq!(eq.payoff_traces.len(), eq.iterations + 1);
         assert_eq!(eq.payoff_traces[0].len(), 4);
+    }
+
+    #[test]
+    fn last_trace_row_is_the_final_profiles_payoff_vector() {
+        // Below TRACE_EVERY_ROUND_MAX_ORGS every round records a serial
+        // row; a sparse market at the bound records only the final row,
+        // chunked across the pool. Either way the last row must equal a
+        // fresh evaluator's payoffs at the returned profile, bit for bit.
+        let pool = Pool::new(2);
+        let sparse = MarketConfig::table_ii()
+            .with_orgs(TRACE_EVERY_ROUND_MAX_ORGS)
+            .build_sparse(9, 0.02)
+            .unwrap();
+        let markets = [game(12, 5), CoopetitionGame::new(sparse, SqrtAccuracy::paper_default())];
+        for g in &markets {
+            let eq = DbrSolver::new().solve_with(g, &pool).unwrap();
+            let want = IncrementalEval::new(g, eq.profile.clone()).payoff_vector();
+            let got = eq.payoff_traces.last().unwrap();
+            assert_eq!(got.len(), want.len());
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "n={}, org {i}: {a} vs {b}", want.len());
+            }
+        }
     }
 
     #[test]
@@ -491,13 +475,6 @@ mod tests {
         for w in damped.potential_trace.windows(2) {
             assert!(w[1] >= w[0] - 1e-9 * w[0].abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn solve_from_rejects_invalid_start() {
-        let g = game(3, 2);
-        let bad = StrategyProfile::from_parts(&[2.0, 0.5, 0.5], &[0, 0, 0]);
-        assert!(DbrSolver::new().solve_from(&g, bad).is_err());
     }
 
     #[test]

@@ -235,6 +235,12 @@ const TABLE_TRAVERSAL_MIN_COMBOS: u128 = 512;
 /// Solves the master problem (23), preferring assignments not in
 /// `visited` (Lemma 2: no `f` repeats itself).
 ///
+/// `tables` must hold exactly the cuts in `cuts`: CGBD grows both
+/// together (appending via [`CutTables::push_cut`]), and callers without
+/// a table set build one with [`CutTables::build`]. The table traversal
+/// scans `tables`; the small reference path and coordinate descent
+/// evaluate `cuts` directly.
+///
 /// # Errors
 ///
 /// * [`SolveError::MasterTooLarge`] in traversal mode when `m^|N|`
@@ -242,48 +248,11 @@ const TABLE_TRAVERSAL_MIN_COMBOS: u128 = 512;
 /// * [`SolveError::InfeasibleProblem`] when every candidate violates a
 ///   feasibility cut (cannot happen if any ladder assignment admits
 ///   `D_min` within the deadline).
-pub fn solve_master<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    cuts: &[Cut],
-    search: MasterSearch,
-    visited: &BTreeSet<Vec<usize>>,
-) -> Result<MasterSolution> {
-    match search {
-        MasterSearch::Traversal { cap } => {
-            let combos = combination_count(game);
-            // The traversal visits every candidate.
-            obs::counter_add(
-                "gbd.master_candidates_scanned",
-                u64::try_from(combos).unwrap_or(u64::MAX),
-            );
-            if combos >= TABLE_TRAVERSAL_MIN_COMBOS {
-                traverse_tables(game, cuts, visited, cap)
-            } else {
-                traverse_reference(game, cuts, visited, cap)
-            }
-        }
-        MasterSearch::CoordinateDescent { restarts, max_sweeps, seed } => {
-            coordinate_descent(game, cuts, visited, restarts, max_sweeps, seed)
-        }
-    }
-}
-
-/// [`solve_master`] with **incrementally maintained** cut tables:
-/// `tables` must contain exactly the cuts in `cuts` (callers append
-/// via [`CutTables::push_cut`] as they grow the stack). The table
-/// traversal reuses the tables instead of rebuilding them; the small
-/// reference path and coordinate descent evaluate `cuts` directly,
-/// exactly as [`solve_master`] does — so results are bit-identical to
-/// the scratch-build entry point.
-///
-/// # Errors
-///
-/// See [`solve_master`].
 ///
 /// # Panics
 ///
 /// Panics if `tables` does not hold the same number of cuts as `cuts`.
-pub fn solve_master_with<A: AccuracyModel>(
+pub fn solve_master<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     cuts: &[Cut],
     tables: &CutTables,
@@ -303,7 +272,7 @@ pub fn solve_master_with<A: AccuracyModel>(
                 u64::try_from(combos).unwrap_or(u64::MAX),
             );
             if combos >= TABLE_TRAVERSAL_MIN_COMBOS {
-                traverse_tables_with(game, tables, visited, cap)
+                traverse_tables(game, tables, visited, cap)
             } else {
                 traverse_reference(game, cuts, visited, cap)
             }
@@ -553,35 +522,17 @@ fn decode_levels(mut index: usize, sizes: &[usize], levels: &mut [usize]) {
     }
 }
 
-/// The table traversal: per-cut tables built once, then one odometer
-/// scan over the `Π m_i` candidates with the reference loop's
-/// strict-improvement (first-minimum-wins) rule.
+/// The table traversal: one odometer scan over the `Π m_i` candidates
+/// of prebuilt cut tables, with the reference loop's strict-improvement
+/// (first-minimum-wins) rule. CGBD maintains one [`CutTables`] across
+/// its whole iteration loop and appends only each new cut, so a master
+/// solve pays O(N · levels) table work for the newest cut instead of
+/// rebuilding every cut's table.
 ///
 /// # Errors
 ///
 /// See [`solve_master`].
 pub fn traverse_tables<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    cuts: &[Cut],
-    visited: &BTreeSet<Vec<usize>>,
-    cap: u128,
-) -> Result<MasterSolution> {
-    let tables = CutTables::build(game, cuts);
-    traverse_tables_with(game, &tables, visited, cap)
-}
-
-/// [`traverse_tables`] over **prebuilt** cut tables: the incremental
-/// master path. CGBD maintains one [`CutTables`] across its whole
-/// iteration loop and appends only each new cut, so the per-solve
-/// table-build cost drops from O(cuts · N · levels) (plus the O(N²)
-/// per-org constant recomputation the scratch build used to pay) to
-/// O(N · levels) for the newest cut, while the scan itself stays
-/// bit-identical.
-///
-/// # Errors
-///
-/// See [`solve_master`].
-pub fn traverse_tables_with<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     tables: &CutTables,
     visited: &BTreeSet<Vec<usize>>,
@@ -798,9 +749,9 @@ mod tests {
         // One synthetic optimality cut anchored at a mid-level d.
         let cut = Cut::optimality(&g, vec![0.2, 0.2, 0.2], vec![0.0; 3]);
         let cuts = vec![cut];
-        let sol =
-            solve_master(&g, &cuts, MasterSearch::Traversal { cap: 1_000_000 }, &BTreeSet::new())
-                .unwrap();
+        let tables = CutTables::build(&g, &cuts);
+        let traversal = MasterSearch::Traversal { cap: 1_000_000 };
+        let sol = solve_master(&g, &cuts, &tables, traversal, &BTreeSet::new()).unwrap();
         // Brute-force verification.
         let sizes: Vec<usize> =
             g.market().orgs().iter().map(|o| o.compute_level_count()).collect();
@@ -821,9 +772,11 @@ mod tests {
     #[test]
     fn traversal_respects_cap() {
         let g = game(10, 1);
+        let cuts = [Cut::optimality(&g, vec![0.1; 10], vec![0.0; 10])];
         let r = solve_master(
             &g,
-            &[Cut::optimality(&g, vec![0.1; 10], vec![0.0; 10])],
+            &cuts,
+            &CutTables::build(&g, &cuts),
             MasterSearch::Traversal { cap: 1000 },
             &BTreeSet::new(),
         );
@@ -837,11 +790,13 @@ mod tests {
             Cut::optimality(&g, vec![0.15; 4], vec![0.0; 4]),
             Cut::optimality(&g, vec![0.4; 4], vec![0.1; 4]),
         ];
-        let t = solve_master(&g, &cuts, MasterSearch::Traversal { cap: 1_000_000 }, &BTreeSet::new())
-            .unwrap();
+        let tables = CutTables::build(&g, &cuts);
+        let traversal = MasterSearch::Traversal { cap: 1_000_000 };
+        let t = solve_master(&g, &cuts, &tables, traversal, &BTreeSet::new()).unwrap();
         let c = solve_master(
             &g,
             &cuts,
+            &tables,
             MasterSearch::CoordinateDescent { restarts: 8, max_sweeps: 20, seed: 3 },
             &BTreeSet::new(),
         )

@@ -26,7 +26,6 @@
 //! * [`gbd`] — Benders cuts (Eqs. 20/22) and the master problem (23);
 //! * [`cgbd`] — Algorithm 1 plus the brute-force optimality oracle;
 //! * [`bestresponse`] — single-organization best responses (Def. 9);
-//! * [`cache`] — memoized payoff evaluation shared across sweeps;
 //! * [`dbr`] — Algorithm 2;
 //! * [`baselines`] — GCA, FIP, TOS and the scheme dispatcher;
 //! * [`social`] — the centralized welfare optimum and price of anarchy;
@@ -39,7 +38,6 @@
 
 pub mod baselines;
 pub mod bestresponse;
-pub mod cache;
 pub mod certify;
 pub mod cgbd;
 pub mod dbr;
@@ -52,7 +50,6 @@ pub mod tuning;
 
 pub use baselines::{solve_fip, solve_gca, solve_scheme, solve_tos, FipOptions, GcaOptions};
 pub use bestresponse::{best_response, best_response_incremental, BestResponse, Objective};
-pub use cache::PayoffCache;
 pub use certify::{certify_nash, certify_nash_for, NashCertificate};
 pub use cgbd::{exhaustive_optimum, CgbdOptions, CgbdReport, CgbdSolver};
 pub use dbr::{DbrOptions, DbrSolver, UpdateOrder};

@@ -54,6 +54,19 @@ cargo build --release --offline --manifest-path tradebench/Cargo.toml
 echo "==> benchmark self-tests: tradebench's unit tests (metric registry vs BENCHMARK.json)"
 cargo test --release --offline --manifest-path tradebench/Cargo.toml
 
+echo "==> benchmark cycle: one untraced tradebench cycle per workload is correct"
+# tradebench does not set its exit code from `correct`, so this step
+# reads the JSON result line it prints last.
+for w in pipeline_n64 sessions_faulty tune_n10000; do
+  result="$(cargo run --quiet --release --offline --manifest-path tradebench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 0 --trace 0 | tail -n 1)"
+  if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+    echo "ci.sh: tradebench $w cycle failed: $result" >&2
+    exit 1
+  fi
+  echo "  $w: correct, 0 failed"
+done
+
 echo "==> perf smoke: scripts/bench.sh --fast (every row but the N >= 1000 ones)"
 scripts/bench.sh --fast
 

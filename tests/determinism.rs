@@ -63,16 +63,13 @@ fn ledger_state_roots_are_bit_identical_across_runs() {
 }
 
 #[test]
-fn cgbd_visited_set_and_payoff_cache_are_bit_identical_across_runs() {
-    // Covers the paths rebuilt on ordered collections (the
-    // `no-hash-iteration` fixes): CGBD's visited-assignment set
+fn cgbd_visited_set_is_bit_identical_across_runs() {
+    // Covers the path rebuilt on an ordered collection (the
+    // `no-hash-iteration` fix): CGBD's visited-assignment set
     // (solver/src/cgbd.rs) drives the master problem's
-    // prefer-unvisited rule, and `PayoffCache` (solver/src/cache.rs)
-    // memoizes payoff vectors behind DBR sweeps. Both must yield
-    // bit-identical results run-to-run — with a HashSet/HashMap a
-    // future order-dependent read would be nondeterministic per
-    // process.
-    use tradefl::solver::cache::PayoffCache;
+    // prefer-unvisited rule and must yield bit-identical results
+    // run-to-run — with a HashSet a future order-dependent read would
+    // be nondeterministic per process.
     use tradefl::solver::cgbd::CgbdSolver;
 
     for seed in [3, 19] {
@@ -89,19 +86,6 @@ fn cgbd_visited_set_and_payoff_cache_are_bit_identical_across_runs() {
             assert_eq!(sa.d.to_bits(), sb.d.to_bits(), "CGBD d differs (seed {seed})");
             assert_eq!(sa.level, sb.level, "CGBD level differs (seed {seed})");
         }
-    }
-
-    // Cached evaluation must be bit-transparent across two
-    // independently populated caches.
-    let g = game(23);
-    let eq = DbrSolver::new().solve(&g).unwrap();
-    let (ca, cb) = (PayoffCache::new(), PayoffCache::new());
-    use tradefl::solver::bestresponse::Objective;
-    let pa = ca.payoffs(&g, &eq.profile, Objective::Full);
-    let pb = cb.payoffs(&g, &eq.profile, Objective::Full);
-    assert_eq!(pa.len(), pb.len());
-    for (x, y) in pa.iter().zip(pb.iter()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "cached payoff vector differs across caches");
     }
 }
 
@@ -232,7 +216,7 @@ fn gamma_tuning_on_shared_rho_matches_fresh_builds_bitwise() {
 #[test]
 fn table_master_traversal_agrees_with_the_reference() {
     use std::collections::BTreeSet;
-    use tradefl::solver::gbd::{traverse_reference, traverse_tables, Cut};
+    use tradefl::solver::gbd::{traverse_reference, traverse_tables, Cut, CutTables};
 
     let g = game(9); // 6 orgs → 4^6 = 4096 candidates
     let cuts = vec![
@@ -241,7 +225,7 @@ fn table_master_traversal_agrees_with_the_reference() {
     ];
     let visited: BTreeSet<Vec<usize>> = BTreeSet::new();
     let reference = traverse_reference(&g, &cuts, &visited, 1 << 20).unwrap();
-    let sol = traverse_tables(&g, &cuts, &visited, 1 << 20).unwrap();
+    let sol = traverse_tables(&g, &CutTables::build(&g, &cuts), &visited, 1 << 20).unwrap();
     // The table path may differ from the reference by reassociation
     // only — same argmin, matching value to solver precision.
     assert_eq!(sol.levels, reference.levels);
@@ -285,7 +269,7 @@ fn incremental_cut_tables_match_scratch_rebuild_bitwise() {
 #[test]
 fn incremental_cgbd_master_is_bit_identical_to_scratch() {
     use std::collections::BTreeSet;
-    use tradefl::solver::gbd::{traverse_tables, traverse_tables_with, Cut, CutTables};
+    use tradefl::solver::gbd::{traverse_tables, Cut, CutTables};
 
     let g = game(9); // 6 orgs → 4^6 = 4096 candidates
     let mut cuts: Vec<Cut> = Vec::new();
@@ -300,8 +284,9 @@ fn incremental_cgbd_master_is_bit_identical_to_scratch() {
         tables.push_cut(&g, &cut);
         cuts.push(cut);
         // The scratch rebuild is the pre-incremental (seed) behavior.
-        let scratch = traverse_tables(&g, &cuts, &visited, 1 << 20).unwrap();
-        let inc = traverse_tables_with(&g, &tables, &visited, 1 << 20).unwrap();
+        let scratch =
+            traverse_tables(&g, &CutTables::build(&g, &cuts), &visited, 1 << 20).unwrap();
+        let inc = traverse_tables(&g, &tables, &visited, 1 << 20).unwrap();
         assert_eq!(inc.levels, scratch.levels);
         assert_eq!(inc.phi.to_bits(), scratch.phi.to_bits());
         assert_eq!(inc.fresh, scratch.fresh);
