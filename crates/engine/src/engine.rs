@@ -55,6 +55,7 @@
 //! [`Engine::restore`] resumes bit-identically.
 
 use crate::session::{SessionPlan, SessionSpec};
+use std::collections::BTreeSet;
 use std::fmt;
 use tradefl_ledger::chain::{Block, Blockchain};
 use tradefl_ledger::codec::{
@@ -367,7 +368,7 @@ pub struct Engine {
     /// with its holder — even one committed many rounds ago whose sole
     /// replica crashed — can be detected by receipt absence on the
     /// canonical chain and re-mined.
-    mined: Vec<Transaction>,
+    mined: MinedTxs,
     /// Restart events still pending in the queue — lets the engine
     /// detect a doomed network (everyone dead, nobody coming back).
     pending_restarts: usize,
@@ -472,7 +473,7 @@ impl Engine {
             admission: Bounded::new(config.admission_capacity),
             term: 0,
             requeue: Vec::new(),
-            mined: Vec::new(),
+            mined: MinedTxs::default(),
             pending_restarts,
             batch_pending: true,
             batches: 0,
@@ -666,9 +667,9 @@ impl Engine {
         match self.canonical() {
             Some(c) => {
                 let node = &self.net.validator(c).node;
-                self.mined.iter().any(|tx| node.receipt(tx.hash()).is_none())
+                self.mined.hashes.iter().any(|&h| node.receipt(h).is_none())
             }
-            None => !self.mined.is_empty(),
+            None => !self.mined.txs.is_empty(),
         }
     }
 
@@ -725,19 +726,23 @@ impl Engine {
     /// never had it.
     fn resolve_lost_txs(&mut self) {
         let Some(c) = self.canonical() else { return };
-        for k in 0..self.mined.len() {
-            let tx = &self.mined[k];
-            if self.net.validator(c).node.receipt(tx.hash()).is_some() {
+        let node = &self.net.validator(c).node;
+        // Hashes of the txs already awaiting re-mining (a tick where
+        // every proposer lied leaves the requeue populated), taken only
+        // once some tx turns out lost.
+        let mut queued: Option<BTreeSet<Hash256>> = None;
+        for (tx, &h) in self.mined.txs.iter().zip(&self.mined.hashes) {
+            if node.receipt(h).is_some() {
                 continue;
             }
-            // Skip txs already awaiting re-mining (a tick where every
-            // proposer lied leaves the requeue populated).
-            if self.requeue.iter().any(|r| r.hash() == tx.hash()) {
+            let queued = queued
+                .get_or_insert_with(|| self.requeue.iter().map(Transaction::hash).collect());
+            if !queued.insert(h) {
                 continue;
             }
             self.requeues += 1;
             obs::counter_add("engine.requeued", 1);
-            self.requeue.push(self.mined[k].clone());
+            self.requeue.push(tx.clone());
         }
     }
 
@@ -814,9 +819,7 @@ impl Engine {
                         );
                         self.gossip(p, &frame);
                         for tx in txs.drain(..) {
-                            if !self.mined.iter().any(|m| m.hash() == tx.hash()) {
-                                self.mined.push(tx);
-                            }
+                            self.mined.insert(tx);
                         }
                         break;
                     }
@@ -979,14 +982,12 @@ impl Engine {
 
         // Genesis holds no transactions, so with nobody alive no
         // receipt exists.
-        let receipt_ok = |tx: &Transaction| {
-            self.canonical().and_then(|c| self.net.validator(c).node.receipt(tx.hash()).cloned())
-        };
+        let node = self.canonical().map(|c| &self.net.validator(c).node);
         let mut sessions_settled = 0;
         for (s, plan) in self.plans.iter().enumerate() {
             let all_ok = (0..plan.len()).all(|k| {
                 plan.tx_at(k, self.contracts[s])
-                    .and_then(|tx| receipt_ok(&tx))
+                    .and_then(|tx| node?.receipt(tx.hash()))
                     .is_some_and(|r| matches!(r.status, ExecStatus::Success))
             });
             if all_ok {
@@ -1056,7 +1057,7 @@ impl Engine {
         for tx in self.admission.iter() {
             buf.put_varint_slice(&encode_tx_bytes(tx));
         }
-        for txs in [&self.requeue, &self.mined] {
+        for txs in [&self.requeue, &self.mined.txs] {
             buf.put_uvarint(txs.len() as u64);
             for tx in txs {
                 buf.put_varint_slice(&encode_tx_bytes(tx));
@@ -1167,19 +1168,22 @@ impl Engine {
                 ));
             }
         }
-        for section in [&mut engine.requeue, &mut engine.mined] {
+        let mut sections = [Vec::new(), Vec::new()];
+        for section in &mut sections {
             let n = bounded_count(
                 buf.try_get_uvarint().map_err(short)? as usize,
                 buf.remaining(),
                 TX_ENTRY_MIN_BYTES,
             )?;
-            section.clear();
             for _ in 0..n {
                 let bytes =
                     buf.try_get_varint_slice(buf.remaining() as u64).map_err(short)?;
                 section.push(decode_tx_bytes(bytes)?);
             }
         }
+        let [requeue, mined] = sections;
+        engine.requeue = requeue;
+        engine.mined = MinedTxs::rebuild(mined);
 
         // A forged checkpoint can declare any count; bound it by the
         // bytes actually present (each entry is ≥ time varint(1) + seq
@@ -1247,6 +1251,41 @@ impl Engine {
             }
         }
         Ok(engine)
+    }
+}
+
+/// The engine's mined-transaction log with each tx hashed once, when
+/// it is mined, so the per-batch receipt checks and the mining dedup
+/// cost lookups, not re-hashes of the whole history. Only `txs` is
+/// checkpointed; [`Engine::restore`] rebuilds the hashes from it.
+#[derive(Debug, Default)]
+struct MinedTxs {
+    /// The transactions, in the order they were first mined.
+    txs: Vec<Transaction>,
+    /// `txs[k].hash()`, in `txs` order.
+    hashes: Vec<Hash256>,
+    /// The same hashes as a set: the mining dedup.
+    set: BTreeSet<Hash256>,
+}
+
+impl MinedTxs {
+    /// The log over a decoded checkpoint section. `txs` is kept as
+    /// decoded, duplicates included, so re-checkpointing reproduces
+    /// the section's bytes.
+    fn rebuild(txs: Vec<Transaction>) -> Self {
+        let hashes: Vec<Hash256> = txs.iter().map(Transaction::hash).collect();
+        let set = hashes.iter().copied().collect();
+        Self { txs, hashes, set }
+    }
+
+    /// Records `tx` as mined unless it already is (a re-mined requeue
+    /// entry).
+    fn insert(&mut self, tx: Transaction) {
+        let h = tx.hash();
+        if self.set.insert(h) {
+            self.txs.push(tx);
+            self.hashes.push(h);
+        }
     }
 }
 

@@ -382,6 +382,10 @@ props! {
             let mut config = adversarial_config(seed);
             config.workers = workers;
             let mut restored = Engine::restore(config, seed, &bytes).unwrap();
+            // Whatever restore rebuilds beside the decoded sections
+            // (the mined-tx hashes, the receipt indexes) stays out of
+            // the bytes: re-checkpointing reproduces them exactly.
+            prop_assert!(restored.checkpoint() == bytes, "re-checkpoint after restore differs");
             let resumed = restored.run().unwrap();
             prop_assert_eq!(resumed.state_root, expected.state_root);
             prop_assert_eq!(resumed.final_height, expected.final_height);

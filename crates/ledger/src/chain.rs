@@ -7,6 +7,7 @@ use crate::sha256::Sha256;
 use crate::tx::{Log, Receipt, Transaction};
 use crate::types::Hash256;
 use tradefl_runtime::codec::BytesMut;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Block header.
@@ -108,7 +109,8 @@ pub enum ChainError {
         /// Expected height at this position.
         expected: u64,
     },
-    /// Receipt count differs from transaction count.
+    /// Receipt count differs from transaction count, or receipt k does
+    /// not name transaction k.
     ReceiptMismatch {
         /// Height of the offending block.
         number: u64,
@@ -131,7 +133,7 @@ impl fmt::Display for ChainError {
                 write!(f, "block numbered {number} where {expected} was expected")
             }
             ChainError::ReceiptMismatch { number } => {
-                write!(f, "block {number} receipt count mismatch")
+                write!(f, "block {number} receipts do not pair with its transactions")
             }
         }
     }
@@ -143,6 +145,42 @@ impl std::error::Error for ChainError {}
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Blockchain {
     blocks: Vec<Block>,
+    /// Receipt index: tx hash → (block height, position in the block)
+    /// of the tx's first occurrence. A pure function of `blocks`, kept
+    /// current by [`Blockchain::push`] and [`Blockchain::prefix`], so a
+    /// receipt or inclusion lookup costs O(log txs) instead of a scan
+    /// of the whole history.
+    index: BTreeMap<Hash256, (u32, u32)>,
+}
+
+/// Checks that `block` sits at height `number` after `parent` and that
+/// its header commits its own body: the tx root commits the txs, the
+/// receipts root the receipts, and receipt k names tx k. Returns the tx
+/// hashes (the tx-root leaves), so callers index them without hashing
+/// again.
+fn check_block(block: &Block, number: u64, parent: Hash256) -> Result<Vec<Hash256>, ChainError> {
+    let got = block.header.number;
+    if got != number {
+        return Err(ChainError::BadNumbering { number: got, expected: number });
+    }
+    if block.header.parent != parent {
+        return Err(ChainError::BrokenLink { number: got });
+    }
+    let leaves: Vec<Hash256> = block.txs.iter().map(Transaction::hash).collect();
+    if block.header.tx_root != MerkleTree::build(&leaves).root() {
+        return Err(ChainError::TxRootMismatch { number: got });
+    }
+    if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
+        return Err(ChainError::ReceiptsRootMismatch { number: got });
+    }
+    // Both roots can hold while receipts are swapped between txs: only
+    // this pairing ties each receipt to the tx it claims to be for.
+    if block.receipts.len() != leaves.len()
+        || block.receipts.iter().zip(&leaves).any(|(r, h)| r.tx_hash != *h)
+    {
+        return Err(ChainError::ReceiptMismatch { number: got });
+    }
+    Ok(leaves)
 }
 
 impl Blockchain {
@@ -178,36 +216,37 @@ impl Blockchain {
 
     /// The first `len` blocks (the whole chain when `len` exceeds its
     /// height) — a valid chain, since every prefix of a linked chain is
-    /// linked.
+    /// linked. The index keeps exactly the entries below `len`: each
+    /// entry is a first occurrence, so no later one is lost with it.
     pub fn prefix(&self, len: usize) -> Blockchain {
-        Blockchain { blocks: self.blocks[..len.min(self.blocks.len())].to_vec() }
+        let len = len.min(self.blocks.len());
+        Blockchain {
+            blocks: self.blocks[..len].to_vec(),
+            index: self
+                .index
+                .iter()
+                .filter(|(_, &(b, _))| (b as usize) < len)
+                .map(|(&h, &at)| (h, at))
+                .collect(),
+        }
     }
 
-    /// Appends a block after validating its linkage and roots.
+    /// Appends a block after validating its linkage, its roots and its
+    /// receipt-to-tx pairing, and indexes its receipts.
     ///
     /// # Errors
     ///
     /// Returns [`ChainError`] (and leaves the chain unchanged) if the
     /// block does not extend the tip correctly.
     pub fn push(&mut self, block: Block) -> Result<(), ChainError> {
-        let expected_number = self.blocks.len() as u64;
-        if block.header.number != expected_number {
-            return Err(ChainError::BadNumbering {
-                number: block.header.number,
-                expected: expected_number,
-            });
-        }
-        if block.header.parent != self.tip_hash() {
-            return Err(ChainError::BrokenLink { number: block.header.number });
-        }
-        if block.header.tx_root != Block::compute_tx_root(&block.txs) {
-            return Err(ChainError::TxRootMismatch { number: block.header.number });
-        }
-        if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
-            return Err(ChainError::ReceiptsRootMismatch { number: block.header.number });
-        }
-        if block.receipts.len() != block.txs.len() {
-            return Err(ChainError::ReceiptMismatch { number: block.header.number });
+        let leaves = check_block(&block, self.blocks.len() as u64, self.tip_hash())?;
+        // u32 keeps the index compact. Neither cast can truncate: every
+        // block and tx is held in memory and encodes to several bytes,
+        // so 2^32 of either cannot be resident.
+        let height = self.blocks.len() as u32;
+        for (pos, h) in leaves.into_iter().enumerate() {
+            // First occurrence wins, as a scan from genesis would find.
+            self.index.entry(h).or_insert((height, pos as u32));
         }
         self.blocks.push(block);
         Ok(())
@@ -222,37 +261,16 @@ impl Blockchain {
     pub fn verify(&self) -> Result<(), ChainError> {
         let mut parent = Hash256::ZERO;
         for (i, block) in self.blocks.iter().enumerate() {
-            if block.header.number != i as u64 {
-                return Err(ChainError::BadNumbering {
-                    number: block.header.number,
-                    expected: i as u64,
-                });
-            }
-            if block.header.parent != parent {
-                return Err(ChainError::BrokenLink { number: block.header.number });
-            }
-            if block.header.tx_root != Block::compute_tx_root(&block.txs) {
-                return Err(ChainError::TxRootMismatch { number: block.header.number });
-            }
-            if block.header.receipts_root
-                != Block::compute_receipts_root(&block.receipts)
-            {
-                return Err(ChainError::ReceiptsRootMismatch { number: block.header.number });
-            }
-            if block.receipts.len() != block.txs.len() {
-                return Err(ChainError::ReceiptMismatch { number: block.header.number });
-            }
+            check_block(block, i as u64, parent)?;
             parent = block.hash();
         }
         Ok(())
     }
 
-    /// Finds the receipt of a transaction anywhere in the chain.
+    /// The receipt of a transaction's first occurrence in the chain.
     pub fn receipt(&self, tx_hash: Hash256) -> Option<&Receipt> {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.receipts)
-            .find(|r| r.tx_hash == tx_hash)
+        let &(b, pos) = self.index.get(&tx_hash)?;
+        self.blocks.get(b as usize)?.receipts.get(pos as usize)
     }
 
     /// Produces a light-client inclusion proof for a transaction:
@@ -260,13 +278,10 @@ impl Blockchain {
     /// arbitrator holding only block headers can verify the disputed
     /// transaction was committed.
     pub fn prove_inclusion(&self, tx_hash: Hash256) -> Option<(u64, Hash256, MerkleProof)> {
-        for block in &self.blocks {
-            if let Some(idx) = block.txs.iter().position(|t| t.hash() == tx_hash) {
-                let proof = block.prove_tx(idx)?;
-                return Some((block.header.number, block.header.tx_root, proof));
-            }
-        }
-        None
+        let &(b, pos) = self.index.get(&tx_hash)?;
+        let block = self.blocks.get(b as usize)?;
+        let proof = block.prove_tx(pos as usize)?;
+        Some((block.header.number, block.header.tx_root, proof))
     }
 
     /// All logs whose event name matches, in chain order — the
@@ -284,6 +299,7 @@ impl Blockchain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_chain, encode_chain};
     use crate::tx::{ExecStatus, TxPayload};
     use crate::types::{Address, Wei};
 
@@ -369,6 +385,16 @@ mod tests {
         let mut tampered = chain.clone();
         tampered.blocks[1].txs[0].value = Wei(9);
         tampered.blocks[1].header.tx_root = Block::compute_tx_root(&tampered.blocks[1].txs);
+        // The receipt still names the original tx.
+        assert!(matches!(
+            tampered.verify(),
+            Err(ChainError::ReceiptMismatch { number: 1 })
+        ));
+        // Rewriting the receipt and its root too leaves the block
+        // self-consistent, but its hash no longer links block 2.
+        tampered.blocks[1].receipts[0].tx_hash = tampered.blocks[1].txs[0].hash();
+        tampered.blocks[1].header.receipts_root =
+            Block::compute_receipts_root(&tampered.blocks[1].receipts);
         assert!(matches!(
             tampered.verify(),
             Err(ChainError::BrokenLink { number: 2 })
@@ -409,6 +435,69 @@ mod tests {
         assert!(!proof.verify(tx(7).hash(), root));
         // Unknown hashes yield no proof.
         assert!(chain.prove_inclusion(tx(9).hash()).is_none());
+    }
+
+    #[test]
+    fn swapped_receipts_are_rejected_even_with_a_recomputed_root() {
+        let mut chain = Blockchain::new();
+        chain.push(block(0, Hash256::ZERO, vec![])).unwrap();
+        let mut b = block(1, chain.tip_hash(), vec![tx(0), tx(1)]);
+        b.receipts.swap(0, 1);
+        // Both roots still hold: the receipts root commits the swapped
+        // list, the tx root the untouched txs.
+        b.header.receipts_root = Block::compute_receipts_root(&b.receipts);
+        assert!(matches!(
+            chain.clone().push(b.clone()),
+            Err(ChainError::ReceiptMismatch { number: 1 })
+        ));
+        // The same swap made in place on an accepted tip block.
+        chain.push(block(1, chain.tip_hash(), vec![tx(0), tx(1)])).unwrap();
+        chain.verify().unwrap();
+        chain.blocks[1] = b;
+        assert!(matches!(chain.verify(), Err(ChainError::ReceiptMismatch { number: 1 })));
+    }
+
+    /// The receipt a scan from genesis finds: the reference the index
+    /// must agree with.
+    fn scan_receipt(blocks: &[Block], h: Hash256) -> Option<&Receipt> {
+        blocks.iter().flat_map(|b| &b.receipts).find(|r| r.tx_hash == h)
+    }
+
+    #[test]
+    fn receipt_index_agrees_with_a_linear_scan_on_every_prefix() {
+        let mut chain = Blockchain::new();
+        chain.push(block(0, Hash256::ZERO, vec![])).unwrap();
+        // tx(1) and tx(0) are each mined twice; the repeats carry a
+        // distinguishable receipt so "first occurrence" is observable.
+        let bodies = [vec![tx(0), tx(1)], vec![tx(2)], vec![tx(1), tx(3)], vec![tx(0)]];
+        for (n, txs) in bodies.into_iter().enumerate() {
+            let number = n as u64 + 1;
+            let mut b = block(number, chain.tip_hash(), txs);
+            if number > 2 {
+                for r in &mut b.receipts {
+                    r.gas_used = 30_000 + number;
+                }
+                b.header.receipts_root = Block::compute_receipts_root(&b.receipts);
+            }
+            chain.push(b).unwrap();
+        }
+        assert_eq!(chain.receipt(tx(1).hash()).unwrap().gas_used, 21_000);
+        assert_eq!(chain.receipt(tx(3).hash()).unwrap().gas_used, 30_003);
+        let hashes: Vec<Hash256> = (0..5).map(|n| tx(n).hash()).collect();
+        let decoded = decode_chain(&encode_chain(&chain)).unwrap();
+        assert_eq!(decoded, chain);
+        for source in [&chain, &decoded] {
+            for len in 0..=source.height() + 1 {
+                let prefix = source.prefix(len);
+                for &h in &hashes {
+                    assert_eq!(
+                        prefix.receipt(h),
+                        scan_receipt(&chain.blocks()[..len.min(chain.height())], h),
+                        "prefix {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,9 @@ impl fmt::Display for Address {
     }
 }
 
-/// A 32-byte hash (block hash, tx hash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A 32-byte hash (block hash, tx hash). Ordered bytewise, so it can
+/// key the `BTree*` indexes the ledger and engine keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Hash256(pub [u8; 32]);
 
 impl Hash256 {
