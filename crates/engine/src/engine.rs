@@ -14,11 +14,12 @@
 //!   peer by pull, executes the admission queue into a block, and the
 //!   encoded frame is gossiped to every peer through seeded fault
 //!   injection (drop/duplicate/delay/truncate/corrupt). A seeded
-//!   [`ByzantinePlan`] may schedule the proposer to *lie*: the gossiped
-//!   frame encodes a mutated block, honest replicas refuse it on
-//!   re-execution, the liar (which forked itself) is rebuilt from its
-//!   peers, and the election passes to the next term's proposer — the
-//!   round's transactions are retained and re-mined honestly.
+//!   [`ByzantinePlan`] may schedule the proposer to *lie*: it executes
+//!   its honest block on a snapshot it then restores, the gossiped
+//!   frame encodes a mutated copy, honest replicas refuse it on
+//!   re-execution, and the election passes to the next term's proposer
+//!   — the round's transactions are retained and re-mined honestly. The
+//!   liar's own chain never moved, so it needs no repair.
 //! * **Deliver** — a gossiped frame (possibly mutated) hits a replica's
 //!   untrusted byte path
 //!   ([`tradefl_ledger::network::Network::deliver_frame`]). Rejections
@@ -40,8 +41,10 @@
 //! re-validated by full re-execution on delivery, so a corrupt or
 //! lying response is refused and the puller falls back to the next
 //! peer. A replica whose tip diverged from the canonical chain (the
-//! freshest live replica's, lowest index on ties) is healed: rebuilt
-//! from genesis and re-pulled from its peers.
+//! freshest live replica's, lowest index on ties) — it accepted a
+//! corrupted frame that still applied — is healed: rebuilt from
+//! genesis and re-pulled from its peers. A restarted replica recovers
+//! the same way.
 //!
 //! The validators are the only nodes. [`Engine::checkpoint`]
 //! serializes the canonical chain through
@@ -296,14 +299,14 @@ pub struct EngineReport {
     pub blocks: u64,
     /// Arrivals deferred by a full admission queue.
     pub backpressure: u64,
-    /// Genesis rebuilds forced by tip divergence, crash recovery, or a
-    /// proposer that lied (and forked itself doing so).
+    /// Genesis rebuilds forced by tip divergence or crash recovery.
     pub heals: u64,
     /// Rounds where the elected proposer gossiped a tampered block.
     pub byzantine_rounds: u64,
     /// Transactions re-queued because no surviving replica held their
-    /// receipt after the round that mined them (crashed or lying
-    /// proposer) — each re-mined without duplication.
+    /// receipt after the round that mined them (a crashed proposer, or
+    /// a replica healed off a diverged tip) — each re-mined without
+    /// duplication.
     pub requeues: u64,
     /// Final chain height (canonical: the freshest surviving replica;
     /// genesis if nobody survived).
@@ -360,8 +363,8 @@ pub struct Engine {
     /// anyone and checkpoint/restore replays elections exactly.
     term: u64,
     /// Transactions awaiting re-mining: a batch tick found them missing
-    /// from the canonical chain (their round was lost with a crashed or
-    /// lying proposer).
+    /// from the canonical chain (their round was lost with a crashed
+    /// proposer, or with a replica healed off a diverged tip).
     requeue: Vec<Transaction>,
     /// Every transaction ever handed to an honest proposer, retained
     /// (they are the sessions' finite scripts) so that any round lost
@@ -631,9 +634,8 @@ impl Engine {
     }
 
     /// Rebuilds validator `i` from genesis and re-pulls the ledger from
-    /// its live peers — crash recovery, the repair path for a diverged
-    /// tip, and the immediate cleanup for a proposer that lied (its
-    /// honest block forked off the chain the network kept).
+    /// its live peers — crash recovery and the repair path for a
+    /// diverged tip.
     fn heal(&mut self, i: usize, through_faults: bool) -> Result<(), EngineError> {
         self.heals += 1;
         let protos = self.prototypes()?;
@@ -719,11 +721,11 @@ impl Engine {
     }
 
     /// Re-queues every mined transaction the canonical chain no longer
-    /// holds a receipt for: its round was lost with its proposer (a
-    /// crash or a lie after mining). The receipt check is what makes
-    /// re-mining exactly-once — a tx present on the canonical chain is
-    /// never resubmitted, and a lost one is re-mined onto a chain that
-    /// never had it.
+    /// holds a receipt for: its round was lost with its only holder (a
+    /// crash, or a heal off a diverged tip). The receipt check is what
+    /// makes re-mining exactly-once — a tx present on the canonical
+    /// chain is never resubmitted, and a lost one is re-mined onto a
+    /// chain that never had it.
     fn resolve_lost_txs(&mut self) {
         let Some(c) = self.canonical() else { return };
         let node = &self.net.validator(c).node;
@@ -782,11 +784,11 @@ impl Engine {
                 }
                 match self.byzantine.decide() {
                     Some(tamper) => {
-                        // A scheduled lie: the proposer mines honestly
-                        // but gossips a mutated frame. Honest replicas
-                        // refuse it on re-execution; the liar forked
-                        // itself and is rebuilt from its peers before
-                        // it can serve anyone its bad chain.
+                        // A scheduled lie: the proposer builds its
+                        // honest block without appending it and gossips
+                        // a mutated frame. Honest replicas refuse it on
+                        // re-execution; the liar's own chain never
+                        // moved, so nothing needs repair.
                         let frame = self.net.propose_with(
                             p,
                             txs.clone(),
@@ -803,7 +805,6 @@ impl Engine {
                         );
                         obs::counter_add("engine.byzantine_rounds", 1);
                         self.gossip(p, &frame);
-                        self.heal(p, true)?;
                     }
                     None => {
                         let frame = self.net.propose(p, txs.clone())?;
@@ -1557,7 +1558,7 @@ mod tests {
         let mut engine = Engine::new(config, 42).unwrap();
         let report = engine.run().unwrap();
         assert!(report.byzantine_rounds > 0, "tamper_p=0.5 must schedule lies: {report:?}");
-        assert!(report.heals >= report.byzantine_rounds, "every liar gets rebuilt");
+        assert_eq!(report.heals, 0, "a liar keeps its chain, so nobody is rebuilt");
         assert!(report.fully_settled(), "{report:?}");
     }
 

@@ -16,7 +16,7 @@
 //!    event stream, byte for byte — on any worker-pool size.
 //! 3. **Recovery** — a validator killed mid-run (losing all in-memory
 //!    state) recovers purely by pulling the ledger from live peers,
-//!    and transactions lost with a crashed or lying proposer are
+//!    and transactions lost with a crashed proposer are
 //!    re-queued and re-mined exactly once.
 //! 4. **Checkpoint/restore** — a live engine serialized through the
 //!    chain export/import codec and restored (on any worker-pool size)
@@ -303,6 +303,27 @@ fn round_lost_with_crashed_proposer_is_requeued_and_remined_exactly_once() {
             .filter(|b| b.txs.iter().any(|t| t.hash() == tx.hash()))
             .count();
         assert_eq!(mined_in, 1, "scripted tx {k} mined {mined_in} times");
+    }
+}
+
+/// Regression (a block lost to a drop, then a lie): a proposer whose
+/// honest block reached no peer, elected again and lying, used to be
+/// rebuilt from genesis and lose that block with it. Its txs were then
+/// requeued behind later txs of their session, which reverted. A liar
+/// now keeps its chain, so with no crash and no corruption no round is
+/// ever lost: nothing is requeued and every session settles.
+#[test]
+fn dropped_block_survives_its_proposers_next_lie() {
+    for seed in 0..25u64 {
+        let mut config = dst_config(FaultConfig { drop_p: 0.25, ..FaultConfig::none() });
+        config.validators = 4;
+        config.sessions = (0..12u64)
+            .map(|k| SessionSpec { name: format!("s{k}"), orgs: 3, seed: k })
+            .collect();
+        config.byzantine = ByzantineConfig { tamper_p: 0.3 };
+        let report = Engine::new(config, seed).unwrap().run().unwrap();
+        assert_eq!(report.requeues, 0, "seed {seed}: a round was lost: {report:?}");
+        assert!(report.fully_settled(), "seed {seed}: {report:?}");
     }
 }
 

@@ -48,8 +48,7 @@ impl Block {
 
     /// The Merkle tree over this transaction list.
     pub fn merkle_tree(txs: &[Transaction]) -> MerkleTree {
-        let leaves: Vec<Hash256> = txs.iter().map(Transaction::hash).collect();
-        MerkleTree::build(&leaves)
+        MerkleTree::build(&tx_leaves(txs))
     }
 
     /// Inclusion proof for the `index`-th transaction, verifiable
@@ -155,10 +154,14 @@ pub struct Blockchain {
 
 /// Checks that `block` sits at height `number` after `parent` and that
 /// its header commits its own body: the tx root commits the txs, the
-/// receipts root the receipts, and receipt k names tx k. Returns the tx
-/// hashes (the tx-root leaves), so callers index them without hashing
-/// again.
-fn check_block(block: &Block, number: u64, parent: Hash256) -> Result<Vec<Hash256>, ChainError> {
+/// receipts root the receipts, and receipt k names tx k. `leaves` are
+/// the block's tx hashes in order (the tx-root leaves).
+fn check_block(
+    block: &Block,
+    number: u64,
+    parent: Hash256,
+    leaves: &[Hash256],
+) -> Result<(), ChainError> {
     let got = block.header.number;
     if got != number {
         return Err(ChainError::BadNumbering { number: got, expected: number });
@@ -166,8 +169,7 @@ fn check_block(block: &Block, number: u64, parent: Hash256) -> Result<Vec<Hash25
     if block.header.parent != parent {
         return Err(ChainError::BrokenLink { number: got });
     }
-    let leaves: Vec<Hash256> = block.txs.iter().map(Transaction::hash).collect();
-    if block.header.tx_root != MerkleTree::build(&leaves).root() {
+    if block.header.tx_root != MerkleTree::build(leaves).root() {
         return Err(ChainError::TxRootMismatch { number: got });
     }
     if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
@@ -176,11 +178,16 @@ fn check_block(block: &Block, number: u64, parent: Hash256) -> Result<Vec<Hash25
     // Both roots can hold while receipts are swapped between txs: only
     // this pairing ties each receipt to the tx it claims to be for.
     if block.receipts.len() != leaves.len()
-        || block.receipts.iter().zip(&leaves).any(|(r, h)| r.tx_hash != *h)
+        || block.receipts.iter().zip(leaves).any(|(r, h)| r.tx_hash != *h)
     {
         return Err(ChainError::ReceiptMismatch { number: got });
     }
-    Ok(leaves)
+    Ok(())
+}
+
+/// The hashes of `txs` in order: the leaves of a block's tx root.
+pub(crate) fn tx_leaves(txs: &[Transaction]) -> Vec<Hash256> {
+    txs.iter().map(Transaction::hash).collect()
 }
 
 impl Blockchain {
@@ -239,7 +246,20 @@ impl Blockchain {
     /// Returns [`ChainError`] (and leaves the chain unchanged) if the
     /// block does not extend the tip correctly.
     pub fn push(&mut self, block: Block) -> Result<(), ChainError> {
-        let leaves = check_block(&block, self.blocks.len() as u64, self.tip_hash())?;
+        let leaves = tx_leaves(&block.txs);
+        self.push_hashed(block, leaves)
+    }
+
+    /// [`Blockchain::push`] for a caller that already hashed the block's
+    /// txs, so the append path hashes each tx once. `leaves` must be
+    /// those hashes, in order.
+    pub(crate) fn push_hashed(
+        &mut self,
+        block: Block,
+        leaves: Vec<Hash256>,
+    ) -> Result<(), ChainError> {
+        debug_assert_eq!(leaves.len(), block.txs.len(), "one leaf per tx");
+        check_block(&block, self.blocks.len() as u64, self.tip_hash(), &leaves)?;
         // u32 keeps the index compact. Neither cast can truncate: every
         // block and tx is held in memory and encodes to several bytes,
         // so 2^32 of either cannot be resident.
@@ -261,7 +281,7 @@ impl Blockchain {
     pub fn verify(&self) -> Result<(), ChainError> {
         let mut parent = Hash256::ZERO;
         for (i, block) in self.blocks.iter().enumerate() {
-            check_block(block, i as u64, parent)?;
+            check_block(block, i as u64, parent, &tx_leaves(&block.txs))?;
             parent = block.hash();
         }
         Ok(())

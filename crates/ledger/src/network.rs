@@ -261,13 +261,14 @@ impl Network {
         self.propose_with(proposer, txs, None)
     }
 
-    /// [`Network::propose`] with an optional Byzantine mutation: after
-    /// the proposer mines honestly on its own chain, `tamper` mutates a
-    /// *copy* of the block and the returned frame encodes the lie. The
-    /// proposer keeps the honest block, so a lying proposer forks
-    /// itself off, and honest replicas refuse the frame on
-    /// re-execution. The caller is responsible for healing (or
-    /// abandoning) the liar.
+    /// [`Network::propose`] with an optional Byzantine mutation. With
+    /// `tamper`, the proposer executes its honest block on a snapshot
+    /// of its state, the contracts `txs` call and its clock, `tamper`
+    /// mutates that block, and the returned frame encodes the lie. The
+    /// snapshot is then restored, so the liar's chain, state and
+    /// contracts end exactly as before the call: the liar stays on the
+    /// chain the network keeps and can propose again at once. Honest
+    /// replicas refuse the frame on re-execution.
     ///
     /// # Errors
     ///
@@ -286,16 +287,18 @@ impl Network {
         for tx in txs {
             let _ = node.submit(tx);
         }
-        node.mine();
-        let mined = node
-            .chain()
-            .blocks()
-            .last()
-            .ok_or(NetworkError::Internal("proposer mined no block"))?;
         match tamper {
-            None => Ok(encode_block_bytes(mined)),
+            None => {
+                node.mine();
+                let mined = node
+                    .chain()
+                    .blocks()
+                    .last()
+                    .ok_or(NetworkError::Internal("proposer mined no block"))?;
+                Ok(encode_block_bytes(mined))
+            }
             Some(t) => {
-                let mut lie = mined.clone();
+                let mut lie = node.mine_detached();
                 t(&mut lie);
                 Ok(encode_block_bytes(&lie))
             }
@@ -500,7 +503,7 @@ mod tests {
                 ))
             ));
         }
-        assert!(!net.converged(), "the lying proposer forked itself off");
+        assert!(net.converged(), "the liar kept the chain every replica holds");
     }
 
     #[test]
@@ -717,13 +720,72 @@ mod tests {
         assert!(net.propose(7, vec![]).is_err(), "out-of-range proposer");
     }
 
+    /// Three replicas hosting one TradeFL session between `n` funded
+    /// orgs; returns the network, the orgs and the contract address.
+    fn session_network(n: usize) -> (Network, Vec<Address>, Address) {
+        use crate::tradefl_contract::{SessionParams, TradeFlContract};
+        use crate::types::Fixed;
+
+        let orgs: Vec<Address> =
+            (0..n).map(|i| Address::from_name(&format!("org-{i}"))).collect();
+        let allocations: Vec<(Address, Wei)> =
+            orgs.iter().map(|&a| (a, Wei(10_000_000))).collect();
+        let mut net = Network::new(&["v0", "v1", "v2"], &allocations);
+        let rho_ij = |i: usize, j: usize| if i == j { Fixed::ZERO } else { Fixed::from_f64(0.1) };
+        let params = SessionParams {
+            participants: orgs.clone(),
+            gamma_per_gbit: Fixed::from_f64(5.12),
+            lambda: Fixed::from_f64(3.0),
+            rho: (0..n).map(|i| (0..n).map(|j| rho_ij(i, j)).collect()).collect(),
+            s_gbits: vec![Fixed::from_f64(20.0); n],
+            required_deposit: Wei(1_000_000),
+            wei_per_payoff_unit: 1_000,
+            attestation_key: None,
+        };
+        let contract = net.deploy(Box::new(TradeFlContract::new(params).unwrap())).unwrap();
+        (net, orgs, contract)
+    }
+
+    /// A call to `function` on `contract` from `from`.
+    fn call(
+        contract: Address,
+        from: Address,
+        nonce: u64,
+        function: &str,
+        args: Vec<crate::tx::Value>,
+        value: Wei,
+    ) -> Transaction {
+        Transaction {
+            from,
+            nonce,
+            value,
+            gas_limit: 10_000_000,
+            payload: TxPayload::Call { contract, function: function.into(), args },
+        }
+    }
+
     #[test]
-    fn propose_with_tamper_forks_the_liar_and_honest_replicas_refuse() {
-        let mut net = boot(3);
+    fn propose_with_tamper_leaves_the_liar_unchanged_and_honest_replicas_refuse() {
+        use crate::tx::Value;
+
+        let (mut net, orgs, contract) = session_network(2);
+        // Registering both orgs moves the contract out of phase 0.
+        let registration = || {
+            orgs.iter()
+                .map(|&o| call(contract, o, 0, "register", vec![], Wei::ZERO))
+                .collect::<Vec<_>>()
+        };
+        let phase = |net: &Network| {
+            net.validator(0).node.call_view(contract, orgs[0], "phase", &[]).unwrap()
+        };
+        let tip = net.validator(0).node.chain().tip_hash();
+        let root = net.validator(0).node.state().root();
+        assert_eq!(phase(&net), vec![Value::U64(0)]);
+
         let frame = net
             .propose_with(
                 0,
-                vec![transfer("alice", "bob", 0, 100)],
+                registration(),
                 Some(&|block: &mut Block| {
                     block.header.state_root = Hash256([0xAA; 32]);
                 }),
@@ -740,9 +802,21 @@ mod tests {
             ));
             assert_eq!(net.validator(i).node.chain().height(), 1);
         }
-        // The proposer kept its honest block: it forked itself off.
+        // The liar executed its honest block on a snapshot and put it
+        // back: tip, state root and contract storage are untouched.
+        let liar = &net.validator(0).node;
+        assert_eq!(liar.chain().height(), 1);
+        assert_eq!(liar.chain().tip_hash(), tip);
+        assert_eq!(liar.state().root(), root);
+        assert_eq!(phase(&net), vec![Value::U64(0)], "the liar's contract kept its storage");
+        assert!(net.converged());
+
+        // The same validator proposes honestly right away, on the chain
+        // every peer holds, and every peer accepts.
+        assert_all_accept(&broadcast(&mut net, 0, registration(), None));
+        assert!(net.converged());
         assert_eq!(net.validator(0).node.chain().height(), 2);
-        assert!(!net.converged());
+        assert_eq!(phase(&net), vec![Value::U64(1)]);
     }
 
     #[test]
@@ -828,38 +902,12 @@ mod tests {
 
     #[test]
     fn contract_execution_replicates() {
-        use crate::tradefl_contract::{SessionParams, TradeFlContract};
         use crate::types::Fixed;
 
-        let orgs: Vec<Address> =
-            (0..3).map(|i| Address::from_name(&format!("org-{i}"))).collect();
-        let allocations: Vec<(Address, Wei)> =
-            orgs.iter().map(|&a| (a, Wei(10_000_000))).collect();
-        let names = ["v0", "v1", "v2"];
-        let mut net = Network::new(&names, &allocations);
-        let params = SessionParams {
-            participants: orgs.clone(),
-            gamma_per_gbit: Fixed::from_f64(5.12),
-            lambda: Fixed::from_f64(3.0),
-            rho: vec![
-                vec![Fixed::ZERO, Fixed::from_f64(0.1), Fixed::from_f64(0.1)],
-                vec![Fixed::from_f64(0.1), Fixed::ZERO, Fixed::from_f64(0.1)],
-                vec![Fixed::from_f64(0.1), Fixed::from_f64(0.1), Fixed::ZERO],
-            ],
-            s_gbits: vec![Fixed::from_f64(20.0); 3],
-            required_deposit: Wei(1_000_000),
-            wei_per_payoff_unit: 1_000,
-            attestation_key: None,
-        };
-        let contract = net.deploy(Box::new(TradeFlContract::new(params).unwrap())).unwrap();
-
+        let (mut net, orgs, contract) = session_network(3);
         // Full settlement, one phase per block, proposers rotating.
-        let call = |from: Address, nonce: u64, function: &str, args, value| Transaction {
-            from,
-            nonce,
-            value,
-            gas_limit: 10_000_000,
-            payload: TxPayload::Call { contract, function: function.into(), args },
+        let call = |from, nonce, function: &str, args, value| {
+            call(contract, from, nonce, function, args, value)
         };
         let phases = [
             orgs.iter().map(|&o| call(o, 0, "register", vec![], Wei::ZERO)).collect(),

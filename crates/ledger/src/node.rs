@@ -2,12 +2,13 @@
 //! block production — the stand-in for the paper's Ethereum private
 //! blockchain.
 
-use crate::chain::{Block, BlockHeader, Blockchain};
+use crate::chain::{tx_leaves, Block, BlockHeader, Blockchain};
 use crate::contract::{CallContext, Contract, ContractError, GasMeter};
+use crate::merkle::MerkleTree;
 use crate::state::WorldState;
 use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Hash256, Wei};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use tradefl_runtime::obs;
 
@@ -87,6 +88,13 @@ impl fmt::Display for BlockApplyError {
 }
 
 impl std::error::Error for BlockApplyError {}
+
+/// What [`Node::snapshot`] captured for a later [`Node::restore`].
+struct Snapshot {
+    state: WorldState,
+    contracts: Vec<(Address, Box<dyn Contract>)>,
+    clock: u64,
+}
 
 /// The single-node chain.
 pub struct Node {
@@ -181,21 +189,7 @@ impl Node {
     /// Executes all pending transactions and appends a block. Returns
     /// the new block's hash.
     pub fn mine(&mut self) -> Hash256 {
-        self.clock += 1;
-        let txs: Vec<Transaction> = std::mem::take(&mut self.pending);
-        let mut receipts = Vec::with_capacity(txs.len());
-        for tx in &txs {
-            receipts.push(self.execute(tx));
-        }
-        let header = BlockHeader {
-            number: self.chain.height() as u64,
-            parent: self.chain.tip_hash(),
-            timestamp: self.clock,
-            tx_root: Block::compute_tx_root(&txs),
-            receipts_root: Block::compute_receipts_root(&receipts),
-            state_root: self.state.root(),
-        };
-        let block = Block { header, txs, receipts };
+        let (block, leaves) = self.seal_pending();
         let hash = block.hash();
         let gas_used: u64 = block.receipts.iter().map(|r| r.gas_used).sum();
         let reverted =
@@ -214,12 +208,75 @@ impl Node {
         obs::counter_add("ledger.blocks_mined", 1);
         obs::counter_add("ledger.txs_executed", block.txs.len() as u64);
         obs::counter_add("ledger.gas_used", gas_used);
-        // Not a peer-input path: the header was computed from this
-        // node's own tip and freshly executed receipts two lines up,
-        // so every push check holds by construction.
+        // Not a peer-input path: `seal_pending` derived the header from
+        // this node's own tip and freshly executed receipts, so every
+        // push check holds by construction.
         // lint:allow(no-panic-in-lib): invariant: self-mined header derives from own tip
-        self.chain.push(block).expect("node-produced blocks always extend the tip");
+        self.chain.push_hashed(block, leaves).expect("node-produced blocks always extend the tip");
         hash
+    }
+
+    /// The block [`Node::mine`] would append, sealed but not appended:
+    /// the pending transactions run against a snapshot that is then
+    /// restored, so the chain, the state, the contracts and the clock
+    /// end exactly as before the call. Only the pending queue is
+    /// consumed, as mining would consume it. This is how a Byzantine
+    /// proposer builds the honest block it lies about without forking
+    /// itself.
+    pub(crate) fn mine_detached(&mut self) -> Block {
+        let snapshot = self.snapshot(&self.pending);
+        let (block, _) = self.seal_pending();
+        self.restore(snapshot);
+        block
+    }
+
+    /// The execution and sealing step behind [`Node::mine`] and
+    /// [`Node::mine_detached`]: executes the pending transactions at the
+    /// next clock tick and seals them into a block on the tip, without
+    /// appending it. Returns the block and its tx hashes.
+    fn seal_pending(&mut self) -> (Block, Vec<Hash256>) {
+        self.clock += 1;
+        let txs: Vec<Transaction> = std::mem::take(&mut self.pending);
+        let leaves = tx_leaves(&txs);
+        let receipts = self.execute_all(&txs, &leaves);
+        let header = BlockHeader {
+            number: self.chain.height() as u64,
+            parent: self.chain.tip_hash(),
+            timestamp: self.clock,
+            tx_root: MerkleTree::build(&leaves).root(),
+            receipts_root: Block::compute_receipts_root(&receipts),
+            state_root: self.state.root(),
+        };
+        (Block { header, txs, receipts }, leaves)
+    }
+
+    /// Captures everything executing `txs` can change: the world state,
+    /// the clock, and the contracts `txs` call. A call reaches only its
+    /// own contract and the world state, so no other contract needs a
+    /// copy.
+    fn snapshot(&self, txs: &[Transaction]) -> Snapshot {
+        let called: BTreeSet<Address> = txs
+            .iter()
+            .filter_map(|tx| match &tx.payload {
+                TxPayload::Call { contract, .. } => Some(*contract),
+                TxPayload::Transfer { .. } => None,
+            })
+            .collect();
+        Snapshot {
+            state: self.state.clone(),
+            contracts: called
+                .into_iter()
+                .filter_map(|a| self.contracts.get(&a).map(|c| (a, c.snapshot())))
+                .collect(),
+            clock: self.clock,
+        }
+    }
+
+    /// Puts back what [`Node::snapshot`] captured.
+    fn restore(&mut self, snapshot: Snapshot) {
+        self.state = snapshot.state;
+        self.contracts.extend(snapshot.contracts);
+        self.clock = snapshot.clock;
     }
 
     /// Receipt lookup across the whole chain.
@@ -238,7 +295,7 @@ impl Node {
     ///
     /// [`BlockApplyError`] describing the first discrepancy; the node
     /// is left exactly as before the call.
-    pub fn apply_block(&mut self, block: &crate::chain::Block) -> Result<(), BlockApplyError> {
+    pub fn apply_block(&mut self, block: &Block) -> Result<(), BlockApplyError> {
         let expected_number = self.chain.height() as u64;
         if block.header.number != expected_number {
             return Err(BlockApplyError::WrongHeight {
@@ -249,44 +306,32 @@ impl Node {
         if block.header.parent != self.chain.tip_hash() {
             return Err(BlockApplyError::WrongParent);
         }
-        if block.header.tx_root != crate::chain::Block::compute_tx_root(&block.txs) {
+        let leaves = tx_leaves(&block.txs);
+        if block.header.tx_root != MerkleTree::build(&leaves).root() {
             return Err(BlockApplyError::BadTxRoot);
         }
-        // Snapshot for rollback.
-        let state_snapshot = self.state.clone();
-        let contracts_snapshot: BTreeMap<Address, Box<dyn Contract>> =
-            self.contracts.iter().map(|(a, c)| (*a, c.snapshot())).collect();
-        let clock_snapshot = self.clock;
-
+        let snapshot = self.snapshot(&block.txs);
         self.clock = block.header.timestamp;
-        let mut receipts = Vec::with_capacity(block.txs.len());
-        for tx in &block.txs {
-            receipts.push(self.execute(tx));
-        }
-        let rollback = |node: &mut Node| {
-            node.state = state_snapshot.clone();
-            node.contracts =
-                contracts_snapshot.iter().map(|(a, c)| (*a, c.snapshot())).collect();
-            node.clock = clock_snapshot;
+        let receipts = self.execute_all(&block.txs, &leaves);
+        let verdict = if receipts != block.receipts {
+            Err(BlockApplyError::ReceiptMismatch)
+        } else if self.state.root() != block.header.state_root {
+            Err(BlockApplyError::StateRootMismatch)
+        } else {
+            // Peer input stays fallible to the end: height, parent and
+            // tx root were pre-checked above and receipts re-executed,
+            // so the only discrepancy `Blockchain::push` can still find
+            // is a header receipts root that belies the block's own
+            // receipts — a malformed proposer must be rejected, never
+            // panic a replica.
+            self.chain
+                .push_hashed(block.clone(), leaves)
+                .map_err(|_| BlockApplyError::BadReceiptsRoot)
         };
-        if receipts != block.receipts {
-            rollback(self);
-            return Err(BlockApplyError::ReceiptMismatch);
+        if verdict.is_err() {
+            self.restore(snapshot);
         }
-        if self.state.root() != block.header.state_root {
-            rollback(self);
-            return Err(BlockApplyError::StateRootMismatch);
-        }
-        // Peer input stays fallible to the end: height, parent and tx
-        // root were pre-checked above and receipts re-executed, so the
-        // only discrepancy `Blockchain::push` can still find is a
-        // header receipts root that belies the block's own receipts —
-        // a malformed proposer must be rejected, never panic a replica.
-        if let Err(_chain_err) = self.chain.push(block.clone()) {
-            rollback(self);
-            return Err(BlockApplyError::BadReceiptsRoot);
-        }
-        Ok(())
+        verdict
     }
 
     /// Read-only contract call: executes against a scratch copy of the
@@ -318,8 +363,12 @@ impl Node {
         scratch_contract.call(&mut ctx, function, args)
     }
 
-    fn execute(&mut self, tx: &Transaction) -> Receipt {
-        let tx_hash = tx.hash();
+    /// Executes `txs` in order; `leaves` are their hashes.
+    fn execute_all(&mut self, txs: &[Transaction], leaves: &[Hash256]) -> Vec<Receipt> {
+        txs.iter().zip(leaves).map(|(tx, &tx_hash)| self.execute(tx, tx_hash)).collect()
+    }
+
+    fn execute(&mut self, tx: &Transaction, tx_hash: Hash256) -> Receipt {
         let expected_nonce = self.state.nonce_of(tx.from);
         if tx.nonce != expected_nonce {
             return Receipt {
@@ -588,6 +637,68 @@ mod tests {
         let h = node.submit(tx).unwrap();
         node.mine();
         assert!(matches!(&node.receipt(h).unwrap().status, ExecStatus::Reverted(_)));
+    }
+
+    /// Two identical nodes, each with a counter at `a` and one at `b`
+    /// (the latter starting at 7).
+    fn twin_nodes() -> (Node, Node, Address, Address, Address) {
+        let (mut first, alice, a) = setup();
+        let (mut second, _, a2) = setup();
+        let b = first.deploy(Box::new(Counter { count: 7 }));
+        let b2 = second.deploy(Box::new(Counter { count: 7 }));
+        assert_eq!((a, b), (a2, b2), "deployment is deterministic");
+        (first, second, alice, a, b)
+    }
+
+    fn count(node: &Node, counter: Address, caller: Address) -> Vec<Value> {
+        node.call_view(counter, caller, "get", &[]).unwrap()
+    }
+
+    #[test]
+    fn rejected_block_restores_the_called_contract_and_keeps_the_uncalled_one() {
+        let (mut proposer, mut replica, alice, a, b) = twin_nodes();
+        proposer.submit(call_tx(alice, 0, a, "increment")).unwrap();
+        proposer.mine();
+        let honest = proposer.chain().blocks().last().unwrap().clone();
+        let mut lie = honest.clone();
+        lie.header.state_root = Hash256([0xAB; 32]);
+
+        let root = replica.state().root();
+        assert_eq!(replica.apply_block(&lie), Err(BlockApplyError::StateRootMismatch));
+        assert_eq!(count(&replica, a, alice), vec![Value::U64(0)], "a rolled back");
+        assert_eq!(count(&replica, b, alice), vec![Value::U64(7)], "b untouched");
+        assert_eq!(replica.state().root(), root);
+        assert_eq!(replica.chain().height(), 1);
+
+        // The rollback left a replica the honest block still applies to.
+        replica.apply_block(&honest).unwrap();
+        assert_eq!(count(&replica, a, alice), vec![Value::U64(1)]);
+        assert_eq!(count(&replica, b, alice), vec![Value::U64(7)]);
+        assert_eq!(replica.state().root(), proposer.state().root());
+    }
+
+    #[test]
+    fn mine_detached_seals_what_mine_appends_and_changes_nothing() {
+        let (mut detached, mut mined, alice, a, b) = twin_nodes();
+        for node in [&mut detached, &mut mined] {
+            node.submit(call_tx(alice, 0, a, "increment")).unwrap();
+            node.submit(call_tx(alice, 1, b, "increment")).unwrap();
+        }
+        let tip = detached.chain().tip_hash();
+        let root = detached.state().root();
+        let block = detached.mine_detached();
+        mined.mine();
+        assert_eq!(Some(&block), mined.chain().blocks().last(), "the same sealed block");
+        assert_eq!(detached.chain().tip_hash(), tip);
+        assert_eq!(detached.state().root(), root);
+        assert_eq!(count(&detached, a, alice), vec![Value::U64(0)]);
+        assert_eq!(count(&detached, b, alice), vec![Value::U64(7)]);
+        assert_eq!(detached.next_nonce(alice), 0, "the pending queue was consumed");
+        // The clock was restored too: mining now seals the same block.
+        detached.submit(call_tx(alice, 0, a, "increment")).unwrap();
+        detached.submit(call_tx(alice, 1, b, "increment")).unwrap();
+        detached.mine();
+        assert_eq!(detached.chain().tip_hash(), mined.chain().tip_hash());
     }
 
     #[test]

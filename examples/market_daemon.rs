@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  backpressure     : {} deferred arrivals", report.backpressure);
     println!("  ledger heals     : {} (crash recovery + divergence repair)", report.heals);
     println!("  byzantine rounds : {} (tampered proposals rejected)", report.byzantine_rounds);
-    println!("  tx re-queues     : {} (rounds lost to dead/lying proposers)", report.requeues);
+    println!("  tx re-queues     : {} (rounds lost with their only holder)", report.requeues);
     println!("  survivors        : {:?}", report.survivors);
     println!("  sessions settled : {}/{}", report.sessions_settled, report.sessions_total);
     println!("  state root       : {}", report.state_root);

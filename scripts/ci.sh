@@ -61,7 +61,7 @@ echo "==> benchmark cycle: one tradebench cycle per workload is correct"
 # node's replay of the same chain, both timed in one process, so host
 # speed largely cancels) can be gated: a per-batch scan of chain
 # history pushes it past the bound.
-max_replication_overhead=30
+max_replication_overhead=10
 for w in pipeline_n64 sessions_faulty tune_n10000; do
   trace=0
   [ "$w" = sessions_faulty ] && trace=1
