@@ -243,8 +243,9 @@ impl MarketConfig {
 
     /// Draws a sparse symmetric competition structure as upper-triangle
     /// triplets and rescales the values so every `z_i` stays positive,
-    /// without ever materializing the dense matrix (O(nnz) work and
-    /// memory).
+    /// without ever materializing the dense matrix. Memory is O(nnz);
+    /// the work is linear passes plus one O(nnz log nnz) sort of the
+    /// drawn pairs in a flat `Vec`.
     fn sample_rho_sparse(
         &self,
         rng: &mut StdRng,
@@ -258,16 +259,18 @@ impl MarketConfig {
             return Vec::new();
         }
         let per_row = ((density * (n - 1) as f64).ceil() as usize).clamp(1, n - 1);
-        // Ordered set: deterministic iteration, duplicates merged, and
-        // each unordered pair drawn at most once.
-        let mut pairs = std::collections::BTreeSet::new();
+        // Sorted and deduplicated: deterministic order, and each
+        // unordered pair kept at most once.
+        let mut pairs = Vec::with_capacity(n * per_row);
         for i in 0..n {
             for _ in 0..per_row {
                 let j = rng.gen_range(0..n - 1);
                 let j = if j >= i { j + 1 } else { j };
-                pairs.insert((i.min(j), i.max(j)));
+                pairs.push((i.min(j), i.max(j)));
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
         let mut triplets: Vec<(usize, usize, f64)> = pairs
             .into_iter()
             .map(|(i, j)| (i, j, normal(rng, mu, sigma).clamp(0.0, 1.0)))

@@ -134,14 +134,19 @@ impl RhoMatrix {
 
     /// Builds a sparse symmetric matrix from upper- (or mixed-)
     /// triangle triplets `(i, j, v)`. Each triplet is mirrored to both
-    /// `(i, j)` and `(j, i)`; exact zeros are dropped.
+    /// `(i, j)` and `(j, i)`; exact zeros are dropped. A counting sort
+    /// places the entries row by row, so the build is O(nnz) apart from
+    /// sorting each row by column.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] on an out-of-range index, a diagonal
-    /// entry, or the same unordered pair listed twice.
+    /// entry, or the same unordered pair listed twice. The first
+    /// triplet (in input order) with a bad index or on the diagonal is
+    /// reported; of several duplicates, the one whose stored
+    /// `(row, column)` comes first in row-major order.
     pub fn from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> Result<Self> {
-        let mut entries = Vec::with_capacity(triplets.len() * 2);
+        let mut row_ptr = vec![0usize; n + 1];
         for &(i, j, v) in triplets {
             if i >= n || j >= n {
                 return Err(ModelError::DimensionMismatch { expected: n, found: i.max(j) });
@@ -150,28 +155,43 @@ impl RhoMatrix {
                 return Err(ModelError::SelfCompetition { i });
             }
             // lint:allow(no-float-eq): dropping exact zeros is the sparsity contract
-            if v == 0.0 {
-                continue;
+            if v != 0.0 {
+                row_ptr[i + 1] += 1;
+                row_ptr[j + 1] += 1;
             }
-            entries.push((i, j, v));
-            entries.push((j, i, v));
-        }
-        entries.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        for w in entries.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
-                let (i, j) = (w[0].0.min(w[0].1), w[0].0.max(w[0].1));
-                return Err(ModelError::DuplicateCompetitionEntry { i, j });
-            }
-        }
-        let mut row_ptr = vec![0usize; n + 1];
-        for &(i, _, _) in &entries {
-            row_ptr[i + 1] += 1;
         }
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let cols = entries.iter().map(|e| e.1).collect();
-        let vals = entries.iter().map(|e| e.2).collect();
+        let mut next = row_ptr[..n].to_vec();
+        let mut cols = vec![0usize; row_ptr[n]];
+        let mut vals = vec![0.0f64; row_ptr[n]];
+        for &(i, j, v) in triplets {
+            // lint:allow(no-float-eq): the same exact-zero drop as the counting pass
+            if v != 0.0 {
+                for (r, c) in [(i, j), (j, i)] {
+                    cols[next[r]] = c;
+                    vals[next[r]] = v;
+                    next[r] += 1;
+                }
+            }
+        }
+        let mut row = Vec::new();
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            row.clear();
+            row.extend(cols[lo..hi].iter().copied().zip(vals[lo..hi].iter().copied()));
+            row.sort_unstable_by_key(|e| e.0);
+            // A pair listed twice fills both of its rows with a
+            // duplicate, and the lower row is checked first, so i < j.
+            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(ModelError::DuplicateCompetitionEntry { i, j: w[0].0 });
+            }
+            for (k, &(c, v)) in (lo..hi).zip(&row) {
+                cols[k] = c;
+                vals[k] = v;
+            }
+        }
         Ok(RhoMatrix::Sparse { n, row_ptr, cols, vals })
     }
 
@@ -309,32 +329,30 @@ impl RhoMatrix {
         }
     }
 
-    /// Validates shape, entry range, zero diagonal, and symmetry for
-    /// `n` organizations. Dense checks mirror the seed's loop exactly
-    /// (same error order); sparse checks every stored entry against
-    /// its transpose in O(nnz log deg).
+    /// Validates `ρ` for `n` organizations in two passes, both O(N +
+    /// nnz) for a sparse matrix.
+    ///
+    /// The structural pass checks the shape: every dense row has length
+    /// `n`; a sparse matrix has `n + 1` row offsets that start at 0,
+    /// never decrease and end at the entry count, and each row's
+    /// columns are in range and strictly ascending. Only then does the
+    /// value pass read entries, in row-major order: each must lie in
+    /// `[0, 1]`, the diagonal must be zero, and each entry must match its
+    /// transpose within 1e-12. Errors follow the order of the passes:
+    /// a structural defect is reported before any value defect, even
+    /// one in an earlier row.
     fn validate(&self, n: usize) -> Result<()> {
         match self {
             RhoMatrix::Dense(rows) => {
                 if rows.len() != n {
                     return Err(ModelError::DimensionMismatch { expected: n, found: rows.len() });
                 }
+                if let Some(row) = rows.iter().find(|row| row.len() != n) {
+                    return Err(ModelError::DimensionMismatch { expected: n, found: row.len() });
+                }
                 for (i, row) in rows.iter().enumerate() {
-                    if row.len() != n {
-                        return Err(ModelError::DimensionMismatch {
-                            expected: n,
-                            found: row.len(),
-                        });
-                    }
                     for (j, &v) in row.iter().enumerate() {
-                        ensure_in_range("rho_ij", v, 0.0, 1.0)?;
-                        // lint:allow(no-float-eq): rho_ii must be exactly zero by construction
-                        if i == j && v != 0.0 {
-                            return Err(ModelError::SelfCompetition { i });
-                        }
-                        if (v - rows[j][i]).abs() > 1e-12 {
-                            return Err(ModelError::AsymmetricCompetition { i, j });
-                        }
+                        check_entry(i, j, v, rows[j][i])?;
                     }
                 }
             }
@@ -342,14 +360,16 @@ impl RhoMatrix {
                 if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
                     return Err(ModelError::DimensionMismatch { expected: n, found: *dim });
                 }
+                if row_ptr[0] != 0 {
+                    return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[0] });
+                }
                 for i in 0..n {
                     let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
                     if lo > hi || hi > cols.len() {
                         return Err(ModelError::DimensionMismatch { expected: n, found: hi });
                     }
                     let mut prev: Option<usize> = None;
-                    for k in lo..hi {
-                        let (j, v) = (cols[k], vals[k]);
+                    for &j in &cols[lo..hi] {
                         if j >= n {
                             return Err(ModelError::DimensionMismatch { expected: n, found: j });
                         }
@@ -357,20 +377,47 @@ impl RhoMatrix {
                             return Err(ModelError::DuplicateCompetitionEntry { i, j });
                         }
                         prev = Some(j);
-                        ensure_in_range("rho_ij", v, 0.0, 1.0)?;
-                        // lint:allow(no-float-eq): rho_ii must be exactly zero by construction
-                        if i == j && v != 0.0 {
-                            return Err(ModelError::SelfCompetition { i });
+                    }
+                }
+                if row_ptr[n] != cols.len() {
+                    return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[n] });
+                }
+                // Rows are visited in ascending i and each holds column
+                // j at most once, so row j is asked for ascending
+                // columns: one forward cursor per row finds every
+                // transpose in O(nnz) total instead of a binary search
+                // per entry.
+                let mut cursor = row_ptr[..n].to_vec();
+                for i in 0..n {
+                    for k in row_ptr[i]..row_ptr[i + 1] {
+                        let j = cols[k];
+                        let end = row_ptr[j + 1];
+                        let c = &mut cursor[j];
+                        while *c < end && cols[*c] < i {
+                            *c += 1;
                         }
-                        if (v - self.get(j, i)).abs() > 1e-12 {
-                            return Err(ModelError::AsymmetricCompetition { i, j });
-                        }
+                        let transpose = if *c < end && cols[*c] == i { vals[*c] } else { 0.0 };
+                        check_entry(i, j, vals[k], transpose)?;
                     }
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The value checks on one stored entry `ρ_ij = v` whose transpose
+/// `ρ_ji` is `transpose`: range `[0, 1]`, zero diagonal, symmetry.
+fn check_entry(i: usize, j: usize, v: f64, transpose: f64) -> Result<()> {
+    ensure_in_range("rho_ij", v, 0.0, 1.0)?;
+    // lint:allow(no-float-eq): rho_ii must be exactly zero by construction
+    if i == j && v != 0.0 {
+        return Err(ModelError::SelfCompetition { i });
+    }
+    if (v - transpose).abs() > 1e-12 {
+        return Err(ModelError::AsymmetricCompetition { i, j });
+    }
+    Ok(())
 }
 
 /// Iterator over one row of a [`RhoMatrix`] as `(column, value)`.
@@ -659,6 +706,8 @@ impl Market {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tradefl_runtime::check::Gen;
+    use tradefl_runtime::{prop_assert_eq, props};
 
     fn org(p: f64) -> Organization {
         Organization::builder("o")
@@ -896,6 +945,221 @@ mod tests {
             Market::with_rho(orgs, diag, MechanismParams::default()),
             Err(ModelError::SelfCompetition { i: 0 })
         ));
+    }
+
+    /// `with_rho` on three orgs rejects `rho` with a dimension error
+    /// naming `found`, where it used to panic or accept it.
+    fn assert_shape_error(rho: RhoMatrix, found: usize) {
+        let orgs = vec![org(1000.0), org(1000.0), org(1000.0)];
+        assert_eq!(
+            Market::with_rho(orgs, rho, MechanismParams::default()),
+            Err(ModelError::DimensionMismatch { expected: 3, found })
+        );
+    }
+
+    /// A 3×3 sparse matrix with every stored value 0.1.
+    fn sparse3(row_ptr: Vec<usize>, cols: Vec<usize>) -> RhoMatrix {
+        RhoMatrix::Sparse { n: 3, vals: vec![0.1; cols.len()], row_ptr, cols }
+    }
+
+    #[test]
+    fn sparse_row_offsets_that_run_backwards_are_rejected() {
+        assert_shape_error(sparse3(vec![0, 2, 1, 2], vec![1, 2]), 1);
+    }
+
+    #[test]
+    fn sparse_row_past_the_stored_entries_is_rejected() {
+        assert_shape_error(sparse3(vec![0, 1, 5, 5], vec![1]), 5);
+    }
+
+    #[test]
+    fn sparse_row_offsets_not_starting_at_zero_are_rejected() {
+        assert_shape_error(sparse3(vec![1, 1, 1, 1], vec![1]), 1);
+    }
+
+    #[test]
+    fn sparse_entries_outside_every_row_are_rejected() {
+        assert_shape_error(sparse3(vec![0, 0, 0, 0], vec![1]), 0);
+    }
+
+    #[test]
+    fn short_later_dense_row_is_rejected() {
+        let rows = vec![vec![0.0, 0.1, 0.1], vec![0.1, 0.0, 0.1], vec![0.1]];
+        assert_shape_error(RhoMatrix::dense(rows), 1);
+    }
+
+    /// The sort-based triplet build that the counting sort in
+    /// [`RhoMatrix::from_triplets`] replaced; the reference it must
+    /// match, error for error.
+    fn from_triplets_reference(n: usize, triplets: &[(usize, usize, f64)]) -> Result<RhoMatrix> {
+        let mut entries = Vec::with_capacity(triplets.len() * 2);
+        for &(i, j, v) in triplets {
+            if i >= n || j >= n {
+                return Err(ModelError::DimensionMismatch { expected: n, found: i.max(j) });
+            }
+            if i == j {
+                return Err(ModelError::SelfCompetition { i });
+            }
+            if v == 0.0 {
+                continue;
+            }
+            entries.push((i, j, v));
+            entries.push((j, i, v));
+        }
+        entries.sort_by_key(|e| (e.0, e.1));
+        for w in entries.windows(2) {
+            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
+                let (i, j) = (w[0].0.min(w[0].1), w[0].0.max(w[0].1));
+                return Err(ModelError::DuplicateCompetitionEntry { i, j });
+            }
+        }
+        let mut row_ptr = vec![0usize; n + 1];
+        for &(i, _, _) in &entries {
+            row_ptr[i + 1] += 1;
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let cols = entries.iter().map(|e| e.1).collect();
+        let vals = entries.iter().map(|e| e.2).collect();
+        Ok(RhoMatrix::Sparse { n, row_ptr, cols, vals })
+    }
+
+    /// The single-pass sparse validation, with a binary-searched
+    /// transpose per entry, that the cursor pass in `validate`
+    /// replaced; the reference it must match. Panics on row offsets
+    /// that are not monotone and within the stored entries.
+    fn validate_reference(rho: &RhoMatrix, n: usize) -> Result<()> {
+        let RhoMatrix::Sparse { n: dim, row_ptr, cols, vals } = rho else {
+            panic!("the reference covers sparse matrices only");
+        };
+        if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
+            return Err(ModelError::DimensionMismatch { expected: n, found: *dim });
+        }
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            if lo > hi || hi > cols.len() {
+                return Err(ModelError::DimensionMismatch { expected: n, found: hi });
+            }
+            let mut prev: Option<usize> = None;
+            for k in lo..hi {
+                let (j, v) = (cols[k], vals[k]);
+                if j >= n {
+                    return Err(ModelError::DimensionMismatch { expected: n, found: j });
+                }
+                if prev.is_some_and(|p| p >= j) {
+                    return Err(ModelError::DuplicateCompetitionEntry { i, j });
+                }
+                prev = Some(j);
+                ensure_in_range("rho_ij", v, 0.0, 1.0)?;
+                if i == j && v != 0.0 {
+                    return Err(ModelError::SelfCompetition { i });
+                }
+                if (v - rho.get(j, i)).abs() > 1e-12 {
+                    return Err(ModelError::AsymmetricCompetition { i, j });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A valid triplet set over `n ∈ [1, 12)` organizations: each
+    /// unordered pair kept with probability 0.4, listed from either
+    /// triangle, in shuffled order.
+    fn valid_triplets(g: &mut Gen) -> (usize, Vec<(usize, usize, f64)>) {
+        let n = g.usize(1..12);
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                if g.bool(0.4) {
+                    let v = g.f64(0.0..0.5);
+                    triplets.push(if g.bool(0.5) { (i, j, v) } else { (j, i, v) });
+                }
+            }
+        }
+        for k in (1..triplets.len()).rev() {
+            triplets.swap(k, g.usize(0..=k));
+        }
+        (n, triplets)
+    }
+
+    props! {
+        #![cases = 256]
+
+        fn counting_sort_triplets_match_the_sorted_reference(g) {
+            let (n, mut triplets) = valid_triplets(g);
+            for t in &mut triplets {
+                if g.bool(0.1) {
+                    t.2 = if g.bool(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+            let at = g.usize(0..=triplets.len());
+            let v = g.f64(0.0..0.5);
+            match g.usize(0..5) {
+                0 => {}
+                1 if !triplets.is_empty() => {
+                    // A repeated pair, listed as given or mirrored.
+                    let (i, j, w) = triplets[g.usize(0..triplets.len())];
+                    let dup = if g.bool(0.5) { (i, j, w) } else { (j, i, w) };
+                    triplets.insert(at, dup);
+                }
+                2 => {
+                    let (i, j) = (g.usize(0..n + 3), n + g.usize(0..2));
+                    triplets.insert(at, if g.bool(0.5) { (i, j, v) } else { (j, i, v) });
+                }
+                3 => {
+                    let d = g.usize(0..n);
+                    triplets.insert(at, (d, d, v));
+                }
+                _ => {
+                    // Several defects at once: the first reported wins.
+                    let d = g.usize(0..n);
+                    triplets.insert(at, (d, d, v));
+                    triplets.insert(g.usize(0..=triplets.len()), (0, n, v));
+                    if let Some(&t) = triplets.first() {
+                        triplets.push(t);
+                    }
+                }
+            }
+            prop_assert_eq!(
+                RhoMatrix::from_triplets(n, &triplets),
+                from_triplets_reference(n, &triplets)
+            );
+        }
+
+        fn cursor_validation_matches_the_binary_search_reference(g) {
+            let (n, triplets) = valid_triplets(g);
+            let valid = RhoMatrix::from_triplets(n, &triplets).unwrap();
+            let mut rows: Vec<Vec<(usize, f64)>> =
+                (0..n).map(|i| valid.row_iter(i).collect()).collect();
+            let r = g.usize(0..n);
+            let row = &mut rows[r];
+            let k = (!row.is_empty()).then(|| g.usize(0..row.len()));
+            match (g.usize(0..7), k) {
+                (0, _) => {}
+                (1, Some(k)) => row[k].1 = g.f64(-0.5..1.5),
+                // Straddles the 1e-12 symmetry tolerance.
+                (2, Some(k)) => row[k].1 += g.f64(0.0..2e-12),
+                (3, Some(k)) => {
+                    row.remove(k);
+                }
+                (4, Some(k)) => row.insert(k + 1, row[k]),
+                (5, _) => {
+                    let v = if g.bool(0.5) { 0.0 } else { g.f64(0.0..0.5) };
+                    row.insert(row.partition_point(|e| e.0 < r), (r, v));
+                }
+                _ => row.push((n + g.usize(0..3), g.f64(0.0..0.5))),
+            }
+            let row_ptr = std::iter::once(0)
+                .chain(rows.iter().scan(0, |end, row| {
+                    *end += row.len();
+                    Some(*end)
+                }))
+                .collect();
+            let (cols, vals) = rows.concat().into_iter().unzip();
+            let rho = RhoMatrix::Sparse { n, row_ptr, cols, vals };
+            prop_assert_eq!(rho.validate(n), validate_reference(&rho, n));
+        }
     }
 
     /// One dense and one sparse Table II market.

@@ -60,8 +60,13 @@ echo "==> benchmark cycle: one tradebench cycle per workload is correct"
 # traced, so its engine.replication_overhead (engine time over one
 # node's replay of the same chain, both timed in one process, so host
 # speed largely cancels) can be gated: a per-batch scan of chain
-# history pushes it past the bound.
+# history pushes it past the bound. tune_n10000's setup_s (building the
+# sparse 10,000-org market) is gated against its wall_s (the tuning on
+# it), both timed in one process: a build that sorts all stored
+# entries at once or binary-searches each transpose reads ~3, the
+# linear-pass build ~0.7.
 max_replication_overhead=10
+max_setup_over_wall=1.5
 for w in pipeline_n64 sessions_faulty tune_n10000; do
   trace=0
   [ "$w" = sessions_faulty ] && trace=1
@@ -81,6 +86,16 @@ for w in pipeline_n64 sessions_faulty tune_n10000; do
       exit 1
     fi
     echo "  $w: engine.replication_overhead $overhead (bound $max_replication_overhead)"
+  fi
+  if [ "$w" = tune_n10000 ]; then
+    setup="$(grep -o '"setup_s": {"value": [^,}]*' <<<"$result" | sed 's/.*"value": //')"
+    wall="$(grep -o '"wall_s": {"value": [^,}]*' <<<"$result" | sed 's/.*"value": //')"
+    if [ -z "$setup" ] || [ -z "$wall" ] \
+      || ! awk -v s="$setup" -v w="$wall" -v max="$max_setup_over_wall" 'BEGIN { exit !(s <= max * w) }'; then
+      echo "ci.sh: $w setup_s ${setup:-missing} exceeds $max_setup_over_wall x wall_s ${wall:-missing}" >&2
+      exit 1
+    fi
+    echo "  $w: setup_s $setup, wall_s $wall (bound setup_s <= $max_setup_over_wall x wall_s)"
   fi
 done
 

@@ -182,6 +182,36 @@ fn sparse_and_dense_incremental_aggregates_are_bit_identical() {
     assert_eq!(ed.rho_res(3).to_bits(), es.rho_res(3).to_bits());
 }
 
+/// FNV-1a over the CSR arrays of a sparse ρ: `row_ptr`, `cols`, then
+/// the bit patterns of `vals`, each word little-endian.
+fn csr_fingerprint(rho: &tradefl_core::market::RhoMatrix) -> u64 {
+    use tradefl_core::market::RhoMatrix;
+    let RhoMatrix::Sparse { row_ptr, cols, vals, .. } = rho else {
+        panic!("build_sparse builds a sparse rho");
+    };
+    let words = row_ptr
+        .iter()
+        .chain(cols)
+        .map(|&x| x as u64)
+        .chain(vals.iter().map(|v| v.to_bits()));
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn build_sparse_matches_its_golden_fingerprint() {
+    // Pins the ρ-sampling RNG stream and the stored entry order of
+    // `build_sparse`; the constant was recorded before the sparse build
+    // moved to linear passes, so any drift in either shows here.
+    let market = MarketConfig::table_ii().with_orgs(2000).build_sparse(3, 0.01).unwrap();
+    assert_eq!(csr_fingerprint(market.rho_matrix()), 0x309b_0e68_bee4_dfb6);
+}
+
 // --- shared-ρ γ rebuilds --------------------------------------------
 
 #[test]
