@@ -55,9 +55,7 @@ use tradefl_core::market::{Market, RhoMatrix};
 use tradefl_core::strategy::StrategyProfile;
 use tradefl_engine::{Engine, EngineConfig, SessionSpec};
 use tradefl_fl_sim::data::{generate, DatasetKind};
-use tradefl_fl_sim::fed::{
-    train_federated_grouped, train_federated_with, FedConfig, EDGE_GROUP_SIZE,
-};
+use tradefl_fl_sim::fed::{train_federated_with, FedConfig, EDGE_GROUP_SIZE};
 use tradefl_fl_sim::linalg::{kernel, Matrix};
 use tradefl_fl_sim::model::{Mlp, ModelKind};
 use tradefl_runtime::json::Json;
@@ -621,16 +619,8 @@ fn bench_fedavg(n: usize, repeats: usize) -> Fields {
     let config = FedConfig { rounds: 1, local_epochs: 1, batch_size: 16, ..FedConfig::default() };
     let template = Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 1);
     let [serial_ms, one, two] = time_on_pools(repeats, &|pool| {
-        let outcome = train_federated_grouped(
-            template.clone(),
-            &shards,
-            &test,
-            &fractions,
-            &config,
-            EDGE_GROUP_SIZE,
-            pool,
-        )
-        .expect("round trains");
+        let outcome = train_federated_with(template.clone(), &shards, &test, &fractions, &config, pool)
+            .expect("round trains");
         assert!(outcome.final_accuracy() >= 0.0);
     });
     let slots = WORKERS[1].min(n.div_ceil(EDGE_GROUP_SIZE)).max(1);

@@ -9,22 +9,19 @@
 //! on a deterministic event queue, so results are reproducible and the
 //! time axis is *model time*, not host time.
 
-use crate::data::{Dataset, MiniBatch};
-use crate::fed::{FedConfig, RoundMetrics};
+use crate::data::Dataset;
+use crate::fed::{contributed_subsets, local_train, FedError, RoundMetrics, SiloScratch};
 use crate::model::{Mlp, Workspace};
-use tradefl_runtime::rng::{SeedableRng, SliceRandom, StdRng};
+use tradefl_runtime::rng::{SeedableRng, StdRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Reusable scratch for the (sequential) async event loop: the SGD
-/// workspace and batch staging buffers every dispatched local update
-/// shares. Created once per run, so the per-step path allocates
-/// nothing once warm.
+/// scratch every dispatched local update shares. Created once per run,
+/// so the per-step path allocates nothing once warm.
 #[derive(Debug, Default)]
 struct LoopScratch {
-    ws: Workspace,
-    batch: MiniBatch,
-    order: Vec<usize>,
+    silo: SiloScratch,
     /// The reusable local-model buffer: lazily cloned from the global
     /// model on the first dispatch, then refreshed in place with
     /// `copy_params_from` — no per-update model clone.
@@ -75,21 +72,6 @@ impl Default for AsyncConfig {
             eval_every: 10,
             weight_by_samples: true,
             time_budget: None,
-        }
-    }
-}
-
-impl AsyncConfig {
-    /// Derives an async config from a synchronous one with a comparable
-    /// total work budget (`updates ≈ rounds × orgs`).
-    pub fn from_fed(fed: &FedConfig, orgs: usize) -> Self {
-        Self {
-            updates: fed.rounds * orgs.max(1),
-            local_epochs: fed.local_epochs,
-            batch_size: fed.batch_size,
-            lr: fed.lr,
-            seed: fed.seed,
-            ..Self::default()
         }
     }
 }
@@ -194,8 +176,8 @@ impl PartialOrd for Arrival {
 ///
 /// # Errors
 ///
-/// Returns [`crate::fed::FedError`] on shape mismatches or when nobody
-/// contributes.
+/// Returns [`FedError`] on shape mismatches (a [`FedError::TimingCount`]
+/// when `timings` does not match `shards`) or when nobody contributes.
 pub fn train_async(
     mut global: Mlp,
     shards: &[Dataset],
@@ -203,30 +185,11 @@ pub fn train_async(
     fractions: &[f64],
     timings: &[OrgTiming],
     config: &AsyncConfig,
-) -> Result<AsyncOutcome, crate::fed::FedError> {
-    use crate::fed::FedError;
-    if fractions.len() != shards.len() || timings.len() != shards.len() {
-        return Err(FedError::FractionCount {
-            shards: shards.len(),
-            fractions: fractions.len().min(timings.len()),
-        });
+) -> Result<AsyncOutcome, FedError> {
+    let contributed = contributed_subsets(shards, fractions)?;
+    if timings.len() != shards.len() {
+        return Err(FedError::TimingCount { shards: shards.len(), timings: timings.len() });
     }
-    for (i, &d) in fractions.iter().enumerate() {
-        if !d.is_finite() || !(0.0..=1.0).contains(&d) {
-            return Err(FedError::BadFraction { org: i, value: d });
-        }
-    }
-    let contributed: Vec<Dataset> = shards
-        .iter()
-        .zip(fractions)
-        .map(|(s, &d)| s.take(((d * s.len() as f64).floor() as usize).min(s.len())))
-        .collect();
-    let active: Vec<usize> =
-        (0..shards.len()).filter(|&i| !contributed[i].is_empty()).collect();
-    if active.is_empty() {
-        return Err(FedError::NothingContributed);
-    }
-
     let max_contribution = contributed.iter().map(Dataset::len).max().unwrap_or(1) as f32;
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xa57c_f3d1);
     let mut heap: BinaryHeap<Arrival> = BinaryHeap::new();
@@ -234,10 +197,9 @@ pub fn train_async(
     let mut scratch = LoopScratch::default();
     let mut eval_ws = Workspace::new();
 
-    // Everyone starts training against version 0 at t = 0.
-    for &org in &active {
-        let params =
-            local_update(&global, &contributed[org], config, &mut rng, &mut scratch);
+    // Every contributor starts training against version 0 at t = 0.
+    for (org, data) in contributed.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        let params = local_update(&global, data, config, &mut rng, &mut scratch);
         heap.push(Arrival {
             time: timings[org].latency(),
             org,
@@ -257,7 +219,7 @@ pub fn train_async(
             }
         }
         // lint:allow(no-panic-in-lib): the loop guard above breaks before the queue can drain
-        let arrival = heap.pop().expect("active orgs keep the queue non-empty");
+        let arrival = heap.pop().expect("contributors keep the queue non-empty");
         now = arrival.time;
         let staleness = version - arrival.based_on_version;
         let size_factor = if config.weight_by_samples {
@@ -314,21 +276,15 @@ fn local_update(
     // comes from `scratch`.
     let local = scratch.local.get_or_insert_with(|| global.clone());
     local.copy_params_from(global);
-    let n = data.len();
-    scratch.order.clear();
-    scratch.order.extend(0..n);
-    for _ in 0..config.local_epochs {
-        scratch.order.shuffle(rng);
-        for chunk in scratch.order.chunks(config.batch_size.max(1)) {
-            scratch.batch.gather(data, chunk);
-            local.sgd_step_with(
-                &scratch.batch.features,
-                &scratch.batch.labels,
-                config.lr,
-                &mut scratch.ws,
-            );
-        }
-    }
+    local_train(
+        local,
+        data,
+        config.local_epochs,
+        config.batch_size,
+        config.lr,
+        rng,
+        &mut scratch.silo,
+    );
     local.to_params()
 }
 
@@ -424,33 +380,23 @@ mod tests {
     fn rejects_bad_inputs() {
         let (shards, test) = setup(2);
         let global = Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 5);
-        assert!(train_async(
-            global.clone(),
-            &shards,
-            &test,
-            &[1.0],
-            &even_timings(2),
-            &AsyncConfig::default()
-        )
-        .is_err());
-        assert!(train_async(
-            global.clone(),
-            &shards,
-            &test,
-            &[2.0, 0.5],
-            &even_timings(2),
-            &AsyncConfig::default()
-        )
-        .is_err());
-        assert!(train_async(
-            global,
-            &shards,
-            &test,
-            &[0.0, 0.0],
-            &even_timings(2),
-            &AsyncConfig::default()
-        )
-        .is_err());
+        let run = |fractions: &[f64], timings: &[OrgTiming]| {
+            train_async(global.clone(), &shards, &test, fractions, timings, &AsyncConfig::default())
+                .map(|_| ())
+        };
+        assert_eq!(
+            run(&[1.0], &even_timings(2)),
+            Err(FedError::FractionCount { shards: 2, fractions: 1 })
+        );
+        assert_eq!(
+            run(&[2.0, 0.5], &even_timings(2)),
+            Err(FedError::BadFraction { org: 0, value: 2.0 })
+        );
+        assert_eq!(run(&[0.0, 0.0], &even_timings(2)), Err(FedError::NothingContributed));
+        // A timing-count mismatch names the timings, not the fractions.
+        let err = run(&[1.0, 1.0], &even_timings(3)).unwrap_err();
+        assert_eq!(err, FedError::TimingCount { shards: 2, timings: 3 });
+        assert_eq!(err.to_string(), "3 timings for 2 shards");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Organizations hold disjoint shards; each round they train locally on
 //! the `d_i`-fraction of their shard they agreed to contribute, and the
 //! server aggregates parameters weighted by contributed sample counts
-//! (Eq. 3's `d_i |S_i|` weights, normalized).
+//! (Eq. 3's `d_i |S_i|` weights, normalized). The local-SGD loop
+//! (`local_train`) and the input check (`contributed_subsets`) are
+//! shared with [`crate::async_fed`].
 
 //! Per-silo local training runs on the work-stealing pool: each
 //! `(round, org)` pair derives its own RNG seed from `config.seed`
@@ -100,6 +102,14 @@ pub enum FedError {
     },
     /// No organization contributed any data.
     NothingContributed,
+    /// `timings.len()` differs from the number of shards (async
+    /// training only).
+    TimingCount {
+        /// Number of shards.
+        shards: usize,
+        /// Number of timings provided.
+        timings: usize,
+    },
 }
 
 impl std::fmt::Display for FedError {
@@ -112,6 +122,9 @@ impl std::fmt::Display for FedError {
                 write!(f, "fraction {value} of org {org} outside [0, 1]")
             }
             FedError::NothingContributed => write!(f, "no organization contributed data"),
+            FedError::TimingCount { shards, timings } => {
+                write!(f, "{timings} timings for {shards} shards")
+            }
         }
     }
 }
@@ -136,94 +149,51 @@ pub fn train_federated(
     train_federated_with(global, shards, test, fractions, config, Pool::global())
 }
 
-/// Default silos-per-edge-group for the hierarchical aggregation path
-/// ([`train_federated_grouped`]). A compile-time constant — never a
-/// function of the worker count — so the grouping, and therefore every
+/// Silos per edge group in the hierarchical aggregation of
+/// [`train_federated_with`]. A compile-time constant — never a function
+/// of the worker count — so the grouping, and therefore every
 /// floating-point association in the reduce, is identical for every
 /// pool size. 32 silos × one weighted partial keeps a group's work
 /// well above the pool's dispatch cost while bounding live memory at
 /// O(model × workers).
 pub const EDGE_GROUP_SIZE: usize = 32;
 
-/// [`train_federated`] on an explicit pool: silos train concurrently
-/// within a round (each from its own derived seed, see the module
-/// docs) and the server merges their parameters through the two-level
-/// streaming reduce of [`train_federated_grouped`] with
-/// [`EDGE_GROUP_SIZE`]-silo edge groups — bit-identical for every
-/// worker count.
+/// [`train_federated`] on an explicit pool, with hierarchical two-level
+/// streaming aggregation: silos are partitioned into contiguous *edge
+/// groups* of [`EDGE_GROUP_SIZE`]; each group trains its silos
+/// sequentially on one reusable model buffer (no per-silo `clone`) and
+/// streams their weighted parameters into a preallocated f64 partial;
+/// the server merges group partials in fixed group order. Live memory
+/// per round is O(model × active groups) — bounded by the worker count,
+/// never by the silo count.
 ///
-/// # Errors
-///
-/// See [`train_federated`].
-pub fn train_federated_with(
-    global: Mlp,
-    shards: &[Dataset],
-    test: &Dataset,
-    fractions: &[f64],
-    config: &FedConfig,
-    pool: &Pool,
-) -> Result<FedOutcome, FedError> {
-    train_federated_grouped(global, shards, test, fractions, config, EDGE_GROUP_SIZE, pool)
-}
-
-/// FedAvg with hierarchical two-level streaming aggregation: silos are
-/// partitioned into contiguous *edge groups* of `group_size`; each
-/// group trains its silos sequentially on one reusable model buffer
-/// (no per-silo `clone`) and streams their weighted parameters into a
-/// preallocated f64 partial; the server merges group partials in fixed
-/// group order. Live memory per round is O(model × active groups) —
-/// bounded by the worker count, never by the silo count — instead of
-/// the flat path's O(model × silos).
-///
-/// Determinism: groups are a pure function of `(silo index,
-/// group_size)`, every silo trains from a seed derived from `(round,
-/// org)`, within-group accumulation runs in silo order and the global
+/// Determinism: groups are a pure function of the silo index, every
+/// silo trains from a seed derived from `(round, org)` (see the module
+/// docs), within-group accumulation runs in silo order and the global
 /// merge in group order — all independent of scheduling, so results
 /// are bit-identical for every worker count.
 ///
 /// # Errors
 ///
 /// See [`train_federated`].
-pub fn train_federated_grouped(
+pub fn train_federated_with(
     mut global: Mlp,
     shards: &[Dataset],
     test: &Dataset,
     fractions: &[f64],
     config: &FedConfig,
-    group_size: usize,
     pool: &Pool,
 ) -> Result<FedOutcome, FedError> {
-    if fractions.len() != shards.len() {
-        return Err(FedError::FractionCount {
-            shards: shards.len(),
-            fractions: fractions.len(),
-        });
-    }
-    for (i, &d) in fractions.iter().enumerate() {
-        if !d.is_finite() || !(0.0..=1.0).contains(&d) {
-            return Err(FedError::BadFraction { org: i, value: d });
-        }
-    }
-    // Materialize each org's contributed subset once.
-    let contributed: Vec<Dataset> = shards
-        .iter()
-        .zip(fractions)
-        .map(|(shard, &d)| shard.take(((d * shard.len() as f64).floor() as usize).min(shard.len())))
-        .collect();
+    let contributed = contributed_subsets(shards, fractions)?;
     let weights: Vec<f64> = contributed.iter().map(|c| c.len() as f64).collect();
     let total_weight: f64 = weights.iter().sum();
-    // lint:allow(no-float-eq): weights are whole sample counts; exactly zero means nobody contributed
-    if total_weight == 0.0 {
-        return Err(FedError::NothingContributed);
-    }
 
     // Evaluation scratch, merge buffers and the per-worker group slots
     // live across rounds, so the steady-state round loop performs no
     // allocations at all (machine-checked: `run_round`, `train_group`
     // and `local_train` are in the `no-alloc-in-hot-loop` lint scope).
-    let group_size = group_size.max(1);
     let n_silos = contributed.len();
-    let n_groups = n_silos.div_ceil(group_size);
+    let n_groups = n_silos.div_ceil(EDGE_GROUP_SIZE);
     // Pool engagement is thresholded on per-round work (an instance
     // property — see POOLED_FED_MIN_STEPS); small rounds run the same
     // group jobs inline, producing bit-identical results.
@@ -251,7 +221,6 @@ pub fn train_federated_grouped(
         let probe_test = if obs::is_enabled() { Some(test) } else { None };
         run_round(
             round,
-            group_size,
             &global,
             &contributed,
             &weights,
@@ -311,6 +280,40 @@ pub fn train_federated_grouped(
     Ok(FedOutcome { model: global, history })
 }
 
+/// The input check both trainers share: one fraction per shard, each in
+/// `[0, 1]`. Returns each organization's contributed subset, the first
+/// `floor(d_i |S_i|)` samples of its shard.
+///
+/// # Errors
+///
+/// [`FedError::FractionCount`], [`FedError::BadFraction`], or
+/// [`FedError::NothingContributed`] when every subset is empty.
+pub(crate) fn contributed_subsets(
+    shards: &[Dataset],
+    fractions: &[f64],
+) -> Result<Vec<Dataset>, FedError> {
+    if fractions.len() != shards.len() {
+        return Err(FedError::FractionCount {
+            shards: shards.len(),
+            fractions: fractions.len(),
+        });
+    }
+    for (i, &d) in fractions.iter().enumerate() {
+        if !d.is_finite() || !(0.0..=1.0).contains(&d) {
+            return Err(FedError::BadFraction { org: i, value: d });
+        }
+    }
+    let contributed: Vec<Dataset> = shards
+        .iter()
+        .zip(fractions)
+        .map(|(shard, &d)| shard.take(((d * shard.len() as f64).floor() as usize).min(shard.len())))
+        .collect();
+    if contributed.iter().all(Dataset::is_empty) {
+        return Err(FedError::NothingContributed);
+    }
+    Ok(contributed)
+}
+
 /// Reusable per-slot training state: one model buffer, one f64 partial
 /// and one set of SGD scratch buffers, shared by every silo a slot's
 /// group jobs ever train. Allocated once before the round loop.
@@ -321,9 +324,10 @@ struct GroupSlot {
     scratch: SiloScratch,
 }
 
-/// Per-silo SGD scratch, reused across silos, epochs and rounds.
-#[derive(Debug)]
-struct SiloScratch {
+/// Per-silo SGD scratch, reused across silos, epochs and rounds (and,
+/// in async training, across dispatched updates).
+#[derive(Debug, Default)]
+pub(crate) struct SiloScratch {
     order: Vec<usize>,
     batch: MiniBatch,
     ws: Workspace,
@@ -334,11 +338,7 @@ impl GroupSlot {
         Self {
             model: global.clone(),
             partial: vec![0.0f64; global.param_count()],
-            scratch: SiloScratch {
-                order: Vec::new(),
-                batch: MiniBatch::new(),
-                ws: Workspace::new(),
-            },
+            scratch: SiloScratch::default(),
         }
     }
 }
@@ -351,7 +351,6 @@ impl GroupSlot {
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     round: usize,
-    group_size: usize,
     global: &Mlp,
     contributed: &[Dataset],
     weights: &[f64],
@@ -364,14 +363,14 @@ fn run_round(
     aggregate: &mut [f64],
     probe_test: Option<&Dataset>,
 ) {
-    let n_groups = contributed.len().div_ceil(group_size);
+    let n_groups = contributed.len().div_ceil(EDGE_GROUP_SIZE);
     let n_slots = slots.len().max(1);
     aggregate.fill(0.0);
     let mut window_base = 0;
     while window_base < n_groups {
         let window_len = n_slots.min(n_groups - window_base);
         let chunks = silo_stats
-            .chunks_mut(group_size)
+            .chunks_mut(EDGE_GROUP_SIZE)
             .skip(window_base)
             .take(window_len);
         if use_pool && window_len > 1 {
@@ -382,7 +381,7 @@ fn run_round(
                     let group = window_base + w;
                     s.spawn(move || {
                         train_group(
-                            round, group, group_size, global, contributed, weights,
+                            round, group, global, contributed, weights,
                             total_weight, config, slot, stats, probe_test,
                         );
                     });
@@ -394,7 +393,7 @@ fn run_round(
             {
                 let group = window_base + w;
                 train_group(
-                    round, group, group_size, global, contributed, weights,
+                    round, group, global, contributed, weights,
                     total_weight, config, slot, stats, probe_test,
                 );
             }
@@ -418,7 +417,6 @@ fn run_round(
 fn train_group(
     round: usize,
     group: usize,
-    group_size: usize,
     global: &Mlp,
     contributed: &[Dataset],
     weights: &[f64],
@@ -429,8 +427,8 @@ fn train_group(
     probe_test: Option<&Dataset>,
 ) {
     slot.partial.fill(0.0);
-    let start = group * group_size;
-    let end = (start + group_size).min(contributed.len());
+    let start = group * EDGE_GROUP_SIZE;
+    let end = (start + EDGE_GROUP_SIZE).min(contributed.len());
     for org in start..end {
         let stat = &mut stats[org - start];
         *stat = None;
@@ -440,7 +438,15 @@ fn train_group(
         }
         slot.model.copy_params_from(global);
         let mut rng = StdRng::seed_from_u64(silo_seed(config.seed, round, org));
-        local_train(&mut slot.model, data, config, &mut rng, &mut slot.scratch);
+        local_train(
+            &mut slot.model,
+            data,
+            config.local_epochs,
+            config.batch_size,
+            config.lr,
+            &mut rng,
+            &mut slot.scratch,
+        );
         slot.model
             .accumulate_scaled_params(weights[org] / total_weight, &mut slot.partial);
         if let Some(test) = probe_test {
@@ -464,30 +470,29 @@ fn silo_seed(base: u64, round: usize, org: usize) -> u64 {
     z
 }
 
-/// One silo's local SGD on a reusable scratch set: the index buffer,
-/// mini-batch and GEMM workspace all come from the slot, so steady
-/// state performs zero allocations per step (DESIGN.md §10) *and* zero
-/// per silo. Zero allocations (lint-enforced hot loop).
-fn local_train(
+/// One silo's local SGD — the only shuffle → gather → step loop, shared
+/// by synchronous and asynchronous FedAvg. `epochs` passes over `data`
+/// in `batch_size` mini-batches, each pass in a fresh `rng` order. The
+/// index buffer, mini-batch and GEMM workspace all come from
+/// `scratch`, so steady state performs zero allocations per step
+/// (DESIGN.md §10) *and* zero per silo. Zero allocations
+/// (lint-enforced hot loop).
+pub(crate) fn local_train(
     model: &mut Mlp,
     data: &Dataset,
-    config: &FedConfig,
+    epochs: usize,
+    batch_size: usize,
+    lr: f32,
     rng: &mut StdRng,
     scratch: &mut SiloScratch,
 ) {
-    let n = data.len();
     scratch.order.clear();
-    scratch.order.extend(0..n);
-    for _ in 0..config.local_epochs {
+    scratch.order.extend(0..data.len());
+    for _ in 0..epochs {
         scratch.order.shuffle(rng);
-        for chunk in scratch.order.chunks(config.batch_size.max(1)) {
+        for chunk in scratch.order.chunks(batch_size.max(1)) {
             scratch.batch.gather(data, chunk);
-            model.sgd_step_with(
-                &scratch.batch.features,
-                &scratch.batch.labels,
-                config.lr,
-                &mut scratch.ws,
-            );
+            model.sgd_step_with(&scratch.batch.features, &scratch.batch.labels, lr, &mut scratch.ws);
         }
     }
 }

@@ -5,6 +5,13 @@
 //! machinery of §III-C (Fig. 2): measuring how global-model accuracy
 //! grows with contributed data and fitting the `c₀ − c₁/√x` curve.
 //!
+//! Synchronous FedAvg ([`fed`]) and asynchronous FedAvg ([`async_fed`],
+//! the paper's footnote 2) train every silo through one local-SGD loop
+//! and check their inputs in one place, so the two differ only in how
+//! the server applies updates: a barrier per round with a fixed
+//! [`EDGE_GROUP_SIZE`] grouping, or one staleness-discounted mix per
+//! arrival.
+//!
 //! Everything is pure Rust and deterministic by seed. The paper's GPU
 //! models and image corpora are substituted by MLP capacity tiers and
 //! seeded Gaussian-mixture analogs (see DESIGN.md §2 for why this
@@ -45,12 +52,12 @@ pub mod probe;
 pub use async_fed::{train_async, AsyncConfig, AsyncOutcome, OrgTiming};
 pub use data::{dirichlet_shard, generate, label_skew, Dataset, DatasetKind};
 pub use fed::{
-    train_federated, train_federated_grouped, train_federated_with, FedConfig, FedError,
-    FedOutcome, RoundMetrics, EDGE_GROUP_SIZE,
+    train_federated, train_federated_with, FedConfig, FedError, FedOutcome, RoundMetrics,
+    EDGE_GROUP_SIZE,
 };
 pub use data::MiniBatch;
 pub use linalg::Matrix;
 pub use metrics::ConfusionMatrix;
-pub use model::{Mlp, ModelKind, SgdMomentum, Workspace};
+pub use model::{Mlp, ModelKind, Workspace};
 pub use personalize::{personalize, personalize_all, PersonalizeConfig, PersonalizedModel};
 pub use probe::{measure_accuracy_curve, ProbePoint, SqrtFit};

@@ -139,15 +139,6 @@ impl Matrix {
         out
     }
 
-    /// `self * other` into a reused output (see [`kernel::matmul_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix, ws: &mut kernel::Workspace) {
-        kernel::matmul_into(self, other, out, ws);
-    }
-
     /// `self * otherᵀ` without materializing the transpose.
     ///
     /// # Panics
@@ -160,20 +151,6 @@ impl Matrix {
         out
     }
 
-    /// `self * otherᵀ` into a reused output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_transposed_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        ws: &mut kernel::Workspace,
-    ) {
-        kernel::matmul_transposed_into(self, other, out, ws);
-    }
-
     /// `selfᵀ * other`.
     ///
     /// # Panics
@@ -184,20 +161,6 @@ impl Matrix {
         let mut ws = kernel::Workspace::new();
         kernel::transposed_matmul_into(self, other, &mut out, &mut ws);
         out
-    }
-
-    /// `selfᵀ * other` into a reused output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn transposed_matmul_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        ws: &mut kernel::Workspace,
-    ) {
-        kernel::transposed_matmul_into(self, other, out, ws);
     }
 
     /// In-place `self += alpha * other`.

@@ -434,54 +434,6 @@ impl Mlp {
     }
 }
 
-/// SGD-with-momentum optimizer state for one [`Mlp`].
-///
-/// Classical momentum: `v ← μ v + g`, `θ ← θ − lr v`. With `μ = 0`
-/// this is exactly [`Mlp::sgd_step`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SgdMomentum {
-    mu: f32,
-    velocity: Vec<f32>,
-}
-
-impl SgdMomentum {
-    /// Creates an optimizer for a model with momentum coefficient
-    /// `mu ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mu` is outside `[0, 1)`.
-    pub fn new(model: &Mlp, mu: f32) -> Self {
-        assert!((0.0..1.0).contains(&mu), "momentum must lie in [0, 1)");
-        Self { mu, velocity: vec![0.0; model.param_count()] }
-    }
-
-    /// One momentum step on a mini-batch; returns the batch loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model`'s parameter count differs from the one the
-    /// optimizer was created for.
-    pub fn step(&mut self, model: &mut Mlp, batch: &Dataset, lr: f32) -> f32 {
-        assert_eq!(self.velocity.len(), model.param_count(), "optimizer/model mismatch");
-        // Gradient via a probe step: run plain SGD with lr=1 on a clone
-        // would be wasteful; instead reuse sgd_step with the actual lr
-        // on a clone and recover g = (θ_before − θ_after)/lr.
-        let before = model.to_params();
-        let mut probe = model.clone();
-        let loss = probe.sgd_step(batch, lr);
-        let after = probe.to_params();
-        let mut params = before.clone();
-        for i in 0..params.len() {
-            let g = (before[i] - after[i]) / lr;
-            self.velocity[i] = self.mu * self.velocity[i] + g;
-            params[i] -= lr * self.velocity[i];
-        }
-        model.set_params(&params);
-        loss
-    }
-}
-
 fn relu_inplace(m: &mut Matrix) {
     for v in m.as_mut_slice() {
         if *v < 0.0 {
@@ -581,47 +533,6 @@ mod tests {
                 "layer {layer}: finite-diff {fd} vs analytic {g}"
             );
         }
-    }
-
-    #[test]
-    fn momentum_zero_equals_plain_sgd() {
-        let d = generate(DatasetKind::EurosatLike, 64, 7);
-        let mut plain = Mlp::new(d.dim(), 8, d.classes, 3);
-        let mut with_opt = plain.clone();
-        let mut opt = SgdMomentum::new(&with_opt, 0.0);
-        for _ in 0..5 {
-            plain.sgd_step(&d, 0.05);
-            opt.step(&mut with_opt, &d, 0.05);
-        }
-        let (a, b) = (plain.to_params(), with_opt.to_params());
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn momentum_accelerates_early_training() {
-        let d = generate(DatasetKind::EurosatLike, 400, 8);
-        let mut plain = Mlp::new(d.dim(), 16, d.classes, 3);
-        let mut fast = plain.clone();
-        let mut opt = SgdMomentum::new(&fast, 0.9);
-        for _ in 0..25 {
-            plain.sgd_step(&d, 0.02);
-            opt.step(&mut fast, &d, 0.02);
-        }
-        let (loss_plain, _) = plain.evaluate(&d);
-        let (loss_fast, _) = fast.evaluate(&d);
-        assert!(
-            loss_fast < loss_plain,
-            "momentum should accelerate: {loss_fast} vs {loss_plain}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must lie")]
-    fn momentum_bounds() {
-        let m = Mlp::new(4, 4, 2, 1);
-        let _ = SgdMomentum::new(&m, 1.0);
     }
 
     #[test]

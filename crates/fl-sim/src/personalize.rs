@@ -11,7 +11,6 @@
 //! `p_i` ultimately monetizes.
 
 use crate::data::{Dataset, MiniBatch};
-use crate::fed::FedConfig;
 use crate::model::{Mlp, Workspace};
 use tradefl_runtime::rng::{SeedableRng, SliceRandom, StdRng};
 
@@ -34,14 +33,6 @@ pub struct PersonalizeConfig {
 impl Default for PersonalizeConfig {
     fn default() -> Self {
         Self { epochs: 3, lr: 0.03, batch_size: 32, mu_prox: 0.1, seed: 0 }
-    }
-}
-
-impl PersonalizeConfig {
-    /// Derives a personalization config matching a training config's
-    /// batch size and seed.
-    pub fn from_fed(fed: &FedConfig) -> Self {
-        Self { batch_size: fed.batch_size, seed: fed.seed ^ 0x9e45, ..Self::default() }
     }
 }
 
@@ -138,7 +129,7 @@ pub fn personalize_all(
 mod tests {
     use super::*;
     use crate::data::{generate, DatasetKind};
-    use crate::fed::train_federated;
+    use crate::fed::{train_federated, FedConfig};
     use crate::linalg::Matrix;
     use crate::model::ModelKind;
 

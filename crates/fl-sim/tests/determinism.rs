@@ -2,25 +2,19 @@
 //!
 //! The thousand-silo scaling work (DESIGN.md §12) hinges on one
 //! contract: the hierarchical two-level reduce of
-//! `train_federated_grouped` is a pure function of the inputs, never
+//! `train_federated_with` is a pure function of the inputs, never
 //! of the schedule. These tests pin that contract at the scale the
 //! pool actually engages (`round_steps >= 2048`) — N=1000 silos — by
 //! bit-comparing final parameters across 1/4/8-worker pools.
 
 use tradefl_fl_sim::data::{generate, DatasetKind};
-use tradefl_fl_sim::fed::{train_federated_grouped, FedConfig, EDGE_GROUP_SIZE};
+use tradefl_fl_sim::fed::{train_federated_with, FedConfig};
 use tradefl_fl_sim::model::{Mlp, ModelKind};
 use tradefl_runtime::sync::pool::Pool;
 
 /// Bits of the final global model after training `silos` shards of
 /// `per_silo` samples each for `rounds` rounds on a `workers`-pool.
-fn final_param_bits(
-    silos: usize,
-    per_silo: usize,
-    rounds: usize,
-    group_size: usize,
-    workers: usize,
-) -> Vec<u32> {
+fn final_param_bits(silos: usize, per_silo: usize, rounds: usize, workers: usize) -> Vec<u32> {
     let test_len = 64;
     let corpus = generate(DatasetKind::EurosatLike, silos * per_silo + test_len, 23);
     let mut sizes = vec![per_silo; silos];
@@ -31,9 +25,7 @@ fn final_param_bits(
     let fractions = vec![1.0; silos];
     let config = FedConfig { rounds, local_epochs: 1, batch_size: 16, lr: 0.1, seed: 9 };
     let pool = Pool::new(workers);
-    let out =
-        train_federated_grouped(global, &shards, &test, &fractions, &config, group_size, &pool)
-            .unwrap();
+    let out = train_federated_with(global, &shards, &test, &fractions, &config, &pool).unwrap();
     out.model.to_params().iter().map(|p| p.to_bits()).collect()
 }
 
@@ -43,9 +35,9 @@ fn thousand_silo_round_is_bit_identical_across_worker_counts() {
     // engagement threshold, and 1000 / 32 leaves a ragged tail group,
     // so the pooled window dispatch, the streaming group partials and
     // the fixed-order server merge are all exercised for real.
-    let serial = final_param_bits(1000, 3, 1, EDGE_GROUP_SIZE, 1);
+    let serial = final_param_bits(1000, 3, 1, 1);
     for workers in [4, 8] {
-        let pooled = final_param_bits(1000, 3, 1, EDGE_GROUP_SIZE, workers);
+        let pooled = final_param_bits(1000, 3, 1, workers);
         assert_eq!(
             serial, pooled,
             "streaming aggregation diverged between 1 and {workers} workers"
@@ -55,17 +47,10 @@ fn thousand_silo_round_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn every_group_size_is_bit_identical_across_worker_counts() {
-    // Different group sizes associate the weighted sum differently, so
-    // their bits legitimately differ from each other — but each
-    // grouping must be internally deterministic: the same group_size
-    // yields the same bits for every worker count, including the
-    // degenerate one-silo-per-group and ragged 64/7 partitions.
-    for group_size in [1, 7, EDGE_GROUP_SIZE] {
-        let serial = final_param_bits(64, 40, 2, group_size, 1);
-        let pooled = final_param_bits(64, 40, 2, group_size, 4);
-        assert_eq!(
-            serial, pooled,
-            "group_size {group_size} diverged between 1 and 4 workers"
-        );
-    }
+    // The fixed edge grouping must be internally deterministic: 64
+    // silos form two full groups, and the same bits come out for every
+    // worker count.
+    let serial = final_param_bits(64, 40, 2, 1);
+    let pooled = final_param_bits(64, 40, 2, 4);
+    assert_eq!(serial, pooled, "the edge grouping diverged between 1 and 4 workers");
 }

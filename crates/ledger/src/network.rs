@@ -507,6 +507,34 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_timestamp_is_refused_and_leaves_the_replica_unchanged() {
+        // Nothing a block executes reads the clock, so a frame whose
+        // only change is the header timestamp re-executes cleanly under
+        // a different hash; the replica must refuse it rather than fork.
+        let mut net = boot(2);
+        let honest = net.propose(0, vec![transfer("alice", "bob", 0, 100)]).unwrap();
+        let mut block = decode_block_bytes(&honest).unwrap();
+        block.header.timestamp += 1;
+        let corrupted = encode_block_bytes(&block);
+        let (tip, root) = {
+            let node = &net.validator(1).node;
+            (node.chain().tip_hash(), node.state().root())
+        };
+        assert_eq!(
+            net.deliver_frame(1, &corrupted),
+            Err(FrameError::Apply(BlockApplyError::BadTimestamp {
+                got: block.header.timestamp,
+                expected: block.header.timestamp - 1,
+            }))
+        );
+        assert_eq!(net.validator(1).node.chain().tip_hash(), tip);
+        assert_eq!(net.validator(1).node.state().root(), root);
+        // The refusal left a replica the honest frame still applies to.
+        net.deliver_frame(1, &honest).unwrap();
+        assert!(net.converged());
+    }
+
+    #[test]
     fn tampered_receipts_are_rejected() {
         let mut net = boot(3);
         let verdicts = broadcast(
@@ -570,9 +598,8 @@ mod tests {
         // position in the frame: whichever field it lands on (tx count,
         // vec length, string length), the decoder must refuse the claim
         // rather than try to allocate or read past the end. Positions
-        // that only hit free-choice bytes (hashes, the proposer-picked
-        // timestamp) may still decode — then the block goes through
-        // normal validation. Either way: a Result, never a panic, and
+        // that only hit fixed-width bytes (hashes) may still decode —
+        // then the block goes through normal validation. Either way: a Result, never a panic, and
         // a rejected frame never moves the victim's chain.
         let mut decode_errors = 0usize;
         for pos in (0..frame.len().saturating_sub(8)).step_by(8) {

@@ -55,6 +55,14 @@ pub enum BlockApplyError {
     },
     /// Parent hash does not match this replica's tip.
     WrongParent,
+    /// The header timestamp is not the tick after this replica's
+    /// clock (every honest block carries its sealer's clock + 1).
+    BadTimestamp {
+        /// Timestamp carried by the block.
+        got: u64,
+        /// Timestamp this replica expects next.
+        expected: u64,
+    },
     /// The transaction root does not match the block's transactions.
     BadTxRoot,
     /// Local re-execution produced different receipts than claimed.
@@ -73,6 +81,9 @@ impl fmt::Display for BlockApplyError {
                 write!(f, "block height {got}, replica expects {expected}")
             }
             BlockApplyError::WrongParent => write!(f, "parent hash does not match tip"),
+            BlockApplyError::BadTimestamp { got, expected } => {
+                write!(f, "block timestamp {got}, replica expects {expected}")
+            }
             BlockApplyError::BadTxRoot => write!(f, "transaction root mismatch"),
             BlockApplyError::ReceiptMismatch => {
                 write!(f, "re-execution produced different receipts")
@@ -306,12 +317,19 @@ impl Node {
         if block.header.parent != self.chain.tip_hash() {
             return Err(BlockApplyError::WrongParent);
         }
+        let expected_timestamp = self.clock + 1;
+        if block.header.timestamp != expected_timestamp {
+            return Err(BlockApplyError::BadTimestamp {
+                got: block.header.timestamp,
+                expected: expected_timestamp,
+            });
+        }
         let leaves = tx_leaves(&block.txs);
         if block.header.tx_root != MerkleTree::build(&leaves).root() {
             return Err(BlockApplyError::BadTxRoot);
         }
         let snapshot = self.snapshot(&block.txs);
-        self.clock = block.header.timestamp;
+        self.clock = expected_timestamp;
         let receipts = self.execute_all(&block.txs, &leaves);
         let verdict = if receipts != block.receipts {
             Err(BlockApplyError::ReceiptMismatch)
@@ -382,10 +400,10 @@ impl Node {
                 return_data: vec![],
             };
         }
-        // Nonce burns even on revert (Ethereum semantics).
+        // Nonce burns even on revert (Ethereum semantics): the revert
+        // snapshot is taken after the bump.
         self.state.bump_nonce(tx.from);
-
-        let state_snapshot = self.state.clone();
+        let snapshot = self.snapshot(std::slice::from_ref(tx));
         let result = match &tx.payload {
             TxPayload::Transfer { to } => {
                 const TRANSFER_GAS: u64 = 21_000;
@@ -404,7 +422,6 @@ impl Node {
                 match self.contracts.get_mut(contract) {
                     None => Err((ContractError::revert("no such contract"), 0)),
                     Some(c) => {
-                        let contract_snapshot = c.snapshot();
                         // Attached value moves in before the call.
                         let funding = self.state.transfer(tx.from, *contract, tx.value);
                         match funding {
@@ -424,11 +441,7 @@ impl Node {
                                 );
                                 match c.call(&mut ctx, function, args) {
                                     Ok(ret) => Ok((ret, logs, gas.used())),
-                                    Err(e) => {
-                                        let used = gas.used();
-                                        *c = contract_snapshot;
-                                        Err((e, used))
-                                    }
+                                    Err(e) => Err((e, gas.used())),
                                 }
                             }
                         }
@@ -445,12 +458,7 @@ impl Node {
                 return_data,
             },
             Err((e, gas_used)) => {
-                // Roll back everything except the nonce bump.
-                let nonce_holder = self.state.nonce_of(tx.from);
-                self.state = state_snapshot;
-                while self.state.nonce_of(tx.from) < nonce_holder {
-                    self.state.bump_nonce(tx.from);
-                }
+                self.restore(snapshot);
                 Receipt {
                     tx_hash,
                     status: ExecStatus::Reverted(e.to_string()),
@@ -578,6 +586,7 @@ mod tests {
         node.submit(failing).unwrap();
         node.mine();
         assert_eq!(node.state().balance_of(alice), Wei(1_000_000));
+        assert_eq!(node.state().nonce_of(alice), 2, "the reverted call burned one nonce");
         let got = node.call_view(counter, alice, "get", &[]).unwrap();
         assert_eq!(got, vec![Value::U64(1)], "count survives only the successful call");
     }

@@ -275,8 +275,8 @@ const MODEL_HOT_FNS: &[&str] = &["forward_with", "sgd_step_with", "evaluate_with
 
 /// The fns in fed.rs whose bodies the rule covers — the streaming
 /// aggregation round loop: group dispatch + merge, per-group silo
-/// training, and per-silo SGD. Setup (subset materialization, slot
-/// construction) allocates freely.
+/// training, and per-silo SGD (shared with async training). Setup
+/// (subset materialization, slot construction) allocates freely.
 const FED_HOT_FNS: &[&str] = &["run_round", "train_group", "local_train"];
 
 /// The fns in core/market.rs the rule covers — the O(nnz) ρ row

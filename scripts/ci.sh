@@ -30,6 +30,29 @@ fi
 target/release/tradefl-lint --check-json "$lint_json"
 rm -f "$lint_json"
 
+echo "==> rustc warnings: none in any workspace target"
+# Dead private code a refactor leaves behind (an unused helper, a field
+# nothing reads) fails here instead of accumulating. The one tolerated
+# warning is the `-prefer-256-bit` target-feature note that
+# .cargo/config.toml documents; cargo's per-crate "generated N
+# warnings" summaries only count the lines this gate already reads.
+# The test and example steps below reuse this dev-profile build, and
+# cargo replays cached warnings for units it does not recompile.
+build_log="$(mktemp -t tradefl-build.XXXXXX.log)"
+if ! cargo build --workspace --all-targets --message-format short 2> "$build_log"; then
+  cat "$build_log" >&2
+  exit 1
+fi
+warnings="$(grep -E 'warning:' "$build_log" \
+  | grep -vE '`-Ctarget-feature`: `prefer-256-bit`|^warning: `[^`]+` \(.+\) generated [0-9]+ warnings?' \
+  || true)"
+rm -f "$build_log"
+if [ -n "$warnings" ]; then
+  echo "ci.sh: rustc warnings in the workspace:" >&2
+  echo "$warnings" >&2
+  exit 1
+fi
+
 echo "==> tier-1: cargo test -q"
 cargo test -q
 

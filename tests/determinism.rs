@@ -182,18 +182,8 @@ fn sparse_and_dense_incremental_aggregates_are_bit_identical() {
     assert_eq!(ed.rho_res(3).to_bits(), es.rho_res(3).to_bits());
 }
 
-/// FNV-1a over the CSR arrays of a sparse ρ: `row_ptr`, `cols`, then
-/// the bit patterns of `vals`, each word little-endian.
-fn csr_fingerprint(rho: &tradefl_core::market::RhoMatrix) -> u64 {
-    use tradefl_core::market::RhoMatrix;
-    let RhoMatrix::Sparse { row_ptr, cols, vals, .. } = rho else {
-        panic!("build_sparse builds a sparse rho");
-    };
-    let words = row_ptr
-        .iter()
-        .chain(cols)
-        .map(|&x| x as u64)
-        .chain(vals.iter().map(|v| v.to_bits()));
+/// FNV-1a over a stream of words, each little-endian.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
         for b in w.to_le_bytes() {
@@ -203,6 +193,22 @@ fn csr_fingerprint(rho: &tradefl_core::market::RhoMatrix) -> u64 {
     h
 }
 
+/// FNV-1a over the CSR arrays of a sparse ρ: `row_ptr`, `cols`, then
+/// the bit patterns of `vals`.
+fn csr_fingerprint(rho: &tradefl_core::market::RhoMatrix) -> u64 {
+    use tradefl_core::market::RhoMatrix;
+    let RhoMatrix::Sparse { row_ptr, cols, vals, .. } = rho else {
+        panic!("build_sparse builds a sparse rho");
+    };
+    fnv1a(
+        row_ptr
+            .iter()
+            .chain(cols)
+            .map(|&x| x as u64)
+            .chain(vals.iter().map(|v| v.to_bits())),
+    )
+}
+
 #[test]
 fn build_sparse_matches_its_golden_fingerprint() {
     // Pins the ρ-sampling RNG stream and the stored entry order of
@@ -210,6 +216,57 @@ fn build_sparse_matches_its_golden_fingerprint() {
     // moved to linear passes, so any drift in either shows here.
     let market = MarketConfig::table_ii().with_orgs(2000).build_sparse(3, 0.01).unwrap();
     assert_eq!(csr_fingerprint(market.rho_matrix()), 0x309b_0e68_bee4_dfb6);
+}
+
+/// FNV-1a over a trained model's parameter bits, then each history
+/// row's round, loss bits and accuracy bits.
+fn training_fingerprint(model: &tradefl::fl::Mlp, history: &[tradefl::fl::RoundMetrics]) -> u64 {
+    let params = model.to_params().into_iter().map(|p| u64::from(p.to_bits()));
+    let rows = history.iter().flat_map(|m| {
+        [m.round as u64, u64::from(m.loss.to_bits()), u64::from(m.accuracy.to_bits())]
+    });
+    fnv1a(params.chain(rows))
+}
+
+#[test]
+fn sync_and_async_training_match_their_golden_fingerprints() {
+    // Pins the local-SGD loop (shuffle, gather, step), the contributed
+    // subset cut, the edge-group reduce and the async event loop; the
+    // constants were recorded before sync and async FedAvg shared one
+    // local-training path, so any drift in either trainer shows here.
+    use tradefl::fl::async_fed::{train_async, AsyncConfig, OrgTiming};
+    use tradefl::fl::data::{generate, DatasetKind};
+    use tradefl::fl::fed::train_federated_with;
+    use tradefl::fl::model::{Mlp, ModelKind};
+
+    // 40 silos span two edge groups, and their 4000 steps per round
+    // clear the pool threshold, so the two workers really fan out.
+    let silos = 40;
+    let corpus = generate(DatasetKind::EurosatLike, silos * 100 + 200, 31);
+    let mut sizes = vec![100; silos];
+    sizes.push(200);
+    let mut shards = corpus.shard(&sizes);
+    let test = shards.pop().unwrap();
+    let fractions: Vec<f64> = (0..silos).map(|i| (i % 5) as f64 / 4.0).collect();
+    let global = Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 7);
+    let config = FedConfig { rounds: 2, local_epochs: 2, batch_size: 16, lr: 0.1, seed: 3 };
+    let sync = train_federated_with(global.clone(), &shards, &test, &fractions, &config, &Pool::new(2))
+        .unwrap();
+    assert_eq!(training_fingerprint(&sync.model, &sync.history), 0x8a97_b0c3_1296_14b3);
+
+    let timings: Vec<OrgTiming> =
+        (0..3).map(|i| OrgTiming { comm: 2.0, compute: 5.0 + 7.0 * i as f64 }).collect();
+    let config = AsyncConfig {
+        updates: 12,
+        local_epochs: 2,
+        batch_size: 16,
+        seed: 4,
+        eval_every: 4,
+        ..AsyncConfig::default()
+    };
+    let out = train_async(global, &shards[..3], &test, &[1.0, 0.5, 0.75], &timings, &config)
+        .unwrap();
+    assert_eq!(training_fingerprint(&out.model, &out.history), 0xe4e5_d630_afbe_6935);
 }
 
 // --- shared-ρ γ rebuilds --------------------------------------------
