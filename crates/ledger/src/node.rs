@@ -5,7 +5,7 @@
 use crate::chain::{tx_leaves, Block, BlockHeader, Blockchain};
 use crate::contract::{CallContext, Contract, ContractError, GasMeter};
 use crate::merkle::MerkleTree;
-use crate::state::WorldState;
+use crate::state::{JournalMark, WorldState};
 use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Hash256, Wei};
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,7 +102,7 @@ impl std::error::Error for BlockApplyError {}
 
 /// What [`Node::snapshot`] captured for a later [`Node::restore`].
 struct Snapshot {
-    state: WorldState,
+    mark: JournalMark,
     contracts: Vec<(Address, Box<dyn Contract>)>,
     clock: u64,
 }
@@ -224,6 +224,7 @@ impl Node {
         // push check holds by construction.
         // lint:allow(no-panic-in-lib): invariant: self-mined header derives from own tip
         self.chain.push_hashed(block, leaves).expect("node-produced blocks always extend the tip");
+        self.state.commit();
         hash
     }
 
@@ -261,10 +262,10 @@ impl Node {
         (Block { header, txs, receipts }, leaves)
     }
 
-    /// Captures everything executing `txs` can change: the world state,
-    /// the clock, and the contracts `txs` call. A call reaches only its
-    /// own contract and the world state, so no other contract needs a
-    /// copy.
+    /// Captures everything executing `txs` can change: the world state
+    /// (as a journal mark, so snapshots nest), the clock, and the
+    /// contracts `txs` call. A call reaches only its own contract and
+    /// the world state, so no other contract needs a copy.
     fn snapshot(&self, txs: &[Transaction]) -> Snapshot {
         let called: BTreeSet<Address> = txs
             .iter()
@@ -274,7 +275,7 @@ impl Node {
             })
             .collect();
         Snapshot {
-            state: self.state.clone(),
+            mark: self.state.mark(),
             contracts: called
                 .into_iter()
                 .filter_map(|a| self.contracts.get(&a).map(|c| (a, c.snapshot())))
@@ -285,7 +286,7 @@ impl Node {
 
     /// Puts back what [`Node::snapshot`] captured.
     fn restore(&mut self, snapshot: Snapshot) {
-        self.state = snapshot.state;
+        self.state.revert_to(snapshot.mark);
         self.contracts.extend(snapshot.contracts);
         self.clock = snapshot.clock;
     }
@@ -346,8 +347,9 @@ impl Node {
                 .push_hashed(block.clone(), leaves)
                 .map_err(|_| BlockApplyError::BadReceiptsRoot)
         };
-        if verdict.is_err() {
-            self.restore(snapshot);
+        match verdict {
+            Ok(()) => self.state.commit(),
+            Err(_) => self.restore(snapshot),
         }
         verdict
     }

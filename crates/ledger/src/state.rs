@@ -3,6 +3,7 @@
 use crate::sha256::Sha256;
 use crate::types::{Address, Hash256, Wei};
 use tradefl_runtime::codec::BytesMut;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -44,10 +45,31 @@ impl std::error::Error for StateError {}
 
 /// The full account state. A `BTreeMap` keeps iteration (and therefore
 /// the state root) deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Every write goes through an undo journal, so the node can mark a
+/// point, revert to it later, and commit once nothing can be undone
+/// any more. Marks nest: the journal is a stack, and reverting to an outer
+/// mark undoes everything the inner ones recorded. Reverting costs what
+/// was written since the mark, not the size of the state.
+#[derive(Debug, Clone, Default)]
 pub struct WorldState {
     accounts: BTreeMap<Address, Account>,
+    /// Each account's value before a write, `None` if the write
+    /// created it; oldest first.
+    journal: Vec<(Address, Option<Account>)>,
 }
+
+/// Two states are equal when they hold the same accounts; what their
+/// journals could still undo does not matter.
+impl PartialEq for WorldState {
+    fn eq(&self, other: &Self) -> bool {
+        self.accounts == other.accounts
+    }
+}
+
+/// A point in the [`WorldState`] journal to revert to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JournalMark(usize);
 
 impl WorldState {
     /// Empty state.
@@ -74,9 +96,46 @@ impl WorldState {
         self.accounts.get(&addr).map_or(0, |a| a.nonce)
     }
 
+    /// The account at `addr` for writing, created if needed, with its
+    /// prior value recorded in the journal.
+    fn touch(&mut self, addr: Address) -> &mut Account {
+        match self.accounts.entry(addr) {
+            Entry::Occupied(slot) => {
+                self.journal.push((addr, Some(*slot.get())));
+                slot.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                self.journal.push((addr, None));
+                slot.insert(Account::default())
+            }
+        }
+    }
+
+    /// The current end of the journal.
+    pub(crate) fn mark(&self) -> JournalMark {
+        JournalMark(self.journal.len())
+    }
+
+    /// Undoes every write since `mark`, newest first. Marks taken after
+    /// `mark` are void afterwards.
+    pub(crate) fn revert_to(&mut self, mark: JournalMark) {
+        for (addr, prior) in self.journal.drain(mark.0..).rev() {
+            match prior {
+                Some(acct) => self.accounts.insert(addr, acct),
+                None => self.accounts.remove(&addr),
+            };
+        }
+    }
+
+    /// Forgets the journal: the writes so far can no longer be undone,
+    /// and every mark is void.
+    pub(crate) fn commit(&mut self) {
+        self.journal.clear();
+    }
+
     /// Credits `amount` to `addr`, creating the account if needed.
     pub fn credit(&mut self, addr: Address, amount: Wei) {
-        let acct = self.accounts.entry(addr).or_default();
+        let acct = self.touch(addr);
         // lint:allow(no-panic-in-lib): total supply is conserved by debit-before-credit, so overflow is a broken-ledger invariant; abort beats silent wrap
         acct.balance = acct.balance.checked_add(amount).expect("balance overflow on credit");
     }
@@ -88,18 +147,14 @@ impl WorldState {
     /// [`StateError::InsufficientBalance`] if the account cannot cover
     /// the amount; the state is unchanged in that case.
     pub fn debit(&mut self, addr: Address, amount: Wei) -> Result<(), StateError> {
-        let acct = self.accounts.entry(addr).or_default();
-        match acct.balance.checked_sub(amount) {
-            Some(rest) => {
-                acct.balance = rest;
-                Ok(())
-            }
-            None => Err(StateError::InsufficientBalance {
-                account: addr,
-                available: acct.balance,
-                requested: amount,
-            }),
-        }
+        let available = self.balance_of(addr);
+        let rest = available.checked_sub(amount).ok_or(StateError::InsufficientBalance {
+            account: addr,
+            available,
+            requested: amount,
+        })?;
+        self.touch(addr).balance = rest;
+        Ok(())
     }
 
     /// Moves `amount` from `from` to `to`.
@@ -118,7 +173,7 @@ impl WorldState {
     /// and saturation keeps the replay guard sound — the nonce check
     /// rejects reuse rather than wrapping back to accept old txs.
     pub fn bump_nonce(&mut self, addr: Address) {
-        let acct = self.accounts.entry(addr).or_default();
+        let acct = self.touch(addr);
         acct.nonce = acct.nonce.saturating_add(1);
     }
 
@@ -155,6 +210,8 @@ impl WorldState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tradefl_runtime::check::CaseResult;
+    use tradefl_runtime::{prop_assert_eq, props};
 
     fn addr(n: &str) -> Address {
         Address::from_name(n)
@@ -178,6 +235,70 @@ mod tests {
         let err = s.debit(addr("a"), Wei(11)).unwrap_err();
         assert!(matches!(err, StateError::InsufficientBalance { .. }));
         assert_eq!(s, before);
+    }
+
+    #[test]
+    fn failed_debit_of_an_absent_account_does_not_create_it() {
+        let mut s = WorldState::with_allocations(&[(addr("a"), Wei(10))]);
+        let (len, root) = (s.len(), s.root());
+        let err = s.debit(addr("ghost"), Wei(1)).unwrap_err();
+        assert!(matches!(err, StateError::InsufficientBalance { available: Wei::ZERO, .. }));
+        assert_eq!(s.len(), len);
+        assert_eq!(s.root(), root);
+    }
+
+    /// Everything a revert must restore: the accounts (what `==`
+    /// compares), their count, the root and the supply.
+    fn same_as(s: &WorldState, want: &WorldState) -> CaseResult {
+        prop_assert_eq!(s, want);
+        prop_assert_eq!(s.len(), want.len());
+        prop_assert_eq!(s.root(), want.root());
+        prop_assert_eq!(s.total_supply(), want.total_supply());
+        Ok(())
+    }
+
+    props! {
+        /// Journal reverts give what the clone-and-restore they replace
+        /// gave. Each block marks, then interleaves writes with nested
+        /// marks (a tx's inside its block's, deeper ones inside that)
+        /// and reverts to any of them; it ends rejected (reverted to
+        /// its mark) or committed. Every revert is checked against a
+        /// clone taken when its mark was made.
+        fn journal_reverts_match_clone_and_restore(g) {
+            let pool: Vec<Address> = (0..5).map(|i| addr(&format!("acct-{i}"))).collect();
+            let mut s = WorldState::with_allocations(&[(pool[0], Wei(1_000)), (pool[1], Wei(50))]);
+            for _ in 0..g.usize(1..6) {
+                let mut marks = vec![(s.mark(), s.clone())];
+                for _ in 0..g.usize(0..40) {
+                    let a = pool[g.usize(0..pool.len())];
+                    let b = pool[g.usize(0..pool.len())];
+                    let amount = Wei(u128::from(g.u64(0..300)));
+                    match g.usize(0..6) {
+                        0 => s.credit(a, amount),
+                        1 => drop(s.debit(a, amount)),
+                        2 => drop(s.transfer(a, b, amount)),
+                        3 => s.bump_nonce(a),
+                        4 => marks.push((s.mark(), s.clone())),
+                        _ if marks.len() > 1 => {
+                            // Marks made after the chosen one die with it.
+                            marks.truncate(g.usize(1..marks.len()) + 1);
+                            let (mark, want) = marks.pop().expect("truncated to at least 2");
+                            s.revert_to(mark);
+                            same_as(&s, &want)?;
+                        }
+                        _ => {}
+                    }
+                }
+                let (mark, want) = marks.swap_remove(0);
+                if g.bool(0.5) {
+                    s.revert_to(mark);
+                    same_as(&s, &want)?;
+                } else {
+                    s.commit();
+                    prop_assert_eq!(s.mark(), JournalMark(0));
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::contract::{CallContext, Contract, ContractError};
 use crate::tx::Value;
 use crate::types::{Address, Fixed, Wei};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Gas schedule (flat per function, linear parts charged separately).
 mod gas {
@@ -134,7 +135,9 @@ pub struct Contribution {
 /// The TradeFL settlement contract.
 #[derive(Debug, Clone)]
 pub struct TradeFlContract {
-    params: SessionParams,
+    /// Shared, not copied, by [`Contract::snapshot`]: the parameters
+    /// never change after deployment, and ρ is `n²` entries.
+    params: Arc<SessionParams>,
     phase: Phase,
     registered: BTreeMap<Address, bool>,
     deposits: BTreeMap<Address, Wei>,
@@ -151,7 +154,7 @@ impl TradeFlContract {
     pub fn new(params: SessionParams) -> Result<Self, ContractError> {
         params.validate()?;
         Ok(Self {
-            params,
+            params: Arc::new(params),
             phase: Phase::Registration,
             registered: BTreeMap::new(),
             deposits: BTreeMap::new(),

@@ -60,20 +60,20 @@ props! {
         session.web3().verify_chain().unwrap();
     }
 
-    /// SHA-256 streaming invariance: any chunking of the input produces
-    /// the identical digest.
+    /// SHA-256 streaming invariance: feeding `update` the input cut at
+    /// any number of random points produces the one-shot digest.
     fn sha256_chunking_invariance(g) {
         let data = g.vec(0..300usize, |g| g.any_u8());
-        let cut_a = g.usize(0..300);
-        let cut_b = g.usize(0..300);
-        let whole = sha256::digest(&data);
-        let (a, b) = (cut_a.min(data.len()), cut_b.min(data.len()));
-        let (lo, hi) = (a.min(b), a.max(b));
+        let mut cuts = g.vec(0..8usize, |g| g.usize(0..300).min(data.len()));
+        cuts.push(data.len());
+        cuts.sort_unstable();
         let mut h = sha256::Sha256::new();
-        h.update(&data[..lo]);
-        h.update(&data[lo..hi]);
-        h.update(&data[hi..]);
-        prop_assert_eq!(h.finalize(), whole);
+        let mut from = 0;
+        for cut in cuts {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(h.finalize(), sha256::digest(&data));
     }
 
     /// Fixed-point round trips stay within quantization error.

@@ -41,6 +41,8 @@
 //! non-zero on findings; see DESIGN.md §7 for the rule catalogue and
 //! how to add a rule.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod diff;
 pub mod engine;

@@ -20,6 +20,8 @@
 //! Exit codes: `0` clean, `1` findings reported, `2` usage or I/O
 //! error — so `scripts/ci.sh` can gate on it directly.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tradefl_lint::rules::RULES;
