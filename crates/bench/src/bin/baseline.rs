@@ -10,9 +10,8 @@
 //!   checked for agreement before anything is timed.
 //! * **solver** — CGBD master traversal (reference odometer vs table
 //!   scan), one DBR solve and one best response; DBR at N = 10 / 100 /
-//!   1000 / 10 000 orgs (Theorem 2) with sparse-vs-dense bit agreement;
-//!   CGBD with the traversal master at N = 2..5 (Lemma 4); the DESIGN.md
-//!   §8 ablations.
+//!   1000 / 10 000 orgs (Theorem 2); CGBD with the traversal master at
+//!   N = 2..5 (Lemma 4); the DESIGN.md §8 ablations.
 //! * **fl** — FedAvg rounds at paper scale and at N = 10 / 100 / 1000
 //!   silos, with the streaming reduce's buffer footprint.
 //! * **engine** — the persistent market engine run to settlement on a
@@ -23,8 +22,9 @@
 //! field at two. The file records the host's `nproc` and the compiled
 //! target features, so every speedup is read against its hardware.
 //!
-//! `--check` validates a file: schema and host metadata, positive
-//! finite `_ms` medians, derived ratios consistent with their operands,
+//! `--check` validates a file: schema and host metadata, row names the
+//! registry lists (so a retired row cannot linger), positive finite
+//! `_ms` medians, derived ratios consistent with their operands,
 //! and, in a full-mode file, every cross-row `BOUNDS` entry (a
 //! missing row fails). A `--fast` file has no N ≥ 1000 rows, so it is
 //! held to the shape checks and the gate only.
@@ -51,7 +51,6 @@ use tradefl_bench::SEED;
 use tradefl_core::accuracy::SqrtAccuracy;
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
-use tradefl_core::market::{Market, RhoMatrix};
 use tradefl_core::strategy::StrategyProfile;
 use tradefl_engine::{Engine, EngineConfig, SessionSpec};
 use tradefl_fl_sim::data::{generate, DatasetKind};
@@ -78,7 +77,7 @@ const USAGE: &str = "usage: baseline [--fast] [--out FILE] [--trace FILE]\n\
 /// The fixed pool sizes every pool-gated row is timed at.
 const WORKERS: [usize; 2] = [1, 2];
 /// Row layer tags, one per pipeline layer.
-const LAYERS: [&str; 6] = ["kernel", "solver", "fl", "ledger", "engine", "e2e"];
+const LAYERS: [&str; 4] = ["kernel", "solver", "fl", "engine"];
 /// Default multiplicative tolerance for [`gate`]: a freshly measured
 /// median may be up to this many times the committed one. Deliberately
 /// generous — the CI smoke run shares the host with the rest of the
@@ -142,7 +141,6 @@ fn registry() -> Vec<Entry> {
         }),
     });
     rows.push(entry("dbr_solve_n10000", "solver", true, 5, bench_dbr_sparse_10k));
-    rows.push(entry("dbr_sparse_agreement_n1000", "solver", true, 3, bench_sparse_dense_agreement));
     rows.push(Entry {
         layer: "solver",
         rows: [2, 3, 4, 5].map(|n| (format!("cgbd_traversal_scaling_n{n}"), false)).into(),
@@ -161,6 +159,11 @@ fn registry() -> Vec<Entry> {
         rows.push(entry(spec.name, "engine", false, 9, move |r| bench_engine(spec, r)));
     }
     rows
+}
+
+/// Every registered row name, in file order.
+fn row_names() -> Vec<String> {
+    registry().into_iter().flat_map(|e| e.rows).map(|(name, _)| name).collect()
 }
 
 // --- timing helpers ---------------------------------------------------
@@ -457,47 +460,6 @@ fn bench_dbr_sparse_10k(repeats: usize) -> Fields {
         ("iterations", iterations as f64),
         ("rho_nnz", nnz as f64),
         ("rho_resident_bytes", resident as f64),
-    ]
-}
-
-/// The same market solved on its dense ρ and on a CSR twin holding the
-/// identical entries: sparse iteration moves where time goes, never a
-/// bit of the equilibrium (`bit_identical`, see [`BOUNDS`]).
-fn bench_sparse_dense_agreement(repeats: usize) -> Fields {
-    let dense = MarketConfig::table_ii().with_orgs(1000).build(SEED).expect("market builds");
-    let RhoMatrix::Dense(rows) = dense.rho_matrix() else {
-        panic!("table_ii builds a dense rho");
-    };
-    let sparse_rho = RhoMatrix::from_dense_thresholded(rows, 0.0);
-    let sparse_bytes = sparse_rho.resident_bytes();
-    let dense_bytes = dense.rho_resident_bytes();
-    let sparse = Market::with_rho(dense.orgs().to_vec(), sparse_rho, dense.params().clone())
-        .expect("sparse twin builds");
-    let game_dense = CoopetitionGame::new(dense, SqrtAccuracy::paper_default());
-    let game_sparse = CoopetitionGame::new(sparse, SqrtAccuracy::paper_default());
-    let mut run_dense = || {
-        black_box(DbrSolver::new().solve(&game_dense).expect("dense dbr converges"));
-    };
-    let mut run_sparse = || {
-        black_box(DbrSolver::new().solve(&game_sparse).expect("sparse dbr converges"));
-    };
-    let ms = time_ms(repeats, &mut [&mut run_dense, &mut run_sparse]);
-    let eq_d = DbrSolver::new().solve(&game_dense).expect("dense dbr converges");
-    let eq_s = DbrSolver::new().solve(&game_sparse).expect("sparse dbr converges");
-    let identical = eq_d.welfare.to_bits() == eq_s.welfare.to_bits()
-        && eq_d.potential.to_bits() == eq_s.potential.to_bits()
-        && eq_d.iterations == eq_s.iterations
-        && eq_d
-            .profile
-            .iter()
-            .zip(eq_s.profile.iter())
-            .all(|(a, b)| a.d.to_bits() == b.d.to_bits() && a.level == b.level);
-    vec![
-        ("dense_ms", ms[0]),
-        ("sparse_ms", ms[1]),
-        ("bit_identical", if identical { 1.0 } else { 0.0 }),
-        ("dense_rho_bytes", dense_bytes as f64),
-        ("sparse_rho_bytes", sparse_bytes as f64),
     ]
 }
 
@@ -800,7 +762,6 @@ enum Limit {
     TimesField(&'static str, f64),
     AtMost(f64),
     AtLeast(f64),
-    Exactly(f64),
 }
 
 /// The acceptance bounds every full-mode file must meet.
@@ -834,12 +795,6 @@ const BOUNDS: &[Bound] = &[
         field: "rho_resident_bytes",
         limit: Limit::AtMost((100 * 1024 * 1024) as f64),
         why: "the sparse rho representation has regressed toward dense (100 MB cap)",
-    },
-    Bound {
-        row: "dbr_sparse_agreement_n1000",
-        field: "bit_identical",
-        limit: Limit::Exactly(1.0),
-        why: "sparse and dense equilibria are no longer bit-identical",
     },
     Bound {
         row: "eval_forward_1500x64x96",
@@ -940,7 +895,6 @@ fn check_bound(bound: &Bound, rows: &[Json]) -> Result<(), String> {
         }
         Limit::AtMost(max) => (value <= max, format!("at most {max}")),
         Limit::AtLeast(min) => (value >= min, format!("at least {min}")),
-        Limit::Exactly(want) => (value == want, format!("exactly {want}")),
     };
     if ok {
         Ok(())
@@ -977,9 +931,13 @@ fn check(text: &str) -> Result<usize, String> {
     if benches.is_empty() {
         return Err("missing or empty \"benches\" array".into());
     }
+    let registered = row_names();
     let mut names = BTreeSet::new();
     for (i, row) in benches.iter().enumerate() {
         let name = check_row(i, row)?;
+        if !registered.iter().any(|r| r == name) {
+            return Err(format!("bench '{name}' is not a registry row (retired?)"));
+        }
         if !names.insert(name) {
             return Err(format!("bench '{name}' appears twice"));
         }
@@ -1156,9 +1114,6 @@ mod tests {
                 ("solve_ms", 200.0), ("with_params_ms", 20.0), ("rho_nnz", 2e6),
                 ("rho_resident_bytes", 33e6),
             ]),
-            row("dbr_sparse_agreement_n1000", "solver", &[
-                ("dense_ms", 3.0), ("sparse_ms", 2.5), ("bit_identical", 1.0),
-            ]),
             row("multi_session_4v", "engine", &[
                 ("txs", 54.0), ("setup_ms", 0.2), ("run_ms", 6.0), ("round_p99_ms", 0.8),
                 ("settlements_per_sec", 9000.0),
@@ -1173,7 +1128,7 @@ mod tests {
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(7));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(6));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
@@ -1192,7 +1147,6 @@ mod tests {
             ("25x", |r| set(r, "dbr_solve_n10000", "solve_ms", 751.0), "stored entries"),
             ("rho cap", |r| set(r, "dbr_solve_n10000", "rho_resident_bytes", 105e6), "toward dense"),
             ("gamma rebuild", |r| set(r, "dbr_solve_n10000", "with_params_ms", 1000.0), "gamma rebuild"),
-            ("bit identity", |r| set(r, "dbr_sparse_agreement_n1000", "bit_identical", 0.0), "bit-identical"),
             (
                 "3x gemm",
                 |r| {
@@ -1201,16 +1155,23 @@ mod tests {
                 },
                 "cache-blocking",
             ),
-            ("positive _ms", |r| set(r, "dbr_sparse_agreement_n1000", "dense_ms", 0.0), "not positive"),
+            ("positive _ms", |r| set(r, "multi_session_4v", "setup_ms", 0.0), "not positive"),
             ("negative count", |r| set(r, "dbr_solve_n100", "orgs", -1.0), "negative"),
             ("missing operand row", |r| r.retain(|x| x.name != "dbr_solve_n100"), "missing: the bound"),
-            ("missing bounded row", |r| r.retain(|x| x.name != "dbr_sparse_agreement_n1000"), "missing: the bound"),
-            ("missing bounded field", |r| r[5].fields.retain(|(k, _)| *k != "bit_identical"), "missing \"bit_identical\""),
+            ("missing bounded row", |r| r.retain(|x| x.name != "dbr_solve_n10000"), "missing: the bound"),
+            ("missing bounded field", |r| r[4].fields.retain(|(k, _)| *k != "with_params_ms"), "missing \"with_params_ms\""),
             ("1-worker twin", |r| r[1].fields.retain(|(k, _)| *k != "pooled_ms" && *k != "speedup"), "2-worker twin"),
             ("ratio", |r| set(r, "dbr_solve", "speedup", 3.0), "inconsistent"),
             ("settlement rate", |r| set(r, "multi_session_4v", "settlements_per_sec", 1.0), "inconsistent"),
             ("p99", |r| set(r, "multi_session_4v", "round_p99_ms", 7.0), "exceeds run_ms"),
             ("layer", |r| r[0].layer = "gpu", "unknown layer"),
+            ("ledger layer", |r| r[0].layer = "ledger", "unknown layer"),
+            ("e2e layer", |r| r[5].layer = "e2e", "unknown layer"),
+            (
+                "retired row",
+                |r| r.push(row("dbr_sparse_agreement_n1000", "solver", &[("dense_ms", 3.0)])),
+                "not a registry row",
+            ),
             ("duplicate row", |r| r.push(row("dbr_solve_n100", "solver", &[("solve_ms", 1.0)])), "appears twice"),
         ];
         for (what, mutate, needle) in cases {
@@ -1308,8 +1269,7 @@ mod tests {
 
     #[test]
     fn registry_keeps_every_committed_row_name_once() {
-        let names: Vec<String> =
-            registry().into_iter().flat_map(|e| e.rows).map(|(name, _)| name).collect();
+        let names = row_names();
         let unique: BTreeSet<&String> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "duplicate row names");
         for bound in BOUNDS {
@@ -1330,7 +1290,6 @@ mod tests {
             "dbr_solve_n100",
             "dbr_solve_n1000",
             "dbr_solve_n10000",
-            "dbr_sparse_agreement_n1000",
             "fedavg_round_n10",
             "fedavg_round_n100",
             "fedavg_round_n1000",

@@ -149,13 +149,8 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         let omega_without_i =
             omega - profile[i].d * self.market.org(i).effective_bits();
         let marginal = self.accuracy.gain(omega) - self.accuracy.gain(omega_without_i.max(0.0));
-        // Stored-entry iteration: ascending-j like the dense indexed
-        // loop (bit-identical), O(deg) on a sparse market.
-        let weighted_p: f64 = self
-            .market
-            .rho_row(i)
-            .map(|(j, rho)| rho * self.market.org(j).profitability())
-            .sum();
+        let weighted_p =
+            self.market.rho_row_sum(i, |j, rho| rho * self.market.org(j).profitability());
         weighted_p * marginal
     }
 
@@ -180,15 +175,13 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
 
     /// Total redistribution `R_i = Σ_j r_{i,j}` (Eq. 10).
     pub fn redistribution(&self, profile: &StrategyProfile, i: usize) -> f64 {
-        // Same arithmetic as summing `redistribution_pair` over all j
-        // (ρ_ii = 0 and skipped zero entries contribute ±0.0, which is
-        // an accumulator no-op), but O(deg) on a sparse market.
+        // The bits of summing `redistribution_pair` over every j: the
+        // unstored pairs (ρ_ii included) would add ±0.0 terms, a no-op
+        // on the row sum's accumulator (see `RhoMatrix`).
         let gamma = self.market.params().gamma;
         let res_i = self.resource_index(profile, i);
         self.market
-            .rho_row(i)
-            .map(|(j, rho)| gamma * rho * (res_i - self.resource_index(profile, j)))
-            .sum()
+            .rho_row_sum(i, |j, rho| gamma * rho * (res_i - self.resource_index(profile, j)))
     }
 
     /// Itemized payoff of organization `i` (the terms of Eq. 11).

@@ -157,11 +157,10 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         let n = market.len();
         assert_eq!(profile.len(), n, "profile length mismatch");
         // One pass over each ρ row's stored entries yields all three
-        // per-org constants (q_i, Σ_j ρ p_j, and z_i = p_i − Σ_j ρ p_j);
-        // the ascending-j accumulation order matches
-        // `market.competition_pressure`/`weight`, so the values are
-        // bit-identical to the per-call formulas, and on a sparse
-        // market the whole pass is O(nnz) rather than O(N²).
+        // per-org constants (q_i, Σ_j ρ p_j, and z_i = p_i − Σ_j ρ p_j)
+        // in O(nnz). Both sums run in ascending j from +0.0, the order
+        // of `Market::rho_row_sum`, so they are bit-identical to
+        // `market.competition_pressure`/`weight`.
         let p: Vec<f64> = (0..n).map(|j| market.org(j).profitability()).collect();
         let mut q = vec![0.0f64; n];
         let mut weighted_p = vec![0.0f64; n];
@@ -169,13 +168,10 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         for i in 0..n {
             let mut row_q = 0.0f64;
             let mut row_wp = 0.0f64;
-            // `for_each` lowers to the iterator's `fold`, which the row
-            // iterator overrides to dispatch on the ρ representation once
-            // per row instead of once per element.
-            market.rho_row(i).for_each(|(j, rho)| {
+            for (j, rho) in market.rho_row(i) {
                 row_q += rho;
                 row_wp += rho * p[j];
-            });
+            }
             q[i] = row_q;
             weighted_p[i] = row_wp;
             z[i] = p[i] - row_wp;
@@ -224,10 +220,7 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
     /// depend on organization `i`'s own strategy — callers evaluate it
     /// once per mover and reuse it across a whole bisection.
     pub fn rho_res(&self, i: usize) -> f64 {
-        // Stored-entry iteration: same ascending-j order (and therefore
-        // the same bits) as indexed `rho(i, j)` lookups over a dense
-        // row, but O(deg) on a sparse market.
-        self.game.market().rho_row(i).map(|(j, rho)| rho * self.res[j]).sum()
+        self.game.market().rho_row_sum(i, |j, rho| rho * self.res[j])
     }
 
     /// Payoff `C_i` (Eq. 11) with organization `i` playing `candidate`

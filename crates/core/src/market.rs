@@ -91,48 +91,33 @@ impl Default for MechanismParams {
     }
 }
 
-/// The competition-intensity matrix `ρ` in one of two layouts.
+/// The competition-intensity matrix `ρ` as a symmetric CSR: row `i`
+/// holds its non-zero entries `ρ_ij` in `cols[row_ptr[i]..row_ptr[i+1]]`
+/// (strictly ascending) with matching `vals`.
 ///
-/// * [`RhoMatrix::Dense`] — the seed's `Vec<Vec<f64>>` rows; iteration
-///   visits every column including explicit zeros. This is the layout
-///   every existing constructor produces, and its accumulation order is
-///   the bit-for-bit reference for all mechanism sums.
-/// * [`RhoMatrix::Sparse`] — a symmetric CSR layout storing only
-///   non-zero entries as `(column, value)` pairs per row, columns
-///   strictly ascending. Row iteration skips the zeros a dense row
-///   would visit; because every consumer accumulates with `+` starting
-///   from `+0.0`, and adding `±0.0` to a non-`-0.0` accumulator is a
-///   bitwise no-op, sparse sums are **bit-identical** to dense sums
-///   over the same values (pinned by `tests/determinism.rs`).
+/// Every mechanism sum over a row goes through [`Market::rho_row_sum`]:
+/// ascending `j`, accumulator started at `+0.0`. From `+0.0` the
+/// accumulator can never become `−0.0`, and adding `±0.0` to anything
+/// else is a bitwise no-op, so skipping the zeros (the diagonal
+/// included) yields exactly the bits a full dense row sum would.
 ///
 /// At N=10,000 a ~1%-dense market stores ~2M entries (~32 MB) instead
 /// of the 800 MB dense matrix, and every row sweep costs O(deg) rather
 /// than O(N).
 #[derive(Debug, Clone, PartialEq)]
-pub enum RhoMatrix {
-    /// Full row-major matrix, `rows[i][j] = ρ_ij`.
-    Dense(Vec<Vec<f64>>),
-    /// Symmetric CSR: row `i` holds `cols[row_ptr[i]..row_ptr[i+1]]`
-    /// (strictly ascending) with matching `vals`.
-    Sparse {
-        /// Matrix dimension `|N|`.
-        n: usize,
-        /// Row start offsets, `n + 1` entries.
-        row_ptr: Vec<usize>,
-        /// Column indices, ascending within each row.
-        cols: Vec<usize>,
-        /// Entry values aligned with `cols`.
-        vals: Vec<f64>,
-    },
+pub struct RhoMatrix {
+    /// Matrix dimension `|N|`.
+    pub n: usize,
+    /// Row start offsets, `n + 1` entries.
+    pub row_ptr: Vec<usize>,
+    /// Column indices, strictly ascending within each row.
+    pub cols: Vec<usize>,
+    /// Entry values aligned with `cols`.
+    pub vals: Vec<f64>,
 }
 
 impl RhoMatrix {
-    /// Wraps dense rows without copying.
-    pub fn dense(rows: Vec<Vec<f64>>) -> Self {
-        RhoMatrix::Dense(rows)
-    }
-
-    /// Builds a sparse symmetric matrix from upper- (or mixed-)
+    /// Builds the symmetric matrix from upper- (or mixed-)
     /// triangle triplets `(i, j, v)`. Each triplet is mirrored to both
     /// `(i, j)` and `(j, i)`; exact zeros are dropped. A counting sort
     /// places the entries row by row, so the build is O(nnz) apart from
@@ -192,214 +177,122 @@ impl RhoMatrix {
                 vals[k] = v;
             }
         }
-        Ok(RhoMatrix::Sparse { n, row_ptr, cols, vals })
+        Ok(Self { n, row_ptr, cols, vals })
     }
 
-    /// Builds a sparse matrix from dense rows, keeping only entries
-    /// with `|v| > threshold`. `threshold = 0.0` drops exact zeros
-    /// only, which preserves every mechanism sum bit-for-bit.
-    pub fn from_dense_thresholded(rows: &[Vec<f64>], threshold: f64) -> Self {
-        let n = rows.len();
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if v.abs() > threshold {
-                    cols.push(j);
-                    vals.push(v);
-                }
-            }
-            row_ptr[i + 1] = cols.len();
-        }
-        RhoMatrix::Sparse { n, row_ptr, cols, vals }
-    }
-
-    /// Matrix dimension (number of rows).
-    pub fn n(&self) -> usize {
-        match self {
-            RhoMatrix::Dense(rows) => rows.len(),
-            RhoMatrix::Sparse { n, .. } => *n,
-        }
-    }
-
-    /// Number of stored entries (dense: all N², sparse: non-zeros).
+    /// Number of stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
-        match self {
-            RhoMatrix::Dense(rows) => rows.iter().map(Vec::len).sum(),
-            RhoMatrix::Sparse { cols, .. } => cols.len(),
-        }
+        self.cols.len()
     }
 
     /// Resident heap bytes of the matrix storage.
     pub fn resident_bytes(&self) -> usize {
-        match self {
-            RhoMatrix::Dense(rows) => {
-                rows.capacity() * std::mem::size_of::<Vec<f64>>()
-                    + rows.iter().map(|r| r.capacity() * 8).sum::<usize>()
-            }
-            RhoMatrix::Sparse { row_ptr, cols, vals, .. } => {
-                (row_ptr.capacity() + cols.capacity()) * std::mem::size_of::<usize>()
-                    + vals.capacity() * 8
-            }
-        }
+        (self.row_ptr.capacity() + self.cols.capacity()) * std::mem::size_of::<usize>()
+            + self.vals.capacity() * 8
     }
 
-    /// Entry `ρ_ij`; zero for an unstored sparse pair.
+    /// Entry `ρ_ij`, zero for an unstored pair: a binary search of row
+    /// `i`.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        match self {
-            RhoMatrix::Dense(rows) => rows[i][j],
-            RhoMatrix::Sparse { n, row_ptr, cols, vals } => {
-                assert!(i < *n && j < *n, "rho index out of range");
-                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                match cols[lo..hi].binary_search(&j) {
-                    Ok(k) => vals[lo + k],
-                    Err(_) => 0.0,
-                }
-            }
+        assert!(i < self.n && j < self.n, "rho index out of range");
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        match self.cols[lo..hi].binary_search(&j) {
+            Ok(k) => self.vals[lo + k],
+            Err(_) => 0.0,
         }
     }
 
-    /// Iterates row `i` as `(j, ρ_ij)` pairs in ascending `j`. Dense
-    /// rows yield every column (zeros included, matching the seed's
-    /// accumulation order exactly); sparse rows yield stored entries
-    /// only.
-    pub fn row_iter(&self, i: usize) -> RhoRowIter<'_> {
-        match self {
-            RhoMatrix::Dense(rows) => RhoRowIter::Dense(rows[i].iter().enumerate()),
-            RhoMatrix::Sparse { row_ptr, cols, vals, .. } => {
-                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                RhoRowIter::Sparse(cols[lo..hi].iter().zip(vals[lo..hi].iter()))
-            }
-        }
-    }
-
-    /// Row sum `Σ_j ρ_ij` in ascending-`j` accumulation order.
-    pub fn row_sum(&self, i: usize) -> f64 {
-        self.row_iter(i).map(|(_, v)| v).sum()
+    /// Iterates row `i`'s stored entries as `(j, ρ_ij)` in ascending `j`.
+    pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        self.cols[lo..hi].iter().copied().zip(self.vals[lo..hi].iter().copied())
     }
 
     /// Restricts the matrix to the given (duplicate-free, in-range)
-    /// index subset, preserving the representation. Row order follows
-    /// `indices`; sparse rows are re-sorted by new column index so the
-    /// CSR invariant holds for any index order.
+    /// index subset. Row order follows `indices`; rows are re-sorted by
+    /// new column index so the CSR invariant holds for any index order.
     pub fn restrict(&self, indices: &[usize]) -> RhoMatrix {
-        match self {
-            RhoMatrix::Dense(rows) => RhoMatrix::Dense(
-                indices
-                    .iter()
-                    .map(|&i| indices.iter().map(|&j| rows[i][j]).collect())
-                    .collect(),
-            ),
-            RhoMatrix::Sparse { n, row_ptr, cols, vals } => {
-                let mut new_index = vec![usize::MAX; *n];
-                for (new_j, &old_j) in indices.iter().enumerate() {
-                    new_index[old_j] = new_j;
-                }
-                let mut out_ptr = vec![0usize; indices.len() + 1];
-                let mut out_cols = Vec::new();
-                let mut out_vals = Vec::new();
-                let mut row = Vec::new();
-                for (new_i, &old_i) in indices.iter().enumerate() {
-                    row.clear();
-                    for k in row_ptr[old_i]..row_ptr[old_i + 1] {
-                        let nj = new_index[cols[k]];
-                        if nj != usize::MAX {
-                            row.push((nj, vals[k]));
-                        }
-                    }
-                    row.sort_by_key(|e| e.0);
-                    for &(j, v) in &row {
-                        out_cols.push(j);
-                        out_vals.push(v);
-                    }
-                    out_ptr[new_i + 1] = out_cols.len();
-                }
-                RhoMatrix::Sparse {
-                    n: indices.len(),
-                    row_ptr: out_ptr,
-                    cols: out_cols,
-                    vals: out_vals,
-                }
-            }
+        let mut new_index = vec![usize::MAX; self.n];
+        for (new_j, &old_j) in indices.iter().enumerate() {
+            new_index[old_j] = new_j;
         }
+        let mut row_ptr = vec![0usize; indices.len() + 1];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
+        for (new_i, &old_i) in indices.iter().enumerate() {
+            row.clear();
+            row.extend(
+                self.row_iter(old_i)
+                    .map(|(j, v)| (new_index[j], v))
+                    .filter(|&(j, _)| j != usize::MAX),
+            );
+            row.sort_by_key(|e| e.0);
+            for &(j, v) in &row {
+                cols.push(j);
+                vals.push(v);
+            }
+            row_ptr[new_i + 1] = cols.len();
+        }
+        Self { n: indices.len(), row_ptr, cols, vals }
     }
 
     /// Validates `ρ` for `n` organizations in two passes, both O(N +
-    /// nnz) for a sparse matrix.
+    /// nnz).
     ///
-    /// The structural pass checks the shape: every dense row has length
-    /// `n`; a sparse matrix has `n + 1` row offsets that start at 0,
-    /// never decrease and end at the entry count, and each row's
-    /// columns are in range and strictly ascending. Only then does the
-    /// value pass read entries, in row-major order: each must lie in
-    /// `[0, 1]`, the diagonal must be zero, and each entry must match its
-    /// transpose within 1e-12. Errors follow the order of the passes:
-    /// a structural defect is reported before any value defect, even
-    /// one in an earlier row.
+    /// The structural pass checks the shape: `n + 1` row offsets that
+    /// start at 0, never decrease and end at the entry count, and each
+    /// row's columns are in range and strictly ascending. Only then
+    /// does the value pass read entries, in row-major order: each must
+    /// lie in `[0, 1]`, the diagonal must be zero, and each entry must
+    /// match its transpose within 1e-12. Errors follow the order of the
+    /// passes: a structural defect is reported before any value defect,
+    /// even one in an earlier row.
     fn validate(&self, n: usize) -> Result<()> {
-        match self {
-            RhoMatrix::Dense(rows) => {
-                if rows.len() != n {
-                    return Err(ModelError::DimensionMismatch { expected: n, found: rows.len() });
-                }
-                if let Some(row) = rows.iter().find(|row| row.len() != n) {
-                    return Err(ModelError::DimensionMismatch { expected: n, found: row.len() });
-                }
-                for (i, row) in rows.iter().enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        check_entry(i, j, v, rows[j][i])?;
-                    }
-                }
+        let Self { n: dim, row_ptr, cols, vals } = self;
+        if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
+            return Err(ModelError::DimensionMismatch { expected: n, found: *dim });
+        }
+        if row_ptr[0] != 0 {
+            return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[0] });
+        }
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            if lo > hi || hi > cols.len() {
+                return Err(ModelError::DimensionMismatch { expected: n, found: hi });
             }
-            RhoMatrix::Sparse { n: dim, row_ptr, cols, vals } => {
-                if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
-                    return Err(ModelError::DimensionMismatch { expected: n, found: *dim });
+            let mut prev: Option<usize> = None;
+            for &j in &cols[lo..hi] {
+                if j >= n {
+                    return Err(ModelError::DimensionMismatch { expected: n, found: j });
                 }
-                if row_ptr[0] != 0 {
-                    return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[0] });
+                if prev.is_some_and(|p| p >= j) {
+                    return Err(ModelError::DuplicateCompetitionEntry { i, j });
                 }
-                for i in 0..n {
-                    let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                    if lo > hi || hi > cols.len() {
-                        return Err(ModelError::DimensionMismatch { expected: n, found: hi });
-                    }
-                    let mut prev: Option<usize> = None;
-                    for &j in &cols[lo..hi] {
-                        if j >= n {
-                            return Err(ModelError::DimensionMismatch { expected: n, found: j });
-                        }
-                        if prev.is_some_and(|p| p >= j) {
-                            return Err(ModelError::DuplicateCompetitionEntry { i, j });
-                        }
-                        prev = Some(j);
-                    }
+                prev = Some(j);
+            }
+        }
+        if row_ptr[n] != cols.len() {
+            return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[n] });
+        }
+        // Rows are visited in ascending i and each holds column j at
+        // most once, so row j is asked for ascending columns: one
+        // forward cursor per row finds every transpose in O(nnz) total
+        // instead of a binary search per entry.
+        let mut cursor = row_ptr[..n].to_vec();
+        for i in 0..n {
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                let j = cols[k];
+                let end = row_ptr[j + 1];
+                let c = &mut cursor[j];
+                while *c < end && cols[*c] < i {
+                    *c += 1;
                 }
-                if row_ptr[n] != cols.len() {
-                    return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[n] });
-                }
-                // Rows are visited in ascending i and each holds column
-                // j at most once, so row j is asked for ascending
-                // columns: one forward cursor per row finds every
-                // transpose in O(nnz) total instead of a binary search
-                // per entry.
-                let mut cursor = row_ptr[..n].to_vec();
-                for i in 0..n {
-                    for k in row_ptr[i]..row_ptr[i + 1] {
-                        let j = cols[k];
-                        let end = row_ptr[j + 1];
-                        let c = &mut cursor[j];
-                        while *c < end && cols[*c] < i {
-                            *c += 1;
-                        }
-                        let transpose = if *c < end && cols[*c] == i { vals[*c] } else { 0.0 };
-                        check_entry(i, j, vals[k], transpose)?;
-                    }
-                }
+                let transpose = if *c < end && cols[*c] == i { vals[*c] } else { 0.0 };
+                check_entry(i, j, vals[k], transpose)?;
             }
         }
         Ok(())
@@ -418,48 +311,6 @@ fn check_entry(i: usize, j: usize, v: f64, transpose: f64) -> Result<()> {
         return Err(ModelError::AsymmetricCompetition { i, j });
     }
     Ok(())
-}
-
-/// Iterator over one row of a [`RhoMatrix`] as `(column, value)`.
-#[derive(Debug, Clone)]
-pub enum RhoRowIter<'a> {
-    /// Dense row: every column, zeros included.
-    Dense(std::iter::Enumerate<std::slice::Iter<'a, f64>>),
-    /// Sparse row: stored entries only.
-    Sparse(std::iter::Zip<std::slice::Iter<'a, usize>, std::slice::Iter<'a, f64>>),
-}
-
-impl Iterator for RhoRowIter<'_> {
-    type Item = (usize, f64);
-
-    fn next(&mut self) -> Option<(usize, f64)> {
-        match self {
-            RhoRowIter::Dense(it) => it.next().map(|(j, &v)| (j, v)),
-            RhoRowIter::Sparse(it) => it.next().map(|(&j, &v)| (j, v)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RhoRowIter::Dense(it) => it.size_hint(),
-            RhoRowIter::Sparse(it) => it.size_hint(),
-        }
-    }
-
-    // Row iteration sits inside every O(nnz) mechanism sum; routing
-    // the whole loop through one variant match (instead of one per
-    // element) lets the inner slice iteration vectorize exactly like
-    // the pre-enum direct indexing did. `sum`, `map(..).sum()`, and
-    // `for_each` all lower to `fold`.
-    fn fold<B, F>(self, init: B, mut f: F) -> B
-    where
-        F: FnMut(B, (usize, f64)) -> B,
-    {
-        match self {
-            RhoRowIter::Dense(it) => it.fold(init, |acc, (j, &v)| f(acc, (j, v))),
-            RhoRowIter::Sparse(it) => it.fold(init, |acc, (&j, &v)| f(acc, (j, v))),
-        }
-    }
 }
 
 /// The set of organizations `𝒪`, the competition-intensity matrix `ρ`,
@@ -486,22 +337,42 @@ pub struct Market {
 }
 
 impl Market {
-    /// Builds and validates a market from dense `ρ` rows.
+    /// Builds and validates a market from dense `ρ` rows, storing every
+    /// entry that is not an exact zero; O(N²) once, at construction.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] on any violated invariant; see the type
-    /// docs for the list.
+    /// Returns [`ModelError`] on any violated invariant (a row count or
+    /// row length other than `|N|` is a `DimensionMismatch`); see the
+    /// type docs for the list.
     pub fn new(
         orgs: Vec<Organization>,
         rho: Vec<Vec<f64>>,
         params: MechanismParams,
     ) -> Result<Self> {
-        Self::with_rho(orgs, RhoMatrix::dense(rho), params)
+        let n = orgs.len();
+        if rho.len() != n {
+            return Err(ModelError::DimensionMismatch { expected: n, found: rho.len() });
+        }
+        if let Some(row) = rho.iter().find(|row| row.len() != n) {
+            return Err(ModelError::DimensionMismatch { expected: n, found: row.len() });
+        }
+        let mut row_ptr = vec![0usize];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for row in &rho {
+            for (j, &v) in row.iter().enumerate() {
+                // lint:allow(no-float-eq): dropping exact zeros is the sparsity contract
+                if v != 0.0 {
+                    cols.push(j);
+                    vals.push(v);
+                }
+            }
+            row_ptr.push(cols.len());
+        }
+        Self::with_rho(orgs, RhoMatrix { n, row_ptr, cols, vals }, params)
     }
 
-    /// Builds and validates a market from either `ρ` representation;
-    /// sparse markets validate and solve in O(nnz) rather than O(N²).
+    /// Builds and validates a market from a CSR `ρ` in O(N + nnz).
     ///
     /// # Errors
     ///
@@ -578,13 +449,21 @@ impl Market {
         &self.rho
     }
 
-    /// Iterates row `i` of `ρ` as `(j, ρ_ij)` pairs in ascending `j`;
-    /// sparse markets yield stored entries only (O(deg), not O(N)).
-    pub fn rho_row(&self, i: usize) -> RhoRowIter<'_> {
+    /// Iterates row `i`'s stored `ρ` entries as `(j, ρ_ij)` pairs in
+    /// ascending `j`: O(deg), not O(N).
+    pub fn rho_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.rho.row_iter(i)
     }
 
-    /// Stored `ρ` entry count (dense: N², sparse: non-zeros).
+    /// `Σ_j term(j, ρ_ij)` over row `i`'s stored entries, in ascending
+    /// `j` from a `+0.0` accumulator (`f64: Sum` would start at `−0.0`
+    /// and return it for an empty row). Every mechanism sum over a ρ
+    /// row uses this, so all of them share one accumulation order.
+    pub fn rho_row_sum(&self, i: usize, mut term: impl FnMut(usize, f64) -> f64) -> f64 {
+        self.rho.row_iter(i).fold(0.0, |acc, (j, v)| acc + term(j, v))
+    }
+
+    /// Stored (non-zero) `ρ` entry count.
     pub fn rho_nnz(&self) -> usize {
         self.rho.nnz()
     }
@@ -649,20 +528,15 @@ impl Market {
 
     /// Total competition pressure on `i`: `q_i = Σ_j ρ_{i,j}`.
     pub fn competition_pressure(&self, i: usize) -> f64 {
-        self.rho.row_sum(i)
+        self.rho_row_sum(i, |_, rho| rho)
     }
 
     /// The weighted-potential-game weight
     /// `z_i = p_i − Σ_j ρ_{i,j} p_j` (Theorem 1); strictly positive by
     /// construction.
     pub fn weight(&self, i: usize) -> f64 {
-        let own = self.orgs[i].profitability();
-        let pressure: f64 = self
-            .rho
-            .row_iter(i)
-            .map(|(j, rho_ij)| rho_ij * self.orgs[j].profitability())
-            .sum();
-        own - pressure
+        let pressure = self.rho_row_sum(i, |j, rho| rho * self.orgs[j].profitability());
+        self.orgs[i].profitability() - pressure
     }
 
     /// Largest data fraction organization `i` can train within the
@@ -755,6 +629,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_nan_negative_and_above_one_entries() {
+        let out_of_range =
+            |value| ModelError::OutOfRange { name: "rho_ij", value, min: 0.0, max: 1.0 };
+        for (v, want) in [
+            (f64::NAN, ModelError::NotFinite { name: "rho_ij" }),
+            (-0.1, out_of_range(-0.1)),
+            (1.5, out_of_range(1.5)),
+        ] {
+            let mut rho = symmetric_rho(3, 0.1);
+            rho[0][2] = v;
+            rho[2][0] = v;
+            let r = Market::new(vec![org(1000.0); 3], rho, MechanismParams::default());
+            assert_eq!(r, Err(want), "rho_02 = {v}");
+        }
+    }
+
+    #[test]
     fn rejects_nonpositive_weight() {
         // rho = 0.9 between two equally profitable orgs: z = p - 0.9 p > 0,
         // but with three orgs z = p(1 - 1.8) < 0.
@@ -843,6 +734,9 @@ mod tests {
         assert_eq!(sub.rho(0, 1), 0.02);
         // Removing a competitor raises the remaining weights.
         assert!(sub.weight(0) > m.weight(0));
+        // Out-of-order indices re-sort each row's columns.
+        let perm = m.subset(&[2, 0, 1]).unwrap();
+        assert_eq!(perm.rho_row(1).collect::<Vec<_>>(), vec![(0, 0.02), (2, 0.01)]);
         // Error cases.
         assert!(m.subset(&[]).is_err());
         assert!(m.subset(&[5]).is_err());
@@ -860,7 +754,7 @@ mod tests {
     #[test]
     fn sparse_from_triplets_mirrors_and_sorts() {
         let m = RhoMatrix::from_triplets(3, &[(1, 2, 0.03), (0, 1, 0.01), (0, 2, 0.0)]).unwrap();
-        assert_eq!(m.n(), 3);
+        assert_eq!(m.n, 3);
         assert_eq!(m.nnz(), 4); // two pairs, mirrored; the zero dropped
         for i in 0..3 {
             for j in 0..3 {
@@ -888,44 +782,27 @@ mod tests {
     }
 
     #[test]
-    fn thresholded_matches_dense_bitwise() {
-        let rows = dense_rows();
-        let sp = RhoMatrix::from_dense_thresholded(&rows, 0.0);
-        assert_eq!(sp.nnz(), 4);
-        for i in 0..3 {
-            assert_eq!(sp.row_sum(i).to_bits(), RhoMatrix::dense(rows.clone()).row_sum(i).to_bits());
-        }
+    fn new_stores_exactly_the_non_zero_entries() {
+        let orgs = vec![org(1000.0), org(1500.0), org(2000.0)];
+        let m = Market::new(orgs, dense_rows(), MechanismParams::paper_default()).unwrap();
+        let triplets = RhoMatrix::from_triplets(3, &[(0, 1, 0.01), (1, 2, 0.03)]).unwrap();
+        assert_eq!(m.rho_matrix(), &triplets);
+        assert_eq!(m.rho_nnz(), 4);
     }
 
     #[test]
-    fn sparse_market_matches_dense_market() {
-        let orgs = vec![org(1000.0), org(1500.0), org(2000.0)];
-        let params = MechanismParams::paper_default();
-        let dense = Market::new(orgs.clone(), dense_rows(), params.clone()).unwrap();
-        let sparse = Market::with_rho(
-            orgs,
-            RhoMatrix::from_dense_thresholded(&dense_rows(), 0.0),
-            params,
-        )
-        .unwrap();
-        for i in 0..3 {
-            assert_eq!(dense.weight(i).to_bits(), sparse.weight(i).to_bits());
-            assert_eq!(
-                dense.competition_pressure(i).to_bits(),
-                sparse.competition_pressure(i).to_bits()
-            );
-        }
-        assert!(sparse.rho_resident_bytes() < dense.rho_resident_bytes());
-        // Subset preserves the sparse representation and agrees too.
-        let (ds, ss) = (dense.subset(&[2, 0]).unwrap(), sparse.subset(&[2, 0]).unwrap());
-        assert_eq!(ds.rho(0, 1).to_bits(), ss.rho(0, 1).to_bits());
-        assert_eq!(ds.weight(0).to_bits(), ss.weight(0).to_bits());
+    fn an_empty_row_sums_to_positive_zero() {
+        let m = Market::new(vec![org(1000.0); 2], symmetric_rho(2, 0.0), MechanismParams::default())
+            .unwrap();
+        assert_eq!(m.rho_nnz(), 0);
+        assert_eq!(m.competition_pressure(0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.weight(1).to_bits(), 1000.0f64.to_bits());
     }
 
     #[test]
     fn sparse_validation_rejects_asymmetry_and_diagonal() {
         let orgs = vec![org(1000.0), org(1000.0)];
-        let asym = RhoMatrix::Sparse {
+        let asym = RhoMatrix {
             n: 2,
             row_ptr: vec![0, 1, 1],
             cols: vec![1],
@@ -935,7 +812,7 @@ mod tests {
             Market::with_rho(orgs.clone(), asym, MechanismParams::default()),
             Err(ModelError::AsymmetricCompetition { .. })
         ));
-        let diag = RhoMatrix::Sparse {
+        let diag = RhoMatrix {
             n: 2,
             row_ptr: vec![0, 1, 1],
             cols: vec![0],
@@ -959,7 +836,7 @@ mod tests {
 
     /// A 3×3 sparse matrix with every stored value 0.1.
     fn sparse3(row_ptr: Vec<usize>, cols: Vec<usize>) -> RhoMatrix {
-        RhoMatrix::Sparse { n: 3, vals: vec![0.1; cols.len()], row_ptr, cols }
+        RhoMatrix { n: 3, vals: vec![0.1; cols.len()], row_ptr, cols }
     }
 
     #[test]
@@ -985,7 +862,10 @@ mod tests {
     #[test]
     fn short_later_dense_row_is_rejected() {
         let rows = vec![vec![0.0, 0.1, 0.1], vec![0.1, 0.0, 0.1], vec![0.1]];
-        assert_shape_error(RhoMatrix::dense(rows), 1);
+        assert_eq!(
+            Market::new(vec![org(1000.0); 3], rows, MechanismParams::default()),
+            Err(ModelError::DimensionMismatch { expected: 3, found: 1 })
+        );
     }
 
     /// The sort-based triplet build that the counting sort in
@@ -1022,7 +902,7 @@ mod tests {
         }
         let cols = entries.iter().map(|e| e.1).collect();
         let vals = entries.iter().map(|e| e.2).collect();
-        Ok(RhoMatrix::Sparse { n, row_ptr, cols, vals })
+        Ok(RhoMatrix { n, row_ptr, cols, vals })
     }
 
     /// The single-pass sparse validation, with a binary-searched
@@ -1030,9 +910,7 @@ mod tests {
     /// replaced; the reference it must match. Panics on row offsets
     /// that are not monotone and within the stored entries.
     fn validate_reference(rho: &RhoMatrix, n: usize) -> Result<()> {
-        let RhoMatrix::Sparse { n: dim, row_ptr, cols, vals } = rho else {
-            panic!("the reference covers sparse matrices only");
-        };
+        let RhoMatrix { n: dim, row_ptr, cols, vals } = rho;
         if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
             return Err(ModelError::DimensionMismatch { expected: n, found: *dim });
         }
@@ -1157,20 +1035,20 @@ mod tests {
                 }))
                 .collect();
             let (cols, vals) = rows.concat().into_iter().unzip();
-            let rho = RhoMatrix::Sparse { n, row_ptr, cols, vals };
+            let rho = RhoMatrix { n, row_ptr, cols, vals };
             prop_assert_eq!(rho.validate(n), validate_reference(&rho, n));
         }
     }
 
-    /// One dense and one sparse Table II market.
-    fn dense_and_sparse_markets() -> [Market; 2] {
+    /// A Table II market from `build` and one from `build_sparse`.
+    fn table_ii_markets() -> [Market; 2] {
         let config = crate::config::MarketConfig::table_ii().with_orgs(12);
         [config.build(5).unwrap(), config.build_sparse(5, 0.3).unwrap()]
     }
 
     #[test]
     fn with_params_equals_a_fresh_build_and_shares_storage() {
-        for m in dense_and_sparse_markets() {
+        for m in table_ii_markets() {
             let params = m.params().with_gamma(2.0 * m.params().gamma);
             let rebuilt = m.with_params(params.clone()).unwrap();
             let fresh =
@@ -1183,7 +1061,7 @@ mod tests {
 
     #[test]
     fn with_params_rejects_what_a_fresh_build_rejects() {
-        for m in dense_and_sparse_markets() {
+        for m in table_ii_markets() {
             let mut short_tau = m.params().clone();
             short_tau.tau = 1.0;
             let errors: Vec<ModelError> =

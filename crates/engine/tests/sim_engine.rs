@@ -143,6 +143,27 @@ fn thirty_adversarial_seeds_converge_by_gossip_only_repair() {
     );
 }
 
+/// The multi-session sweep: 100 seeds, each running twelve 3-org
+/// sessions on four validators under its own fault schedule (frame
+/// faults plus crash windows) and its own Byzantine-proposer schedule.
+/// Every run must converge and settle every session: a round lost to
+/// a crash or a liar must come back without reordering a later tx of
+/// its session ahead of it.
+#[test]
+fn hundred_seeded_multi_session_schedules_converge_and_settle() {
+    for seed in 0..100u64 {
+        let mut config = dst_config(FaultConfig::from_seed(seed, 4, HORIZON));
+        config.validators = 4;
+        config.sessions = (0..12u64)
+            .map(|k| SessionSpec { name: format!("s{k}"), orgs: 3, seed: k })
+            .collect();
+        config.byzantine = ByzantineConfig::from_seed(seed);
+        let report = Engine::new(config, seed).expect("engine boots").run().expect("run completes");
+        assert!(report.converged, "seed {seed}: {report:?}");
+        assert!(report.fully_settled(), "seed {seed}: {report:?}");
+    }
+}
+
 /// Workers must never leak into simulation outcomes: the same
 /// adversarial schedule (faulted gossip + crashes + Byzantine
 /// proposers) converges bit-identically — report and

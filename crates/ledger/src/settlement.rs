@@ -114,13 +114,18 @@ impl SettlementPlan {
         let required_deposit =
             Wei((bound_units * DEFAULT_WEI_PER_UNIT as f64).ceil() as u128);
 
+        // The contract takes ρ dense: zeros, then the stored entries.
+        let mut rho = vec![vec![Fixed::ZERO; n]; n];
+        for (i, row) in rho.iter_mut().enumerate() {
+            for (j, v) in market.rho_row(i) {
+                row[j] = Fixed::from_f64(v);
+            }
+        }
         let params = SessionParams {
             participants: addresses.clone(),
             gamma_per_gbit: Fixed::from_f64(gamma_per_gbit),
             lambda: Fixed::from_f64(market.params().lambda),
-            rho: (0..n)
-                .map(|i| (0..n).map(|j| Fixed::from_f64(market.rho(i, j))).collect())
-                .collect(),
+            rho,
             s_gbits: market
                 .orgs()
                 .iter()

@@ -281,17 +281,15 @@ const FED_HOT_FNS: &[&str] = &["run_round", "train_group", "local_train"];
 
 /// The fns in core/market.rs the rule covers — the O(nnz) ρ row
 /// accessors the DBR sweep leans on at N=10k: indexed lookup, the row
-/// iterator (including its `next`/`fold` steady state), and the
-/// row-sum/weight formulas built on it. Constructors (`from_triplets`,
-/// `restrict`, …) allocate freely.
+/// iterator, the row-sum helper and the pressure/weight formulas built
+/// on it. Constructors (`from_triplets`, `restrict`, …) allocate
+/// freely.
 const MARKET_HOT_FNS: &[&str] = &[
     "get",
     "row_iter",
-    "row_sum",
-    "next",
-    "fold",
     "rho",
     "rho_row",
+    "rho_row_sum",
     "competition_pressure",
     "weight",
 ];

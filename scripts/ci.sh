@@ -126,11 +126,12 @@ echo "==> perf smoke: scripts/bench.sh --fast (every row but the N >= 1000 ones)
 scripts/bench.sh --fast
 
 echo "==> committed BENCH_baselines.json is well-formed and meets its bounds"
-# --check re-enforces the acceptance bounds recorded in the committed
-# file: dbr_solve_n1000 within 20x dbr_solve_n100, dbr_solve_n10000
-# within 25x dbr_solve_n1000 with its resident sparse-rho bytes under
-# 100 MB, the sparse-vs-dense agreement row bit-identical, and the
-# blocked GEMM at least 3x naive on the eval shape.
+# --check rejects any row the registry does not list and re-enforces
+# the acceptance bounds recorded in the committed file: dbr_solve_n1000
+# within 20x dbr_solve_n100, dbr_solve_n10000 within 25x
+# dbr_solve_n1000 with its resident sparse-rho bytes under 100 MB, a
+# gamma rebuild within 0.25x the n10000 solve, and the blocked GEMM at
+# least 3x naive on the eval shape.
 target/release/baseline --check BENCH_baselines.json
 
 echo "==> bench-regression gate: smoke medians vs the committed file (3x tolerance)"

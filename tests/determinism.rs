@@ -98,90 +98,6 @@ fn different_seeds_change_the_equilibrium() {
     assert_ne!(a.profile, b.profile);
 }
 
-// --- sparse-vs-dense ρ bit-identity ----------------------------------
-//
-// A sparse ρ row iterates stored entries only; the dense reference
-// visits every column including exact zeros. Adding ±0.0 to a non-−0.0
-// accumulator is a bitwise no-op, so every mechanism sum — and
-// therefore every equilibrium — must be bit-identical across the two
-// representations when the stored values match.
-
-/// Dense market at `n` orgs plus its zero-thresholded sparse twin.
-fn dense_and_sparse(
-    n: usize,
-    seed: u64,
-) -> (CoopetitionGame<SqrtAccuracy>, CoopetitionGame<SqrtAccuracy>) {
-    use tradefl_core::market::{Market, RhoMatrix};
-    let dense = MarketConfig::table_ii().with_orgs(n).build(seed).unwrap();
-    let RhoMatrix::Dense(rows) = dense.rho_matrix() else {
-        panic!("table_ii builds a dense rho");
-    };
-    let sparse_rho = RhoMatrix::from_dense_thresholded(rows, 0.0);
-    assert!(matches!(sparse_rho, RhoMatrix::Sparse { .. }));
-    let sparse =
-        Market::with_rho(dense.orgs().to_vec(), sparse_rho, dense.params().clone()).unwrap();
-    (
-        CoopetitionGame::new(dense, SqrtAccuracy::paper_default()),
-        CoopetitionGame::new(sparse, SqrtAccuracy::paper_default()),
-    )
-}
-
-#[test]
-fn sparse_and_dense_dbr_equilibria_are_bit_identical() {
-    for (n, seed) in [(50, 3), (300, 11)] {
-        let (gd, gs) = dense_and_sparse(n, seed);
-        let a = DbrSolver::new().solve(&gd).unwrap();
-        let b = DbrSolver::new().solve(&gs).unwrap();
-        assert_eq!(a.iterations, b.iterations, "n={n}");
-        for (i, (sa, sb)) in a.profile.iter().zip(b.profile.iter()).enumerate() {
-            assert_eq!(sa.d.to_bits(), sb.d.to_bits(), "d differs at org {i} (n={n})");
-            assert_eq!(sa.level, sb.level, "level differs at org {i} (n={n})");
-        }
-        assert_eq!(a.welfare.to_bits(), b.welfare.to_bits(), "welfare (n={n})");
-        assert_eq!(a.potential.to_bits(), b.potential.to_bits(), "potential (n={n})");
-        assert_eq!(a.total_damage.to_bits(), b.total_damage.to_bits(), "damage (n={n})");
-    }
-}
-
-#[test]
-fn sparse_and_dense_incremental_aggregates_are_bit_identical() {
-    use tradefl_core::incremental::IncrementalEval;
-    use tradefl_core::strategy::StrategyProfile;
-
-    let (gd, gs) = dense_and_sparse(200, 5);
-    let profile = StrategyProfile::minimal(gd.market());
-    let mut ed = IncrementalEval::new(&gd, profile.clone());
-    let mut es = IncrementalEval::new(&gs, profile);
-    for i in 0..gd.market().len() {
-        assert_eq!(ed.rho_res(i).to_bits(), es.rho_res(i).to_bits(), "rho_res at {i}");
-        let s = ed.profile()[i];
-        assert_eq!(
-            ed.payoff_at(i, s, ed.rho_res(i)).to_bits(),
-            es.payoff_at(i, s, es.rho_res(i)).to_bits(),
-            "payoff_at {i}"
-        );
-        assert_eq!(
-            gd.market().weight(i).to_bits(),
-            gs.market().weight(i).to_bits(),
-            "weight {i}"
-        );
-        assert_eq!(
-            gd.market().competition_pressure(i).to_bits(),
-            gs.market().competition_pressure(i).to_bits(),
-            "pressure {i}"
-        );
-    }
-    assert_eq!(ed.potential().to_bits(), es.potential().to_bits());
-    assert_eq!(ed.total_damage().to_bits(), es.total_damage().to_bits());
-    assert_eq!(ed.omega().to_bits(), es.omega().to_bits());
-    // Commits stay in lockstep too.
-    use tradefl_core::strategy::Strategy;
-    ed.commit(7, Strategy::new(0.5, 1));
-    es.commit(7, Strategy::new(0.5, 1));
-    assert_eq!(ed.potential().to_bits(), es.potential().to_bits());
-    assert_eq!(ed.rho_res(3).to_bits(), es.rho_res(3).to_bits());
-}
-
 /// FNV-1a over a stream of words, each little-endian.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -193,13 +109,82 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// FNV-1a over the CSR arrays of a sparse ρ: `row_ptr`, `cols`, then
+// --- ρ goldens -------------------------------------------------------
+//
+// The constants below were recorded on the dense ρ layout, before ρ
+// became CSR only. A CSR row visits stored entries only, so they pin
+// that skipping ρ's zeros (the diagonal included) moves no bit of any
+// mechanism sum, equilibrium or cached evaluator aggregate.
+
+/// FNV-1a over a DBR equilibrium: the iteration count, each org's `d`
+/// bits and level, then the welfare, potential and total damage bits.
+fn equilibrium_fingerprint(eq: &Equilibrium) -> u64 {
+    let profile = eq.profile.iter().flat_map(|s| [s.d.to_bits(), s.level as u64]);
+    let totals = [eq.welfare, eq.potential, eq.total_damage].map(f64::to_bits);
+    fnv1a(std::iter::once(eq.iterations as u64).chain(profile).chain(totals))
+}
+
+fn table_ii_game(config: MarketConfig, seed: u64) -> CoopetitionGame<SqrtAccuracy> {
+    CoopetitionGame::new(config.build(seed).unwrap(), SqrtAccuracy::paper_default())
+}
+
+#[test]
+fn dbr_equilibria_match_their_golden_fingerprints() {
+    for (n, seed, golden) in [(50, 3, 0x5a8c_dea9_9dd7_ae15), (300, 11, 0xf356_091e_cf78_f1ce)] {
+        let g = table_ii_game(MarketConfig::table_ii().with_orgs(n), seed);
+        let eq = DbrSolver::new().solve(&g).unwrap();
+        let got = equilibrium_fingerprint(&eq);
+        assert_eq!(got, golden, "n={n}: {got:#018x}");
+    }
+}
+
+#[test]
+fn incremental_aggregates_match_their_golden_fingerprint() {
+    use tradefl_core::incremental::IncrementalEval;
+
+    let g = table_ii_game(MarketConfig::table_ii().with_orgs(200), 5);
+    let market = g.market();
+    let mut eval = IncrementalEval::new(&g, StrategyProfile::minimal(market));
+    let mut words = Vec::new();
+    for i in 0..market.len() {
+        let s = eval.profile()[i];
+        words.extend([
+            eval.rho_res(i),
+            eval.payoff_at(i, s, eval.rho_res(i)),
+            market.weight(i),
+            market.competition_pressure(i),
+        ]);
+    }
+    let aggregates =
+        |e: &IncrementalEval<'_, SqrtAccuracy>| [e.potential(), e.total_damage(), e.omega()];
+    words.extend(aggregates(&eval));
+    eval.commit(7, Strategy::new(0.5, 1));
+    words.extend(aggregates(&eval));
+    words.extend((0..market.len()).map(|i| eval.rho_res(i)));
+    let got = fnv1a(words.iter().map(|v| v.to_bits()));
+    assert_eq!(got, 0x3971_3ea0_9280_8af5, "{got:#018x}");
+}
+
+#[test]
+fn zero_rho_market_matches_its_golden_fingerprints() {
+    // With ρ ≡ 0 every stored row is empty: each sum is an empty sum,
+    // and only an accumulator started at +0.0 returns the +0.0 a dense
+    // row reached through its diagonal (`f64: Sum` starts at −0.0).
+    for (n, golden) in [(10, 0xe282_36de_c51f_63b3), (50, 0x842a_8c54_1233_193c)] {
+        let g = table_ii_game(MarketConfig::table_ii().with_orgs(n).with_rho_mean(0.0), 2);
+        let eq = DbrSolver::new().solve(&g).unwrap();
+        let terms = (0..n).flat_map(|i| {
+            [g.redistribution(&eq.profile, i), g.damage(&eq.profile, i)].map(f64::to_bits)
+        });
+        let got = fnv1a(terms.chain([equilibrium_fingerprint(&eq)]));
+        assert_eq!(got, golden, "n={n}: {got:#018x}");
+    }
+}
+
+/// FNV-1a over the CSR arrays of ρ: `row_ptr`, `cols`, then
 /// the bit patterns of `vals`.
 fn csr_fingerprint(rho: &tradefl_core::market::RhoMatrix) -> u64 {
-    use tradefl_core::market::RhoMatrix;
-    let RhoMatrix::Sparse { row_ptr, cols, vals, .. } = rho else {
-        panic!("build_sparse builds a sparse rho");
-    };
+    let tradefl_core::market::RhoMatrix { row_ptr, cols, vals, .. } = rho;
     fnv1a(
         row_ptr
             .iter()
