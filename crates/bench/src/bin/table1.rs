@@ -16,7 +16,7 @@ fn main() {
     let market = MarketConfig::table_ii().with_orgs(5).build(SEED).unwrap();
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
     let equilibrium = DbrSolver::new().solve(&game).expect("dbr converges");
-    let session = SettlementSession::deploy(&game).expect("deploys");
+    let mut session = SettlementSession::deploy(&game).expect("deploys");
     let report = session.settle(&game, &equilibrium.profile).expect("settles");
 
     let descriptions = [
@@ -33,7 +33,7 @@ fn main() {
     );
     let mut ok = true;
     for (func, desc, event) in descriptions {
-        let count = session.web3().logs_by_event(event).len();
+        let count = session.node().chain().logs_by_event(event).count();
         table.row(vec![func.to_string(), desc.to_string(), count.to_string()]);
         ok &= check(&format!("{func} executed on-chain (emitted {count} {event})"), count > 0);
     }
@@ -46,6 +46,6 @@ fn main() {
         fmt(report.max_abs_error)
     );
     ok &= check("on-chain redistribution matches Eq. (10)", report.consistent(1e-3));
-    ok &= check("chain verifies end-to-end", session.web3().verify_chain().is_ok());
+    ok &= check("chain verifies end-to-end", session.node().chain().verify().is_ok());
     finish(ok);
 }

@@ -102,11 +102,6 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         &self.accuracy
     }
 
-    /// Consumes the game, returning its parts.
-    pub fn into_parts(self) -> (Market, A) {
-        (self.market, self.accuracy)
-    }
-
     /// Rebuilds the game with different mechanism parameters (γ sweeps).
     ///
     /// # Errors

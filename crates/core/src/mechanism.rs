@@ -49,17 +49,9 @@ impl MechanismAudit {
         self.min_payoff >= -tol
     }
 
-    /// Budget balance (Definition 5): `Σ_i R_i = 0` within `tol`.
-    ///
-    /// The natural tolerance scales with the gross redistribution volume;
-    /// pass e.g. `1e-9 * gross` where
-    /// `gross = Σ_i |R_i|`, or use [`MechanismAudit::budget_balanced_rel`].
-    pub fn budget_balanced(&self, tol: f64) -> bool {
-        self.redistribution_sum.abs() <= tol
-    }
-
-    /// Budget balance with a relative tolerance against the gross
-    /// redistribution volume (robust to float cancellation).
+    /// Budget balance (Definition 5): `Σ_i R_i = 0` within a tolerance
+    /// relative to the gross redistribution volume `Σ_i |R_i|` (robust
+    /// to float cancellation).
     pub fn budget_balanced_rel(&self, rel_tol: f64) -> bool {
         let gross: f64 = self.redistributions.iter().map(|r| r.abs()).sum();
         self.redistribution_sum.abs() <= rel_tol * gross.max(1.0)

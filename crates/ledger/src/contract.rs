@@ -118,11 +118,6 @@ impl<'a> CallContext<'a> {
         self.gas.charge(amount)
     }
 
-    /// The contract account's current balance.
-    pub fn contract_balance(&self) -> Wei {
-        self.state.balance_of(self.this)
-    }
-
     /// Sends `amount` from the contract's balance to `to`.
     ///
     /// # Errors

@@ -16,9 +16,9 @@
 //! * [`tradefl_contract`] — the Table I settlement contract
 //!   (`register`/`depositSubmit`/`contributionSubmit`/`payoffCalculate`/
 //!   `payoffTransfer`/`profileRecord`);
-//! * [`web3`] — a Web3-style shared client;
 //! * [`settlement`] — the Fig. 3 end-to-end driver bridging solver
-//!   equilibria onto the chain and auditing on-chain vs. Eq. (10).
+//!   equilibria onto the chain and auditing on-chain vs. Eq. (10); its
+//!   session owns the node the organizations call the contract on.
 //!
 //! # Quick start
 //!
@@ -33,7 +33,7 @@
 //! let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
 //! let profile = StrategyProfile::minimal(game.market());
 //!
-//! let session = SettlementSession::deploy(&game)?;
+//! let mut session = SettlementSession::deploy(&game)?;
 //! let report = session.settle(&game, &profile)?;
 //! assert!(report.consistent(1e-3)); // on-chain R_i == Eq. (10)
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -56,7 +56,6 @@ pub mod state;
 pub mod tradefl_contract;
 pub mod tx;
 pub mod types;
-pub mod web3;
 
 pub use attestation::{hmac_sha256, Attestation, Enclave};
 pub use chain::{Block, Blockchain, ChainError};
@@ -69,4 +68,3 @@ pub use settlement::{SettlementReport, SettlementSession};
 pub use tradefl_contract::{Phase, SessionParams, TradeFlContract};
 pub use tx::{ExecStatus, Log, Receipt, Transaction, TxPayload, Value};
 pub use types::{Address, Fixed, Hash256, Wei};
-pub use web3::Web3;

@@ -618,6 +618,32 @@ mod tests {
         assert_eq!(got, vec![Value::U64(2)]);
     }
 
+    /// Two transfers from one sender before a mine: the second must
+    /// take the nonce after the queued first one, not the confirmed
+    /// nonce (which failed with `BadNonce { got: 0, expected: 1 }`).
+    #[test]
+    fn next_nonce_counts_queued_transactions() {
+        let alice = Address::from_name("alice");
+        let bob = Address::from_name("bob");
+        let mut node = Node::new(&[(alice, Wei(100))]);
+        let transfer = |nonce, value| Transaction {
+            from: alice,
+            nonce,
+            value: Wei(value),
+            gas_limit: 21_000,
+            payload: TxPayload::Transfer { to: bob },
+        };
+        assert_eq!(node.next_nonce(alice), 0);
+        node.submit(transfer(node.next_nonce(alice), 1)).unwrap();
+        assert_eq!(node.next_nonce(alice), 1, "the queued transfer counts");
+        node.submit(transfer(node.next_nonce(alice), 2)).unwrap();
+        assert_eq!(node.next_nonce(alice), 2);
+        node.mine();
+        assert_eq!(node.state().balance_of(bob), Wei(3));
+        assert_eq!(node.state().nonce_of(alice), 2, "both settled in one block");
+        assert_eq!(node.next_nonce(alice), 2);
+    }
+
     #[test]
     fn view_calls_do_not_mutate() {
         let (node, alice, counter) = setup();

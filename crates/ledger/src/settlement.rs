@@ -11,11 +11,10 @@
 
 use crate::attestation::Enclave;
 use crate::contract::ContractError;
-use crate::node::Node;
+use crate::node::{Node, NodeError};
 use crate::tradefl_contract::{SessionParams, TradeFlContract};
-use crate::tx::{ExecStatus, Transaction, TxPayload, Value};
+use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Fixed, Wei};
-use crate::web3::Web3;
 use std::fmt;
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
@@ -34,7 +33,7 @@ pub enum SettlementError {
     /// A contract call reverted (carries the on-chain reason).
     Contract(ContractError),
     /// A transaction could not be submitted.
-    Node(crate::node::NodeError),
+    Node(NodeError),
     /// A mined transaction reverted.
     Reverted {
         /// The ABI function that reverted.
@@ -64,8 +63,8 @@ impl From<ContractError> for SettlementError {
     }
 }
 
-impl From<crate::node::NodeError> for SettlementError {
-    fn from(e: crate::node::NodeError) -> Self {
+impl From<NodeError> for SettlementError {
+    fn from(e: NodeError) -> Self {
         SettlementError::Node(e)
     }
 }
@@ -217,10 +216,11 @@ impl SettlementReport {
 }
 
 /// Drives one trading session end to end on a private single-node
-/// chain.
+/// chain: the organizations' contract calls (§VI) are submitted to the
+/// session's own [`Node`] and mined one per block.
 #[derive(Debug)]
 pub struct SettlementSession {
-    web3: Web3,
+    node: Node,
     contract: Address,
     plan: SettlementPlan,
 }
@@ -258,12 +258,12 @@ impl SettlementSession {
         let contract_impl = TradeFlContract::new(plan.params.clone())?;
         let mut node = Node::new(&plan.allocations);
         let contract = node.deploy(Box::new(contract_impl));
-        Ok(Self { web3: Web3::new(node), contract, plan })
+        Ok(Self { node, contract, plan })
     }
 
-    /// The Web3 handle (for inspecting the chain afterwards).
-    pub fn web3(&self) -> &Web3 {
-        &self.web3
+    /// The session's chain node (for inspecting the chain afterwards).
+    pub fn node(&self) -> &Node {
+        &self.node
     }
 
     /// The deployed contract address.
@@ -279,13 +279,13 @@ impl SettlementSession {
     ///
     /// [`SettlementError::Reverted`] if any on-chain step fails.
     pub fn settle<A: AccuracyModel>(
-        &self,
+        &mut self,
         game: &CoopetitionGame<A>,
         profile: &StrategyProfile,
     ) -> Result<SettlementReport, SettlementError> {
         let market = game.market();
         let script =
-            self.plan.script(market, profile, self.contract, |a| self.web3.nonce(a));
+            self.plan.script(market, profile, self.contract, |a| self.node.next_nonce(a));
         let mut total_gas = 0u64;
         let mut calculated = Vec::new();
         for tx in script {
@@ -293,7 +293,7 @@ impl SettlementSession {
                 TxPayload::Call { function, .. } => function.clone(),
                 TxPayload::Transfer { .. } => String::new(),
             };
-            let receipt = self.web3.send_and_mine(tx)?;
+            let receipt = self.submit_and_mine(tx)?;
             total_gas = total_gas.saturating_add(receipt.gas_used);
             match receipt.status {
                 ExecStatus::Reverted(reason) => {
@@ -323,8 +323,45 @@ impl SettlementSession {
             offchain_redistribution: offchain,
             max_abs_error,
             total_gas,
-            chain_height: self.web3.height(),
+            chain_height: self.node.chain().height(),
         })
+    }
+
+    /// Calls `function` on the session's contract from `from` at its
+    /// next nonce with [`CALL_GAS`], mines it in its own block, and
+    /// returns the receipt — a hand-driven step of the Fig. 3
+    /// procedure.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError`] if submission fails; the receipt itself may still
+    /// be a revert — check [`Receipt::status`].
+    pub fn call(
+        &mut self,
+        from: Address,
+        function: &str,
+        args: Vec<Value>,
+        value: Wei,
+    ) -> Result<Receipt, NodeError> {
+        self.submit_and_mine(Transaction {
+            from,
+            nonce: self.node.next_nonce(from),
+            value,
+            gas_limit: CALL_GAS,
+            payload: TxPayload::Call { contract: self.contract, function: function.into(), args },
+        })
+    }
+
+    /// Submits `tx`, mines it alone in a block, and returns its receipt.
+    fn submit_and_mine(&mut self, tx: Transaction) -> Result<Receipt, NodeError> {
+        let hash = self.node.submit(tx)?;
+        self.node.mine();
+        Ok(self
+            .node
+            .receipt(hash)
+            .cloned()
+            // lint:allow(no-panic-in-lib): the tx was submitted just before the mine
+            .expect("just-mined transaction must have a receipt"))
     }
 }
 
@@ -355,7 +392,7 @@ mod tests {
     fn onchain_settlement_matches_offchain_eq10() {
         let g = game(5, 77);
         let profile = spread_profile(&g);
-        let session = SettlementSession::deploy(&g).unwrap();
+        let mut session = SettlementSession::deploy(&g).unwrap();
         let report = session.settle(&g, &profile).unwrap();
         // Fixed-point resolution is 1e-9 per term; allow generous slack.
         assert!(
@@ -366,22 +403,26 @@ mod tests {
             report.offchain_redistribution
         );
         assert!(report.total_gas > 0);
-        session.web3().verify_chain().unwrap();
+        session.node().chain().verify().unwrap();
     }
 
     #[test]
     fn settlement_emits_full_audit_trail() {
         let g = game(3, 5);
         let profile = spread_profile(&g);
-        let session = SettlementSession::deploy(&g).unwrap();
+        let mut session = SettlementSession::deploy(&g).unwrap();
         session.settle(&g, &profile).unwrap();
-        let w = session.web3();
-        assert_eq!(w.logs_by_event("Registered").len(), 3);
-        assert_eq!(w.logs_by_event("DepositSubmitted").len(), 3);
-        assert_eq!(w.logs_by_event("ContributionSubmitted").len(), 3);
-        assert_eq!(w.logs_by_event("PayoffCalculated").len(), 3);
-        assert_eq!(w.logs_by_event("PayoffTransferred").len(), 3);
-        assert_eq!(w.logs_by_event("ProfileRecorded").len(), 3);
+        let chain = session.node().chain();
+        for event in [
+            "Registered",
+            "DepositSubmitted",
+            "ContributionSubmitted",
+            "PayoffCalculated",
+            "PayoffTransferred",
+            "ProfileRecorded",
+        ] {
+            assert_eq!(chain.logs_by_event(event).count(), 3, "{event}");
+        }
     }
 
     #[test]
@@ -389,7 +430,7 @@ mod tests {
         let g = game(3, 31);
         let profile = spread_profile(&g);
         let enclave = crate::attestation::Enclave::from_label("vendor-x");
-        let session = SettlementSession::deploy_attested(&g, enclave).unwrap();
+        let mut session = SettlementSession::deploy_attested(&g, enclave).unwrap();
         let report = session.settle(&g, &profile).unwrap();
         assert!(report.consistent(1e-3));
     }
@@ -398,8 +439,7 @@ mod tests {
     fn attested_session_rejects_unattested_contributions() {
         let g = game(3, 33);
         let enclave = crate::attestation::Enclave::from_label("vendor-x");
-        let session = SettlementSession::deploy_attested(&g, enclave.clone()).unwrap();
-        let w3 = session.web3();
+        let mut session = SettlementSession::deploy_attested(&g, enclave.clone()).unwrap();
         let addrs: Vec<Address> = g
             .market()
             .orgs()
@@ -407,56 +447,28 @@ mod tests {
             .map(|o| Address::from_name(o.name()))
             .collect();
         for &a in &addrs {
-            assert!(w3
-                .call_and_mine(a, session.contract(), "register", vec![], Wei::ZERO)
-                .unwrap()
-                .status
-                .is_success());
+            assert!(session.call(a, "register", vec![], Wei::ZERO).unwrap().status.is_success());
         }
         for &a in &addrs {
-            let bond = Wei(w3.balance(a).0 / 4);
-            assert!(w3
-                .call_and_mine(a, session.contract(), "depositSubmit", vec![], bond)
-                .unwrap()
-                .status
-                .is_success());
+            let bond = Wei(session.node().state().balance_of(a).0 / 4);
+            assert!(session.call(a, "depositSubmit", vec![], bond).unwrap().status.is_success());
         }
         let d = Fixed::from_f64(0.5);
         let f = Fixed::from_f64(3.0);
         // Missing attestation: rejected.
-        let r = w3
-            .call_and_mine(
-                addrs[0],
-                session.contract(),
-                "contributionSubmit",
-                vec![Value::Fixed(d), Value::Fixed(f)],
-                Wei::ZERO,
-            )
+        let r = session
+            .call(addrs[0], "contributionSubmit", vec![Value::Fixed(d), Value::Fixed(f)], Wei::ZERO)
             .unwrap();
         assert!(!r.status.is_success(), "unattested report must revert");
         // Attestation for a DIFFERENT d (the org inflates its report).
         let att = enclave.attest(addrs[0], Fixed::from_f64(0.1), f);
-        let r = w3
-            .call_and_mine(
-                addrs[0],
-                session.contract(),
-                "contributionSubmit",
-                vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())],
-                Wei::ZERO,
-            )
-            .unwrap();
+        let args = vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())];
+        let r = session.call(addrs[0], "contributionSubmit", args, Wei::ZERO).unwrap();
         assert!(!r.status.is_success(), "inflated report must revert");
         // Honest, properly attested report: accepted.
         let att = enclave.attest(addrs[0], d, f);
-        let r = w3
-            .call_and_mine(
-                addrs[0],
-                session.contract(),
-                "contributionSubmit",
-                vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())],
-                Wei::ZERO,
-            )
-            .unwrap();
+        let args = vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())];
+        let r = session.call(addrs[0], "contributionSubmit", args, Wei::ZERO).unwrap();
         assert!(r.status.is_success());
     }
 
@@ -464,13 +476,35 @@ mod tests {
     fn settling_twice_is_rejected() {
         let g = game(3, 9);
         let profile = spread_profile(&g);
-        let session = SettlementSession::deploy(&g).unwrap();
+        let mut session = SettlementSession::deploy(&g).unwrap();
         session.settle(&g, &profile).unwrap();
         let err = session.settle(&g, &profile).unwrap_err();
         assert!(
             matches!(&err, SettlementError::Reverted { function, .. } if function == "register"),
             "{err}"
         );
+    }
+
+    /// Two organizations named alike map to one address; the session
+    /// must refuse to deploy rather than mine a settlement that fails
+    /// on its second `register` with `BadNonce`.
+    #[test]
+    fn duplicate_participants_are_rejected_at_deploy() {
+        use tradefl_core::market::MechanismParams;
+        use tradefl_core::org::Organization;
+        let orgs = ["acme", "acme", "globex"]
+            .iter()
+            .map(|&name| {
+                Organization::builder(name).compute_levels(vec![1e9, 2e9, 3e9]).build().unwrap()
+            })
+            .collect();
+        let rho = (0..3)
+            .map(|i| (0..3).map(|j| if i == j { 0.0 } else { 0.05 }).collect())
+            .collect();
+        let market = Market::new(orgs, rho, MechanismParams::paper_default()).unwrap();
+        let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+        let err = SettlementSession::deploy(&g).unwrap_err();
+        assert!(matches!(err, SettlementError::Contract(_)), "{err}");
     }
 
     /// The chain one settlement produces, pinned: these tip hashes and
@@ -489,11 +523,11 @@ mod tests {
         ];
         for (enclave, tip) in cases {
             let g = game(4, 12);
-            let session = SettlementSession::deploy_with(&g, enclave).unwrap();
+            let mut session = SettlementSession::deploy_with(&g, enclave).unwrap();
             let report = session.settle(&g, &spread_profile(&g)).unwrap();
             assert_eq!((report.chain_height, report.total_gas), (19, 519_000));
             let (got_tip, got_root) =
-                session.web3().with_node(|n| (n.chain().tip_hash(), n.state().root()));
+                (session.node().chain().tip_hash(), session.node().state().root());
             assert_eq!(got_tip.to_hex(), tip);
             assert_eq!(got_root.to_hex(), root);
         }

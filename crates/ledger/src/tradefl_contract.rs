@@ -31,7 +31,7 @@
 use crate::contract::{CallContext, Contract, ContractError};
 use crate::tx::Value;
 use crate::types::{Address, Fixed, Wei};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Gas schedule (flat per function, linear parts charged separately).
@@ -72,7 +72,7 @@ pub struct SessionParams {
 }
 
 impl SessionParams {
-    /// Validates shapes and symmetry.
+    /// Validates distinct participants, shapes and symmetry.
     ///
     /// # Errors
     ///
@@ -81,6 +81,12 @@ impl SessionParams {
         let n = self.participants.len();
         if n == 0 {
             return Err(ContractError::revert("no participants"));
+        }
+        // A repeated address would own two slots but act through one
+        // nonce sequence, so the session could never settle.
+        let mut seen = BTreeSet::new();
+        if !self.participants.iter().all(|p| seen.insert(*p)) {
+            return Err(ContractError::revert("duplicate participant"));
         }
         if self.rho.len() != n || self.s_gbits.len() != n {
             return Err(ContractError::revert("parameter shape mismatch"));
@@ -716,5 +722,11 @@ mod tests {
         let mut p = params(2);
         p.s_gbits.pop();
         assert!(TradeFlContract::new(p).is_err());
+        let mut p = params(3);
+        p.participants[1] = p.participants[0];
+        assert!(matches!(
+            TradeFlContract::new(p),
+            Err(ContractError::Revert(m)) if m.contains("duplicate participant")
+        ));
     }
 }

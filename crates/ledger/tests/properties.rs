@@ -47,7 +47,7 @@ props! {
         let game = any_game(g);
         let ts = g.vec(6..=6usize, |g| g.f64(0.0..=1.0));
         let profile = profile_for(&game, &ts);
-        let session = SettlementSession::deploy(&game).unwrap();
+        let mut session = SettlementSession::deploy(&game).unwrap();
         let report = session.settle(&game, &profile).unwrap();
         prop_assert!(report.consistent(1e-3), "max error {}", report.max_abs_error);
         // Exact integer budget balance on-chain.
@@ -57,7 +57,7 @@ props! {
             .map(|&r| Fixed::from_f64(r).0)
             .sum();
         prop_assert!(sum_fixed.abs() <= report.addresses.len() as i128);
-        session.web3().verify_chain().unwrap();
+        session.node().chain().verify().unwrap();
     }
 
     /// SHA-256 streaming invariance: feeding `update` the input cut at

@@ -153,11 +153,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// The next sequence number (monotone event counter) — part of a
     /// checkpoint, restored via [`EventQueue::restore`].
     pub fn next_seq(&self) -> u64 {

@@ -3,11 +3,15 @@
 //! its guard directly instead of a `Result`.
 //!
 //! Lock poisoning is deliberately transparent: a panic while holding a
-//! lock does not brick every other holder. The workspace's shared
-//! state (the in-process chain node behind [`crate::sync::Mutex`]) is
-//! consistent at every public API boundary, so continuing after an
-//! unwinding panic in an unrelated thread is sound here — exactly the
-//! rationale `parking_lot` applies globally.
+//! lock does not brick every other holder. What the workspace guards
+//! with [`crate::sync::Mutex`] — the `obs` recorder's buffers and maps
+//! and the [`pool`]'s task queues, state and panic slot — is changed by
+//! one push, pop or insert per critical section, so it is consistent
+//! whenever a lock is released; and the pool catches a task's panic
+//! and re-raises it on the caller, which poisoning would only turn into
+//! a cascade of secondary panics. Continuing after an unwinding panic
+//! is therefore sound here — the rationale `parking_lot` applies
+//! globally.
 //!
 //! The [`pool`] submodule holds the work-stealing pool the solver and
 //! FL hot paths run on.

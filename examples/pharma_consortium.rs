@@ -81,17 +81,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Settle the compensation credibly on the private chain (Fig. 3).
-    let session = SettlementSession::deploy(&game)?;
+    let mut session = SettlementSession::deploy(&game)?;
     let report = session.settle(&game, &dbr.profile)?;
     println!(
         "\non-chain settlement: {} blocks, {} gas, max |on-chain - Eq.(10)| = {:.2e}",
         report.chain_height, report.total_gas, report.max_abs_error
     );
     assert!(report.consistent(1e-3));
-    session.web3().verify_chain()?;
+    let chain = session.node().chain();
+    chain.verify()?;
     println!("chain verified; every step recorded for arbitration:");
     for event in ["DepositSubmitted", "ContributionSubmitted", "PayoffTransferred"] {
-        println!("  {event}: {} records", session.web3().logs_by_event(event).len());
+        println!("  {event}: {} records", chain.logs_by_event(event).count());
     }
     Ok(())
 }

@@ -139,6 +139,19 @@ echo "==> bench-regression gate: smoke medians vs the committed file (3x toleran
 # both files carry compare like-for-like.
 target/release/baseline --gate target/BENCH_baselines.fast.json BENCH_baselines.json
 
+echo "==> settlement smoke: every single-node settlement consumer runs clean"
+# Each drives SettlementSession end to end (deploy, settle or
+# hand-driven contract calls, chain reads) and exits non-zero when one
+# of its own checks fails.
+cargo build --release -q --example arbitration --example pharma_consortium
+cargo build --release -q -p tradefl-bench --bin fig03 --bin table1
+for consumer in examples/arbitration examples/pharma_consortium fig03 table1; do
+  target/release/"$consumer" > /dev/null
+  echo "  $consumer: ok"
+done
+target/release/tradefl settle --attested > /dev/null
+echo "  tradefl settle --attested: ok"
+
 echo "==> DST smoke: market_daemon under three seeded fault schedules"
 # Each run injects dropped/duplicated/delayed/corrupted gossip plus
 # kill-and-restart from the seed's schedule — and, with --byzantine,

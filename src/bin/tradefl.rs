@@ -235,7 +235,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let game = build_game(opts)?;
     let eq = DbrSolver::new().solve(&game)?;
-    let session = if opts.attested {
+    let mut session = if opts.attested {
         SettlementSession::deploy_attested(&game, Enclave::from_label("tradefl-cli"))?
     } else {
         SettlementSession::deploy(&game)?
@@ -258,7 +258,7 @@ fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("max |on-chain − off-chain| = {:.2e}", report.max_abs_error);
-    session.web3().verify_chain()?;
+    session.node().chain().verify()?;
     println!("chain verified");
     Ok(())
 }

@@ -169,7 +169,7 @@ pub mod pipeline {
 
             // 2. Credible settlement (Fig. 3), optionally with
             //    TEE-attested reports.
-            let session = if self.config.attested {
+            let mut session = if self.config.attested {
                 SettlementSession::deploy_attested(
                     &game,
                     Enclave::from_label("tradefl-pipeline"),

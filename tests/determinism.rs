@@ -18,11 +18,9 @@ fn game(seed: u64) -> CoopetitionGame<SqrtAccuracy> {
 fn settlement_state_roots(seed: u64) -> Vec<Hash256> {
     let g = game(seed);
     let eq = DbrSolver::new().solve(&g).unwrap();
-    let session = SettlementSession::deploy(&g).unwrap();
+    let mut session = SettlementSession::deploy(&g).unwrap();
     session.settle(&g, &eq.profile).unwrap();
-    session.web3().with_node(|node| {
-        node.chain().blocks().iter().map(|b| b.header.state_root).collect()
-    })
+    session.node().chain().blocks().iter().map(|b| b.header.state_root).collect()
 }
 
 #[test]

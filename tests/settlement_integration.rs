@@ -17,7 +17,7 @@ fn small_game(seed: u64) -> CoopetitionGame<SqrtAccuracy> {
 fn cgbd_equilibrium_settles_consistently() {
     let game = small_game(11);
     let report = CgbdSolver::new().solve(&game).unwrap();
-    let session = SettlementSession::deploy(&game).unwrap();
+    let mut session = SettlementSession::deploy(&game).unwrap();
     let settlement = session.settle(&game, &report.equilibrium.profile).unwrap();
     assert!(settlement.consistent(1e-3), "error {}", settlement.max_abs_error);
 }
@@ -26,13 +26,13 @@ fn cgbd_equilibrium_settles_consistently() {
 fn onchain_budget_balance_is_exact_in_integer_arithmetic() {
     let game = small_game(13);
     let eq = DbrSolver::new().solve(&game).unwrap();
-    let session = SettlementSession::deploy(&game).unwrap();
+    let mut session = SettlementSession::deploy(&game).unwrap();
     session.settle(&game, &eq.profile).unwrap();
     // Query each org's recorded redistribution and sum in fixed point.
     let sum: i128 = session
-        .web3()
+        .node()
+        .chain()
         .logs_by_event("PayoffCalculated")
-        .iter()
         .map(|log| {
             log.field("redistribution")
                 .and_then(Value::as_fixed)
@@ -47,39 +47,33 @@ fn onchain_budget_balance_is_exact_in_integer_arithmetic() {
 fn settlement_conserves_total_wei() {
     let game = small_game(17);
     let eq = DbrSolver::new().solve(&game).unwrap();
-    let session = SettlementSession::deploy(&game).unwrap();
-    let before = session.web3().with_node(|n| n.state().total_supply());
+    let mut session = SettlementSession::deploy(&game).unwrap();
+    let before = session.node().state().total_supply();
     session.settle(&game, &eq.profile).unwrap();
-    let after = session.web3().with_node(|n| n.state().total_supply());
+    let after = session.node().state().total_supply();
     assert_eq!(before, after, "settlement must only move wei, never mint");
 }
 
 #[test]
 fn underfunded_deposit_is_rejected_on_chain() {
     let game = small_game(19);
-    let session = SettlementSession::deploy(&game).unwrap();
-    let w3 = session.web3();
+    let mut session = SettlementSession::deploy(&game).unwrap();
     let org0 = tradefl::ledger::types::Address::from_name(game.market().org(0).name());
     // Register everyone first.
     for org in game.market().orgs() {
         let addr = tradefl::ledger::types::Address::from_name(org.name());
-        let r = w3
-            .call_and_mine(addr, session.contract(), "register", vec![], Wei::ZERO)
-            .unwrap();
+        let r = session.call(addr, "register", vec![], Wei::ZERO).unwrap();
         assert!(r.status.is_success());
     }
     // A one-wei deposit must revert.
-    let r = w3
-        .call_and_mine(org0, session.contract(), "depositSubmit", vec![], Wei(1))
-        .unwrap();
+    let r = session.call(org0, "depositSubmit", vec![], Wei(1)).unwrap();
     assert!(!r.status.is_success(), "tiny deposit must be rejected");
 }
 
 #[test]
 fn contribution_outside_the_reported_strategy_space_reverts() {
     let game = small_game(23);
-    let session = SettlementSession::deploy(&game).unwrap();
-    let w3 = session.web3();
+    let mut session = SettlementSession::deploy(&game).unwrap();
     let addrs: Vec<_> = game
         .market()
         .orgs()
@@ -87,27 +81,18 @@ fn contribution_outside_the_reported_strategy_space_reverts() {
         .map(|o| tradefl::ledger::types::Address::from_name(o.name()))
         .collect();
     for &a in &addrs {
-        w3.call_and_mine(a, session.contract(), "register", vec![], Wei::ZERO).unwrap();
+        session.call(a, "register", vec![], Wei::ZERO).unwrap();
     }
     // Bond amount: read from a successful deposit flow instead of
     // duplicating the formula.
     for &a in &addrs {
-        let bond = w3.balance(a).0 / 4; // deploy funds 4x the bond
-        let r = w3
-            .call_and_mine(a, session.contract(), "depositSubmit", vec![], Wei(bond))
-            .unwrap();
+        let bond = session.node().state().balance_of(a).0 / 4; // deploy funds 4x the bond
+        let r = session.call(a, "depositSubmit", vec![], Wei(bond)).unwrap();
         assert!(r.status.is_success());
     }
     // d > 1 reverts.
-    let r = w3
-        .call_and_mine(
-            addrs[0],
-            session.contract(),
-            "contributionSubmit",
-            vec![Value::Fixed(Fixed::from_f64(1.5)), Value::Fixed(Fixed::from_f64(3.0))],
-            Wei::ZERO,
-        )
-        .unwrap();
+    let args = vec![Value::Fixed(Fixed::from_f64(1.5)), Value::Fixed(Fixed::from_f64(3.0))];
+    let r = session.call(addrs[0], "contributionSubmit", args, Wei::ZERO).unwrap();
     assert!(!r.status.is_success(), "d > 1 must revert");
 }
 
@@ -115,9 +100,9 @@ fn contribution_outside_the_reported_strategy_space_reverts() {
 fn audit_trail_matches_equilibrium_profile() {
     let game = small_game(29);
     let eq = DbrSolver::new().solve(&game).unwrap();
-    let session = SettlementSession::deploy(&game).unwrap();
+    let mut session = SettlementSession::deploy(&game).unwrap();
     session.settle(&game, &eq.profile).unwrap();
-    let logs = session.web3().logs_by_event("ContributionSubmitted");
+    let logs: Vec<_> = session.node().chain().logs_by_event("ContributionSubmitted").collect();
     assert_eq!(logs.len(), game.market().len());
     for log in logs {
         let d = log.field("d").and_then(Value::as_fixed).unwrap().to_f64();
