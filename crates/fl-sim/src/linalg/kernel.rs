@@ -92,16 +92,16 @@ pub fn matmul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix, ws: &mu
 }
 
 /// Flop bound (`m·n·k`) below which [`transposed_matmul_into`]
-/// considers the naive sparsity-skipping loop instead of the blocked
-/// driver. Sub-blocking shapes (the 32–96-class per-silo gradient
-/// products) can't amortize the pack-B pass, and the blocked path
-/// cannot skip work on ReLU-zeroed activation columns — the recorded
-/// `grad_weights_relu_sparse_64x32x96` regression. The bound and the
-/// zero census below depend only on the operand values, never on
-/// worker count, so dispatch is deterministic.
+/// considers the sparse loops ([`sparse_wide`], [`sparse_narrow`])
+/// instead of the blocked driver. Sub-blocking shapes (the 32–96-class
+/// per-silo gradient products) can't amortize the pack-B pass, and the
+/// blocked path cannot skip work on ReLU-zeroed activation columns —
+/// the recorded `grad_weights_relu_sparse_64x32x96` regression. The
+/// bound and the zero census below depend only on the operand values,
+/// never on worker count, so dispatch is deterministic.
 const SMALL_SPARSE_FLOPS: usize = 1 << 19;
 
-/// Minimum exact-zero fraction of `at` for the sparse loop to win:
+/// Minimum exact-zero fraction of `at` for the sparse loops to win:
 /// below this the blocked kernel's SIMD tiles beat skipping.
 const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
 
@@ -110,10 +110,11 @@ const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
 /// Small shapes (`m·n·k < SMALL_SPARSE_FLOPS`) whose `at` operand
 /// is at least `SMALL_SPARSE_MIN_ZEROS` exact zeros — ReLU
 /// activations in the backward weight-gradient product — dispatch to
-/// the naive k-outer loop with the sparsity skip (bit-identical to
-/// [`transposed_matmul_reference`]); everything else runs the blocked
-/// driver. The census costs one `O(m·k)` pass, negligible next to the
-/// `O(m·n·k)` product.
+/// a sparse loop bit-identical to [`transposed_matmul_reference`]:
+/// the branch-free `sparse_narrow` for outputs at most `NARROW_N`
+/// wide, the skip-zero `sparse_wide` above. Everything else runs the
+/// blocked driver. The census costs one `O(m·k)` pass, negligible
+/// next to the `O(m·n·k)` product.
 ///
 /// # Panics
 ///
@@ -128,26 +129,82 @@ pub fn transposed_matmul_into(at: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mu
         // lint:allow(no-float-eq): ReLU emits exact 0.0, so the zero census is exact
         let zeros = ad.iter().filter(|&&v| v == 0.0).count();
         if zeros as f32 >= SMALL_SPARSE_MIN_ZEROS * ad.len() as f32 {
-            let od = out.as_mut_slice();
-            od.fill(0.0);
-            for p in 0..k {
-                let arow = &ad[p * m..(p + 1) * m];
-                let brow = &bd[p * n..(p + 1) * n];
-                for (r, &av) in arow.iter().enumerate() {
-                    // lint:allow(no-float-eq): ReLU emits exact 0.0, so the sparsity skip is exact
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut od[r * n..(r + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
+            if n <= NARROW_N && m >= LANES {
+                sparse_narrow(m, n, k, ad, bd, out.as_mut_slice());
+            } else {
+                sparse_wide(m, n, k, ad, bd, out.as_mut_slice());
             }
             return;
         }
     }
     gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+}
+
+/// Output width at or below which the sparse path vectorises over the
+/// output rows ([`sparse_narrow`]) instead of skipping zero entries
+/// ([`sparse_wide`]). Both layouts give every element the same bits,
+/// so the cut moves no result, only time: at `n = 10` the skip loop
+/// pays a data-dependent branch per `at` entry for a 10-float inner
+/// loop, at `n = 96` skipping a whole 96-float row beats doing it.
+const NARROW_N: usize = 16;
+
+/// Output rows [`sparse_narrow`] accumulates at once: one 512-bit
+/// vector of f32. Narrower `at` operands take [`sparse_wide`].
+const LANES: usize = 16;
+
+/// The skip-zero loop of [`transposed_matmul_reference`] over slices:
+/// `p` outer, each nonzero `at` entry scaling one `b` row into its
+/// output row.
+fn sparse_wide(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
+    od.fill(0.0);
+    for p in 0..k {
+        let arow = &ad[p * m..(p + 1) * m];
+        let brow = &bd[p * n..(p + 1) * n];
+        for (r, &av) in arow.iter().enumerate() {
+            // lint:allow(no-float-eq): ReLU emits exact 0.0, so the sparsity skip is exact
+            if av == 0.0 {
+                continue;
+            }
+            let out_row = &mut od[r * n..(r + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// [`sparse_wide`] without the branch, for narrow outputs: for each
+/// block of [`LANES`] output rows and each output column `c`, one
+/// accumulator vector runs down `p`, its lanes reading `at`'s row `p`
+/// contiguously. A zero `at` entry selects `+0.0` instead of skipping.
+/// The last row block is shifted back to end at `m`; rows it shares
+/// with the block before are recomputed to the same bits.
+///
+/// Each element sees the reference's exact sequence: it starts at
+/// `+0.0` and adds `av · bv` (a separate multiply and add, no FMA)
+/// for every nonzero `av` in ascending `p`. The extra `+ 0.0` terms
+/// are the identity: under round-to-nearest a sum that starts at
+/// `+0.0` is never `−0.0`, and `x + 0.0` is `x` for every other `x`,
+/// inf and NaN included. The select also keeps `0 · inf` and `0 · NaN`
+/// out of the sum, as the skip does.
+fn sparse_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
+    debug_assert!(m >= LANES && ad.len() == k * m);
+    for r in (0..m).step_by(LANES) {
+        let r = r.min(m - LANES);
+        for c in 0..n {
+            let mut acc = [0.0f32; LANES];
+            for (arow, brow) in ad.chunks_exact(m).zip(bd.chunks_exact(n)) {
+                let bv = brow[c];
+                for (o, &av) in acc.iter_mut().zip(&arow[r..r + LANES]) {
+                    // lint:allow(no-float-eq): ReLU emits exact 0.0, so the zero select is exact
+                    *o += if av == 0.0 { 0.0 } else { av * bv };
+                }
+            }
+            for (i, &v) in acc.iter().enumerate() {
+                od[(r + i) * n + c] = v;
+            }
+        }
+    }
 }
 
 /// The blocked driver: `out = A · B` for `A` of shape `m×k` and `B`
@@ -620,6 +677,56 @@ mod tests {
         assert_eq!((out.rows(), out.cols()), (m, n));
         for (s, p) in reference.as_slice().iter().zip(out.as_slice()) {
             assert_eq!(s.to_bits(), p.to_bits());
+        }
+    }
+
+    #[test]
+    fn narrow_and_wide_sparse_layouts_are_bit_identical_to_the_reference() {
+        // Shapes on both sides of the NARROW_N cut and of the LANES
+        // row block, each `at` over a quarter exact zeros, half of
+        // them −0.0. Every seventh `at` row is all zeros and its `b`
+        // row holds ±inf and NaN, so `0 · inf` reaches the sum unless
+        // the zero select holds.
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(0, 0);
+        for m in [1, 15, 16, 17, 40] {
+            for n in [1, 10, 16, 17, 96] {
+                for k in [1, 32] {
+                    let seed = (m * 1000 + n * 10 + k) as u64;
+                    let raw = random(k, m, seed);
+                    let at = Matrix::from_fn(k, m, |p, r| {
+                        let v = raw.get(p, r);
+                        if p % 7 == 3 || (p * m + r) % 3 == 0 || v < -0.5 {
+                            if (p + r) % 2 == 0 {
+                                -0.0
+                            } else {
+                                0.0
+                            }
+                        } else {
+                            v
+                        }
+                    });
+                    let zeros = at.as_slice().iter().filter(|&&v| v == 0.0).count();
+                    assert!(zeros as f32 >= 0.25 * (m * k) as f32, "{m}x{n}x{k} must be sparse");
+                    assert!(m * n * k < SMALL_SPARSE_FLOPS, "{m}x{n}x{k} must be small");
+                    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                    let raw = random(k, n, seed + 1);
+                    let b = Matrix::from_fn(k, n, |p, c| {
+                        if p % 7 == 3 {
+                            specials[c % 3]
+                        } else {
+                            raw.get(p, c)
+                        }
+                    });
+                    let reference = transposed_matmul_reference(&at, &b);
+                    transposed_matmul_into(&at, &b, &mut out, &mut ws);
+                    assert_eq!((out.rows(), out.cols()), (m, n));
+                    let pairs = reference.as_slice().iter().zip(out.as_slice());
+                    for (i, (s, p)) in pairs.enumerate() {
+                        assert_eq!(s.to_bits(), p.to_bits(), "{m}x{n}x{k} element {i}: {s} vs {p}");
+                    }
+                }
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
 /// Reusable scratch for the training/evaluation hot paths.
 ///
 /// Holds every intermediate the forward and backward passes need —
-/// per-layer activations, pre-activations, deltas, gradients and the
+/// per-layer activations, deltas, gradients and the
 /// GEMM packing buffers — so [`Mlp::forward_with`],
 /// [`Mlp::sgd_step_with`] and [`Mlp::evaluate_with`] perform **zero
 /// heap allocations** once the workspace has seen the model shape
@@ -26,8 +26,6 @@ pub struct Workspace {
     gemm: kernel::Workspace,
     /// Per-layer post-activation outputs (`acts[k]` = layer `k`'s output).
     acts: Vec<Matrix>,
-    /// Pre-activations of the hidden layers (ReLU masks for backprop).
-    pre: Vec<Matrix>,
     delta: Matrix,
     delta_next: Matrix,
     dw: Matrix,
@@ -46,9 +44,6 @@ impl Workspace {
     fn ensure_depth(&mut self, depth: usize) {
         while self.acts.len() < depth {
             self.acts.push(Matrix::zeros(0, 0));
-        }
-        while self.pre.len() + 1 < depth.max(1) {
-            self.pre.push(Matrix::zeros(0, 0));
         }
     }
 }
@@ -281,8 +276,8 @@ impl Mlp {
         ws.ensure_depth(self.layers.len());
         let last = self.layers.len() - 1;
 
-        // Forward, keeping activations and the hidden layers'
-        // pre-activations (the ReLU masks backprop needs).
+        // Forward, keeping every layer's activations (the hidden
+        // layers' ones double as the ReLU masks backprop needs).
         for (k, layer) in self.layers.iter().enumerate() {
             let (prev, rest) = ws.acts.split_at_mut(k);
             let z = &mut rest[0];
@@ -290,7 +285,6 @@ impl Mlp {
             kernel::matmul_into(input, &layer.w, z, &mut ws.gemm);
             z.add_bias(&layer.b);
             if k < last {
-                ws.pre[k].copy_from(z);
                 relu_inplace(z);
             } else {
                 softmax_inplace(z);
@@ -321,10 +315,13 @@ impl Mlp {
                     &mut ws.delta_next,
                     &mut ws.gemm,
                 );
-                for (v, &pre) in
-                    ws.delta_next.as_mut_slice().iter_mut().zip(ws.pre[k - 1].as_slice())
+                // `act <= 0.0` exactly where the pre-activation was:
+                // ReLU maps negatives to +0.0 and passes ±0.0 and NaN
+                // through unchanged.
+                for (v, &act) in
+                    ws.delta_next.as_mut_slice().iter_mut().zip(ws.acts[k - 1].as_slice())
                 {
-                    if pre <= 0.0 {
+                    if act <= 0.0 {
                         *v = 0.0;
                     }
                 }

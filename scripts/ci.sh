@@ -59,6 +59,13 @@ cargo test -q
 echo "==> workspace tests (all crates, property suites included)"
 cargo test -q --workspace
 
+echo "==> release tests: fl-sim and the determinism suite on the benchmark's codegen"
+# The dev-profile runs above do not vectorise the GEMM kernels, so the
+# bit-identity of the SIMD loops (sparse layouts vs the reference,
+# the training goldens) is only checked on an optimised build here.
+cargo test --release -q -p tradefl-fl-sim
+cargo test --release -q --test determinism
+
 echo "==> rustdoc: no broken or private intra-doc links"
 # A doc link to a deleted or private item fails here instead of
 # rotting into a dead reference in the rendered docs.
@@ -130,8 +137,9 @@ echo "==> committed BENCH_baselines.json is well-formed and meets its bounds"
 # the acceptance bounds recorded in the committed file: dbr_solve_n1000
 # within 20x dbr_solve_n100, dbr_solve_n10000 within 25x
 # dbr_solve_n1000 with its resident sparse-rho bytes under 100 MB, a
-# gamma rebuild within 0.25x the n10000 solve, and the blocked GEMM at
-# least 3x naive on the eval shape.
+# gamma rebuild within 0.25x the n10000 solve, the blocked GEMM at
+# least 3x naive on the eval shape, and the narrow ReLU-sparse weight
+# gradient at least 2x naive on the training shape.
 target/release/baseline --check BENCH_baselines.json
 
 echo "==> bench-regression gate: smoke medians vs the committed file (3x tolerance)"

@@ -19,7 +19,7 @@ use tradefl::fl::data::generate;
 use tradefl::fl::fed::FedConfig;
 use tradefl::fl::model::Mlp;
 use tradefl::ledger::attestation::Enclave;
-use tradefl::ledger::settlement::SettlementSession;
+use tradefl::ledger::settlement::{SettlementReport, SettlementSession};
 use tradefl::prelude::*;
 use tradefl::solver::baselines::solve_scheme;
 use tradefl::solver::social::{solve_social_optimum, SocialOptions};
@@ -258,9 +258,28 @@ fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("max |on-chain − off-chain| = {:.2e}", report.max_abs_error);
+    check_settlement(&report)?;
     session.node().chain().verify()?;
     println!("chain verified");
     Ok(())
+}
+
+/// How far, in payoff units, an on-chain redistribution may sit from
+/// Eq. (10) before `settle` fails (the examples and `table1` use the
+/// same bound).
+const SETTLE_TOL: f64 = 1e-3;
+
+/// Fails a settlement whose on-chain `R_i` disagree with Eq. (10).
+fn check_settlement(report: &SettlementReport) -> Result<(), String> {
+    if report.consistent(SETTLE_TOL) {
+        Ok(())
+    } else {
+        Err(format!(
+            "on-chain redistribution disagrees with Eq. (10): \
+             max |on-chain − off-chain| = {:.2e} exceeds {SETTLE_TOL:.0e}",
+            report.max_abs_error
+        ))
+    }
 }
 
 fn cmd_train(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -386,6 +405,22 @@ mod tests {
         assert!(parse(&strings(&["--model", "vgg"])).is_err());
         assert!(parse(&strings(&["--dataset", "imagenet"])).is_err());
         assert!(parse(&strings(&["--bogus"])).is_err());
+    }
+
+    #[test]
+    fn settle_fails_when_on_chain_redistribution_leaves_eq10() {
+        let report = |max_abs_error| SettlementReport {
+            addresses: Vec::new(),
+            onchain_redistribution: Vec::new(),
+            offchain_redistribution: Vec::new(),
+            max_abs_error,
+            total_gas: 0,
+            chain_height: 0,
+        };
+        assert!(check_settlement(&report(0.0)).is_ok());
+        assert!(check_settlement(&report(SETTLE_TOL)).is_ok());
+        let err = check_settlement(&report(2.5e-3)).unwrap_err();
+        assert!(err.contains("2.50e-3"), "error must name the gap: {err}");
     }
 
     #[test]
