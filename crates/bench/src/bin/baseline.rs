@@ -6,8 +6,9 @@
 //! together. The rows back the perf claims in README.md, DESIGN.md and
 //! EXPERIMENTS.md:
 //!
-//! * **kernel** — the paper's GEMM layer shapes, naive vs cache-blocked,
-//!   checked for agreement before anything is timed.
+//! * **kernel** — the paper's GEMM layer shapes, naive vs the kernel
+//!   `Matrix` products dispatch to, checked for agreement before
+//!   anything is timed, each side cycling a ring of distinct operands.
 //! * **solver** — CGBD master traversal (reference odometer vs table
 //!   scan), one DBR solve and one best response; DBR at N = 10 / 100 /
 //!   1000 / 10 000 orgs (Theorem 2); CGBD with the traversal master at
@@ -125,10 +126,11 @@ fn entry(
 
 /// Every row, in file order.
 fn registry() -> Vec<Entry> {
-    let mut rows = Vec::new();
-    for spec in SPECS {
-        rows.push(entry(spec.name, "kernel", false, 15, move |r| bench_gemm(spec, r)));
-    }
+    let mut rows = vec![Entry {
+        layer: "kernel",
+        rows: SPECS.iter().map(|spec| (spec.name.to_string(), false)).collect(),
+        run: Box::new(|_| bench_gemm(15)),
+    }];
     rows.push(entry("cgbd_traversal", "solver", false, 15, bench_cgbd_traversal));
     rows.push(entry("dbr_solve", "solver", false, 15, bench_dbr_pooled));
     rows.push(entry("best_response", "solver", false, 15, bench_best_response));
@@ -235,17 +237,21 @@ const SPECS: &[Spec] = &[
     Spec { name: "eval_forward_1500x64x96", op: Op::MatMul, m: 1500, k: 64, n: 96, sparse: false },
     Spec { name: "train_forward_32x64x96", op: Op::MatMul, m: 32, k: 64, n: 96, sparse: false },
     Spec { name: "train_forward_32x36x32", op: Op::MatMul, m: 32, k: 36, n: 32, sparse: false },
+    // The MobileNet-analog output layer's forward pass on ReLU'd h1.
+    Spec { name: "train_forward_32x32x10", op: Op::MatMul, m: 32, k: 32, n: 10, sparse: true },
     // Weight gradient dW = actsᵀ · delta for the 64→96 layer.
     Spec { name: "grad_weights_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: false },
+    // dW0 = xᵀ · delta0 for the MobileNet-analog 36→32 input layer: the
+    // same 36,864 multiply-adds as train_forward_32x36x32.
+    Spec { name: "grad_weights_36x32x32", op: Op::TransposedMatMul, m: 36, k: 32, n: 32, sparse: false },
     // Backprop delta_prev = delta · Wᵀ through the 96→48 layer.
     Spec { name: "backprop_delta_32x48x96", op: Op::MatMulTransposed, m: 32, k: 48, n: 96, sparse: false },
+    // delta_prev = delta · W1ᵀ back through the MobileNet-analog 32→10 layer.
+    Spec { name: "backprop_delta_32x10x32", op: Op::MatMulTransposed, m: 32, k: 10, n: 32, sparse: false },
     // The naive kernel's best case: ~50% exact zeros in the activations.
     Spec { name: "grad_weights_relu_sparse_64x32x96", op: Op::TransposedMatMul, m: 64, k: 32, n: 96, sparse: true },
     // The shape FedAvg training runs most: the MobileNet-analog output
-    // layer's dW = h1ᵀ · delta at batch 32, 10 classes wide. The row
-    // understates the in-training gain: it repeats one operand pair,
-    // so the branch predictor learns the naive loop's zero pattern,
-    // which fresh ReLU masks every step deny it.
+    // layer's dW = h1ᵀ · delta at batch 32, 10 classes wide.
     Spec { name: "grad_weights_relu_sparse_32x32x10", op: Op::TransposedMatMul, m: 32, k: 32, n: 10, sparse: true },
 ];
 
@@ -305,31 +311,61 @@ fn assert_blocked_agrees(spec: &Spec, seed: u64) {
     }
 }
 
-fn bench_gemm(spec: &Spec, repeats: usize) -> Fields {
-    assert_blocked_agrees(spec, 42);
-    let (a, b) = inputs(spec, 42);
-    let mut ws = kernel::Workspace::new();
-    let mut out = Matrix::zeros(0, 0);
-    // Interleaved: the numbers are consumed as a ratio, and
-    // interleaving keeps a slow host period from landing on one side
-    // of it only.
-    let ms = time_ms(
-        repeats,
-        &mut [
-            &mut || {
-                black_box(naive(spec.op, &a, &b));
-            },
-            &mut || blocked(spec.op, &a, &b, &mut out, &mut ws),
-        ],
-    );
-    vec![
-        ("m", spec.m as f64),
-        ("k", spec.k as f64),
-        ("n", spec.n as f64),
-        ("naive_ms", ms[0]),
-        ("blocked_ms", ms[1]),
-        ("blocked_speedup", ms[0] / ms[1]),
-    ]
+/// Most operand pairs a kernel row cycles through.
+const RING_PAIRS: usize = 64;
+/// Byte cap on a row's operand ring, so a large shape stays in the
+/// cache regime of its own working set: the eval shape's ~400 KB
+/// pairs fit two.
+const RING_BYTES: usize = 1 << 20;
+
+/// Distinct operand pairs from successive seeds, as many as fit
+/// [`RING_PAIRS`] and [`RING_BYTES`] (at least one). Training draws
+/// fresh ReLU masks every step; one repeated pair would let the branch
+/// predictor learn a sparse operand's zero pattern.
+fn operand_ring(spec: &Spec) -> Vec<(Matrix, Matrix)> {
+    // A holds m·k values and B k·n, whichever operand is transposed.
+    let pair_bytes = (spec.m + spec.n) * spec.k * std::mem::size_of::<f32>();
+    let pairs = (RING_BYTES / pair_bytes).clamp(1, RING_PAIRS);
+    (0..pairs as u64).map(|i| inputs(spec, 42 + i)).collect()
+}
+
+/// Times every kernel row, naive and blocked, as one interleaved
+/// family: each side's numbers are read as a ratio, and a bound
+/// compares rows, so a slow host period must not land on one side
+/// only. Each closure steps through its row's operand ring.
+fn bench_gemm(repeats: usize) -> Vec<Fields> {
+    let rings: Vec<_> = SPECS.iter().map(operand_ring).collect();
+    let mut work: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+    for (spec, ring) in SPECS.iter().zip(&rings) {
+        assert_blocked_agrees(spec, 42);
+        let mut pairs = ring.iter().cycle();
+        work.push(Box::new(move || {
+            let (a, b) = pairs.next().expect("ring is non-empty");
+            black_box(naive(spec.op, a, b));
+        }));
+        let mut pairs = ring.iter().cycle();
+        let (mut out, mut ws) = (Matrix::zeros(0, 0), kernel::Workspace::new());
+        work.push(Box::new(move || {
+            let (a, b) = pairs.next().expect("ring is non-empty");
+            blocked(spec.op, a, b, &mut out, &mut ws);
+        }));
+    }
+    let mut work: Vec<&mut dyn FnMut()> = work.iter_mut().map(|w| &mut **w as _).collect();
+    let ms = time_ms(repeats, &mut work);
+    SPECS
+        .iter()
+        .zip(ms.chunks_exact(2))
+        .map(|(spec, ms)| {
+            vec![
+                ("m", spec.m as f64),
+                ("k", spec.k as f64),
+                ("n", spec.n as f64),
+                ("naive_ms", ms[0]),
+                ("blocked_ms", ms[1]),
+                ("blocked_speedup", ms[0] / ms[1]),
+            ]
+        })
+        .collect()
 }
 
 // --- solver rows ------------------------------------------------------
@@ -816,6 +852,14 @@ const BOUNDS: &[Bound] = &[
         limit: Limit::AtLeast(2.0),
         why: "the narrow ReLU-sparse weight gradient is back on a branchy loop",
     },
+    // dW0 = xᵀ · delta0 and the forward pass into the same layer run
+    // the same 36,864 multiply-adds, both on the in-place GEMM path.
+    Bound {
+        row: "grad_weights_36x32x32",
+        field: "blocked_ms",
+        limit: Limit::TimesRow("train_forward_32x36x32", 1.25),
+        why: "the strided weight-gradient product repacks its operand again",
+    },
 ];
 
 fn num(row: &Json, key: &str) -> Option<f64> {
@@ -1136,6 +1180,14 @@ mod tests {
                 ("m", 32.0), ("k", 32.0), ("n", 10.0), ("naive_ms", 0.004), ("blocked_ms", 0.001),
                 ("blocked_speedup", 4.0),
             ]),
+            row("train_forward_32x36x32", "kernel", &[
+                ("m", 32.0), ("k", 36.0), ("n", 32.0), ("naive_ms", 0.008), ("blocked_ms", 0.002),
+                ("blocked_speedup", 4.0),
+            ]),
+            row("grad_weights_36x32x32", "kernel", &[
+                ("m", 36.0), ("k", 32.0), ("n", 32.0), ("naive_ms", 0.008), ("blocked_ms", 0.0024),
+                ("blocked_speedup", 3.3333),
+            ]),
         ]
     }
 
@@ -1146,14 +1198,14 @@ mod tests {
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(7));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(9));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
             full_rows().into_iter().filter(|r| !r.name.contains("n10")).collect();
         set(&mut fast, "eval_forward_1500x64x96", "naive_ms", 0.5);
         set(&mut fast, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
-        assert_eq!(check(&render(&fast, true)), Ok(4));
+        assert_eq!(check(&render(&fast, true)), Ok(6));
     }
 
     #[test]
@@ -1180,6 +1232,14 @@ mod tests {
                     set(r, "grad_weights_relu_sparse_32x32x10", "blocked_speedup", 0.9);
                 },
                 "branchy loop",
+            ),
+            (
+                "1.25x dW0",
+                |r| {
+                    set(r, "grad_weights_36x32x32", "blocked_ms", 0.003);
+                    set(r, "grad_weights_36x32x32", "blocked_speedup", 2.6667);
+                },
+                "repacks its operand",
             ),
             ("positive _ms", |r| set(r, "multi_session_4v", "setup_ms", 0.0), "not positive"),
             ("negative count", |r| set(r, "dbr_solve_n100", "orgs", -1.0), "negative"),
@@ -1309,8 +1369,11 @@ mod tests {
             "eval_forward_1500x64x96",
             "train_forward_32x64x96",
             "train_forward_32x36x32",
+            "train_forward_32x32x10",
             "grad_weights_64x32x96",
+            "grad_weights_36x32x32",
             "backprop_delta_32x48x96",
+            "backprop_delta_32x10x32",
             "grad_weights_relu_sparse_64x32x96",
             "grad_weights_relu_sparse_32x32x10",
             "dbr_solve_n10",

@@ -1,12 +1,29 @@
-//! Cache-blocked, register-tiled GEMM kernels (DESIGN.md §10).
+//! Register-tiled GEMM kernels (DESIGN.md §10).
 //!
-//! All three products the MLP substrate needs — `A·B`, `A·Bᵀ` and
-//! `Aᵀ·B` — funnel through one blocked driver (`gemm`) that packs
-//! operand panels into contiguous scratch buffers ([`Workspace`]) and
-//! runs a fixed-size MR×NR register-tile microkernel over them. The
-//! microkernel is written as plain indexed loops over constant-length
-//! slices so the autovectorizer emits SIMD on every target — pure safe
-//! std, no intrinsics, no `unsafe`.
+//! The three products the MLP substrate needs — `A·B`
+//! ([`matmul_into`]), `A·Bᵀ` ([`matmul_transposed_into`]) and `Aᵀ·B`
+//! ([`transposed_matmul_into`]) — each pick one of four paths from the
+//! operand shape alone, plus, for `Aᵀ·B`, an exact-zero census of `at`:
+//!
+//! - `sparse_narrow` — `Aᵀ·B` with `m·n·k < 2¹⁹`, at least 25% exact
+//!   zeros in `at`, `n ≤ 16` and `m ≥ 16`. Bits: those of
+//!   [`transposed_matmul_reference`]; a zero selects `+0.0`, which the
+//!   sum absorbs exactly.
+//! - `sparse_wide` — the same census at any other width. Bits: the
+//!   reference's own skip-zero loop, over slices.
+//! - `gemm_in_place` — `A·B` and every other `Aᵀ·B` with
+//!   `1 ≤ k ≤ KC`, `m ≥ MR` and `n ≥ NR`. Bits: the blocked drivers'
+//!   on these shapes, since one depth block is one FMA chain per
+//!   element that packing only feeds.
+//! - blocked (`gemm_direct_a`, `gemm`) — every other shape and every
+//!   `A·Bᵀ`. Bits: the contract below.
+//!
+//! The blocked drivers pack operand panels into [`Workspace`] scratch;
+//! the in-place path reads both operands where they lie and touches no
+//! scratch. All dense paths share one MR×NR register-tile microkernel,
+//! written as plain loops over constant-length slices so the
+//! autovectorizer emits SIMD on every target — pure safe std, no
+//! intrinsics, no `unsafe`.
 //!
 //! # Determinism contract
 //!
@@ -22,9 +39,11 @@
 //!   ascending k order into a register, and per-`KC`-block partial
 //!   sums are added to the output in ascending `pc` order;
 //!
-//! The k dimension is never padded; M/N edge tiles are zero-padded in
-//! the packed panels and the padded lanes are discarded on write-back,
-//! so padding can never contaminate a valid output element.
+//! The k dimension is never padded. The blocked drivers zero-pad M/N
+//! edge tiles in the packed panels and discard the padded lanes on
+//! write-back; the in-place path shifts its last tiles back to end at
+//! `m` and `n` and recomputes the shared elements to the same bits. So
+//! neither padding nor overlap can reach another output element.
 
 use super::Matrix;
 
@@ -74,7 +93,11 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace)
     out.resize(m, n);
     let ad = a.as_slice();
     let bd = b.as_slice();
-    gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    if single_block(m, n, k) {
+        gemm_in_place(m, n, k, InPlaceA::Rows(ad), bd, out.as_mut_slice());
+    } else {
+        gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    }
 }
 
 /// `out = a · bᵀ` without materializing the transpose.
@@ -93,10 +116,9 @@ pub fn matmul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix, ws: &mu
 
 /// Flop bound (`m·n·k`) below which [`transposed_matmul_into`]
 /// considers the sparse loops ([`sparse_wide`], [`sparse_narrow`])
-/// instead of the blocked driver. Sub-blocking shapes (the 32–96-class
-/// per-silo gradient products) can't amortize the pack-B pass, and the
-/// blocked path cannot skip work on ReLU-zeroed activation columns —
-/// the recorded `grad_weights_relu_sparse_64x32x96` regression. The
+/// instead of the dense ones. On the 32–96-class per-silo gradient
+/// products the dense tiles cannot skip work on ReLU-zeroed activation
+/// columns — the recorded `grad_weights_relu_sparse_64x32x96` case. The
 /// bound and the zero census below depend only on the operand values,
 /// never on worker count, so dispatch is deterministic.
 const SMALL_SPARSE_FLOPS: usize = 1 << 19;
@@ -112,9 +134,10 @@ const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
 /// activations in the backward weight-gradient product — dispatch to
 /// a sparse loop bit-identical to [`transposed_matmul_reference`]:
 /// the branch-free `sparse_narrow` for outputs at most `NARROW_N`
-/// wide, the skip-zero `sparse_wide` above. Everything else runs the
-/// blocked driver. The census costs one `O(m·k)` pass, negligible
-/// next to the `O(m·n·k)` product.
+/// wide, the skip-zero `sparse_wide` above. Every other shape runs the
+/// dense kernels as [`matmul_into`] does: in place for one depth block
+/// holding a full tile, blocked otherwise. The census costs one
+/// `O(m·k)` pass, negligible next to the `O(m·n·k)` product.
 ///
 /// # Panics
 ///
@@ -137,7 +160,11 @@ pub fn transposed_matmul_into(at: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mu
             return;
         }
     }
-    gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    if single_block(m, n, k) {
+        gemm_in_place(m, n, k, InPlaceA::Cols(ad), bd, out.as_mut_slice());
+    } else {
+        gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    }
 }
 
 /// Output width at or below which the sparse path vectorises over the
@@ -207,9 +234,67 @@ fn sparse_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut 
     }
 }
 
-/// The blocked driver: `out = A · B` for `A` of shape `m×k` and `B`
-/// of shape `k×n`, both supplied as element accessors so all three
-/// transpose variants share one traversal.
+/// Whether `m×k · k×n` runs on [`gemm_in_place`]: one depth block
+/// (`1 ≤ k ≤ KC`) and at least one full MR×NR tile. Every FedAvg shape
+/// of a production model is one depth block, where packing only copies
+/// data: the blocked drivers give each element the same FMA chain.
+fn single_block(m: usize, n: usize, k: usize) -> bool {
+    (1..=KC).contains(&k) && m >= MR && n >= NR
+}
+
+/// Where [`gemm_in_place`] reads A's MR values for one depth step.
+#[derive(Clone, Copy)]
+enum InPlaceA<'a> {
+    /// `A` itself, `m×k` row-major: one element from each of MR rows.
+    Rows(&'a [f32]),
+    /// `Aᵀ`, stored `k×m` row-major: MR contiguous elements of row `p`.
+    Cols(&'a [f32]),
+}
+
+/// The in-place driver for one depth block: `out = A · B` for `B` a
+/// `k×n` row-major slice, with neither operand packed. Each MR×NR tile
+/// reads A through `a` and B's rows as NR-wide slices at stride `n`.
+///
+/// Bit-identical to [`gemm`] and [`gemm_direct_a`] on these shapes:
+/// with `k ≤ KC` they run a single depth block, whose `pc == 0` pass
+/// stores each element's [`microtile`] chain, from `+0.0` in ascending
+/// `p` — the chain this driver runs and stores. The last row and
+/// column tiles are shifted back to end at `m` and `n`; elements they
+/// share with the tile before are recomputed to the same bits, so
+/// nothing is zero-padded.
+fn gemm_in_place(m: usize, n: usize, k: usize, a: InPlaceA<'_>, b: &[f32], out: &mut [f32]) {
+    debug_assert!(single_block(m, n, k));
+    debug_assert!(b.len() == k * n && out.len() == m * n);
+    for r0 in (0..m).step_by(MR) {
+        let r0 = r0.min(m - MR);
+        for c0 in (0..n).step_by(NR) {
+            let c0 = c0.min(n - NR);
+            // k rows of B from column c0; only the last is shorter than n.
+            let b_rows = b[c0..].chunks(n);
+            let acc = match a {
+                InPlaceA::Rows(a) => {
+                    let rows = std::array::from_fn(|i| &a[(r0 + i) * k..][..k]);
+                    microtile(row_steps(&rows, k).zip(b_rows))
+                }
+                InPlaceA::Cols(at) => {
+                    let cols = at[r0..].chunks(m).map(|row| {
+                        let col = &row[..MR];
+                        std::array::from_fn(|i| col[i])
+                    });
+                    microtile(cols.zip(b_rows))
+                }
+            };
+            for (i, acc_row) in acc.iter().enumerate() {
+                out[(r0 + i) * n + c0..][..NR].copy_from_slice(acc_row);
+            }
+        }
+    }
+}
+
+/// The packed blocked driver: `out = A · B` for `A` of shape `m×k` and
+/// `B` of shape `k×n`, both supplied as element accessors and packed.
+/// It serves the dense `Aᵀ·B` shapes [`gemm_in_place`] does not take,
+/// whose strided `at` would defeat the tile's loads.
 ///
 /// `out` must hold exactly `m * n` elements (row-major, leading
 /// dimension `n`) and is overwritten.
@@ -256,12 +341,12 @@ fn gemm(
 /// contiguous `m×k` row-major slice. Identical traversal and
 /// per-element accumulation order to [`gemm`], but A is read in place
 /// — each microtile loads its MR rows directly — which skips the
-/// pack-A write+read pass entirely. That pass is pure memory traffic
-/// over the largest operand in the eval/forward shapes, so skipping
-/// it is worth ~20% there.
+/// pack-A write+read pass entirely.
 ///
 /// B still goes through [`pack_b`], which is what makes the B loads
-/// contiguous NR-wide vectors regardless of the transpose variant.
+/// contiguous NR-wide vectors regardless of the transpose variant: it
+/// serves every `A·Bᵀ`, whose B is read across `bt`'s rows, and the
+/// `A·B` shapes [`gemm_in_place`] does not take.
 fn gemm_direct_a(
     m: usize,
     n: usize,
@@ -384,7 +469,7 @@ fn block_multiply(
             for (i, slot) in a_rows.iter_mut().enumerate() {
                 *slot = &a_panel[i * kc..(i + 1) * kc];
             }
-            let acc = microtile(kc, &a_rows, b_panel);
+            let acc = microtile(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
             for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
                 let row = &mut out[(ic + ir + i) * ldc + jc + jr..][..nr_eff];
                 if first {
@@ -436,7 +521,7 @@ fn block_multiply_direct(
                 debug_assert!(r < m);
                 *slot = &a[r * lda + pc..r * lda + pc + kc];
             }
-            let acc = microtile(kc, &a_rows, b_panel);
+            let acc = microtile(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
             for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
                 let row = &mut out[(ic + ir + i) * ldc + jc + jr..][..nr_eff];
                 if first {
@@ -453,36 +538,43 @@ fn block_multiply_direct(
     }
 }
 
-/// The MR×NR register-tile microkernel: `a_rows[i]` is the `kc`-long
-/// depth slice of output row `i` — a packed panel row, an in-place
-/// matrix row, or the shared zero row for padded rows. Each element
-/// accumulates its products in ascending k order with one rounding per
-/// step (`mul_add`); targets without hardware FMA would take a libm
-/// call per step, which is why the committed `.cargo/config.toml`
-/// raises x86 builds to `x86-64-v3`.
-///
-/// The depth loop zips one iterator per row so no load needs a bounds
-/// check, and each accumulator row gets its own explicit inner loop so
-/// the autovectorizer keeps the whole tile in SIMD registers. That
-/// spells the rows out, so this function is written for `MR == 6`
-/// exactly (compile-time guarded below).
+/// Depth steps of A given as MR row slices (a packed panel's rows, a
+/// matrix's rows in place, or the shared zero row for padded rows):
+/// step `p` yields element `p` of every row, for `p < kc`. Zipping one
+/// iterator per row keeps every load free of bounds checks.
 #[inline(always)]
-fn microtile(kc: usize, a_rows: &[&[f32]; MR], b_panel: &[f32]) -> [[f32; NR]; MR] {
-    const { assert!(MR == 6, "microtile unrolls exactly MR = 6 row iterators") };
-    let [r0, r1, r2, r3, r4, r5] = *a_rows;
-    let mut acc = [[0.0f32; NR]; MR];
-    let steps = b_panel
-        .chunks_exact(NR)
-        .zip(&r0[..kc])
+fn row_steps<'a>(rows: &[&'a [f32]; MR], kc: usize) -> impl Iterator<Item = [f32; MR]> + 'a {
+    let [r0, r1, r2, r3, r4, r5] = *rows;
+    r0[..kc]
+        .iter()
         .zip(&r1[..kc])
         .zip(&r2[..kc])
         .zip(&r3[..kc])
         .zip(&r4[..kc])
-        .zip(&r5[..kc]);
+        .zip(&r5[..kc])
+        .map(|(((((&a0, &a1), &a2), &a3), &a4), &a5)| [a0, a1, a2, a3, a4, a5])
+}
+
+/// The MR×NR register-tile microkernel. Each depth step supplies A's
+/// MR values for the tile's rows and a B row slice whose first NR
+/// values are the tile's columns — a packed panel row, or B's row read
+/// in place. Each element accumulates its products from `+0.0` in step
+/// order with one rounding per step (`mul_add`); targets without
+/// hardware FMA would take a libm call per step, which is why the
+/// committed `.cargo/config.toml` raises x86 builds to `x86-64-v3`.
+///
+/// Each accumulator row gets its own explicit inner loop so the
+/// autovectorizer keeps the whole tile in SIMD registers. That spells
+/// the rows out, so this function is written for `MR == 6` exactly
+/// (compile-time guarded below).
+#[inline(always)]
+fn microtile<'b>(steps: impl Iterator<Item = ([f32; MR], &'b [f32])>) -> [[f32; NR]; MR] {
+    const { assert!(MR == 6, "microtile unrolls exactly MR = 6 accumulator rows") };
+    let mut acc = [[0.0f32; NR]; MR];
     let [acc0, acc1, acc2, acc3, acc4, acc5] = &mut acc;
-    for ((((((b, &a0), &a1), &a2), &a3), &a4), &a5) in steps {
-        // Same single-rounding FMA as the packed microkernel; one
-        // explicit loop per row keeps each accumulator row's chain
+    for ([a0, a1, a2, a3, a4, a5], b) in steps {
+        let b = &b[..NR];
+        // One explicit loop per row keeps each accumulator row's chain
         // free of the temp-array shuffle the rolled form emits.
         for (c, &bv) in acc0.iter_mut().zip(b) {
             *c = a0.mul_add(bv, *c);
@@ -731,9 +823,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_small_shapes_still_match_the_reference_through_the_blocked_path() {
-        // A dense operand at the same small shape stays on the blocked
-        // driver (zero fraction ~0) and must agree to tolerance.
+    fn dense_small_shapes_still_match_the_reference_through_the_dense_path() {
+        // A dense operand at the same small shape skips the sparse
+        // loops (zero fraction ~0) and must agree to tolerance.
         let (m, n, k) = (64, 96, 32);
         let at = random(k, m, 5);
         let b = random(k, n, 6);
@@ -746,16 +838,94 @@ mod tests {
 
     #[test]
     fn zero_padding_never_contaminates_outputs_with_nonfinite_inputs() {
-        // Edge tiles are zero-padded; 0 · inf would be NaN if a padded
-        // lane ever reached a valid output element.
-        let m = MR + 1;
-        let n = NR + 1;
-        let k = 3;
-        let a = Matrix::from_fn(m, k, |_, _| f32::INFINITY);
-        let b = Matrix::from_fn(k, n, |_, _| 1.0);
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(0, 0);
-        matmul_into(&a, &b, &mut out, &mut ws);
-        assert!(out.as_slice().iter().all(|v| v.is_infinite()));
+        // Blocked edge tiles are zero-padded (m < MR, n < NR); 0 · inf
+        // would be NaN if a padded lane ever reached a valid output
+        // element. The in-place shape (MR + 1, NR + 1) shifts its last
+        // tiles back instead.
+        for (m, n) in [(MR - 1, NR - 1), (MR + 1, NR + 1)] {
+            let k = 3;
+            let a = Matrix::from_fn(m, k, |_, _| f32::INFINITY);
+            let b = Matrix::from_fn(k, n, |_, _| 1.0);
+            let mut ws = Workspace::new();
+            let mut out = Matrix::zeros(0, 0);
+            matmul_into(&a, &b, &mut out, &mut ws);
+            assert!(out.as_slice().iter().all(|v| v.is_infinite()), "{m}x{n}");
+        }
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn in_place_path_is_bit_identical_to_the_blocked_drivers() {
+        // Every shape is one depth block holding a full MR×NR tile, so
+        // `matmul_into` and the dense `transposed_matmul_into` take
+        // `gemm_in_place` and must pack nothing. Every fifth row of A
+        // holds one of ±inf and NaN, and B's last column a NaN: a
+        // shifted-back tile that wrote a recomputed row or column into
+        // any other element would show up as a bit difference.
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for m in [6, 7, 32, 37, 1000] {
+            for n in [32, 33, 48, 96] {
+                for k in [1, 31, 36, KC] {
+                    let what = format!("{m}x{n}x{k}");
+                    let seed = (m * 1000 + n * 10 + k) as u64;
+                    let raw = random(m, k, seed);
+                    let a = Matrix::from_fn(m, k, |r, p| {
+                        if r % 5 == 4 && p == r % k {
+                            specials[r / 5 % 3]
+                        } else {
+                            raw.get(r, p)
+                        }
+                    });
+                    let raw = random(k, n, seed + 1);
+                    let b = Matrix::from_fn(k, n, |p, c| {
+                        if p == 0 && c == n - 1 {
+                            f32::NAN
+                        } else {
+                            raw.get(p, c)
+                        }
+                    });
+                    let (mut ws, mut blocked_ws) = (Workspace::new(), Workspace::new());
+                    let mut got = Matrix::zeros(0, 0);
+                    let mut want = Matrix::zeros(m, n);
+                    let bd = b.as_slice();
+
+                    matmul_into(&a, &b, &mut got, &mut ws);
+                    let (ad, out) = (a.as_slice(), want.as_mut_slice());
+                    gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], out, &mut blocked_ws);
+                    assert_same_bits(&got, &want, &format!("matmul {what}"));
+
+                    let at = Matrix::from_fn(k, m, |p, r| a.get(r, p));
+                    transposed_matmul_into(&at, &b, &mut got, &mut ws);
+                    let (ad, out) = (at.as_slice(), want.as_mut_slice());
+                    gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out, &mut blocked_ws);
+                    assert_same_bits(&got, &want, &format!("transposed_matmul {what}"));
+
+                    assert!(ws.pack_a.is_empty() && ws.pack_b.is_empty(), "{what} packed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_and_narrow_shapes_still_take_the_blocked_drivers() {
+        // Two depth blocks, fewer rows than a tile, fewer columns than
+        // a tile: the blocked drivers pack B (and `gemm` packs A).
+        for (m, n, k) in [(32, 32, KC + 1), (5, 32, 36), (32, 10, 36)] {
+            let a = random(m, k, 1);
+            let b = random(k, n, 2);
+            let mut out = Matrix::zeros(0, 0);
+            let mut ws = Workspace::new();
+            matmul_into(&a, &b, &mut out, &mut ws);
+            assert!(ws.pack_a.is_empty() && !ws.pack_b.is_empty(), "matmul {m}x{n}x{k}");
+            let mut ws = Workspace::new();
+            transposed_matmul_into(&random(k, m, 3), &b, &mut out, &mut ws);
+            assert!(!ws.pack_a.is_empty() && !ws.pack_b.is_empty(), "transposed {m}x{n}x{k}");
+        }
     }
 }
