@@ -2,36 +2,37 @@
 //!
 //! The three products the MLP substrate needs — `A·B`
 //! ([`matmul_into`]), `A·Bᵀ` ([`matmul_transposed_into`]) and `Aᵀ·B`
-//! ([`transposed_matmul_into`]) — each pick one of four paths from the
-//! operand shape alone, plus, for `Aᵀ·B`, an exact-zero census of `at`:
+//! ([`transposed_matmul_into`]) — each pick one of three paths from the
+//! operand shape alone:
 //!
-//! - `sparse_narrow` — `Aᵀ·B` with `m·n·k < 2¹⁹`, at least 25% exact
-//!   zeros in `at`, `n ≤ 16` and `m ≥ 16`. Bits: those of
-//!   [`transposed_matmul_reference`]; a zero selects `+0.0`, which the
-//!   sum absorbs exactly.
-//! - `sparse_wide` — the same census at any other width. Bits: the
-//!   reference's own skip-zero loop, over slices.
+//! - `gemm_narrow` — `Aᵀ·B` with `n ≤ 16`, `m ≥ 16` and `1 ≤ k ≤ KC`,
+//!   vectorised over the output rows.
 //! - `gemm_in_place` — `A·B` and every other `Aᵀ·B` with
-//!   `1 ≤ k ≤ KC`, `m ≥ MR` and `n ≥ NR`. Bits: the blocked drivers'
-//!   on these shapes, since one depth block is one FMA chain per
-//!   element that packing only feeds.
+//!   `1 ≤ k ≤ KC`, `m ≥ MR` and `n ≥ NR`, reading both operands where
+//!   they lie.
 //! - blocked (`gemm_direct_a`, `gemm`) — every other shape and every
-//!   `A·Bᵀ`. Bits: the contract below.
+//!   `A·Bᵀ`.
+//!
+//! Every path computes each output element by one rounding rule, the
+//! FMA chain `acc = a.mul_add(b, acc)` from `+0.0` in ascending depth
+//! order, so on one depth block (`k ≤ KC`) all three give the same
+//! bits, inf and NaN included, and so do the naive `*_reference`
+//! loops.
 //!
 //! The blocked drivers pack operand panels into [`Workspace`] scratch;
 //! the in-place path reads both operands where they lie and touches no
-//! scratch. All dense paths share one MR×NR register-tile microkernel,
+//! scratch. Both share one MR×NR register-tile microkernel,
 //! written as plain loops over constant-length slices so the
 //! autovectorizer emits SIMD on every target — pure safe std, no
 //! intrinsics, no `unsafe`.
 //!
 //! # Determinism contract
 //!
-//! f32 addition is not associative, so *blocking changes the result
-//! bits* relative to the naive i-k-j loop. What this module guarantees
-//! instead is **one fixed accumulation order per output element**,
-//! independent of thread count and of everything except the operand
-//! shapes and the compile-time block constants:
+//! f32 addition is not associative, so for `k > KC` *blocking changes
+//! the result bits* relative to the naive loops' one unbroken chain.
+//! What this module guarantees is **one fixed accumulation order per
+//! output element**, independent of thread count and of everything
+//! except the operand shapes and the compile-time block constants:
 //!
 //! - the block traversal is always `jc → pc → ic → jr → ir` with the
 //!   constants [`MC`]/[`KC`]/[`NC`] fixed at compile time;
@@ -114,30 +115,13 @@ pub fn matmul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix, ws: &mu
     gemm_direct_a(m, n, k, ad, |p, c| bd[c * k + p], out.as_mut_slice(), ws);
 }
 
-/// Flop bound (`m·n·k`) below which [`transposed_matmul_into`]
-/// considers the sparse loops ([`sparse_wide`], [`sparse_narrow`])
-/// instead of the dense ones. On the 32–96-class per-silo gradient
-/// products the dense tiles cannot skip work on ReLU-zeroed activation
-/// columns — the recorded `grad_weights_relu_sparse_64x32x96` case. The
-/// bound and the zero census below depend only on the operand values,
-/// never on worker count, so dispatch is deterministic.
-const SMALL_SPARSE_FLOPS: usize = 1 << 19;
-
-/// Minimum exact-zero fraction of `at` for the sparse loops to win:
-/// below this the blocked kernel's SIMD tiles beat skipping.
-const SMALL_SPARSE_MIN_ZEROS: f32 = 0.25;
-
 /// `out = atᵀ · b` without materializing the transpose.
 ///
-/// Small shapes (`m·n·k < SMALL_SPARSE_FLOPS`) whose `at` operand
-/// is at least `SMALL_SPARSE_MIN_ZEROS` exact zeros — ReLU
-/// activations in the backward weight-gradient product — dispatch to
-/// a sparse loop bit-identical to [`transposed_matmul_reference`]:
-/// the branch-free `sparse_narrow` for outputs at most `NARROW_N`
-/// wide, the skip-zero `sparse_wide` above. Every other shape runs the
-/// dense kernels as [`matmul_into`] does: in place for one depth block
-/// holding a full tile, blocked otherwise. The census costs one
-/// `O(m·k)` pass, negligible next to the `O(m·n·k)` product.
+/// The path follows from the shape alone: outputs at most `NARROW_N`
+/// wide with at least `LANES` rows and one depth block take the
+/// row-vectorised `gemm_narrow`; every other shape runs the dense
+/// kernels as [`matmul_into`] does, in place for one depth block
+/// holding a full tile, blocked otherwise.
 ///
 /// # Panics
 ///
@@ -148,74 +132,42 @@ pub fn transposed_matmul_into(at: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mu
     out.resize(m, n);
     let ad = at.as_slice();
     let bd = b.as_slice();
-    if m * n * k < SMALL_SPARSE_FLOPS && !ad.is_empty() {
-        // lint:allow(no-float-eq): ReLU emits exact 0.0, so the zero census is exact
-        let zeros = ad.iter().filter(|&&v| v == 0.0).count();
-        if zeros as f32 >= SMALL_SPARSE_MIN_ZEROS * ad.len() as f32 {
-            if n <= NARROW_N && m >= LANES {
-                sparse_narrow(m, n, k, ad, bd, out.as_mut_slice());
-            } else {
-                sparse_wide(m, n, k, ad, bd, out.as_mut_slice());
-            }
-            return;
-        }
-    }
-    if single_block(m, n, k) {
+    if narrow(m, n, k) {
+        gemm_narrow(m, n, k, ad, bd, out.as_mut_slice());
+    } else if single_block(m, n, k) {
         gemm_in_place(m, n, k, InPlaceA::Cols(ad), bd, out.as_mut_slice());
     } else {
         gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
     }
 }
 
-/// Output width at or below which the sparse path vectorises over the
-/// output rows ([`sparse_narrow`]) instead of skipping zero entries
-/// ([`sparse_wide`]). Both layouts give every element the same bits,
-/// so the cut moves no result, only time: at `n = 10` the skip loop
-/// pays a data-dependent branch per `at` entry for a 10-float inner
-/// loop, at `n = 96` skipping a whole 96-float row beats doing it.
+/// Output width at or below which `Aᵀ·B` vectorises over the output
+/// rows ([`gemm_narrow`]) instead of over NR-wide tiles, most of whose
+/// columns would be padding. At `n = 10` (the output layer's weight
+/// gradient) a tile computes 22 padded columns of 32.
 const NARROW_N: usize = 16;
 
-/// Output rows [`sparse_narrow`] accumulates at once: one 512-bit
-/// vector of f32. Narrower `at` operands take [`sparse_wide`].
+/// Output rows [`gemm_narrow`] accumulates at once: one 512-bit vector
+/// of f32.
 const LANES: usize = 16;
 
-/// The skip-zero loop of [`transposed_matmul_reference`] over slices:
-/// `p` outer, each nonzero `at` entry scaling one `b` row into its
-/// output row.
-fn sparse_wide(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-    od.fill(0.0);
-    for p in 0..k {
-        let arow = &ad[p * m..(p + 1) * m];
-        let brow = &bd[p * n..(p + 1) * n];
-        for (r, &av) in arow.iter().enumerate() {
-            // lint:allow(no-float-eq): ReLU emits exact 0.0, so the sparsity skip is exact
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut od[r * n..(r + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
+/// Whether `atᵀ · b` runs on [`gemm_narrow`]: at most `NARROW_N`
+/// output columns, at least `LANES` output rows, one depth block.
+fn narrow(m: usize, n: usize, k: usize) -> bool {
+    n <= NARROW_N && m >= LANES && (1..=KC).contains(&k)
 }
 
-/// [`sparse_wide`] without the branch, for narrow outputs: for each
-/// block of [`LANES`] output rows and each output column `c`, one
-/// accumulator vector runs down `p`, its lanes reading `at`'s row `p`
-/// contiguously. A zero `at` entry selects `+0.0` instead of skipping.
-/// The last row block is shifted back to end at `m`; rows it shares
-/// with the block before are recomputed to the same bits.
+/// `out = atᵀ · b` for narrow outputs: for each block of [`LANES`]
+/// output rows and each output column `c`, one accumulator vector runs
+/// down `p`, its lanes reading `at`'s row `p` contiguously. The last
+/// row block is shifted back to end at `m`; rows it shares with the
+/// block before are recomputed to the same bits.
 ///
-/// Each element sees the reference's exact sequence: it starts at
-/// `+0.0` and adds `av · bv` (a separate multiply and add, no FMA)
-/// for every nonzero `av` in ascending `p`. The extra `+ 0.0` terms
-/// are the identity: under round-to-nearest a sum that starts at
-/// `+0.0` is never `−0.0`, and `x + 0.0` is `x` for every other `x`,
-/// inf and NaN included. The select also keeps `0 · inf` and `0 · NaN`
-/// out of the sum, as the skip does.
-fn sparse_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-    debug_assert!(m >= LANES && ad.len() == k * m);
+/// Bit-identical to [`gemm`] on these shapes: each element runs the
+/// [`microtile`] chain, `acc = a.mul_add(b, acc)` from `+0.0` in
+/// ascending `p`, and `k ≤ KC` is one depth block, stored once.
+fn gemm_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
+    debug_assert!(narrow(m, n, k) && ad.len() == k * m);
     for r in (0..m).step_by(LANES) {
         let r = r.min(m - LANES);
         for c in 0..n {
@@ -223,8 +175,7 @@ fn sparse_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut 
             for (arow, brow) in ad.chunks_exact(m).zip(bd.chunks_exact(n)) {
                 let bv = brow[c];
                 for (o, &av) in acc.iter_mut().zip(&arow[r..r + LANES]) {
-                    // lint:allow(no-float-eq): ReLU emits exact 0.0, so the zero select is exact
-                    *o += if av == 0.0 { 0.0 } else { av * bv };
+                    *o = av.mul_add(bv, *o);
                 }
             }
             for (i, &v) in acc.iter().enumerate() {
@@ -598,9 +549,10 @@ fn microtile<'b>(steps: impl Iterator<Item = ([f32; MR], &'b [f32])>) -> [[f32; 
     acc
 }
 
-/// The pre-kernel naive `a · b` (i-k-j over row slices with the
-/// ReLU-sparsity skip), kept as the reference implementation for the
-/// property tests and the GEMM rows of `BENCH_baselines.json`.
+/// The naive `a · b` (i-k-j over row slices), kept as the reference
+/// implementation for the property tests and the GEMM rows of
+/// `BENCH_baselines.json`. Each element runs the kernels' FMA chain
+/// from `+0.0` in ascending `k`, so for `k ≤ KC` the bits agree.
 pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -609,21 +561,16 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
         let arow = a.row(r);
         let out_row = &mut out.as_mut_slice()[r * n..(r + 1) * n];
         for (k, &av) in arow.iter().enumerate() {
-            // lint:allow(no-float-eq): ReLU emits exact 0.0, so the sparsity skip is exact
-            if av == 0.0 {
-                continue;
-            }
-            let brow = b.row(k);
-            for (o, &bv) in out_row.iter_mut().zip(brow) {
-                *o += av * bv;
+            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
+                *o = av.mul_add(bv, *o);
             }
         }
     }
     out
 }
 
-/// The pre-kernel naive `a · bᵀ` (dot products over row slices), the
-/// reference for [`matmul_transposed_into`].
+/// The naive `a · bᵀ` (dot products over row slices, the same FMA
+/// chain), the reference for [`matmul_transposed_into`].
 pub fn matmul_transposed_reference(a: &Matrix, bt: &Matrix) -> Matrix {
     assert_eq!(a.cols(), bt.cols(), "inner dimensions must agree");
     let mut out = Matrix::zeros(a.rows(), bt.rows());
@@ -631,9 +578,9 @@ pub fn matmul_transposed_reference(a: &Matrix, bt: &Matrix) -> Matrix {
     for r in 0..a.rows() {
         let arow = a.row(r);
         for c in 0..n {
-            let mut acc = 0.0;
+            let mut acc = 0.0f32;
             for (&av, &bv) in arow.iter().zip(bt.row(c)) {
-                acc += av * bv;
+                acc = av.mul_add(bv, acc);
             }
             out.set(r, c, acc);
         }
@@ -641,22 +588,16 @@ pub fn matmul_transposed_reference(a: &Matrix, bt: &Matrix) -> Matrix {
     out
 }
 
-/// The pre-kernel naive `atᵀ · b` (k-outer with the sparsity skip),
-/// the reference for [`transposed_matmul_into`].
+/// The naive `atᵀ · b` (k-outer, the same FMA chain), the reference
+/// for [`transposed_matmul_into`].
 pub fn transposed_matmul_reference(at: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(at.rows(), b.rows(), "inner dimensions must agree");
     let mut out = Matrix::zeros(at.cols(), b.cols());
     for k in 0..at.rows() {
-        let arow = at.row(k);
         let brow = b.row(k);
-        for (r, &av) in arow.iter().enumerate() {
-            // lint:allow(no-float-eq): ReLU emits exact 0.0, so the sparsity skip is exact
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = out.row_mut(r);
-            for (o, &bv) in out_row.iter_mut().zip(brow) {
-                *o += av * bv;
+        for (r, &av) in at.row(k).iter().enumerate() {
+            for (o, &bv) in out.row_mut(r).iter_mut().zip(brow) {
+                *o = av.mul_add(bv, *o);
             }
         }
     }
@@ -683,7 +624,10 @@ mod tests {
     #[test]
     fn blocked_matches_reference_across_edge_shapes() {
         // Shapes straddling every block boundary: unit, sub-tile,
-        // exact-tile, one-past-tile, and multi-KC depth.
+        // exact-tile, one-past-tile, multi-KC depth, and the narrow
+        // `Aᵀ·B` path. Up to KC deep every path runs the references'
+        // FMA chain, so the bits agree; deeper, the blocked drivers add
+        // per-KC partial sums, which agree to tolerance.
         let shapes = [
             (1, 1, 1),
             (3, 5, 2),
@@ -693,26 +637,31 @@ mod tests {
             (MC, 17, 2 * KC + 1),
             (MC + 5, NR, 33),
             (300, 96, 64),
+            (32, 10, 32),
         ];
         let mut ws = Workspace::new();
         for (idx, &(m, n, k)) in shapes.iter().enumerate() {
+            let agree = |got: &Matrix, want: &Matrix, what: &str| {
+                if k <= KC {
+                    assert_same_bits(got, want, &format!("{what} {m}x{n}x{k}"));
+                } else {
+                    assert_close(got, want, 1e-4 * k as f32);
+                }
+            };
             let a = random(m, k, idx as u64);
             let b = random(k, n, 100 + idx as u64);
-            let reference = matmul_reference(&a, &b);
             let mut blocked = Matrix::zeros(0, 0);
             matmul_into(&a, &b, &mut blocked, &mut ws);
-            assert_close(&blocked, &reference, 1e-4 * k as f32);
+            agree(&blocked, &matmul_reference(&a, &b), "matmul");
 
             let bt = random(n, k, 200 + idx as u64);
-            let reference = matmul_transposed_reference(&a, &bt);
             matmul_transposed_into(&a, &bt, &mut blocked, &mut ws);
-            assert_close(&blocked, &reference, 1e-4 * k as f32);
+            agree(&blocked, &matmul_transposed_reference(&a, &bt), "matmul_transposed");
 
             let at = random(k, m, 300 + idx as u64);
             let bb = random(k, n, 400 + idx as u64);
-            let reference = transposed_matmul_reference(&at, &bb);
             transposed_matmul_into(&at, &bb, &mut blocked, &mut ws);
-            assert_close(&blocked, &reference, 1e-4 * k as f32);
+            agree(&blocked, &transposed_matmul_reference(&at, &bb), "transposed_matmul");
         }
     }
 
@@ -745,95 +694,45 @@ mod tests {
     }
 
     #[test]
-    fn sparse_small_shape_dispatch_is_bit_identical_to_the_reference() {
-        // ReLU-like operand: more than a quarter exact zeros, shape
-        // under the flop bound — must take the naive skip loop, whose
-        // loop order is exactly transposed_matmul_reference's.
-        let (m, n, k) = (64, 96, 32);
-        let at = Matrix::from_fn(k, m, |r, c| {
-            let v = random(1, 1, (r * m + c) as u64).as_slice()[0];
-            if v < 0.0 {
-                0.0
-            } else {
-                v
-            }
-        });
-        let zeros = at.as_slice().iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros as f32 >= 0.25 * at.as_slice().len() as f32, "fixture must be sparse");
-        assert!(m * n * k < SMALL_SPARSE_FLOPS, "fixture must be small");
-        let b = random(k, n, 77);
-        let reference = transposed_matmul_reference(&at, &b);
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(0, 0);
-        transposed_matmul_into(&at, &b, &mut out, &mut ws);
-        assert_eq!((out.rows(), out.cols()), (m, n));
-        for (s, p) in reference.as_slice().iter().zip(out.as_slice()) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn narrow_and_wide_sparse_layouts_are_bit_identical_to_the_reference() {
-        // Shapes on both sides of the NARROW_N cut and of the LANES
-        // row block, each `at` over a quarter exact zeros, half of
-        // them −0.0. Every seventh `at` row is all zeros and its `b`
-        // row holds ±inf and NaN, so `0 · inf` reaches the sum unless
-        // the zero select holds.
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(0, 0);
-        for m in [1, 15, 16, 17, 40] {
-            for n in [1, 10, 16, 17, 96] {
-                for k in [1, 32] {
+    fn narrow_path_is_bit_identical_to_the_blocked_driver() {
+        // Every shape is one depth block at most NARROW_N wide with at
+        // least LANES rows, so `transposed_matmul_into` takes
+        // `gemm_narrow` and packs nothing; `gemm` is the blocked driver
+        // it must match bit for bit. A quarter of `at` is ±0 and a few
+        // entries +inf; `b` holds NaN and −inf in some rows, so a zero
+        // `at` entry that skipped its `0 · inf` or `0 · NaN` term would
+        // show up as a bit difference.
+        for m in [16, 17, 32, 40, 96] {
+            for n in [1, 5, 10, 16] {
+                for k in [1, 31, 32, 64, KC] {
+                    let what = format!("{m}x{n}x{k}");
                     let seed = (m * 1000 + n * 10 + k) as u64;
                     let raw = random(k, m, seed);
-                    let at = Matrix::from_fn(k, m, |p, r| {
-                        let v = raw.get(p, r);
-                        if p % 7 == 3 || (p * m + r) % 3 == 0 || v < -0.5 {
-                            if (p + r) % 2 == 0 {
-                                -0.0
-                            } else {
-                                0.0
-                            }
-                        } else {
-                            v
-                        }
+                    let at = Matrix::from_fn(k, m, |p, r| match (p * m + r) % 8 {
+                        0 => 0.0,
+                        4 => -0.0,
+                        _ if (p * m + r) % 61 == 7 => f32::INFINITY,
+                        _ => raw.get(p, r),
                     });
-                    let zeros = at.as_slice().iter().filter(|&&v| v == 0.0).count();
-                    assert!(zeros as f32 >= 0.25 * (m * k) as f32, "{m}x{n}x{k} must be sparse");
-                    assert!(m * n * k < SMALL_SPARSE_FLOPS, "{m}x{n}x{k} must be small");
-                    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
                     let raw = random(k, n, seed + 1);
-                    let b = Matrix::from_fn(k, n, |p, c| {
-                        if p % 7 == 3 {
-                            specials[c % 3]
-                        } else {
-                            raw.get(p, c)
-                        }
+                    let b = Matrix::from_fn(k, n, |p, c| match (p % 5, c % 3) {
+                        (2, 0) => f32::NAN,
+                        (3, 1) => f32::NEG_INFINITY,
+                        _ => raw.get(p, c),
                     });
-                    let reference = transposed_matmul_reference(&at, &b);
-                    transposed_matmul_into(&at, &b, &mut out, &mut ws);
-                    assert_eq!((out.rows(), out.cols()), (m, n));
-                    let pairs = reference.as_slice().iter().zip(out.as_slice());
-                    for (i, (s, p)) in pairs.enumerate() {
-                        assert_eq!(s.to_bits(), p.to_bits(), "{m}x{n}x{k} element {i}: {s} vs {p}");
-                    }
+                    let mut ws = Workspace::new();
+                    let mut got = Matrix::zeros(0, 0);
+                    transposed_matmul_into(&at, &b, &mut got, &mut ws);
+                    assert!(ws.pack_a.is_empty() && ws.pack_b.is_empty(), "{what} packed");
+
+                    let mut want = Matrix::zeros(m, n);
+                    let (ad, bd) = (at.as_slice(), b.as_slice());
+                    let out = want.as_mut_slice();
+                    gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out, &mut ws);
+                    assert_same_bits(&got, &want, &what);
                 }
             }
         }
-    }
-
-    #[test]
-    fn dense_small_shapes_still_match_the_reference_through_the_dense_path() {
-        // A dense operand at the same small shape skips the sparse
-        // loops (zero fraction ~0) and must agree to tolerance.
-        let (m, n, k) = (64, 96, 32);
-        let at = random(k, m, 5);
-        let b = random(k, n, 6);
-        let reference = transposed_matmul_reference(&at, &b);
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(0, 0);
-        transposed_matmul_into(&at, &b, &mut out, &mut ws);
-        assert_close(&out, &reference, 1e-4 * k as f32);
     }
 
     #[test]
@@ -915,8 +814,10 @@ mod tests {
     #[test]
     fn deep_and_narrow_shapes_still_take_the_blocked_drivers() {
         // Two depth blocks, fewer rows than a tile, fewer columns than
-        // a tile: the blocked drivers pack B (and `gemm` packs A).
-        for (m, n, k) in [(32, 32, KC + 1), (5, 32, 36), (32, 10, 36)] {
+        // a tile: the blocked drivers pack B (and `gemm` packs A). The
+        // transposed 32x10x36 is `gemm_narrow`'s shape and packs
+        // nothing; at KC + 1 deep it goes back to `gemm`.
+        for (m, n, k) in [(32, 32, KC + 1), (5, 32, 36), (32, 10, 36), (32, 10, KC + 1)] {
             let a = random(m, k, 1);
             let b = random(k, n, 2);
             let mut out = Matrix::zeros(0, 0);
@@ -925,7 +826,9 @@ mod tests {
             assert!(ws.pack_a.is_empty() && !ws.pack_b.is_empty(), "matmul {m}x{n}x{k}");
             let mut ws = Workspace::new();
             transposed_matmul_into(&random(k, m, 3), &b, &mut out, &mut ws);
-            assert!(!ws.pack_a.is_empty() && !ws.pack_b.is_empty(), "transposed {m}x{n}x{k}");
+            let packed = (!ws.pack_a.is_empty(), !ws.pack_b.is_empty());
+            let want = if narrow(m, n, k) { (false, false) } else { (true, true) };
+            assert_eq!(packed, want, "transposed {m}x{n}x{k}");
         }
     }
 }

@@ -194,11 +194,9 @@ props! {
         }
     }
 
-    /// ReLU-sparse left operands (exact zeros in ~half the entries —
-    /// the case the old naive `a == 0.0` skip exploited) stay within
-    /// the same bound: the reference skips zero terms entirely while
-    /// the blocked kernel multiplies through them, so agreement here
-    /// proves skipping a `0.0 · b` term is a pure reassociation.
+    /// ReLU-sparse left operands (exact zeros in ~half the entries)
+    /// stay within the same bound: no path skips or selects on a zero,
+    /// so the values never change how a product is summed.
     fn blocked_matmul_agrees_on_relu_sparse_inputs(g) {
         let m = g.usize(1..20);
         let k = g.usize(1..48);

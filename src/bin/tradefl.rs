@@ -12,6 +12,8 @@
 //!
 //! Argument parsing is hand-rolled (no CLI crates in the dependency
 //! budget); every subcommand prints a table and exits non-zero on error.
+//! A command line that does not parse is reported with the usage text;
+//! a command that fails while running is reported alone.
 
 use std::process::ExitCode;
 use tradefl::fl::async_fed::{train_async, AsyncConfig, OrgTiming};
@@ -29,10 +31,24 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why an invocation failed: its command line did not parse, or its
+/// command failed while running.
+enum Failure {
+    Usage(Box<dyn std::error::Error>),
+    Run(Box<dyn std::error::Error>),
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(e) => write!(f, "error: {e}\n\n{USAGE}"),
+            Failure::Run(e) => write!(f, "error: {e}"),
         }
     }
 }
@@ -78,21 +94,22 @@ impl Default for Options {
     }
 }
 
-fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let Some(command) = args.first() else {
-        return Err("missing subcommand".into());
+        return Err(Failure::Usage("missing subcommand".into()));
     };
-    let opts = parse(&args[1..])?;
-    match command.as_str() {
-        "market" => cmd_market(&opts),
-        "solve" => cmd_solve(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "settle" => cmd_settle(&opts),
-        "train" => cmd_train(&opts),
-        "poa" => cmd_poa(&opts),
-        "tune" => cmd_tune(&opts),
-        other => Err(format!("unknown subcommand `{other}`").into()),
-    }
+    let opts = parse(&args[1..]).map_err(Failure::Usage)?;
+    let cmd = match command.as_str() {
+        "market" => cmd_market,
+        "solve" => cmd_solve,
+        "sweep" => cmd_sweep,
+        "settle" => cmd_settle,
+        "train" => cmd_train,
+        "poa" => cmd_poa,
+        "tune" => cmd_tune,
+        other => return Err(Failure::Usage(format!("unknown subcommand `{other}`").into())),
+    };
+    cmd(&opts).map_err(Failure::Run)
 }
 
 fn parse(args: &[String]) -> Result<Options, Box<dyn std::error::Error>> {
