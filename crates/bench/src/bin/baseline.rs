@@ -13,8 +13,9 @@
 //!   scan), one DBR solve and one best response; DBR at N = 10 / 100 /
 //!   1000 / 10 000 orgs (Theorem 2); CGBD with the traversal master at
 //!   N = 2..5 (Lemma 4); the DESIGN.md §8 ablations.
-//! * **fl** — FedAvg rounds at paper scale and at N = 10 / 100 / 1000
-//!   silos, with the streaming reduce's buffer footprint.
+//! * **fl** — one local SGD step at the `pipeline_n64` model shape;
+//!   FedAvg rounds at paper scale and at N = 10 / 100 / 1000 silos,
+//!   with the streaming reduce's buffer footprint.
 //! * **engine** — the persistent market engine run to settlement on a
 //!   single-, a multi- and a faulty multi-session workload.
 //!
@@ -57,7 +58,7 @@ use tradefl_engine::{Engine, EngineConfig, SessionSpec};
 use tradefl_fl_sim::data::{generate, DatasetKind};
 use tradefl_fl_sim::fed::{train_federated_with, FedConfig, EDGE_GROUP_SIZE};
 use tradefl_fl_sim::linalg::{kernel, Matrix};
-use tradefl_fl_sim::model::{Mlp, ModelKind};
+use tradefl_fl_sim::model::{self, Mlp, ModelKind};
 use tradefl_runtime::json::Json;
 use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tradefl_runtime::sim::faults::FaultConfig;
@@ -151,6 +152,7 @@ fn registry() -> Vec<Entry> {
     rows.push(entry("master_problem", "solver", false, 15, bench_master_modes));
     rows.push(entry("primal_problem", "solver", false, 15, bench_primal_modes));
     rows.push(entry("dbr_update_order", "solver", false, 15, bench_dbr_orders));
+    rows.push(entry("fedavg_step_32x36x32x10", "fl", false, 15, bench_fedavg_step));
     rows.push(entry("fedavg_round", "fl", false, 15, bench_fedavg_paper));
     for n in [10, 100, 1000] {
         rows.push(entry(format!("fedavg_round_n{n}"), "fl", n >= 1000, 5, move |r| {
@@ -588,6 +590,34 @@ fn bench_dbr_orders(repeats: usize) -> Fields {
 
 // --- fl rows ----------------------------------------------------------
 
+/// Batches in the SGD-step row's ring: local training gathers a fresh
+/// batch, with fresh ReLU masks, every step.
+const STEP_RING: usize = 64;
+
+/// One `Mlp::sgd_step_with` of the `pipeline_n64` model: the
+/// MobileNet-analog 36→32→10 on EuroSAT-like batches of 32 at the
+/// default learning rate, each call taking the next batch of a ring.
+fn bench_fedavg_step(repeats: usize) -> Fields {
+    let config = FedConfig::default();
+    let data = generate(DatasetKind::EurosatLike, STEP_RING * config.batch_size, SEED);
+    let ring = data.shard(&[config.batch_size; STEP_RING]);
+    let kind = ModelKind::MobilenetLike;
+    let mut mlp = Mlp::for_kind(kind, data.dim(), data.classes, 1);
+    let mut ws = model::Workspace::new();
+    let mut batches = ring.iter().cycle();
+    let ms = time_ms(repeats, &mut [&mut || {
+        let batch = batches.next().expect("ring is non-empty");
+        mlp.sgd_step_with(&batch.features, &batch.labels, config.lr, &mut ws);
+    }]);
+    vec![
+        ("batch", config.batch_size as f64),
+        ("inputs", data.dim() as f64),
+        ("hidden", kind.hidden() as f64),
+        ("classes", data.classes as f64),
+        ("step_ms", ms[0]),
+    ]
+}
+
 /// Two FedAvg rounds with per-silo local training at paper scale
 /// (below the pool threshold, so all three columns run inline).
 fn bench_fedavg_paper(repeats: usize) -> Fields {
@@ -860,6 +890,15 @@ const BOUNDS: &[Bound] = &[
         field: "blocked_ms",
         limit: Limit::TimesRow("train_forward_32x36x32", 1.25),
         why: "the strided weight-gradient product repacks its operand again",
+    },
+    // The output layer's forward pass runs 10,240 multiply-adds, 3.6x
+    // fewer than the 36→32 layer's; a LANES-wide tile computes 6
+    // padded columns of 16 where an NR-wide one computed 22 of 32.
+    Bound {
+        row: "train_forward_32x32x10",
+        field: "blocked_ms",
+        limit: Limit::TimesRow("train_forward_32x36x32", 1.25),
+        why: "the narrow forward GEMM runs NR-wide padded tiles again",
     },
     // Exact zeros in the activations choose no path: the ReLU-sparse
     // weight gradient runs the dense row's in-place kernel.
@@ -1189,6 +1228,10 @@ mod tests {
                 ("m", 32.0), ("k", 32.0), ("n", 10.0), ("naive_ms", 0.004), ("blocked_ms", 0.001),
                 ("blocked_speedup", 4.0),
             ]),
+            row("train_forward_32x32x10", "kernel", &[
+                ("m", 32.0), ("k", 32.0), ("n", 10.0), ("naive_ms", 0.004), ("blocked_ms", 0.001),
+                ("blocked_speedup", 4.0),
+            ]),
             row("train_forward_32x36x32", "kernel", &[
                 ("m", 32.0), ("k", 36.0), ("n", 32.0), ("naive_ms", 0.008), ("blocked_ms", 0.002),
                 ("blocked_speedup", 4.0),
@@ -1215,14 +1258,14 @@ mod tests {
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(11));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(12));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
             full_rows().into_iter().filter(|r| !r.name.contains("n10")).collect();
         set(&mut fast, "eval_forward_1500x64x96", "naive_ms", 0.5);
         set(&mut fast, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
-        assert_eq!(check(&render(&fast, true)), Ok(8));
+        assert_eq!(check(&render(&fast, true)), Ok(9));
     }
 
     #[test]
@@ -1257,6 +1300,14 @@ mod tests {
                     set(r, "grad_weights_36x32x32", "blocked_speedup", 2.6667);
                 },
                 "repacks its operand",
+            ),
+            (
+                "1.25x narrow forward",
+                |r| {
+                    set(r, "train_forward_32x32x10", "blocked_ms", 0.003);
+                    set(r, "train_forward_32x32x10", "blocked_speedup", 1.3333);
+                },
+                "NR-wide padded tiles",
             ),
             (
                 "1.25x ReLU-sparse dW",
@@ -1391,6 +1442,7 @@ mod tests {
             "dbr_solve",
             "best_response",
             "fedavg_round",
+            "fedavg_step_32x36x32x10",
             "eval_forward_1500x64x96",
             "train_forward_32x64x96",
             "train_forward_32x36x32",

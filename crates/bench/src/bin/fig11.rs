@@ -43,10 +43,12 @@ fn main() {
             .windows(2)
             .filter(|w| w[1][col] <= w[0][col] * 1.005)
             .count();
+        let steps = grid.len() - 1;
         ok &= check(
             &format!(
-                "welfare decreases in mu at omega_e={omega_e:.1e} ({monotone_steps}/{} steps, {first:.0} -> {last:.0})",
-                grid.len() - 1
+                "welfare ends lower in mu at omega_e={omega_e:.1e} ({first:.1} -> {last:.1}); \
+                 {monotone_steps}/{steps} steps rise at most 0.5% (needs {})",
+                steps - 1
             ),
             last < first && monotone_steps >= grid.len() - 2,
         );
@@ -57,7 +59,11 @@ fn main() {
         // Endpoint comparison with slack on the middle column: discrete
         // ladder switches cause ±0.2% blips.
         ok &= check(
-            &format!("welfare decreases in omega_e at mu={mu} ({:.0} -> {:.0})", s[0], s[2]),
+            &format!(
+                "welfare ends lower in omega_e at mu={mu} ({:.1} -> {:.1}); the middle column \
+                 rises at most 0.5% ({:.1})",
+                s[0], s[2], s[1]
+            ),
             s[2] < s[0] && s[1] <= s[0] * 1.005,
         );
     }

@@ -86,10 +86,11 @@ fn main() {
         "WPR contribution ignores gamma",
         fractions[2].iter().all(|&v| (v - fractions[2][0]).abs() < 1e-9),
     );
-    // Accuracy tracks contribution: TOS >= DBR >= WPR at gamma*.
+    // Accuracy tracks contribution at gamma*: TOS >= DBR less a 0.02
+    // slack, and DBR > WPR.
     ok &= check(
         &format!(
-            "accuracy ordering at gamma*: TOS ({:.3}) >= DBR ({:.3}) > WPR ({:.3})",
+            "accuracy ordering at gamma*: TOS ({:.3}) >= DBR ({:.3}) - 0.02, DBR > WPR ({:.3})",
             accuracies[3][star], accuracies[0][star], accuracies[2][star]
         ),
         accuracies[3][star] >= accuracies[0][star] - 0.02

@@ -5,11 +5,11 @@
 //! ([`transposed_matmul_into`]) — each pick one of three paths from the
 //! operand shape alone:
 //!
-//! - `gemm_narrow` — `Aᵀ·B` with `n ≤ 16`, `m ≥ 16` and `1 ≤ k ≤ KC`,
-//!   vectorised over the output rows.
-//! - `gemm_in_place` — `A·B` and every other `Aᵀ·B` with
-//!   `1 ≤ k ≤ KC`, `m ≥ MR` and `n ≥ NR`, reading both operands where
-//!   they lie.
+//! - in place, [`NR`] wide — `A·B` and `Aᵀ·B` with `1 ≤ k ≤ KC`,
+//!   `m ≥ MR` and `n ≥ NR`, reading both operands where they lie.
+//! - in place, [`LANES`] wide — `A·B` and `Aᵀ·B` with `1 ≤ k ≤ KC`,
+//!   `m ≥ MR` and `1 ≤ n ≤ LANES`, reading A where it lies and B
+//!   through a `k × LANES` zero-padded copy.
 //! - blocked (`gemm_direct_a`, `gemm`) — every other shape and every
 //!   `A·Bᵀ`.
 //!
@@ -20,8 +20,9 @@
 //! loops.
 //!
 //! The blocked drivers pack operand panels into [`Workspace`] scratch;
-//! the in-place path reads both operands where they lie and touches no
-//! scratch. Both share one MR×NR register-tile microkernel,
+//! the in-place paths read A where it lies and touch at most the B
+//! panel. All share one MR-row register-tile microkernel, generic over
+//! its tile width and
 //! written as plain loops over constant-length slices so the
 //! autovectorizer emits SIMD on every target — pure safe std, no
 //! intrinsics, no `unsafe`.
@@ -40,11 +41,12 @@
 //!   ascending k order into a register, and per-`KC`-block partial
 //!   sums are added to the output in ascending `pc` order;
 //!
-//! The k dimension is never padded. The blocked drivers zero-pad M/N
-//! edge tiles in the packed panels and discard the padded lanes on
-//! write-back; the in-place path shifts its last tiles back to end at
-//! `m` and `n` and recomputes the shared elements to the same bits. So
-//! neither padding nor overlap can reach another output element.
+//! The k dimension is never padded. The blocked drivers and the
+//! `LANES`-wide path zero-pad N (and the blocked drivers M) edge tiles
+//! in the packed panels and discard the padded lanes on write-back; the
+//! `NR`-wide in-place path shifts its last tiles back to end at `m` and
+//! `n` and recomputes the shared elements to the same bits. So neither
+//! padding nor overlap can reach another output element.
 
 use super::Matrix;
 
@@ -52,6 +54,10 @@ use super::Matrix;
 pub const MR: usize = 6;
 /// Microkernel tile width (columns of C held in registers).
 pub const NR: usize = 32;
+/// Tile width for outputs at most this wide: one 512-bit vector of
+/// f32. At `n = 10` (the output layer) an [`NR`]-wide tile would
+/// compute 22 padded columns of 32; this one computes 6 of 16.
+pub const LANES: usize = 16;
 /// Row-block size: rows of A packed and reused per B panel.
 pub const MC: usize = 120;
 /// Depth-block size: the k-extent of one packed panel pair.
@@ -94,10 +100,9 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace)
     out.resize(m, n);
     let ad = a.as_slice();
     let bd = b.as_slice();
-    if single_block(m, n, k) {
-        gemm_in_place(m, n, k, InPlaceA::Rows(ad), bd, out.as_mut_slice());
-    } else {
-        gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    let od = out.as_mut_slice();
+    if !in_place(m, n, k, InPlaceA::Rows(ad), bd, od, ws) {
+        gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], od, ws);
     }
 }
 
@@ -117,11 +122,9 @@ pub fn matmul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix, ws: &mu
 
 /// `out = atᵀ · b` without materializing the transpose.
 ///
-/// The path follows from the shape alone: outputs at most `NARROW_N`
-/// wide with at least `LANES` rows and one depth block take the
-/// row-vectorised `gemm_narrow`; every other shape runs the dense
-/// kernels as [`matmul_into`] does, in place for one depth block
-/// holding a full tile, blocked otherwise.
+/// The path follows from the shape alone, as for [`matmul_into`]: one
+/// depth block holding a full tile runs in place, reading `at`'s rows
+/// as the tile's A columns; every other shape runs the packed `gemm`.
 ///
 /// # Panics
 ///
@@ -132,65 +135,41 @@ pub fn transposed_matmul_into(at: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mu
     out.resize(m, n);
     let ad = at.as_slice();
     let bd = b.as_slice();
-    if narrow(m, n, k) {
-        gemm_narrow(m, n, k, ad, bd, out.as_mut_slice());
-    } else if single_block(m, n, k) {
-        gemm_in_place(m, n, k, InPlaceA::Cols(ad), bd, out.as_mut_slice());
-    } else {
-        gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out.as_mut_slice(), ws);
+    let od = out.as_mut_slice();
+    if !in_place(m, n, k, InPlaceA::Cols(ad), bd, od, ws) {
+        gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], od, ws);
     }
 }
 
-/// Output width at or below which `Aᵀ·B` vectorises over the output
-/// rows ([`gemm_narrow`]) instead of over NR-wide tiles, most of whose
-/// columns would be padding. At `n = 10` (the output layer's weight
-/// gradient) a tile computes 22 padded columns of 32.
-const NARROW_N: usize = 16;
-
-/// Output rows [`gemm_narrow`] accumulates at once: one 512-bit vector
-/// of f32.
-const LANES: usize = 16;
-
-/// Whether `atᵀ · b` runs on [`gemm_narrow`]: at most `NARROW_N`
-/// output columns, at least `LANES` output rows, one depth block.
-fn narrow(m: usize, n: usize, k: usize) -> bool {
-    n <= NARROW_N && m >= LANES && (1..=KC).contains(&k)
-}
-
-/// `out = atᵀ · b` for narrow outputs: for each block of [`LANES`]
-/// output rows and each output column `c`, one accumulator vector runs
-/// down `p`, its lanes reading `at`'s row `p` contiguously. The last
-/// row block is shifted back to end at `m`; rows it shares with the
-/// block before are recomputed to the same bits.
-///
-/// Bit-identical to [`gemm`] on these shapes: each element runs the
-/// [`microtile`] chain, `acc = a.mul_add(b, acc)` from `+0.0` in
-/// ascending `p`, and `k ≤ KC` is one depth block, stored once.
-fn gemm_narrow(m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-    debug_assert!(narrow(m, n, k) && ad.len() == k * m);
-    for r in (0..m).step_by(LANES) {
-        let r = r.min(m - LANES);
-        for c in 0..n {
-            let mut acc = [0.0f32; LANES];
-            for (arow, brow) in ad.chunks_exact(m).zip(bd.chunks_exact(n)) {
-                let bv = brow[c];
-                for (o, &av) in acc.iter_mut().zip(&arow[r..r + LANES]) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-            for (i, &v) in acc.iter().enumerate() {
-                od[(r + i) * n + c] = v;
-            }
-        }
-    }
-}
-
-/// Whether `m×k · k×n` runs on [`gemm_in_place`]: one depth block
-/// (`1 ≤ k ≤ KC`) and at least one full MR×NR tile. Every FedAvg shape
+/// `out = A · B` for `B` a `k×n` row-major slice, on [`gemm_in_place`]
+/// if the shape takes it: one depth block (`1 ≤ k ≤ KC`) and a full
+/// MR-row tile, with an output at least [`NR`] wide, whose B is read
+/// where it lies, or at most [`LANES`] wide, whose B is first copied
+/// into a `k × LANES` zero-padded panel in `ws.pack_b`. Returns false,
+/// having touched nothing, for the blocked drivers. Every FedAvg shape
 /// of a production model is one depth block, where packing only copies
 /// data: the blocked drivers give each element the same FMA chain.
-fn single_block(m: usize, n: usize, k: usize) -> bool {
-    (1..=KC).contains(&k) && m >= MR && n >= NR
+fn in_place(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: InPlaceA<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) -> bool {
+    if !(1..=KC).contains(&k) || m < MR {
+        return false;
+    }
+    match n {
+        NR.. => gemm_in_place::<NR>(m, n, k, a, b, n, out),
+        1..=LANES => {
+            pack_b::<LANES>(&mut ws.pack_b, 0, n, 0, k, &|p, c| b[p * n + c]);
+            gemm_in_place::<LANES>(m, n, k, a, &ws.pack_b, LANES, out);
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Where [`gemm_in_place`] reads A's MR values for one depth step.
@@ -202,41 +181,52 @@ enum InPlaceA<'a> {
     Cols(&'a [f32]),
 }
 
-/// The in-place driver for one depth block: `out = A · B` for `B` a
-/// `k×n` row-major slice, with neither operand packed. Each MR×NR tile
-/// reads A through `a` and B's rows as NR-wide slices at stride `n`.
+/// The in-place driver for one depth block: `out = A · B` for B's
+/// `k` rows at stride `ldb` in `b` (B itself, or its zero-padded
+/// [`pack_b`] panel when `n < W`), with A never packed. Each MR×W tile
+/// reads A through `a` and B's rows as W-wide slices, and writes its
+/// first `min(W, n)` columns.
 ///
 /// Bit-identical to [`gemm`] and [`gemm_direct_a`] on these shapes:
 /// with `k ≤ KC` they run a single depth block, whose `pc == 0` pass
 /// stores each element's [`microtile`] chain, from `+0.0` in ascending
 /// `p` — the chain this driver runs and stores. The last row and
 /// column tiles are shifted back to end at `m` and `n`; elements they
-/// share with the tile before are recomputed to the same bits, so
-/// nothing is zero-padded.
-fn gemm_in_place(m: usize, n: usize, k: usize, a: InPlaceA<'_>, b: &[f32], out: &mut [f32]) {
-    debug_assert!(single_block(m, n, k));
-    debug_assert!(b.len() == k * n && out.len() == m * n);
+/// share with the tile before are recomputed to the same bits, and the
+/// padded columns of a narrow tile are never written.
+fn gemm_in_place<const W: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: InPlaceA<'_>,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    let width = W.min(n);
+    debug_assert!((1..=KC).contains(&k) && m >= MR && width >= 1);
+    debug_assert!(b.len() == k * ldb && ldb >= width && out.len() == m * n);
     for r0 in (0..m).step_by(MR) {
         let r0 = r0.min(m - MR);
-        for c0 in (0..n).step_by(NR) {
-            let c0 = c0.min(n - NR);
-            // k rows of B from column c0; only the last is shorter than n.
-            let b_rows = b[c0..].chunks(n);
+        for c0 in (0..n).step_by(W) {
+            let c0 = c0.min(n - width);
+            // k rows of B from column c0; only the last is shorter than ldb.
+            let b_rows = b[c0..].chunks(ldb);
             let acc = match a {
                 InPlaceA::Rows(a) => {
                     let rows = std::array::from_fn(|i| &a[(r0 + i) * k..][..k]);
-                    microtile(row_steps(&rows, k).zip(b_rows))
+                    microtile::<W>(row_steps(&rows, k).zip(b_rows))
                 }
                 InPlaceA::Cols(at) => {
                     let cols = at[r0..].chunks(m).map(|row| {
                         let col = &row[..MR];
                         std::array::from_fn(|i| col[i])
                     });
-                    microtile(cols.zip(b_rows))
+                    microtile::<W>(cols.zip(b_rows))
                 }
             };
             for (i, acc_row) in acc.iter().enumerate() {
-                out[(r0 + i) * n + c0..][..NR].copy_from_slice(acc_row);
+                out[(r0 + i) * n + c0..][..width].copy_from_slice(&acc_row[..width]);
             }
         }
     }
@@ -269,7 +259,7 @@ fn gemm(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(&mut ws.pack_b, jc, nc, pc, kc, &b_at);
+            pack_b::<NR>(&mut ws.pack_b, jc, nc, pc, kc, &b_at);
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
@@ -320,7 +310,7 @@ fn gemm_direct_a(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(&mut ws.pack_b, jc, nc, pc, kc, &b_at);
+            pack_b::<NR>(&mut ws.pack_b, jc, nc, pc, kc, &b_at);
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
@@ -366,10 +356,12 @@ fn pack_a(
     }
 }
 
-/// Packs a `kc × nc` block of B into NR-column panels: panel `pj`
-/// holds columns `[jc + pj·NR, jc + (pj+1)·NR)` laid out `[p·NR + j]`,
-/// with columns past `nc` zero-padded.
-fn pack_b(
+/// Packs a `kc × nc` block of B into W-column panels: panel `pj`
+/// holds columns `[jc + pj·W, jc + (pj+1)·W)` laid out `[p·W + j]`,
+/// with columns past `nc` zero-padded. The blocked drivers pack
+/// [`NR`]-wide panels; the narrow in-place path packs one
+/// [`LANES`]-wide panel.
+fn pack_b<const W: usize>(
     buf: &mut Vec<f32>,
     jc: usize,
     nc: usize,
@@ -377,13 +369,13 @@ fn pack_b(
     kc: usize,
     b_at: &impl Fn(usize, usize) -> f32,
 ) {
-    let panels = nc.div_ceil(NR);
-    buf.resize(panels * kc * NR, 0.0);
+    let panels = nc.div_ceil(W);
+    buf.resize(panels * kc * W, 0.0);
     for pj in 0..panels {
-        let panel = &mut buf[pj * kc * NR..(pj + 1) * kc * NR];
-        let c0 = pj * NR;
+        let panel = &mut buf[pj * kc * W..(pj + 1) * kc * W];
+        let c0 = pj * W;
         for p in 0..kc {
-            let dst = &mut panel[p * NR..p * NR + NR];
+            let dst = &mut panel[p * W..p * W + W];
             for (j, d) in dst.iter_mut().enumerate() {
                 let c = c0 + j;
                 *d = if c < nc { b_at(pc + p, jc + c) } else { 0.0 };
@@ -420,7 +412,7 @@ fn block_multiply(
             for (i, slot) in a_rows.iter_mut().enumerate() {
                 *slot = &a_panel[i * kc..(i + 1) * kc];
             }
-            let acc = microtile(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
+            let acc = microtile::<NR>(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
             for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
                 let row = &mut out[(ic + ir + i) * ldc + jc + jr..][..nr_eff];
                 if first {
@@ -472,7 +464,7 @@ fn block_multiply_direct(
                 debug_assert!(r < m);
                 *slot = &a[r * lda + pc..r * lda + pc + kc];
             }
-            let acc = microtile(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
+            let acc = microtile::<NR>(row_steps(&a_rows, kc).zip(b_panel.chunks_exact(NR)));
             for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
                 let row = &mut out[(ic + ir + i) * ldc + jc + jr..][..nr_eff];
                 if first {
@@ -506,25 +498,30 @@ fn row_steps<'a>(rows: &[&'a [f32]; MR], kc: usize) -> impl Iterator<Item = [f32
         .map(|(((((&a0, &a1), &a2), &a3), &a4), &a5)| [a0, a1, a2, a3, a4, a5])
 }
 
-/// The MR×NR register-tile microkernel. Each depth step supplies A's
-/// MR values for the tile's rows and a B row slice whose first NR
+/// The MR×W register-tile microkernel. Each depth step supplies A's
+/// MR values for the tile's rows and a B row slice whose first W
 /// values are the tile's columns — a packed panel row, or B's row read
 /// in place. Each element accumulates its products from `+0.0` in step
 /// order with one rounding per step (`mul_add`); targets without
 /// hardware FMA would take a libm call per step, which is why the
 /// committed `.cargo/config.toml` raises x86 builds to `x86-64-v3`.
+/// The width changes how many columns one tile covers, never an
+/// element's chain: [`NR`] for the blocked drivers and wide in-place
+/// outputs, [`LANES`] for narrow ones.
 ///
 /// Each accumulator row gets its own explicit inner loop so the
 /// autovectorizer keeps the whole tile in SIMD registers. That spells
 /// the rows out, so this function is written for `MR == 6` exactly
 /// (compile-time guarded below).
 #[inline(always)]
-fn microtile<'b>(steps: impl Iterator<Item = ([f32; MR], &'b [f32])>) -> [[f32; NR]; MR] {
+fn microtile<'b, const W: usize>(
+    steps: impl Iterator<Item = ([f32; MR], &'b [f32])>,
+) -> [[f32; W]; MR] {
     const { assert!(MR == 6, "microtile unrolls exactly MR = 6 accumulator rows") };
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; W]; MR];
     let [acc0, acc1, acc2, acc3, acc4, acc5] = &mut acc;
     for ([a0, a1, a2, a3, a4, a5], b) in steps {
-        let b = &b[..NR];
+        let b = &b[..W];
         // One explicit loop per row keeps each accumulator row's chain
         // free of the temp-array shuffle the rolled form emits.
         for (c, &bv) in acc0.iter_mut().zip(b) {
@@ -625,7 +622,7 @@ mod tests {
     fn blocked_matches_reference_across_edge_shapes() {
         // Shapes straddling every block boundary: unit, sub-tile,
         // exact-tile, one-past-tile, multi-KC depth, and the narrow
-        // `Aᵀ·B` path. Up to KC deep every path runs the references'
+        // LANES-wide path. Up to KC deep every path runs the references'
         // FMA chain, so the bits agree; deeper, the blocked drivers add
         // per-KC partial sums, which agree to tolerance.
         let shapes = [
@@ -695,53 +692,70 @@ mod tests {
 
     #[test]
     fn narrow_path_is_bit_identical_to_the_blocked_driver() {
-        // Every shape is one depth block at most NARROW_N wide with at
-        // least LANES rows, so `transposed_matmul_into` takes
-        // `gemm_narrow` and packs nothing; `gemm` is the blocked driver
-        // it must match bit for bit. A quarter of `at` is ±0 and a few
-        // entries +inf; `b` holds NaN and −inf in some rows, so a zero
-        // `at` entry that skipped its `0 · inf` or `0 · NaN` term would
-        // show up as a bit difference.
-        for m in [16, 17, 32, 40, 96] {
-            for n in [1, 5, 10, 16] {
+        // Every shape is one depth block at most LANES wide with at
+        // least MR rows, so both `matmul_into` and
+        // `transposed_matmul_into` run the LANES-wide in-place tile and
+        // pack B alone; `gemm_direct_a` and `gemm` are the blocked
+        // drivers they must match bit for bit. A quarter of A is ±0 and
+        // a few entries +inf; `b` holds NaN and −inf in some rows, so a
+        // zero A entry that skipped its `0 · inf` or `0 · NaN` term, or
+        // a padded column written back, would show up as a bit
+        // difference.
+        for m in [6, 7, 16, 17, 32, 40, 96, 1000] {
+            for n in [1, 5, 6, 10, 16] {
                 for k in [1, 31, 32, 64, KC] {
                     let what = format!("{m}x{n}x{k}");
                     let seed = (m * 1000 + n * 10 + k) as u64;
-                    let raw = random(k, m, seed);
-                    let at = Matrix::from_fn(k, m, |p, r| match (p * m + r) % 8 {
+                    let raw = random(m, k, seed);
+                    let a = Matrix::from_fn(m, k, |r, p| match (p * m + r) % 8 {
                         0 => 0.0,
                         4 => -0.0,
                         _ if (p * m + r) % 61 == 7 => f32::INFINITY,
-                        _ => raw.get(p, r),
+                        _ => raw.get(r, p),
                     });
+                    let at = Matrix::from_fn(k, m, |p, r| a.get(r, p));
                     let raw = random(k, n, seed + 1);
                     let b = Matrix::from_fn(k, n, |p, c| match (p % 5, c % 3) {
                         (2, 0) => f32::NAN,
                         (3, 1) => f32::NEG_INFINITY,
                         _ => raw.get(p, c),
                     });
-                    let mut ws = Workspace::new();
+                    let bd = b.as_slice();
                     let mut got = Matrix::zeros(0, 0);
-                    transposed_matmul_into(&at, &b, &mut got, &mut ws);
-                    assert!(ws.pack_a.is_empty() && ws.pack_b.is_empty(), "{what} packed");
-
                     let mut want = Matrix::zeros(m, n);
-                    let (ad, bd) = (at.as_slice(), b.as_slice());
-                    let out = want.as_mut_slice();
-                    gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out, &mut ws);
-                    assert_same_bits(&got, &want, &what);
+                    let mut blocked_ws = Workspace::new();
+
+                    let mut ws = Workspace::new();
+                    matmul_into(&a, &b, &mut got, &mut ws);
+                    assert_only_pack_b(&ws, &format!("matmul {what}"));
+                    let (ad, out) = (a.as_slice(), want.as_mut_slice());
+                    gemm_direct_a(m, n, k, ad, |p, c| bd[p * n + c], out, &mut blocked_ws);
+                    assert_same_bits(&got, &want, &format!("matmul {what}"));
+
+                    let mut ws = Workspace::new();
+                    transposed_matmul_into(&at, &b, &mut got, &mut ws);
+                    assert_only_pack_b(&ws, &format!("transposed_matmul {what}"));
+                    let (ad, out) = (at.as_slice(), want.as_mut_slice());
+                    gemm(m, n, k, |r, p| ad[p * m + r], |p, c| bd[p * n + c], out, &mut blocked_ws);
+                    assert_same_bits(&got, &want, &format!("transposed_matmul {what}"));
                 }
             }
         }
     }
 
+    fn assert_only_pack_b(ws: &Workspace, what: &str) {
+        let touched = (!ws.pack_a.is_empty(), !ws.pack_b.is_empty(), !ws.zeros.is_empty());
+        assert_eq!(touched, (false, true, false), "{what}: (pack_a, pack_b, zeros) touched");
+    }
+
     #[test]
     fn zero_padding_never_contaminates_outputs_with_nonfinite_inputs() {
-        // Blocked edge tiles are zero-padded (m < MR, n < NR); 0 · inf
-        // would be NaN if a padded lane ever reached a valid output
-        // element. The in-place shape (MR + 1, NR + 1) shifts its last
-        // tiles back instead.
-        for (m, n) in [(MR - 1, NR - 1), (MR + 1, NR + 1)] {
+        // Blocked edge tiles are zero-padded (m < MR, n < NR), and so
+        // is the LANES-wide tile's B panel (n < LANES); 0 · inf would be
+        // NaN if a padded lane ever reached a valid output element. The
+        // in-place shape (MR + 1, NR + 1) shifts its last tiles back
+        // instead.
+        for (m, n) in [(MR - 1, NR - 1), (MR + 1, LANES - 1), (MR + 1, NR + 1)] {
             let k = 3;
             let a = Matrix::from_fn(m, k, |_, _| f32::INFINITY);
             let b = Matrix::from_fn(k, n, |_, _| 1.0);
@@ -813,22 +827,30 @@ mod tests {
 
     #[test]
     fn deep_and_narrow_shapes_still_take_the_blocked_drivers() {
-        // Two depth blocks, fewer rows than a tile, fewer columns than
-        // a tile: the blocked drivers pack B (and `gemm` packs A). The
-        // transposed 32x10x36 is `gemm_narrow`'s shape and packs
-        // nothing; at KC + 1 deep it goes back to `gemm`.
-        for (m, n, k) in [(32, 32, KC + 1), (5, 32, 36), (32, 10, 36), (32, 10, KC + 1)] {
-            let a = random(m, k, 1);
+        // Two depth blocks, fewer rows than a tile, or a width between
+        // LANES and NR: the blocked drivers pack B, `gemm_direct_a`
+        // borrows its zero row and `gemm` packs A too. One depth block
+        // at most LANES wide (32x10x36, the output layer) packs B alone.
+        let blocked = ([false, true, true], [true, true, false]);
+        let narrow = ([false, true, false], [false, true, false]);
+        for ((m, n, k), (matmul, transposed)) in [
+            ((32, 32, KC + 1), blocked),
+            ((5, 32, 36), blocked),
+            ((5, 10, 36), blocked),
+            ((32, 20, 36), blocked),
+            ((32, 10, 36), narrow),
+            ((32, 10, KC + 1), blocked),
+        ] {
+            let touched =
+                |ws: &Workspace| [&ws.pack_a, &ws.pack_b, &ws.zeros].map(|v| !v.is_empty());
             let b = random(k, n, 2);
             let mut out = Matrix::zeros(0, 0);
             let mut ws = Workspace::new();
-            matmul_into(&a, &b, &mut out, &mut ws);
-            assert!(ws.pack_a.is_empty() && !ws.pack_b.is_empty(), "matmul {m}x{n}x{k}");
+            matmul_into(&random(m, k, 1), &b, &mut out, &mut ws);
+            assert_eq!(touched(&ws), matmul, "matmul {m}x{n}x{k}");
             let mut ws = Workspace::new();
             transposed_matmul_into(&random(k, m, 3), &b, &mut out, &mut ws);
-            let packed = (!ws.pack_a.is_empty(), !ws.pack_b.is_empty());
-            let want = if narrow(m, n, k) { (false, false) } else { (true, true) };
-            assert_eq!(packed, want, "transposed {m}x{n}x{k}");
+            assert_eq!(touched(&ws), transposed, "transposed {m}x{n}x{k}");
         }
     }
 }

@@ -244,19 +244,20 @@ impl Mlp {
         ((loss / n) as f32, (correct as f64 / n) as f32)
     }
 
-    /// One SGD step on a mini-batch; returns the batch loss.
+    /// One SGD step on a mini-batch.
     ///
     /// Compatibility wrapper over [`Mlp::sgd_step_with`] with a fresh
     /// workspace.
-    pub fn sgd_step(&mut self, batch: &Dataset, lr: f32) -> f32 {
+    pub fn sgd_step(&mut self, batch: &Dataset, lr: f32) {
         let mut ws = Workspace::new();
-        self.sgd_step_with(&batch.features, &batch.labels, lr, &mut ws)
+        self.sgd_step_with(&batch.features, &batch.labels, lr, &mut ws);
     }
 
     /// One SGD step on `(features, labels)` using workspace-owned
-    /// scratch; returns the batch loss. Performs zero heap allocations
-    /// once `ws` is warm (the `no-alloc-in-hot-loop` lint enforces
-    /// this at the token level).
+    /// scratch. Performs zero heap allocations once `ws` is warm (the
+    /// `no-alloc-in-hot-loop` lint enforces this at the token level).
+    /// The batch loss is not computed; [`Mlp::evaluate_with`] measures
+    /// loss.
     ///
     /// # Panics
     ///
@@ -267,11 +268,11 @@ impl Mlp {
         labels: &[usize],
         lr: f32,
         ws: &mut Workspace,
-    ) -> f32 {
+    ) {
         assert_eq!(features.rows(), labels.len(), "batch features/labels disagree");
         let n = labels.len();
         if n == 0 {
-            return 0.0;
+            return;
         }
         ws.ensure_depth(self.layers.len());
         let last = self.layers.len() - 1;
@@ -291,13 +292,10 @@ impl Mlp {
             }
         }
 
-        // Loss and output-layer gradient (probs − onehot) / n.
-        let mut loss = 0.0f64;
+        // Output-layer gradient (probs − onehot) / n.
         ws.delta.copy_from(&ws.acts[last]);
         for (r, &label) in labels.iter().enumerate() {
-            let row = ws.delta.row_mut(r);
-            loss -= (row[label].max(1e-12) as f64).ln();
-            row[label] -= 1.0;
+            ws.delta.row_mut(r)[label] -= 1.0;
         }
         ws.delta.scale(1.0 / n as f32);
 
@@ -335,7 +333,6 @@ impl Mlp {
                 std::mem::swap(&mut ws.delta, &mut ws.delta_next);
             }
         }
-        (loss / n as f64) as f32
     }
 
     /// Flattens all parameters (FedAvg aggregation).
@@ -439,18 +436,70 @@ fn relu_inplace(m: &mut Matrix) {
     }
 }
 
+/// Row-wise softmax. Each row is shifted by its max, one flat [`exp`]
+/// pass runs over the whole matrix (so it vectorises across rows), and
+/// each row is then summed in column order and divided by its sum.
 fn softmax_inplace(m: &mut Matrix) {
     for r in 0..m.rows() {
         let row = m.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
+        }
+    }
+    for v in m.as_mut_slice() {
+        *v = exp(*v);
+    }
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
+        let mut sum = 0.0;
+        for &v in row.iter() {
+            sum += v;
         }
         for v in row.iter_mut() {
             *v /= sum;
         }
+    }
+}
+
+/// `eˣ` for softmax's shifted logits (`x ≤ 0`, or NaN), in straight-line
+/// f32 arithmetic the autovectorizer keeps in SIMD registers, where
+/// libm's `expf` is one call per element. Within 1 ulp of `expf` for
+/// every normal result; `x` below `ln 2⁻¹²⁶ ≈ −87.34`, whose results
+/// are subnormal, flushes to `+0`, as does −inf, and NaN stays NaN.
+///
+/// `x = n·ln 2 + r` with `n` the nearest integer to `x·log₂e` and
+/// `|r| ≤ ln 2 / 2`; `eʳ` is a degree-6 polynomial and `2ⁿ` is built
+/// from its exponent bits. Adding 1.5·2²³ rounds `x·log₂e` to `n` and
+/// leaves `n` in the low mantissa bits; an `as i32` conversion would
+/// give `n` too, but LLVM scalarises it.
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    const ROUND: f32 = 12_582_912.0; // 1.5·2²³
+    // Cody–Waite split of ln 2: LN2_HI has 9 significant bits, so
+    // n·LN2_HI is exact for |n| < 2¹⁵.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // Chebyshev fit of (eʳ − 1 − r)/r² on |r| ≤ ln 2 / 2; the whole
+    // polynomial is within 1e-8 relative of eʳ.
+    const C: [f32; 5] = [1.392_617_6e-3, 8.363_173e-3, 4.166_655_6e-2, 1.666_657_8e-1, 0.5];
+    const LN_MIN_NORMAL: f32 = -87.336_55;
+    let t = x.mul_add(std::f32::consts::LOG2_E, ROUND);
+    let n = t - ROUND;
+    let r = n.mul_add(-LN2_LO, n.mul_add(-LN2_HI, x));
+    let mut p = C[0];
+    for c in &C[1..] {
+        p = p.mul_add(r, *c);
+    }
+    p = p.mul_add(r, 1.0).mul_add(r, 1.0);
+    // t's bits are those of 1.5·2²³ + n, so its low 9 bits hold n mod
+    // 2⁹; shifted into the exponent field and biased, they give 2ⁿ for
+    // every n ≥ −126 this function does not flush.
+    let scale = f32::from_bits((t.to_bits() << 23).wrapping_add(127 << 23));
+    if x < LN_MIN_NORMAL {
+        0.0
+    } else {
+        p * scale
     }
 }
 
@@ -478,6 +527,49 @@ mod tests {
             let sum: f32 = p.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             assert!(p.row(r).iter().all(|&v| (0.0..=1.0).contains(&v)));
+        }
+    }
+
+    #[test]
+    fn exp_is_within_one_ulp_of_libm_and_flushes_subnormals() {
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        assert!(exp(f32::NAN).is_nan());
+        // Below ln 2⁻¹²⁶ libm returns subnormals; this exp flushes them.
+        for x in [-87.34f32, -87.5, -100.0, -1e4, f32::MIN] {
+            assert_eq!(exp(x).to_bits(), 0.0f32.to_bits(), "exp({x})");
+        }
+        // Every 61st f32 from −0 down to the last normal result: the
+        // bit patterns of same-sign finite floats are ordered, so the
+        // bit distance is the ulp distance.
+        let (mut worst, mut checked) = (0u32, 0usize);
+        for bits in ((-0.0f32).to_bits()..=(-87.3365f32).to_bits()).step_by(61) {
+            let x = f32::from_bits(bits);
+            let (got, want) = (exp(x), x.exp());
+            assert!(want.is_normal(), "exp({x}) = {want} is not normal");
+            worst = worst.max(got.to_bits().abs_diff(want.to_bits()));
+            checked += 1;
+        }
+        assert!(worst <= 1, "worst error {worst} ulp over {checked} inputs");
+        assert!(checked > 15_000_000);
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one() {
+        // Logit spreads from none to far past the flush point, and a
+        // one-column matrix.
+        for (rows, cols, spread) in [(32, 10, 0.0f32), (32, 10, 8.0), (7, 13, 60.0), (5, 10, 200.0), (9, 1, 5.0)]
+        {
+            let mut rng = StdRng::seed_from_u64(cols as u64 + spread as u64);
+            let mut m = Matrix::from_fn(rows, cols, |_, _| spread * rng.gen_range(-1.0f32..1.0));
+            softmax_inplace(&mut m);
+            for r in 0..rows {
+                let row = m.row(r);
+                let sum: f64 = row.iter().map(|&v| v as f64).sum();
+                assert!((sum - 1.0).abs() <= 1e-6, "{rows}x{cols} spread {spread} row {r}: {sum}");
+                assert!(row.iter().all(|&v| (0.0..=1.0).contains(&v)));
+            }
         }
     }
 
@@ -539,9 +631,8 @@ mod tests {
         let mut warm = fresh.clone();
         let mut ws = Workspace::new();
         for _ in 0..4 {
-            let a = fresh.sgd_step(&d, 0.05);
-            let b = warm.sgd_step_with(&d.features, &d.labels, 0.05, &mut ws);
-            assert_eq!(a.to_bits(), b.to_bits());
+            fresh.sgd_step(&d, 0.05);
+            warm.sgd_step_with(&d.features, &d.labels, 0.05, &mut ws);
         }
         for (x, y) in fresh.to_params().iter().zip(&warm.to_params()) {
             assert_eq!(x.to_bits(), y.to_bits());

@@ -140,7 +140,8 @@ echo "==> committed BENCH_baselines.json is well-formed and meets its bounds"
 # gamma rebuild within 0.25x the n10000 solve, the blocked GEMM at
 # least 3x naive on the eval shape, the narrow ReLU-sparse weight
 # gradient at least 2x naive on the training shape, dW0 within 1.25x
-# the same-work forward GEMM, and the ReLU-sparse 64x32x96 weight
+# the same-work forward GEMM, the output layer's 32x32x10 forward GEMM
+# within 1.25x the 32x36x32 one, and the ReLU-sparse 64x32x96 weight
 # gradient within 1.25x its dense twin.
 target/release/baseline --check BENCH_baselines.json
 

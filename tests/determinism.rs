@@ -234,7 +234,7 @@ fn sync_and_async_training_match_their_golden_fingerprints() {
     let config = FedConfig { rounds: 2, local_epochs: 2, batch_size: 16, lr: 0.1, seed: 3 };
     let sync = train_federated_with(global.clone(), &shards, &test, &fractions, &config, &Pool::new(2))
         .unwrap();
-    assert_eq!(training_fingerprint(&sync.model, &sync.history), 0x7b1f_4679_4c81_4559);
+    assert_eq!(training_fingerprint(&sync.model, &sync.history), 0x7b77_b00c_7578_9e1b);
 
     let timings: Vec<OrgTiming> =
         (0..3).map(|i| OrgTiming { comm: 2.0, compute: 5.0 + 7.0 * i as f64 }).collect();
@@ -248,7 +248,7 @@ fn sync_and_async_training_match_their_golden_fingerprints() {
     };
     let out = train_async(global, &shards[..3], &test, &[1.0, 0.5, 0.75], &timings, &config)
         .unwrap();
-    assert_eq!(training_fingerprint(&out.model, &out.history), 0xd9f9_c060_6fc9_582d);
+    assert_eq!(training_fingerprint(&out.model, &out.history), 0xf2e6_20e9_14a3_f706);
 }
 
 // --- shared-ρ γ rebuilds --------------------------------------------
