@@ -873,7 +873,7 @@ const BOUNDS: &[Bound] = &[
         row: "eval_forward_1500x64x96",
         field: "blocked_speedup",
         limit: Limit::AtLeast(3.0),
-        why: "the blocked GEMM kernel lost its 3x cache-blocking win",
+        why: "the register-tiled GEMM kernel lost its 3x win over the naive loop",
     },
     // Recorded ~4x naive; the branchy skip loop this layout replaced
     // read ~0.9x on the same operands.
@@ -1283,7 +1283,7 @@ mod tests {
                     set(r, "eval_forward_1500x64x96", "naive_ms", 0.5);
                     set(r, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
                 },
-                "cache-blocking",
+                "win over the naive loop",
             ),
             (
                 "2x narrow sparse",

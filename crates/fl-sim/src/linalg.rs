@@ -2,9 +2,9 @@
 //!
 //! Row-major `f32` matrices with exactly the operations an MLP needs —
 //! no external math crates (DESIGN.md §6). The three matrix products
-//! are cache-blocked, register-tiled kernels (see [`kernel`] and
-//! DESIGN.md §10); the `*_into` variants write into a caller-owned
-//! output so steady-state training allocates nothing.
+//! live in [`kernel`] as register-tiled `*_into` functions (DESIGN.md
+//! §10) that write into a caller-owned output and reuse a caller-owned
+//! [`Workspace`], so steady-state training allocates nothing.
 
 pub mod kernel;
 
@@ -127,42 +127,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self * other` (blocked kernel, fresh output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        let mut ws = kernel::Workspace::new();
-        kernel::matmul_into(self, other, &mut out, &mut ws);
-        out
-    }
-
-    /// `self * otherᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        let mut ws = kernel::Workspace::new();
-        kernel::matmul_transposed_into(self, other, &mut out, &mut ws);
-        out
-    }
-
-    /// `selfᵀ * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn transposed_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        let mut ws = kernel::Workspace::new();
-        kernel::transposed_matmul_into(self, other, &mut out, &mut ws);
-        out
-    }
-
     /// In-place `self += alpha * other`.
     ///
     /// # Panics
@@ -206,11 +170,22 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    /// Runs one `kernel::*_into` product into a fresh output.
+    fn product(
+        f: fn(&Matrix, &Matrix, &mut Matrix, &mut Workspace),
+        a: &Matrix,
+        b: &Matrix,
+    ) -> Matrix {
+        let mut out = Matrix::default();
+        f(a, b, &mut out, &mut Workspace::new());
+        out
+    }
+
     #[test]
     fn matmul_small_known_product() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = product(kernel::matmul_into, &a, &b);
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
     }
 
@@ -219,7 +194,7 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(2, 3, vec![1., 0., 1., 0., 1., 0.]);
         // a * b^T
-        let c = a.matmul_transposed(&b);
+        let c = product(kernel::matmul_transposed_into, &a, &b);
         assert_eq!(c.as_slice(), &[4., 2., 10., 5.]);
     }
 
@@ -228,7 +203,7 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let b = Matrix::from_vec(2, 2, vec![5., 6., 7., 8.]);
         // a^T * b = [[1,3],[2,4]] * [[5,6],[7,8]] = [[26,30],[38,44]]
-        let c = a.transposed_matmul(&b);
+        let c = product(kernel::transposed_matmul_into, &a, &b);
         assert_eq!(c.as_slice(), &[26., 30., 38., 44.]);
     }
 
@@ -250,7 +225,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = product(kernel::matmul_into, &a, &b);
     }
 
     #[test]

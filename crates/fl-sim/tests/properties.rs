@@ -14,6 +14,17 @@ fn matrix(rows: usize, cols: usize, vals: &[f32]) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| vals[(r * cols + c) % vals.len()])
 }
 
+/// Runs one `kernel::*_into` product into a fresh output.
+fn product(
+    f: fn(&Matrix, &Matrix, &mut Matrix, &mut kernel::Workspace),
+    a: &Matrix,
+    b: &Matrix,
+) -> Matrix {
+    let mut out = Matrix::default();
+    f(a, b, &mut out, &mut kernel::Workspace::new());
+    out
+}
+
 /// Error bound for blocked-vs-naive GEMM agreement with entries in
 /// `[-2, 2]`: the blocked kernel reassociates the depth sum (KC
 /// blocking) and contracts each multiply-add into a fused `mul_add`,
@@ -29,7 +40,7 @@ fn gemm_tol(k: usize) -> f32 {
 props! {
     #![cases = 32]
 
-    /// `(A Bᵀ)` computed by `matmul_transposed` equals the explicit
+    /// `(A Bᵀ)` computed by `matmul_transposed_into` equals the explicit
     /// product against the materialized transpose.
     fn matmul_transposed_matches_explicit(g) {
         let m = g.usize(1..5);
@@ -39,8 +50,8 @@ props! {
         let a = matrix(m, k, &vals);
         let b = matrix(n, k, &vals);
         let bt = Matrix::from_fn(k, n, |r, c| b.get(c, r));
-        let fast = a.matmul_transposed(&b);
-        let slow = a.matmul(&bt);
+        let fast = product(kernel::matmul_transposed_into, &a, &b);
+        let slow = product(kernel::matmul_into, &a, &bt);
         for r in 0..m {
             for c in 0..n {
                 prop_assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-4);
@@ -48,7 +59,7 @@ props! {
         }
     }
 
-    /// `(Aᵀ B)` computed by `transposed_matmul` equals the explicit
+    /// `(Aᵀ B)` computed by `transposed_matmul_into` equals the explicit
     /// product.
     fn transposed_matmul_matches_explicit(g) {
         let m = g.usize(1..5);
@@ -58,8 +69,8 @@ props! {
         let a = matrix(k, m, &vals);
         let b = matrix(k, n, &vals);
         let at = Matrix::from_fn(m, k, |r, c| a.get(c, r));
-        let fast = a.transposed_matmul(&b);
-        let slow = at.matmul(&b);
+        let fast = product(kernel::transposed_matmul_into, &a, &b);
+        let slow = product(kernel::matmul_into, &at, &b);
         for r in 0..m {
             for c in 0..n {
                 prop_assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-4);

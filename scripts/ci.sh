@@ -9,6 +9,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> preflight: this host runs the x86-64-v4 code .cargo/config.toml asks for"
+# On x86_64 the committed rustflags build every binary for x86-64-v4
+# (AVX-512), so a host without it would die of SIGILL mid-suite; fail
+# up front instead. A tree switched to the v3 line skips the check.
+if [ "$(uname -m)" = x86_64 ] \
+  && grep -q '^rustflags.*target-cpu=x86-64-v4' .cargo/config.toml; then
+  missing=""
+  for flag in avx512f avx512bw avx512cd avx512dq avx512vl; do
+    grep -qw "$flag" /proc/cpuinfo || missing="$missing $flag"
+  done
+  if [ -n "$missing" ]; then
+    echo "ci.sh: this CPU lacks${missing}, which the x86-64-v4 target in" \
+      ".cargo/config.toml needs; switch its rustflags to the documented" \
+      "\"-C target-cpu=x86-64-v3\" fallback line" >&2
+    exit 1
+  fi
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -61,8 +79,8 @@ cargo test -q --workspace
 
 echo "==> release tests: fl-sim and the determinism suite on the benchmark's codegen"
 # The dev-profile runs above do not vectorise the GEMM kernels, so the
-# bit-identity of the SIMD loops (every path's FMA chain vs the blocked
-# driver, the training goldens) is only checked on an optimised build here.
+# bit-identity of the SIMD loops (every path's FMA chain vs the naive
+# references, the training goldens) is only checked on an optimised build here.
 cargo test --release -q -p tradefl-fl-sim
 cargo test --release -q --test determinism
 

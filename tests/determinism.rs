@@ -425,8 +425,8 @@ fn blocked_kernel_training_is_bit_identical_above_the_pool_threshold() {
     // worker-count-invariant. This one pushes the per-round work to
     // 4 silos × 300 samples × 2 local epochs = 2400 steps, past the
     // threshold, so the pool genuinely fans local training out — and
-    // every GEMM underneath runs the blocked kernel (fixed
-    // jc→pc→ic→jr→ir traversal, ascending-pc accumulation). Training
+    // every GEMM underneath runs the tiled kernel (one FMA chain per
+    // element and depth block, blocks added in ascending pc). Training
     // must still be bit-identical for 1, 4 and 8 workers. (Explicit
     // pools rather than TRADEFL_THREADS for the same reason as the
     // header above: the env var is read once per process.)
