@@ -7,12 +7,13 @@
 //! (`local_train`) and the input check (`contributed_subsets`) are
 //! shared with [`crate::async_fed`].
 
-//! Per-silo local training runs on the work-stealing pool: each
-//! `(round, org)` pair derives its own RNG seed from `config.seed`
-//! (SplitMix64-style mixing), so a silo's local run is a pure function
-//! of `(global model, shard, round, org)` — independent of scheduling
-//! — and client deltas are merged in fixed silo order. Results are
-//! therefore bit-identical for every worker count.
+//! Edge groups of silos train as the tasks of one fork-join pool
+//! scope per window: each `(round, org)` pair derives its own RNG seed
+//! from `config.seed` (SplitMix64-style mixing), so a silo's local run
+//! is a pure function of `(global model, shard, round, org)` —
+//! independent of scheduling — and client deltas are merged in fixed
+//! silo order. Results are therefore bit-identical for every worker
+//! count.
 
 use crate::data::{Dataset, MiniBatch};
 use crate::model::{Mlp, Workspace};
@@ -21,12 +22,11 @@ use tradefl_runtime::rng::{SeedableRng, SliceRandom, StdRng};
 use tradefl_runtime::sync::pool::Pool;
 
 /// Minimum per-round work — contributed samples × local epochs — below
-/// which local training stays serial even on a multi-worker pool.
-/// Mirrors `gbd`'s 512-candidate traversal cutoff: scoped-thread spawn
-/// and merge overhead beats the win on small rounds (the recorded
-/// `fedavg_round` 0.958x regression in the PR-2 baseline). Selection
-/// depends only on the instance, never on the worker count, so pooled
-/// and serial paths remain bit-identical (module docs above).
+/// which a round trains one edge group per scope, so every scope runs
+/// inline on the calling thread even on a multi-worker pool:
+/// scoped-thread spawn and merge overhead beats the win on small
+/// rounds. The group partials merge in group order either way, so
+/// results stay bit-identical (module docs above).
 const POOLED_FED_MIN_STEPS: usize = 2048;
 
 /// Training hyper-parameters.
@@ -189,20 +189,20 @@ pub fn train_federated_with(
     let total_weight: f64 = weights.iter().sum();
 
     // Evaluation scratch, merge buffers and the per-worker group slots
-    // live across rounds, so the steady-state round loop performs no
-    // allocations at all (machine-checked: `run_round`, `train_group`
-    // and `local_train` are in the `no-alloc-in-hot-loop` lint scope).
+    // live across rounds, so the steady-state round loop allocates
+    // nothing but each window's pool-scope task boxes (machine-checked:
+    // `run_round`, `train_group` and `local_train` are in the
+    // `no-alloc-in-hot-loop` lint scope).
     let n_silos = contributed.len();
     let n_groups = n_silos.div_ceil(EDGE_GROUP_SIZE);
-    // Pool engagement is thresholded on per-round work (an instance
-    // property — see POOLED_FED_MIN_STEPS); small rounds run the same
-    // group jobs inline, producing bit-identical results.
-    let round_steps = total_weight as usize * config.local_epochs.max(1);
-    let use_pool =
-        pool.workers() > 1 && n_groups > 1 && round_steps >= POOLED_FED_MIN_STEPS;
+    // Fan-out is thresholded on per-round work (an instance property —
+    // see POOLED_FED_MIN_STEPS); small rounds get one slot, so each
+    // window's scope holds one group job and runs it inline.
     // Live aggregation memory: one model + one f64 partial per slot,
     // O(model × min(workers, groups)) — independent of the silo count.
-    let n_slots = if use_pool { pool.workers().min(n_groups) } else { 1 };
+    let round_steps = total_weight as usize * config.local_epochs.max(1);
+    let n_slots =
+        if round_steps >= POOLED_FED_MIN_STEPS { pool.workers().min(n_groups) } else { 1 };
     let mut slots: Vec<GroupSlot> = (0..n_slots).map(|_| GroupSlot::for_model(&global)).collect();
     let mut silo_stats: Vec<Option<(f32, f32)>> = vec![None; n_silos];
     let mut eval_ws = Workspace::new();
@@ -227,7 +227,6 @@ pub fn train_federated_with(
             total_weight,
             config,
             pool,
-            use_pool,
             &mut slots,
             &mut silo_stats,
             &mut aggregate,
@@ -344,10 +343,11 @@ impl GroupSlot {
 }
 
 /// One federated round over the two-level topology: edge groups are
-/// dispatched in windows of `slots.len()` (pooled or inline — same
-/// jobs either way), and after each window's barrier the group
-/// partials merge into `aggregate` in strict group order. Zero
-/// allocations (lint-enforced hot loop).
+/// dispatched in windows of `slots.len()`, one pool scope per window
+/// (a one-group window runs inline), and after each window's barrier
+/// the group partials merge into `aggregate` in strict group order.
+/// No allocation outside the scope's task boxes (lint-enforced hot
+/// loop).
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     round: usize,
@@ -357,7 +357,6 @@ fn run_round(
     total_weight: f64,
     config: &FedConfig,
     pool: &Pool,
-    use_pool: bool,
     slots: &mut [GroupSlot],
     silo_stats: &mut [Option<(f32, f32)>],
     aggregate: &mut [f64],
@@ -373,31 +372,19 @@ fn run_round(
             .chunks_mut(EDGE_GROUP_SIZE)
             .skip(window_base)
             .take(window_len);
-        if use_pool && window_len > 1 {
-            pool.scope(|s| {
-                for (w, (slot, stats)) in
-                    slots[..window_len].iter_mut().zip(chunks).enumerate()
-                {
-                    let group = window_base + w;
-                    s.spawn(move || {
-                        train_group(
-                            round, group, global, contributed, weights,
-                            total_weight, config, slot, stats, probe_test,
-                        );
-                    });
-                }
-            });
-        } else {
+        pool.scope(|s| {
             for (w, (slot, stats)) in
                 slots[..window_len].iter_mut().zip(chunks).enumerate()
             {
                 let group = window_base + w;
-                train_group(
-                    round, group, global, contributed, weights,
-                    total_weight, config, slot, stats, probe_test,
-                );
+                s.spawn(move || {
+                    train_group(
+                        round, group, global, contributed, weights,
+                        total_weight, config, slot, stats, probe_test,
+                    );
+                });
             }
-        }
+        });
         // Global merge, strict group order (scheduling-independent).
         for slot in &slots[..window_len] {
             for (acc, &p) in aggregate.iter_mut().zip(&slot.partial) {

@@ -1,17 +1,17 @@
 //! Workspace call graph and pool-entry reachability — the machinery
 //! behind `no-nested-pool-scope`.
 //!
-//! The work-stealing pool (`tradefl_runtime::sync::pool::Pool`) runs
-//! jobs on a fixed set of workers; a closure already executing *on*
-//! the pool that re-enters `Pool::scope`/`map`/`map_indexed` (or
-//! `parallel_map`) can deadlock: every worker may end up parked inside
-//! an outer scope waiting for inner jobs no free worker exists to run.
-//! That nesting is rarely lexical — the inner entry usually hides one
-//! or more calls deep — so a token pattern cannot see it. This module
-//! builds a name-keyed call graph over every parsed fn and computes
-//! which fns can *reach* a pool entry, then flags calls made inside a
-//! pooled closure whose callee reaches one (direct lexical nesting
-//! included).
+//! The fork-join pool (`tradefl_runtime::sync::pool::Pool`) stands up
+//! its own threads for every `Pool::scope` that fans out, so a task
+//! already running on a scope's thread that enters `Pool::scope` again
+//! multiplies the thread count: each of `w` outer threads starts up to
+//! `w` more, and the pool's worker count no longer bounds the threads
+//! alive. That nesting is rarely lexical — the inner entry usually
+//! hides one or more calls deep — so a token pattern cannot see it.
+//! This module builds a name-keyed call graph over every parsed fn and
+//! computes which fns can *reach* a pool entry, then flags calls made
+//! inside a pooled closure whose callee reaches one (direct lexical
+//! nesting included).
 //!
 //! Resolution is by simple callee name (no types), so distinct fns
 //! sharing a name merge conservatively; a runtime-guarded site (e.g.
@@ -24,10 +24,7 @@ use crate::rules::RawFinding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pool methods that move the caller onto the worker set.
-const POOL_ENTRY_METHODS: &[&str] = &["scope", "map", "map_indexed"];
-
-/// Free fns that enter the global pool.
-const POOL_ENTRY_FNS: &[&str] = &["parallel_map"];
+const POOL_ENTRY_METHODS: &[&str] = &["scope"];
 
 /// One fn's call-graph record.
 #[derive(Debug, Default)]
@@ -248,9 +245,9 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
         ExprKind::MethodCall { recv, method, args } => {
             let is_pool_entry =
                 POOL_ENTRY_METHODS.contains(&method.as_str()) && receiver_is_pool(recv);
-            // A pool-entry-named method on a non-pool receiver (e.g.
-            // iterator `.map`) must not resolve by name against
-            // `Pool::map` — entry detection is lexical, so drop the
+            // A pool-entry-named method on a non-pool receiver (e.g. a
+            // tracer's `.scope`) must not resolve by name against
+            // `Pool::scope` — entry detection is lexical, so drop the
             // edge entirely rather than poison reachability.
             if is_pool_entry || !POOL_ENTRY_METHODS.contains(&method.as_str()) {
                 record_call(cx, expr.line, method, is_pool_entry);
@@ -274,26 +271,13 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
                 ExprKind::Path(segs) => segs.last().cloned().unwrap_or_default(),
                 _ => String::new(),
             };
-            if !name.is_empty() {
-                let is_pool_entry = POOL_ENTRY_FNS.contains(&name.as_str());
-                record_call(cx, expr.line, &name, is_pool_entry);
-                for a in args {
-                    if is_pool_entry {
-                        if let ExprKind::Closure { body, .. } = &a.kind {
-                            let saved = cx.in_pooled_closure;
-                            cx.in_pooled_closure = true;
-                            collect_expr(body, cx);
-                            cx.in_pooled_closure = saved;
-                            continue;
-                        }
-                    }
-                    collect_expr(a, cx);
-                }
-            } else {
+            if name.is_empty() {
                 collect_expr(callee, cx);
-                for a in args {
-                    collect_expr(a, cx);
-                }
+            } else {
+                record_call(cx, expr.line, &name, false);
+            }
+            for a in args {
+                collect_expr(a, cx);
             }
         }
         ExprKind::Closure { body, .. } => collect_expr(body, cx),
@@ -402,7 +386,7 @@ mod tests {
     fn lexical_nesting_is_flagged() {
         let src = "fn f(pool: &Pool, jobs: Vec<J>) {\n\
                    pool.scope(|s| {\n\
-                   pool.map(jobs);\n\
+                   pool.scope(|t| {});\n\
                    });\n}\n";
         let got = findings(src);
         assert_eq!(got.len(), 1, "{got:?}");
@@ -412,7 +396,7 @@ mod tests {
     #[test]
     fn nesting_behind_one_call_is_flagged() {
         let src = "fn inner(pool: &Pool, jobs: Vec<J>) {\n\
-                   pool.map(jobs);\n}\n\
+                   pool.scope(|s| {});\n}\n\
                    fn outer(pool: &Pool, jobs: Vec<J>) {\n\
                    pool.scope(|s| {\n\
                    inner(pool, jobs);\n\
@@ -425,7 +409,7 @@ mod tests {
 
     #[test]
     fn nesting_behind_two_calls_is_flagged() {
-        let src = "fn deep(pool: &Pool, jobs: Vec<J>) { pool.map_indexed(4, |i| i); }\n\
+        let src = "fn deep(pool: &Pool, jobs: Vec<J>) { pool.scope(|s| {}); }\n\
                    fn mid(pool: &Pool, jobs: Vec<J>) { deep(pool, jobs); }\n\
                    fn outer(pool: &Pool, jobs: Vec<J>) {\n\
                    pool.scope(|s| { mid(pool, jobs); });\n}\n";
@@ -448,34 +432,26 @@ mod tests {
     fn sibling_dispatch_outside_the_closure_is_clean() {
         let src = "fn f(pool: &Pool, jobs: Vec<J>) {\n\
                    pool.scope(|s| { serial(); });\n\
-                   pool.map(jobs);\n}\n\
+                   pool.scope(|s| {});\n}\n\
                    fn serial() {}\n";
         assert!(findings(src).is_empty());
     }
 
     #[test]
-    fn iterator_map_is_not_a_pool_entry() {
-        let src = "fn f(items: Vec<u32>) -> Vec<u32> {\n\
-                   items.iter().map(|x| x + 1).collect()\n}\n\
+    fn non_pool_scope_method_is_not_a_pool_entry() {
+        let src = "fn f(tracer: &Tracer) {\n\
+                   tracer.scope(|| {});\n}\n\
                    fn g(pool: &Pool) {\n\
-                   pool.scope(|s| { f(Vec::new()); });\n}\n";
+                   pool.scope(|s| { f(tracer); });\n}\n";
         assert!(findings(src).is_empty());
     }
 
     #[test]
     fn global_pool_receiver_is_recognized() {
-        let src = "fn inner(jobs: Vec<J>) { Pool::global().map(jobs); }\n\
+        let src = "fn inner(jobs: Vec<J>) { Pool::global().scope(|s| {}); }\n\
                    fn outer(pool: &Pool, jobs: Vec<J>) {\n\
                    pool.scope(|s| { inner(jobs); });\n}\n";
         let got = findings(src);
         assert_eq!(got.len(), 1, "{got:?}");
-    }
-
-    #[test]
-    fn parallel_map_free_fn_is_a_pool_entry() {
-        let src = "fn inner(jobs: Vec<J>) { parallel_map(4, jobs); }\n\
-                   fn outer(pool: &Pool, jobs: Vec<J>) {\n\
-                   pool.scope(|s| { inner(jobs); });\n}\n";
-        assert_eq!(findings(src).len(), 1);
     }
 }

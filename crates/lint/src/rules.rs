@@ -84,9 +84,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-raw-threads",
         summary: "no std::thread::spawn outside runtime::sync",
-        rationale: "Raw threads bypass the work-stealing pool's deterministic merge order and \
-                    panic propagation (DESIGN.md \u{a7}6). Use tradefl_runtime::sync (Pool::scope, \
-                    parallel_map) so worker count can never change results bit-for-bit.",
+        rationale: "Raw threads bypass the fork-join pool's per-task output slots and panic \
+                    propagation (DESIGN.md \u{a7}6). Use tradefl_runtime::sync's Pool::scope so \
+                    worker count can never change results bit-for-bit.",
         in_tests: true,
     },
     RuleInfo {
@@ -148,14 +148,16 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "no-nested-pool-scope",
-        summary: "no Pool::scope/map reachable from inside a pooled closure",
-        rationale: "A closure already running on the work-stealing pool that re-enters \
-                    `Pool::scope`/`map`/`map_indexed` (or `parallel_map`) can park every worker \
-                    inside the outer scope waiting for inner jobs nobody is free to run — a \
-                    real deadlock, and almost never lexical: the inner entry hides behind \
-                    calls. The call graph flags calls inside pooled closures whose callee \
-                    reaches a pool entry. Runtime-guarded dispatch (`pool.workers() > 1` \
-                    fan-out-or-serial shapes) documents its guard in the lint:allow reason.",
+        summary: "no Pool::scope reachable from inside a pooled closure",
+        rationale: "Every `Pool::scope` that fans out stands up its own threads, so a task \
+                    already running on a scope's thread that enters `Pool::scope` again \
+                    oversubscribes the host: `w` outer threads each start up to `w` more, and \
+                    the worker count no longer bounds the threads alive. The nesting is almost \
+                    never lexical — the inner entry hides behind calls — so the call graph \
+                    flags calls inside pooled closures whose callee reaches a pool entry. \
+                    Runtime-guarded dispatch (a scope that provably holds one task, or a \
+                    one-worker pool, runs inline) documents its guard in the lint:allow \
+                    reason.",
         in_tests: false,
     },
     RuleInfo {
@@ -477,8 +479,8 @@ pub fn run_token_rules(rel_path: &str, target: Target, tokens: &[Tok]) -> Vec<Ra
                 rule: "no-raw-threads",
                 line: t[i].line,
                 message: format!(
-                    "`thread::{}` outside runtime::sync: use the work-stealing pool \
-                     (Pool::scope/parallel_map) for deterministic merges",
+                    "`thread::{}` outside runtime::sync: use the fork-join pool \
+                     (Pool::scope) for deterministic merges",
                     t[i + 2].text
                 ),
             });

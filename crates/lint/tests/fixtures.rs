@@ -325,19 +325,19 @@ fn nested_pool_scope_offending_clean_allowed() {
     offends(
         SOLVER,
         "fn f(pool: &Pool, jobs: Vec<J>) {\n    \
-         pool.scope(|s| {\n        pool.map(jobs);\n    });\n}\n",
+         pool.scope(|s| {\n        pool.scope(|t| {});\n    });\n}\n",
         "no-nested-pool-scope",
     );
     // The seeded regression: the nested entry hides behind one call.
     offends(
         SOLVER,
-        "fn inner(pool: &Pool, jobs: Vec<J>) {\n    pool.map(jobs);\n}\n\
+        "fn inner(pool: &Pool, jobs: Vec<J>) {\n    pool.scope(|s| {});\n}\n\
          fn outer(pool: &Pool, jobs: Vec<J>) {\n    \
          pool.scope(|s| {\n        inner(pool, jobs);\n    });\n}\n",
         "no-nested-pool-scope",
     );
-    // Serial helpers and iterator `.map` inside pooled closures are
-    // clean — and the pool implementation itself is exempt.
+    // Serial helpers and a non-pool `.scope` inside pooled closures
+    // are clean — and the pool implementation itself is exempt.
     clean(
         SOLVER,
         "fn payoff(i: usize) -> i64 { 0 }\n\
@@ -346,20 +346,20 @@ fn nested_pool_scope_offending_clean_allowed() {
     );
     clean(
         SOLVER,
-        "fn f(items: Vec<u32>) -> Vec<u32> { items.iter().map(|x| x + 1).collect() }\n\
-         fn g(pool: &Pool) {\n    pool.scope(|s| { f(Vec::new()); });\n}\n",
+        "fn f(tracer: &Tracer) { tracer.scope(|| {}); }\n\
+         fn g(pool: &Pool, tracer: &Tracer) {\n    pool.scope(|s| { f(tracer); });\n}\n",
     );
     clean(
         "crates/runtime/src/sync/pool.rs",
         "fn f(pool: &Pool, jobs: Vec<J>) {\n    \
-         pool.scope(|s| {\n        pool.map(jobs);\n    });\n}\n",
+         pool.scope(|s| {\n        pool.scope(|t| {});\n    });\n}\n",
     );
     clean(
         SOLVER,
         "fn f(pool: &Pool, jobs: Vec<J>) {\n    \
          pool.scope(|s| {\n        \
-         // lint:allow(no-nested-pool-scope): inner dispatch checks workers() and falls back to serial\n        \
-         pool.map(jobs);\n    });\n}\n",
+         // lint:allow(no-nested-pool-scope): the inner scope holds one task, so it runs inline\n        \
+         pool.scope(|t| {});\n    });\n}\n",
     );
 }
 

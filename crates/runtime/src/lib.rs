@@ -13,8 +13,8 @@
 //!   (`seed_from_u64`, `gen_range`, `gen_bool`, `shuffle`, Gaussian
 //!   draws for data synthesis);
 //! * [`sync`] — a std-backed, poison-transparent `Mutex` (replacing
-//!   `parking_lot`) and the work-stealing [`sync::pool`] (replacing
-//!   `crossbeam`'s fork/join);
+//!   `parking_lot`) and the fixed-width fork-join [`sync::pool`]
+//!   (replacing `crossbeam`'s fork/join);
 //! * [`codec`] — a growable write buffer ([`codec::BytesMut`]) and a
 //!   read cursor ([`codec::Buf`]) whose every read is fallible,
 //!   replacing `bytes`; the ledger wire codec, block/state hashing and

@@ -14,9 +14,9 @@
 //!   determinism suite can diff it directly.
 //! * **Counters / gauges / histograms** are order-independent
 //!   aggregates (sums, last-write, bucket tallies). They *may* be
-//!   bumped from pool workers — totals are stable, per-worker
-//!   attribution (e.g. tasks stolen) is inherently scheduling-
-//!   dependent and therefore excluded from determinism comparisons.
+//!   bumped from pool threads — totals are stable, but they are
+//!   metrics, not events, and so excluded from determinism
+//!   comparisons.
 //! * Nothing here reads the wall clock, so a recording can never feed
 //!   time back into a replayable run.
 //!
@@ -74,7 +74,7 @@ pub enum Subsystem {
     Primal,
     /// FedAvg training rounds.
     Fed,
-    /// Work-stealing pool scopes.
+    /// Fork-join pool scopes.
     Pool,
     /// Ledger block production / application.
     Ledger,
@@ -442,11 +442,12 @@ pub fn reset() {
 /// The local recorder records for the whole of `f` whether or not the
 /// process-wide flag is on, and `with_local` neither reads nor writes
 /// that flag, so overlapping runs on other threads cannot switch it
-/// off. Pool workers spawned inside `f` have no local recorder: they
-/// record to the global one, and only while the process-wide flag is
-/// on. Events emitted from sequential orchestration code on the
-/// calling thread — the only place events are allowed — are captured
-/// exactly.
+/// off. Threads a pool scope starts inside `f` have no local recorder:
+/// tasks running there record to the global one, and only while the
+/// process-wide flag is on (the scope's own `pool.tasks_executed`
+/// count is recorded on the calling thread, so `f` sees it). Events
+/// emitted from sequential orchestration code on the calling thread —
+/// the only place events are allowed — are captured exactly.
 pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     let rec = Arc::new(Recorder::new());
     let prev_local = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
@@ -577,7 +578,7 @@ impl Snapshot {
 
     /// Only the event lines of [`Snapshot::to_jsonl`] — the portion the
     /// determinism suite compares across worker counts (metrics like
-    /// pool-steal counts are legitimately scheduling-dependent).
+    /// the pool's task count legitimately depend on the worker count).
     pub fn events_jsonl(&self) -> String {
         self.to_jsonl()
             .lines()

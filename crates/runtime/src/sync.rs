@@ -5,16 +5,15 @@
 //! Lock poisoning is deliberately transparent: a panic while holding a
 //! lock does not brick every other holder. What the workspace guards
 //! with [`crate::sync::Mutex`] — the `obs` recorder's buffers and maps
-//! and the [`pool`]'s task queues, state and panic slot — is changed by
-//! one push, pop or insert per critical section, so it is consistent
-//! whenever a lock is released; and the pool catches a task's panic
-//! and re-raises it on the caller, which poisoning would only turn into
-//! a cascade of secondary panics. Continuing after an unwinding panic
-//! is therefore sound here — the rationale `parking_lot` applies
-//! globally.
+//! and the [`pool`]'s task queue — is changed by one push, pop or
+//! insert per critical section, so it is consistent whenever a lock is
+//! released; and the pool joins a panicked thread and re-raises its
+//! payload on the caller, which poisoning would only turn into a
+//! cascade of secondary panics. Continuing after an unwinding panic is
+//! therefore sound here — the rationale `parking_lot` applies globally.
 //!
-//! The [`pool`] submodule holds the work-stealing pool the solver and
-//! FL hot paths run on.
+//! The [`pool`] submodule holds the fork-join pool the FedAvg round and
+//! the DBR payoff trace run on.
 
 pub mod pool;
 
@@ -50,10 +49,6 @@ impl<T: ?Sized> Mutex<T> {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
-
-/// Condition variable (std's; pairs with this module's [`Mutex`]
-/// because its guards are std guards).
-pub use std::sync::Condvar;
 
 #[cfg(test)]
 mod tests {

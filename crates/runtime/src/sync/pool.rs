@@ -1,29 +1,28 @@
-//! A zero-dependency work-stealing thread pool.
+//! A zero-dependency fixed-width fork-join pool.
 //!
-//! [`Pool`] runs batches of closures across worker threads with the
-//! classic work-stealing shape: each worker owns a deque it pops LIFO
-//! (hot caches for locality), a global injector feeds overflow, and an
-//! idle worker steals FIFO from the front of a sibling's deque (the
-//! oldest — and usually largest — pending unit of work).
+//! [`Pool::scope`] collects the tasks its body spawns, then runs them:
+//! on the calling thread when there is one task or one worker,
+//! otherwise on `min(workers, tasks)` threads that pop from one shared
+//! queue until it is empty. Every caller queues at most one task per
+//! worker (FedAvg's edge-group window, DBR's payoff-trace chunks), so
+//! nothing here balances load beyond that.
 //!
 //! Two deliberate design points, both downstream of the workspace's
 //! `#![forbid(unsafe_code)]`:
 //!
-//! * **Scoped workers, not resident threads.** A resident pool running
+//! * **Scoped threads, not resident ones.** A resident pool running
 //!   closures that borrow the caller's stack requires lifetime erasure
-//!   (`unsafe`). Instead every [`Pool::scope`] call stands up its
-//!   workers inside [`std::thread::scope`], which makes borrowed tasks
-//!   sound for free. Spawn cost (~tens of µs per worker) is noise for
-//!   the solver/FL workloads this pool serves, whose tasks are in the
-//!   hundreds-of-µs-to-ms range; [`Pool::map`] falls back to inline
-//!   execution for single-worker pools and single-job batches so the
-//!   serial path pays nothing.
+//!   (`unsafe`). Instead every scope that fans out stands up its
+//!   threads inside [`std::thread::scope`], which makes borrowed tasks
+//!   sound for free. Spawn cost (~tens of µs per thread) is noise for
+//!   the FL and solver tasks this pool serves, which run for hundreds
+//!   of µs to ms, and a scope never starts more threads than it has
+//!   tasks.
 //! * **Determinism is the caller's contract, not the scheduler's.**
-//!   Task *execution order* is nondeterministic; every combinator here
-//!   returns results **in input order**, so any caller that merges
-//!   results positionally (as the solver and FL hot paths do) is
-//!   bit-identical for every worker count, including 1. This is the
-//!   threading contract `tests/determinism.rs` pins.
+//!   Task *execution order* is nondeterministic; callers give each
+//!   task its own output slot and merge slots positionally, so their
+//!   results are bit-identical for every worker count, including 1.
+//!   This is the threading contract `tests/determinism.rs` pins.
 //!
 //! Worker count resolution: `TRADEFL_THREADS` (clamped to `1..=256`)
 //! overrides [`std::thread::available_parallelism`] for
@@ -31,183 +30,52 @@
 //!
 //! # Panics
 //!
-//! A panicking task does not hang or poison the pool: the first
-//! panic's **original payload** is captured and re-raised on the
-//! calling thread once the scope has drained (remaining queued tasks
-//! are abandoned, running ones finish).
+//! A panicking task does not hang the pool: every thread is joined,
+//! and the first panic's **original payload** is re-raised on the
+//! calling thread.
 
-use super::{Condvar, Mutex};
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use super::Mutex;
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
 
 /// A boxed unit of work queued on the pool.
 type Task<'t> = Box<dyn FnOnce() + Send + 't>;
 
-/// Work-stealing thread pool handle. Cheap to create; worker threads
-/// are stood up per [`Pool::scope`]/[`Pool::map`] call (see the module
-/// docs for why).
+/// Fork-join pool handle. Cheap to create; threads are stood up per
+/// [`Pool::scope`] call (see the module docs for why).
 #[derive(Debug, Clone)]
 pub struct Pool {
     workers: usize,
 }
 
-/// Scheduling state shared between the scope body and the workers.
-struct Shared<'t> {
-    /// Global FIFO injector: tasks not yet assigned to a worker.
-    injector: Mutex<VecDeque<Task<'t>>>,
-    /// Per-worker deques: owner pops back (LIFO), thieves pop front.
-    deques: Vec<Mutex<VecDeque<Task<'t>>>>,
-    /// Counters + shutdown flag guarded by one short-lived lock.
-    state: Mutex<State>,
-    /// Wakes idle workers on spawn and on close.
-    signal: Condvar,
-    /// First panic payload raised by a task.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    /// Tasks currently sitting in the injector or any deque.
-    queued: usize,
-    /// Set once the scope body has returned (or unwound): no further
-    /// spawns can happen, workers drain and exit.
-    closed: bool,
-    /// Set on the first task panic: pending tasks are dropped instead
-    /// of run, so the payload surfaces promptly.
-    aborted: bool,
-    /// Round-robin cursor for assigning spawned tasks to deques.
-    next_deque: usize,
-}
-
-impl<'t> Shared<'t> {
-    fn new(workers: usize) -> Self {
-        Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(State::default()),
-            signal: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Queues a task on the next deque in round-robin order (the
-    /// injector catches overflow only via stealing misses, keeping the
-    /// common path contention-free on the owner's deque).
-    fn push(&self, task: Task<'t>) {
-        let target = {
-            let mut st = self.state.lock();
-            st.queued += 1;
-            let t = st.next_deque;
-            st.next_deque = (st.next_deque + 1) % self.deques.len();
-            t
-        };
-        self.deques[target].lock().push_back(task);
-        self.signal.notify_one();
-    }
-
-    /// Takes one task: own deque back, then injector front, then steal
-    /// a sibling's front. Returns `None` when every queue is empty; the
-    /// flag says whether the task was stolen from a sibling's deque.
-    fn grab(&self, me: usize) -> Option<(Task<'t>, bool)> {
-        if let Some(t) = self.deques[me].lock().pop_back() {
-            return Some((t, false));
-        }
-        if let Some(t) = self.injector.lock().pop_front() {
-            return Some((t, false));
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            if let Some(t) = self.deques[(me + k) % n].lock().pop_front() {
-                return Some((t, true));
-            }
-        }
-        None
-    }
-
-    fn record_panic(&self, payload: Box<dyn Any + Send + 'static>) {
-        let mut slot = self.panic.lock();
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-        drop(slot);
-        self.state.lock().aborted = true;
-    }
-
-    /// Marks the scope closed and wakes everyone so workers can exit.
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.signal.notify_all();
-    }
-
-    fn worker_loop(&self, me: usize) {
-        // Telemetry is tallied in plain locals and flushed when the
-        // worker runs dry (just before parking or exiting), so the
-        // per-task path costs nothing even with the recorder enabled —
-        // and long-lived pools (the global one never exits) still
-        // surface their counts at every idle point.
-        let (mut executed, mut stolen) = (0u64, 0u64);
-        loop {
-            if let Some((task, was_stolen)) = self.grab(me) {
-                let run = {
-                    let mut st = self.state.lock();
-                    st.queued -= 1;
-                    !st.aborted
-                };
-                if run {
-                    executed += 1;
-                    stolen += u64::from(was_stolen);
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                        self.record_panic(payload);
-                    }
-                } else {
-                    drop(task);
-                }
-                continue;
-            }
-            flush_worker_telemetry(me, executed, stolen);
-            (executed, stolen) = (0, 0);
-            let st = self.state.lock();
-            // Re-check under the lock: a push between `grab` and here
-            // bumps `queued`, so we cannot miss a wake-up.
-            if st.queued > 0 {
-                continue;
-            }
-            if st.closed {
-                return;
-            }
-            drop(self.signal.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner));
-        }
-    }
-}
-
-/// Closes the shared state when the scope body exits — including by
-/// panic, so workers never wait forever on a scope that unwound.
-struct CloseOnDrop<'s, 't>(&'s Shared<'t>);
-
-impl Drop for CloseOnDrop<'_, '_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
 /// Spawn handle passed to the closure of [`Pool::scope`].
-pub struct PoolScope<'s, 't> {
-    shared: &'s Shared<'t>,
+pub struct PoolScope<'t> {
+    queue: Mutex<Vec<Task<'t>>>,
 }
 
-impl std::fmt::Debug for PoolScope<'_, '_> {
+impl std::fmt::Debug for PoolScope<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolScope").finish_non_exhaustive()
     }
 }
 
-impl<'s, 't> PoolScope<'s, 't> {
-    /// Queues `task` for execution by the scope's workers. Tasks may
+impl<'t> PoolScope<'t> {
+    /// Queues `task`; it runs after the scope body returns. Tasks may
     /// borrow anything that outlives the [`Pool::scope`] call.
     pub fn spawn(&self, task: impl FnOnce() + Send + 't) {
-        self.shared.push(Box::new(task));
+        self.queue.lock().push(Box::new(task));
+    }
+
+    /// Pops and runs tasks until the queue is empty. The pop is its own
+    /// statement so the lock is released before the task runs.
+    fn drain(&self) {
+        loop {
+            let task = self.queue.lock().pop();
+            match task {
+                Some(task) => task(),
+                None => return,
+            }
+        }
     }
 }
 
@@ -220,7 +88,7 @@ pub fn host_parallelism() -> usize {
 }
 
 impl Pool {
-    /// A pool handle with exactly `workers` worker threads per scope
+    /// A pool handle whose scopes run on at most `workers` threads
     /// (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
         Pool { workers: workers.max(1) }
@@ -238,107 +106,38 @@ impl Pool {
         })
     }
 
-    /// Number of worker threads a scope of this pool runs.
+    /// Most threads a scope of this pool runs.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Runs `body` with a spawn handle; every spawned task completes
-    /// before `scope` returns. The first task panic is re-raised here
-    /// with its original payload after the scope drains.
-    pub fn scope<'t, R>(&self, body: impl FnOnce(&PoolScope<'_, 't>) -> R) -> R {
-        let shared: Shared<'t> = Shared::new(self.workers);
-        let out = std::thread::scope(|s| {
-            for w in 0..self.workers {
-                let shared = &shared;
-                s.spawn(move || shared.worker_loop(w));
-            }
-            let _closer = CloseOnDrop(&shared);
-            body(&PoolScope { shared: &shared })
+    /// Runs `body` with a spawn handle, then every task it spawned;
+    /// all of them complete before `scope` returns. One task, or a
+    /// one-worker pool, runs on the calling thread. Otherwise
+    /// `min(workers, tasks)` threads share the queue, and the scope
+    /// adds its task count to the `pool.tasks_executed` counter from
+    /// the calling thread. The first task panic is re-raised here with
+    /// its original payload once every thread has been joined.
+    pub fn scope<'t, R>(&self, body: impl FnOnce(&PoolScope<'t>) -> R) -> R {
+        let scope = PoolScope { queue: Mutex::new(Vec::new()) };
+        let out = body(&scope);
+        let tasks = scope.queue.lock().len();
+        let threads = self.workers.min(tasks);
+        if threads <= 1 {
+            scope.queue.into_inner().into_iter().for_each(|task| task());
+            return out;
+        }
+        let panic = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| scope.drain())).collect();
+            // `or` joins every handle, so none is left for
+            // `thread::scope` to re-raise with a generic message.
+            handles.into_iter().fold(None, |first, h| first.or(h.join().err()))
         });
-        if let Some(payload) = shared.panic.lock().take() {
+        if let Some(payload) = panic {
             resume_unwind(payload);
         }
+        crate::obs::counter_add("pool.tasks_executed", tasks as u64);
         out
-    }
-
-    /// Runs every job and returns the results **in input order**
-    /// (execution order is up to the scheduler). Single-worker pools
-    /// and single-job batches run inline without spawning threads.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first job panic with its original payload.
-    pub fn map<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if self.workers == 1 || jobs.len() <= 1 {
-            if !jobs.is_empty() {
-                flush_worker_telemetry(0, jobs.len() as u64, 0);
-            }
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            for (slot, job) in slots.iter().zip(jobs) {
-                s.spawn(move || {
-                    *slot.lock() = Some(job());
-                });
-            }
-        });
-        // lint:allow(no-panic-in-lib): the scope join above guarantees every slot was filled
-        slots.into_iter().map(|m| m.into_inner().expect("pool scope ran every job")).collect()
-    }
-
-    /// Applies `f` to every index in `0..n`, returning results in index
-    /// order. Indices are grouped into contiguous chunks (a few per
-    /// worker) so per-task overhead amortizes while stealing can still
-    /// rebalance uneven chunks.
-    pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.workers == 1 || n <= 1 {
-            if n > 0 {
-                flush_worker_telemetry(0, n as u64, 0);
-            }
-            return (0..n).map(f).collect();
-        }
-        let chunk = n.div_ceil(self.workers * CHUNKS_PER_WORKER).max(1);
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n)).collect();
-        let f = &f;
-        self.map(
-            ranges
-                .into_iter()
-                .map(|r| move || r.map(f).collect::<Vec<T>>())
-                .collect(),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-/// How many stealable chunks [`Pool::map_indexed`] cuts per worker.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Records one worker's scope totals into [`crate::obs`]. Per-worker
-/// attribution and steal counts are scheduling-dependent by nature, so
-/// they are metrics (counters), never logical-clock events — the
-/// determinism suite compares event streams only (DESIGN.md §9).
-fn flush_worker_telemetry(me: usize, executed: u64, stolen: u64) {
-    if !crate::obs::is_enabled() || executed == 0 {
-        return;
-    }
-    crate::obs::counter_add("pool.tasks_executed", executed);
-    crate::obs::counter_add(&format!("pool.worker{me}.tasks_executed"), executed);
-    if stolen > 0 {
-        crate::obs::counter_add("pool.tasks_stolen", stolen);
-        crate::obs::counter_add(&format!("pool.worker{me}.tasks_stolen"), stolen);
     }
 }
 
@@ -357,25 +156,8 @@ pub fn thread_override(raw: Option<&str>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn map_returns_results_in_input_order() {
-        for workers in [1, 2, 4, 8] {
-            let pool = Pool::new(workers);
-            let jobs: Vec<_> = (0..53).map(|i| move || i * 3).collect();
-            assert_eq!(pool.map(jobs), (0..53).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_indexed_matches_serial_for_every_worker_count() {
-        let serial: Vec<u64> = (0..1000u64).map(|i| i * i + 1).collect();
-        for workers in [1, 2, 3, 7] {
-            let got = Pool::new(workers).map_indexed(1000, |i| (i as u64) * (i as u64) + 1);
-            assert_eq!(got, serial, "workers = {workers}");
-        }
-    }
 
     #[test]
     fn host_parallelism_is_a_usable_worker_count() {
@@ -383,29 +165,56 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_borrowed_tasks_with_stealing() {
-        let pool = Pool::new(4);
-        let counter = AtomicUsize::new(0);
+    fn scope_runs_each_task_once_on_at_most_workers_threads() {
+        // Every task waits at a 3-party barrier, so the scope finishes
+        // only if three tasks run at once; the high-water mark shows
+        // no fourth one ever does.
+        let pool = Pool::new(3);
+        let runs: Vec<AtomicUsize> = (0..24).map(|_| AtomicUsize::new(0)).collect();
+        let (running, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let barrier = std::sync::Barrier::new(3);
         pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
+            for run in &runs {
+                let (running, high_water, barrier) = (&running, &high_water, &barrier);
+                s.spawn(move || {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    high_water.fetch_max(now, Ordering::SeqCst);
+                    barrier.wait();
+                    run.fetch_add(1, Ordering::SeqCst);
+                    running.fetch_sub(1, Ordering::SeqCst);
                 });
             }
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "every task ran once");
+        assert_eq!(high_water.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn one_task_and_one_worker_scopes_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        Pool::new(4).scope(|s| s.spawn(|| ran_on.lock().push(std::thread::current().id())));
+        Pool::new(1).scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| ran_on.lock().push(std::thread::current().id()));
+            }
+        });
+        assert_eq!(ran_on.into_inner(), vec![caller; 4]);
     }
 
     #[test]
     fn panic_payload_is_propagated_verbatim() {
         let pool = Pool::new(3);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..8).map(|i| move || {
-                if i == 5 {
-                    std::panic::panic_any(String::from("original payload 5"));
+            pool.scope(|s| {
+                for i in 0..8 {
+                    s.spawn(move || {
+                        if i == 5 {
+                            std::panic::panic_any(String::from("original payload 5"));
+                        }
+                    });
                 }
-                i
-            }).collect::<Vec<_>>());
+            });
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("payload type preserved");
@@ -423,15 +232,6 @@ mod tests {
         }))
         .unwrap_err();
         assert_eq!(*err.downcast_ref::<&str>().unwrap(), "scope body panic");
-    }
-
-    #[test]
-    fn empty_and_single_job_batches_run_inline() {
-        let pool = Pool::new(4);
-        let empty: Vec<fn() -> u8> = Vec::new();
-        assert!(pool.map(empty).is_empty());
-        assert_eq!(pool.map(vec![|| 9u8]), vec![9]);
-        assert!(pool.map_indexed(0, |i| i).is_empty());
     }
 
     #[test]
@@ -466,8 +266,6 @@ mod tests {
     fn zero_worker_pool_is_impossible() {
         assert_eq!(Pool::new(0).workers(), 1);
         assert_eq!(Pool::new(usize::MAX).workers(), usize::MAX); // Pool::new clamps low only
-        let jobs: Vec<_> = (0..4).map(|i| move || i * 2).collect();
-        assert_eq!(Pool::new(0).map(jobs), vec![0, 2, 4, 6]);
     }
 
     #[test]

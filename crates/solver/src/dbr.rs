@@ -133,8 +133,8 @@ impl DbrSolver {
         &self.options
     }
 
-    /// Runs best-response dynamics from the minimal profile on the
-    /// global work-stealing pool.
+    /// Runs best-response dynamics from the minimal profile, with
+    /// [`Pool::global`] splitting large markets' payoff trace rows.
     ///
     /// # Errors
     ///

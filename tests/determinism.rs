@@ -366,94 +366,66 @@ fn incremental_cgbd_master_is_bit_identical_to_scratch() {
 
 // --- pooled-vs-serial bit-identity -----------------------------------
 //
-// The work-stealing pool changes chunking with the worker count, so
-// these tests run each pooled hot path on explicit 1-, 4- and 8-worker
-// pools and demand bit-identical outputs. (Explicit pools rather than
-// the TRADEFL_THREADS override: the env var configures the process-wide
-// global pool once, so a single test process cannot observe two
-// settings of it — `thread_override` parsing is unit-tested in
-// `tradefl_runtime::sync::pool` instead.)
+// A pool scope runs its tasks on up to `workers` threads, and DBR's
+// trace-row chunks and FedAvg's group windows are both sized by the
+// worker count, so these tests run each pooled hot path on explicit
+// 1-, 4- and 8-worker pools and demand bit-identical outputs. Each
+// fixture is large enough to clear its path's threshold
+// (`POOLED_TRACE_MIN_ORGS` = 512 orgs; two edge groups and
+// `POOLED_FED_MIN_STEPS` = 2048 steps per round), and every run checks
+// through `pool.tasks_executed` that the pool really fanned out at 4
+// and 8 workers and stayed inline at 1. (Explicit pools rather than
+// the TRADEFL_THREADS override: the env var configures the
+// process-wide global pool once, so a single test process cannot
+// observe two settings of it — `thread_override` parsing is
+// unit-tested in `tradefl_runtime::sync::pool` instead.)
 
+use tradefl_runtime::obs;
 use tradefl_runtime::sync::pool::Pool;
 
-#[test]
-fn pooled_dbr_is_bit_identical_for_any_worker_count() {
-    let runs: Vec<_> = [1usize, 4, 8]
-        .iter()
-        .map(|&w| DbrSolver::new().solve_with(&game(7), &Pool::new(w)).unwrap())
-        .collect();
-    for eq in &runs {
-        assert_eq!(eq.profile, runs[0].profile, "DBR profile differs");
-        assert_eq!(eq.welfare.to_bits(), runs[0].welfare.to_bits());
-        assert_eq!(eq.iterations, runs[0].iterations);
-    }
+/// Runs `f` on a `workers`-wide pool under a local recorder and checks
+/// that the pool handed tasks to its own threads exactly when it has
+/// more than one worker. Returns `f`'s result and the event stream.
+fn run_pooled<R>(workers: usize, f: impl FnOnce(&Pool) -> R) -> (R, String) {
+    let (out, snap) = obs::with_local(|| f(&Pool::new(workers)));
+    let tasks = snap.counters.get("pool.tasks_executed").copied().unwrap_or(0);
+    assert_eq!(tasks > 0, workers > 1, "{tasks} pooled tasks at {workers} workers");
+    (out, snap.events_jsonl())
 }
 
-#[test]
-fn pooled_fedavg_is_bit_identical_for_any_worker_count() {
+/// A 512-org sparse market: the smallest DBR market whose payoff trace
+/// row is split across the pool.
+fn pooled_dbr_game() -> CoopetitionGame<SqrtAccuracy> {
+    let market = MarketConfig::table_ii().with_orgs(512).build_sparse(9, 0.02).unwrap();
+    CoopetitionGame::new(market, SqrtAccuracy::paper_default())
+}
+
+/// Trains `silos` shards of `per_silo` samples, contributing
+/// `fractions` (cycled), for two rounds of `local_epochs` on `pool`.
+fn pooled_fedavg(
+    silos: usize,
+    per_silo: usize,
+    fractions: &[f64],
+    local_epochs: usize,
+    pool: &Pool,
+) -> tradefl::fl::FedOutcome {
     use tradefl::fl::data::{generate, DatasetKind};
     use tradefl::fl::fed::train_federated_with;
     use tradefl::fl::model::{Mlp, ModelKind};
 
-    let all = generate(DatasetKind::EurosatLike, 3 * 120 + 200, 11);
-    let mut shards = all.shard(&[120, 120, 120, 200]);
+    let all = generate(DatasetKind::EurosatLike, silos * per_silo + 200, 11);
+    let mut sizes = vec![per_silo; silos];
+    sizes.push(200);
+    let mut shards = all.shard(&sizes);
     let test = shards.pop().unwrap();
-    let config = FedConfig { rounds: 2, local_epochs: 1, batch_size: 32, lr: 0.1, seed: 5 };
-    let runs: Vec<_> = [1usize, 4, 8]
-        .iter()
-        .map(|&w| {
-            let global =
-                Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 3);
-            train_federated_with(global, &shards, &test, &[1.0, 0.5, 0.8], &config, &Pool::new(w))
-                .unwrap()
-        })
-        .collect();
-    for out in &runs {
-        assert_eq!(out.history.len(), runs[0].history.len());
-        for (m, m0) in out.history.iter().zip(&runs[0].history) {
-            assert_eq!(m.loss.to_bits(), m0.loss.to_bits(), "round {} loss", m.round);
-            assert_eq!(m.accuracy.to_bits(), m0.accuracy.to_bits(), "round {} acc", m.round);
-        }
-        assert_eq!(out.model, runs[0].model, "global model parameters differ");
-    }
+    let fractions: Vec<f64> = fractions.iter().copied().cycle().take(silos).collect();
+    let config = FedConfig { rounds: 2, local_epochs, batch_size: 32, lr: 0.1, seed: 5 };
+    let global = Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 3);
+    train_federated_with(global, &shards, &test, &fractions, &config, pool).unwrap()
 }
 
-#[test]
-fn blocked_kernel_training_is_bit_identical_above_the_pool_threshold() {
-    // The small fedavg fixture above sits below POOLED_FED_MIN_STEPS
-    // (2048 per-round steps), so it proves the *serial* fallback is
-    // worker-count-invariant. This one pushes the per-round work to
-    // 4 silos × 300 samples × 2 local epochs = 2400 steps, past the
-    // threshold, so the pool genuinely fans local training out — and
-    // every GEMM underneath runs the tiled kernel (one FMA chain per
-    // element and depth block, blocks added in ascending pc). Training
-    // must still be bit-identical for 1, 4 and 8 workers. (Explicit
-    // pools rather than TRADEFL_THREADS for the same reason as the
-    // header above: the env var is read once per process.)
-    use tradefl::fl::data::{generate, DatasetKind};
-    use tradefl::fl::fed::train_federated_with;
-    use tradefl::fl::model::{Mlp, ModelKind};
-
-    let all = generate(DatasetKind::EurosatLike, 4 * 300 + 200, 29);
-    let mut shards = all.shard(&[300, 300, 300, 300, 200]);
-    let test = shards.pop().unwrap();
-    let config = FedConfig { rounds: 2, local_epochs: 2, batch_size: 32, lr: 0.1, seed: 13 };
-    let runs: Vec<_> = [1usize, 4, 8]
-        .iter()
-        .map(|&w| {
-            let global =
-                Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 3);
-            train_federated_with(
-                global,
-                &shards,
-                &test,
-                &[1.0, 1.0, 1.0, 1.0],
-                &config,
-                &Pool::new(w),
-            )
-            .unwrap()
-        })
-        .collect();
+/// Asserts every run's history and final model equal the first run's.
+fn assert_training_bit_identical(runs: &[tradefl::fl::FedOutcome]) {
     for (i, out) in runs.iter().enumerate() {
         assert_eq!(out.history.len(), runs[0].history.len());
         for (m, m0) in out.history.iter().zip(&runs[0].history) {
@@ -475,6 +447,51 @@ fn blocked_kernel_training_is_bit_identical_above_the_pool_threshold() {
 }
 
 #[test]
+fn pooled_dbr_is_bit_identical_for_any_worker_count() {
+    let g = pooled_dbr_game();
+    let runs: Vec<_> = [1usize, 4, 8]
+        .iter()
+        .map(|&w| run_pooled(w, |pool| DbrSolver::new().solve_with(&g, pool).unwrap()).0)
+        .collect();
+    for eq in &runs {
+        assert_eq!(eq.profile, runs[0].profile, "DBR profile differs");
+        assert_eq!(eq.welfare.to_bits(), runs[0].welfare.to_bits());
+        assert_eq!(eq.iterations, runs[0].iterations);
+        assert_eq!(eq.payoff_traces.len(), runs[0].payoff_traces.len());
+        for (row, row0) in eq.payoff_traces.iter().zip(&runs[0].payoff_traces) {
+            assert!(row.iter().zip(row0).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+}
+
+#[test]
+fn pooled_fedavg_is_bit_identical_for_any_worker_count() {
+    // 36 silos span two edge groups; with the cycled fractions they
+    // contribute 2208 samples, so one local epoch clears the
+    // 2048-step threshold.
+    let runs: Vec<_> = [1usize, 4, 8]
+        .iter()
+        .map(|&w| run_pooled(w, |pool| pooled_fedavg(36, 80, &[1.0, 0.5, 0.8], 1, pool)).0)
+        .collect();
+    assert_training_bit_identical(&runs);
+}
+
+#[test]
+fn blocked_kernel_training_is_bit_identical_above_the_pool_threshold() {
+    // 33 silos × 32 samples × 2 local epochs = 2112 steps per round,
+    // past the threshold, over two edge groups of unequal size (32 and
+    // 1 silos), so the pool genuinely fans local training out — and
+    // every GEMM underneath runs the tiled kernel (one FMA chain per
+    // element and depth block, blocks added in ascending pc). Training
+    // must still be bit-identical for 1, 4 and 8 workers.
+    let runs: Vec<_> = [1usize, 4, 8]
+        .iter()
+        .map(|&w| run_pooled(w, |pool| pooled_fedavg(33, 32, &[1.0], 2, pool)).0)
+        .collect();
+    assert_training_bit_identical(&runs);
+}
+
+#[test]
 fn training_is_bit_identical_across_runs() {
     use tradefl::pipeline::{Pipeline, PipelineConfig};
     let a = Pipeline::new(PipelineConfig::quick()).run(21).unwrap();
@@ -492,37 +509,18 @@ fn event_streams_are_bit_identical_for_any_worker_count() {
     // The observability contract (DESIGN.md §9): events are emitted
     // only from sequential orchestration code, so the exported event
     // stream — logical-clock sequence numbers included — is the same
-    // byte string no matter how many pool workers run underneath.
-    // Metrics (pool steal counts etc.) are legitimately
-    // scheduling-dependent and excluded via `events_jsonl()`.
-    use tradefl::fl::data::{generate, DatasetKind};
-    use tradefl::fl::fed::train_federated_with;
-    use tradefl::fl::model::{Mlp, ModelKind};
-    use tradefl_runtime::obs;
-
-    let all = generate(DatasetKind::EurosatLike, 3 * 120 + 200, 11);
-    let mut shards = all.shard(&[120, 120, 120, 200]);
-    let test = shards.pop().unwrap();
-    let config = FedConfig { rounds: 2, local_epochs: 1, batch_size: 32, lr: 0.1, seed: 5 };
+    // byte string no matter how many pool threads run underneath.
+    // Metrics (the pool's task count etc.) legitimately depend on the
+    // worker count and are excluded via `events_jsonl()`.
+    let g = pooled_dbr_game();
     let streams: Vec<String> = [1usize, 4, 8]
         .iter()
         .map(|&w| {
-            let (_, snap) = obs::with_local(|| {
-                let g = game(7);
-                DbrSolver::new().solve_with(&g, &Pool::new(w)).unwrap();
-                let global =
-                    Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 3);
-                train_federated_with(
-                    global,
-                    &shards,
-                    &test,
-                    &[1.0, 0.5, 0.8],
-                    &config,
-                    &Pool::new(w),
-                )
-                .unwrap();
-            });
-            snap.events_jsonl()
+            run_pooled(w, |pool| {
+                DbrSolver::new().solve_with(&g, pool).unwrap();
+                pooled_fedavg(36, 80, &[1.0, 0.5, 0.8], 1, pool);
+            })
+            .1
         })
         .collect();
     assert!(
