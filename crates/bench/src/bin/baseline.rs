@@ -15,7 +15,8 @@
 //!   N = 2..5 (Lemma 4); the DESIGN.md §8 ablations.
 //! * **fl** — one local SGD step at the `pipeline_n64` model shape;
 //!   FedAvg rounds at paper scale and at N = 10 / 100 / 1000 silos,
-//!   with the streaming reduce's buffer footprint.
+//!   with the streaming reduce's buffer footprint; generating a
+//!   100,000-row dataset analog, serially and in pooled row chunks.
 //! * **engine** — the persistent market engine run to settlement on a
 //!   single-, a multi- and a faulty multi-session workload.
 //!
@@ -55,7 +56,7 @@ use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::strategy::StrategyProfile;
 use tradefl_engine::{Engine, EngineConfig, SessionSpec};
-use tradefl_fl_sim::data::{generate, DatasetKind};
+use tradefl_fl_sim::data::{generate, generate_with, DatasetKind};
 use tradefl_fl_sim::fed::{train_federated_with, FedConfig, EDGE_GROUP_SIZE};
 use tradefl_fl_sim::linalg::{kernel, Matrix};
 use tradefl_fl_sim::model::{self, Mlp, ModelKind};
@@ -159,6 +160,7 @@ fn registry() -> Vec<Entry> {
             bench_fedavg(n, r)
         }));
     }
+    rows.push(entry("data_generate_n100k", "fl", false, 9, bench_data_generate));
     for spec in ENGINE_SPECS {
         rows.push(entry(spec.name, "engine", false, 9, move |r| bench_engine(spec, r)));
     }
@@ -636,6 +638,15 @@ fn bench_fedavg_paper(repeats: usize) -> Fields {
     }))
 }
 
+/// Generating the 100,000-row EuroSat analog: on a two-worker pool it
+/// fills two row chunks, one per worker, after a sequential pass that
+/// only draws.
+fn bench_data_generate(repeats: usize) -> Fields {
+    pooled_fields(time_on_pools(repeats, &|pool| {
+        black_box(generate_with(DatasetKind::EurosatLike, 100_000, SEED, pool));
+    }))
+}
+
 /// Samples per silo in the scaled FedAvg rows: small enough that
 /// N = 1000 stays affordable, large enough that its round crosses the
 /// pool threshold (16 000 steps ≥ `POOLED_FED_MIN_STEPS`).
@@ -907,6 +918,14 @@ const BOUNDS: &[Bound] = &[
         field: "blocked_ms",
         limit: Limit::TimesRow("grad_weights_64x32x96", 1.25),
         why: "ReLU-sparse activations are routed off the dense weight-gradient path again",
+    },
+    // Two chunks transform in parallel; only the sequential pass that
+    // draws the first chunk's uniforms is added (~0.64x recorded).
+    Bound {
+        row: "data_generate_n100k",
+        field: "pooled_ms",
+        limit: Limit::TimesField("serial_ms", 0.85),
+        why: "the dataset generator no longer fills its row chunks in parallel",
     },
 ];
 
@@ -1248,6 +1267,10 @@ mod tests {
                 ("m", 64.0), ("k", 32.0), ("n", 96.0), ("naive_ms", 0.024), ("blocked_ms", 0.006),
                 ("blocked_speedup", 4.0),
             ]),
+            row("data_generate_n100k", "fl", &[
+                ("serial_ms", 120.0), ("pooled_1w_ms", 120.0), ("pooled_ms", 80.0),
+                ("speedup", 1.5),
+            ]),
         ]
     }
 
@@ -1258,7 +1281,7 @@ mod tests {
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(12));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(13));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
@@ -1316,6 +1339,14 @@ mod tests {
                     set(r, "grad_weights_relu_sparse_64x32x96", "blocked_speedup", 0.8696);
                 },
                 "routed off the dense",
+            ),
+            (
+                "0.85x generate",
+                |r| {
+                    set(r, "data_generate_n100k", "pooled_ms", 110.0);
+                    set(r, "data_generate_n100k", "speedup", 1.0909);
+                },
+                "row chunks in parallel",
             ),
             ("positive _ms", |r| set(r, "multi_session_4v", "setup_ms", 0.0), "not positive"),
             ("negative count", |r| set(r, "dbr_solve_n100", "orgs", -1.0), "negative"),
@@ -1460,6 +1491,7 @@ mod tests {
             "fedavg_round_n10",
             "fedavg_round_n100",
             "fedavg_round_n1000",
+            "data_generate_n100k",
             "single_session_3v",
             "multi_session_4v",
             "multi_session_4v_faulty",

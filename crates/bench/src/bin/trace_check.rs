@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use tradefl_runtime::json::Json;
 
 const SCHEMA: &str = "tradefl-trace/v1";
-const SUBSYSTEMS: [&str; 7] = ["cgbd", "dbr", "primal", "fed", "pool", "ledger", "engine"];
+const SUBSYSTEMS: [&str; 6] = ["cgbd", "dbr", "primal", "fed", "ledger", "engine"];
 
 fn field_num(line: &Json, key: &str) -> Result<f64, String> {
     line.get(key)

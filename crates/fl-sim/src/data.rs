@@ -10,6 +10,7 @@
 
 use crate::linalg::Matrix;
 use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
+use tradefl_runtime::sync::pool::Pool;
 
 /// The four benchmark dataset analogs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,12 +199,36 @@ impl MiniBatch {
     }
 }
 
-/// Deterministically generates `n` samples of a dataset analog.
+/// The fewest rows in a pooled chunk of [`generate_with`]: a dataset
+/// under `2 × POOLED_GEN_MIN_ROWS` rows is drawn in one sequential
+/// pass. Like every pool gate it reads the instance alone, and the
+/// chunk boundaries move no bit (see [`generate`]).
+pub const POOLED_GEN_MIN_ROWS: usize = 4096;
+
+/// Deterministically generates `n` samples of a dataset analog on
+/// [`Pool::global`]; see [`generate_with`].
 ///
 /// Class means sit on a seeded random simplex scaled by the analog's
 /// separation; samples add isotropic Gaussian noise; SVHN/CIFAR analogs
 /// flip a small fraction of labels (their originals are noisy corpora).
+///
+/// Every sample is drawn from one seeded stream, in row order. With at
+/// least `2 × POOLED_GEN_MIN_ROWS` rows and two or more workers, the
+/// rows are split into `min(workers, n / POOLED_GEN_MIN_ROWS)`
+/// contiguous chunks, filled in two passes. Pass 1, on the calling
+/// thread, walks the stream through every row before the last chunk,
+/// making each row's uniform draws but skipping the Box–Muller
+/// transforms, and snapshots the generator at each chunk start. Pass 2
+/// runs one pool task per chunk, which replays the same per-row body
+/// from its snapshot into its own rows. Both passes share that body, so
+/// each row sees the generator state the one-pass loop would give it:
+/// the output is bit-identical for every `TRADEFL_THREADS`.
 pub fn generate(kind: DatasetKind, n: usize, seed: u64) -> Dataset {
+    generate_with(kind, n, seed, Pool::global())
+}
+
+/// [`generate`] on an explicit pool.
+pub fn generate_with(kind: DatasetKind, n: usize, seed: u64, pool: &Pool) -> Dataset {
     let dim = kind.dim();
     let classes = kind.classes();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7261_6465_666c_0001);
@@ -214,24 +239,69 @@ pub fn generate(kind: DatasetKind, n: usize, seed: u64) -> Dataset {
     let means: Vec<Vec<f32>> = (0..classes)
         .map(|_| (0..dim).map(|_| sep * normal(&mut rng)).collect())
         .collect();
-    let noise = kind.noise();
-    let label_noise = kind.label_noise();
-    let mut features = Matrix::zeros(n, dim);
-    let mut labels = Vec::with_capacity(n);
-    for r in 0..n {
-        let class = rng.gen_range(0..classes);
-        let mean = &means[class];
-        for (c, m) in mean.iter().enumerate() {
-            features.set(r, c, m + noise * normal(&mut rng));
+    let mixture = Mixture { means, noise: kind.noise(), label_noise: kind.label_noise() };
+    let chunks = if n < 2 * POOLED_GEN_MIN_ROWS {
+        1
+    } else {
+        pool.workers().min(n / POOLED_GEN_MIN_ROWS)
+    };
+    let per = n.div_ceil(chunks).max(1);
+    // Pass 1: the generator state at each chunk start.
+    let mut starts = vec![rng.clone()];
+    let mut scratch = vec![0.0f32; dim];
+    for _ in 1..n.div_ceil(per) {
+        for _ in 0..per {
+            mixture.sample(&mut rng, &mut scratch, skip_normal);
         }
-        let label = if label_noise > 0.0 && rng.gen_bool(label_noise) {
+        starts.push(rng.clone());
+    }
+    // Pass 2: one task per chunk, each into its own rows.
+    let mut features = Matrix::zeros(n, dim);
+    let mut labels = vec![0; n];
+    let mixture = &mixture;
+    pool.scope(|s| {
+        let rows = features.as_mut_slice().chunks_mut(per * dim).zip(labels.chunks_mut(per));
+        for ((rows, labels), mut rng) in rows.zip(starts) {
+            s.spawn(move || {
+                for (row, label) in rows.chunks_exact_mut(dim).zip(labels) {
+                    *label = mixture.sample(&mut rng, row, normal);
+                }
+            });
+        }
+    });
+    Dataset { features, labels, classes }
+}
+
+/// The per-sample recipe of [`generate_with`]: class means, feature
+/// noise and label noise.
+struct Mixture {
+    means: Vec<Vec<f32>>,
+    noise: f32,
+    label_noise: f64,
+}
+
+impl Mixture {
+    /// Draws one sample into `row` and returns its label. `gauss` is
+    /// [`normal`] for the fill and [`skip_normal`] for pass 1, so both
+    /// passes make the same generator calls, the class draw's rejection
+    /// loop and the conditional relabel draw included.
+    fn sample(
+        &self,
+        rng: &mut StdRng,
+        row: &mut [f32],
+        gauss: impl Fn(&mut StdRng) -> f32,
+    ) -> usize {
+        let classes = self.means.len();
+        let class = rng.gen_range(0..classes);
+        for (x, m) in row.iter_mut().zip(&self.means[class]) {
+            *x = m + self.noise * gauss(rng);
+        }
+        if self.label_noise > 0.0 && rng.gen_bool(self.label_noise) {
             rng.gen_range(0..classes)
         } else {
             class
-        };
-        labels.push(label);
+        }
     }
-    Dataset { features, labels, classes }
 }
 
 /// Partitions a dataset across organizations with a Dirichlet(β) label
@@ -375,15 +445,35 @@ fn gamma_draw(rng: &mut StdRng, k: f64) -> f64 {
     }
 }
 
+/// A standard-normal draw by Box–Muller (one of the pair).
 fn normal(rng: &mut StdRng) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
+/// [`normal`]'s two uniform draws without the transform: advances the
+/// generator exactly as [`normal`] does and returns 0.
+fn skip_normal(rng: &mut StdRng) -> f32 {
+    let _: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let _: f64 = rng.gen_range(0.0..1.0);
+    0.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gaussian_moments_are_sane() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 20_000;
+        let draws: Vec<f64> = (0..n).map(|_| f64::from(normal(&mut rng))).collect();
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.05, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.1, "var {var}");
+    }
 
     #[test]
     fn generation_is_deterministic() {

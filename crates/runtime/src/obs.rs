@@ -74,8 +74,6 @@ pub enum Subsystem {
     Primal,
     /// FedAvg training rounds.
     Fed,
-    /// Fork-join pool scopes.
-    Pool,
     /// Ledger block production / application.
     Ledger,
     /// Market-engine event loop (sessions, batches, recoveries).
@@ -90,13 +88,12 @@ impl Subsystem {
             Subsystem::Dbr => "dbr",
             Subsystem::Primal => "primal",
             Subsystem::Fed => "fed",
-            Subsystem::Pool => "pool",
             Subsystem::Ledger => "ledger",
             Subsystem::Engine => "engine",
         }
     }
 
-    const COUNT: usize = 7;
+    const COUNT: usize = 6;
 
     fn index(self) -> usize {
         match self {
@@ -104,9 +101,8 @@ impl Subsystem {
             Subsystem::Dbr => 1,
             Subsystem::Primal => 2,
             Subsystem::Fed => 3,
-            Subsystem::Pool => 4,
-            Subsystem::Ledger => 5,
-            Subsystem::Engine => 6,
+            Subsystem::Ledger => 4,
+            Subsystem::Engine => 5,
         }
     }
 }
@@ -800,14 +796,14 @@ mod tests {
             buf.records = Vec::with_capacity(MAX_EVENTS);
             for _ in 0..MAX_EVENTS {
                 buf.records.push(Event {
-                    subsystem: Subsystem::Pool,
+                    subsystem: Subsystem::Ledger,
                     seq: 0,
                     name: "x",
                     fields: Vec::new(),
                 });
             }
         }
-        rec.event(Subsystem::Pool, "overflow", &[]);
+        rec.event(Subsystem::Ledger, "overflow", &[]);
         let snap = rec.snapshot();
         assert_eq!(snap.events.len(), MAX_EVENTS);
         assert_eq!(snap.events_dropped, 1);

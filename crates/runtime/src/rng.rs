@@ -204,18 +204,6 @@ pub trait Rng {
         assert!((0.0..=1.0).contains(&p), "gen_bool p={p} outside [0,1]");
         self.gen_f64() < p
     }
-
-    /// Standard-normal draw via Box–Muller (one of the pair).
-    fn gen_gaussian(&mut self) -> f64 {
-        let u1 = self.gen_f64().max(f64::EPSILON);
-        let u2 = self.gen_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Normal draw with mean `mu` and standard deviation `sigma`.
-    fn gen_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        mu + sigma * self.gen_gaussian()
-    }
 }
 
 impl Rng for StdRng {
@@ -317,17 +305,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "50 elements virtually never shuffle to identity");
-    }
-
-    #[test]
-    fn gaussian_moments_are_sane() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 20_000;
-        let draws: Vec<f64> = (0..n).map(|_| rng.gen_gaussian()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

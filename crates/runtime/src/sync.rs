@@ -12,8 +12,8 @@
 //! cascade of secondary panics. Continuing after an unwinding panic is
 //! therefore sound here — the rationale `parking_lot` applies globally.
 //!
-//! The [`pool`] submodule holds the fork-join pool the FedAvg round and
-//! the DBR payoff trace run on.
+//! The [`pool`] submodule holds the fork-join pool the FedAvg round,
+//! the DBR payoff trace and the synthetic dataset generator run on.
 
 pub mod pool;
 

@@ -4,8 +4,9 @@
 //! on the calling thread when there is one task or one worker,
 //! otherwise on `min(workers, tasks)` threads that pop from one shared
 //! queue until it is empty. Every caller queues at most one task per
-//! worker (FedAvg's edge-group window, DBR's payoff-trace chunks), so
-//! nothing here balances load beyond that.
+//! worker (FedAvg's edge-group window, DBR's payoff-trace chunks, the
+//! synthetic dataset generator's row chunks), so nothing here balances
+//! load beyond that.
 //!
 //! Two deliberate design points, both downstream of the workspace's
 //! `#![forbid(unsafe_code)]`:

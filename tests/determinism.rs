@@ -387,9 +387,16 @@ use tradefl_runtime::sync::pool::Pool;
 /// that the pool handed tasks to its own threads exactly when it has
 /// more than one worker. Returns `f`'s result and the event stream.
 fn run_pooled<R>(workers: usize, f: impl FnOnce(&Pool) -> R) -> (R, String) {
+    run_on_pool(workers, workers > 1, f)
+}
+
+/// [`run_pooled`] for a fixture that clears its pool gate only at some
+/// sizes: the pool must hand tasks to its own threads exactly when
+/// `fans_out`.
+fn run_on_pool<R>(workers: usize, fans_out: bool, f: impl FnOnce(&Pool) -> R) -> (R, String) {
     let (out, snap) = obs::with_local(|| f(&Pool::new(workers)));
     let tasks = snap.counters.get("pool.tasks_executed").copied().unwrap_or(0);
-    assert_eq!(tasks > 0, workers > 1, "{tasks} pooled tasks at {workers} workers");
+    assert_eq!(tasks > 0, fans_out, "{tasks} pooled tasks at {workers} workers");
     (out, snap.events_jsonl())
 }
 
@@ -533,5 +540,55 @@ fn event_streams_are_bit_identical_for_any_worker_count() {
     );
     for (i, s) in streams.iter().enumerate() {
         assert_eq!(s, &streams[0], "event stream differs for worker count run {i}");
+    }
+}
+
+/// FNV-1a over a dataset's feature bits in row-major order, then its
+/// labels.
+fn dataset_fingerprint(data: &tradefl::fl::data::Dataset) -> u64 {
+    let features = data.features.as_slice().iter().map(|x| u64::from(x.to_bits()));
+    fnv1a(features.chain(data.labels.iter().map(|&l| l as u64)))
+}
+
+#[test]
+fn generated_datasets_match_their_golden_fingerprints() {
+    use tradefl::fl::data::{generate, DatasetKind};
+    // Recorded on the one-pass serial generator, before its rows were
+    // filled on the pool: 10007 rows clear the pool gate on any host
+    // with two or more cores.
+    let goldens = [
+        (DatasetKind::Cifar10Like, 0x2ac1_ec2b_929d_e30d),
+        (DatasetKind::FmnistLike, 0x8a1a_efe1_e464_2ae3),
+        (DatasetKind::SvhnLike, 0xa3f7_3304_7dce_4f7b),
+        (DatasetKind::EurosatLike, 0xebf2_57f0_a641_f88f),
+    ];
+    for (kind, want) in goldens {
+        let got = dataset_fingerprint(&generate(kind, 10007, 42));
+        assert_eq!(got, want, "{kind} drifted: got {got:#018x}");
+    }
+}
+
+#[test]
+fn pooled_generation_is_bit_identical_for_any_worker_count() {
+    use tradefl::fl::data::{generate_with, DatasetKind, POOLED_GEN_MIN_ROWS};
+    // 8191 rows stay on one task; 8192 and 10007 split into two chunks
+    // at every width ≥ 2. The SVHN and CIFAR analogs draw a relabel
+    // only for some rows, so their chunk starts sit at row-dependent
+    // stream offsets.
+    for kind in DatasetKind::ALL {
+        for n in [3, 8191, 8192, 10007] {
+            let fans_out = n >= 2 * POOLED_GEN_MIN_ROWS;
+            let runs: Vec<_> = (1..=4)
+                .map(|w| run_on_pool(w, w > 1 && fans_out, |p| generate_with(kind, n, 42, p)).0)
+                .collect();
+            let (f0, l0) = (runs[0].features.as_slice(), &runs[0].labels);
+            for (data, width) in runs.iter().zip(1..) {
+                let f = data.features.as_slice();
+                let same_bits = f.len() == f0.len()
+                    && f.iter().zip(f0).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same_bits, "{kind} n={n}: features differ at width {width}");
+                assert_eq!(&data.labels, l0, "{kind} n={n}: labels differ at width {width}");
+            }
+        }
     }
 }
