@@ -176,6 +176,7 @@ impl SqrtAccuracy {
     }
 
     /// The smallest `Ω` for which the gain is strictly positive.
+    // lint:allow(unreferenced-pub-fn): test oracle: Lemma 1's positive-gain floor, which the Eq. (5) unit and property tests draw above
     pub fn positive_gain_threshold(&self) -> f64 {
         // a0 = 1/sqrt(x g) + 1/g  =>  x = 1 / (g (a0 - 1/g)^2)
         let g = self.epochs;

@@ -79,12 +79,6 @@ impl MarketConfig {
         self
     }
 
-    /// Returns a copy with a different ladder length `m`.
-    pub fn with_levels(mut self, levels: usize) -> Self {
-        self.levels = levels;
-        self
-    }
-
     /// Returns a copy with different mechanism parameters.
     pub fn with_params(mut self, params: MechanismParams) -> Self {
         self.params = params;
@@ -380,7 +374,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_configs() {
         assert!(MarketConfig::table_ii().with_orgs(0).build(1).is_err());
-        assert!(MarketConfig::table_ii().with_levels(0).build(1).is_err());
+        assert!(MarketConfig { levels: 0, ..MarketConfig::table_ii() }.build(1).is_err());
         let mut c = MarketConfig::table_ii();
         c.profitability = (2500.0, 500.0);
         assert!(c.build(1).is_err());
@@ -418,7 +412,7 @@ mod tests {
 
     #[test]
     fn single_level_ladder_uses_f_max() {
-        let m = MarketConfig::table_ii().with_levels(1).build(8).unwrap();
+        let m = MarketConfig { levels: 1, ..MarketConfig::table_ii() }.build(8).unwrap();
         for org in m.orgs() {
             assert_eq!(org.compute_level_count(), 1);
             assert_eq!(org.frequency(0), org.max_frequency());

@@ -128,16 +128,6 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         comp + org.comm_energy()
     }
 
-    /// Profit `ϖ_j` that competitor `j` gains from `i`'s contribution
-    /// (Eq. 6): `p_j · [P(Ω) − P(Ω − d_i s_i)]`.
-    pub fn competitor_profit(&self, profile: &StrategyProfile, i: usize, j: usize) -> f64 {
-        let omega = profile.total_data(&self.market);
-        let omega_without_i =
-            omega - profile[i].d * self.market.org(i).effective_bits();
-        let marginal = self.accuracy.gain(omega) - self.accuracy.gain(omega_without_i.max(0.0));
-        self.market.org(j).profitability() * marginal
-    }
-
     /// Coopetition damage `D_i = Σ_j ρ_{i,j} ϖ_j` (Eq. 7).
     pub fn damage(&self, profile: &StrategyProfile, i: usize) -> f64 {
         let omega = profile.total_data(&self.market);
@@ -158,6 +148,7 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
 
     /// Pairwise payoff redistribution `r_{i,j}` (Eq. 9): what `i`
     /// receives from `j` (negative means `i` pays `j`).
+    // lint:allow(unreferenced-pub-fn): paper API: Eq. (9) term by term; the unit tests pin its antisymmetry, which `redistribution` sums over
     pub fn redistribution_pair(&self, profile: &StrategyProfile, i: usize, j: usize) -> f64 {
         if i == j {
             return 0.0;
@@ -244,6 +235,7 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
     /// Retained for comparison; it differs from [`Self::potential`] by
     /// opponent-dependent cross terms and therefore does not satisfy
     /// identity (14) exactly (demonstrated in the test suite).
+    // lint:allow(unreferenced-pub-fn): test oracle: Eq. (15) as printed, which the tests hold `potential` to
     pub fn potential_paper_eq15(&self, profile: &StrategyProfile) -> f64 {
         let p = self.accuracy_gain(profile);
         let params = self.market.params();
@@ -319,6 +311,7 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
     /// for a unilateral deviation of organization `i`, returning the
     /// absolute discrepancy
     /// `| z_i (U(π) − U(π')) − (C_i(π) − C_i(π')) |`.
+    // lint:allow(unreferenced-pub-fn): test oracle: Thm. 1's potential identity, checked across crates by tests/paper_claims.rs
     pub fn potential_identity_gap(
         &self,
         profile: &StrategyProfile,

@@ -47,6 +47,7 @@ impl StrategyProfile {
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
+    // lint:allow(unreferenced-pub-fn): builds the literal profiles the core and solver unit tests and the doc example check
     pub fn from_parts(d: &[f64], levels: &[usize]) -> Self {
         assert_eq!(d.len(), levels.len(), "parallel slices must have equal length");
         Self(d.iter().zip(levels).map(|(&d, &l)| Strategy::new(d, l)).collect())
@@ -90,22 +91,6 @@ impl StrategyProfile {
     /// The ladder indices as a vector.
     pub fn levels(&self) -> Vec<usize> {
         self.0.iter().map(|s| s.level).collect()
-    }
-
-    /// The chosen frequencies `f_i` (Hz) under `market`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile length mismatches the market or a level is
-    /// out of range; call [`StrategyProfile::validate`] first for a
-    /// fallible check.
-    pub fn frequencies(&self, market: &Market) -> Vec<f64> {
-        assert_eq!(self.0.len(), market.len());
-        self.0
-            .iter()
-            .enumerate()
-            .map(|(i, s)| market.org(i).frequency(s.level))
-            .collect()
     }
 
     /// Replaces organization `i`'s strategy, returning the new profile
@@ -314,7 +299,6 @@ mod tests {
         let p = StrategyProfile::from_parts(&[0.25, 0.5], &[2, 2]);
         assert!((p.total_fraction() - 0.75).abs() < 1e-12);
         assert!((p.total_data(&m) - 15e9).abs() < 1.0);
-        assert_eq!(p.frequencies(&m), vec![3e9, 3e9]);
         let collected: StrategyProfile = p.iter().copied().collect();
         assert_eq!(collected, p);
     }

@@ -133,8 +133,11 @@ pub struct EngineConfig {
     pub byzantine: ByzantineConfig,
     /// Wire-path frame size limit for every replica.
     pub max_frame_bytes: usize,
-    /// Worker threads for the equilibrium solves (bit-identical results
-    /// for any count, per the workspace determinism contract).
+    /// Width of the pool the equilibrium solves are handed (results are
+    /// bit-identical for any count, per the workspace determinism
+    /// contract). No session the engine can settle uses it: DBR fans
+    /// out only at 512 orgs or more (`POOLED_TRACE_MIN_ORGS` in
+    /// `tradefl_solver::dbr`), and the chain settles at most 71.
     pub workers: usize,
 }
 

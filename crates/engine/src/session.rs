@@ -61,9 +61,11 @@ pub struct SessionPlan {
 
 impl SessionPlan {
     /// Builds the plan: draws the market, solves the game to
-    /// equilibrium on `pool`, and scripts the unattested Fig. 3
-    /// transaction sequence through [`SettlementPlan`] under
-    /// session-prefixed addresses.
+    /// equilibrium, and scripts the unattested Fig. 3 transaction
+    /// sequence through [`SettlementPlan`] under session-prefixed
+    /// addresses. The solve is handed `pool`, but DBR fans out only at
+    /// 512 orgs or more and a settleable session has at most 71, so it
+    /// runs on the calling thread.
     ///
     /// # Errors
     ///

@@ -44,7 +44,6 @@ pub mod async_fed;
 pub mod data;
 pub mod fed;
 pub mod linalg;
-pub mod metrics;
 pub mod model;
 pub mod personalize;
 pub mod probe;
@@ -57,7 +56,6 @@ pub use fed::{
 };
 pub use data::MiniBatch;
 pub use linalg::Matrix;
-pub use metrics::ConfusionMatrix;
 pub use model::{Mlp, ModelKind, Workspace};
 pub use personalize::{personalize, personalize_all, PersonalizeConfig, PersonalizedModel};
 pub use probe::{measure_accuracy_curve, ProbePoint, SqrtFit};

@@ -178,18 +178,9 @@ impl Mlp {
         self.layers.iter().map(Dense::params).sum()
     }
 
-    /// Class-probability forward pass (softmax output).
-    ///
-    /// Compatibility wrapper over [`Mlp::forward_with`] with a fresh
-    /// workspace; hot loops hold a [`Workspace`] instead.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut ws = Workspace::new();
-        self.forward_with(x, &mut ws).clone()
-    }
-
-    /// Forward pass into workspace-owned scratch; returns the softmax
-    /// output matrix borrowed from `ws`. Allocation-free once `ws` is
-    /// warm.
+    /// Class-probability forward pass (softmax output) into
+    /// workspace-owned scratch; returns the output matrix borrowed from
+    /// `ws`. Allocation-free once `ws` is warm.
     pub fn forward_with<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         ws.ensure_depth(self.layers.len());
         let last = self.layers.len() - 1;
@@ -242,15 +233,6 @@ impl Mlp {
         }
         let n = data.len() as f64;
         ((loss / n) as f32, (correct as f64 / n) as f32)
-    }
-
-    /// One SGD step on a mini-batch.
-    ///
-    /// Compatibility wrapper over [`Mlp::sgd_step_with`] with a fresh
-    /// workspace.
-    pub fn sgd_step(&mut self, batch: &Dataset, lr: f32) {
-        let mut ws = Workspace::new();
-        self.sgd_step_with(&batch.features, &batch.labels, lr, &mut ws);
     }
 
     /// One SGD step on `(features, labels)` using workspace-owned
@@ -522,7 +504,8 @@ mod tests {
     fn forward_produces_probabilities() {
         let d = generate(DatasetKind::EurosatLike, 20, 1);
         let m = Mlp::new(d.dim(), 16, d.classes, 7);
-        let p = m.forward(&d.features);
+        let mut ws = Workspace::new();
+        let p = m.forward_with(&d.features, &mut ws);
         for r in 0..p.rows() {
             let sum: f32 = p.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -578,8 +561,9 @@ mod tests {
         let d = generate(DatasetKind::EurosatLike, 300, 2);
         let mut m = Mlp::new(d.dim(), 24, d.classes, 3);
         let (loss0, _) = m.evaluate(&d);
+        let mut ws = Workspace::new();
         for _ in 0..60 {
-            m.sgd_step(&d, 0.1);
+            m.sgd_step_with(&d.features, &d.labels, 0.1, &mut ws);
         }
         let (loss1, acc1) = m.evaluate(&d);
         assert!(loss1 < loss0 * 0.7, "loss {loss0} -> {loss1}");
@@ -592,8 +576,9 @@ mod tests {
         let mut m = Mlp::with_layers(d.dim(), &[32, 16], d.classes, 3);
         assert_eq!(m.depth(), 3);
         let (loss0, _) = m.evaluate(&d);
+        let mut ws = Workspace::new();
         for _ in 0..80 {
-            m.sgd_step(&d, 0.1);
+            m.sgd_step_with(&d.features, &d.labels, 0.1, &mut ws);
         }
         let (loss1, acc1) = m.evaluate(&d);
         assert!(loss1 < loss0 * 0.8, "loss {loss0} -> {loss1}");
@@ -609,7 +594,7 @@ mod tests {
         let loss_of = |m: &Mlp| m.evaluate(&d).0 as f64;
         let lr = 1e-4;
         let mut stepped = m0.clone();
-        stepped.sgd_step(&d, lr);
+        stepped.sgd_step_with(&d.features, &d.labels, lr, &mut Workspace::new());
         for layer in [0usize, 1, 2] {
             let g = (m0.layers[layer].w.get(0, 0) - stepped.layers[layer].w.get(0, 0)) / lr;
             let mut plus = m0.clone();
@@ -631,7 +616,7 @@ mod tests {
         let mut warm = fresh.clone();
         let mut ws = Workspace::new();
         for _ in 0..4 {
-            fresh.sgd_step(&d, 0.05);
+            fresh.sgd_step_with(&d.features, &d.labels, 0.05, &mut Workspace::new());
             warm.sgd_step_with(&d.features, &d.labels, 0.05, &mut ws);
         }
         for (x, y) in fresh.to_params().iter().zip(&warm.to_params()) {

@@ -150,6 +150,7 @@ pub fn measure_accuracy_curve(
 
 /// A ready-made probe dataset for tests and quick demos: accuracy
 /// measured at a handful of sizes with a fast configuration.
+// lint:allow(unreferenced-pub-fn): the probe tests/paper_claims.rs fits the Eq. (5) curve on
 pub fn quick_probe(
     model: ModelKind,
     dataset: DatasetKind,

@@ -39,14 +39,9 @@ pub struct Block {
 }
 
 impl Block {
-    /// Deterministic digest of the transaction list: the Merkle root
-    /// over the transaction hashes, so that per-transaction inclusion
-    /// proofs ([`Block::prove_tx`]) anchor directly in the header.
-    pub fn compute_tx_root(txs: &[Transaction]) -> Hash256 {
-        Self::merkle_tree(txs).root()
-    }
-
-    /// The Merkle tree over this transaction list.
+    /// The Merkle tree over a transaction list. Its root is the
+    /// header's `tx_root`, so per-transaction inclusion proofs
+    /// ([`Block::prove_tx`]) anchor directly in the header.
     pub fn merkle_tree(txs: &[Transaction]) -> MerkleTree {
         MerkleTree::build(&tx_leaves(txs))
     }
@@ -293,17 +288,6 @@ impl Blockchain {
         self.blocks.get(b as usize)?.receipts.get(pos as usize)
     }
 
-    /// Produces a light-client inclusion proof for a transaction:
-    /// `(block height, its header tx_root, the Merkle proof)`. An
-    /// arbitrator holding only block headers can verify the disputed
-    /// transaction was committed.
-    pub fn prove_inclusion(&self, tx_hash: Hash256) -> Option<(u64, Hash256, MerkleProof)> {
-        let &(b, pos) = self.index.get(&tx_hash)?;
-        let block = self.blocks.get(b as usize)?;
-        let proof = block.prove_tx(pos as usize)?;
-        Some((block.header.number, block.header.tx_root, proof))
-    }
-
     /// All logs whose event name matches, in chain order — the
     /// arbitration query of §III-F ("the recorded results can serve as
     /// a basis for arbitration").
@@ -345,7 +329,7 @@ mod tests {
 
     fn block(number: u64, parent: Hash256, txs: Vec<Transaction>) -> Block {
         let receipts: Vec<Receipt> = txs.iter().map(receipt_for).collect();
-        let tx_root = Block::compute_tx_root(&txs);
+        let tx_root = Block::merkle_tree(&txs).root();
         let receipts_root = Block::compute_receipts_root(&receipts);
         Block {
             header: BlockHeader {
@@ -404,7 +388,7 @@ mod tests {
         chain.push(block(2, tip, vec![])).unwrap();
         let mut tampered = chain.clone();
         tampered.blocks[1].txs[0].value = Wei(9);
-        tampered.blocks[1].header.tx_root = Block::compute_tx_root(&tampered.blocks[1].txs);
+        tampered.blocks[1].header.tx_root = Block::merkle_tree(&tampered.blocks[1].txs).root();
         // The receipt still names the original tx.
         assert!(matches!(
             tampered.verify(),
@@ -448,13 +432,14 @@ mod tests {
         let txs = vec![tx(0), tx(1), tx(2)];
         let wanted = txs[1].hash();
         chain.push(block(1, tip, txs)).unwrap();
-        let (height, root, proof) = chain.prove_inclusion(wanted).unwrap();
-        assert_eq!(height, 1);
+        let block = &chain.blocks()[1];
+        let root = block.header.tx_root;
+        let proof = block.prove_tx(1).unwrap();
         assert!(proof.verify(wanted, root), "proof must verify against the header root");
         // A different tx hash must not verify with this proof.
         assert!(!proof.verify(tx(7).hash(), root));
-        // Unknown hashes yield no proof.
-        assert!(chain.prove_inclusion(tx(9).hash()).is_none());
+        // An index past the block's txs yields no proof.
+        assert!(block.prove_tx(3).is_none());
     }
 
     #[test]

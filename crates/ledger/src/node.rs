@@ -504,10 +504,9 @@ mod tests {
                     Ok(vec![])
                 }
                 "set" => {
-                    let v = args
-                        .first()
-                        .and_then(Value::as_u64)
-                        .ok_or(ContractError::BadArgs("expected u64"))?;
+                    let Some(&Value::U64(v)) = args.first() else {
+                        return Err(ContractError::BadArgs("expected u64"));
+                    };
                     self.count = v;
                     Ok(vec![])
                 }

@@ -169,12 +169,6 @@ impl TradeFlContract {
         })
     }
 
-    /// Current phase (off-chain convenience; on-chain callers use the
-    /// `phase` view function).
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// The deployment parameters.
     pub fn params(&self) -> &SessionParams {
         &self.params
@@ -552,7 +546,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(c.phase(), Phase::Settlement);
+        assert_eq!(c.phase, Phase::Settlement);
     }
 
     #[test]
@@ -566,7 +560,7 @@ mod tests {
             .unwrap();
         call(&mut c, &mut state, Address::from_name("org-0"), Wei::ZERO, "payoffTransfer", &[])
             .unwrap();
-        assert_eq!(c.phase(), Phase::Closed);
+        assert_eq!(c.phase, Phase::Closed);
         assert_eq!(state.total_supply(), supply, "settlement only moves wei around");
         // The largest contributor must end up wealthier than the smallest.
         let b0 = state.balance_of(Address::from_name("org-0"));

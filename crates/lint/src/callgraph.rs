@@ -1,5 +1,6 @@
-//! Workspace call graph and pool-entry reachability — the machinery
-//! behind `no-nested-pool-scope`.
+//! The workspace call graph, one graph behind two rules:
+//! `no-nested-pool-scope` (which fns reach a pool entry) and
+//! `unreferenced-pub-fn` (which `pub fn`s no non-test root reaches).
 //!
 //! The fork-join pool (`tradefl_runtime::sync::pool::Pool`) stands up
 //! its own threads for every `Pool::scope` that fans out, so a task
@@ -18,9 +19,21 @@
 //! dispatch that checks `pool.workers() > 1` before going parallel)
 //! that trips the rule documents its guard in a `lint:allow` reason —
 //! that documentation is the point.
+//!
+//! The same graph finds dead public API. The roots are every fn of a
+//! bin, example or `tradebench/` target, every trait-impl and trait
+//! method, and every identifier in a `macro_rules!` body, an
+//! item-position macro invocation or a `const`/`static` initializer
+//! (none of which the parser structures). From them a name is
+//! *referenced* when a reached fn calls it or uses it as a value
+//! (`.map(Transaction::hash)`), and reaching a name reaches every
+//! non-test fn of that name. Code under `#[cfg(test)]` and in test
+//! targets reaches nothing. A library `pub fn` whose name stays
+//! unreferenced is an `unreferenced-pub-fn` finding; name merging can
+//! only hide a dead fn, never flag a live one.
 
 use crate::parse::{self, Expr, ExprKind, File, Item, ItemKind};
-use crate::rules::RawFinding;
+use crate::rules::{classify, RawFinding, Target};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pool methods that move the caller onto the worker set.
@@ -29,13 +42,62 @@ const POOL_ENTRY_METHODS: &[&str] = &["scope"];
 /// One fn's call-graph record.
 #[derive(Debug, Default)]
 struct FnNode {
+    /// 1-based first line of the fn item.
+    line: u32,
+    role: Role,
     /// Simple names of every callee (free-fn and method calls alike).
     calls: BTreeSet<String>,
+    /// Names used other than as a callee: the last segment of every
+    /// path expression, and the identifiers of fn-local macro
+    /// definitions and `const` initializers. Only `unreferenced-pub-fn`
+    /// reads these; pool reachability follows calls alone.
+    refs: BTreeSet<String>,
     /// Lines of pool-entry sites lexically in this fn's body.
     pool_entries: Vec<u32>,
     /// Calls made from inside a closure passed to a pool-entry site:
     /// `(line, callee, direct_pool_entry)`.
     pooled_calls: Vec<PooledCall>,
+}
+
+/// Where a fn sits, for `unreferenced-pub-fn`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Under `#[cfg(test)]` or in a test target: reaches nothing.
+    Test,
+    /// A bin/example/`tradebench` fn or a trait (impl) method.
+    Root,
+    /// A plain `pub fn` in a library target.
+    Pub,
+    /// Any other library fn.
+    #[default]
+    Inner,
+}
+
+/// Per-file facts [`CallGraph::add_item`] classifies fns by.
+struct FileCx<'f> {
+    path: &'f str,
+    target: Target,
+    test_spans: &'f [(u32, u32)],
+}
+
+impl FileCx<'_> {
+    fn is_test(&self, line: u32) -> bool {
+        matches!(self.target, Target::Test | Target::Bench)
+            || self.test_spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+    }
+
+    fn role(&self, line: u32, public: bool, trait_member: bool) -> Role {
+        if self.is_test(line) {
+            Role::Test
+        } else if trait_member || self.target != Target::Lib || self.path.starts_with("tradebench/")
+        {
+            Role::Root
+        } else if public {
+            Role::Pub
+        } else {
+            Role::Inner
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -48,7 +110,7 @@ struct PooledCall {
 
 /// The workspace call graph, keyed by file for finding attribution.
 #[derive(Debug, Default)]
-pub struct PoolIndex {
+pub struct CallGraph {
     /// (file, fn-name) → node.
     nodes: Vec<(String, String, FnNode)>,
     /// fn-name → indices into `nodes` (same-name fns merge).
@@ -56,42 +118,97 @@ pub struct PoolIndex {
     /// fn-names that reach a pool entry, mapped to a witness chain
     /// (`name → name → … → Pool::scope`).
     reaches_pool: BTreeMap<String, String>,
+    /// Names the non-test roots reach: seeded with the identifiers of
+    /// non-test macro bodies and `const` initializers, then closed by
+    /// [`CallGraph::compute_referenced`].
+    referenced: BTreeSet<String>,
 }
 
-impl PoolIndex {
-    /// Builds the graph over every parsed file and computes pool
-    /// reachability to a fixpoint.
-    pub fn build<'f>(files: impl IntoIterator<Item = (&'f str, &'f File)>) -> Self {
-        let mut idx = PoolIndex::default();
-        for (path, file) in files {
+impl CallGraph {
+    /// Builds the graph over every parsed file, each with its
+    /// `#[cfg(test)]` line spans, and computes pool reachability and
+    /// the referenced names to a fixpoint.
+    pub fn build<'f>(
+        files: impl IntoIterator<Item = (&'f str, &'f File, &'f [(u32, u32)])>,
+    ) -> Self {
+        let mut graph = CallGraph::default();
+        for (path, file, test_spans) in files {
+            let cx = FileCx { path, target: classify(path), test_spans };
             for item in &file.items {
-                idx.add_item(path, item);
+                graph.add_item(&cx, item, false);
             }
         }
-        for (i, (_, name, _)) in idx.nodes.iter().enumerate() {
-            idx.by_name.entry(name.clone()).or_default().push(i);
+        for (i, (_, name, _)) in graph.nodes.iter().enumerate() {
+            graph.by_name.entry(name.clone()).or_default().push(i);
         }
-        idx.compute_reachability();
-        idx
+        graph.compute_reachability();
+        graph.compute_referenced();
+        graph
     }
 
-    fn add_item(&mut self, path: &str, item: &Item) {
+    fn add_item(&mut self, cx: &FileCx<'_>, item: &Item, trait_member: bool) {
         match &item.kind {
             ItemKind::Fn(func) => {
-                let mut node = FnNode::default();
+                let mut node = FnNode {
+                    line: item.line,
+                    role: cx.role(item.line, func.public, trait_member),
+                    ..FnNode::default()
+                };
                 if let Some(body) = &func.body {
                     let mut collector = Collector { node: &mut node, in_pooled_closure: false };
                     collect_block(body, &mut collector);
                 }
-                self.nodes.push((path.to_string(), item.name.clone(), node));
+                self.nodes.push((cx.path.to_string(), item.name.clone(), node));
             }
-            ItemKind::Mod(items) | ItemKind::Trait(items) | ItemKind::Impl { items, .. } => {
+            ItemKind::Mod(items) => {
                 for it in items {
-                    self.add_item(path, it);
+                    self.add_item(cx, it, false);
+                }
+            }
+            ItemKind::Trait(items) => {
+                for it in items {
+                    self.add_item(cx, it, true);
+                }
+            }
+            ItemKind::Impl { trait_ty, items, .. } => {
+                for it in items {
+                    self.add_item(cx, it, trait_ty.is_some());
+                }
+            }
+            ItemKind::MacroDef(idents)
+            | ItemKind::MacroInvocation(idents)
+            | ItemKind::ConstDef(idents) => {
+                if !cx.is_test(item.line) {
+                    self.referenced.extend(idents.iter().cloned());
                 }
             }
             _ => {}
         }
+    }
+
+    /// Closes the seeded names under "a reached name reaches every
+    /// non-test fn of that name, and a reached fn reaches what it
+    /// calls or names". The roots' names start the walk.
+    fn compute_referenced(&mut self) {
+        let mut queue: Vec<&str> = self.referenced.iter().map(String::as_str).collect();
+        for (_, _, node) in &self.nodes {
+            if node.role == Role::Root {
+                queue.extend(node.calls.iter().chain(&node.refs).map(String::as_str));
+            }
+        }
+        let mut referenced = BTreeSet::new();
+        while let Some(name) = queue.pop() {
+            if !referenced.insert(name.to_string()) {
+                continue;
+            }
+            for &i in self.by_name.get(name).into_iter().flatten() {
+                let node = &self.nodes[i].2;
+                if matches!(node.role, Role::Pub | Role::Inner) {
+                    queue.extend(node.calls.iter().chain(&node.refs).map(String::as_str));
+                }
+            }
+        }
+        self.referenced = referenced;
     }
 
     /// Fixpoint: a fn reaches the pool if its body holds a pool entry
@@ -112,7 +229,7 @@ impl PoolIndex {
                     .then(|| format!("`{name}` enters the pool directly"))
             })
             .collect();
-        let name_reaches = |reach: &[Option<String>], idx: &PoolIndex, name: &str| {
+        let name_reaches = |reach: &[Option<String>], idx: &CallGraph, name: &str| {
             idx.by_name
                 .get(name)
                 .is_some_and(|defs| !defs.is_empty() && defs.iter().all(|&i| reach[i].is_some()))
@@ -152,8 +269,28 @@ impl PoolIndex {
         }
     }
 
+    /// `unreferenced-pub-fn` findings for one file. Only a graph over
+    /// the whole tree can say a fn is unreferenced.
+    pub fn check_unreferenced(&self, path: &str) -> Vec<RawFinding> {
+        self.nodes
+            .iter()
+            .filter(|(file, name, node)| {
+                file == path && node.role == Role::Pub && !self.referenced.contains(name)
+            })
+            .map(|(_, name, node)| RawFinding {
+                rule: "unreferenced-pub-fn",
+                line: node.line,
+                message: format!(
+                    "`pub fn {name}` is reached from no bin, example, tradebench fn, trait \
+                     method or macro body outside tests — delete it, or lint:allow with why it \
+                     stays"
+                ),
+            })
+            .collect()
+    }
+
     /// `no-nested-pool-scope` findings for one file.
-    pub fn check_file(&self, path: &str) -> Vec<RawFinding> {
+    pub fn check_pool_nesting(&self, path: &str) -> Vec<RawFinding> {
         let mut out = Vec::new();
         for (file, name, node) in &self.nodes {
             if file != path {
@@ -222,12 +359,12 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
                 }
             }
             parse::Stmt::Expr { expr, .. } => collect_expr(expr, cx),
-            parse::Stmt::Item(item) => {
+            parse::Stmt::Item(item) => match &item.kind {
                 // Fn-local fns are their own nodes only if named at
                 // top level; keep it simple and scan their bodies in
                 // the enclosing fn's context (closure flag off — a
                 // local fn runs when called, not where defined).
-                if let ItemKind::Fn(func) = &item.kind {
+                ItemKind::Fn(func) => {
                     if let Some(b) = &func.body {
                         let saved = cx.in_pooled_closure;
                         cx.in_pooled_closure = false;
@@ -235,7 +372,11 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
                         cx.in_pooled_closure = saved;
                     }
                 }
-            }
+                ItemKind::MacroDef(idents) | ItemKind::ConstDef(idents) => {
+                    cx.node.refs.extend(idents.iter().cloned());
+                }
+                _ => {}
+            },
         }
     }
 }
@@ -344,8 +485,12 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
                 collect_expr(e, cx);
             }
         }
-        ExprKind::Path(_)
-        | ExprKind::Lit
+        ExprKind::Path(segs) => {
+            if let Some(last) = segs.last() {
+                cx.node.refs.insert(last.clone());
+            }
+        }
+        ExprKind::Lit
         | ExprKind::Return(None)
         | ExprKind::Jump
         | ExprKind::Opaque => {}
@@ -374,9 +519,9 @@ mod tests {
     fn findings(src: &str) -> Vec<(u32, String)> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        let index = PoolIndex::build([("x.rs", &file)]);
-        index
-            .check_file("x.rs")
+        let graph = CallGraph::build([("x.rs", &file, &[][..])]);
+        graph
+            .check_pool_nesting("x.rs")
             .into_iter()
             .map(|f| (f.line, f.message))
             .collect()

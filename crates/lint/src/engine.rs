@@ -41,7 +41,7 @@
 //! brace-less items). Only the literal `test` predicate is recognized
 //! — `#[cfg(any(test, …))]` shapes are not used in this workspace.
 
-use crate::callgraph::PoolIndex;
+use crate::callgraph::CallGraph;
 use crate::flow::FlowIndex;
 use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 use crate::manifest;
@@ -273,19 +273,37 @@ fn suppress(allows: &mut [Allow], rule: &str, line: u32) -> bool {
     }
 }
 
+/// One lexed and parsed Rust file.
+struct Source<'t> {
+    rel_path: &'t str,
+    lexed: Lexed,
+    parsed: parse::File,
+    test_spans: Vec<(u32, u32)>,
+}
+
+impl<'t> Source<'t> {
+    fn new(rel_path: &'t str, text: &str) -> Self {
+        let lexed = lex(text);
+        let parsed = parse::parse(&lexed);
+        let test_spans = test_spans(&lexed.tokens);
+        Source { rel_path, lexed, parsed, test_spans }
+    }
+}
+
 /// The per-file core: token rules plus the semantic passes (taint
 /// dataflow for wire allocs, result discipline, money arithmetic, and
-/// the pool-nesting call-graph check), then test-span filtering, allow
+/// the two call-graph checks — `unreferenced-pub-fn` only when the
+/// graph spans the `whole_tree`), then test-span filtering, allow
 /// suppression, and the three meta rules about allows themselves.
 fn lint_parsed(
-    rel_path: &str,
-    lexed: &Lexed,
-    parsed: &parse::File,
+    source: &Source<'_>,
     flow: &FlowIndex,
-    pool: &PoolIndex,
+    graph: &CallGraph,
+    whole_tree: bool,
 ) -> Vec<Finding> {
+    let Source { rel_path, lexed, parsed, test_spans: spans } = source;
+    let rel_path = *rel_path;
     let target = rules::classify(rel_path);
-    let spans = test_spans(&lexed.tokens);
 
     let mut raw = rules::run_token_rules(rel_path, target, &lexed.tokens);
     if rules::applies("unbounded-wire-alloc", rel_path, target) {
@@ -298,7 +316,10 @@ fn lint_parsed(
         raw.extend(crate::flow::check_money_arith(parsed));
     }
     if rules::applies("no-nested-pool-scope", rel_path, target) {
-        raw.extend(pool.check_file(rel_path));
+        raw.extend(graph.check_pool_nesting(rel_path));
+    }
+    if whole_tree && rules::applies("unreferenced-pub-fn", rel_path, target) {
+        raw.extend(graph.check_unreferenced(rel_path));
     }
     raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
 
@@ -308,7 +329,7 @@ fn lint_parsed(
     for f in raw {
         // Rule passes only emit ids from the RULES table.
         let Some(info) = rules::rule(f.rule) else { continue };
-        if !info.in_tests && in_spans(&spans, f.line) {
+        if !info.in_tests && in_spans(spans, f.line) {
             continue;
         }
         if !suppress(&mut allows, f.rule, f.line) {
@@ -369,17 +390,17 @@ fn lint_parsed(
     out
 }
 
-/// Lints one file's source text in isolation: the flow and pool
-/// indexes are built from this file alone, so call-through resolution
-/// sees only its own fns. `rel_path` drives rule scoping, so tests can
-/// pass synthetic paths. The full workspace lint
-/// ([`lint_workspace`]) shares cross-file indexes instead.
+/// Lints one file's source text in isolation: the flow index and call
+/// graph are built from this file alone, so call-through resolution
+/// sees only its own fns, and `unreferenced-pub-fn` (which needs every
+/// caller) does not run. `rel_path` drives rule scoping, so tests can
+/// pass synthetic paths. [`lint_tree`] shares cross-file indexes
+/// instead.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    let parsed = parse::parse(&lexed);
-    let flow = FlowIndex::build([&parsed]);
-    let pool = PoolIndex::build([(rel_path, &parsed)]);
-    lint_parsed(rel_path, &lexed, &parsed, &flow, &pool)
+    let source = Source::new(rel_path, src);
+    let flow = FlowIndex::build([&source.parsed]);
+    let graph = CallGraph::build([(rel_path, &source.parsed, &source.test_spans[..])]);
+    lint_parsed(&source, &flow, &graph, false)
 }
 
 /// Lints one `Cargo.toml` (the `no-registry-deps` rule).
@@ -417,20 +438,39 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root`: every `.rs` file and
-/// every `Cargo.toml`, excluding `target/`. Runs in two phases — parse
-/// everything, build the cross-file flow and pool indexes, then lint
-/// each file against the shared indexes so one level of call-through
-/// resolves across crate boundaries. Findings are sorted by
-/// (file, line, rule).
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    walk(root, &mut files)?;
+/// Lints a whole tree given as `(workspace-relative path, text)`
+/// pairs: every `.rs` file and `Cargo.toml` in it. Runs in two phases —
+/// parse everything, build the cross-file flow index and call graph,
+/// then lint each file against them — so one level of call-through
+/// resolves across crate boundaries and `unreferenced-pub-fn` sees
+/// every caller. Findings are sorted by (file, line, rule).
+pub fn lint_tree(files: &[(&str, &str)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut sources = Vec::new();
+    for &(rel_path, text) in files {
+        if rel_path.ends_with("Cargo.toml") {
+            findings.extend(lint_manifest(rel_path, text));
+        } else {
+            sources.push(Source::new(rel_path, text));
+        }
+    }
+    let flow = FlowIndex::build(sources.iter().map(|s| &s.parsed));
+    let graph =
+        CallGraph::build(sources.iter().map(|s| (s.rel_path, &s.parsed, &s.test_spans[..])));
+    for source in &sources {
+        findings.extend(lint_parsed(source, &flow, &graph, true));
+    }
+    findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+    findings
+}
 
-    // Phase 1: read + lex + parse every Rust file once.
-    let mut manifests: Vec<(String, String)> = Vec::new();
-    let mut sources: Vec<(String, Lexed, parse::File)> = Vec::new();
-    for path in files {
+/// Lints the workspace rooted at `root` ([`lint_tree`] over every
+/// `.rs` file and `Cargo.toml` under it, `target/` excluded).
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut paths = Vec::new();
+    walk(root, &mut paths)?;
+    let mut files = Vec::with_capacity(paths.len());
+    for path in paths {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -439,30 +479,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             .collect::<Vec<_>>()
             .join("/");
         let text = fs::read_to_string(&path)?;
-        if rel.ends_with("Cargo.toml") {
-            manifests.push((rel, text));
-        } else {
-            let lexed = lex(&text);
-            let parsed = parse::parse(&lexed);
-            sources.push((rel, lexed, parsed));
-        }
+        files.push((rel, text));
     }
-
-    // Phase 2: cross-file indexes, then per-file linting.
-    let flow = FlowIndex::build(sources.iter().map(|(_, _, p)| p));
-    let pool = PoolIndex::build(sources.iter().map(|(rel, _, p)| (rel.as_str(), p)));
-
-    let mut findings = Vec::new();
-    for (rel, text) in &manifests {
-        findings.extend(lint_manifest(rel, text));
-    }
-    for (rel, lexed, parsed) in &sources {
-        findings.extend(lint_parsed(rel, lexed, parsed, &flow, &pool));
-    }
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule))
-    });
-    Ok(findings)
+    let files: Vec<(&str, &str)> = files.iter().map(|(p, t)| (p.as_str(), t.as_str())).collect();
+    Ok(lint_tree(&files))
 }
 
 #[cfg(test)]

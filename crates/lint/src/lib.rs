@@ -21,8 +21,9 @@
 //! * [`flow`] — per-fn intra-procedural taint dataflow (wire-derived
 //!   lengths vs `bounded_count`, money-typed arithmetic) with one
 //!   level of call-through via fn summaries;
-//! * [`callgraph`] — the workspace call graph and pool-entry
-//!   reachability behind `no-nested-pool-scope`;
+//! * [`callgraph`] — the workspace call graph, one graph behind two
+//!   rules: pool-entry reachability for `no-nested-pool-scope` and
+//!   reachability from the non-test roots for `unreferenced-pub-fn`;
 //! * [`rules`] — the rule table (`--explain` text included) and the
 //!   token-pattern + semantic matchers with their path scopes;
 //! * [`manifest`] — the `Cargo.toml` dependency scanner behind
@@ -31,26 +32,21 @@
 //! * [`engine`] — `#[cfg(test)]` scoping, the
 //!   `// lint:allow(rule): reason` escape hatch (reasons required,
 //!   item-precise binding, unused allows flagged), file discovery,
-//!   finding assembly;
-//! * [`json`] — the versioned `tradefl-lint/v2` report format and the
-//!   in-tree schema checker CI validates it with;
-//! * [`diff`] — changed-line extraction from `git diff` output for
-//!   `--diff <base>` incremental linting.
+//!   finding assembly.
 //!
-//! The binary (`cargo run -p tradefl-lint -- --workspace`) exits
-//! non-zero on findings; see DESIGN.md §7 for the rule catalogue and
-//! how to add a rule.
+//! The binary (`cargo run -p tradefl-lint -- --workspace`) prints one
+//! `file:line: [rule] message` line per finding and exits 1 on any;
+//! its exit code is the CI gate. See DESIGN.md §7 for the rule
+//! catalogue and how to add a rule.
 
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod diff;
 pub mod engine;
 pub mod flow;
-pub mod json;
 pub mod lexer;
 pub mod manifest;
 pub mod parse;
 pub mod rules;
 
-pub use engine::{lint_manifest, lint_source, lint_workspace, Finding};
+pub use engine::{lint_manifest, lint_source, lint_tree, lint_workspace, Finding};

@@ -1,21 +1,15 @@
 //! The `tradefl-lint` binary.
 //!
 //! ```text
-//! tradefl-lint --workspace [--root DIR] [--json] [--diff BASE]
-//! tradefl-lint [--json] FILE…
-//! tradefl-lint --check-json FILE
+//! tradefl-lint --workspace [--root DIR]
+//! tradefl-lint FILE…
 //! tradefl-lint --explain RULE-ID
 //! tradefl-lint --list
 //! ```
 //!
-//! `--json` emits the versioned `tradefl-lint/v2` report (see
-//! [`tradefl_lint::json`]); `--check-json` validates a saved report
-//! against that schema, which is how `scripts/ci.sh` guards the
-//! contract. `--diff BASE` (workspace mode only) restricts findings to
-//! lines changed since the git ref `BASE` — allow-meta findings
-//! (`bad-allow`, `unused-allow`, `allow-span-precision`) are kept
-//! regardless, since a diff that deletes a violation is exactly when a
-//! stale allow appears without its own line changing.
+//! `--workspace` lints the whole tree, so every rule runs, the
+//! call-graph rule `unreferenced-pub-fn` included; a file list lints
+//! each file alone, without it.
 //!
 //! Exit codes: `0` clean, `1` findings reported, `2` usage or I/O
 //! error — so `scripts/ci.sh` can gate on it directly.
@@ -25,13 +19,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tradefl_lint::rules::RULES;
-use tradefl_lint::{diff, engine, json, Finding};
+use tradefl_lint::{engine, Finding};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tradefl-lint --workspace [--root DIR] [--json] [--diff BASE]\n\
-         \x20      tradefl-lint [--json] FILE...\n\
-         \x20      tradefl-lint --check-json FILE\n\
+        "usage: tradefl-lint --workspace [--root DIR]\n\
+         \x20      tradefl-lint FILE...\n\
          \x20      tradefl-lint --explain RULE-ID\n\
          \x20      tradefl-lint --list"
     );
@@ -43,25 +36,18 @@ fn default_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn report(findings: &[Finding], json: bool) -> ExitCode {
-    if json {
-        println!("{}", json::render_v2(findings));
-    } else {
-        for f in findings {
-            println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-        }
-        if findings.is_empty() {
-            eprintln!("tradefl-lint: clean");
-        } else {
-            eprintln!(
-                "tradefl-lint: {} finding(s) — see `tradefl-lint --explain <rule-id>`",
-                findings.len()
-            );
-        }
+fn report(findings: &[Finding]) -> ExitCode {
+    for f in findings {
+        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     if findings.is_empty() {
+        eprintln!("tradefl-lint: clean");
         ExitCode::SUCCESS
     } else {
+        eprintln!(
+            "tradefl-lint: {} finding(s) — see `tradefl-lint --explain <rule-id>`",
+            findings.len()
+        );
         ExitCode::FAILURE
     }
 }
@@ -82,81 +68,19 @@ fn explain(id: &str) -> ExitCode {
     }
 }
 
-fn check_json(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tradefl-lint: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match json::check_v2(&text) {
-        Ok(n) => {
-            eprintln!("tradefl-lint: {path}: valid tradefl-lint/v2 report, {n} finding(s)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("tradefl-lint: {path}: schema violation: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The allow-meta rules stay in a `--diff` report even off changed
-/// lines: deleting a violation elsewhere is exactly how an allow goes
-/// stale without its own line appearing in the diff.
-fn is_allow_meta(rule: &str) -> bool {
-    matches!(rule, "bad-allow" | "unused-allow" | "allow-span-precision")
-}
-
-/// Runs `git diff BASE -U0` in `root` and keeps only findings on
-/// changed lines (plus allow-meta findings).
-fn filter_to_diff(findings: Vec<Finding>, root: &Path, base: &str) -> Result<Vec<Finding>, String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--no-color", "-U0", base])
-        .output()
-        .map_err(|e| format!("failed to run git diff: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "git diff {base} failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    let changed = diff::changed_lines(&String::from_utf8_lossy(&out.stdout));
-    Ok(findings
-        .into_iter()
-        .filter(|f| is_allow_meta(&f.rule) || diff::touches(&changed, &f.file, f.line))
-        .collect())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json = false;
     let mut workspace = false;
     let mut root = default_root();
-    let mut diff_base: Option<String> = None;
     let mut files: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--workspace" => workspace = true,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage(),
             },
-            "--diff" => match it.next() {
-                Some(base) => diff_base = Some(base.clone()),
-                None => return usage(),
-            },
-            "--check-json" => {
-                return match it.next() {
-                    Some(path) => check_json(path),
-                    None => usage(),
-                };
-            }
             "--explain" => {
                 return match it.next() {
                     Some(id) => explain(id),
@@ -183,21 +107,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let findings = match diff_base {
-            Some(base) => match filter_to_diff(findings, &root, &base) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("tradefl-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => findings,
-        };
-        return report(&findings, json);
-    }
-    if diff_base.is_some() {
-        eprintln!("tradefl-lint: --diff requires --workspace");
-        return usage();
+        return report(&findings);
     }
     if files.is_empty() {
         return usage();
@@ -218,5 +128,5 @@ fn main() -> ExitCode {
             findings.extend(engine::lint_source(&rel, &text));
         }
     }
-    report(&findings, json)
+    report(&findings)
 }

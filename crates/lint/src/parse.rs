@@ -33,7 +33,9 @@
 //! Macros are not expanded. A macro invocation's arguments are parsed
 //! as a best-effort comma/semicolon-separated expression list (so
 //! `vec![0u8; n]` exposes `n` to the dataflow pass); bodies of
-//! `macro_rules!` definitions are skipped wholesale.
+//! `macro_rules!` definitions, item-position macro invocations and
+//! `const`/`static` initializers are skipped, keeping only the
+//! identifiers in them (the call graph counts those as references).
 
 use crate::lexer::{Lexed, Tok, TokKind};
 
@@ -90,12 +92,17 @@ pub enum ItemKind {
     Trait(Vec<Item>),
     /// `struct` / `enum` / `union` declaration (fields not modeled).
     TypeDef,
-    /// `const` / `static` binding.
-    ConstDef,
+    /// `const` / `static` binding, with the identifiers of its
+    /// (unparsed) initializer.
+    ConstDef(Vec<String>),
     /// `type Alias = …;`
     TypeAlias,
-    /// `macro_rules! name { … }` (body skipped).
-    MacroDef,
+    /// `macro_rules! name { … }`, with the identifiers of its
+    /// (unparsed) body.
+    MacroDef(Vec<String>),
+    /// An item-position macro invocation (`name! { … }`), with the
+    /// identifiers of its (unparsed) arguments.
+    MacroInvocation(Vec<String>),
     /// Anything else (e.g. `extern` blocks), consumed structurally.
     Other,
 }
@@ -103,6 +110,8 @@ pub enum ItemKind {
 /// A parsed `fn`.
 #[derive(Debug)]
 pub struct FnItem {
+    /// Declared plain `pub` (not `pub(crate)` or narrower).
+    pub public: bool,
     /// Parameters in order (receiver `self` included, with type `""`
     /// unless ascribed).
     pub params: Vec<Param>,
@@ -407,6 +416,7 @@ pub fn parse(lexed: &Lexed) -> File {
 }
 
 /// Convenience: lex + parse source text.
+// lint:allow(unreferenced-pub-fn): the entry point the parser test suites drive
 pub fn parse_source(src: &str) -> File {
     parse(&crate::lexer::lex(src))
 }
@@ -643,7 +653,7 @@ impl<'a> Parser<'a> {
     fn item(&mut self) -> Option<Item> {
         let start_line = self.line();
         self.skip_attributes();
-        self.skip_visibility();
+        let public = self.visibility();
         // Qualifiers that may precede `fn`/`impl`/`trait`.
         while self.at_kw("unsafe")
             || self.at_kw("async")
@@ -661,12 +671,12 @@ impl<'a> Parser<'a> {
             self.bump();
             self.eat("!");
             let name = self.eat_ident().unwrap_or_default();
-            let end_line = if self.at("{") || self.at("(") || self.at("[") {
-                self.skip_group()
+            let (end_line, idents) = if self.at("{") || self.at("(") || self.at("[") {
+                self.group_idents()
             } else {
-                self.prev_line()
+                (self.prev_line(), Vec::new())
             };
-            return Some(Item { kind: ItemKind::MacroDef, name, line: start_line, end_line });
+            return Some(Item { kind: ItemKind::MacroDef(idents), name, line: start_line, end_line });
         }
         if self.at_kw("mod") {
             self.bump();
@@ -690,7 +700,8 @@ impl<'a> Parser<'a> {
             return Some(Item { kind, name: String::new(), line: start_line, end_line: self.prev_line() });
         }
         if self.at_kw("fn") {
-            return Some(self.fn_item(start_line));
+            self.bump(); // fn
+            return Some(self.fn_signature_and_body(start_line, public));
         }
         if self.at_kw("impl") {
             return Some(self.impl_item(start_line));
@@ -751,10 +762,11 @@ impl<'a> Parser<'a> {
                 if name != "fn" {
                     self.bump();
                 }
-                return Some(self.fn_signature_and_body(start_line));
+                return Some(self.fn_signature_and_body(start_line, public));
             }
             // `const NAME: Ty = expr;` — the initializer may hold
             // braces; consume with depth tracking.
+            let from = self.pos;
             let mut depth = 0i64;
             while let Some(t) = self.peek(0) {
                 if t.kind == TokKind::Punct {
@@ -772,8 +784,9 @@ impl<'a> Parser<'a> {
                 }
                 self.bump();
             }
+            let idents = self.idents_since(from);
             self.eat(";");
-            return Some(Item { kind: ItemKind::ConstDef, name, line: start_line, end_line: self.prev_line() });
+            return Some(Item { kind: ItemKind::ConstDef(idents), name, line: start_line, end_line: self.prev_line() });
         }
         if self.at_kw("type") {
             self.bump();
@@ -793,14 +806,14 @@ impl<'a> Parser<'a> {
                 self.eat_ident();
             }
             if self.eat("!") {
-                let end_line = if self.at("{") || self.at("(") || self.at("[") {
-                    let l = self.skip_group();
+                let (end_line, idents) = if self.at("{") || self.at("(") || self.at("[") {
+                    let group = self.group_idents();
                     self.eat(";");
-                    l
+                    group
                 } else {
-                    self.prev_line()
+                    (self.prev_line(), Vec::new())
                 };
-                return Some(Item { kind: ItemKind::Other, name, line: start_line, end_line });
+                return Some(Item { kind: ItemKind::MacroInvocation(idents), name, line: start_line, end_line });
             }
             // Not a macro: swallow to the next `;` or balanced group.
             while !self.at_eof() && !self.at(";") && !self.at("}") {
@@ -833,19 +846,37 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_visibility(&mut self) {
-        if self.eat_kw("pub") && self.at("(") {
-            self.skip_group();
+    /// Consumes a visibility qualifier; true for a plain `pub`.
+    fn visibility(&mut self) -> bool {
+        if !self.eat_kw("pub") {
+            return false;
         }
+        if self.at("(") {
+            self.skip_group();
+            return false;
+        }
+        true
     }
 
-    fn fn_item(&mut self, start_line: u32) -> Item {
-        self.bump(); // fn
-        self.fn_signature_and_body(start_line)
+    /// Skips a balanced group (see [`Parser::skip_group`]) and returns
+    /// its close line with every identifier inside it.
+    fn group_idents(&mut self) -> (u32, Vec<String>) {
+        let from = self.pos;
+        let end_line = self.skip_group();
+        (end_line, self.idents_since(from))
+    }
+
+    /// Every identifier token consumed since position `from`.
+    fn idents_since(&self, from: usize) -> Vec<String> {
+        self.toks[from..self.pos]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.clone())
+            .collect()
     }
 
     /// Parses from the fn *name* onward (the `fn` keyword is consumed).
-    fn fn_signature_and_body(&mut self, start_line: u32) -> Item {
+    fn fn_signature_and_body(&mut self, start_line: u32, public: bool) -> Item {
         let name = self.eat_ident().unwrap_or_default();
         self.skip_generics();
         let mut params = Vec::new();
@@ -880,7 +911,7 @@ impl<'a> Parser<'a> {
         };
         let end_line = self.prev_line();
         Item {
-            kind: ItemKind::Fn(FnItem { params, ret, body }),
+            kind: ItemKind::Fn(FnItem { public, params, ret, body }),
             name,
             line: start_line,
             end_line,

@@ -43,7 +43,7 @@ pub struct RuleInfo {
     pub in_tests: bool,
 }
 
-/// All rules, including the two meta rules enforced by the engine.
+/// All rules, including the three meta rules enforced by the engine.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-registry-deps",
@@ -51,7 +51,8 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "The build environment has no crates.io access (DESIGN.md \u{a7}6): a single \
                     registry dependency anywhere in the workspace breaks every build at step \
                     zero. Extend crates/runtime instead of adding a registry crate. Superset of \
-                    tests/no_external_deps.rs, which cross-checks this rule.",
+                    tests/no_external_deps.rs, which cross-checks this rule. Not suppressible: \
+                    a manifest has no lint:allow, and no registry dependency can build here.",
         in_tests: true,
     },
     RuleInfo {
@@ -169,6 +170,22 @@ pub const RULES: &[RuleInfo] = &[
                     when every same-named definition returns `Result` — must propagate with \
                     `?`, bind, or match. (The std blocklist keeps `Vec::push`-style name \
                     collisions out.)",
+        in_tests: false,
+    },
+    RuleInfo {
+        id: "unreferenced-pub-fn",
+        summary: "no library pub fn that no bin, example, tradebench fn, trait method or macro \
+                  body reaches outside tests",
+        rationale: "Code that only its own tests call is a liability: it must be read, kept \
+                    compiling and kept correct, and it reproduces nothing. The workspace call \
+                    graph starts at every fn of a bin, example or tradebench/ target, every \
+                    trait-impl and trait method, and every identifier in a macro_rules! body, \
+                    an item-position macro invocation or a const initializer; a name is \
+                    reached when a reached fn calls it or uses it as a value \
+                    (`.map(Transaction::hash)`). Resolution is by name, so a collision can only \
+                    hide a dead fn, never flag a live one. Delete the fn, or lint:allow it with \
+                    the reason it stays (a test oracle, a paper API). Runs only on a whole \
+                    tree (--workspace), never on a file linted alone.",
         in_tests: false,
     },
     RuleInfo {
@@ -337,6 +354,8 @@ pub fn applies(rule_id: &str, rel_path: &str, target: Target) -> bool {
         // implementation itself (runtime::sync hosts the entry points
         // the rule models as opaque).
         "no-nested-pool-scope" => target == Target::Lib && !raw_thread_exempt(rel_path),
+        // tradebench/ is a bin crate whose modules sit beside main.rs.
+        "unreferenced-pub-fn" => target == Target::Lib && !rel_path.starts_with("tradebench/"),
         // Money arithmetic is a ledger-crate contract.
         "no-unchecked-money-arith" => rel_path.starts_with("crates/ledger/src/"),
         _ => true,

@@ -5,7 +5,7 @@
 //! invariant).
 
 use tradefl_lint::rules::RULES;
-use tradefl_lint::{lint_manifest, lint_source, Finding};
+use tradefl_lint::{lint_manifest, lint_source, lint_tree, Finding};
 
 /// Asserts `src` at `path` yields exactly the rules in `want`
 /// (order-insensitive, duplicates collapsed).
@@ -489,31 +489,78 @@ fn meta_rules_offending_and_clean() {
     );
 }
 
+// --- unreferenced-pub-fn ---------------------------------------------
+
+/// `(file, line, rule)` of every finding [`lint_tree`] — the entry
+/// point `lint_workspace` runs on the files it reads — reports.
+fn tree_findings(files: &[(&str, &str)]) -> Vec<(String, u32, String)> {
+    lint_tree(files).into_iter().map(|f| (f.file, f.line, f.rule)).collect()
+}
+
+const LIB: &str = "crates/x/src/lib.rs";
+
+#[test]
+fn unreferenced_pub_fn_offending_clean_allowed() {
+    // Flagged: only a `#[cfg(test)]` module calls it.
+    let tested_only = "pub fn only_tested() -> u32 {\n    1\n}\n\
+                       #[cfg(test)]\nmod tests {\n    \
+                       #[test]\n    fn t() { assert_eq!(super::only_tested(), 1); }\n}\n";
+    assert_eq!(
+        tree_findings(&[(LIB, tested_only)]),
+        vec![(LIB.to_string(), 1, "unreferenced-pub-fn".to_string())]
+    );
+    // Clean: a trait-impl method, an `assert!` argument, a
+    // `macro_rules!` body, a `.map(Type::f)` value and a bin's `main`
+    // each reach one pub fn; a tradebench module is a bin target too.
+    let lib = "pub struct Counter;\n\
+               impl Iterator for Counter {\n    type Item = u32;\n    \
+               fn next(&mut self) -> Option<u32> { from_trait_impl() }\n}\n\
+               pub fn from_trait_impl() -> Option<u32> { None }\n\
+               pub fn from_assert() -> bool { true }\n\
+               #[macro_export]\nmacro_rules! call_it {\n    () => { $crate::from_macro() };\n}\n\
+               pub fn from_macro() {}\n\
+               pub struct Widget;\n\
+               impl Widget {\n    pub fn id(x: &u64) -> u64 { *x }\n}\n\
+               pub fn from_main() {}\n\
+               pub fn from_tradebench() {}\n";
+    let bin = "fn main() {\n    assert!(x::from_assert());\n    \
+               let ids: Vec<u64> = [1u64].iter().map(x::Widget::id).collect();\n    \
+               x::from_main();\n}\n";
+    let tradebench = "pub fn helper() {\n    x::from_tradebench();\n}\n";
+    let files =
+        [(LIB, lib), ("crates/x/src/bin/tool.rs", bin), ("tradebench/src/rep.rs", tradebench)];
+    assert_eq!(tree_findings(&files), vec![]);
+    // Allowed: a kept oracle carries its reason.
+    let allowed = "// lint:allow(unreferenced-pub-fn): test oracle for the solver\n\
+                   pub fn oracle() -> u32 {\n    1\n}\n";
+    assert_eq!(tree_findings(&[(LIB, allowed)]), vec![]);
+    // A file linted alone cannot see its callers, so the rule is off.
+    clean(LIB, "pub fn lonely() {}\n");
+}
+
 // --- engine-wide invariants ------------------------------------------
 
 #[test]
 fn every_rule_has_explain_text_and_fixture_coverage() {
+    // This file's own text: each rule must be the expected finding of
+    // some fixture above, and each rule an allow can excuse (the ones
+    // whose rationale does not say "Not suppressible") must have a
+    // `lint:allow` fixture too.
+    const FIXTURES: &str = include_str!("fixtures.rs");
     for r in RULES {
         assert!(!r.summary.is_empty() && !r.rationale.is_empty(), "rule {} undocumented", r.id);
-    }
-    let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-    for required in [
-        "no-registry-deps",
-        "no-hash-iteration",
-        "no-wallclock",
-        "no-raw-threads",
-        "no-panic-in-lib",
-        "no-float-eq",
-        "no-alloc-in-hot-loop",
-        "bad-allow",
-        "unused-allow",
-        "unbounded-wire-alloc",
-        "no-unchecked-money-arith",
-        "no-nested-pool-scope",
-        "unused-result",
-        "allow-span-precision",
-    ] {
-        assert!(ids.contains(&required), "missing rule {required}");
+        assert!(
+            FIXTURES.contains(&format!("\"{}\"", r.id)),
+            "rule {} is no fixture's expected finding",
+            r.id
+        );
+        if !r.rationale.contains("Not suppressible") {
+            assert!(
+                FIXTURES.contains(&format!("lint:allow({}):", r.id)),
+                "rule {} has no lint:allow fixture",
+                r.id
+            );
+        }
     }
 }
 

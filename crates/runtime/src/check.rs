@@ -203,6 +203,7 @@ impl Gen {
 
     /// Any `u8` (size leaves the 256-value space alone; it is already
     /// minimal).
+    // lint:allow(unreferenced-pub-fn): a property-test generator: the framework's callers are tests by design
     pub fn any_u8(&mut self) -> u8 {
         (self.rng().next_u64() >> 56) as u8
     }

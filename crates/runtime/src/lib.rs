@@ -25,7 +25,7 @@
 //!   shrinking toward minimal counterexamples) replacing `proptest`;
 //! * [`json`] — a depth-capped JSON reader with typed errors
 //!   replacing `serde_json` for the workspace's schema validators
-//!   (bench baselines, traces, lint reports);
+//!   (bench baselines, traces);
 //! * [`obs`] — zero-cost-when-disabled observability: logical-clock
 //!   events, counters/gauges/histograms, and a deterministic JSONL
 //!   exporter (replacing `tracing` + `metrics`), honoring the

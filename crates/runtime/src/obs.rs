@@ -444,6 +444,7 @@ pub fn reset() {
 /// count is recorded on the calling thread, so `f` sees it). Events
 /// emitted from sequential orchestration code on the calling thread —
 /// the only place events are allowed — are captured exactly.
+// lint:allow(unreferenced-pub-fn): lets the obs unit tests record in isolation while other tests run concurrently
 pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     let rec = Arc::new(Recorder::new());
     let prev_local = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
@@ -575,6 +576,7 @@ impl Snapshot {
     /// Only the event lines of [`Snapshot::to_jsonl`] — the portion the
     /// determinism suite compares across worker counts (metrics like
     /// the pool's task count legitimately depend on the worker count).
+    // lint:allow(unreferenced-pub-fn): test oracle: the event stream the determinism suites compare across worker counts
     pub fn events_jsonl(&self) -> String {
         self.to_jsonl()
             .lines()

@@ -29,6 +29,7 @@ pub struct NashCertificate {
 impl NashCertificate {
     /// Whether the certified profile is an ε-Nash equilibrium for the
     /// given tolerance.
+    // lint:allow(unreferenced-pub-fn): paper API: the verdict of the E10 equilibrium certificate
     pub fn is_epsilon_nash(&self, epsilon: f64) -> bool {
         self.epsilon <= epsilon
     }
@@ -58,6 +59,7 @@ impl NashCertificate {
 /// * Propagates profile-validation failures;
 /// * [`SolveError::InfeasibleProblem`] if some organization has no
 ///   feasible strategy at all.
+// lint:allow(unreferenced-pub-fn): paper API: E10 certifies an equilibrium by exhaustive unilateral deviation
 pub fn certify_nash<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     profile: &StrategyProfile,
@@ -71,6 +73,7 @@ pub fn certify_nash<A: AccuracyModel>(
 /// # Errors
 ///
 /// See [`certify_nash`].
+// lint:allow(unreferenced-pub-fn): paper API: E10's certificate under an explicit accuracy model
 pub fn certify_nash_for<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     profile: &StrategyProfile,

@@ -266,6 +266,7 @@ impl CgbdSolver {
 ///
 /// Returns an error if every assignment is infeasible or a primal solve
 /// fails numerically.
+// lint:allow(unreferenced-pub-fn): test oracle: the brute-force optimum CGBD's properties are checked against
 pub fn exhaustive_optimum<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     primal_tol: f64,

@@ -36,6 +36,7 @@ pub fn deadline_residuals<A: AccuracyModel>(
 }
 
 /// Potential `U(d; f)` for an explicit `(d, levels)` pair.
+// lint:allow(unreferenced-pub-fn): test oracle: the potential the GBD cut tests evaluate Lagrangians with
 pub fn potential_at<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     d: &[f64],

@@ -142,11 +142,6 @@ impl Equilibrium {
             payoff_traces,
         }
     }
-
-    /// Final payoff vector (last row of the payoff trace, or recomputed).
-    pub fn final_payoffs<A: AccuracyModel>(&self, game: &CoopetitionGame<A>) -> Vec<f64> {
-        (0..game.market().len()).map(|i| game.payoff(&self.profile, i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,6 +175,5 @@ mod tests {
         assert_eq!(eq.scheme, Scheme::Dbr);
         assert!((eq.welfare - game.social_welfare(&p)).abs() < 1e-9);
         assert!((eq.total_fraction - 0.03).abs() < 1e-12);
-        assert_eq!(eq.final_payoffs(&game).len(), 3);
     }
 }

@@ -30,23 +30,20 @@ fi
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> static analysis: tradefl-lint --workspace --json (DESIGN.md §7)"
+echo "==> static analysis: tradefl-lint --workspace (DESIGN.md §7)"
 cargo build -p tradefl-lint --release -q
-lint_json="$(mktemp -t tradefl-lint.XXXXXX.json)"
 # The runtime budget times the analysis itself (the binary is already
-# built above), keeping the gate cheap enough to run on every push.
+# built above), keeping the gate cheap enough to run on every push. The
+# exit code is the gate: 1 on any finding, each printed as
+# `file:line: [rule] message`.
 lint_start_ms=$(($(date +%s%N) / 1000000))
-target/release/tradefl-lint --workspace --json > "$lint_json"
+target/release/tradefl-lint --workspace
 lint_elapsed_ms=$((($(date +%s%N) / 1000000) - lint_start_ms))
 echo "  lint runtime: ${lint_elapsed_ms}ms (budget 5000ms, release)"
 if [ "$lint_elapsed_ms" -ge 5000 ]; then
   echo "ci.sh: lint runtime budget exceeded (${lint_elapsed_ms}ms >= 5000ms)" >&2
   exit 1
 fi
-# The emitted report must satisfy the tradefl-lint/v2 schema contract
-# (in-tree checker, no external tooling).
-target/release/tradefl-lint --check-json "$lint_json"
-rm -f "$lint_json"
 
 echo "==> rustc warnings: none in any workspace target"
 # Dead private code a refactor leaves behind (an unused helper, a field

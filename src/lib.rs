@@ -113,6 +113,7 @@ pub mod pipeline {
         }
 
         /// A smaller, fast configuration for tests and demos.
+        // lint:allow(unreferenced-pub-fn): the crate-level quick-start config the pipeline tests run
         pub fn quick() -> Self {
             Self {
                 market: MarketConfig::table_ii().with_orgs(4),
