@@ -237,9 +237,17 @@ impl MarketConfig {
 
     /// Draws a sparse symmetric competition structure as upper-triangle
     /// triplets and rescales the values so every `z_i` stays positive,
-    /// without ever materializing the dense matrix. Memory is O(nnz);
-    /// the work is linear passes plus one O(nnz log nnz) sort of the
-    /// drawn pairs in a flat `Vec`.
+    /// without ever materializing the dense matrix. Memory is O(nnz).
+    ///
+    /// Row `i` draws `per_row` partners `j`. A counting sort buckets
+    /// each draw by `min(i, j)` and stores `max(i, j)`; sorting and
+    /// deduplicating each bucket (`per_row` draws on average) then
+    /// yields the unordered pairs in ascending `(i, j)` order, each
+    /// once. The work is linear passes plus those small per-row sorts.
+    /// The triplets come out sorted, so every row of
+    /// [`RhoMatrix::from_triplets`] arrives in column order.
+    ///
+    /// [`RhoMatrix::from_triplets`]: crate::market::RhoMatrix::from_triplets
     fn sample_rho_sparse(
         &self,
         rng: &mut StdRng,
@@ -253,22 +261,47 @@ impl MarketConfig {
             return Vec::new();
         }
         let per_row = ((density * (n - 1) as f64).ceil() as usize).clamp(1, n - 1);
-        // Sorted and deduplicated: deterministic order, and each
-        // unordered pair kept at most once.
-        let mut pairs = Vec::with_capacity(n * per_row);
+        // Only `j` is kept: draw k came from row k / per_row.
+        let mut partners = Vec::with_capacity(n * per_row);
         for i in 0..n {
             for _ in 0..per_row {
                 let j = rng.gen_range(0..n - 1);
-                let j = if j >= i { j + 1 } else { j };
-                pairs.push((i.min(j), i.max(j)));
+                partners.push(if j >= i { j + 1 } else { j });
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut triplets: Vec<(usize, usize, f64)> = pairs
-            .into_iter()
-            .map(|(i, j)| (i, j, normal(rng, mu, sigma).clamp(0.0, 1.0)))
-            .collect();
+        let mut start = vec![0usize; n + 1];
+        for (i, row) in partners.chunks_exact(per_row).enumerate() {
+            for &j in row {
+                start[i.min(j) + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start[..n].to_vec();
+        let mut buckets = vec![0usize; partners.len()];
+        for (i, row) in partners.chunks_exact(per_row).enumerate() {
+            for &j in row {
+                let lo = i.min(j);
+                buckets[next[lo]] = i.max(j);
+                next[lo] += 1;
+            }
+        }
+        drop(partners);
+        // Ascending (i, j), each unordered pair kept at most once: the
+        // order the normal draws below are taken in.
+        let mut triplets = Vec::with_capacity(buckets.len());
+        for i in 0..n {
+            let bucket = &mut buckets[start[i]..start[i + 1]];
+            bucket.sort_unstable();
+            let mut prev = None;
+            for &j in bucket.iter() {
+                if prev != Some(j) {
+                    triplets.push((i, j, normal(rng, mu, sigma).clamp(0.0, 1.0)));
+                    prev = Some(j);
+                }
+            }
+        }
         // Same z_i > 0 rescale as the dense path, computed from the
         // stored entries only (each triplet pressures both endpoints).
         let mut pressure = vec![0.0f64; n];

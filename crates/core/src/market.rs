@@ -2,6 +2,7 @@
 
 use crate::error::{ensure_in_range, ensure_positive, ModelError, Result};
 use crate::org::Organization;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Global mechanism and platform parameters (§III, Table II).
@@ -116,7 +117,9 @@ impl RhoMatrix {
     /// triangle triplets `(i, j, v)`. Each triplet is mirrored to both
     /// `(i, j)` and `(j, i)`; exact zeros are dropped. A counting sort
     /// places the entries row by row, so the build is O(nnz) apart from
-    /// sorting each row by column.
+    /// sorting each row by column. A row that arrives strictly
+    /// ascending is left as it is; upper-triangle triplets sorted by
+    /// `(i, j)` make every row arrive so, and the build is then O(nnz).
     ///
     /// # Errors
     ///
@@ -159,6 +162,11 @@ impl RhoMatrix {
         let mut row = Vec::new();
         for i in 0..n {
             let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            // A strictly ascending row is already sorted and holds no
+            // duplicate.
+            if cols[lo..hi].windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
             row.clear();
             row.extend(cols[lo..hi].iter().copied().zip(vals[lo..hi].iter().copied()));
             row.sort_unstable_by_key(|e| e.0);
@@ -241,11 +249,16 @@ impl RhoMatrix {
     /// The structural pass checks the shape: `n + 1` row offsets that
     /// start at 0, never decrease and end at the entry count, and each
     /// row's columns are in range and strictly ascending. Only then
-    /// does the value pass read entries, in row-major order: each must
-    /// lie in `[0, 1]`, the diagonal must be zero, and each entry must
-    /// match its transpose within 1e-12. Errors follow the order of the
-    /// passes: a structural defect is reported before any value defect,
-    /// even one in an earlier row.
+    /// does the value pass read entries: each must lie in `[0, 1]`, the
+    /// diagonal must be zero, and each entry must match its transpose
+    /// within 1e-12. Errors follow the order of the passes: a
+    /// structural defect is reported before any value defect, even one
+    /// in an earlier row.
+    ///
+    /// The value pass first decides with [`Self::values_hold`], which
+    /// looks up one transpose per unordered pair. Only if that fails
+    /// does it rerun the checks entry by entry in row-major order, to
+    /// name the first defect.
     fn validate(&self, n: usize) -> Result<()> {
         let Self { n: dim, row_ptr, cols, vals } = self;
         if *dim != n || row_ptr.len() != n + 1 || cols.len() != vals.len() {
@@ -273,6 +286,9 @@ impl RhoMatrix {
         if row_ptr[n] != cols.len() {
             return Err(ModelError::DimensionMismatch { expected: n, found: row_ptr[n] });
         }
+        if self.values_hold() {
+            return Ok(());
+        }
         // Rows are visited in ascending i and each holds column j at
         // most once, so row j is asked for ascending columns: one
         // forward cursor per row finds every transpose in O(nnz) total
@@ -291,6 +307,49 @@ impl RhoMatrix {
             }
         }
         Ok(())
+    }
+
+    /// Whether every entry of a structurally valid matrix lies in
+    /// `[0, 1]`, the diagonal is zero, and every entry matches its
+    /// transpose within 1e-12. A `true` is exact; a `false` may be
+    /// wrong only when an unpaired entry is within 1e-12 of zero, which
+    /// the entry-by-entry pass in [`Self::validate`] then accepts.
+    ///
+    /// Only an upper entry (`j > i`) looks up its transpose, with the
+    /// same forward cursor per row as the entry-by-entry pass. Distinct
+    /// upper entries have distinct transposes, so once every upper
+    /// entry is matched, equal upper and lower counts leave no lower
+    /// entry unmatched.
+    fn values_hold(&self) -> bool {
+        let Self { n, row_ptr, cols, vals } = self;
+        let mut cursor = row_ptr[..*n].to_vec();
+        let (mut upper, mut lower) = (0usize, 0usize);
+        for i in 0..*n {
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                let (j, v) = (cols[k], vals[k]);
+                if !(0.0..=1.0).contains(&v) {
+                    return false;
+                }
+                match j.cmp(&i) {
+                    Ordering::Less => lower += 1,
+                    // lint:allow(no-float-eq): rho_ii must be exactly zero by construction
+                    Ordering::Equal if v != 0.0 => return false,
+                    Ordering::Equal => {}
+                    Ordering::Greater => {
+                        upper += 1;
+                        let end = row_ptr[j + 1];
+                        let c = &mut cursor[j];
+                        while *c < end && cols[*c] < i {
+                            *c += 1;
+                        }
+                        if !(*c < end && cols[*c] == i && (v - vals[*c]).abs() <= 1e-12) {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        upper == lower
     }
 }
 
@@ -1001,6 +1060,30 @@ mod tests {
             );
         }
 
+        fn sorted_upper_triplets_build_what_shuffled_mirrored_ones_do(g) {
+            // Sorted upper-triangle input, as `build_sparse` emits it,
+            // makes every scattered row arrive strictly ascending, so
+            // `from_triplets` skips its row sort unless a pair repeats.
+            let (n, mut shuffled) = valid_triplets(g);
+            for t in &mut shuffled {
+                if g.bool(0.1) {
+                    t.2 = if g.bool(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+            if !shuffled.is_empty() && g.bool(0.3) {
+                let (i, j, w) = shuffled[g.usize(0..shuffled.len())];
+                let v = if g.bool(0.5) { w } else { 0.0 };
+                let dup = if g.bool(0.5) { (i, j, v) } else { (j, i, v) };
+                shuffled.insert(g.usize(0..=shuffled.len()), dup);
+            }
+            let mut sorted: Vec<_> =
+                shuffled.iter().map(|&(i, j, v)| (i.min(j), i.max(j), v)).collect();
+            sorted.sort_by_key(|t| (t.0, t.1));
+            let built = RhoMatrix::from_triplets(n, &sorted);
+            prop_assert_eq!(&built, &RhoMatrix::from_triplets(n, &shuffled));
+            prop_assert_eq!(built, from_triplets_reference(n, &shuffled));
+        }
+
         fn cursor_validation_matches_the_binary_search_reference(g) {
             let (n, triplets) = valid_triplets(g);
             let valid = RhoMatrix::from_triplets(n, &triplets).unwrap();
@@ -1009,20 +1092,52 @@ mod tests {
             let r = g.usize(0..n);
             let row = &mut rows[r];
             let k = (!row.is_empty()).then(|| g.usize(0..row.len()));
-            match (g.usize(0..7), k) {
-                (0, _) => {}
-                (1, Some(k)) => row[k].1 = g.f64(-0.5..1.5),
+            let structural = match (g.usize(0..7), k) {
+                (0, _) => false,
+                (1, Some(k)) => {
+                    row[k].1 = g.f64(-0.5..1.5);
+                    false
+                }
                 // Straddles the 1e-12 symmetry tolerance.
-                (2, Some(k)) => row[k].1 += g.f64(0.0..2e-12),
+                (2, Some(k)) => {
+                    row[k].1 += g.f64(0.0..2e-12);
+                    false
+                }
                 (3, Some(k)) => {
                     row.remove(k);
+                    false
                 }
-                (4, Some(k)) => row.insert(k + 1, row[k]),
+                (4, Some(k)) => {
+                    row.insert(k + 1, row[k]);
+                    true
+                }
                 (5, _) => {
                     let v = if g.bool(0.5) { 0.0 } else { g.f64(0.0..0.5) };
                     row.insert(row.partition_point(|e| e.0 < r), (r, v));
+                    false
                 }
-                _ => row.push((n + g.usize(0..3), g.f64(0.0..0.5))),
+                _ => {
+                    row.push((n + g.usize(0..3), g.f64(0.0..0.5)));
+                    true
+                }
+            };
+            // Sometimes a second value defect in the same or a later row,
+            // such as an entry removed before an out-of-range value: the
+            // first defect in row-major order must still be the one
+            // named. (A structural defect is named before any value
+            // defect, so it takes no second one.)
+            if !structural && g.bool(0.5) {
+                let row = &mut rows[g.usize(r..n)];
+                if !row.is_empty() {
+                    let k = g.usize(0..row.len());
+                    match g.usize(0..3) {
+                        0 => {
+                            row.remove(k);
+                        }
+                        1 => row[k].1 = 1.0 + g.f64(1e-9..0.5),
+                        _ => row[k].1 = -g.f64(1e-9..0.5),
+                    }
+                }
             }
             let row_ptr = std::iter::once(0)
                 .chain(rows.iter().scan(0, |end, row| {

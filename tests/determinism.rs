@@ -201,6 +201,18 @@ fn build_sparse_matches_its_golden_fingerprint() {
     assert_eq!(csr_fingerprint(market.rho_matrix()), 0x309b_0e68_bee4_dfb6);
 }
 
+#[test]
+fn build_sparse_at_the_tune_n10000_row_width_matches_its_golden_fingerprint() {
+    // The row width `tradebench`'s tune_n10000 builds (N=10,000 at
+    // density 0.01): ceil(0.02 · 4999) = 100 partners drawn per row, so
+    // ~100 pairs land in each row's bucket, at half the orgs to keep the
+    // debug build quick. The constant was recorded before the build
+    // bucketed its pairs by row, skipped re-sorting sorted rows and
+    // halved its transpose lookups.
+    let market = MarketConfig::table_ii().with_orgs(5000).build_sparse(1, 0.02).unwrap();
+    assert_eq!(csr_fingerprint(market.rho_matrix()), 0xd554_6d3d_cbe8_3704);
+}
+
 /// FNV-1a over a trained model's parameter bits, then each history
 /// row's round, loss bits and accuracy bits.
 fn training_fingerprint(model: &tradefl::fl::Mlp, history: &[tradefl::fl::RoundMetrics]) -> u64 {
