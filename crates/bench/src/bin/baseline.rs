@@ -11,8 +11,10 @@
 //!   anything is timed, each side cycling a ring of distinct operands.
 //! * **solver** — CGBD master traversal (reference odometer vs table
 //!   scan), one DBR solve and one best response; DBR at N = 10 / 100 /
-//!   1000 / 10 000 orgs (Theorem 2); CGBD with the traversal master at
-//!   N = 2..5 (Lemma 4); the DESIGN.md §8 ablations.
+//!   1000 / 10 000 orgs (Theorem 2); γ tuning on a 1000-org market,
+//!   serially and with its candidates solved on the pool; CGBD with
+//!   the traversal master at N = 2..5 (Lemma 4); the DESIGN.md §8
+//!   ablations.
 //! * **fl** — one local SGD step at the `pipeline_n64` model shape;
 //!   FedAvg rounds at paper scale and at N = 10 / 100 / 1000 silos,
 //!   with the streaming reduce's buffer footprint; generating a
@@ -71,6 +73,7 @@ use tradefl_solver::gbd::{
     solve_master, traverse_reference, traverse_tables, Cut, CutTables, MasterSearch,
 };
 use tradefl_solver::primal::PrimalProblem;
+use tradefl_solver::tuning::{tune_gamma_with, TuneOptions};
 
 const SCHEMA: &str = "tradefl-bench/v2";
 const DEFAULT_OUT: &str = "BENCH_baselines.json";
@@ -145,6 +148,7 @@ fn registry() -> Vec<Entry> {
         }),
     });
     rows.push(entry("dbr_solve_n10000", "solver", true, 5, bench_dbr_sparse_10k));
+    rows.push(entry("tune_gamma_n1000", "solver", true, 5, bench_tune_gamma));
     rows.push(Entry {
         layer: "solver",
         rows: [2, 3, 4, 5].map(|n| (format!("cgbd_traversal_scaling_n{n}"), false)).into(),
@@ -508,6 +512,21 @@ fn bench_dbr_sparse_10k(repeats: usize) -> Fields {
         ("rho_nnz", nnz as f64),
         ("rho_resident_bytes", resident as f64),
     ]
+}
+
+/// γ tuning (`tune_n10000`'s cut-down search: 4 grid points, the
+/// golden-section pair and one refinement step) on a sparse 1000-org
+/// market. The pool solves the grid points side by side, then the pair.
+fn bench_tune_gamma(repeats: usize) -> Fields {
+    let market = MarketConfig::table_ii()
+        .with_orgs(1000)
+        .build_sparse(SEED, SPARSE_DENSITY)
+        .expect("sparse market builds");
+    let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+    let options = TuneOptions { grid: 3, refine_iters: 1, ..TuneOptions::default() };
+    pooled_fields(time_on_pools(repeats, &|pool| {
+        black_box(tune_gamma_with(&g, options, pool).expect("tuning converges"));
+    }))
 }
 
 /// CGBD with the exhaustive traversal master: Lemma 4's `O(I·m^|N|)`,
@@ -1239,6 +1258,9 @@ mod tests {
                 ("solve_ms", 200.0), ("with_params_ms", 20.0), ("rho_nnz", 2e6),
                 ("rho_resident_bytes", 33e6),
             ]),
+            row("tune_gamma_n1000", "solver", &[
+                ("serial_ms", 40.0), ("pooled_1w_ms", 40.0), ("pooled_ms", 25.0), ("speedup", 1.6),
+            ]),
             row("multi_session_4v", "engine", &[
                 ("txs", 54.0), ("setup_ms", 0.2), ("run_ms", 6.0), ("round_p99_ms", 0.8),
                 ("settlements_per_sec", 9000.0),
@@ -1281,7 +1303,7 @@ mod tests {
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(13));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(14));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
@@ -1488,6 +1510,7 @@ mod tests {
             "dbr_solve_n100",
             "dbr_solve_n1000",
             "dbr_solve_n10000",
+            "tune_gamma_n1000",
             "fedavg_round_n10",
             "fedavg_round_n100",
             "fedavg_round_n1000",

@@ -11,7 +11,11 @@
 //!   only emit events from *sequential orchestration code* (a solver's
 //!   iteration loop, FedAvg's round loop, a node's mining step), so
 //!   the event stream is bit-identical for every worker count and the
-//!   determinism suite can diff it directly.
+//!   determinism suite can diff it directly. Where whole sequential
+//!   runs become pool tasks (γ tuning's candidate solves), each task
+//!   records under [`capture`] and the caller replays the snapshots
+//!   with [`absorb`] in task order, which re-stamps their events on
+//!   its own clocks: the stream a serial loop over the tasks records.
 //! * **Counters / gauges / histograms** are order-independent
 //!   aggregates (sums, last-write, bucket tallies). They *may* be
 //!   bumped from pool threads — totals are stable, but they are
@@ -234,6 +238,16 @@ impl Histogram {
         self.max = self.max.max(v);
         self.buckets[Self::bucket_index(v)] += 1;
     }
+
+    fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (into, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *into += n;
+        }
+    }
 }
 
 /// Everything a recorder holds, cloned out by [`snapshot`].
@@ -269,6 +283,26 @@ struct EventBuf {
     dropped: u64,
 }
 
+impl EventBuf {
+    /// Stamps the next tick of `subsystem`'s clock and buffers the
+    /// event, or counts it as dropped past [`MAX_EVENTS`] (the clock
+    /// ticks either way). `fields` is only built for a buffered event.
+    fn push(
+        &mut self,
+        subsystem: Subsystem,
+        name: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
+        let seq = self.clocks[subsystem.index()];
+        self.clocks[subsystem.index()] += 1;
+        if self.records.len() >= MAX_EVENTS {
+            self.dropped += 1;
+            return;
+        }
+        self.records.push(Event { subsystem, seq, name, fields: fields() });
+    }
+}
+
 impl Recorder {
     /// A fresh, empty recorder.
     pub fn new() -> Self {
@@ -276,14 +310,7 @@ impl Recorder {
     }
 
     fn event(&self, subsystem: Subsystem, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        let mut buf = self.events.lock();
-        let seq = buf.clocks[subsystem.index()];
-        buf.clocks[subsystem.index()] += 1;
-        if buf.records.len() >= MAX_EVENTS {
-            buf.dropped += 1;
-            return;
-        }
-        buf.records.push(Event { subsystem, seq, name, fields: fields.to_vec() });
+        self.events.lock().push(subsystem, name, || fields.to_vec());
     }
 
     fn counter_add(&self, name: &str, n: u64) {
@@ -314,6 +341,33 @@ impl Recorder {
                 let mut h = Histogram::new();
                 h.record(v);
                 hists.insert(name.to_string(), h);
+            }
+        }
+    }
+
+    /// Replays `snap` as if its recording had happened here: events
+    /// re-stamped on this recorder's clocks in their captured order,
+    /// counters, histograms and `events_dropped` added, gauges set.
+    fn absorb(&self, snap: Snapshot) {
+        let mut buf = self.events.lock();
+        for ev in snap.events {
+            buf.push(ev.subsystem, ev.name, || ev.fields);
+        }
+        buf.dropped += snap.events_dropped;
+        drop(buf);
+        for (name, n) in &snap.counters {
+            self.counter_add(name, *n);
+        }
+        for (name, v) in &snap.gauges {
+            self.gauge_set(name, *v);
+        }
+        let mut hists = self.histograms.lock();
+        for (name, h) in snap.histograms {
+            match hists.get_mut(&name) {
+                Some(into) => into.merge(&h),
+                None => {
+                    hists.insert(name, h);
+                }
             }
         }
     }
@@ -441,10 +495,11 @@ pub fn reset() {
 /// off. Threads a pool scope starts inside `f` have no local recorder:
 /// tasks running there record to the global one, and only while the
 /// process-wide flag is on (the scope's own `pool.tasks_executed`
-/// count is recorded on the calling thread, so `f` sees it). Events
-/// emitted from sequential orchestration code on the calling thread —
-/// the only place events are allowed — are captured exactly.
-// lint:allow(unreferenced-pub-fn): lets the obs unit tests record in isolation while other tests run concurrently
+/// count is recorded on the calling thread, so `f` sees it). Tasks
+/// that run under [`capture`] record locally instead, and the caller
+/// replays them with [`absorb`]. Events emitted from sequential
+/// orchestration code on the calling thread — the only place events
+/// are allowed — are captured exactly.
 pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     let rec = Arc::new(Recorder::new());
     let prev_local = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
@@ -452,6 +507,35 @@ pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     LOCAL.with(|local| *local.borrow_mut() = prev_local);
     let snap = rec.snapshot();
     (out, snap)
+}
+
+/// Runs one pooled task's body so that its telemetry can be replayed in
+/// task order: under its own [`with_local`] recorder when `recording`,
+/// plainly (returning no snapshot) otherwise. The caller reads
+/// `recording` with [`is_enabled`] on its own thread before the scope,
+/// since pool threads see neither its local recorder nor, for a
+/// caller recording locally, any recorder at all; it then hands each
+/// task's snapshot to [`absorb`] in task order, so the exported event
+/// stream is the one a serial loop over the tasks records.
+pub fn capture<R>(recording: bool, f: impl FnOnce() -> R) -> (R, Option<Snapshot>) {
+    if recording {
+        let (out, snap) = with_local(f);
+        (out, Some(snap))
+    } else {
+        (f(), None)
+    }
+}
+
+/// Replays a [`capture`]d snapshot into the calling thread's active
+/// recorder: its events are re-stamped on this recorder's logical
+/// clocks, in their captured order; counters, histogram tallies and
+/// `events_dropped` are added; gauges are set in name order. No-op
+/// when disabled.
+pub fn absorb(snapshot: Snapshot) {
+    if !is_enabled() {
+        return;
+    }
+    with_active(|rec| rec.absorb(snapshot));
 }
 
 // ---- JSONL export ------------------------------------------------------
@@ -809,6 +893,98 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.events.len(), MAX_EVENTS);
         assert_eq!(snap.events_dropped, 1);
+    }
+
+    /// Two task bodies, captured as a pooled caller does, to be
+    /// absorbed by the test in either order.
+    fn captured_pair() -> (Snapshot, Snapshot) {
+        let task = |tag: &'static str, rounds: u64| {
+            capture(true, || {
+                for round in 0..rounds {
+                    event(Subsystem::Dbr, tag, &[("round", round.into())]);
+                }
+                event(Subsystem::Cgbd, tag, &[]);
+                counter_add("dbr.incremental_updates", rounds);
+                hist_record("dbr.br_delta", rounds as f64);
+                gauge_set("last", rounds as f64);
+            })
+            .1
+            .unwrap()
+        };
+        (task("a", 2), task("b", 3))
+    }
+
+    #[test]
+    fn absorbed_events_take_gap_free_seqs_in_absorb_order() {
+        let (a, b) = captured_pair();
+        let ((), snap) = with_local(|| {
+            event(Subsystem::Dbr, "caller", &[]);
+            absorb(b);
+            absorb(a);
+        });
+        let stamped: Vec<_> = snap.events.iter().map(|e| (e.subsystem, e.seq, e.name)).collect();
+        assert_eq!(
+            stamped,
+            [
+                (Subsystem::Dbr, 0, "caller"),
+                (Subsystem::Dbr, 1, "b"),
+                (Subsystem::Dbr, 2, "b"),
+                (Subsystem::Dbr, 3, "b"),
+                (Subsystem::Cgbd, 0, "b"),
+                (Subsystem::Dbr, 4, "a"),
+                (Subsystem::Dbr, 5, "a"),
+                (Subsystem::Cgbd, 1, "a"),
+            ]
+        );
+        assert_eq!(snap.events[2].fields, [("round", FieldValue::U64(1))]);
+        assert_eq!(snap.gauges["last"], 2.0, "the last absorbed gauge wins");
+    }
+
+    #[test]
+    fn absorbed_counters_and_histograms_sum() {
+        let (a, b) = captured_pair();
+        let ((), snap) = with_local(|| {
+            counter_add("dbr.incremental_updates", 10);
+            hist_record("dbr.br_delta", 0.5);
+            absorb(a);
+            absorb(b);
+        });
+        assert_eq!(snap.counters["dbr.incremental_updates"], 15);
+        let h = &snap.histograms["dbr.br_delta"];
+        assert_eq!((h.count, h.sum, h.min, h.max), (3, 5.5, 0.5, 3.0));
+        let mut want = [0u64; Histogram::BUCKETS];
+        for v in [0.5, 2.0, 3.0] {
+            want[Histogram::bucket_index(v)] += 1;
+        }
+        assert_eq!(h.buckets, want);
+    }
+
+    #[test]
+    fn absorbed_drops_carry_over() {
+        let captured = Snapshot { events_dropped: 7, ..Snapshot::default() };
+        let ((), snap) = with_local(|| absorb(captured));
+        assert_eq!(snap.events_dropped, 7);
+        assert!(snap.to_jsonl().starts_with(
+            "{\"kind\":\"meta\",\"schema\":\"tradefl-trace/v1\",\"events\":0,\"events_dropped\":7}"
+        ));
+    }
+
+    #[test]
+    fn nothing_is_captured_when_the_caller_is_not_recording() {
+        // As in `disabled_recorder_records_nothing`, this thread records
+        // nowhere outside `with_local`.
+        let recording = is_enabled();
+        assert!(!recording);
+        let (out, snap) = capture(recording, || {
+            event(Subsystem::Dbr, "round", &[]);
+            counter_add("c", 1);
+            3
+        });
+        assert_eq!(out, 3);
+        assert!(snap.is_none());
+        absorb(Snapshot { events_dropped: 1, ..Snapshot::default() });
+        assert_eq!(global().snapshot().events_dropped, 0);
+        assert!(global().snapshot().events.is_empty());
     }
 
     #[test]

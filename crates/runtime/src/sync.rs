@@ -13,7 +13,8 @@
 //! therefore sound here — the rationale `parking_lot` applies globally.
 //!
 //! The [`pool`] submodule holds the fork-join pool the FedAvg round,
-//! the DBR payoff trace and the synthetic dataset generator run on.
+//! the DBR payoff trace, γ tuning's candidate solves and the synthetic
+//! dataset generator run on.
 
 pub mod pool;
 

@@ -3,10 +3,12 @@
 //! [`Pool::scope`] collects the tasks its body spawns, then runs them:
 //! on the calling thread when there is one task or one worker,
 //! otherwise on `min(workers, tasks)` threads that pop from one shared
-//! queue until it is empty. Every caller queues at most one task per
+//! queue until it is empty. Most callers queue at most one task per
 //! worker (FedAvg's edge-group window, DBR's payoff-trace chunks, the
-//! synthetic dataset generator's row chunks), so nothing here balances
-//! load beyond that.
+//! synthetic dataset generator's row chunks). γ tuning queues one task
+//! per candidate, more than the workers on its grid pass (4 candidates
+//! on 2 workers for `tune_n10000`); a thread that finishes pops the
+//! next one. Nothing here balances load beyond that shared queue.
 //!
 //! Two deliberate design points, both downstream of the workspace's
 //! `#![forbid(unsafe_code)]`:

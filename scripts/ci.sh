@@ -111,7 +111,10 @@ echo "==> benchmark cycle: one tradebench cycle per workload is correct"
 # entries at once or binary-searches each transpose reads ~3, one that
 # sorts all drawn pairs at once and re-sorts every row ~0.7-0.8, and
 # the bucketed build that skips sorted rows and looks up one transpose
-# per pair 0.52-0.60 (seeds 1 and 5, 2-core x86-64-v4 host).
+# per pair 0.49-0.58 against serial tuning (seeds 1 and 7, 2-core
+# x86-64-v4 host). Tuning with its grid pass and golden-section pair
+# solved on the pool shortens wall_s by about a third, so the same build
+# reads 0.63-0.88 there (20 runs, same seeds and host).
 max_replication_overhead=10
 max_setup_over_wall=1.0
 for w in pipeline_n64 sessions_faulty tune_n10000; do

@@ -27,3 +27,21 @@ fn a_parse_error_exits_1_with_the_usage_text() {
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn tune_prints_the_same_bytes_at_any_pool_width() {
+    // `TRADEFL_THREADS` sizes the child's global pool, on which the
+    // grid pass and the golden-section pair are solved concurrently.
+    let run = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tradefl"))
+            .args(["tune", "--orgs", "8", "--seed", "3"])
+            .env("TRADEFL_THREADS", threads)
+            .output()
+            .expect("tradefl runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let serial = run("1");
+    assert!(String::from_utf8_lossy(&serial).contains("tuned incentive intensity"));
+    assert_eq!(run("2"), serial);
+}

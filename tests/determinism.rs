@@ -484,6 +484,35 @@ fn pooled_dbr_is_bit_identical_for_any_worker_count() {
 }
 
 #[test]
+fn pooled_tune_gamma_is_bit_identical_for_any_worker_count() {
+    use tradefl::solver::tuning::{tune_gamma_with, TuneOptions};
+
+    // 4 grid points, the golden-section pair and one refinement step:
+    // the grid and the pair fan out at every width ≥ 2, and each
+    // candidate's DBR `round` events are replayed in γ order.
+    let market = MarketConfig::table_ii().with_orgs(1000).build_sparse(4, 0.01).unwrap();
+    let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+    let options = TuneOptions { grid: 3, refine_iters: 1, ..TuneOptions::default() };
+    let runs: Vec<_> = [1usize, 2, 4]
+        .iter()
+        .map(|&w| run_pooled(w, |pool| tune_gamma_with(&game, options, pool).unwrap()))
+        .collect();
+    let (report0, stream0) = &runs[0];
+    assert_eq!(report0.samples.len(), 7);
+    assert!(stream0.lines().any(|l| l.contains("\"sub\":\"dbr\"")), "no DBR events");
+    for ((report, stream), width) in runs.iter().zip([1, 2, 4]) {
+        let bits = |r: &tradefl::solver::tuning::TuneReport| {
+            let samples = r.samples.iter().flat_map(|s| {
+                [s.gamma.to_bits(), s.welfare.to_bits(), s.total_fraction.to_bits()]
+            });
+            samples.chain([r.gamma_star.to_bits(), r.welfare.to_bits()]).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(report), bits(report0), "tuning differs at width {width}");
+        assert_eq!(stream, stream0, "event stream differs at width {width}");
+    }
+}
+
+#[test]
 fn pooled_fedavg_is_bit_identical_for_any_worker_count() {
     // 36 silos span two edge groups; with the cycled fractions they
     // contribute 2208 samples, so one local epoch clears the
