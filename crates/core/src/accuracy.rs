@@ -154,19 +154,9 @@ impl SqrtAccuracy {
         Self { epochs: 5.0, scale: 2.08e8, a0: 0.80 }
     }
 
-    /// Number of training epochs `G`.
-    pub fn epochs(&self) -> f64 {
-        self.epochs
-    }
-
     /// Data normalization constant (bits per dimensionless unit).
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// Untrained-model accuracy loss `A(0)`.
-    pub fn a0(&self) -> f64 {
-        self.a0
     }
 
     /// Accuracy *loss* `A(Ω)` of the bound itself.

@@ -215,34 +215,6 @@ impl RhoMatrix {
         self.cols[lo..hi].iter().copied().zip(self.vals[lo..hi].iter().copied())
     }
 
-    /// Restricts the matrix to the given (duplicate-free, in-range)
-    /// index subset. Row order follows `indices`; rows are re-sorted by
-    /// new column index so the CSR invariant holds for any index order.
-    pub fn restrict(&self, indices: &[usize]) -> RhoMatrix {
-        let mut new_index = vec![usize::MAX; self.n];
-        for (new_j, &old_j) in indices.iter().enumerate() {
-            new_index[old_j] = new_j;
-        }
-        let mut row_ptr = vec![0usize; indices.len() + 1];
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        let mut row = Vec::new();
-        for (new_i, &old_i) in indices.iter().enumerate() {
-            row.clear();
-            row.extend(
-                self.row_iter(old_i)
-                    .map(|(j, v)| (new_index[j], v))
-                    .filter(|&(j, _)| j != usize::MAX),
-            );
-            row.sort_by_key(|e| e.0);
-            for &(j, v) in &row {
-                cols.push(j);
-                vals.push(v);
-            }
-            row_ptr[new_i + 1] = cols.len();
-        }
-        Self { n: indices.len(), row_ptr, cols, vals }
-    }
-
     /// Validates `ρ` for `n` organizations in two passes, both O(N +
     /// nnz).
     ///
@@ -494,6 +466,7 @@ impl Market {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    // lint:allow(unreferenced-pub-fn): paper API: the ρ_{i,j} the paper-API `redistribution_pair` (Eq. 9) reads; the market tests pin its symmetry
     pub fn rho(&self, i: usize, j: usize) -> f64 {
         self.rho.get(i, j)
     }
@@ -544,41 +517,6 @@ impl Market {
     /// some organization unable to participate within the deadline.
     pub fn with_params(&self, params: MechanismParams) -> Result<Self> {
         Self { orgs: Arc::clone(&self.orgs), rho: Arc::clone(&self.rho), params }.checked()
-    }
-
-    /// Restricts the market to an organization subset (coalition
-    /// analyses, what-if scenarios). Indices keep their relative order;
-    /// the competition matrix is sliced accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if `indices` is empty, contains an
-    /// out-of-range or duplicate index, or if the sliced market violates
-    /// a market invariant (cannot happen: removing organizations only
-    /// raises every `z_i`).
-    pub fn subset(&self, indices: &[usize]) -> Result<Market> {
-        if indices.is_empty() {
-            return Err(ModelError::NonPositive { name: "|subset|", value: 0.0 });
-        }
-        let mut seen = vec![false; self.orgs.len()];
-        for &i in indices {
-            if i >= self.orgs.len() {
-                return Err(ModelError::DimensionMismatch {
-                    expected: self.orgs.len(),
-                    found: i,
-                });
-            }
-            if seen[i] {
-                return Err(ModelError::DimensionMismatch {
-                    expected: self.orgs.len(),
-                    found: i,
-                });
-            }
-            seen[i] = true;
-        }
-        let orgs: Vec<Organization> =
-            indices.iter().map(|&i| self.orgs[i].clone()).collect();
-        Market::with_rho(orgs, self.rho.restrict(indices), self.params.clone())
     }
 
     /// Total competition pressure on `i`: `q_i = Σ_j ρ_{i,j}`.
@@ -769,33 +707,6 @@ mod tests {
         .unwrap();
         let omega = m.total_data(&[0.5, 0.25]);
         assert!((omega - (0.5 * 20e9 + 0.25 * 20e9)).abs() < 1.0);
-    }
-
-    #[test]
-    fn subset_slices_orgs_and_rho() {
-        let m = Market::new(
-            vec![org(1000.0), org(1500.0), org(2000.0)],
-            vec![
-                vec![0.00, 0.01, 0.02],
-                vec![0.01, 0.00, 0.03],
-                vec![0.02, 0.03, 0.00],
-            ],
-            MechanismParams::paper_default(),
-        )
-        .unwrap();
-        let sub = m.subset(&[0, 2]).unwrap();
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.org(1).profitability(), 2000.0);
-        assert_eq!(sub.rho(0, 1), 0.02);
-        // Removing a competitor raises the remaining weights.
-        assert!(sub.weight(0) > m.weight(0));
-        // Out-of-order indices re-sort each row's columns.
-        let perm = m.subset(&[2, 0, 1]).unwrap();
-        assert_eq!(perm.rho_row(1).collect::<Vec<_>>(), vec![(0, 0.02), (2, 0.01)]);
-        // Error cases.
-        assert!(m.subset(&[]).is_err());
-        assert!(m.subset(&[5]).is_err());
-        assert!(m.subset(&[1, 1]).is_err());
     }
 
     fn dense_rows() -> Vec<Vec<f64>> {

@@ -500,11 +500,6 @@ impl Engine {
         })
     }
 
-    /// The engine's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
@@ -529,6 +524,7 @@ impl Engine {
     /// The election term: how many proposal attempts have been made.
     /// Checkpoint/restore must carry it exactly — the DST harness
     /// asserts a resumed run ends on the uninterrupted run's term.
+    // lint:allow(unreferenced-pub-fn): test oracle: the checkpoint/restore test in crates/engine/tests/sim_engine.rs reads it
     pub fn term(&self) -> u64 {
         self.term
     }

@@ -204,7 +204,6 @@ pub fn train_federated_with(
     let n_slots =
         if round_steps >= POOLED_FED_MIN_STEPS { pool.workers().min(n_groups) } else { 1 };
     let mut slots: Vec<GroupSlot> = (0..n_slots).map(|_| GroupSlot::for_model(&global)).collect();
-    let mut silo_stats: Vec<Option<(f32, f32)>> = vec![None; n_silos];
     let mut eval_ws = Workspace::new();
     let mut aggregate = vec![0.0f64; global.param_count()];
     let mut params = vec![0.0f32; global.param_count()];
@@ -215,10 +214,6 @@ pub fn train_federated_with(
     let (loss, accuracy) = global.evaluate_with(test, &mut eval_ws);
     let mut history = vec![RoundMetrics { round: 0, loss, accuracy }];
     for round in 1..=config.rounds {
-        // Per-silo test metrics are recorder-only: evaluating each
-        // local model is pure (no training state is touched), so
-        // enabling tracing cannot change the FL trajectory.
-        let probe_test = if obs::is_enabled() { Some(test) } else { None };
         run_round(
             round,
             &global,
@@ -228,9 +223,7 @@ pub fn train_federated_with(
             config,
             pool,
             &mut slots,
-            &mut silo_stats,
             &mut aggregate,
-            probe_test,
         );
         for (p, &acc) in params.iter_mut().zip(&aggregate) {
             *p = acc as f32;
@@ -256,25 +249,6 @@ pub fn train_federated_with(
         obs::counter_add("fed.local_updates", participating as u64);
         obs::gauge_set("fed.loss", f64::from(loss));
         obs::gauge_set("fed.accuracy", f64::from(accuracy));
-        if probe_test.is_some() {
-            // Emitted sequentially in silo order from the per-group
-            // stats the jobs recorded — identical stream for any
-            // worker count.
-            for (org, stat) in silo_stats.iter().enumerate() {
-                let Some((silo_loss, silo_acc)) = *stat else { continue };
-                obs::event(
-                    obs::Subsystem::Fed,
-                    "silo",
-                    &[
-                        ("round", round.into()),
-                        ("org", org.into()),
-                        ("weight", (weights[org] / total_weight).into()),
-                        ("loss", f64::from(silo_loss).into()),
-                        ("accuracy", f64::from(silo_acc).into()),
-                    ],
-                );
-            }
-        }
     }
     Ok(FedOutcome { model: global, history })
 }
@@ -358,9 +332,7 @@ fn run_round(
     config: &FedConfig,
     pool: &Pool,
     slots: &mut [GroupSlot],
-    silo_stats: &mut [Option<(f32, f32)>],
     aggregate: &mut [f64],
-    probe_test: Option<&Dataset>,
 ) {
     let n_groups = contributed.len().div_ceil(EDGE_GROUP_SIZE);
     let n_slots = slots.len().max(1);
@@ -368,19 +340,12 @@ fn run_round(
     let mut window_base = 0;
     while window_base < n_groups {
         let window_len = n_slots.min(n_groups - window_base);
-        let chunks = silo_stats
-            .chunks_mut(EDGE_GROUP_SIZE)
-            .skip(window_base)
-            .take(window_len);
         pool.scope(|s| {
-            for (w, (slot, stats)) in
-                slots[..window_len].iter_mut().zip(chunks).enumerate()
-            {
+            for (w, slot) in slots[..window_len].iter_mut().enumerate() {
                 let group = window_base + w;
                 s.spawn(move || {
                     train_group(
-                        round, group, global, contributed, weights,
-                        total_weight, config, slot, stats, probe_test,
+                        round, group, global, contributed, weights, total_weight, config, slot,
                     );
                 });
             }
@@ -410,15 +375,11 @@ fn train_group(
     total_weight: f64,
     config: &FedConfig,
     slot: &mut GroupSlot,
-    stats: &mut [Option<(f32, f32)>],
-    probe_test: Option<&Dataset>,
 ) {
     slot.partial.fill(0.0);
     let start = group * EDGE_GROUP_SIZE;
     let end = (start + EDGE_GROUP_SIZE).min(contributed.len());
     for org in start..end {
-        let stat = &mut stats[org - start];
-        *stat = None;
         let data = &contributed[org];
         if data.is_empty() {
             continue;
@@ -436,9 +397,6 @@ fn train_group(
         );
         slot.model
             .accumulate_scaled_params(weights[org] / total_weight, &mut slot.partial);
-        if let Some(test) = probe_test {
-            *stat = Some(slot.model.evaluate_with(test, &mut slot.scratch.ws));
-        }
     }
 }
 

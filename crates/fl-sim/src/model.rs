@@ -168,11 +168,6 @@ impl Mlp {
         Self::with_layers(input_dim, kind.hidden_layers(), classes, seed)
     }
 
-    /// Number of layers (hidden + output).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Dense::params).sum()
@@ -574,7 +569,7 @@ mod tests {
     fn deep_mlp_trains_too() {
         let d = generate(DatasetKind::EurosatLike, 300, 2);
         let mut m = Mlp::with_layers(d.dim(), &[32, 16], d.classes, 3);
-        assert_eq!(m.depth(), 3);
+        assert_eq!(m.layers.len(), 3);
         let (loss0, _) = m.evaluate(&d);
         let mut ws = Workspace::new();
         for _ in 0..80 {
@@ -664,8 +659,8 @@ mod tests {
 
     #[test]
     fn depth_matches_kind() {
-        assert_eq!(Mlp::for_kind(ModelKind::Resnet18Like, 64, 10, 0).depth(), 3);
-        assert_eq!(Mlp::for_kind(ModelKind::MobilenetLike, 64, 10, 0).depth(), 2);
+        assert_eq!(Mlp::for_kind(ModelKind::Resnet18Like, 64, 10, 0).layers.len(), 3);
+        assert_eq!(Mlp::for_kind(ModelKind::MobilenetLike, 64, 10, 0).layers.len(), 2);
     }
 
     #[test]

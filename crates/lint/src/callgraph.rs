@@ -27,8 +27,11 @@
 //! (none of which the parser structures). From them a name is
 //! *referenced* when a reached fn calls it or uses it as a value
 //! (`.map(Transaction::hash)`), and reaching a name reaches every
-//! non-test fn of that name. Code under `#[cfg(test)]` and in test
-//! targets reaches nothing. A library `pub fn` whose name stays
+//! non-test fn of that name. A single-segment path that names a
+//! binding in scope (a param, or a `let`, closure, match-arm, `if
+//! let`/`while let` or `for` pattern) is that local and references
+//! nothing; a struct shorthand `S { seed }` is such a path. Code under
+//! `#[cfg(test)]` and in test targets reaches nothing. A library `pub fn` whose name stays
 //! unreferenced is an `unreferenced-pub-fn` finding; name merging can
 //! only hide a dead fn, never flag a live one.
 
@@ -45,12 +48,14 @@ struct FnNode {
     /// 1-based first line of the fn item.
     line: u32,
     role: Role,
-    /// Simple names of every callee (free-fn and method calls alike).
+    /// Simple names of every callee (free-fn and method calls alike),
+    /// but for calls through a local binding.
     calls: BTreeSet<String>,
     /// Names used other than as a callee: the last segment of every
-    /// path expression, and the identifiers of fn-local macro
-    /// definitions and `const` initializers. Only `unreferenced-pub-fn`
-    /// reads these; pool reachability follows calls alone.
+    /// path expression that does not name a local binding, and the
+    /// identifiers of fn-local macro definitions and `const`
+    /// initializers. Only `unreferenced-pub-fn` reads these; pool
+    /// reachability follows calls alone.
     refs: BTreeSet<String>,
     /// Lines of pool-entry sites lexically in this fn's body.
     pool_entries: Vec<u32>,
@@ -154,10 +159,8 @@ impl CallGraph {
                     role: cx.role(item.line, func.public, trait_member),
                     ..FnNode::default()
                 };
-                if let Some(body) = &func.body {
-                    let mut collector = Collector { node: &mut node, in_pooled_closure: false };
-                    collect_block(body, &mut collector);
-                }
+                Collector { node: &mut node, in_pooled_closure: false, locals: Vec::new() }
+                    .fn_body(func);
                 self.nodes.push((cx.path.to_string(), item.name.clone(), node));
             }
             ItemKind::Mod(items) => {
@@ -328,6 +331,40 @@ impl CallGraph {
 struct Collector<'n> {
     node: &'n mut FnNode,
     in_pooled_closure: bool,
+    /// Names bound at the current point of the fn body, innermost last:
+    /// its params and every `let`, closure, match-arm, `if let`/`while
+    /// let` and `for` pattern in scope. A single-segment path naming one
+    /// is that local, not a fn.
+    locals: Vec<String>,
+}
+
+impl Collector<'_> {
+    /// Collects a fn body with only the fn's own params bound (a
+    /// fn-local fn does not see its enclosing fn's locals).
+    fn fn_body(&mut self, func: &parse::FnItem) {
+        let Some(body) = &func.body else { return };
+        let params = func.params.iter().map(|p| p.name.clone()).collect();
+        let outer = std::mem::replace(&mut self.locals, params);
+        collect_block(body, self);
+        self.locals = outer;
+    }
+
+    /// Runs `f` with `names` bound, then unbinds them.
+    fn scoped(&mut self, names: impl IntoIterator<Item = String>, f: impl FnOnce(&mut Self)) {
+        let depth = self.locals.len();
+        self.locals.extend(names);
+        f(self);
+        self.locals.truncate(depth);
+    }
+
+    /// The name a path expression refers to as a fn: its last segment,
+    /// unless it is a single segment naming a local binding.
+    fn fn_name<'p>(&self, segs: &'p [String]) -> Option<&'p String> {
+        match segs {
+            [name] if self.locals.contains(name) => None,
+            _ => segs.last(),
+        }
+    }
 }
 
 /// Whether a method-call receiver plausibly denotes a pool: an ident
@@ -348,15 +385,17 @@ fn receiver_is_pool(recv: &Expr) -> bool {
 }
 
 fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
+    let depth = cx.locals.len();
     for stmt in &block.stmts {
         match stmt {
-            parse::Stmt::Let { init, else_block, .. } => {
+            parse::Stmt::Let { pat, init, else_block, .. } => {
                 if let Some(e) = init {
                     collect_expr(e, cx);
                 }
                 if let Some(b) = else_block {
                     collect_block(b, cx);
                 }
+                cx.locals.extend(parse::bound_names(pat));
             }
             parse::Stmt::Expr { expr, .. } => collect_expr(expr, cx),
             parse::Stmt::Item(item) => match &item.kind {
@@ -365,12 +404,10 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
                 // the enclosing fn's context (closure flag off — a
                 // local fn runs when called, not where defined).
                 ItemKind::Fn(func) => {
-                    if let Some(b) = &func.body {
-                        let saved = cx.in_pooled_closure;
-                        cx.in_pooled_closure = false;
-                        collect_block(b, cx);
-                        cx.in_pooled_closure = saved;
-                    }
+                    let saved = cx.in_pooled_closure;
+                    cx.in_pooled_closure = false;
+                    cx.fn_body(func);
+                    cx.in_pooled_closure = saved;
                 }
                 ItemKind::MacroDef(idents) | ItemKind::ConstDef(idents) => {
                     cx.node.refs.extend(idents.iter().cloned());
@@ -379,6 +416,7 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
             },
         }
     }
+    cx.locals.truncate(depth);
 }
 
 fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
@@ -395,37 +433,34 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
             }
             collect_expr(recv, cx);
             for a in args {
-                if is_pool_entry {
-                    if let ExprKind::Closure { body, .. } = &a.kind {
-                        let saved = cx.in_pooled_closure;
-                        cx.in_pooled_closure = true;
-                        collect_expr(body, cx);
-                        cx.in_pooled_closure = saved;
-                        continue;
-                    }
-                }
+                let saved = cx.in_pooled_closure;
+                cx.in_pooled_closure |= is_pool_entry && matches!(a.kind, ExprKind::Closure { .. });
                 collect_expr(a, cx);
+                cx.in_pooled_closure = saved;
             }
         }
         ExprKind::Call { callee, args } => {
-            let name = match &callee.kind {
-                ExprKind::Path(segs) => segs.last().cloned().unwrap_or_default(),
-                _ => String::new(),
-            };
-            if name.is_empty() {
-                collect_expr(callee, cx);
-            } else {
-                record_call(cx, expr.line, &name, false);
+            match &callee.kind {
+                // A call through a local (a closure bound by `let`) calls
+                // no fn.
+                ExprKind::Path(segs) => {
+                    if let Some(name) = cx.fn_name(segs).cloned() {
+                        record_call(cx, expr.line, &name, false);
+                    }
+                }
+                _ => collect_expr(callee, cx),
             }
             for a in args {
                 collect_expr(a, cx);
             }
         }
-        ExprKind::Closure { body, .. } => collect_expr(body, cx),
+        ExprKind::Closure { params, body } => {
+            cx.scoped(params.clone(), |cx| collect_expr(body, cx))
+        }
         ExprKind::Block(b) => collect_block(b, cx),
-        ExprKind::If { cond, then_block, else_branch } => {
+        ExprKind::If { binds, cond, then_block, else_branch } => {
             collect_expr(cond, cx);
-            collect_block(then_block, cx);
+            cx.scoped(binds.clone(), |cx| collect_block(then_block, cx));
             if let Some(e) = else_branch {
                 collect_expr(e, cx);
             }
@@ -433,17 +468,19 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
         ExprKind::Match { scrutinee, arms } => {
             collect_expr(scrutinee, cx);
             for arm in arms {
-                if let Some(g) = &arm.guard {
-                    collect_expr(g, cx);
-                }
-                collect_expr(&arm.body, cx);
+                cx.scoped(parse::bound_names(&arm.pat), |cx| {
+                    if let Some(g) = &arm.guard {
+                        collect_expr(g, cx);
+                    }
+                    collect_expr(&arm.body, cx);
+                });
             }
         }
-        ExprKind::Loop { head, body } => {
+        ExprKind::Loop { binds, head, body } => {
             if let Some(h) = head {
                 collect_expr(h, cx);
             }
-            collect_block(body, cx);
+            cx.scoped(binds.clone(), |cx| collect_block(body, cx));
         }
         ExprKind::Field { base, .. } => collect_expr(base, cx),
         ExprKind::Index { base, index } => {
@@ -486,8 +523,8 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
             }
         }
         ExprKind::Path(segs) => {
-            if let Some(last) = segs.last() {
-                cx.node.refs.insert(last.clone());
+            if let Some(name) = cx.fn_name(segs) {
+                cx.node.refs.insert(name.clone());
             }
         }
         ExprKind::Lit

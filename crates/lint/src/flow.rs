@@ -316,7 +316,7 @@ fn taint_of(expr: &Expr, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
             taint_of(body, env, cx);
             false
         }
-        ExprKind::If { cond, then_block, else_branch } => {
+        ExprKind::If { cond, then_block, else_branch, .. } => {
             taint_of(cond, env, cx);
             let mut t = block_taint(then_block, env, cx);
             if let Some(e) = else_branch {
@@ -340,7 +340,7 @@ fn taint_of(expr: &Expr, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
             }
             t
         }
-        ExprKind::Loop { head, body } => {
+        ExprKind::Loop { head, body, .. } => {
             if let Some(h) = head {
                 taint_of(h, env, cx);
             }

@@ -261,6 +261,8 @@ pub enum ExprKind {
     },
     /// `if cond { … } [else …]` (also `if let`).
     If {
+        /// Names an `if let` pattern binds in `then_block`.
+        binds: Vec<String>,
         /// Condition (or let-scrutinee).
         cond: Box<Expr>,
         /// Then block.
@@ -278,6 +280,8 @@ pub enum ExprKind {
     /// `loop`/`while`/`while let`/`for … in …` with its body (the
     /// for-iterator / while-condition expression, if any, kept).
     Loop {
+        /// Names a `for` or `while let` pattern binds in `body`.
+        binds: Vec<String>,
         /// Iterator or condition expression.
         head: Option<Box<Expr>>,
         /// Loop body.
@@ -1397,25 +1401,22 @@ impl<'a> Parser<'a> {
                 "loop" => {
                     self.bump();
                     let body = if self.at("{") { self.block() } else { Block::default() };
-                    Expr { kind: ExprKind::Loop { head: None, body }, line }
+                    Expr { kind: ExprKind::Loop { binds: Vec::new(), head: None, body }, line }
                 }
                 "while" => {
                     self.bump();
-                    if self.eat_kw("let") {
-                        self.pattern_text(&["="]);
-                        self.eat("=");
-                    }
-                    let head = self.expr(false);
+                    let binds = self.let_binds();
+                    let head = Some(Box::new(self.expr(false)));
                     let body = if self.at("{") { self.block() } else { Block::default() };
-                    Expr { kind: ExprKind::Loop { head: Some(Box::new(head)), body }, line }
+                    Expr { kind: ExprKind::Loop { binds, head, body }, line }
                 }
                 "for" => {
                     self.bump();
-                    self.pattern_text(&["in"]);
+                    let binds = bound_names(&self.pattern_text(&["in"]));
                     self.eat_kw("in");
-                    let head = self.expr(false);
+                    let head = Some(Box::new(self.expr(false)));
                     let body = if self.at("{") { self.block() } else { Block::default() };
-                    Expr { kind: ExprKind::Loop { head: Some(Box::new(head)), body }, line }
+                    Expr { kind: ExprKind::Loop { binds, head, body }, line }
                 }
                 "unsafe" => {
                     self.bump();
@@ -1505,12 +1506,20 @@ impl<'a> Parser<'a> {
         Expr { kind: ExprKind::Closure { params, body: Box::new(body) }, line }
     }
 
+    /// The names the `let PAT =` of an `if let` / `while let` binds
+    /// (none for a plain `if` / `while`).
+    fn let_binds(&mut self) -> Vec<String> {
+        if !self.eat_kw("let") {
+            return Vec::new();
+        }
+        let binds = bound_names(&self.pattern_text(&["="]));
+        self.eat("=");
+        binds
+    }
+
     fn if_expr(&mut self, line: u32) -> Expr {
         self.bump(); // if
-        if self.eat_kw("let") {
-            self.pattern_text(&["="]);
-            self.eat("=");
-        }
+        let binds = self.let_binds();
         let cond = self.expr(false);
         let then_block = if self.at("{") { self.block() } else { Block::default() };
         let else_branch = if self.eat_kw("else") {
@@ -1527,7 +1536,7 @@ impl<'a> Parser<'a> {
             None
         };
         Expr {
-            kind: ExprKind::If { cond: Box::new(cond), then_block, else_branch },
+            kind: ExprKind::If { binds, cond: Box::new(cond), then_block, else_branch },
             line,
         }
     }
@@ -1752,7 +1761,7 @@ pub fn walk_expr<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
             walk_expr(rhs, f);
         }
         ExprKind::Closure { body, .. } => walk_expr(body, f),
-        ExprKind::If { cond, then_block, else_branch } => {
+        ExprKind::If { cond, then_block, else_branch, .. } => {
             walk_expr(cond, f);
             walk_block_exprs(then_block, f);
             if let Some(e) = else_branch {
@@ -1768,7 +1777,7 @@ pub fn walk_expr<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
                 walk_expr(&arm.body, f);
             }
         }
-        ExprKind::Loop { head, body } => {
+        ExprKind::Loop { head, body, .. } => {
             if let Some(h) = head {
                 walk_expr(h, f);
             }
@@ -1837,14 +1846,14 @@ pub fn walk_blocks<'e>(block: &'e Block, f: &mut impl FnMut(&'e Block)) {
 fn walk_expr_blocks<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Block)) {
     match &expr.kind {
         ExprKind::Block(b) => walk_blocks(b, f),
-        ExprKind::If { cond, then_block, else_branch } => {
+        ExprKind::If { cond, then_block, else_branch, .. } => {
             walk_expr_blocks(cond, f);
             walk_blocks(then_block, f);
             if let Some(e) = else_branch {
                 walk_expr_blocks(e, f);
             }
         }
-        ExprKind::Loop { head, body } => {
+        ExprKind::Loop { head, body, .. } => {
             if let Some(h) = head {
                 walk_expr_blocks(h, f);
             }

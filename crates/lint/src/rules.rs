@@ -182,7 +182,10 @@ pub const RULES: &[RuleInfo] = &[
                     trait-impl and trait method, and every identifier in a macro_rules! body, \
                     an item-position macro invocation or a const initializer; a name is \
                     reached when a reached fn calls it or uses it as a value \
-                    (`.map(Transaction::hash)`). Resolution is by name, so a collision can only \
+                    (`.map(Transaction::hash)`); a single-segment name bound in scope (a param, \
+                    or a let, closure, match-arm, if-let, while-let or for pattern, which a \
+                    struct shorthand `S { seed }` also names) is a local, not a reference. \
+                    Resolution is by name, so a collision can only \
                     hide a dead fn, never flag a live one. Delete the fn, or lint:allow it with \
                     the reason it stays (a test oracle, a paper API). Runs only on a whole \
                     tree (--workspace), never on a file linted alone.",
@@ -301,7 +304,7 @@ const FED_HOT_FNS: &[&str] = &["run_round", "train_group", "local_train"];
 /// The fns in core/market.rs the rule covers — the O(nnz) ρ row
 /// accessors the DBR sweep leans on at N=10k: indexed lookup, the row
 /// iterator, the row-sum helper and the pressure/weight formulas built
-/// on it. Constructors (`from_triplets`, `restrict`, …) allocate
+/// on it. Constructors (`from_triplets`, `new`, …) allocate
 /// freely.
 const MARKET_HOT_FNS: &[&str] = &[
     "get",

@@ -538,6 +538,38 @@ fn unreferenced_pub_fn_offending_clean_allowed() {
     clean(LIB, "pub fn lonely() {}\n");
 }
 
+const BIN: &str = "crates/x/src/bin/tool.rs";
+
+#[test]
+fn unreferenced_pub_fn_local_bindings_are_not_refs() {
+    // A dead `pub fn seed` stays flagged whichever binder gives a bin a
+    // local `seed`: each use below names that local, not the fn.
+    let lib = "pub fn seed() -> u64 {\n    1\n}\n";
+    for (binder, bin) in [
+        ("param", "fn run(seed: u64) -> u64 { seed }\n"),
+        ("let", "fn run() -> u64 { let seed = 2; seed }\n"),
+        ("let closure", "fn run() -> u64 { let seed = || 2; seed() }\n"),
+        ("closure param", "fn run() -> u64 { [1u64].iter().map(|seed| seed + 1).sum() }\n"),
+        ("match arm", "fn run(x: Option<u64>) -> u64 { match x { Some(seed) => seed, None => 0 } }\n"),
+        ("if let", "fn run(x: Option<u64>) -> u64 { if let Some(seed) = x { seed } else { 0 } }\n"),
+        ("while let", "fn run(mut v: Vec<u64>) { while let Some(seed) = v.pop() { drop(seed); } }\n"),
+        ("for", "fn run() -> u64 { let mut t = 0; for seed in 0..3u64 { t += seed; } t }\n"),
+        ("struct shorthand", "struct S { seed: u64 }\nfn run() -> S { let seed = 2; S { seed } }\n"),
+    ] {
+        assert_eq!(
+            tree_findings(&[(LIB, lib), (BIN, bin)]),
+            vec![(LIB.to_string(), 1, "unreferenced-pub-fn".to_string())],
+            "a {binder} binding kept the dead fn alive"
+        );
+    }
+    // A bare fn name used as a value still references the fn, also
+    // after a block that bound the same name as a local has ended.
+    let lib = "pub fn helper(x: &u64) -> u64 {\n    *x\n}\n";
+    let bin = "use x::helper;\nfn main() {\n    { let helper = 0u64; drop(helper); }\n    \
+               let v: Vec<u64> = [1u64].iter().map(helper).collect();\n}\n";
+    assert_eq!(tree_findings(&[(LIB, lib), (BIN, bin)]), vec![]);
+}
+
 // --- engine-wide invariants ------------------------------------------
 
 #[test]

@@ -430,8 +430,10 @@ pub fn disable() {
 }
 
 /// Whether calls on this thread record: a [`with_local`] recorder is
-/// installed here, or the process-wide flag is on. Call sites use it
-/// to skip work that only feeds the recorder.
+/// installed here, or the process-wide flag is on. Outside this module
+/// its one use is deciding, on the caller's thread, whether pooled
+/// tasks [`capture`] their telemetry; no call site gates extra work on
+/// it, so a recorded run does the same work as an unrecorded one.
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) || LOCAL.with(|local| local.borrow().is_some())

@@ -57,6 +57,14 @@ fn trace_payoffs<A: AccuracyModel>(eval: &IncrementalEval<'_, A>, pool: &Pool) -
     out
 }
 
+/// A strategy update smaller than this (in profile distance) counts as
+/// "no change".
+const TOL: f64 = 1e-7;
+
+/// Minimum payoff improvement required to accept a move; guards against
+/// floating-point cycling near the equilibrium.
+const MIN_IMPROVEMENT: f64 = 1e-9;
+
 /// The order in which organizations update within a round (an ablation
 /// axis; the paper uses a fixed order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,17 +84,11 @@ pub enum UpdateOrder {
 pub struct DbrOptions {
     /// Maximum number of rounds `H`.
     pub max_rounds: usize,
-    /// A strategy update smaller than this (in profile distance) counts
-    /// as "no change".
-    pub tol: f64,
     /// Payoff each organization best-responds to (`Full` for DBR, or
     /// `WithoutRedistribution` for the WPR baseline).
     pub objective: Objective,
     /// Update order within a round.
     pub order: UpdateOrder,
-    /// Minimum payoff improvement required to accept a move; guards
-    /// against floating-point cycling near the equilibrium.
-    pub min_improvement: f64,
     /// Step damping `κ ∈ (0, 1]`: each organization moves its data
     /// fraction only `κ` of the way toward its best response
     /// (`d ← d + κ (d* − d)`), adopting the best-response compute level
@@ -102,10 +104,8 @@ impl Default for DbrOptions {
     fn default() -> Self {
         Self {
             max_rounds: 200,
-            tol: 1e-7,
             objective: Objective::Full,
             order: UpdateOrder::RoundRobin,
-            min_improvement: 1e-9,
             damping: 1.0,
         }
     }
@@ -252,9 +252,7 @@ impl DbrSolver {
                     if candidate.level != profile[i].level { dd + 1.0 } else { dd }
                 };
                 payoff_scale = payoff_scale.max(current.abs());
-                if payoff_at > current + self.options.min_improvement
-                    && moved > self.options.tol
-                {
+                if payoff_at > current + MIN_IMPROVEMENT && moved > TOL {
                     round_gain = round_gain.max(payoff_at - current);
                     profile.set(i, candidate);
                     eval.commit(i, candidate);

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(path) = &trace {
         obs::write_trace(path)?;
-        println!("\ntrace written to {}", path.display());
+        println!("trace written to {}", path.display());
     }
     Ok(())
 }

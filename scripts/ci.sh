@@ -219,11 +219,19 @@ echo "==> DST shrinker smoke: a known-bad schedule minimizes strictly"
 # the minimal fault + crash + Byzantine schedule (exit 1 otherwise).
 target/release/examples/market_daemon --shrink-demo 7 | sed 's/^/  /'
 
-echo "==> observability: end_to_end --trace emits a valid tradefl-trace/v1 stream"
+echo "==> observability: end_to_end --trace emits a valid tradefl-trace/v1 stream, same results"
+# Recording must not change the work (DESIGN.md §9): the traced run
+# prints what the untraced one does, but for its `trace written to`
+# line.
 trace_file="$(mktemp -t tradefl-trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file"' EXIT
 cargo build --release --example end_to_end
-target/release/examples/end_to_end --trace "$trace_file" > /dev/null
+plain="$(target/release/examples/end_to_end)"
+traced="$(target/release/examples/end_to_end --trace "$trace_file" | grep -v '^trace written to ')"
+if ! diff <(echo "$plain") <(echo "$traced"); then
+  echo "ci.sh: end_to_end prints differently with --trace" >&2
+  exit 1
+fi
 cargo run -q --release -p tradefl-bench --bin trace_check -- "$trace_file"
 
 echo "ci.sh: all gates passed"

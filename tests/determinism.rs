@@ -412,6 +412,26 @@ fn run_on_pool<R>(workers: usize, fans_out: bool, f: impl FnOnce(&Pool) -> R) ->
     (out, snap.events_jsonl())
 }
 
+/// Runs the 36-silo [`pooled_fedavg`] fixture plain and under a local
+/// recorder. DESIGN.md §9: no call site does extra work while
+/// recording, so the two models are bit-identical and FedAvg records
+/// one `fed` `round` event per trained round and nothing per silo.
+#[test]
+fn recording_changes_no_fedavg_work() {
+    let pool = Pool::new(2);
+    let train = || pooled_fedavg(36, 80, &[1.0, 0.5, 0.8], 1, &pool);
+    let plain = train();
+    let (recorded, snap) = obs::with_local(train);
+    assert_training_bit_identical(&[plain, recorded]);
+    let fed: Vec<&str> = snap
+        .events
+        .iter()
+        .filter(|e| e.subsystem == obs::Subsystem::Fed)
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(fed, ["round"; POOLED_FED_ROUNDS], "fed events of a recorded run");
+}
+
 /// A 512-org sparse market: the smallest DBR market whose payoff trace
 /// row is split across the pool.
 fn pooled_dbr_game() -> CoopetitionGame<SqrtAccuracy> {
@@ -419,8 +439,12 @@ fn pooled_dbr_game() -> CoopetitionGame<SqrtAccuracy> {
     CoopetitionGame::new(market, SqrtAccuracy::paper_default())
 }
 
+/// Rounds [`pooled_fedavg`] trains.
+const POOLED_FED_ROUNDS: usize = 2;
+
 /// Trains `silos` shards of `per_silo` samples, contributing
-/// `fractions` (cycled), for two rounds of `local_epochs` on `pool`.
+/// `fractions` (cycled), for [`POOLED_FED_ROUNDS`] rounds of
+/// `local_epochs` on `pool`.
 fn pooled_fedavg(
     silos: usize,
     per_silo: usize,
@@ -438,7 +462,8 @@ fn pooled_fedavg(
     let mut shards = all.shard(&sizes);
     let test = shards.pop().unwrap();
     let fractions: Vec<f64> = fractions.iter().copied().cycle().take(silos).collect();
-    let config = FedConfig { rounds: 2, local_epochs, batch_size: 32, lr: 0.1, seed: 5 };
+    let config =
+        FedConfig { rounds: POOLED_FED_ROUNDS, local_epochs, batch_size: 32, lr: 0.1, seed: 5 };
     let global = Mlp::for_kind(ModelKind::MobilenetLike, test.dim(), test.classes, 3);
     train_federated_with(global, &shards, &test, &fractions, &config, pool).unwrap()
 }

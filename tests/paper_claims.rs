@@ -111,9 +111,9 @@ fn theorem1_potential_identity_across_crate_boundary() {
 
 #[test]
 fn exiting_competitors_raise_remaining_payoffs() {
-    // A coalition what-if via Market::subset: when the most intense
-    // competitor leaves, the remaining organizations' damage falls and
-    // their equilibrium payoffs rise.
+    // A coalition what-if: when the most intense competitor leaves, the
+    // remaining organizations' damage falls and their equilibrium
+    // payoffs rise.
     let market = MarketConfig::table_ii().with_orgs(6).build(8).unwrap();
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
     let full = DbrSolver::new().solve(&game).unwrap();
@@ -128,7 +128,13 @@ fn exiting_competitors_raise_remaining_payoffs() {
         })
         .unwrap();
     let keep: Vec<usize> = (0..n).filter(|&i| i != worst).collect();
-    let sub_market = game.market().subset(&keep).unwrap();
+    let market = game.market();
+    let sub_market = Market::new(
+        keep.iter().map(|&i| market.org(i).clone()).collect(),
+        keep.iter().map(|&i| keep.iter().map(|&j| market.rho(i, j)).collect()).collect(),
+        market.params().clone(),
+    )
+    .unwrap();
     let sub_game = CoopetitionGame::new(sub_market, SqrtAccuracy::paper_default());
     let sub = DbrSolver::new().solve(&sub_game).unwrap();
 
