@@ -8,8 +8,8 @@ use tradefl_bench::{check, finish, Table, SEED};
 use tradefl_core::accuracy::SqrtAccuracy;
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
+use tradefl_engine::Engine;
 use tradefl_ledger::chain::Blockchain;
-use tradefl_ledger::settlement::SettlementSession;
 use tradefl_ledger::tx::Value;
 use tradefl_ledger::types::Wei;
 use tradefl_solver::dbr::DbrSolver;
@@ -19,11 +19,9 @@ fn main() {
     let market = MarketConfig::table_ii().with_orgs(3).build(SEED).unwrap();
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
     let eq = DbrSolver::new().solve(&game).expect("dbr converges");
-    let mut session = SettlementSession::deploy(&game).expect("deploys");
-
-    println!("step 0: contract deployed at {}", session.contract());
-    let report = session.settle(&game, &eq.profile).expect("settles");
-    let chain = session.node().chain();
+    let (engine, report) = Engine::settle(&game, &eq.profile, None).expect("settles");
+    println!("step 0: contract deployed at {}", engine.contract(0).expect("one session"));
+    let chain = engine.network().validator(0).node.chain();
 
     let mut transcript = Table::new(
         "Fig. 3: on-chain procedure transcript",

@@ -8,7 +8,7 @@ use tradefl_bench::{check, finish, fmt, Table, SEED};
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::accuracy::SqrtAccuracy;
-use tradefl_ledger::settlement::SettlementSession;
+use tradefl_engine::Engine;
 use tradefl_solver::dbr::DbrSolver;
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
     let market = MarketConfig::table_ii().with_orgs(5).build(SEED).unwrap();
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
     let equilibrium = DbrSolver::new().solve(&game).expect("dbr converges");
-    let mut session = SettlementSession::deploy(&game).expect("deploys");
-    let report = session.settle(&game, &equilibrium.profile).expect("settles");
+    let (engine, report) = Engine::settle(&game, &equilibrium.profile, None).expect("settles");
+    let chain = engine.network().validator(0).node.chain();
 
     let descriptions = [
         ("register()", "Join the trading session", "Registered"),
@@ -33,7 +33,7 @@ fn main() {
     );
     let mut ok = true;
     for (func, desc, event) in descriptions {
-        let count = session.node().chain().logs_by_event(event).count();
+        let count = chain.logs_by_event(event).count();
         table.row(vec![func.to_string(), desc.to_string(), count.to_string()]);
         ok &= check(&format!("{func} executed on-chain (emitted {count} {event})"), count > 0);
     }
@@ -46,6 +46,6 @@ fn main() {
         fmt(report.max_abs_error)
     );
     ok &= check("on-chain redistribution matches Eq. (10)", report.consistent(1e-3));
-    ok &= check("chain verifies end-to-end", session.node().chain().verify().is_ok());
+    ok &= check("chain verifies end-to-end", chain.verify().is_ok());
     finish(ok);
 }

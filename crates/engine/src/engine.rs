@@ -60,14 +60,19 @@
 use crate::session::{SessionPlan, SessionSpec};
 use std::collections::BTreeSet;
 use std::fmt;
+use tradefl_core::accuracy::AccuracyModel;
+use tradefl_core::game::CoopetitionGame;
+use tradefl_core::strategy::StrategyProfile;
+use tradefl_ledger::attestation::Enclave;
 use tradefl_ledger::chain::{Block, Blockchain};
 use tradefl_ledger::codec::{
     bounded_count, decode_chain, decode_tx_bytes, encode_block_bytes, encode_chain,
     encode_tx_bytes, CodecError,
 };
 use tradefl_ledger::contract::Contract;
-use tradefl_ledger::network::{FrameError, Network, NetworkError, WireLimits};
+use tradefl_ledger::network::{FrameError, Network, NetworkError};
 use tradefl_ledger::node::BlockApplyError;
+use tradefl_ledger::settlement::{SettlementError, SettlementReport};
 use tradefl_ledger::tradefl_contract::TradeFlContract;
 use tradefl_ledger::tx::{ExecStatus, Transaction};
 use tradefl_ledger::types::{Address, Hash256, Wei};
@@ -131,8 +136,6 @@ pub struct EngineConfig {
     /// Byzantine-proposer schedule: with what probability an elected
     /// proposer gossips a tampered block instead of its honest one.
     pub byzantine: ByzantineConfig,
-    /// Wire-path frame size limit for every replica.
-    pub max_frame_bytes: usize,
     /// Width of the pool the equilibrium solves are handed (results are
     /// bit-identical for any count, per the workspace determinism
     /// contract). No session the engine can settle uses it: DBR fans
@@ -152,7 +155,6 @@ impl Default for EngineConfig {
             horizon: 1 << 10,
             faults: FaultConfig::none(),
             byzantine: ByzantineConfig::none(),
-            max_frame_bytes: WireLimits::DEFAULT_MAX_FRAME_BYTES,
             workers: 1,
         }
     }
@@ -183,6 +185,8 @@ pub enum EngineError {
         /// Simulated time when the guard tripped.
         now: SimTime,
     },
+    /// A settled session's script did not settle on-chain.
+    Settlement(SettlementError),
 }
 
 impl fmt::Display for EngineError {
@@ -199,6 +203,7 @@ impl fmt::Display for EngineError {
             EngineError::Stalled { now } => {
                 write!(f, "simulation stalled at tick {now} without completing")
             }
+            EngineError::Settlement(e) => write!(f, "{e}"),
         }
     }
 }
@@ -422,7 +427,53 @@ impl Engine {
         for spec in &config.sessions {
             plans.push(SessionPlan::build(spec.clone(), &pool)?);
         }
+        Self::boot(config, plans, seed)
+    }
 
+    /// Settles a solved game the way the paper's organizations do
+    /// (Fig. 3): one session, resolved with unprefixed
+    /// [`Address::from_name`] accounts and, with an `enclave`,
+    /// TEE-attested contribution reports, runs to completion on a
+    /// single fault-free validator. Arrivals come about one per tick
+    /// and the default cadence batches them, so a block carries several
+    /// calls. Returns the finished engine (its chain is
+    /// `network().validator(0).node`, its contract `contract(0)`) and
+    /// the audit of the script's receipts against Eq. (10).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Contract`] when the contract refuses the market's
+    /// parameters (e.g. two organizations with one name);
+    /// [`EngineError::Settlement`] for the first scripted call that
+    /// reverted.
+    pub fn settle<A: AccuracyModel>(
+        game: &CoopetitionGame<A>,
+        profile: &StrategyProfile,
+        enclave: Option<Enclave>,
+    ) -> Result<(Self, SettlementReport), EngineError> {
+        let spec = SessionSpec { name: "settlement".into(), orgs: game.market().len(), seed: 0 };
+        let plan = SessionPlan::resolve(spec.clone(), game, profile, Address::from_name, enclave);
+        let config = EngineConfig {
+            validators: 1,
+            sessions: vec![spec],
+            mean_arrival_gap: 1.0,
+            admission_capacity: plan.len(),
+            ..EngineConfig::default()
+        };
+        let mut engine = Self::boot(config, vec![plan], 0)?;
+        engine.run()?;
+        let (plan, node) = (&engine.plans[0], &engine.net.validator(0).node);
+        let script = plan.scripted_txs(engine.contracts[0]);
+        let report = SettlementReport::from_receipts(node, &plan.addresses, script, game, profile)
+            .map_err(EngineError::Settlement)?;
+        Ok((engine, report))
+    }
+
+    /// The boot path behind [`Engine::new`] and [`Engine::settle`]:
+    /// funds every plan's participants at genesis, boots the validator
+    /// network, deploys one contract per plan on every validator, and
+    /// schedules the initial arrival/batch/crash events.
+    fn boot(config: EngineConfig, plans: Vec<SessionPlan>, seed: u64) -> Result<Self, EngineError> {
         let mut allocations: Vec<(Address, Wei)> = Vec::new();
         for plan in &plans {
             allocations.extend(plan.allocations.iter().copied());
@@ -431,11 +482,7 @@ impl Engine {
         let names: Vec<String> =
             (0..config.validators).map(|i| format!("validator-{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut net = Network::with_limits(
-            &name_refs,
-            &allocations,
-            WireLimits { max_frame_bytes: config.max_frame_bytes },
-        );
+        let mut net = Network::new(&name_refs, &allocations);
 
         let mut contracts = Vec::with_capacity(plans.len());
         for plan in &plans {
@@ -1323,7 +1370,6 @@ mod tests {
             horizon: 512,
             faults: FaultConfig::none(),
             byzantine: ByzantineConfig::none(),
-            max_frame_bytes: WireLimits::DEFAULT_MAX_FRAME_BYTES,
             workers: 1,
         }
     }

@@ -19,10 +19,12 @@
 //!   checkpoint/restore of live sessions through the chain
 //!   export/import codec.
 //! * [`session`] — a market session as a deterministic settlement
-//!   script: equilibrium solved up front (`tradefl-solver`), then the
-//!   Fig. 3 call sequence (register → deposit → contribute → calculate
-//!   → transfer → record) unrolled into an ordered transaction list
-//!   with per-organization nonces.
+//!   script: equilibrium solved up front (`tradefl-solver`), or taken
+//!   from a caller that already solved the game, then the Fig. 3 call
+//!   sequence (register → deposit → contribute → calculate → transfer →
+//!   record) unrolled into an ordered transaction list with
+//!   per-organization nonces. [`Engine::settle`] runs one such session
+//!   on a single fault-free validator: it is the one Fig. 3 driver.
 //! * [`dst`] — DST scenarios (fault + crash + Byzantine schedules)
 //!   drawn from a shrinkable tape, so a failing schedule is minimized
 //!   by [`tradefl_runtime::check::shrink`] and printed.

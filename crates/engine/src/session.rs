@@ -2,22 +2,25 @@
 //!
 //! Off-chain, a session is a coopetition game: the engine solves it to
 //! equilibrium once (Algorithm 2 via `tradefl-solver`) at plan-build
-//! time. On-chain, it is the Fig. 3 procedure — register → deposit →
-//! contribute → calculate → transfer → record — scripted by the same
-//! [`SettlementPlan`] the single-node settlement driver runs: an
-//! ordered transaction list with correct per-organization nonces, so
-//! the *runtime* state of a live session is a single cursor into the
+//! time, or takes a game a caller already solved. On-chain, it is the
+//! Fig. 3 procedure — register → deposit → contribute → calculate →
+//! transfer → record — scripted by [`SettlementPlan`]: an ordered
+//! transaction list with correct per-organization nonces, so the
+//! *runtime* state of a live session is a single cursor into the
 //! script. That makes sessions trivially checkpointable: the cursor is
 //! the checkpoint.
 //!
-//! Organization addresses are prefixed with the session name
-//! (`"{session}/{org}"`), so any number of sessions coexist on one
-//! chain without account collisions.
+//! Sessions the engine builds from a [`SessionSpec`] prefix organization
+//! addresses with the session name (`"{session}/{org}"`), so any number
+//! of sessions coexist on one chain without account collisions.
 
 use crate::engine::EngineError;
-use tradefl_core::accuracy::SqrtAccuracy;
+use tradefl_core::accuracy::{AccuracyModel, SqrtAccuracy};
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
+use tradefl_core::market::Market;
+use tradefl_core::strategy::StrategyProfile;
+use tradefl_ledger::attestation::Enclave;
 use tradefl_ledger::settlement::SettlementPlan;
 use tradefl_ledger::tradefl_contract::SessionParams;
 use tradefl_ledger::tx::{Transaction, TxPayload};
@@ -38,10 +41,10 @@ pub struct SessionSpec {
 }
 
 /// A fully resolved session: market, equilibrium, contract parameters,
-/// and the scripted transaction sequence. Everything here is a pure
-/// function of the [`SessionSpec`] (and the solver pool's worker count
-/// never changes results bit-for-bit, per the workspace determinism
-/// contract).
+/// and the scripted transaction sequence. A plan [built](SessionPlan::build)
+/// from a spec is a pure function of the [`SessionSpec`] (and the
+/// solver pool's worker count never changes results bit-for-bit, per
+/// the workspace determinism contract).
 #[derive(Debug, Clone)]
 pub struct SessionPlan {
     /// The spec this plan was built from.
@@ -61,11 +64,10 @@ pub struct SessionPlan {
 
 impl SessionPlan {
     /// Builds the plan: draws the market, solves the game to
-    /// equilibrium, and scripts the unattested Fig. 3 transaction
-    /// sequence through [`SettlementPlan`] under session-prefixed
-    /// addresses. The solve is handed `pool`, but DBR fans out only at
-    /// 512 orgs or more and a settleable session has at most 71, so it
-    /// runs on the calling thread.
+    /// equilibrium, and scripts the unattested Fig. 3 procedure under
+    /// session-prefixed addresses. The solve is handed `pool`, but DBR
+    /// fans out only at 512 orgs or more and a settleable session has
+    /// at most 71, so it runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -88,18 +90,44 @@ impl SessionPlan {
         let eq = DbrSolver::new()
             .solve_with(&game, pool)
             .map_err(|e| fail(format!("equilibrium solve: {e}")))?;
-
-        let market = game.market();
         let plan = SettlementPlan::new(
-            market,
+            game.market(),
             |org| Address::from_name(&format!("{}/{}", spec.name, org)),
             None,
         );
+        Ok(Self::scripted(spec, plan, game.market(), &eq.profile))
+    }
+
+    /// Resolves the plan for a game the caller already solved: the
+    /// Fig. 3 script for `profile` through [`SettlementPlan`], naming
+    /// each organization's account with `address(org_name)`. With an
+    /// `enclave`, the contract requires TEE-attested contribution
+    /// reports (footnote 6) and the script carries the enclave's MAC on
+    /// each one. `spec` only names the session: nothing is drawn from
+    /// its seed.
+    pub fn resolve<A: AccuracyModel>(
+        spec: SessionSpec,
+        game: &CoopetitionGame<A>,
+        profile: &StrategyProfile,
+        address: impl Fn(&str) -> Address,
+        enclave: Option<Enclave>,
+    ) -> Self {
+        let plan = SettlementPlan::new(game.market(), address, enclave);
+        Self::scripted(spec, plan, game.market(), profile)
+    }
+
+    /// The session that runs `plan`'s script for `profile`.
+    fn scripted(
+        spec: SessionSpec,
+        plan: SettlementPlan,
+        market: &Market,
+        profile: &StrategyProfile,
+    ) -> Self {
         // The contract address is unknown until deployment, so a
         // placeholder is patched in by `tx_at`.
-        let txs = plan.script(market, &eq.profile, Address([0u8; 20]), |_| 0);
+        let txs = plan.script(market, profile, Address([0u8; 20]), |_| 0);
         let SettlementPlan { addresses, allocations, params, .. } = plan;
-        Ok(Self { spec, addresses, allocations, params, txs })
+        Self { spec, addresses, allocations, params, txs }
     }
 
     /// The scripted transaction at `cursor`, with the deployed contract

@@ -12,29 +12,44 @@
 //! * [`tx`], [`state`], [`chain`] — transactions, accounts, blocks with
 //!   tamper detection;
 //! * [`contract`], [`node`] — the contract framework, gas metering and
-//!   a single-node chain with revert semantics;
+//!   one chain replica with revert semantics (every validator of
+//!   [`network`] runs one);
 //! * [`tradefl_contract`] — the Table I settlement contract
 //!   (`register`/`depositSubmit`/`contributionSubmit`/`payoffCalculate`/
 //!   `payoffTransfer`/`profileRecord`);
-//! * [`settlement`] — the Fig. 3 end-to-end driver bridging solver
-//!   equilibria onto the chain and auditing on-chain vs. Eq. (10); its
-//!   session owns the node the organizations call the contract on.
+//! * [`settlement`] — the one Fig. 3 settlement plan (bond sizing,
+//!   contract parameters, the scripted calls) bridging solver equilibria
+//!   onto the chain, and the audit of a mined script's receipts against
+//!   Eq. (10). The market engine (`tradefl-engine`) is the driver that
+//!   mines the script.
 //!
 //! # Quick start
+//!
+//! A whole Fig. 3 script mined in one block on a single node, then
+//! audited from its receipts:
 //!
 //! ```
 //! use tradefl_core::accuracy::SqrtAccuracy;
 //! use tradefl_core::config::MarketConfig;
 //! use tradefl_core::game::CoopetitionGame;
 //! use tradefl_core::strategy::StrategyProfile;
-//! use tradefl_ledger::settlement::SettlementSession;
+//! use tradefl_ledger::settlement::{SettlementPlan, SettlementReport};
+//! use tradefl_ledger::{Address, Node, TradeFlContract};
 //!
 //! let market = MarketConfig::table_ii().with_orgs(3).build(7)?;
 //! let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
 //! let profile = StrategyProfile::minimal(game.market());
 //!
-//! let mut session = SettlementSession::deploy(&game)?;
-//! let report = session.settle(&game, &profile)?;
+//! let plan = SettlementPlan::new(game.market(), Address::from_name, None);
+//! let mut node = Node::new(&plan.allocations);
+//! let contract = node.deploy(Box::new(TradeFlContract::new(plan.params.clone())?));
+//! let script = plan.script(game.market(), &profile, contract, |a| node.next_nonce(a));
+//! for tx in script.iter().cloned() {
+//!     node.submit(tx)?;
+//! }
+//! node.mine();
+//! let report =
+//!     SettlementReport::from_receipts(&node, &plan.addresses, script, &game, &profile)?;
 //! assert!(report.consistent(1e-3)); // on-chain R_i == Eq. (10)
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -64,7 +79,7 @@ pub use codec::{decode_chain, encode_chain, CodecError};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use network::{Network, NetworkError, Validator};
 pub use node::{BlockApplyError, Node, NodeError};
-pub use settlement::{SettlementReport, SettlementSession};
+pub use settlement::{SettlementPlan, SettlementReport};
 pub use tradefl_contract::{Phase, SessionParams, TradeFlContract};
 pub use tx::{ExecStatus, Log, Receipt, Transaction, TxPayload, Value};
 pub use types::{Address, Fixed, Hash256, Wei};

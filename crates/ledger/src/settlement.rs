@@ -6,14 +6,14 @@
 //! [`SettlementPlan`] is the one source of the Fig. 3 procedure: bond
 //! sizing, contract parameters, genesis funding and the scripted
 //! register → deposit → contribute → calculate → transfer → record
-//! transactions. [`SettlementSession`] runs that script on a single
-//! node; the market engine runs the same script on its replicated chain.
+//! transactions. The market engine (`tradefl-engine`) mines that script
+//! on its replicated chain, and [`SettlementReport::from_receipts`]
+//! audits the result from the scripted transactions' receipts.
 
 use crate::attestation::Enclave;
-use crate::contract::ContractError;
-use crate::node::{Node, NodeError};
-use crate::tradefl_contract::{SessionParams, TradeFlContract};
-use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
+use crate::node::Node;
+use crate::tradefl_contract::SessionParams;
+use crate::tx::{ExecStatus, Transaction, TxPayload, Value};
 use crate::types::{Address, Fixed, Wei};
 use std::fmt;
 use tradefl_core::accuracy::AccuracyModel;
@@ -27,14 +27,10 @@ pub const DEFAULT_WEI_PER_UNIT: u128 = 1_000_000;
 /// Gas limit on every Fig. 3 contract call.
 pub const CALL_GAS: u64 = 10_000_000;
 
-/// Errors from the settlement driver.
+/// Why a settlement did not complete.
 #[derive(Debug)]
 pub enum SettlementError {
-    /// A contract call reverted (carries the on-chain reason).
-    Contract(ContractError),
-    /// A transaction could not be submitted.
-    Node(NodeError),
-    /// A mined transaction reverted.
+    /// A scripted transaction reverted, or never reached the chain.
     Reverted {
         /// The ABI function that reverted.
         function: String,
@@ -46,8 +42,6 @@ pub enum SettlementError {
 impl fmt::Display for SettlementError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SettlementError::Contract(e) => write!(f, "contract error: {e}"),
-            SettlementError::Node(e) => write!(f, "node error: {e}"),
             SettlementError::Reverted { function, reason } => {
                 write!(f, "{function} reverted: {reason}")
             }
@@ -56,18 +50,6 @@ impl fmt::Display for SettlementError {
 }
 
 impl std::error::Error for SettlementError {}
-
-impl From<ContractError> for SettlementError {
-    fn from(e: ContractError) -> Self {
-        SettlementError::Contract(e)
-    }
-}
-
-impl From<NodeError> for SettlementError {
-    fn from(e: NodeError) -> Self {
-        SettlementError::Node(e)
-    }
-}
 
 /// One trading session's on-chain setup, derived from its market: the
 /// participant addresses, their genesis funding, the contract
@@ -213,94 +195,42 @@ impl SettlementReport {
     pub fn consistent(&self, tol: f64) -> bool {
         self.max_abs_error <= tol
     }
-}
 
-/// Drives one trading session end to end on a private single-node
-/// chain: the organizations' contract calls (§VI) are submitted to the
-/// session's own [`Node`] and mined one per block.
-#[derive(Debug)]
-pub struct SettlementSession {
-    node: Node,
-    contract: Address,
-    plan: SettlementPlan,
-}
-
-impl SettlementSession {
-    /// Builds the on-chain session for a game: boots a private chain,
-    /// funds every organization, deploys the TradeFL contract with the
-    /// market's parameters (converted to Gbit/GHz fixed point).
+    /// Audits a mined [`SettlementPlan::script`] on `node`: reads each
+    /// scripted transaction's receipt, sums their gas, takes the
+    /// on-chain `R_i` from `payoffCalculate`'s return data and compares
+    /// them against Eq. (10) for `profile`.
     ///
     /// # Errors
     ///
-    /// Propagates contract parameter validation failures.
-    pub fn deploy<A: AccuracyModel>(
-        game: &CoopetitionGame<A>,
-    ) -> Result<Self, SettlementError> {
-        Self::deploy_with(game, None)
-    }
-
-    /// Like [`SettlementSession::deploy`], but the session requires
-    /// TEE-attested contribution reports (footnote 6): the contract is
-    /// deployed with the enclave's verification key and every
-    /// `contributionSubmit` must carry a valid MAC.
-    pub fn deploy_attested<A: AccuracyModel>(
-        game: &CoopetitionGame<A>,
-        enclave: Enclave,
-    ) -> Result<Self, SettlementError> {
-        Self::deploy_with(game, Some(enclave))
-    }
-
-    fn deploy_with<A: AccuracyModel>(
-        game: &CoopetitionGame<A>,
-        enclave: Option<Enclave>,
-    ) -> Result<Self, SettlementError> {
-        let plan = SettlementPlan::new(game.market(), Address::from_name, enclave);
-        let contract_impl = TradeFlContract::new(plan.params.clone())?;
-        let mut node = Node::new(&plan.allocations);
-        let contract = node.deploy(Box::new(contract_impl));
-        Ok(Self { node, contract, plan })
-    }
-
-    /// The session's chain node (for inspecting the chain afterwards).
-    pub fn node(&self) -> &Node {
-        &self.node
-    }
-
-    /// The deployed contract address.
-    pub fn contract(&self) -> Address {
-        self.contract
-    }
-
-    /// Runs the full Fig. 3 procedure for an equilibrium profile — the
-    /// [`SettlementPlan::script`], one transaction per block — then
-    /// compares on-chain `R_i` against Eq. (10).
-    ///
-    /// # Errors
-    ///
-    /// [`SettlementError::Reverted`] if any on-chain step fails.
-    pub fn settle<A: AccuracyModel>(
-        &mut self,
+    /// [`SettlementError::Reverted`] for the first scripted transaction
+    /// that reverted or has no receipt on `node`.
+    pub fn from_receipts<A: AccuracyModel>(
+        node: &Node,
+        addresses: &[Address],
+        script: impl IntoIterator<Item = Transaction>,
         game: &CoopetitionGame<A>,
         profile: &StrategyProfile,
-    ) -> Result<SettlementReport, SettlementError> {
-        let market = game.market();
-        let script =
-            self.plan.script(market, profile, self.contract, |a| self.node.next_nonce(a));
+    ) -> Result<Self, SettlementError> {
         let mut total_gas = 0u64;
-        let mut calculated = Vec::new();
+        let mut calculated: &[Value] = &[];
         for tx in script {
             let function = match &tx.payload {
-                TxPayload::Call { function, .. } => function.clone(),
-                TxPayload::Transfer { .. } => String::new(),
+                TxPayload::Call { function, .. } => function.as_str(),
+                TxPayload::Transfer { .. } => "",
             };
-            let receipt = self.submit_and_mine(tx)?;
+            let Some(receipt) = node.receipt(tx.hash()) else {
+                let reason = "never mined".into();
+                return Err(SettlementError::Reverted { function: function.into(), reason });
+            };
             total_gas = total_gas.saturating_add(receipt.gas_used);
-            match receipt.status {
+            match &receipt.status {
                 ExecStatus::Reverted(reason) => {
-                    return Err(SettlementError::Reverted { function, reason })
+                    let (function, reason) = (function.into(), reason.clone());
+                    return Err(SettlementError::Reverted { function, reason });
                 }
                 ExecStatus::Success if function == "payoffCalculate" => {
-                    calculated = receipt.return_data;
+                    calculated = &receipt.return_data;
                 }
                 ExecStatus::Success => {}
             }
@@ -311,63 +241,28 @@ impl SettlementSession {
             .map(|v| v.as_fixed().map(Fixed::to_f64).unwrap_or(f64::NAN))
             .collect();
         let offchain: Vec<f64> =
-            (0..market.len()).map(|i| game.redistribution(profile, i)).collect();
+            (0..game.market().len()).map(|i| game.redistribution(profile, i)).collect();
         let max_abs_error = onchain
             .iter()
             .zip(&offchain)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
-        Ok(SettlementReport {
-            addresses: self.plan.addresses.clone(),
+        Ok(Self {
+            addresses: addresses.to_vec(),
             onchain_redistribution: onchain,
             offchain_redistribution: offchain,
             max_abs_error,
             total_gas,
-            chain_height: self.node.chain().height(),
+            chain_height: node.chain().height(),
         })
-    }
-
-    /// Calls `function` on the session's contract from `from` at its
-    /// next nonce with [`CALL_GAS`], mines it in its own block, and
-    /// returns the receipt — a hand-driven step of the Fig. 3
-    /// procedure.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError`] if submission fails; the receipt itself may still
-    /// be a revert — check [`Receipt::status`].
-    pub fn call(
-        &mut self,
-        from: Address,
-        function: &str,
-        args: Vec<Value>,
-        value: Wei,
-    ) -> Result<Receipt, NodeError> {
-        self.submit_and_mine(Transaction {
-            from,
-            nonce: self.node.next_nonce(from),
-            value,
-            gas_limit: CALL_GAS,
-            payload: TxPayload::Call { contract: self.contract, function: function.into(), args },
-        })
-    }
-
-    /// Submits `tx`, mines it alone in a block, and returns its receipt.
-    fn submit_and_mine(&mut self, tx: Transaction) -> Result<Receipt, NodeError> {
-        let hash = self.node.submit(tx)?;
-        self.node.mine();
-        Ok(self
-            .node
-            .receipt(hash)
-            .cloned()
-            // lint:allow(no-panic-in-lib): the tx was submitted just before the mine
-            .expect("just-mined transaction must have a receipt"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tradefl_contract::TradeFlContract;
+    use crate::tx::Receipt;
     use tradefl_core::accuracy::SqrtAccuracy;
     use tradefl_core::config::MarketConfig;
     use tradefl_core::strategy::Strategy;
@@ -388,149 +283,106 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn onchain_settlement_matches_offchain_eq10() {
-        let g = game(5, 77);
-        let profile = spread_profile(&g);
-        let mut session = SettlementSession::deploy(&g).unwrap();
-        let report = session.settle(&g, &profile).unwrap();
-        // Fixed-point resolution is 1e-9 per term; allow generous slack.
-        assert!(
-            report.consistent(1e-3),
-            "max error {} (on {:?} vs off {:?})",
-            report.max_abs_error,
-            report.onchain_redistribution,
-            report.offchain_redistribution
-        );
-        assert!(report.total_gas > 0);
-        session.node().chain().verify().unwrap();
+    /// A node funded by `plan` with its contract deployed, as the engine
+    /// boots each validator.
+    fn deployed(plan: &SettlementPlan) -> (Node, Address) {
+        let mut node = Node::new(&plan.allocations);
+        let contract = node.deploy(Box::new(TradeFlContract::new(plan.params.clone()).unwrap()));
+        (node, contract)
     }
 
-    #[test]
-    fn settlement_emits_full_audit_trail() {
-        let g = game(3, 5);
-        let profile = spread_profile(&g);
-        let mut session = SettlementSession::deploy(&g).unwrap();
-        session.settle(&g, &profile).unwrap();
-        let chain = session.node().chain();
-        for event in [
-            "Registered",
-            "DepositSubmitted",
-            "ContributionSubmitted",
-            "PayoffCalculated",
-            "PayoffTransferred",
-            "ProfileRecorded",
-        ] {
-            assert_eq!(chain.logs_by_event(event).count(), 3, "{event}");
-        }
-    }
-
-    #[test]
-    fn attested_session_accepts_enclave_signed_reports() {
-        let g = game(3, 31);
-        let profile = spread_profile(&g);
-        let enclave = crate::attestation::Enclave::from_label("vendor-x");
-        let mut session = SettlementSession::deploy_attested(&g, enclave).unwrap();
-        let report = session.settle(&g, &profile).unwrap();
-        assert!(report.consistent(1e-3));
+    /// Calls `function` on `contract` from `from` at its next nonce and
+    /// mines the call in its own block.
+    fn call(
+        node: &mut Node,
+        contract: Address,
+        from: Address,
+        function: &str,
+        args: Vec<Value>,
+        value: Wei,
+    ) -> Receipt {
+        let hash = node
+            .submit(Transaction {
+                from,
+                nonce: node.next_nonce(from),
+                value,
+                gas_limit: CALL_GAS,
+                payload: TxPayload::Call { contract, function: function.into(), args },
+            })
+            .unwrap();
+        node.mine();
+        node.receipt(hash).unwrap().clone()
     }
 
     #[test]
     fn attested_session_rejects_unattested_contributions() {
         let g = game(3, 33);
         let enclave = crate::attestation::Enclave::from_label("vendor-x");
-        let mut session = SettlementSession::deploy_attested(&g, enclave.clone()).unwrap();
-        let addrs: Vec<Address> = g
-            .market()
-            .orgs()
-            .iter()
-            .map(|o| Address::from_name(o.name()))
-            .collect();
-        for &a in &addrs {
-            assert!(session.call(a, "register", vec![], Wei::ZERO).unwrap().status.is_success());
+        let plan = SettlementPlan::new(g.market(), Address::from_name, Some(enclave.clone()));
+        let (mut node, contract) = deployed(&plan);
+        let addrs = &plan.addresses;
+        for &a in addrs {
+            let r = call(&mut node, contract, a, "register", vec![], Wei::ZERO);
+            assert!(r.status.is_success());
         }
-        for &a in &addrs {
-            let bond = Wei(session.node().state().balance_of(a).0 / 4);
-            assert!(session.call(a, "depositSubmit", vec![], bond).unwrap().status.is_success());
+        for &a in addrs {
+            let bond = Wei(node.state().balance_of(a).0 / 4);
+            let r = call(&mut node, contract, a, "depositSubmit", vec![], bond);
+            assert!(r.status.is_success());
         }
         let d = Fixed::from_f64(0.5);
         let f = Fixed::from_f64(3.0);
         // Missing attestation: rejected.
-        let r = session
-            .call(addrs[0], "contributionSubmit", vec![Value::Fixed(d), Value::Fixed(f)], Wei::ZERO)
-            .unwrap();
+        let args = vec![Value::Fixed(d), Value::Fixed(f)];
+        let r = call(&mut node, contract, addrs[0], "contributionSubmit", args, Wei::ZERO);
         assert!(!r.status.is_success(), "unattested report must revert");
         // Attestation for a DIFFERENT d (the org inflates its report).
         let att = enclave.attest(addrs[0], Fixed::from_f64(0.1), f);
         let args = vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())];
-        let r = session.call(addrs[0], "contributionSubmit", args, Wei::ZERO).unwrap();
+        let r = call(&mut node, contract, addrs[0], "contributionSubmit", args, Wei::ZERO);
         assert!(!r.status.is_success(), "inflated report must revert");
         // Honest, properly attested report: accepted.
         let att = enclave.attest(addrs[0], d, f);
         let args = vec![Value::Fixed(d), Value::Fixed(f), Value::Bytes(att.mac.to_vec())];
-        let r = session.call(addrs[0], "contributionSubmit", args, Wei::ZERO).unwrap();
+        let r = call(&mut node, contract, addrs[0], "contributionSubmit", args, Wei::ZERO);
         assert!(r.status.is_success());
     }
 
+    /// A session settles once: after the whole script is mined, a second
+    /// script's first `register` reverts, and the audit names it.
     #[test]
-    fn settling_twice_is_rejected() {
+    fn a_second_register_reverts() {
         let g = game(3, 9);
         let profile = spread_profile(&g);
-        let mut session = SettlementSession::deploy(&g).unwrap();
-        session.settle(&g, &profile).unwrap();
-        let err = session.settle(&g, &profile).unwrap_err();
+        let plan = SettlementPlan::new(g.market(), Address::from_name, None);
+        let (mut node, contract) = deployed(&plan);
+        let script =
+            |node: &Node| plan.script(g.market(), &profile, contract, |a| node.next_nonce(a));
+        let mut mined = Vec::new();
+        for _ in 0..2 {
+            let txs = script(&node);
+            for tx in &txs {
+                node.submit(tx.clone()).unwrap();
+            }
+            node.mine();
+            mined.push(txs);
+        }
+        let unmined = script(&node);
+        let audit = |txs: &[Transaction]| {
+            let txs = txs.iter().cloned();
+            SettlementReport::from_receipts(&node, &plan.addresses, txs, &g, &profile)
+        };
+        assert!(audit(&mined[0]).unwrap().consistent(1e-3));
+        let err = audit(&mined[1]).unwrap_err();
         assert!(
             matches!(&err, SettlementError::Reverted { function, .. } if function == "register"),
             "{err}"
         );
-    }
-
-    /// Two organizations named alike map to one address; the session
-    /// must refuse to deploy rather than mine a settlement that fails
-    /// on its second `register` with `BadNonce`.
-    #[test]
-    fn duplicate_participants_are_rejected_at_deploy() {
-        use tradefl_core::market::MechanismParams;
-        use tradefl_core::org::Organization;
-        let orgs = ["acme", "acme", "globex"]
-            .iter()
-            .map(|&name| {
-                Organization::builder(name).compute_levels(vec![1e9, 2e9, 3e9]).build().unwrap()
-            })
-            .collect();
-        let rho = (0..3)
-            .map(|i| (0..3).map(|j| if i == j { 0.0 } else { 0.05 }).collect())
-            .collect();
-        let market = Market::new(orgs, rho, MechanismParams::paper_default()).unwrap();
-        let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
-        let err = SettlementSession::deploy(&g).unwrap_err();
-        assert!(matches!(err, SettlementError::Contract(_)), "{err}");
-    }
-
-    /// The chain one settlement produces, pinned: these tip hashes and
-    /// state roots were recorded when the settlement driver still
-    /// scripted Fig. 3 by hand, so the shared [`SettlementPlan`] script
-    /// provably mines the same blocks, attested or not.
-    #[test]
-    fn settlement_chains_match_the_pinned_roots() {
-        let root = "49d56eef7b4e62d93f71d1621a652ee980da55baf05520ba0ba41530996df6ad";
-        let cases = [
-            (None, "eb9ddc001c27d81ccaa35abacddb2c7a060a3d1a7769dcbc2aeab65c9171b5b5"),
-            (
-                Some(crate::attestation::Enclave::from_label("vendor-x")),
-                "a4c6cecead71b8d8c1b2548646bd612913659fa192616f689522c33464571a43",
-            ),
-        ];
-        for (enclave, tip) in cases {
-            let g = game(4, 12);
-            let mut session = SettlementSession::deploy_with(&g, enclave).unwrap();
-            let report = session.settle(&g, &spread_profile(&g)).unwrap();
-            assert_eq!((report.chain_height, report.total_gas), (19, 519_000));
-            let (got_tip, got_root) =
-                (session.node().chain().tip_hash(), session.node().state().root());
-            assert_eq!(got_tip.to_hex(), tip);
-            assert_eq!(got_root.to_hex(), root);
-        }
+        let err = audit(&unmined).unwrap_err();
+        assert!(
+            matches!(&err, SettlementError::Reverted { reason, .. } if reason == "never mined"),
+            "{err}"
+        );
     }
 
     #[test]

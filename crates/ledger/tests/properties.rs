@@ -1,64 +1,17 @@
-//! Property-based tests for the ledger substrate: on-chain/off-chain
-//! settlement agreement, exact budget balance in fixed point, hashing
-//! robustness, and tamper detection.
+//! Property-based tests for the ledger substrate: hashing robustness,
+//! fixed-point round trips, codec and ABI robustness, and tamper
+//! detection. On-chain/off-chain settlement agreement is a property of
+//! the engine-driven settlement (`crates/engine/tests/settlement.rs`).
 //!
 //! Runs on the in-tree `tradefl_runtime::check` harness with pinned
 //! seeds; failures print a `TRADEFL_PROP_SEED` replay line.
 
-use tradefl_core::accuracy::SqrtAccuracy;
-use tradefl_core::config::MarketConfig;
-use tradefl_core::game::CoopetitionGame;
-use tradefl_core::strategy::{Strategy, StrategyProfile};
-use tradefl_ledger::settlement::SettlementSession;
 use tradefl_ledger::sha256;
 use tradefl_ledger::types::Fixed;
-use tradefl_runtime::check::Gen;
 use tradefl_runtime::{prop_assert, prop_assert_eq, props};
-
-fn any_game(g: &mut Gen) -> CoopetitionGame<SqrtAccuracy> {
-    let seed = g.u64(0..200);
-    let n = g.usize(2..6);
-    let mu = g.f64(0.01..0.2);
-    let market = MarketConfig::table_ii()
-        .with_orgs(n)
-        .with_rho_mean(mu)
-        .build(seed)
-        .unwrap();
-    CoopetitionGame::new(market, SqrtAccuracy::paper_default())
-}
-
-fn profile_for(game: &CoopetitionGame<SqrtAccuracy>, ts: &[f64]) -> StrategyProfile {
-    (0..game.market().len())
-        .map(|i| {
-            let level = game.market().org(i).compute_level_count() - 1;
-            let (lo, hi) = game.market().feasible_range(i, level).unwrap();
-            let t = ts[i % ts.len()];
-            Strategy::new(lo + t * (hi - lo), level)
-        })
-        .collect()
-}
 
 props! {
     #![cases = 12]
-
-    /// The on-chain redistribution matches Eq. (10) for random markets
-    /// and contribution profiles, and the chain verifies afterwards.
-    fn settlement_matches_offchain(g) {
-        let game = any_game(g);
-        let ts = g.vec(6..=6usize, |g| g.f64(0.0..=1.0));
-        let profile = profile_for(&game, &ts);
-        let mut session = SettlementSession::deploy(&game).unwrap();
-        let report = session.settle(&game, &profile).unwrap();
-        prop_assert!(report.consistent(1e-3), "max error {}", report.max_abs_error);
-        // Exact integer budget balance on-chain.
-        let sum_fixed: i128 = report
-            .onchain_redistribution
-            .iter()
-            .map(|&r| Fixed::from_f64(r).0)
-            .sum();
-        prop_assert!(sum_fixed.abs() <= report.addresses.len() as i128);
-        session.node().chain().verify().unwrap();
-    }
 
     /// SHA-256 streaming invariance: feeding `update` the input cut at
     /// any number of random points produces the one-shot digest.

@@ -15,7 +15,6 @@
 //! Run with: `cargo run --release --example arbitration`
 
 use tradefl::ledger::attestation::{verify, Enclave};
-use tradefl::ledger::settlement::SettlementSession;
 use tradefl::ledger::tx::{TxPayload, Value};
 use tradefl::ledger::types::{Address, Fixed};
 use tradefl::prelude::*;
@@ -27,8 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Attested settlement.
     let enclave = Enclave::from_label("consortium-tee-vendor");
-    let mut session = SettlementSession::deploy_attested(&game, enclave.clone())?;
-    let report = session.settle(&game, &eq.profile)?;
+    let (engine, report) = Engine::settle(&game, &eq.profile, Some(enclave.clone()))?;
     println!(
         "settled: {} orgs, {} blocks, max on/off-chain error {:.1e}",
         report.addresses.len(),
@@ -42,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ndispute: {claimant} claims it contributed d = {claimed_d}");
 
     // The arbitrator pulls the recorded contribution from chain events…
-    let chain = session.node().chain();
+    let chain = engine.network().validator(0).node.chain();
     let record = chain
         .logs_by_event("ContributionSubmitted")
         .find(|log| log.field("org").and_then(Value::as_addr) == Some(claimant))
@@ -67,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some((block.header.number, block.header.tx_root, proof, block.txs[idx].hash()))
         })
         .expect("settlement recorded the contribution");
-    assert!(proof.verify(tx_hash, tx_root));
+    // Blocks batch several calls, so the proof carries real siblings.
+    assert!(!proof.path.is_empty() && proof.verify(tx_hash, tx_root));
     println!(
         "arbitrator: inclusion proven in block {height} with a {}-step Merkle path",
         proof.path.len()

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --release --example pharma_consortium`
 
-use tradefl::ledger::settlement::SettlementSession;
 use tradefl::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,14 +80,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Settle the compensation credibly on the private chain (Fig. 3).
-    let mut session = SettlementSession::deploy(&game)?;
-    let report = session.settle(&game, &dbr.profile)?;
+    let (engine, report) = Engine::settle(&game, &dbr.profile, None)?;
     println!(
         "\non-chain settlement: {} blocks, {} gas, max |on-chain - Eq.(10)| = {:.2e}",
         report.chain_height, report.total_gas, report.max_abs_error
     );
     assert!(report.consistent(1e-3));
-    let chain = session.node().chain();
+    let chain = engine.network().validator(0).node.chain();
     chain.verify()?;
     println!("chain verified; every step recorded for arbitration:");
     for event in ["DepositSubmitted", "ContributionSubmitted", "PayoffTransferred"] {

@@ -170,10 +170,10 @@ echo "==> bench-regression gate: smoke medians vs the committed file (3x toleran
 # both files carry compare like-for-like.
 target/release/baseline --gate target/BENCH_baselines.fast.json BENCH_baselines.json
 
-echo "==> settlement smoke: every single-node settlement consumer runs clean"
-# Each drives SettlementSession end to end (deploy, settle or
-# hand-driven contract calls, chain reads) and exits non-zero when one
-# of its own checks fails.
+echo "==> settlement smoke: every Engine::settle consumer outside the experiment bins runs clean"
+# Each settles a solved game through Engine::settle (a one-validator
+# engine session), reads the chain it mined, and exits non-zero when
+# one of its own checks fails.
 cargo build --release -q --example arbitration --example pharma_consortium
 for consumer in examples/arbitration examples/pharma_consortium; do
   target/release/"$consumer" > /dev/null

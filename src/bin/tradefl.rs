@@ -21,7 +21,7 @@ use tradefl::fl::data::generate;
 use tradefl::fl::fed::FedConfig;
 use tradefl::fl::model::Mlp;
 use tradefl::ledger::attestation::Enclave;
-use tradefl::ledger::settlement::{SettlementReport, SettlementSession};
+use tradefl::ledger::settlement::SettlementReport;
 use tradefl::prelude::*;
 use tradefl::solver::baselines::solve_scheme;
 use tradefl::solver::social::{solve_social_optimum, SocialOptions};
@@ -252,12 +252,8 @@ fn cmd_sweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let game = build_game(opts)?;
     let eq = DbrSolver::new().solve(&game)?;
-    let mut session = if opts.attested {
-        SettlementSession::deploy_attested(&game, Enclave::from_label("tradefl-cli"))?
-    } else {
-        SettlementSession::deploy(&game)?
-    };
-    let report = session.settle(&game, &eq.profile)?;
+    let enclave = opts.attested.then(|| Enclave::from_label("tradefl-cli"));
+    let (engine, report) = Engine::settle(&game, &eq.profile, enclave)?;
     println!(
         "settled {} organizations in {} blocks, {} gas{}",
         opts.orgs,
@@ -276,7 +272,7 @@ fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("max |on-chain − off-chain| = {:.2e}", report.max_abs_error);
     check_settlement(&report)?;
-    session.node().chain().verify()?;
+    engine.network().validator(0).node.chain().verify()?;
     println!("chain verified");
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! compute through *payoff redistribution* — and the redistribution is
 //! made undeniable by settling it on a smart contract.
 //!
-//! The workspace splits into four crates, all re-exported here:
+//! The workspace splits into five crates, all re-exported here:
 //!
 //! * [`core`] ([`tradefl_core`]) — the coopetition model: payoffs
 //!   (Eq. 11), redistribution (Eq. 9-10), damage (Eq. 6-7) and the
@@ -17,7 +17,9 @@
 //! * [`fl`] ([`tradefl_fl_sim`]) — a FedAvg training substrate with
 //!   four model and dataset analogs;
 //! * [`ledger`] ([`tradefl_ledger`]) — a from-scratch private chain and
-//!   the Table I settlement contract.
+//!   the Table I settlement contract;
+//! * [`engine`] ([`tradefl_engine`]) — the market engine that mines the
+//!   Fig. 3 settlement on replicated validators.
 //!
 //! # The full pipeline in one call
 //!
@@ -36,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub use tradefl_core as core;
+pub use tradefl_engine as engine;
 pub use tradefl_fl_sim as fl;
 pub use tradefl_ledger as ledger;
 pub use tradefl_solver as solver;
@@ -48,10 +51,10 @@ pub mod prelude {
     pub use tradefl_core::market::{Market, MechanismParams};
     pub use tradefl_core::mechanism::MechanismAudit;
     pub use tradefl_core::strategy::{Strategy, StrategyProfile};
+    pub use tradefl_engine::Engine;
     pub use tradefl_fl_sim::data::DatasetKind;
     pub use tradefl_fl_sim::fed::{train_federated, FedConfig};
     pub use tradefl_fl_sim::model::ModelKind;
-    pub use tradefl_ledger::settlement::SettlementSession;
     pub use tradefl_solver::dbr::DbrSolver;
     pub use tradefl_solver::outcome::{Equilibrium, Scheme};
 }
@@ -63,12 +66,13 @@ pub mod pipeline {
     use tradefl_core::accuracy::SqrtAccuracy;
     use tradefl_core::config::MarketConfig;
     use tradefl_core::game::CoopetitionGame;
+    use tradefl_engine::Engine;
     use tradefl_fl_sim::data::{dirichlet_shard, generate, DatasetKind};
     use tradefl_fl_sim::fed::{train_federated, FedConfig, FedOutcome};
     use tradefl_fl_sim::model::{Mlp, ModelKind};
     use tradefl_fl_sim::personalize::{personalize_all, PersonalizeConfig, PersonalizedModel};
     use tradefl_ledger::attestation::Enclave;
-    use tradefl_ledger::settlement::{SettlementReport, SettlementSession};
+    use tradefl_ledger::settlement::SettlementReport;
     use tradefl_solver::dbr::DbrSolver;
     use tradefl_solver::outcome::Equilibrium;
 
@@ -170,15 +174,8 @@ pub mod pipeline {
 
             // 2. Credible settlement (Fig. 3), optionally with
             //    TEE-attested reports.
-            let mut session = if self.config.attested {
-                SettlementSession::deploy_attested(
-                    &game,
-                    Enclave::from_label("tradefl-pipeline"),
-                )?
-            } else {
-                SettlementSession::deploy(&game)?
-            };
-            let settlement = session.settle(&game, &equilibrium.profile)?;
+            let enclave = self.config.attested.then(|| Enclave::from_label("tradefl-pipeline"));
+            let (_, settlement) = Engine::settle(&game, &equilibrium.profile, enclave)?;
 
             // 3. Federated training at the agreed contributions.
             let n = game.market().len();

@@ -19,6 +19,15 @@ fn a_runtime_error_exits_1_without_the_usage_text() {
 }
 
 #[test]
+fn the_largest_settleable_market_settles() {
+    // 71 orgs is the last size whose `payoffCalculate` fits the call gas.
+    let out = tradefl(&["settle", "--orgs", "71"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("chain verified"), "{stderr}");
+}
+
+#[test]
 fn a_parse_error_exits_1_with_the_usage_text() {
     for args in [&["frobnicate"][..], &["settle", "--orgs"]] {
         let out = tradefl(args);

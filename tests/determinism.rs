@@ -18,9 +18,8 @@ fn game(seed: u64) -> CoopetitionGame<SqrtAccuracy> {
 fn settlement_state_roots(seed: u64) -> Vec<Hash256> {
     let g = game(seed);
     let eq = DbrSolver::new().solve(&g).unwrap();
-    let mut session = SettlementSession::deploy(&g).unwrap();
-    session.settle(&g, &eq.profile).unwrap();
-    session.node().chain().blocks().iter().map(|b| b.header.state_root).collect()
+    let (engine, _) = Engine::settle(&g, &eq.profile, None).unwrap();
+    engine.network().validator(0).node.chain().blocks().iter().map(|b| b.header.state_root).collect()
 }
 
 #[test]
