@@ -121,7 +121,7 @@ pub fn shapley_accuracy<A: AccuracyModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accuracy::{LogAccuracy, SqrtAccuracy};
+    use crate::accuracy::SqrtAccuracy;
     use crate::config::MarketConfig;
     use crate::strategy::Strategy;
 
@@ -222,8 +222,18 @@ mod tests {
             crate::market::MechanismParams::default(),
         )
         .unwrap();
-        let acc = LogAccuracy::new(1.0, 10e9).unwrap();
-        let g = CoopetitionGame::new(market, acc);
+        // `P(Ω) = ln(1 + Ω / 10 Gbit)` is finite at `Ω = 0`, unlike the
+        // sqrt bound, so the empty coalition's value is exact.
+        struct LogGain;
+        impl AccuracyModel for LogGain {
+            fn gain(&self, omega: f64) -> f64 {
+                (1.0 + omega / 10e9).ln()
+            }
+            fn gain_deriv(&self, omega: f64) -> f64 {
+                1.0 / (10e9 + omega)
+            }
+        }
+        let g = CoopetitionGame::new(market, LogGain);
         let p = profile_for_generic(&g, 1.0);
         let report = shapley_accuracy(&g, &p);
         // Direct: average marginal contributions over the 6 orderings.

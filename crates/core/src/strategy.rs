@@ -37,11 +37,6 @@ impl Strategy {
 pub struct StrategyProfile(Vec<Strategy>);
 
 impl StrategyProfile {
-    /// Creates a profile from explicit strategies.
-    pub fn new(strategies: Vec<Strategy>) -> Self {
-        Self(strategies)
-    }
-
     /// Creates a profile from parallel slices of fractions and levels.
     ///
     /// # Panics

@@ -5,7 +5,7 @@
 //! Runs on the in-tree `tradefl_runtime::check` harness with pinned
 //! seeds; failures print a `TRADEFL_PROP_SEED` replay line.
 
-use tradefl_core::accuracy::{AccuracyModel, LogAccuracy, PowerLawAccuracy, SqrtAccuracy};
+use tradefl_core::accuracy::{AccuracyModel, SqrtAccuracy};
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::mechanism::MechanismAudit;
@@ -43,6 +43,83 @@ fn any_game(g: &mut Gen) -> CoopetitionGame<SqrtAccuracy> {
         .build(seed)
         .expect("table-ii config is always buildable");
     CoopetitionGame::new(market, SqrtAccuracy::paper_default())
+}
+
+/// A logarithmic family `P(Ω) = c · ln(1 + Ω / scale)`. Eq. (5) leaves
+/// the accuracy function open; this family and [`PowerLawAccuracy`]
+/// check that the `AccuracyModel` contract admits more than the sqrt
+/// bound the library ships.
+struct LogAccuracy {
+    coefficient: f64,
+    scale: f64,
+}
+
+impl AccuracyModel for LogAccuracy {
+    fn gain(&self, omega: f64) -> f64 {
+        self.coefficient * (1.0 + omega.max(0.0) / self.scale).ln()
+    }
+
+    fn gain_deriv(&self, omega: f64) -> f64 {
+        self.coefficient / (self.scale + omega.max(0.0))
+    }
+
+    fn gain_curvature(&self, omega: f64) -> f64 {
+        let denom = self.scale + omega.max(0.0);
+        -self.coefficient / (denom * denom)
+    }
+
+    fn name(&self) -> &str {
+        "log"
+    }
+}
+
+/// A saturating power law `P(Ω) = cap · (1 − (1 + Ω/scale)^(−alpha))`,
+/// increasing and concave for `alpha ∈ (0, 1]`.
+struct PowerLawAccuracy {
+    cap: f64,
+    scale: f64,
+    alpha: f64,
+}
+
+impl AccuracyModel for PowerLawAccuracy {
+    fn gain(&self, omega: f64) -> f64 {
+        let base = 1.0 + omega.max(0.0) / self.scale;
+        self.cap * (1.0 - base.powf(-self.alpha))
+    }
+
+    fn gain_deriv(&self, omega: f64) -> f64 {
+        let base = 1.0 + omega.max(0.0) / self.scale;
+        self.cap * self.alpha / self.scale * base.powf(-self.alpha - 1.0)
+    }
+
+    fn gain_curvature(&self, omega: f64) -> f64 {
+        let base = 1.0 + omega.max(0.0) / self.scale;
+        -self.cap * self.alpha * (self.alpha + 1.0) / (self.scale * self.scale)
+            * base.powf(-self.alpha - 2.0)
+    }
+
+    fn name(&self) -> &str {
+        "power-law"
+    }
+}
+
+#[test]
+fn alternative_models_match_finite_differences() {
+    let log = LogAccuracy { coefficient: 2.0, scale: 30e9 };
+    let pl = PowerLawAccuracy { cap: 1.5, scale: 40e9, alpha: 0.7 };
+    for m in [&log as &dyn AccuracyModel, &pl] {
+        for &omega in &[10e9, 50e9, 200e9] {
+            let h = omega * 1e-5;
+            let fd = (m.gain(omega + h) - m.gain(omega - h)) / (2.0 * h);
+            let rel = (fd - m.gain_deriv(omega)).abs() / m.gain_deriv(omega);
+            assert!(rel < 1e-6, "{}: gain fd={fd} analytic={}", m.name(), m.gain_deriv(omega));
+            let fd = (m.gain_deriv(omega + h) - m.gain_deriv(omega - h)) / (2.0 * h);
+            let an = m.gain_curvature(omega);
+            assert!(an <= 0.0, "{}: curvature must be non-positive", m.name());
+            let rel = (fd - an).abs() / an.abs().max(1e-30);
+            assert!(rel < 1e-3, "{}: fd={fd} analytic={an}", m.name());
+        }
+    }
 }
 
 fn any_picks(g: &mut Gen) -> Vec<(f64, u8)> {
@@ -126,8 +203,8 @@ props! {
         let a = g.f64(0.0..1e12);
         let b = g.f64(0.0..1e12);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let log = LogAccuracy::new(c, scale).unwrap();
-        let pl = PowerLawAccuracy::new(c, scale, alpha).unwrap();
+        let log = LogAccuracy { coefficient: c, scale };
+        let pl = PowerLawAccuracy { cap: c, scale, alpha };
         for m in [&log as &dyn AccuracyModel, &pl as &dyn AccuracyModel] {
             prop_assert!(m.gain(hi) + 1e-12 >= m.gain(lo));
             prop_assert!(m.gain_deriv(lo) + 1e-18 >= m.gain_deriv(hi));

@@ -131,14 +131,8 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    /// One-hidden-layer MLP with seeded Xavier-style weights (the
-    /// original constructor; see [`Mlp::with_layers`] for deeper nets).
-    pub fn new(input_dim: usize, hidden: usize, classes: usize, seed: u64) -> Self {
-        Self::with_layers(input_dim, &[hidden], classes, seed)
-    }
-
-    /// MLP with the given hidden-layer widths (ReLU between layers,
-    /// softmax on the output).
+    /// MLP with seeded Xavier-style weights and the given hidden-layer
+    /// widths (ReLU between layers, softmax on the output).
     ///
     /// # Panics
     ///
@@ -498,7 +492,7 @@ mod tests {
     #[test]
     fn forward_produces_probabilities() {
         let d = generate(DatasetKind::EurosatLike, 20, 1);
-        let m = Mlp::new(d.dim(), 16, d.classes, 7);
+        let m = Mlp::with_layers(d.dim(), &[16], d.classes, 7);
         let mut ws = Workspace::new();
         let p = m.forward_with(&d.features, &mut ws);
         for r in 0..p.rows() {
@@ -554,7 +548,7 @@ mod tests {
     #[test]
     fn sgd_reduces_training_loss() {
         let d = generate(DatasetKind::EurosatLike, 300, 2);
-        let mut m = Mlp::new(d.dim(), 24, d.classes, 3);
+        let mut m = Mlp::with_layers(d.dim(), &[24], d.classes, 3);
         let (loss0, _) = m.evaluate(&d);
         let mut ws = Workspace::new();
         for _ in 0..60 {
@@ -666,7 +660,7 @@ mod tests {
     #[test]
     fn evaluate_on_empty_dataset_is_nan() {
         let d = generate(DatasetKind::FmnistLike, 10, 1).take(0);
-        let m = Mlp::new(49, 8, 10, 1);
+        let m = Mlp::with_layers(49, &[8], 10, 1);
         let (loss, acc) = m.evaluate(&d);
         assert!(loss.is_nan() && acc.is_nan());
     }

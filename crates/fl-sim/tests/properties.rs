@@ -102,8 +102,8 @@ props! {
         let hidden = g.usize(1..16);
         let classes = g.usize(2..8);
         let seed = g.any_u64();
-        let a = Mlp::new(dim, hidden, classes, seed);
-        let mut b = Mlp::new(dim, hidden, classes, seed.wrapping_add(1));
+        let a = Mlp::with_layers(dim, &[hidden], classes, seed);
+        let mut b = Mlp::with_layers(dim, &[hidden], classes, seed.wrapping_add(1));
         b.set_params(&a.to_params());
         prop_assert_eq!(a, b);
     }

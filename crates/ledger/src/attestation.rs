@@ -32,11 +32,6 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    /// Provisions an enclave with a vendor key.
-    pub fn new(key: [u8; 32]) -> Self {
-        Self { key }
-    }
-
     /// Derives a deterministic enclave from a provisioning label (demo
     /// and test convenience).
     pub fn from_label(label: &str) -> Self {

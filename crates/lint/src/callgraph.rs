@@ -1,6 +1,8 @@
-//! The workspace call graph, one graph behind two rules:
-//! `no-nested-pool-scope` (which fns reach a pool entry) and
-//! `unreferenced-pub-fn` (which `pub fn`s no non-test root reaches).
+//! The workspace call graph, one graph behind three rules:
+//! `no-nested-pool-scope` (which fns reach a pool entry),
+//! `unreferenced-pub-fn` (which `pub fn`s no non-test root reaches)
+//! and `unreferenced-pub-type` (which `pub` types no reached code
+//! names).
 //!
 //! The fork-join pool (`tradefl_runtime::sync::pool::Pool`) stands up
 //! its own threads for every `Pool::scope` that fans out, so a task
@@ -9,284 +11,234 @@
 //! `w` more, and the pool's worker count no longer bounds the threads
 //! alive. That nesting is rarely lexical — the inner entry usually
 //! hides one or more calls deep — so a token pattern cannot see it.
-//! This module builds a name-keyed call graph over every parsed fn and
+//! This module builds a call graph over every fn of the fn table and
 //! computes which fns can *reach* a pool entry, then flags calls made
 //! inside a pooled closure whose callee reaches one (direct lexical
 //! nesting included).
 //!
-//! Resolution is by simple callee name (no types), so distinct fns
-//! sharing a name merge conservatively; a runtime-guarded site (e.g.
-//! dispatch that checks `pool.workers() > 1` before going parallel)
-//! that trips the rule documents its guard in a `lint:allow` reason —
-//! that documentation is the point.
+//! Calls resolve through the fn table ([`crate::table`]): a path to
+//! its `Type::name` key, a method call to every fn of its name. A
+//! callee counts as reaching the pool only when **every** fn it
+//! resolves to reaches one, so one `Solver::run` that dispatches
+//! parallel work does not convict the unrelated `run` methods. A
+//! runtime-guarded site (e.g. dispatch that checks `pool.workers() >
+//! 1` before going parallel) that trips the rule documents its guard
+//! in a `lint:allow` reason — that documentation is the point.
 //!
 //! The same graph finds dead public API. The roots are every fn of a
 //! bin, example or `tradebench/` target, every trait-impl and trait
 //! method, and every identifier in a `macro_rules!` body, an
 //! item-position macro invocation or a `const`/`static` initializer
-//! (none of which the parser structures). From them a name is
-//! *referenced* when a reached fn calls it or uses it as a value
-//! (`.map(Transaction::hash)`), and reaching a name reaches every
-//! non-test fn of that name. A single-segment path that names a
-//! binding in scope (a param, or a `let`, closure, match-arm, `if
-//! let`/`while let` or `for` pattern) is that local and references
-//! nothing; a struct shorthand `S { seed }` is such a path. Code under
-//! `#[cfg(test)]` and in test targets reaches nothing. A library `pub fn` whose name stays
-//! unreferenced is an `unreferenced-pub-fn` finding; name merging can
-//! only hide a dead fn, never flag a live one.
+//! (none of which the parser structures; such an identifier reaches
+//! every fn of its name). From them a fn is *reached* when a reached
+//! fn calls it or uses it as a value (`.map(Transaction::hash)`). A
+//! single-segment path that names a binding in scope (a param, or a
+//! `let`, closure, match-arm, `if let`/`while let` or `for` pattern)
+//! is that local and references nothing; a struct shorthand `S { seed
+//! }` is such a path. Code under `#[cfg(test)]` and in test targets
+//! reaches nothing. A library `pub fn` left unreached is an
+//! `unreferenced-pub-fn` finding.
+//!
+//! Types are reached by name: a reached fn reaches every type named in
+//! its signature, body, patterns, casts or turbofish, a reached type
+//! the types its generics and fields name, an alias its target, and
+//! the macro and `const` identifiers above reach the types they name.
+//! A library `pub struct`/`enum` left unreached is an
+//! `unreferenced-pub-type` finding. Merging by name, like merging by
+//! key, can only hide a dead item, never flag a live one.
 
-use crate::parse::{self, Expr, ExprKind, File, Item, ItemKind};
-use crate::rules::{classify, RawFinding, Target};
+use crate::parse::{self, Expr, ExprKind, ItemKind};
+use crate::rules::RawFinding;
+use crate::table::{FnTable, Role};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pool methods that move the caller onto the worker set.
 const POOL_ENTRY_METHODS: &[&str] = &["scope"];
 
-/// One fn's call-graph record.
+/// One fn's call-graph record; `'t` borrows the fn table.
 #[derive(Debug, Default)]
-struct FnNode {
-    /// 1-based first line of the fn item.
-    line: u32,
-    role: Role,
-    /// Simple names of every callee (free-fn and method calls alike),
-    /// but for calls through a local binding.
-    calls: BTreeSet<String>,
-    /// Names used other than as a callee: the last segment of every
-    /// path expression that does not name a local binding, and the
-    /// identifiers of fn-local macro definitions and `const`
-    /// initializers. Only `unreferenced-pub-fn` reads these; pool
-    /// reachability follows calls alone.
-    refs: BTreeSet<String>,
-    /// Lines of pool-entry sites lexically in this fn's body.
-    pool_entries: Vec<u32>,
-    /// Calls made from inside a closure passed to a pool-entry site:
-    /// `(line, callee, direct_pool_entry)`.
-    pooled_calls: Vec<PooledCall>,
-}
-
-/// Where a fn sits, for `unreferenced-pub-fn`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Under `#[cfg(test)]` or in a test target: reaches nothing.
-    Test,
-    /// A bin/example/`tradebench` fn or a trait (impl) method.
-    Root,
-    /// A plain `pub fn` in a library target.
-    Pub,
-    /// Any other library fn.
-    #[default]
-    Inner,
-}
-
-/// Per-file facts [`CallGraph::add_item`] classifies fns by.
-struct FileCx<'f> {
-    path: &'f str,
-    target: Target,
-    test_spans: &'f [(u32, u32)],
-}
-
-impl FileCx<'_> {
-    fn is_test(&self, line: u32) -> bool {
-        matches!(self.target, Target::Test | Target::Bench)
-            || self.test_spans.iter().any(|&(lo, hi)| lo <= line && line <= hi)
-    }
-
-    fn role(&self, line: u32, public: bool, trait_member: bool) -> Role {
-        if self.is_test(line) {
-            Role::Test
-        } else if trait_member || self.target != Target::Lib || self.path.starts_with("tradebench/")
-        {
-            Role::Root
-        } else if public {
-            Role::Pub
-        } else {
-            Role::Inner
-        }
-    }
+struct FnNode<'t> {
+    /// Every callee (free-fn, path and method calls alike, but for
+    /// calls through a local binding), as written → the fns it
+    /// resolves to.
+    calls: BTreeMap<String, &'t [usize]>,
+    /// Fns named other than as a callee: every path expression that
+    /// does not name a local binding, and the identifiers of fn-local
+    /// macro definitions and `const` initializers. Only the
+    /// reachability from roots reads these; pool reachability follows
+    /// calls alone.
+    refs: BTreeSet<usize>,
+    /// A pool-entry site lies lexically in this fn's body.
+    enters_pool: bool,
+    /// Calls made from inside a closure passed to a pool-entry site.
+    pooled_calls: Vec<PooledCall<'t>>,
 }
 
 #[derive(Debug)]
-struct PooledCall {
+struct PooledCall<'t> {
     line: u32,
+    /// The callee as written.
     callee: String,
+    targets: &'t [usize],
     /// The call is itself a pool entry (lexical nesting).
     direct: bool,
 }
 
-/// The workspace call graph, keyed by file for finding attribution.
-#[derive(Debug, Default)]
-pub struct CallGraph {
-    /// (file, fn-name) → node.
-    nodes: Vec<(String, String, FnNode)>,
-    /// fn-name → indices into `nodes` (same-name fns merge).
-    by_name: BTreeMap<String, Vec<usize>>,
-    /// fn-names that reach a pool entry, mapped to a witness chain
-    /// (`name → name → … → Pool::scope`).
-    reaches_pool: BTreeMap<String, String>,
-    /// Names the non-test roots reach: seeded with the identifiers of
-    /// non-test macro bodies and `const` initializers, then closed by
-    /// [`CallGraph::compute_referenced`].
-    referenced: BTreeSet<String>,
+/// The workspace call graph over the fn table.
+#[derive(Debug)]
+pub struct CallGraph<'t> {
+    table: &'t FnTable<'t>,
+    /// One node per table fn, in table order.
+    nodes: Vec<FnNode<'t>>,
+    /// Per fn: a witness chain (`a → b → … enters the pool directly`)
+    /// if it reaches a pool entry.
+    reaches_pool: Vec<Option<String>>,
+    /// Per fn: reached from a non-test root.
+    reached: Vec<bool>,
+    /// Type names the reached fns, types and seeds name.
+    reached_types: BTreeSet<&'t str>,
 }
 
-impl CallGraph {
-    /// Builds the graph over every parsed file, each with its
-    /// `#[cfg(test)]` line spans, and computes pool reachability and
-    /// the referenced names to a fixpoint.
-    pub fn build<'f>(
-        files: impl IntoIterator<Item = (&'f str, &'f File, &'f [(u32, u32)])>,
-    ) -> Self {
-        let mut graph = CallGraph::default();
-        for (path, file, test_spans) in files {
-            let cx = FileCx { path, target: classify(path), test_spans };
-            for item in &file.items {
-                graph.add_item(&cx, item, false);
-            }
-        }
-        for (i, (_, name, _)) in graph.nodes.iter().enumerate() {
-            graph.by_name.entry(name.clone()).or_default().push(i);
-        }
-        graph.compute_reachability();
-        graph.compute_referenced();
-        graph
+impl<'t> CallGraph<'t> {
+    /// Builds the graph over the table and computes pool reachability
+    /// and the fns and types the roots reach.
+    pub fn build(table: &'t FnTable<'t>) -> Self {
+        let nodes: Vec<_> = table
+            .fns
+            .iter()
+            .map(|e| {
+                let mut node = FnNode::default();
+                if let Some(body) = &e.func.body {
+                    // The body starts with only the fn's own params bound.
+                    let locals = e.func.params.iter().map(|p| p.name.clone()).collect();
+                    let (self_ty, node) = (e.self_ty, &mut node);
+                    let mut cx = Collector { table, self_ty, node, in_pooled_closure: false, locals };
+                    collect_block(body, &mut cx);
+                }
+                node
+            })
+            .collect();
+        let reaches_pool = Self::reachability(table, &nodes);
+        let (reached, reached_types) = Self::reached(table, &nodes);
+        CallGraph { table, nodes, reaches_pool, reached, reached_types }
     }
 
-    fn add_item(&mut self, cx: &FileCx<'_>, item: &Item, trait_member: bool) {
-        match &item.kind {
-            ItemKind::Fn(func) => {
-                let mut node = FnNode {
-                    line: item.line,
-                    role: cx.role(item.line, func.public, trait_member),
-                    ..FnNode::default()
-                };
-                Collector { node: &mut node, in_pooled_closure: false, locals: Vec::new() }
-                    .fn_body(func);
-                self.nodes.push((cx.path.to_string(), item.name.clone(), node));
-            }
-            ItemKind::Mod(items) => {
-                for it in items {
-                    self.add_item(cx, it, false);
-                }
-            }
-            ItemKind::Trait(items) => {
-                for it in items {
-                    self.add_item(cx, it, true);
-                }
-            }
-            ItemKind::Impl { trait_ty, items, .. } => {
-                for it in items {
-                    self.add_item(cx, it, trait_ty.is_some());
-                }
-            }
-            ItemKind::MacroDef(idents)
-            | ItemKind::MacroInvocation(idents)
-            | ItemKind::ConstDef(idents) => {
-                if !cx.is_test(item.line) {
-                    self.referenced.extend(idents.iter().cloned());
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Closes the seeded names under "a reached name reaches every
-    /// non-test fn of that name, and a reached fn reaches what it
-    /// calls or names". The roots' names start the walk.
-    fn compute_referenced(&mut self) {
-        let mut queue: Vec<&str> = self.referenced.iter().map(String::as_str).collect();
-        for (_, _, node) in &self.nodes {
-            if node.role == Role::Root {
-                queue.extend(node.calls.iter().chain(&node.refs).map(String::as_str));
-            }
-        }
-        let mut referenced = BTreeSet::new();
-        while let Some(name) = queue.pop() {
-            if !referenced.insert(name.to_string()) {
-                continue;
-            }
-            for &i in self.by_name.get(name).into_iter().flatten() {
-                let node = &self.nodes[i].2;
-                if matches!(node.role, Role::Pub | Role::Inner) {
-                    queue.extend(node.calls.iter().chain(&node.refs).map(String::as_str));
-                }
-            }
-        }
-        self.referenced = referenced;
+    /// Whether every fn of a non-empty callee set reaches the pool.
+    fn all_reach(reach: &[Option<String>], targets: &[usize]) -> bool {
+        !targets.is_empty() && targets.iter().all(|&j| reach[j].is_some())
     }
 
     /// Fixpoint: a fn reaches the pool if its body holds a pool entry
-    /// or it calls (by name) any *name* that reaches one. Because
-    /// resolution is by simple name, a name counts as reaching only
-    /// when **every** definition of it reaches — one `Solver::new`
-    /// that dispatches parallel work must not convict the dozens of
-    /// unrelated `new`s in the workspace (and through them, every fn
-    /// constructing anything inside a pooled closure).
-    fn compute_reachability(&mut self) {
-        let n = self.nodes.len();
-        // Per-definition reach status with a witness chain.
-        let mut node_reach: Vec<Option<String>> = self
-            .nodes
+    /// or it calls a callee every fn of which reaches one.
+    fn reachability(table: &FnTable<'_>, nodes: &[FnNode<'_>]) -> Vec<Option<String>> {
+        let fns = &table.fns;
+        let mut reach: Vec<Option<String>> = fns
             .iter()
-            .map(|(_, name, node)| {
-                (!node.pool_entries.is_empty())
-                    .then(|| format!("`{name}` enters the pool directly"))
+            .zip(nodes)
+            .map(|(e, node)| {
+                node.enters_pool
+                    .then(|| format!("`{}` enters the pool directly", e.key))
             })
             .collect();
-        let name_reaches = |reach: &[Option<String>], idx: &CallGraph, name: &str| {
-            idx.by_name
-                .get(name)
-                .is_some_and(|defs| !defs.is_empty() && defs.iter().all(|&i| reach[i].is_some()))
-        };
         loop {
             let mut grew = false;
-            for i in 0..n {
-                if node_reach[i].is_some() {
+            for (i, node) in nodes.iter().enumerate() {
+                if reach[i].is_some() {
                     continue;
                 }
-                let (_, name, node) = &self.nodes[i];
-                if let Some(callee) = node
-                    .calls
-                    .iter()
-                    .find(|c| name_reaches(&node_reach, self, c))
+                if let Some(targets) =
+                    node.calls.values().find(|targets| Self::all_reach(&reach, targets))
                 {
-                    // Witness via any def of the callee name (all reach,
-                    // so any chain is a true chain for some resolution).
-                    let via = self.by_name[callee]
-                        .iter()
-                        .find_map(|&j| node_reach[j].clone())
-                        .unwrap_or_else(|| format!("`{callee}` enters the pool"));
-                    node_reach[i] = Some(format!("`{name}` → {via}"));
+                    // Every target reaches, so any one's chain is a
+                    // true chain for some resolution.
+                    let via = targets.iter().find_map(|&j| reach[j].clone()).unwrap_or_default();
+                    reach[i] = Some(format!("`{}` → {via}", fns[i].key));
                     grew = true;
                 }
             }
             if !grew {
-                break;
+                return reach;
             }
         }
-        for (name, defs) in &self.by_name {
-            if defs.iter().all(|&i| node_reach[i].is_some()) {
-                if let Some(witness) = defs.iter().find_map(|&i| node_reach[i].clone()) {
-                    self.reaches_pool.insert(name.clone(), witness);
-                }
+    }
+
+    /// Walks from the roots: every root fn and every fn a seed path
+    /// names, closed under "a reached non-test fn reaches what it calls
+    /// or names"; then the type names the reached fns and the seeds
+    /// name, closed under "a reached type name reaches what its
+    /// non-test definitions name". (A type defined outside a library
+    /// needs no seeding: rustc's dead-code lint keeps every such type
+    /// named by its target's code.)
+    fn reached<'n>(table: &'n FnTable<'n>, nodes: &[FnNode<'_>]) -> (Vec<bool>, BTreeSet<&'n str>) {
+        let fns = &table.fns;
+        let mut queue: Vec<usize> = (0..fns.len()).filter(|&i| fns[i].role == Role::Root).collect();
+        for seed in &table.seeds {
+            queue.extend_from_slice(table.resolve_token_path(seed));
+        }
+        let mut reached = vec![false; fns.len()];
+        while let Some(i) = queue.pop() {
+            if reached[i] || fns[i].role == Role::Test {
+                continue;
+            }
+            reached[i] = true;
+            let node = &nodes[i];
+            queue.extend(node.calls.values().flat_map(|t| t.iter()).chain(&node.refs));
+        }
+
+        let mut names: Vec<&str> = table.seeds.iter().flat_map(|s| s.split("::")).collect();
+        for (e, _) in fns.iter().zip(&reached).filter(|(_, &r)| r) {
+            names.extend(e.func.type_names.iter().map(String::as_str));
+        }
+        let mut reached_types = BTreeSet::new();
+        while let Some(name) = names.pop() {
+            if !reached_types.insert(name) {
+                continue;
+            }
+            for ty in table.types.get(name).into_iter().flatten().filter(|t| t.role != Role::Test) {
+                names.extend(ty.type_names.iter().map(String::as_str));
             }
         }
+        (reached, reached_types)
     }
 
     /// `unreferenced-pub-fn` findings for one file. Only a graph over
     /// the whole tree can say a fn is unreferenced.
     pub fn check_unreferenced(&self, path: &str) -> Vec<RawFinding> {
-        self.nodes
-            .iter()
-            .filter(|(file, name, node)| {
-                file == path && node.role == Role::Pub && !self.referenced.contains(name)
-            })
-            .map(|(_, name, node)| RawFinding {
+        let fns = &self.table.fns;
+        (0..fns.len())
+            .filter(|&i| fns[i].path == path && fns[i].role == Role::Pub && !self.reached[i])
+            .map(|i| RawFinding {
                 rule: "unreferenced-pub-fn",
-                line: node.line,
+                line: fns[i].item.line,
                 message: format!(
-                    "`pub fn {name}` is reached from no bin, example, tradebench fn, trait \
-                     method or macro body outside tests — delete it, or lint:allow with why it \
-                     stays"
+                    "`pub fn {}` is reached from no bin, example, tradebench fn, trait method or \
+                     macro body outside tests — delete it, or lint:allow with why it stays",
+                    fns[i].key
+                ),
+            })
+            .collect()
+    }
+
+    /// `unreferenced-pub-type` findings for one file (whole tree only,
+    /// like [`CallGraph::check_unreferenced`]).
+    pub fn check_unreferenced_types(&self, path: &str) -> Vec<RawFinding> {
+        self.table
+            .types
+            .values()
+            .flatten()
+            .filter(|t| {
+                t.path == path
+                    && t.role == Role::Pub
+                    && !self.reached_types.contains(t.item.name.as_str())
+            })
+            .map(|t| RawFinding {
+                rule: "unreferenced-pub-type",
+                line: t.item.line,
+                message: format!(
+                    "`pub` type `{}` is named by no fn or type reached from a bin, example, \
+                     tradebench fn, trait method or macro body outside tests — delete it, or \
+                     lint:allow with why it stays",
+                    t.item.name
                 ),
             })
             .collect()
@@ -295,10 +247,11 @@ impl CallGraph {
     /// `no-nested-pool-scope` findings for one file.
     pub fn check_pool_nesting(&self, path: &str) -> Vec<RawFinding> {
         let mut out = Vec::new();
-        for (file, name, node) in &self.nodes {
-            if file != path {
+        for (e, node) in self.table.fns.iter().zip(&self.nodes) {
+            if e.path != path {
                 continue;
             }
+            let name = &e.key;
             for pc in &node.pooled_calls {
                 if pc.direct {
                     out.push(RawFinding {
@@ -311,7 +264,12 @@ impl CallGraph {
                             pc.callee
                         ),
                     });
-                } else if let Some(chain) = self.reaches_pool.get(&pc.callee) {
+                } else if Self::all_reach(&self.reaches_pool, pc.targets) {
+                    let chain = pc
+                        .targets
+                        .iter()
+                        .find_map(|&j| self.reaches_pool[j].as_deref())
+                        .unwrap_or_default();
                     out.push(RawFinding {
                         rule: "no-nested-pool-scope",
                         line: pc.line,
@@ -328,8 +286,11 @@ impl CallGraph {
     }
 }
 
-struct Collector<'n> {
-    node: &'n mut FnNode,
+struct Collector<'t, 'n> {
+    table: &'t FnTable<'t>,
+    /// Raw self type of the fn's enclosing impl, for `Self::f` paths.
+    self_ty: Option<&'t str>,
+    node: &'n mut FnNode<'t>,
     in_pooled_closure: bool,
     /// Names bound at the current point of the fn body, innermost last:
     /// its params and every `let`, closure, match-arm, `if let`/`while
@@ -338,17 +299,7 @@ struct Collector<'n> {
     locals: Vec<String>,
 }
 
-impl Collector<'_> {
-    /// Collects a fn body with only the fn's own params bound (a
-    /// fn-local fn does not see its enclosing fn's locals).
-    fn fn_body(&mut self, func: &parse::FnItem) {
-        let Some(body) = &func.body else { return };
-        let params = func.params.iter().map(|p| p.name.clone()).collect();
-        let outer = std::mem::replace(&mut self.locals, params);
-        collect_block(body, self);
-        self.locals = outer;
-    }
-
+impl<'t> Collector<'t, '_> {
     /// Runs `f` with `names` bound, then unbinds them.
     fn scoped(&mut self, names: impl IntoIterator<Item = String>, f: impl FnOnce(&mut Self)) {
         let depth = self.locals.len();
@@ -357,12 +308,12 @@ impl Collector<'_> {
         self.locals.truncate(depth);
     }
 
-    /// The name a path expression refers to as a fn: its last segment,
-    /// unless it is a single segment naming a local binding.
-    fn fn_name<'p>(&self, segs: &'p [String]) -> Option<&'p String> {
+    /// The fns a path expression names, or `None` for a single segment
+    /// naming a local binding.
+    fn resolve(&self, segs: &[String]) -> Option<&'t [usize]> {
         match segs {
             [name] if self.locals.contains(name) => None,
-            _ => segs.last(),
+            _ => Some(self.table.resolve(segs, self.self_ty)),
         }
     }
 }
@@ -384,7 +335,7 @@ fn receiver_is_pool(recv: &Expr) -> bool {
     }
 }
 
-fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
+fn collect_block(block: &parse::Block, cx: &mut Collector<'_, '_>) {
     let depth = cx.locals.len();
     for stmt in &block.stmts {
         match stmt {
@@ -398,19 +349,13 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
                 cx.locals.extend(parse::bound_names(pat));
             }
             parse::Stmt::Expr { expr, .. } => collect_expr(expr, cx),
+            // A fn-local fn is a table fn of its own; a fn-local macro
+            // or `const` names fns for this fn alone.
             parse::Stmt::Item(item) => match &item.kind {
-                // Fn-local fns are their own nodes only if named at
-                // top level; keep it simple and scan their bodies in
-                // the enclosing fn's context (closure flag off — a
-                // local fn runs when called, not where defined).
-                ItemKind::Fn(func) => {
-                    let saved = cx.in_pooled_closure;
-                    cx.in_pooled_closure = false;
-                    cx.fn_body(func);
-                    cx.in_pooled_closure = saved;
-                }
-                ItemKind::MacroDef(idents) | ItemKind::ConstDef(idents) => {
-                    cx.node.refs.extend(idents.iter().cloned());
+                ItemKind::MacroDef(paths) | ItemKind::ConstDef(paths) => {
+                    for path in paths {
+                        cx.node.refs.extend(cx.table.resolve_token_path(path));
+                    }
                 }
                 _ => {}
             },
@@ -419,7 +364,7 @@ fn collect_block(block: &parse::Block, cx: &mut Collector<'_>) {
     cx.locals.truncate(depth);
 }
 
-fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
+fn collect_expr(expr: &Expr, cx: &mut Collector<'_, '_>) {
     match &expr.kind {
         ExprKind::MethodCall { recv, method, args } => {
             let is_pool_entry =
@@ -429,7 +374,8 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
             // `Pool::scope` — entry detection is lexical, so drop the
             // edge entirely rather than poison reachability.
             if is_pool_entry || !POOL_ENTRY_METHODS.contains(&method.as_str()) {
-                record_call(cx, expr.line, method, is_pool_entry);
+                let targets = cx.table.by_name(method);
+                record_call(cx, expr.line, method.clone(), targets, is_pool_entry);
             }
             collect_expr(recv, cx);
             for a in args {
@@ -444,8 +390,8 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
                 // A call through a local (a closure bound by `let`) calls
                 // no fn.
                 ExprKind::Path(segs) => {
-                    if let Some(name) = cx.fn_name(segs).cloned() {
-                        record_call(cx, expr.line, &name, false);
+                    if let Some(targets) = cx.resolve(segs) {
+                        record_call(cx, expr.line, segs.join("::"), targets, false);
                     }
                 }
                 _ => collect_expr(callee, cx),
@@ -523,8 +469,8 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
             }
         }
         ExprKind::Path(segs) => {
-            if let Some(name) = cx.fn_name(segs) {
-                cx.node.refs.insert(name.clone());
+            if let Some(targets) = cx.resolve(segs) {
+                cx.node.refs.extend(targets);
             }
         }
         ExprKind::Lit
@@ -534,18 +480,25 @@ fn collect_expr(expr: &Expr, cx: &mut Collector<'_>) {
     }
 }
 
-fn record_call(cx: &mut Collector<'_>, line: u32, callee: &str, is_pool_entry: bool) {
-    cx.node.calls.insert(callee.to_string());
+fn record_call<'t>(
+    cx: &mut Collector<'t, '_>,
+    line: u32,
+    callee: String,
+    targets: &'t [usize],
+    is_pool_entry: bool,
+) {
     if is_pool_entry {
-        cx.node.pool_entries.push(line);
+        cx.node.enters_pool = true;
     }
     if cx.in_pooled_closure {
         cx.node.pooled_calls.push(PooledCall {
             line,
-            callee: callee.to_string(),
+            callee: callee.clone(),
+            targets,
             direct: is_pool_entry,
         });
     }
+    cx.node.calls.insert(callee, targets);
 }
 
 #[cfg(test)]
@@ -556,7 +509,8 @@ mod tests {
     fn findings(src: &str) -> Vec<(u32, String)> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        let graph = CallGraph::build([("x.rs", &file, &[][..])]);
+        let table = FnTable::build([("x.rs", &file, &[][..])]);
+        let graph = CallGraph::build(&table);
         graph
             .check_pool_nesting("x.rs")
             .into_iter()

@@ -35,11 +35,13 @@
 //! # `#[cfg(test)]` scoping
 //!
 //! Rules with `in_tests: false` skip findings inside `#[cfg(test)]`
-//! items. Detection is token-based: the attribute sequence
-//! `# [ cfg ( test ) ]` marks the start of a span that ends at the
-//! matching close brace of the item's body (or at a top-level `;` for
-//! brace-less items). Only the literal `test` predicate is recognized
-//! — `#[cfg(any(test, …))]` shapes are not used in this workspace.
+//! items, and `#[cfg(doctest)]` items (compiled only by rustdoc's
+//! doctest runner) count as test code too. Detection is token-based:
+//! the attribute sequence `# [ cfg ( test ) ]` (or `doctest`) marks
+//! the start of a span that ends at the matching close brace of the
+//! item's body (or at a top-level `;` for brace-less items). Only the
+//! literal `test`/`doctest` predicates are recognized —
+//! `#[cfg(any(test, …))]` shapes are not used in this workspace.
 
 use crate::callgraph::CallGraph;
 use crate::flow::FlowIndex;
@@ -47,6 +49,7 @@ use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 use crate::manifest;
 use crate::parse;
 use crate::rules;
+use crate::table::FnTable;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
@@ -65,7 +68,8 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Inclusive 1-based line ranges covered by `#[cfg(test)]` items.
+/// Inclusive 1-based line ranges covered by `#[cfg(test)]` and
+/// `#[cfg(doctest)]` items.
 pub fn test_spans(tokens: &[Tok]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
@@ -77,7 +81,7 @@ pub fn test_spans(tokens: &[Tok]) -> Vec<(u32, u32)> {
             && tokens[i + 2].text == "cfg"
             && tokens[i + 3].text == "("
             && tokens[i + 4].kind == TokKind::Ident
-            && tokens[i + 4].text == "test"
+            && matches!(tokens[i + 4].text.as_str(), "test" | "doctest")
             && tokens[i + 5].text == ")"
             && tokens[i + 6].text == "]";
         if !is_cfg_test {
@@ -191,21 +195,6 @@ fn parse_allows(comment: &Comment) -> Vec<Allow> {
     out
 }
 
-/// Collects `(line, end_line)` spans for every item the parser
-/// structured, recursing through modules, impls, and traits so an
-/// allow above an inherent method binds that method's whole body.
-fn item_spans(items: &[parse::Item], out: &mut Vec<(u32, u32)>) {
-    for item in items {
-        out.push((item.line, item.end_line));
-        match &item.kind {
-            parse::ItemKind::Mod(children)
-            | parse::ItemKind::Trait(children)
-            | parse::ItemKind::Impl { items: children, .. } => item_spans(children, out),
-            _ => {}
-        }
-    }
-}
-
 /// Binds each allow to the code it annotates (see the module docs):
 /// trailing allows cover their own line, standalone allows cover the
 /// next code line — widened to the whole item span when that line
@@ -214,8 +203,10 @@ fn item_spans(items: &[parse::Item], out: &mut Vec<(u32, u32)>) {
 /// nothing).
 fn bind_allows(lexed: &Lexed, parsed: &parse::File) -> Vec<Allow> {
     let token_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
-    let mut spans = Vec::new();
-    item_spans(&parsed.items, &mut spans);
+    // Every item the parser structured, at any depth, so an allow above
+    // an inherent method binds that method's whole body.
+    let spans: Vec<(u32, u32)> =
+        parse::collect_items(parsed).iter().map(|r| (r.item.line, r.item.end_line)).collect();
 
     let mut allows: Vec<Allow> = lexed.comments.iter().flat_map(parse_allows).collect();
     for a in &mut allows {
@@ -292,34 +283,39 @@ impl<'t> Source<'t> {
 
 /// The per-file core: token rules plus the semantic passes (taint
 /// dataflow for wire allocs, result discipline, money arithmetic, and
-/// the two call-graph checks — `unreferenced-pub-fn` only when the
+/// the call-graph checks — the `unreferenced-pub-*` pair only when the
 /// graph spans the `whole_tree`), then test-span filtering, allow
 /// suppression, and the three meta rules about allows themselves.
 fn lint_parsed(
     source: &Source<'_>,
-    flow: &FlowIndex,
-    graph: &CallGraph,
+    table: &FnTable<'_>,
+    flow: &FlowIndex<'_>,
+    graph: &CallGraph<'_>,
     whole_tree: bool,
 ) -> Vec<Finding> {
     let Source { rel_path, lexed, parsed, test_spans: spans } = source;
     let rel_path = *rel_path;
     let target = rules::classify(rel_path);
+    let fns = table.fns_in(rel_path);
 
-    let mut raw = rules::run_token_rules(rel_path, target, &lexed.tokens);
+    let mut raw = rules::run_token_rules(rel_path, target, &lexed.tokens, fns);
     if rules::applies("unbounded-wire-alloc", rel_path, target) {
-        raw.extend(crate::flow::check_wire_alloc(parsed, flow));
+        raw.extend(crate::flow::check_wire_alloc(fns, flow));
     }
     if rules::applies("unused-result", rel_path, target) {
-        raw.extend(crate::flow::check_unused_result(parsed, flow));
+        raw.extend(crate::flow::check_unused_result(fns, flow));
     }
     if rules::applies("no-unchecked-money-arith", rel_path, target) {
-        raw.extend(crate::flow::check_money_arith(parsed));
+        raw.extend(crate::flow::check_money_arith(fns));
     }
     if rules::applies("no-nested-pool-scope", rel_path, target) {
         raw.extend(graph.check_pool_nesting(rel_path));
     }
     if whole_tree && rules::applies("unreferenced-pub-fn", rel_path, target) {
         raw.extend(graph.check_unreferenced(rel_path));
+    }
+    if whole_tree && rules::applies("unreferenced-pub-type", rel_path, target) {
+        raw.extend(graph.check_unreferenced_types(rel_path));
     }
     raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
 
@@ -390,17 +386,21 @@ fn lint_parsed(
     out
 }
 
-/// Lints one file's source text in isolation: the flow index and call
-/// graph are built from this file alone, so call-through resolution
-/// sees only its own fns, and `unreferenced-pub-fn` (which needs every
-/// caller) does not run. `rel_path` drives rule scoping, so tests can
-/// pass synthetic paths. [`lint_tree`] shares cross-file indexes
-/// instead.
+/// Lints one file's source text in isolation: the fn table is built
+/// from this file alone, so call-through resolution sees only its own
+/// fns, and the `unreferenced-pub-*` rules (which need every caller)
+/// do not run. `rel_path` drives rule scoping, so tests can pass
+/// synthetic paths. [`lint_tree`] shares one cross-file table instead.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let source = Source::new(rel_path, src);
-    let flow = FlowIndex::build([&source.parsed]);
-    let graph = CallGraph::build([(rel_path, &source.parsed, &source.test_spans[..])]);
-    lint_parsed(&source, &flow, &graph, false)
+    lint_sources(&[Source::new(rel_path, src)], false)
+}
+
+/// Lints parsed sources against one fn table built over all of them.
+fn lint_sources(sources: &[Source<'_>], whole_tree: bool) -> Vec<Finding> {
+    let table =
+        FnTable::build(sources.iter().map(|s| (s.rel_path, &s.parsed, &s.test_spans[..])));
+    let (flow, graph) = (FlowIndex::build(&table), CallGraph::build(&table));
+    sources.iter().flat_map(|s| lint_parsed(s, &table, &flow, &graph, whole_tree)).collect()
 }
 
 /// Lints one `Cargo.toml` (the `no-registry-deps` rule).
@@ -440,10 +440,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Lints a whole tree given as `(workspace-relative path, text)`
 /// pairs: every `.rs` file and `Cargo.toml` in it. Runs in two phases —
-/// parse everything, build the cross-file flow index and call graph,
-/// then lint each file against them — so one level of call-through
-/// resolves across crate boundaries and `unreferenced-pub-fn` sees
-/// every caller. Findings are sorted by (file, line, rule).
+/// parse everything and build the cross-file fn table with the flow
+/// summaries and call graph over it, then lint each file against them
+/// — so one level of call-through resolves across crate boundaries and
+/// the `unreferenced-pub-*` rules see every caller. Findings are sorted
+/// by (file, line, rule).
 pub fn lint_tree(files: &[(&str, &str)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut sources = Vec::new();
@@ -454,12 +455,7 @@ pub fn lint_tree(files: &[(&str, &str)]) -> Vec<Finding> {
             sources.push(Source::new(rel_path, text));
         }
     }
-    let flow = FlowIndex::build(sources.iter().map(|s| &s.parsed));
-    let graph =
-        CallGraph::build(sources.iter().map(|s| (s.rel_path, &s.parsed, &s.test_spans[..])));
-    for source in &sources {
-        findings.extend(lint_parsed(source, &flow, &graph, true));
-    }
+    findings.extend(lint_sources(&sources, true));
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     findings
 }

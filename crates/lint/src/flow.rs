@@ -21,17 +21,20 @@
 //!   named field or binding, or the wrapped `.0` inside
 //!   `impl Wei`/`impl Fixed`.
 //! * **Unused `Result`** (`unused-result`): a statement-position call
-//!   whose callee — resolved against the workspace signature index —
-//!   always returns `Result`, with no `?`, `let`, or `match` consuming
-//!   it.
+//!   whose callee — resolved through the workspace fn table — always
+//!   returns `Result`, with no `?`, `let`, or `match` consuming it.
 //!
-//! All three are heuristic (no type inference, name-based call
-//! resolution); false positives carry a reasoned `lint:allow`, which
-//! is the designed escape hatch.
+//! Calls resolve through [`crate::table::FnTable`]: a path (`f(..)`,
+//! `Type::f(..)`, `Self::f(..)`) to the fns of its key, a method call
+//! — whose receiver type is not inferred — to every fn of its name.
+//! All three analyses are heuristic (no type inference); false
+//! positives carry a reasoned `lint:allow`, which is the designed
+//! escape hatch.
 
-use crate::parse::{bound_names, Block, Expr, ExprKind, File, FnRef, Stmt};
+use crate::parse::{bound_names, Block, Expr, ExprKind, Stmt};
 use crate::rules::RawFinding;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::table::{FnEntry, FnTable};
+use std::collections::BTreeSet;
 
 /// Method names that sanitize a tainted length (cap it to a bound).
 /// `len` belongs here because the length of a *materialized*
@@ -47,10 +50,10 @@ const SANITIZER_FNS: &[&str] = &["bounded_count"];
 const MONEY_NAMES: &[&str] =
     &["balance", "nonce", "amount", "deposit", "fee", "refund", "stake"];
 
-/// Common std method names excluded from `unused-result` name
+/// Common std method names excluded from `unused-result` method
 /// matching: a workspace type may define e.g. `push(…) -> Result<…>`,
 /// but a bare `v.push(x)` at a call site is overwhelmingly
-/// `Vec::push`, and name-based resolution cannot tell them apart.
+/// `Vec::push`, and resolution by method name cannot tell them apart.
 const STD_METHOD_NAMES: &[&str] = &[
     "push", "insert", "remove", "get", "take", "replace", "swap", "write", "read", "flush",
     "next", "send", "recv", "parse", "clone", "fmt", "extend", "drain", "clear", "sort",
@@ -58,7 +61,7 @@ const STD_METHOD_NAMES: &[&str] = &[
     "expect", "unwrap",
 ];
 
-/// Per-fn summary: what the workspace index records about one `fn` for
+/// Per-fn summary: what the flow index records about one `fn` for
 /// one level of call-through.
 #[derive(Debug, Default, Clone)]
 pub struct FnSummary {
@@ -72,76 +75,49 @@ pub struct FnSummary {
     pub returns_result: bool,
     /// Whether the fn takes a `self` receiver (method vs free fn).
     pub has_self: bool,
-    /// How many same-name definitions merged into this slot.
-    pub defs: usize,
 }
 
-/// Name-keyed summaries for every fn in scope. Same-name fns merge in
-/// the direction that limits name-collision damage: `returns_tainted`
-/// unions (any decode-returning def taints the call), but
-/// `params_to_alloc` *intersects* — a param index fires at call sites
-/// only when every definition of that name feeds it into an allocation
-/// (two unrelated `restore`s must not cross-contaminate). Likewise,
-/// `unused-result` only matches names where *every* definition returns
-/// `Result`.
-#[derive(Debug, Default)]
-pub struct FlowIndex {
-    summaries: BTreeMap<String, FnSummary>,
-    /// name → (returns-Result count, definition count), split by
-    /// receiver kind so free-fn calls and method calls resolve
-    /// independently.
-    result_fns: BTreeMap<String, (usize, usize)>,
-    result_methods: BTreeMap<String, (usize, usize)>,
+/// One summary per fn of the table. A call that resolves to several
+/// fns merges their summaries in the direction that limits collision
+/// damage: `returns_tainted` unions (any decode-returning fn taints
+/// the call), but `params_to_alloc` *intersects* — a param index fires
+/// at call sites only when every resolved fn feeds it into an
+/// allocation (two unrelated `restore`s must not cross-contaminate).
+/// Likewise, `unused-result` fires only when *every* resolved fn
+/// returns `Result`.
+#[derive(Debug)]
+pub struct FlowIndex<'t> {
+    table: &'t FnTable<'t>,
+    /// In table order.
+    summaries: Vec<FnSummary>,
 }
 
-impl FlowIndex {
-    /// Builds the index over every fn in the given parsed files.
-    pub fn build<'f>(files: impl IntoIterator<Item = &'f File>) -> Self {
-        let mut idx = FlowIndex::default();
-        for file in files {
-            for fr in crate::parse::collect_fns(file) {
-                idx.add_fn(&fr);
-            }
+impl<'t> FlowIndex<'t> {
+    /// Summarizes every fn of the table.
+    pub fn build(table: &'t FnTable<'t>) -> Self {
+        FlowIndex { table, summaries: table.fns.iter().map(summarize).collect() }
+    }
+
+    /// The merged summary of the fns a call resolves to (`None` when
+    /// it resolves to none).
+    fn merged(&self, targets: &[usize]) -> Option<FnSummary> {
+        let (&first, rest) = targets.split_first()?;
+        let mut out = self.summaries[first].clone();
+        for &i in rest {
+            let s = &self.summaries[i];
+            out.returns_tainted |= s.returns_tainted;
+            out.params_to_alloc.retain(|p| s.params_to_alloc.contains(p));
         }
-        idx
+        Some(out)
     }
 
-    fn add_fn(&mut self, fr: &FnRef<'_>) {
-        if fr.item.name.is_empty() {
-            return;
-        }
-        let s = summarize(fr);
-        let returns_result = s.returns_result;
-        let counts = if s.has_self { &mut self.result_methods } else { &mut self.result_fns };
-        let e = counts.entry(fr.item.name.clone()).or_insert((0, 0));
-        e.0 += usize::from(returns_result);
-        e.1 += 1;
-        let slot = self.summaries.entry(fr.item.name.clone()).or_default();
-        slot.returns_tainted |= s.returns_tainted;
-        slot.returns_result |= s.returns_result;
-        slot.has_self |= s.has_self;
-        if slot.defs == 0 {
-            slot.params_to_alloc = s.params_to_alloc;
-        } else {
-            slot.params_to_alloc.retain(|p| s.params_to_alloc.contains(p));
-        }
-        slot.defs += 1;
-    }
-
-    fn summary(&self, name: &str) -> Option<&FnSummary> {
-        self.summaries.get(name)
-    }
-
-    /// Whether every workspace definition of free fn `name` returns
-    /// `Result` (and at least one exists).
-    fn free_fn_always_result(&self, name: &str) -> bool {
-        self.result_fns.get(name).is_some_and(|&(res, total)| res == total && res > 0)
-    }
-
-    /// Same for methods, with the std-collision blocklist applied.
-    fn method_always_result(&self, name: &str) -> bool {
-        !STD_METHOD_NAMES.contains(&name)
-            && self.result_methods.get(name).is_some_and(|&(res, total)| res == total && res > 0)
+    /// Whether a non-empty set of fns all return `Result`.
+    fn always_result(&self, targets: impl IntoIterator<Item = usize>) -> bool {
+        let mut any = false;
+        targets.into_iter().all(|i| {
+            any = true;
+            self.summaries[i].returns_result
+        }) && any
     }
 }
 
@@ -157,7 +133,9 @@ struct Env {
 
 /// Emits `unbounded-wire-alloc` findings for sink hits.
 struct TaintCtx<'i> {
-    index: Option<&'i FlowIndex>,
+    index: Option<&'i FlowIndex<'i>>,
+    /// Raw self type of the fn's enclosing impl, for `Self::f` calls.
+    self_ty: Option<&'i str>,
     findings: Vec<RawFinding>,
 }
 
@@ -193,11 +171,14 @@ fn taint_of(expr: &Expr, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
         ExprKind::Call { callee, args } => {
             let arg_taints: Vec<bool> =
                 args.iter().map(|a| taint_of(a, env, cx)).collect();
-            let name = match &callee.kind {
-                ExprKind::Path(segs) => path_last(segs).to_string(),
+            let (name, targets) = match &callee.kind {
+                ExprKind::Path(segs) => (
+                    path_last(segs).to_string(),
+                    cx.index.map_or(&[][..], |i| i.table.resolve(segs, cx.self_ty)),
+                ),
                 _ => {
                     taint_of(callee, env, cx);
-                    String::new()
+                    (String::new(), &[][..])
                 }
             };
             if SANITIZER_FNS.contains(&name.as_str()) {
@@ -209,7 +190,7 @@ fn taint_of(expr: &Expr, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
                 }
                 return false;
             }
-            if let Some(sum) = cx.index.and_then(|i| i.summary(&name)) {
+            if let Some(sum) = cx.index.and_then(|i| i.merged(targets)) {
                 for &p in &sum.params_to_alloc {
                     if arg_taints.get(p).copied().unwrap_or(false) {
                         cx.sink_hit(
@@ -255,7 +236,7 @@ fn taint_of(expr: &Expr, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
             if is_source_name(method) {
                 return true;
             }
-            if let Some(sum) = cx.index.and_then(|i| i.summary(method)) {
+            if let Some(sum) = cx.index.and_then(|i| i.merged(i.table.by_name(method))) {
                 // Method summaries: parameter 0 in the summary is the
                 // receiver; call arguments shift by one.
                 for &p in &sum.params_to_alloc {
@@ -437,8 +418,8 @@ fn block_taint(block: &Block, env: &mut Env, cx: &mut TaintCtx<'_>) -> bool {
 
 /// Computes one fn's summary: taint of the return value given clean
 /// params, and which params reach an allocation sink when tainted.
-fn summarize(fr: &FnRef<'_>) -> FnSummary {
-    let func = fr.func;
+fn summarize(e: &FnEntry<'_>) -> FnSummary {
+    let func = e.func;
     let mut out = FnSummary {
         returns_result: func.ret.contains("Result"),
         has_self: func.params.first().is_some_and(|p| p.name == "self"),
@@ -449,7 +430,7 @@ fn summarize(fr: &FnRef<'_>) -> FnSummary {
     // Pass 1: clean params — does a decode source reach the return?
     {
         let mut env = Env::default();
-        let mut cx = TaintCtx { index: None, findings: Vec::new() };
+        let mut cx = TaintCtx { index: None, self_ty: None, findings: Vec::new() };
         let tail = block_taint(body, &mut env, &mut cx);
         out.returns_tainted = tail || env.tainted.contains(RETURN_SLOT);
     }
@@ -458,7 +439,7 @@ fn summarize(fr: &FnRef<'_>) -> FnSummary {
     for (i, param) in func.params.iter().enumerate() {
         let mut env = Env::default();
         env.tainted.insert(param.name.clone());
-        let mut cx = TaintCtx { index: None, findings: Vec::new() };
+        let mut cx = TaintCtx { index: None, self_ty: None, findings: Vec::new() };
         block_taint(body, &mut env, &mut cx);
         if !cx.findings.is_empty() {
             out.params_to_alloc.push(i);
@@ -469,55 +450,58 @@ fn summarize(fr: &FnRef<'_>) -> FnSummary {
 
 // ---- rule entry points ----------------------------------------------------
 
-/// `unbounded-wire-alloc` over every fn body in a parsed file.
-pub fn check_wire_alloc(file: &File, index: &FlowIndex) -> Vec<RawFinding> {
+/// `unbounded-wire-alloc` over the bodies of one file's fns.
+pub fn check_wire_alloc(fns: &[FnEntry<'_>], index: &FlowIndex<'_>) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    for fr in crate::parse::collect_fns(file) {
-        let Some(body) = &fr.func.body else { continue };
+    for e in fns {
+        let Some(body) = &e.func.body else { continue };
         let mut env = Env::default();
-        let mut cx = TaintCtx { index: Some(index), findings: Vec::new() };
+        let mut cx = TaintCtx { index: Some(index), self_ty: e.self_ty, findings: Vec::new() };
         block_taint(body, &mut env, &mut cx);
         out.append(&mut cx.findings);
     }
     out
 }
 
-/// `unused-result` over statement-position calls in a parsed file.
-pub fn check_unused_result(file: &File, index: &FlowIndex) -> Vec<RawFinding> {
+/// `unused-result` over statement-position calls in one file's fns.
+pub fn check_unused_result(fns: &[FnEntry<'_>], index: &FlowIndex<'_>) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    for fr in crate::parse::collect_fns(file) {
-        let Some(body) = &fr.func.body else { continue };
-        check_unused_in_block(body, index, &mut out);
-    }
-    out
-}
-
-fn check_unused_in_block(body: &Block, index: &FlowIndex, out: &mut Vec<RawFinding>) {
-    // Every block exactly once; a `;`-terminated call among a block's
-    // direct statements is statement position — the value is
-    // discarded.
-    crate::parse::walk_blocks(body, &mut |block| {
-        for stmt in &block.stmts {
-            if let Stmt::Expr { expr, semi: true } = stmt {
+    for e in fns {
+        let Some(body) = &e.func.body else { continue };
+        // Every block exactly once; a `;`-terminated call among a
+        // block's direct statements is statement position — the value
+        // is discarded.
+        crate::parse::walk_blocks(body, &mut |block| {
+            for stmt in &block.stmts {
+                let Stmt::Expr { expr, semi: true } = stmt else { continue };
                 match &expr.kind {
                     ExprKind::Call { callee, .. } => {
                         if let ExprKind::Path(segs) = &callee.kind {
-                            let name = path_last(segs);
-                            if index.free_fn_always_result(name) {
-                                out.push(unused_result_finding(expr.line, name));
+                            let targets = index.table.resolve(segs, e.self_ty);
+                            if index.always_result(targets.iter().copied()) {
+                                out.push(unused_result_finding(expr.line, &segs.join("::")));
                             }
                         }
                     }
                     ExprKind::MethodCall { method, .. } => {
-                        if index.method_always_result(method) {
+                        let methods = index
+                            .table
+                            .by_name(method)
+                            .iter()
+                            .copied()
+                            .filter(|&i| index.summaries[i].has_self);
+                        if !STD_METHOD_NAMES.contains(&method.as_str())
+                            && index.always_result(methods)
+                        {
                             out.push(unused_result_finding(expr.line, method));
                         }
                     }
                     _ => {}
                 }
             }
-        }
-    });
+        });
+    }
+    out
 }
 
 fn unused_result_finding(line: u32, name: &str) -> RawFinding {
@@ -533,17 +517,16 @@ fn unused_result_finding(line: u32, name: &str) -> RawFinding {
 
 // ---- money arithmetic -----------------------------------------------------
 
-/// `no-unchecked-money-arith` over every fn body in a parsed file.
+/// `no-unchecked-money-arith` over the bodies of one file's fns.
 /// Only called for files under `crates/ledger/src/`.
-pub fn check_money_arith(file: &File) -> Vec<RawFinding> {
+pub fn check_money_arith(fns: &[FnEntry<'_>]) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    for fr in crate::parse::collect_fns(file) {
-        let Some(body) = &fr.func.body else { continue };
-        let money_impl = fr
-            .self_ty
-            .is_some_and(|t| t.split(['<', ' ']).next().is_some_and(is_money_type));
+    for e in fns {
+        let Some(body) = &e.func.body else { continue };
+        let money_impl =
+            e.self_ty.is_some_and(|t| t.split(['<', ' ']).next().is_some_and(is_money_type));
         let mut money_vars = BTreeSet::new();
-        for p in &fr.func.params {
+        for p in &e.func.params {
             if type_is_money(&p.ty) {
                 money_vars.insert(p.name.clone());
             }
@@ -676,8 +659,9 @@ mod tests {
     fn wire_findings(src: &str) -> Vec<u32> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        let index = FlowIndex::build([&file]);
-        check_wire_alloc(&file, &index).into_iter().map(|f| f.line).collect()
+        let table = FnTable::build([("x.rs", &file, &[][..])]);
+        let index = FlowIndex::build(&table);
+        check_wire_alloc(&table.fns, &index).into_iter().map(|f| f.line).collect()
     }
 
     #[test]
@@ -760,7 +744,8 @@ mod tests {
     fn money_findings(src: &str) -> Vec<u32> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        check_money_arith(&file).into_iter().map(|f| f.line).collect()
+        let table = FnTable::build([("x.rs", &file, &[][..])]);
+        check_money_arith(&table.fns).into_iter().map(|f| f.line).collect()
     }
 
     #[test]
@@ -801,8 +786,9 @@ mod tests {
     fn unused_findings(src: &str) -> Vec<u32> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        let index = FlowIndex::build([&file]);
-        check_unused_result(&file, &index).into_iter().map(|f| f.line).collect()
+        let table = FnTable::build([("x.rs", &file, &[][..])]);
+        let index = FlowIndex::build(&table);
+        check_unused_result(&table.fns, &index).into_iter().map(|f| f.line).collect()
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //! * [`parse`] — a permissive recursive-descent item parser over the
 //!   lexer (items, fn signatures, statement/expression spines) — the
 //!   structural substrate for the semantic rules;
+//! * [`table`] — the workspace fn table, keyed `Type::name` / `name`,
+//!   with the one path resolver the two layers below share;
 //! * [`flow`] — per-fn intra-procedural taint dataflow (wire-derived
 //!   lengths vs `bounded_count`, money-typed arithmetic) with one
 //!   level of call-through via fn summaries;
-//! * [`callgraph`] — the workspace call graph, one graph behind two
+//! * [`callgraph`] — the workspace call graph, one graph behind three
 //!   rules: pool-entry reachability for `no-nested-pool-scope` and
-//!   reachability from the non-test roots for `unreferenced-pub-fn`;
+//!   reachability from the non-test roots for `unreferenced-pub-fn`
+//!   and `unreferenced-pub-type`;
 //! * [`rules`] — the rule table (`--explain` text included) and the
 //!   token-pattern + semantic matchers with their path scopes;
 //! * [`manifest`] — the `Cargo.toml` dependency scanner behind
@@ -48,5 +51,6 @@ pub mod lexer;
 pub mod manifest;
 pub mod parse;
 pub mod rules;
+pub mod table;
 
 pub use engine::{lint_manifest, lint_source, lint_tree, lint_workspace, Finding};

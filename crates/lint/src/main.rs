@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--workspace` lints the whole tree, so every rule runs, the
-//! call-graph rule `unreferenced-pub-fn` included; a file list lints
-//! each file alone, without it.
+//! call-graph rules `unreferenced-pub-fn` and `unreferenced-pub-type`
+//! included; a file list lints each file alone, without them.
 //!
 //! Exit codes: `0` clean, `1` findings reported, `2` usage or I/O
 //! error — so `scripts/ci.sh` can gate on it directly.

@@ -91,17 +91,25 @@ pub enum ItemKind {
     /// `trait Name { … }` with its associated items.
     Trait(Vec<Item>),
     /// `struct` / `enum` / `union` declaration (fields not modeled).
-    TypeDef,
-    /// `const` / `static` binding, with the identifiers of its
-    /// (unparsed) initializer.
+    TypeDef {
+        /// Declared plain `pub` (not `pub(crate)` or narrower).
+        public: bool,
+        /// The type names in its generics, where clause and fields
+        /// (see [`FnItem::type_names`]).
+        type_names: Vec<String>,
+    },
+    /// `const` / `static` binding, with the paths (see
+    /// [`ItemKind::MacroDef`]) of its type and (unparsed) initializer.
     ConstDef(Vec<String>),
-    /// `type Alias = …;`
-    TypeAlias,
-    /// `macro_rules! name { … }`, with the identifiers of its
-    /// (unparsed) body.
+    /// `type Alias = …;`, with the paths (see [`ItemKind::MacroDef`])
+    /// of its generics, bounds and aliased type.
+    TypeAlias(Vec<String>),
+    /// `macro_rules! name { … }`, with the paths of its (unparsed) body:
+    /// each run of `::`-joined identifiers (`BytesMut::new`) and each
+    /// lone identifier.
     MacroDef(Vec<String>),
     /// An item-position macro invocation (`name! { … }`), with the
-    /// identifiers of its (unparsed) arguments.
+    /// paths of its (unparsed) arguments.
     MacroInvocation(Vec<String>),
     /// Anything else (e.g. `extern` blocks), consumed structurally.
     Other,
@@ -119,6 +127,11 @@ pub struct FnItem {
     pub ret: String,
     /// Body block; `None` for bodiless trait/extern declarations.
     pub body: Option<Block>,
+    /// Every uppercase-initial identifier from the fn's name to its
+    /// end — the types, variants and consts its signature, body,
+    /// patterns, casts and turbofish name (`Self` excluded), in
+    /// source order.
+    pub type_names: Vec<String>,
 }
 
 /// One fn parameter.
@@ -388,8 +401,9 @@ pub fn bound_names(pat: &str) -> Vec<String> {
         if PAT_KEYWORDS.contains(&t.as_str()) {
             continue;
         }
-        // Path segments (`mod::name`, `name::Variant`) bind nothing.
-        if i > 0 && toks[i - 1] == "::" {
+        // Path segments (`mod::name`, `name::Variant`) and lifetimes
+        // (`&'a self`) bind nothing.
+        if i > 0 && (toks[i - 1] == "::" || toks[i - 1] == "'") {
             continue;
         }
         if let Some(next) = toks.get(i + 1) {
@@ -733,6 +747,7 @@ impl<'a> Parser<'a> {
         if self.at_kw("struct") || self.at_kw("enum") || self.at_kw("union") {
             self.bump();
             let name = self.eat_ident().unwrap_or_default();
+            let from = self.pos;
             self.skip_generics();
             // Tuple struct `(…);`, unit struct `;`, or braced body.
             while !self.at_eof() && !self.at("{") && !self.at(";") && !self.at("(") {
@@ -754,7 +769,8 @@ impl<'a> Parser<'a> {
             } else {
                 self.eat(";");
             }
-            return Some(Item { kind: ItemKind::TypeDef, name, line: start_line, end_line: self.prev_line() });
+            let kind = ItemKind::TypeDef { public, type_names: self.type_names_since(from) };
+            return Some(Item { kind, name, line: start_line, end_line: self.prev_line() });
         }
         if self.at_kw("const") || self.at_kw("static") {
             self.bump();
@@ -788,16 +804,18 @@ impl<'a> Parser<'a> {
                 }
                 self.bump();
             }
-            let idents = self.idents_since(from);
+            let idents = self.paths_since(from);
             self.eat(";");
             return Some(Item { kind: ItemKind::ConstDef(idents), name, line: start_line, end_line: self.prev_line() });
         }
         if self.at_kw("type") {
             self.bump();
             let name = self.eat_ident().unwrap_or_default();
+            let from = self.pos;
             self.type_text(&[";"]);
+            let paths = self.paths_since(from);
             self.eat(";");
-            return Some(Item { kind: ItemKind::TypeAlias, name, line: start_line, end_line: self.prev_line() });
+            return Some(Item { kind: ItemKind::TypeAlias(paths), name, line: start_line, end_line: self.prev_line() });
         }
         // Unknown construct at item position: macro invocation item
         // (`props! { … }`) or stray tokens. A `path!{…}`/`path!(…);`
@@ -863,24 +881,57 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips a balanced group (see [`Parser::skip_group`]) and returns
-    /// its close line with every identifier inside it.
+    /// its close line with the paths inside it.
     fn group_idents(&mut self) -> (u32, Vec<String>) {
         let from = self.pos;
         let end_line = self.skip_group();
-        (end_line, self.idents_since(from))
+        (end_line, self.paths_since(from))
     }
 
-    /// Every identifier token consumed since position `from`.
-    fn idents_since(&self, from: usize) -> Vec<String> {
+    /// The paths among the tokens consumed since position `from`: each
+    /// run of identifiers joined by `::` (`BytesMut::new`), and each
+    /// lone identifier, as its own entry. A macro metavariable (`$ty`)
+    /// stands for an unknown path, so it is dropped, and what follows
+    /// its `::` starts a path of its own.
+    fn paths_since(&self, from: usize) -> Vec<String> {
+        // Spell the tokens out with `::` glued to its neighbours and a
+        // space for anything else, then split on the spaces.
+        let mut text = String::new();
+        let toks = &self.toks[from..self.pos];
+        for (i, t) in toks.iter().enumerate() {
+            let metavar = i > 0 && toks[i - 1].text == "$";
+            match t.kind {
+                TokKind::Ident if !metavar => {
+                    if !text.ends_with("::") {
+                        text.push(' ');
+                    }
+                    text.push_str(&t.text);
+                }
+                TokKind::Punct if t.text == "::" => text.push_str("::"),
+                _ => text.push(' '),
+            }
+        }
+        let paths = text.split_whitespace().map(|p| p.trim_matches(':'));
+        paths.filter(|p| !p.is_empty()).map(str::to_string).collect()
+    }
+
+    /// Every uppercase-initial identifier consumed since position
+    /// `from`, `Self` excluded: the type names a span mentions.
+    fn type_names_since(&self, from: usize) -> Vec<String> {
         self.toks[from..self.pos]
             .iter()
-            .filter(|t| t.kind == TokKind::Ident)
+            .filter(|t| {
+                t.kind == TokKind::Ident
+                    && t.text != "Self"
+                    && t.text.starts_with(|c: char| c.is_ascii_uppercase())
+            })
             .map(|t| t.text.clone())
             .collect()
     }
 
     /// Parses from the fn *name* onward (the `fn` keyword is consumed).
     fn fn_signature_and_body(&mut self, start_line: u32, public: bool) -> Item {
+        let from = self.pos;
         let name = self.eat_ident().unwrap_or_default();
         self.skip_generics();
         let mut params = Vec::new();
@@ -915,7 +966,13 @@ impl<'a> Parser<'a> {
         };
         let end_line = self.prev_line();
         Item {
-            kind: ItemKind::Fn(FnItem { public, params, ret, body }),
+            kind: ItemKind::Fn(FnItem {
+                public,
+                params,
+                ret,
+                body,
+                type_names: self.type_names_since(from),
+            }),
             name,
             line: start_line,
             end_line,
@@ -1696,7 +1753,8 @@ impl<'a> Parser<'a> {
 // ---- traversal helpers ----------------------------------------------------
 
 /// Depth-first walk over every expression in a block, including
-/// closure bodies, arm bodies, and nested blocks.
+/// closure bodies, arm bodies, and nested blocks — but not fn-local
+/// items, whose bodies belong to those items (see [`collect_items`]).
 pub fn walk_block_exprs<'e>(block: &'e Block, f: &mut impl FnMut(&'e Expr)) {
     for stmt in &block.stmts {
         match stmt {
@@ -1709,26 +1767,8 @@ pub fn walk_block_exprs<'e>(block: &'e Block, f: &mut impl FnMut(&'e Expr)) {
                 }
             }
             Stmt::Expr { expr, .. } => walk_expr(expr, f),
-            Stmt::Item(item) => walk_item_exprs(item, f),
+            Stmt::Item(_) => {}
         }
-    }
-}
-
-/// Depth-first walk over every expression in an item (fn bodies,
-/// nested modules, impl/trait members).
-pub fn walk_item_exprs<'e>(item: &'e Item, f: &mut impl FnMut(&'e Expr)) {
-    match &item.kind {
-        ItemKind::Fn(func) => {
-            if let Some(body) = &func.body {
-                walk_block_exprs(body, f);
-            }
-        }
-        ItemKind::Mod(items) | ItemKind::Trait(items) | ItemKind::Impl { items, .. } => {
-            for it in items {
-                walk_item_exprs(it, f);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -1837,7 +1877,7 @@ pub fn walk_blocks<'e>(block: &'e Block, f: &mut impl FnMut(&'e Block)) {
             }
             Stmt::Expr { expr, .. } => walk_expr_blocks(expr, f),
             // Item boundary: a fn-local item's body belongs to that
-            // item (surfaced by [`collect_fns`]), not to this block.
+            // item (surfaced by [`collect_items`]), not to this block.
             Stmt::Item(_) => {}
         }
     }
@@ -1929,69 +1969,100 @@ fn walk_expr_blocks<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Block)) {
     }
 }
 
-/// Collects every `fn` in a file with its enclosing context: the impl
-/// self type (if any) and the item itself.
-pub fn collect_fns<'f>(file: &'f File) -> Vec<FnRef<'f>> {
+/// Collects every item of a file with its enclosing context,
+/// depth-first in source order: the items of modules, impls and
+/// traits, and the fns local to fn bodies (a body's other items belong
+/// to its fn, as in [`walk_blocks`]).
+pub fn collect_items<'f>(file: &'f File) -> Vec<ItemRef<'f>> {
     let mut out = Vec::new();
     for item in &file.items {
-        collect_fns_in(item, None, &mut out);
+        collect_items_in(item, None, false, false, &mut out);
     }
     out
 }
 
-/// One `fn` with its enclosing-impl context.
+/// One item with its enclosing context.
 #[derive(Debug, Clone, Copy)]
-pub struct FnRef<'f> {
-    /// The fn's item node.
+pub struct ItemRef<'f> {
+    /// The item node.
     pub item: &'f Item,
-    /// The parsed fn payload.
-    pub func: &'f FnItem,
-    /// Self type of the enclosing `impl`, if inside one.
+    /// Self type of the enclosing `impl`, or the trait's own name for
+    /// the items of a trait.
     pub self_ty: Option<&'f str>,
+    /// Declared in a trait or a trait impl: callable through dispatch
+    /// that no call graph sees.
+    pub trait_member: bool,
 }
 
-fn collect_fns_in<'f>(item: &'f Item, self_ty: Option<&'f str>, out: &mut Vec<FnRef<'f>>) {
+fn collect_items_in<'f>(
+    item: &'f Item,
+    self_ty: Option<&'f str>,
+    trait_member: bool,
+    fns_only: bool,
+    out: &mut Vec<ItemRef<'f>>,
+) {
+    if !fns_only || matches!(item.kind, ItemKind::Fn(_)) {
+        out.push(ItemRef { item, self_ty, trait_member });
+    }
     match &item.kind {
         ItemKind::Fn(func) => {
-            out.push(FnRef { item, func, self_ty });
-            // Fn-local items (`fn helper() { … }` inside a body) are
-            // fns in their own right.
+            // Fn-local fns (`fn helper() { … }` inside a body) are fns
+            // in their own right.
             if let Some(body) = &func.body {
-                collect_fns_in_block(body, out);
+                walk_blocks(body, &mut |b| {
+                    for stmt in &b.stmts {
+                        if let Stmt::Item(local) = stmt {
+                            collect_items_in(local, None, false, true, out);
+                        }
+                    }
+                });
             }
         }
-        ItemKind::Mod(items) | ItemKind::Trait(items) => {
+        ItemKind::Mod(items) => {
             for it in items {
-                collect_fns_in(it, self_ty, out);
+                collect_items_in(it, None, false, fns_only, out);
             }
         }
-        ItemKind::Impl { self_ty: ty, items, .. } => {
+        ItemKind::Trait(items) => {
             for it in items {
-                collect_fns_in(it, Some(ty.as_str()), out);
+                collect_items_in(it, Some(item.name.as_str()), true, fns_only, out);
+            }
+        }
+        ItemKind::Impl { self_ty: ty, trait_ty, items } => {
+            for it in items {
+                collect_items_in(it, Some(ty.as_str()), trait_ty.is_some(), fns_only, out);
             }
         }
         _ => {}
     }
 }
 
-fn collect_fns_in_block<'f>(block: &'f Block, out: &mut Vec<FnRef<'f>>) {
-    walk_blocks(block, &mut |b| {
-        for stmt in &b.stmts {
-            if let Stmt::Item(item) = stmt {
-                collect_fns_in(item, None, out);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn first_body(file: &File) -> &Block {
+        match &file.items[0].kind {
+            ItemKind::Fn(func) => func.body.as_ref().expect("a fn body"),
+            other => panic!("expected a fn, got {other:?}"),
+        }
+    }
+
+    /// Every fn with its enclosing context.
+    fn collect_fns(file: &File) -> Vec<(ItemRef<'_>, &FnItem)> {
+        collect_items(file)
+            .into_iter()
+            .filter_map(|r| match &r.item.kind {
+                ItemKind::Fn(func) => Some((r, func)),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn fns(src: &str) -> Vec<String> {
         let file = parse_source(src);
         assert!(file.errors.is_empty(), "{:?}", file.errors);
-        collect_fns(&file).iter().map(|f| f.item.name.clone()).collect()
+        collect_fns(&file).iter().map(|f| f.0.item.name.clone()).collect()
     }
 
     #[test]
@@ -2013,7 +2084,7 @@ mod tests {
         );
         let fns = collect_fns(&file);
         assert_eq!(fns.len(), 1);
-        let f = fns[0].func;
+        let f = fns[0].1;
         let names: Vec<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "c", "d"]);
         assert!(f.ret.starts_with("Result"), "{}", f.ret);
@@ -2028,8 +2099,8 @@ mod tests {
         assert!(file.errors.is_empty());
         let fns = collect_fns(&file);
         assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].self_ty, Some("Wei"));
-        assert_eq!(fns[1].self_ty, Some("Wei"));
+        assert_eq!(fns[0].0.self_ty, Some("Wei"));
+        assert_eq!(fns[1].0.self_ty, Some("Wei"));
         if let ItemKind::Impl { trait_ty, .. } = &file.items[1].kind {
             assert_eq!(trait_ty.as_deref(), Some("std :: ops :: Add"));
         } else {
@@ -2047,7 +2118,7 @@ mod tests {
         let file = parse_source(src);
         assert!(file.errors.is_empty());
         let fns = collect_fns(&file);
-        let body = fns[0].func.body.as_ref().unwrap();
+        let body = fns[0].1.body.as_ref().unwrap();
         assert_eq!(body.stmts.len(), 4);
         let mut method_calls = Vec::new();
         walk_block_exprs(body, &mut |e| {
@@ -2067,7 +2138,7 @@ mod tests {
         assert!(file.errors.is_empty());
         let mut saw_match = false;
         let mut saw_try = false;
-        walk_item_exprs(&file.items[0], &mut |e| match &e.kind {
+        walk_block_exprs(first_body(&file), &mut |e| match &e.kind {
             ExprKind::Match { arms, .. } => {
                 saw_match = true;
                 assert_eq!(arms.len(), 2);
@@ -2088,7 +2159,7 @@ mod tests {
         assert!(file.errors.is_empty());
         let mut closures = 0;
         let mut lit_fields = Vec::new();
-        walk_item_exprs(&file.items[0], &mut |e| match &e.kind {
+        walk_block_exprs(first_body(&file), &mut |e| match &e.kind {
             ExprKind::Closure { .. } => closures += 1,
             ExprKind::StructLit { fields, .. } => {
                 lit_fields = fields.iter().map(|(n, _)| n.clone()).collect()
@@ -2105,7 +2176,7 @@ mod tests {
         let file = parse_source(src);
         assert!(file.errors.is_empty());
         let mut found = false;
-        walk_item_exprs(&file.items[0], &mut |e| {
+        walk_block_exprs(first_body(&file), &mut |e| {
             if let ExprKind::MacroCall { path, args, semi_form } = &e.kind {
                 assert_eq!(path, "vec");
                 assert!(*semi_form);
@@ -2135,7 +2206,7 @@ mod tests {
         let file = parse_source(src);
         assert!(file.errors.is_empty());
         let mut ifs = 0;
-        walk_item_exprs(&file.items[0], &mut |e| {
+        walk_block_exprs(first_body(&file), &mut |e| {
             if matches!(e.kind, ExprKind::If { .. }) {
                 ifs += 1;
             }
@@ -2166,8 +2237,19 @@ mod tests {
     }
 
     #[test]
+    fn macro_bodies_keep_their_paths() {
+        let src = "macro_rules! m {\n  ($t:ty) => { BytesMut::new(); $t::decode(x); \
+                   $crate::a::f(Vec::<u8>::new()) };\n}\n";
+        let file = parse_source(src);
+        let ItemKind::MacroDef(paths) = &file.items[0].kind else { panic!("expected a macro") };
+        // A metavariable (`$t`, `$crate`) drops out of the path it heads.
+        assert_eq!(paths, &["ty", "BytesMut::new", "decode", "x", "a::f", "Vec", "u8", "new"]);
+    }
+
+    #[test]
     fn bound_names_extraction() {
         assert_eq!(bound_names("x"), ["x"]);
+        assert!(bound_names("&'a self").is_empty());
         assert_eq!(bound_names("mut x"), ["x"]);
         assert_eq!(bound_names("(a, mut b)"), ["a", "b"]);
         assert_eq!(bound_names("Some(v)"), ["v"]);

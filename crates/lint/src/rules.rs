@@ -13,6 +13,7 @@
 //! [`crate::engine`].
 
 use crate::lexer::{Tok, TokKind};
+use crate::table::FnEntry;
 
 /// Which cargo target a file belongs to, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,15 +181,29 @@ pub const RULES: &[RuleInfo] = &[
                     compiling and kept correct, and it reproduces nothing. The workspace call \
                     graph starts at every fn of a bin, example or tradebench/ target, every \
                     trait-impl and trait method, and every identifier in a macro_rules! body, \
-                    an item-position macro invocation or a const initializer; a name is \
+                    an item-position macro invocation or a const initializer; a fn is \
                     reached when a reached fn calls it or uses it as a value \
                     (`.map(Transaction::hash)`); a single-segment name bound in scope (a param, \
                     or a let, closure, match-arm, if-let, while-let or for pattern, which a \
                     struct shorthand `S { seed }` also names) is a local, not a reference. \
-                    Resolution is by name, so a collision can only \
-                    hide a dead fn, never flag a live one. Delete the fn, or lint:allow it with \
-                    the reason it stays (a test oracle, a paper API). Runs only on a whole \
-                    tree (--workspace), never on a file linted alone.",
+                    Fns are keyed by their impl type: `Type::f(..)`, `Type::f` as a value and \
+                    `Self::f` inside `impl Type` reach the fns of `Type` named f, while a method \
+                    call, whose receiver type is not inferred, reaches every fn of its name — \
+                    so a collision can only hide a dead fn, never flag a live one. Delete the \
+                    fn, or lint:allow it with the reason it stays (a test oracle, a paper API). \
+                    Runs only on a whole tree (--workspace), never on a file linted alone.",
+        in_tests: false,
+    },
+    RuleInfo {
+        id: "unreferenced-pub-type",
+        summary: "no library pub struct/enum that no reached fn or type names",
+        rationale: "A type nothing names is dead like an uncalled fn, and the fn rule cannot see \
+                    it. A type is reached when a fn unreferenced-pub-fn reaches names it (in a \
+                    path, signature, pattern, cast or turbofish), when a reached type names it \
+                    in its fields, or when a macro body, const or type alias outside tests \
+                    names it; names collide only to hide a dead type. #[cfg(test)] and \
+                    #[cfg(doctest)] items are never flagged. Delete the type, or lint:allow it \
+                    with the reason it stays. Whole-tree runs (--workspace) only.",
         in_tests: false,
     },
     RuleInfo {
@@ -333,7 +348,7 @@ const INCREMENTAL_HOT_FNS: &[&str] = &[
 ];
 
 /// Per-file hot-fn lists for `no-alloc-in-hot-loop` (kernel.rs is
-/// whole-file and listed separately in [`hot_loop_spans`]).
+/// whole-file and handled in [`hot_loop_spans`]).
 const HOT_FNS: &[(&str, &[&str])] = &[
     ("crates/fl-sim/src/model.rs", MODEL_HOT_FNS),
     ("crates/fl-sim/src/fed.rs", FED_HOT_FNS),
@@ -358,7 +373,9 @@ pub fn applies(rule_id: &str, rel_path: &str, target: Target) -> bool {
         // the rule models as opaque).
         "no-nested-pool-scope" => target == Target::Lib && !raw_thread_exempt(rel_path),
         // tradebench/ is a bin crate whose modules sit beside main.rs.
-        "unreferenced-pub-fn" => target == Target::Lib && !rel_path.starts_with("tradebench/"),
+        "unreferenced-pub-fn" | "unreferenced-pub-type" => {
+            target == Target::Lib && !rel_path.starts_with("tradebench/")
+        }
         // Money arithmetic is a ledger-crate contract.
         "no-unchecked-money-arith" => rel_path.starts_with("crates/ledger/src/"),
         _ => true,
@@ -366,47 +383,17 @@ pub fn applies(rule_id: &str, rel_path: &str, target: Target) -> bool {
 }
 
 /// Inclusive line spans covered by `no-alloc-in-hot-loop` in this
-/// file: everything for the kernel module, the `HOT_FNS` bodies for
-/// the listed files (located by `fn <name>` and brace matching, like
-/// [`crate::engine::test_spans`]).
-pub fn hot_loop_spans(rel_path: &str, tokens: &[Tok]) -> Vec<(u32, u32)> {
+/// file: everything for the kernel module, the spans of the file's
+/// `HOT_FNS` for the listed files.
+fn hot_loop_spans(rel_path: &str, fns: &[FnEntry<'_>]) -> Vec<(u32, u32)> {
     if rel_path == "crates/fl-sim/src/linalg/kernel.rs" {
         return vec![(1, u32::MAX)];
     }
-    let mut spans = Vec::new();
-    let Some(&(_, hot_fns)) = HOT_FNS.iter().find(|&&(path, _)| path == rel_path) else {
-        return spans;
-    };
-    for i in 0..tokens.len().saturating_sub(1) {
-        if !(is_ident(&tokens[i], "fn")
-            && tokens[i + 1].kind == TokKind::Ident
-            && hot_fns.contains(&tokens[i + 1].text.as_str()))
-        {
-            continue;
-        }
-        // Body span: from `fn` to the matching close brace of the
-        // first top-level `{` (signature parens hold no braces).
-        let mut depth = 0i32;
-        let mut end_line = tokens[i].line;
-        for t in &tokens[i + 2..] {
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end_line = t.line;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            end_line = t.line;
-        }
-        spans.push((tokens[i].line, end_line));
-    }
-    spans
+    let hot_fns = HOT_FNS.iter().find(|&&(path, _)| path == rel_path).map_or(&[][..], |h| h.1);
+    fns.iter()
+        .filter(|e| hot_fns.contains(&e.item.name.as_str()))
+        .map(|e| (e.item.line, e.item.end_line))
+        .collect()
 }
 
 fn is_ident(t: &Tok, name: &str) -> bool {
@@ -417,12 +404,18 @@ fn is_punct(t: &Tok, op: &str) -> bool {
     t.kind == TokKind::Punct && t.text == op
 }
 
-/// Runs every applicable token rule over one file's token stream.
-pub fn run_token_rules(rel_path: &str, target: Target, tokens: &[Tok]) -> Vec<RawFinding> {
+/// Runs every applicable token rule over one file's token stream
+/// (`fns`, the file's fns, place the hot-loop spans).
+pub fn run_token_rules(
+    rel_path: &str,
+    target: Target,
+    tokens: &[Tok],
+    fns: &[FnEntry<'_>],
+) -> Vec<RawFinding> {
     let mut out = Vec::new();
     let t = tokens;
     let hot_spans = if applies("no-alloc-in-hot-loop", rel_path, target) {
-        hot_loop_spans(rel_path, tokens)
+        hot_loop_spans(rel_path, fns)
     } else {
         Vec::new()
     };

@@ -399,6 +399,17 @@ fn unused_result_offending_clean_allowed() {
     );
     // Fns that do not (always) return Result never match.
     clean(SOLVER, "fn ping() {}\nfn f() {\n    ping();\n}\n");
+    // `A::load` resolves to A's `load` alone: B's unit-returning `load`
+    // no longer hides the discarded Result, in a path or through `Self`.
+    let two_loads = "impl A {\n    fn load(x: u8) -> Result<u8, E> { Ok(x) }\n}\n\
+                     impl B {\n    fn load(x: u8) {}\n}\n";
+    offends(SOLVER, &format!("{two_loads}fn f() {{\n    A::load(1);\n}}\n"), "unused-result");
+    offends(
+        SOLVER,
+        &format!("{two_loads}impl A {{\n    fn g() {{\n        Self::load(1);\n    }}\n}}\n"),
+        "unused-result",
+    );
+    clean(SOLVER, &format!("{two_loads}fn f() {{\n    B::load(1);\n}}\n"));
     // Tests discard results freely.
     clean(
         "crates/solver/tests/t.rs",
@@ -525,6 +536,7 @@ fn unreferenced_pub_fn_offending_clean_allowed() {
                pub fn from_tradebench() {}\n";
     let bin = "fn main() {\n    assert!(x::from_assert());\n    \
                let ids: Vec<u64> = [1u64].iter().map(x::Widget::id).collect();\n    \
+               let first = x::Counter.next();\n    \
                x::from_main();\n}\n";
     let tradebench = "pub fn helper() {\n    x::from_tradebench();\n}\n";
     let files =
@@ -568,6 +580,74 @@ fn unreferenced_pub_fn_local_bindings_are_not_refs() {
     let bin = "use x::helper;\nfn main() {\n    { let helper = 0u64; drop(helper); }\n    \
                let v: Vec<u64> = [1u64].iter().map(helper).collect();\n}\n";
     assert_eq!(tree_findings(&[(LIB, lib), (BIN, bin)]), vec![]);
+}
+
+#[test]
+fn unreferenced_pub_fn_keys_fns_by_their_type() {
+    // `A::new` is dead although `B::new` is called: a path names its
+    // type's fn, not every fn of its name.
+    let lib = "pub struct A;\npub struct B;\n\
+               impl A {\n    pub fn new() -> A {\n        A\n    }\n}\n\
+               impl B {\n    pub fn new() -> B {\n        B\n    }\n    \
+               pub fn size(&self) -> u32 {\n        Self::helper()\n    }\n    \
+               pub fn helper() -> u32 {\n        1\n    }\n}\n";
+    let bin = "fn main() {\n    let b = x::B::new();\n    let n = b.size();\n}\n";
+    assert_eq!(
+        tree_findings(&[(LIB, lib), (BIN, bin)]),
+        vec![
+            (LIB.to_string(), 1, "unreferenced-pub-type".to_string()),
+            (LIB.to_string(), 4, "unreferenced-pub-fn".to_string()),
+        ],
+        "A::new and the type A only it names are dead; B::size (a method on an unknown \
+         receiver) and B::helper (through Self::) are reached"
+    );
+}
+
+// --- unreferenced-pub-type --------------------------------------------
+
+#[test]
+fn unreferenced_pub_type_offending_clean_allowed() {
+    // `Dead` is named by no reached fn; `Shape` only in the reached
+    // `area`'s signature, `Unit` only in `Shape`'s field, `Inner` only
+    // in a pattern and `Turbo` only in a turbofish — each is reached.
+    let lib = "pub struct Dead {\n    pub x: u32,\n}\n\
+               pub struct Shape {\n    pub side: Unit,\n}\n\
+               pub struct Unit(pub f64);\n\
+               pub enum Inner {\n    A,\n}\n\
+               pub struct Turbo;\n\
+               pub fn area(s: &Shape, i: Option<u8>) -> f64 {\n    \
+               if let Some(Inner::A) = None { return 0.0; }\n    \
+               let t = std::iter::empty().collect::<Vec<Turbo>>();\n    s.side.0\n}\n";
+    let bin = "fn main() {\n    let a = x::area;\n}\n";
+    assert_eq!(
+        tree_findings(&[(LIB, lib), (BIN, bin)]),
+        vec![(LIB.to_string(), 1, "unreferenced-pub-type".to_string())]
+    );
+    // Only a dead fn names it: still dead, and so is the fn.
+    let lib = "pub struct Lonely;\npub fn make() -> Lonely {\n    Lonely\n}\n";
+    assert_eq!(
+        tree_findings(&[(LIB, lib)]),
+        vec![
+            (LIB.to_string(), 1, "unreferenced-pub-type".to_string()),
+            (LIB.to_string(), 2, "unreferenced-pub-fn".to_string()),
+        ]
+    );
+    // A `#[cfg(doctest)]` item is test code, whichever attribute
+    // comes first; so is a `#[cfg(test)]` one.
+    for attrs in [
+        "#[cfg(doctest)]\n#[doc = include_str!(\"../README.md\")]\n",
+        "#[doc = include_str!(\"../README.md\")]\n#[cfg(doctest)]\n",
+        "#[cfg(test)]\n",
+    ] {
+        let lib = format!("{attrs}pub struct ReadmeDoctests;\n");
+        assert_eq!(tree_findings(&[(LIB, &lib)]), vec![], "{attrs}");
+    }
+    // Allowed: a kept paper API carries its reason.
+    let allowed = "// lint:allow(unreferenced-pub-type): paper API: the E10 certificate\n\
+                   #[derive(Debug)]\npub struct Certificate;\n";
+    assert_eq!(tree_findings(&[(LIB, allowed)]), vec![]);
+    // A file linted alone cannot see its users, so the rule is off.
+    clean(LIB, "pub struct Lonely;\n");
 }
 
 // --- engine-wide invariants ------------------------------------------

@@ -48,7 +48,10 @@ fn every_workspace_file_parses_with_zero_errors() {
             path.display(),
             parsed.errors
         );
-        total_fns += parse::collect_fns(&parsed).len();
+        total_fns += parse::collect_items(&parsed)
+            .iter()
+            .filter(|r| matches!(r.item.kind, parse::ItemKind::Fn(_)))
+            .count();
     }
     // Sanity floor: "zero errors" must not mean "parsed nothing".
     // The workspace holds thousands of fns; a parser bug that opaques
@@ -65,11 +68,17 @@ fn parsed_bodies_are_not_empty_shells() {
     for rel in ["crates/ledger/src/codec.rs", "crates/solver/src/dbr.rs"] {
         let src = fs::read_to_string(root.join(rel)).unwrap();
         let parsed = parse::parse_source(&src);
-        let fns = parse::collect_fns(&parsed);
+        let fns: Vec<&parse::FnItem> = parse::collect_items(&parsed)
+            .into_iter()
+            .filter_map(|r| match &r.item.kind {
+                parse::ItemKind::Fn(func) => Some(func),
+                _ => None,
+            })
+            .collect();
         assert!(!fns.is_empty(), "{rel}: no fns parsed");
         let with_stmts = fns
             .iter()
-            .filter(|f| f.func.body.as_ref().is_some_and(|b| !b.stmts.is_empty()))
+            .filter(|f| f.body.as_ref().is_some_and(|b| !b.stmts.is_empty()))
             .count();
         assert!(
             with_stmts * 2 >= fns.len(),

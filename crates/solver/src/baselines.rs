@@ -110,57 +110,16 @@ pub fn solve_gca<A: AccuracyModel>(
         }
     }
 
-    let mut potential_trace = vec![game.potential(&profile)];
-    let mut payoff_traces =
-        vec![(0..n).map(|i| game.payoff(&profile, i)).collect::<Vec<_>>()];
-    let mut converged = false;
-    let mut rounds = 0;
-    while rounds < options.max_rounds {
-        rounds += 1;
-        let mut any_change = false;
-        for i in 0..n {
-            let current = game.payoff(&profile, i);
-            let evaluate = |k: usize| {
-                let d = d_min + (1.0 - d_min) * k as f64 / options.grid as f64;
-                if !tied_feasible(game, i, d, options.coupling) {
-                    return None;
-                }
-                let level = gca_level(game, i, d, options.coupling);
-                let candidate = Strategy::new(d, level);
-                Some((candidate, game.payoff(&profile.with(i, candidate), i)))
-            };
-            let (candidate, payoff) = best_of((0..=options.grid).map(evaluate))
-                .ok_or(SolveError::InfeasibleProblem { org: i })?;
-            if payoff > current + 1e-9
-                && profile.with(i, candidate).distance(&profile) > 1e-9
-            {
-                profile.set(i, candidate);
-                any_change = true;
+    improve(game, Scheme::Gca, "gca", profile, options.max_rounds, 1e-9, |profile, i| {
+        best_of((0..=options.grid).map(|k| {
+            let d = d_min + (1.0 - d_min) * k as f64 / options.grid as f64;
+            if !tied_feasible(game, i, d, options.coupling) {
+                return None;
             }
-        }
-        potential_trace.push(game.potential(&profile));
-        payoff_traces.push((0..n).map(|i| game.payoff(&profile, i)).collect());
-        if !any_change {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(SolveError::DidNotConverge {
-            algorithm: "gca",
-            iterations: rounds,
-            residual: f64::NAN,
-        });
-    }
-    Ok(Equilibrium::from_profile(
-        Scheme::Gca,
-        game,
-        profile,
-        rounds,
-        converged,
-        potential_trace,
-        payoff_traces,
-    ))
+            let candidate = Strategy::new(d, gca_level(game, i, d, options.coupling));
+            Some((candidate, game.payoff(&profile.with(i, candidate), i)))
+        }))
+    })
 }
 
 fn tied_feasible<A: AccuracyModel>(
@@ -205,7 +164,6 @@ pub fn solve_fip<A: AccuracyModel>(
     options: FipOptions,
 ) -> Result<Equilibrium> {
     let market = game.market();
-    let n = market.len();
     let d_min = market.params().d_min;
     // Grid: multiples of `e` in [D_min, 1]; D_min itself is always a
     // vertex so a feasible start exists.
@@ -220,35 +178,59 @@ pub fn solve_fip<A: AccuracyModel>(
     }
     grid.push(1.0);
 
-    let mut profile = StrategyProfile::minimal(market);
+    let start = StrategyProfile::minimal(market);
+    improve(game, Scheme::Fip, "fip", start, options.max_rounds, 1e-12, |profile, i| {
+        let levels = market.org(i).compute_level_count();
+        // Vertex index: levels outer, grid inner; best_of keeps the
+        // first maximum in that order.
+        best_of((0..levels * grid.len()).map(|v| {
+            let (level, k) = (v / grid.len(), v % grid.len());
+            let (lo, hi) = market.feasible_range(i, level)?;
+            let d = grid[k];
+            if d < lo - 1e-12 || d > hi + 1e-12 {
+                return None;
+            }
+            let candidate = Strategy::new(d, level);
+            Some((candidate, game.payoff(&profile.with(i, candidate), i)))
+        }))
+    })
+}
+
+/// The improvement dynamics GCA and FIP share: each round, every
+/// organization in turn takes the best candidate `best_move(profile,
+/// i)` offers when it beats its current payoff by more than 1e-9 and
+/// moves the profile by more than `move_tol`. The run converges at the
+/// first round in which nobody moves.
+fn improve<A: AccuracyModel>(
+    game: &CoopetitionGame<A>,
+    scheme: Scheme,
+    algorithm: &'static str,
+    mut profile: StrategyProfile,
+    max_rounds: usize,
+    move_tol: f64,
+    best_move: impl Fn(&StrategyProfile, usize) -> Option<(Strategy, f64)>,
+) -> Result<Equilibrium> {
+    let n = game.market().len();
     let mut potential_trace = vec![game.potential(&profile)];
     let mut payoff_traces =
         vec![(0..n).map(|i| game.payoff(&profile, i)).collect::<Vec<_>>()];
-    let mut converged = false;
     let mut rounds = 0;
-    while rounds < options.max_rounds {
+    loop {
+        if rounds == max_rounds {
+            return Err(SolveError::DidNotConverge {
+                algorithm,
+                iterations: rounds,
+                residual: f64::NAN,
+            });
+        }
         rounds += 1;
         let mut any_change = false;
         for i in 0..n {
             let current = game.payoff(&profile, i);
-            let org = market.org(i);
-            let levels = org.compute_level_count();
-            // Vertex index: levels outer, grid inner; best_of keeps the
-            // first maximum in that order.
-            let evaluate = |v: usize| {
-                let (level, k) = (v / grid.len(), v % grid.len());
-                let (lo, hi) = market.feasible_range(i, level)?;
-                let d = grid[k];
-                if d < lo - 1e-12 || d > hi + 1e-12 {
-                    return None;
-                }
-                let candidate = Strategy::new(d, level);
-                Some((candidate, game.payoff(&profile.with(i, candidate), i)))
-            };
-            let (candidate, payoff) = best_of((0..levels * grid.len()).map(evaluate))
-                .ok_or(SolveError::InfeasibleProblem { org: i })?;
+            let (candidate, payoff) =
+                best_move(&profile, i).ok_or(SolveError::InfeasibleProblem { org: i })?;
             if payoff > current + 1e-9
-                && profile.with(i, candidate).distance(&profile) > 1e-12
+                && profile.with(i, candidate).distance(&profile) > move_tol
             {
                 profile.set(i, candidate);
                 any_change = true;
@@ -257,26 +239,17 @@ pub fn solve_fip<A: AccuracyModel>(
         potential_trace.push(game.potential(&profile));
         payoff_traces.push((0..n).map(|i| game.payoff(&profile, i)).collect());
         if !any_change {
-            converged = true;
-            break;
+            return Ok(Equilibrium::from_profile(
+                scheme,
+                game,
+                profile,
+                rounds,
+                true,
+                potential_trace,
+                payoff_traces,
+            ));
         }
     }
-    if !converged {
-        return Err(SolveError::DidNotConverge {
-            algorithm: "fip",
-            iterations: rounds,
-            residual: f64::NAN,
-        });
-    }
-    Ok(Equilibrium::from_profile(
-        Scheme::Fip,
-        game,
-        profile,
-        rounds,
-        converged,
-        potential_trace,
-        payoff_traces,
-    ))
 }
 
 /// The **TOS** baseline ("Theoretically Optimal Scheme"): every
@@ -317,14 +290,7 @@ pub fn solve_scheme<A: AccuracyModel>(
             // Paper-faithful traversal when the ladder product space is
             // small; coordinate-descent master beyond ~50k combinations
             // (flagged as heuristic in DESIGN.md).
-            let combos: u128 = game
-                .market()
-                .orgs()
-                .iter()
-                .map(|o| o.compute_level_count() as u128)
-                .try_fold(1u128, u128::checked_mul)
-                .unwrap_or(u128::MAX);
-            let master = if combos <= 50_000 {
+            let master = if crate::gbd::combination_count(game) <= 50_000 {
                 crate::gbd::MasterSearch::Traversal { cap: 50_000 }
             } else {
                 crate::gbd::MasterSearch::CoordinateDescent {

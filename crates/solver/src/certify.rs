@@ -15,6 +15,7 @@ use tradefl_core::game::CoopetitionGame;
 use tradefl_core::strategy::StrategyProfile;
 
 /// The outcome of certifying a strategy profile.
+// lint:allow(unreferenced-pub-type): paper API: the result of E10's equilibrium certificate, which certify_nash and certify_nash_for return
 #[derive(Debug, Clone, PartialEq)]
 pub struct NashCertificate {
     /// The largest payoff improvement any organization can achieve by

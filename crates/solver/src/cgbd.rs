@@ -103,7 +103,7 @@ pub struct CgbdReport {
 ///
 /// let market = MarketConfig::table_ii().with_orgs(3).build(1)?;
 /// let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
-/// let report = CgbdSolver::new().solve(&game)?;
+/// let report = CgbdSolver::default().solve(&game)?;
 /// assert!(report.equilibrium.converged);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -113,19 +113,9 @@ pub struct CgbdSolver {
 }
 
 impl CgbdSolver {
-    /// Creates a solver with default options.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a solver with explicit options.
     pub fn with_options(options: CgbdOptions) -> Self {
         Self { options }
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &CgbdOptions {
-        &self.options
     }
 
     /// Runs Algorithm 1.
@@ -309,7 +299,7 @@ mod tests {
     #[test]
     fn cgbd_terminates_and_returns_feasible_profile() {
         let g = game(4, 21);
-        let report = CgbdSolver::new().solve(&g).unwrap();
+        let report = CgbdSolver::default().solve(&g).unwrap();
         assert!(report.equilibrium.converged);
         report.equilibrium.profile.validate(g.market()).unwrap();
         assert!(report.trace.len() >= 1);
@@ -320,7 +310,7 @@ mod tests {
     fn cgbd_matches_exhaustive_oracle_on_small_instances() {
         for seed in [2, 8, 33] {
             let g = game(3, seed);
-            let report = CgbdSolver::new().solve(&g).unwrap();
+            let report = CgbdSolver::default().solve(&g).unwrap();
             let (_, oracle_value) = exhaustive_optimum(&g, 1e-9).unwrap();
             let got = report.equilibrium.potential;
             assert!(
@@ -333,7 +323,7 @@ mod tests {
     #[test]
     fn upper_bound_is_monotone_nonincreasing() {
         let g = game(5, 12);
-        let report = CgbdSolver::new().solve(&g).unwrap();
+        let report = CgbdSolver::default().solve(&g).unwrap();
         for w in report.trace.windows(2) {
             assert!(w[1].upper_bound <= w[0].upper_bound + 1e-12);
         }
@@ -343,7 +333,7 @@ mod tests {
     fn cgbd_potential_at_least_dbr() {
         // CGBD targets the global potential maximum; DBR only a local NE.
         let g = game(5, 40);
-        let cgbd = CgbdSolver::new().solve(&g).unwrap();
+        let cgbd = CgbdSolver::default().solve(&g).unwrap();
         let dbr = crate::dbr::DbrSolver::new().solve(&g).unwrap();
         assert!(
             cgbd.equilibrium.potential >= dbr.potential - 1e-4 * dbr.potential.abs().max(1.0),
@@ -356,7 +346,7 @@ mod tests {
     #[test]
     fn iteration_trace_has_finite_bounds_after_first_feasible() {
         let g = game(4, 3);
-        let report = CgbdSolver::new().solve(&g).unwrap();
+        let report = CgbdSolver::default().solve(&g).unwrap();
         let last = report.trace.last().unwrap();
         assert!(last.upper_bound.is_finite());
         assert!(last.lower_bound.is_finite());

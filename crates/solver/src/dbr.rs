@@ -128,11 +128,6 @@ impl DbrSolver {
         Self { options }
     }
 
-    /// The options in effect.
-    pub fn options(&self) -> &DbrOptions {
-        &self.options
-    }
-
     /// Runs best-response dynamics from the minimal profile, with
     /// [`Pool::global`] splitting large markets' payoff trace rows.
     ///

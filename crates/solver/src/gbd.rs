@@ -285,7 +285,7 @@ pub fn solve_master<A: AccuracyModel>(
 }
 
 /// Size of the ladder product space `|𝓕| = Π m_i`.
-fn combination_count<A: AccuracyModel>(game: &CoopetitionGame<A>) -> u128 {
+pub(crate) fn combination_count<A: AccuracyModel>(game: &CoopetitionGame<A>) -> u128 {
     game.market()
         .orgs()
         .iter()

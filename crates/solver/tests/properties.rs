@@ -45,7 +45,7 @@ props! {
     /// brute-force optimum within (δ+ε).
     fn cgbd_is_delta_eps_optimal(g) {
         let game = any_game(g, 3);
-        let report = CgbdSolver::new().solve(&game).unwrap();
+        let report = CgbdSolver::default().solve(&game).unwrap();
         let (_, oracle) = exhaustive_optimum(&game, 1e-10).unwrap();
         let got = report.equilibrium.potential;
         prop_assert!(

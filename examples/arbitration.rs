@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enclave = Enclave::from_label("consortium-tee-vendor");
     let (engine, report) = Engine::settle(&game, &eq.profile, Some(enclave.clone()))?;
     println!(
-        "settled: {} orgs, {} blocks, max on/off-chain error {:.1e}",
+        "settled: {} orgs, chain height {}, max on/off-chain error {:.1e}",
         report.addresses.len(),
         report.chain_height,
         report.max_abs_error

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Settle the compensation credibly on the private chain (Fig. 3).
     let (engine, report) = Engine::settle(&game, &dbr.profile, None)?;
     println!(
-        "\non-chain settlement: {} blocks, {} gas, max |on-chain - Eq.(10)| = {:.2e}",
+        "\non-chain settlement: chain height {}, {} gas, max |on-chain - Eq.(10)| = {:.2e}",
         report.chain_height, report.total_gas, report.max_abs_error
     );
     assert!(report.consistent(1e-3));

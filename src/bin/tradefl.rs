@@ -253,11 +253,11 @@ fn cmd_settle(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let game = build_game(opts)?;
     let eq = DbrSolver::new().solve(&game)?;
     let enclave = opts.attested.then(|| Enclave::from_label("tradefl-cli"));
-    let (engine, report) = Engine::settle(&game, &eq.profile, enclave)?;
+    let (mut engine, report) = Engine::settle(&game, &eq.profile, enclave)?;
     println!(
         "settled {} organizations in {} blocks, {} gas{}",
         opts.orgs,
-        report.chain_height,
+        engine.report()?.blocks,
         report.total_gas,
         if opts.attested { " (TEE-attested reports)" } else { "" }
     );

@@ -43,6 +43,12 @@ pub use tradefl_fl_sim as fl;
 pub use tradefl_ledger as ledger;
 pub use tradefl_solver as solver;
 
+/// The README's "Or in code" example, compiled and run as a doctest so
+/// the front page cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use tradefl_core::accuracy::{AccuracyModel, SqrtAccuracy};

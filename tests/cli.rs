@@ -28,6 +28,30 @@ fn the_largest_settleable_market_settles() {
 }
 
 #[test]
+fn settle_prints_the_blocks_the_engine_mined() {
+    // The printed count is the mined blocks, not the chain height
+    // (which also counts genesis): the same 10-org, seed-42 settlement
+    // run in process must report that many blocks.
+    use tradefl::prelude::*;
+    let out = tradefl(&["settle", "--orgs", "10"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let printed: u64 = stdout
+        .split_once("settled 10 organizations in ")
+        .and_then(|(_, rest)| rest.split_once(" blocks"))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no block count in:\n{stdout}"));
+
+    let market = MarketConfig::table_ii().with_orgs(10).build(42).expect("market builds");
+    let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+    let eq = DbrSolver::new().solve(&game).expect("DBR converges");
+    let (mut engine, report) = Engine::settle(&game, &eq.profile, None).expect("settles");
+    let mined = engine.report().expect("engine reports").blocks;
+    assert_eq!(printed, mined, "{stdout}");
+    assert_eq!(report.chain_height as u64, mined + 1, "the chain height counts genesis");
+}
+
+#[test]
 fn a_parse_error_exits_1_with_the_usage_text() {
     for args in [&["frobnicate"][..], &["settle", "--orgs"]] {
         let out = tradefl(args);

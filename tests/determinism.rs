@@ -70,8 +70,8 @@ fn cgbd_visited_set_is_bit_identical_across_runs() {
     use tradefl::solver::cgbd::CgbdSolver;
 
     for seed in [3, 19] {
-        let a = CgbdSolver::new().solve(&game(seed)).unwrap();
-        let b = CgbdSolver::new().solve(&game(seed)).unwrap();
+        let a = CgbdSolver::default().solve(&game(seed)).unwrap();
+        let b = CgbdSolver::default().solve(&game(seed)).unwrap();
         assert_eq!(a.gap.to_bits(), b.gap.to_bits(), "CGBD gap differs (seed {seed})");
         assert_eq!(a.trace.len(), b.trace.len(), "CGBD iteration count differs (seed {seed})");
         assert_eq!(

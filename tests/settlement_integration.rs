@@ -54,7 +54,7 @@ fn call(
 #[test]
 fn cgbd_equilibrium_settles_consistently() {
     let game = small_game(11);
-    let report = CgbdSolver::new().solve(&game).unwrap();
+    let report = CgbdSolver::default().solve(&game).unwrap();
     let (_, settlement) = Engine::settle(&game, &report.equilibrium.profile, None).unwrap();
     assert!(settlement.consistent(1e-3), "error {}", settlement.max_abs_error);
 }
