@@ -66,7 +66,7 @@ use tradefl_runtime::json::Json;
 use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tradefl_runtime::sim::faults::FaultConfig;
 use tradefl_runtime::sync::pool::{host_parallelism, Pool};
-use tradefl_solver::bestresponse::{best_response, Objective};
+use tradefl_solver::bestresponse::best_response;
 use tradefl_solver::cgbd::{CgbdOptions, CgbdSolver};
 use tradefl_solver::dbr::{DbrOptions, DbrSolver, UpdateOrder};
 use tradefl_solver::gbd::{
@@ -137,7 +137,6 @@ fn registry() -> Vec<Entry> {
         run: Box::new(|_| bench_gemm(15)),
     }];
     rows.push(entry("cgbd_traversal", "solver", false, 15, bench_cgbd_traversal));
-    rows.push(entry("dbr_solve", "solver", false, 15, bench_dbr_pooled));
     rows.push(entry("best_response", "solver", false, 15, bench_best_response));
     rows.push(Entry {
         layer: "solver",
@@ -425,15 +424,6 @@ fn bench_cgbd_traversal(repeats: usize) -> Fields {
     vec![("serial_ms", ms[0]), ("tables_ms", ms[1]), ("tables_speedup", ms[0] / ms[1])]
 }
 
-/// Full DBR solve (Algorithm 2) on the paper-scale market; below every
-/// pool threshold, so all three columns run the same inline code.
-fn bench_dbr_pooled(repeats: usize) -> Fields {
-    let g = game(10, 42);
-    pooled_fields(time_on_pools(repeats, &|pool| {
-        black_box(DbrSolver::new().solve_with(&g, pool).expect("dbr"));
-    }))
-}
-
 /// One organization's best response at the minimal profile.
 fn bench_best_response(repeats: usize) -> Fields {
     let g = game(10, 42);
@@ -441,7 +431,7 @@ fn bench_best_response(repeats: usize) -> Fields {
     let ms = time_ms(
         repeats * 10,
         &mut [&mut || {
-            black_box(best_response(&g, &profile, 0, Objective::Full).expect("br"));
+            black_box(best_response(&g, &profile, 0).expect("br"));
         }],
     );
     vec![("serial_ms", ms[0])]
@@ -1249,9 +1239,6 @@ mod tests {
                 ("m", 1500.0), ("k", 64.0), ("n", 96.0), ("naive_ms", 1.0), ("blocked_ms", 0.2),
                 ("blocked_speedup", 5.0),
             ]),
-            row("dbr_solve", "solver", &[
-                ("serial_ms", 0.08), ("pooled_1w_ms", 0.08), ("pooled_ms", 0.08), ("speedup", 1.0),
-            ]),
             row("dbr_solve_n100", "solver", &[("solve_ms", 2.0), ("orgs", 100.0)]),
             row("dbr_solve_n1000", "solver", &[("solve_ms", 30.0), ("orgs", 1000.0)]),
             row("dbr_solve_n10000", "solver", &[
@@ -1296,21 +1283,25 @@ mod tests {
         ]
     }
 
+    fn named<'a>(rows: &'a mut [Row], name: &str) -> &'a mut Row {
+        rows.iter_mut().find(|r| r.name == name).expect("row exists")
+    }
+
     fn set(rows: &mut [Row], name: &str, key: &str, value: f64) {
-        let row = rows.iter_mut().find(|r| r.name == name).expect("row exists");
+        let row = named(rows, name);
         row.fields.iter_mut().find(|(k, _)| *k == key).expect("field exists").1 = value;
     }
 
     #[test]
     fn checker_accepts_emitted_documents() {
-        assert_eq!(check(&render(&full_rows(), false)), Ok(14));
+        assert_eq!(check(&render(&full_rows(), false)), Ok(13));
         // A fast-mode file may drop the N >= 1000 rows the bounds read,
         // and is not held to the bounds.
         let mut fast: Vec<Row> =
             full_rows().into_iter().filter(|r| !r.name.contains("n10")).collect();
         set(&mut fast, "eval_forward_1500x64x96", "naive_ms", 0.5);
         set(&mut fast, "eval_forward_1500x64x96", "blocked_speedup", 2.5);
-        assert_eq!(check(&render(&fast, true)), Ok(9));
+        assert_eq!(check(&render(&fast, true)), Ok(8));
     }
 
     #[test]
@@ -1374,14 +1365,14 @@ mod tests {
             ("negative count", |r| set(r, "dbr_solve_n100", "orgs", -1.0), "negative"),
             ("missing operand row", |r| r.retain(|x| x.name != "dbr_solve_n100"), "missing: the bound"),
             ("missing bounded row", |r| r.retain(|x| x.name != "dbr_solve_n10000"), "missing: the bound"),
-            ("missing bounded field", |r| r[4].fields.retain(|(k, _)| *k != "with_params_ms"), "missing \"with_params_ms\""),
-            ("1-worker twin", |r| r[1].fields.retain(|(k, _)| *k != "pooled_ms" && *k != "speedup"), "2-worker twin"),
-            ("ratio", |r| set(r, "dbr_solve", "speedup", 3.0), "inconsistent"),
+            ("missing bounded field", |r| named(r, "dbr_solve_n10000").fields.retain(|(k, _)| *k != "with_params_ms"), "missing \"with_params_ms\""),
+            ("1-worker twin", |r| named(r, "tune_gamma_n1000").fields.retain(|(k, _)| *k != "pooled_ms" && *k != "speedup"), "2-worker twin"),
+            ("ratio", |r| set(r, "tune_gamma_n1000", "speedup", 3.0), "inconsistent"),
             ("settlement rate", |r| set(r, "multi_session_4v", "settlements_per_sec", 1.0), "inconsistent"),
             ("p99", |r| set(r, "multi_session_4v", "round_p99_ms", 7.0), "exceeds run_ms"),
             ("layer", |r| r[0].layer = "gpu", "unknown layer"),
             ("ledger layer", |r| r[0].layer = "ledger", "unknown layer"),
-            ("e2e layer", |r| r[5].layer = "e2e", "unknown layer"),
+            ("e2e layer", |r| named(r, "tune_gamma_n1000").layer = "e2e", "unknown layer"),
             (
                 "retired row",
                 |r| r.push(row("dbr_sparse_agreement_n1000", "solver", &[("dense_ms", 3.0)])),
@@ -1492,7 +1483,6 @@ mod tests {
         }
         for old in [
             "cgbd_traversal",
-            "dbr_solve",
             "best_response",
             "fedavg_round",
             "fedavg_step_32x36x32x10",

@@ -1,9 +1,9 @@
 //! Batched wall-clock measurement for the `baseline` recorder.
 //!
 //! Sub-millisecond workloads timed one call per sample are dominated
-//! by scheduler and timer noise — the recorded dbr_solve "0.917x
-//! pooled regression" was exactly that: two bit-identical code paths
-//! ~77µs apart on a one-call clock. [`time_ms`] therefore batches
+//! by scheduler and timer noise — the since-retired `dbr_solve` row's
+//! "0.917x pooled regression" was exactly that: two bit-identical code
+//! paths ~77µs apart on a one-call clock. [`time_ms`] therefore batches
 //! calls until every sample spans at least [`MIN_SAMPLE_MS`] and
 //! reports the per-call median.
 

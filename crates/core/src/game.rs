@@ -186,13 +186,6 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         self.payoff_breakdown(profile, i).total()
     }
 
-    /// Payoff with the redistribution term removed — the WPR baseline's
-    /// objective (§VI, "DBR Without Payoff Redistribution").
-    pub fn payoff_without_redistribution(&self, profile: &StrategyProfile, i: usize) -> f64 {
-        let b = self.payoff_breakdown(profile, i);
-        b.revenue - b.overhead - b.damage
-    }
-
     /// Social welfare `Σ_i C_i(π_i, π_-i)` (§III-E).
     pub fn social_welfare(&self, profile: &StrategyProfile) -> f64 {
         (0..self.market.len()).map(|i| self.payoff(profile, i)).sum()
@@ -268,22 +261,6 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         let s = org.data_bits();
         z * self.accuracy.gain_deriv(omega) * org.effective_bits()
             + (params.gamma * q - params.omega_e * params.kappa * f * f * org.eta()) * s
-    }
-
-    /// Same derivative for the WPR objective (γ treated as 0).
-    pub fn payoff_without_redistribution_d_deriv(
-        &self,
-        profile: &StrategyProfile,
-        i: usize,
-    ) -> f64 {
-        let org = self.market.org(i);
-        let params = self.market.params();
-        let omega = profile.total_data(&self.market);
-        let f = org.frequency(profile[i].level);
-        let z = self.market.weight(i);
-        let s = org.data_bits();
-        z * self.accuracy.gain_deriv(omega) * org.effective_bits()
-            - params.omega_e * params.kappa * f * f * org.eta() * s
     }
 
     /// Gradient of the exact potential with respect to the data vector
@@ -488,16 +465,35 @@ mod tests {
         assert!(g.damage(&p_hi, 0) > g.damage(&p, 0));
     }
 
+    /// The same market with γ = 0: the game WPR ("DBR without payoff
+    /// redistribution") is played on.
+    fn zero_gamma(g: &CoopetitionGame<SqrtAccuracy>) -> CoopetitionGame<SqrtAccuracy> {
+        g.with_params(g.market().params().with_gamma(0.0)).unwrap()
+    }
+
     #[test]
     fn wpr_payoff_drops_redistribution_only() {
+        // At γ = 0 every r_ij is an exact zero, so the payoff and its d
+        // derivative are the real market's with R_i and γ q_i s_i
+        // removed, bit for bit.
         let g = game();
+        let g0 = zero_gamma(&g);
         let mut p = mid_profile(&g);
         p.set(0, Strategy::new(g.market().params().d_min, 0));
         for i in 0..g.market().len() {
-            let full = g.payoff(&p, i);
-            let wpr = g.payoff_without_redistribution(&p, i);
-            let r = g.redistribution(&p, i);
-            assert!((full - wpr - r).abs() < 1e-9);
+            let b = g.payoff_breakdown(&p, i);
+            assert_eq!(g0.redistribution(&p, i).to_bits(), 0.0f64.to_bits());
+            assert_eq!(g0.payoff(&p, i).to_bits(), (b.revenue - b.overhead - b.damage).to_bits());
+            assert!((g.payoff(&p, i) - g0.payoff(&p, i) - b.redistribution).abs() < 1e-9);
+            // ∂C_i/∂d_i without its γ q_i s_i term.
+            let org = g.market().org(i);
+            let params = g.market().params();
+            let f = org.frequency(p[i].level);
+            let without_r = g.market().weight(i)
+                * g.accuracy().gain_deriv(p.total_data(g.market()))
+                * org.effective_bits()
+                - params.omega_e * params.kappa * f * f * org.eta() * org.data_bits();
+            assert_eq!(g0.payoff_d_deriv(&p, i).to_bits(), without_r.to_bits());
         }
     }
 
@@ -506,9 +502,7 @@ mod tests {
         let g = game();
         let p = mid_profile(&g);
         let w = g.social_welfare(&p);
-        let no_r: f64 = (0..g.market().len())
-            .map(|i| g.payoff_without_redistribution(&p, i))
-            .sum();
+        let no_r = zero_gamma(&g).social_welfare(&p);
         assert!((w - no_r).abs() < 1e-6, "redistribution is welfare-neutral");
     }
 

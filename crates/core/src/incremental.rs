@@ -231,12 +231,6 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         revenue - overhead - damage + redistribution
     }
 
-    /// The WPR objective (redistribution dropped) at a candidate.
-    pub fn payoff_without_redistribution_at(&self, i: usize, candidate: Strategy) -> f64 {
-        let (revenue, overhead, damage) = self.common_terms(i, candidate);
-        revenue - overhead - damage
-    }
-
     /// Organization `i`'s payoff at a candidate **up to the
     /// mover-invariant additive constant** `−γ Σ_j ρ_{i,j} res_j`:
     /// because `ρ_{i,i} = 0`, that redistribution cross-term does not
@@ -252,7 +246,8 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         revenue - overhead - damage + gamma * (self.q[i] * res_i)
     }
 
-    /// Revenue, overhead and damage shared by both objectives.
+    /// Revenue, overhead and damage: the terms of `C_i` that
+    /// redistribution leaves alone.
     fn common_terms(&self, i: usize, candidate: Strategy) -> (f64, f64, f64) {
         let market = self.game.market();
         let org = market.org(i);
@@ -281,22 +276,6 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         self.z[i] * self.game.accuracy().gain_deriv(omega) * org.effective_bits()
             + (params.gamma * self.q[i] - params.omega_e * params.kappa * f * f * org.eta())
                 * s
-    }
-
-    /// The WPR derivative (γ treated as 0).
-    pub fn payoff_without_redistribution_d_deriv_at(
-        &self,
-        i: usize,
-        candidate: Strategy,
-    ) -> f64 {
-        let market = self.game.market();
-        let org = market.org(i);
-        let params = market.params();
-        let omega = self.omega.total_with(i, candidate.d * org.effective_bits());
-        let f = org.frequency(candidate.level);
-        let s = org.data_bits();
-        self.z[i] * self.game.accuracy().gain_deriv(omega) * org.effective_bits()
-            - params.omega_e * params.kappa * f * f * org.eta() * s
     }
 
     /// The full payoff vector at the current profile (one `O(N)`
@@ -434,10 +413,9 @@ mod tests {
                     p.to_bits() == p_fresh.to_bits(),
                     "payoff[{}] {} != fresh {}", i, p, p_fresh
                 );
-                let w = eval.payoff_without_redistribution_at(i, eval.profile()[i]);
-                let w_fresh =
-                    fresh.payoff_without_redistribution_at(i, fresh.profile()[i]);
-                prop_assert!(w.to_bits() == w_fresh.to_bits());
+                let m = eval.mover_payoff_at(i, eval.profile()[i]);
+                let m_fresh = fresh.mover_payoff_at(i, fresh.profile()[i]);
+                prop_assert!(m.to_bits() == m_fresh.to_bits());
                 let d = eval.payoff_d_deriv_at(i, eval.profile()[i]);
                 let d_fresh = fresh.payoff_d_deriv_at(i, fresh.profile()[i]);
                 prop_assert!(d.to_bits() == d_fresh.to_bits());
@@ -451,6 +429,9 @@ mod tests {
                 .map(|i| random_strategy(g, &game, i))
                 .collect();
             let eval = IncrementalEval::new(&game, profile.clone());
+            // WPR's market: γ = 0, where every R_i vanishes.
+            let game0 = game.with_params(game.market().params().with_gamma(0.0)).unwrap();
+            let eval0 = IncrementalEval::new(&game0, profile.clone());
             for i in 0..n {
                 let scale = game.payoff(&profile, i).abs().max(1.0);
                 let inc = eval.payoff_at(i, profile[i], eval.rho_res(i));
@@ -459,9 +440,11 @@ mod tests {
                     (inc - exact).abs() <= 1e-9 * scale,
                     "payoff[{}] incremental {} vs game {}", i, inc, exact
                 );
-                let inc_w = eval.payoff_without_redistribution_at(i, profile[i]);
-                let exact_w = game.payoff_without_redistribution(&profile, i);
+                let inc_w = eval0.payoff_at(i, profile[i], eval0.rho_res(i));
+                let exact_w = game.payoff(&profile, i) - game.redistribution(&profile, i);
                 prop_assert!((inc_w - exact_w).abs() <= 1e-9 * scale);
+                // At γ = 0 the mover objective's shift is exactly zero.
+                prop_assert!(eval0.mover_payoff_at(i, profile[i]).to_bits() == inc_w.to_bits());
                 let inc_d = eval.payoff_d_deriv_at(i, profile[i]);
                 let exact_d = game.payoff_d_deriv(&profile, i);
                 prop_assert!(

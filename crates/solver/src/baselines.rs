@@ -1,12 +1,13 @@
-//! The comparison baselines of §VI: GCA, FIP and TOS (WPR is
-//! [`crate::dbr::DbrSolver`] with
-//! [`crate::bestresponse::Objective::WithoutRedistribution`]).
+//! The comparison baselines of §VI: GCA, FIP and TOS. WPR ("DBR
+//! without payoff redistribution", R_i ≡ 0) is
+//! [`crate::dbr::DbrSolver`] on the γ = 0 market (Eq. 9 at γ = 0), run
+//! by [`solve_scheme`].
 
-use crate::bestresponse::Objective;
 use crate::error::{Result, SolveError};
 use crate::outcome::{Equilibrium, Scheme};
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
+use tradefl_core::incremental::IncrementalEval;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
 
 /// Merges per-candidate `(strategy, payoff)` evaluations in input
@@ -23,41 +24,32 @@ fn best_of(
     best
 }
 
-/// Options for the **GCA** baseline ("DBR with Greedy Computation
-/// Allocation"): organizations still best-respond in `d`, but the
-/// compute level is *tied* to the data fraction through `f_i = k · d_i`
-/// (snapped to the nearest ladder level), instead of being optimized.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GcaOptions {
-    /// The proportionality constant `k`, as a multiple of each
-    /// organization's fastest frequency (so `coupling = 1.0` maps
-    /// `d_i = 1` to `F_i^(m)`).
-    pub coupling: f64,
-    /// Number of grid points for the 1-D search over `d`.
-    pub grid: usize,
-    /// Maximum rounds.
-    pub max_rounds: usize,
-}
+/// The **GCA** baseline's ("DBR with Greedy Computation Allocation")
+/// proportionality constant `k` in `f_i = k · d_i · F_i^(m)`: the
+/// compute level is *tied* to the data fraction (snapped to the nearest
+/// ladder level) instead of being optimized. At 2.5 the greedy rule
+/// over-provisions compute relative to what the deadline needs, wasting
+/// energy — the sub-optimality §VI attributes to GCA.
+const GCA_COUPLING: f64 = 2.5;
 
-impl Default for GcaOptions {
-    fn default() -> Self {
-        // coupling = 2.0: the greedy rule over-provisions compute
-        // relative to what the deadline needs, wasting energy — the
-        // sub-optimality §VI attributes to GCA.
-        Self { coupling: 2.5, grid: 200, max_rounds: 200 }
-    }
-}
+/// Number of grid intervals for GCA's 1-D search over `d` on
+/// `[D_min, 1]` (`GCA_GRID + 1` points).
+const GCA_GRID: usize = 200;
 
-/// Snaps `f = coupling * d * f_max` to the nearest ladder index
+/// GCA's round cap.
+const GCA_MAX_ROUNDS: usize = 200;
+
+/// The **FIP** baseline's grid step `e` (`d̂_i ∈ {e, 2e, …, 1}`).
+const FIP_STEP: f64 = 0.1;
+
+/// FIP's improvement-round cap.
+const FIP_MAX_ROUNDS: usize = 500;
+
+/// Snaps `f = GCA_COUPLING * d * f_max` to the nearest ladder index
 /// (clamped at the ladder top).
-fn gca_level<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    i: usize,
-    d: f64,
-    coupling: f64,
-) -> usize {
+fn gca_level<A: AccuracyModel>(game: &CoopetitionGame<A>, i: usize, d: f64) -> usize {
     let org = game.market().org(i);
-    let target = coupling * d * org.max_frequency();
+    let target = GCA_COUPLING * d * org.max_frequency();
     let mut best = 0usize;
     let mut best_gap = f64::INFINITY;
     for (l, &f) in org.compute_levels().iter().enumerate() {
@@ -70,116 +62,83 @@ fn gca_level<A: AccuracyModel>(
     best
 }
 
-/// Runs the GCA baseline to a fixed point.
+/// Runs the GCA baseline to a fixed point: best responses in `d` on a
+/// 201-point grid over `[D_min, 1]`, the compute level tied to `d`
+/// through `f_i = 2.5 · d_i · F_i^(m)`.
 ///
 /// # Errors
 ///
 /// * [`SolveError::InfeasibleProblem`] if some organization has no
 ///   feasible `(d, level(d))` pair on the grid;
-/// * [`SolveError::DidNotConverge`] if `max_rounds` passes without a
-///   fixed point.
-pub fn solve_gca<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    options: GcaOptions,
-) -> Result<Equilibrium> {
+/// * [`SolveError::DidNotConverge`] if 200 rounds pass without a fixed
+///   point.
+pub fn solve_gca<A: AccuracyModel>(game: &CoopetitionGame<A>) -> Result<Equilibrium> {
     let market = game.market();
     let n = market.len();
     let d_min = market.params().d_min;
 
+    let grid_point = |k: usize| d_min + (1.0 - d_min) * k as f64 / GCA_GRID as f64;
     // Initialize feasibly: smallest d whose tied level meets the deadline.
-    let mut profile: StrategyProfile = (0..n)
-        .map(|i| {
-            let level = gca_level(game, i, d_min, options.coupling);
-            Strategy::new(d_min, level)
-        })
-        .collect();
+    let mut profile: StrategyProfile =
+        (0..n).map(|i| Strategy::new(d_min, gca_level(game, i, d_min))).collect();
     for i in 0..n {
-        if !tied_feasible(game, i, profile[i].d, options.coupling) {
+        if !tied_feasible(game, i, profile[i].d) {
             // Scan upward for any feasible tied pair.
-            let found = (0..=options.grid).map(|k| {
-                d_min + (1.0 - d_min) * k as f64 / options.grid as f64
-            })
-            .find(|&d| tied_feasible(game, i, d, options.coupling));
+            let found = (0..=GCA_GRID).map(grid_point).find(|&d| tied_feasible(game, i, d));
             match found {
-                Some(d) => profile.set(
-                    i,
-                    Strategy::new(d, gca_level(game, i, d, options.coupling)),
-                ),
+                Some(d) => profile.set(i, Strategy::new(d, gca_level(game, i, d))),
                 None => return Err(SolveError::InfeasibleProblem { org: i }),
             }
         }
     }
 
-    improve(game, Scheme::Gca, "gca", profile, options.max_rounds, 1e-9, |profile, i| {
-        best_of((0..=options.grid).map(|k| {
-            let d = d_min + (1.0 - d_min) * k as f64 / options.grid as f64;
-            if !tied_feasible(game, i, d, options.coupling) {
+    improve(game, Scheme::Gca, "gca", profile, GCA_MAX_ROUNDS, 1e-9, |profile, i| {
+        best_of((0..=GCA_GRID).map(|k| {
+            let d = grid_point(k);
+            if !tied_feasible(game, i, d) {
                 return None;
             }
-            let candidate = Strategy::new(d, gca_level(game, i, d, options.coupling));
+            let candidate = Strategy::new(d, gca_level(game, i, d));
             Some((candidate, game.payoff(&profile.with(i, candidate), i)))
         }))
     })
 }
 
-fn tied_feasible<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    i: usize,
-    d: f64,
-    coupling: f64,
-) -> bool {
-    let level = gca_level(game, i, d, coupling);
+fn tied_feasible<A: AccuracyModel>(game: &CoopetitionGame<A>, i: usize, d: f64) -> bool {
+    let level = gca_level(game, i, d);
     let org = game.market().org(i);
     let t = org.comm_time() + org.training_time(d, org.frequency(level));
     t <= game.market().params().tau
 }
 
-/// Options for the **FIP** baseline: best-response dynamics restricted
-/// to the discretized data grid `d̂_i ∈ {e, 2e, …, 1}` (finite
-/// improvement property of potential games).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FipOptions {
-    /// Grid step `e`.
-    pub step: f64,
-    /// Maximum improvement rounds.
-    pub max_rounds: usize,
-}
-
-impl Default for FipOptions {
-    fn default() -> Self {
-        Self { step: 0.1, max_rounds: 500 }
-    }
-}
-
-/// Runs the FIP baseline: finite best-improvement dynamics on the grid.
+/// Runs the **FIP** baseline: finite best-improvement dynamics
+/// restricted to the discretized data grid `d̂_i ∈ {e, 2e, …, 1}`
+/// (finite improvement property of potential games), `e = 0.1`.
 ///
 /// # Errors
 ///
 /// * [`SolveError::InfeasibleProblem`] if some organization has no
 ///   feasible grid vertex;
-/// * [`SolveError::DidNotConverge`] if the round cap is hit (cannot
+/// * [`SolveError::DidNotConverge`] if the 500-round cap is hit (cannot
 ///   happen on a potential game unless the cap is tiny).
-pub fn solve_fip<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    options: FipOptions,
-) -> Result<Equilibrium> {
+pub fn solve_fip<A: AccuracyModel>(game: &CoopetitionGame<A>) -> Result<Equilibrium> {
     let market = game.market();
     let d_min = market.params().d_min;
     // Grid: multiples of `e` in [D_min, 1]; D_min itself is always a
     // vertex so a feasible start exists.
     let mut grid: Vec<f64> = Vec::new();
     grid.push(d_min);
-    let mut v = options.step.max(d_min);
+    let mut v = FIP_STEP.max(d_min);
     while v < 1.0 - 1e-12 {
         if v > d_min + 1e-12 {
             grid.push(v);
         }
-        v += options.step;
+        v += FIP_STEP;
     }
     grid.push(1.0);
 
     let start = StrategyProfile::minimal(market);
-    improve(game, Scheme::Fip, "fip", start, options.max_rounds, 1e-12, |profile, i| {
+    improve(game, Scheme::Fip, "fip", start, FIP_MAX_ROUNDS, 1e-12, |profile, i| {
         let levels = market.org(i).compute_level_count();
         // Vertex index: levels outer, grid inner; best_of keeps the
         // first maximum in that order.
@@ -275,13 +234,20 @@ pub fn solve_tos<A: AccuracyModel>(game: &CoopetitionGame<A>) -> Equilibrium {
 }
 
 /// Dispatches any scheme with default options (bench-harness entry
-/// point). `Cgbd` uses Algorithm 1, `Dbr`/`Wpr` Algorithm 2, and the
-/// rest the baselines above.
+/// point). `Cgbd` uses Algorithm 1, `Dbr` Algorithm 2, and the rest the
+/// baselines above.
+///
+/// `Wpr` is the one way to run WPR: Algorithm 2 on `game` with γ set to
+/// 0, so every `R_i` (Eq. 9) is exactly zero, then the reached profile
+/// is re-evaluated on `game` itself. Its welfare, potential, damage and
+/// single payoff trace row are the real market's; its potential trace
+/// is the γ = 0 run's, the potential WPR's moves actually climb.
 ///
 /// # Errors
 ///
-/// Propagates the respective solver's errors.
-pub fn solve_scheme<A: AccuracyModel>(
+/// Propagates the respective solver's errors; a WPR run that hits the
+/// round cap reports `algorithm: "wpr"`.
+pub fn solve_scheme<A: AccuracyModel + Clone>(
     game: &CoopetitionGame<A>,
     scheme: Scheme,
 ) -> Result<Equilibrium> {
@@ -311,15 +277,32 @@ pub fn solve_scheme<A: AccuracyModel>(
             Ok(crate::cgbd::CgbdSolver::with_options(options).solve(game)?.equilibrium)
         }
         Scheme::Dbr => crate::dbr::DbrSolver::new().solve(game),
-        Scheme::Wpr => crate::dbr::DbrSolver::with_options(crate::dbr::DbrOptions {
-            objective: Objective::WithoutRedistribution,
-            ..crate::dbr::DbrOptions::default()
-        })
-        .solve(game),
-        Scheme::Gca => solve_gca(game, GcaOptions::default()),
-        Scheme::Fip => solve_fip(game, FipOptions::default()),
+        Scheme::Wpr => solve_wpr(game),
+        Scheme::Gca => solve_gca(game),
+        Scheme::Fip => solve_fip(game),
         Scheme::Tos => Ok(solve_tos(game)),
     }
+}
+
+/// WPR as [`solve_scheme`] documents it: DBR on the γ = 0 market,
+/// re-evaluated on `game`.
+fn solve_wpr<A: AccuracyModel + Clone>(game: &CoopetitionGame<A>) -> Result<Equilibrium> {
+    let no_redistribution = game.with_params(game.market().params().with_gamma(0.0))?;
+    let eq = crate::dbr::DbrSolver::new().solve(&no_redistribution).map_err(|e| match e {
+        SolveError::DidNotConverge { iterations, residual, .. } => {
+            SolveError::DidNotConverge { algorithm: "wpr", iterations, residual }
+        }
+        e => e,
+    })?;
+    let eval = IncrementalEval::new(game, eq.profile);
+    Ok(Equilibrium::from_eval(
+        Scheme::Wpr,
+        &eval,
+        eq.iterations,
+        eq.converged,
+        eq.potential_trace,
+        vec![eval.payoff_vector()],
+    ))
 }
 
 #[cfg(test)]
@@ -337,12 +320,11 @@ mod tests {
     #[test]
     fn gca_converges_to_feasible_tied_profile() {
         let g = game(5, 14);
-        let options = GcaOptions::default();
-        let eq = solve_gca(&g, options).unwrap();
+        let eq = solve_gca(&g).unwrap();
         assert!(eq.converged);
         eq.profile.validate(g.market()).unwrap();
         for i in 0..5 {
-            let tied = gca_level(&g, i, eq.profile[i].d, options.coupling);
+            let tied = gca_level(&g, i, eq.profile[i].d);
             assert_eq!(eq.profile[i].level, tied, "level must stay tied to d");
         }
     }
@@ -350,7 +332,7 @@ mod tests {
     #[test]
     fn fip_converges_on_the_grid() {
         let g = game(5, 15);
-        let eq = solve_fip(&g, FipOptions::default()).unwrap();
+        let eq = solve_fip(&g).unwrap();
         assert!(eq.converged);
         eq.profile.validate(g.market()).unwrap();
         for s in eq.profile.iter() {
@@ -379,8 +361,8 @@ mod tests {
         // restrictions of DBR's strategy space / dynamics).
         let g = game(10, 42);
         let dbr = DbrSolver::new().solve(&g).unwrap();
-        let fip = solve_fip(&g, FipOptions::default()).unwrap();
-        let gca = solve_gca(&g, GcaOptions::default()).unwrap();
+        let fip = solve_fip(&g).unwrap();
+        let gca = solve_gca(&g).unwrap();
         let tol = 1e-6 * dbr.welfare.abs().max(1.0);
         assert!(dbr.potential >= fip.potential - tol, "dbr {} fip {}", dbr.potential, fip.potential);
         assert!(dbr.potential >= gca.potential - tol, "dbr {} gca {}", dbr.potential, gca.potential);

@@ -11,84 +11,12 @@ use tradefl_core::game::CoopetitionGame;
 use tradefl_core::incremental::IncrementalEval;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
 
-/// Which payoff an organization best-responds to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Objective {
-    /// The full TradeFL payoff `C_i` (Eq. 11).
-    Full,
-    /// The payoff with redistribution removed (the WPR baseline).
-    WithoutRedistribution,
-}
-
-impl Objective {
-    /// Evaluates the chosen payoff for organization `i`.
-    pub fn payoff<A: AccuracyModel>(
-        &self,
-        game: &CoopetitionGame<A>,
-        profile: &StrategyProfile,
-        i: usize,
-    ) -> f64 {
-        match self {
-            Objective::Full => game.payoff(profile, i),
-            Objective::WithoutRedistribution => game.payoff_without_redistribution(profile, i),
-        }
-    }
-
-    fn d_deriv<A: AccuracyModel>(
-        &self,
-        game: &CoopetitionGame<A>,
-        profile: &StrategyProfile,
-        i: usize,
-    ) -> f64 {
-        match self {
-            Objective::Full => game.payoff_d_deriv(profile, i),
-            Objective::WithoutRedistribution => {
-                game.payoff_without_redistribution_d_deriv(profile, i)
-            }
-        }
-    }
-
-    /// The chosen objective for organization `i` at a candidate,
-    /// evaluated in `O(log N)` through an [`IncrementalEval`] — **up to
-    /// a mover-invariant additive constant** for [`Objective::Full`]
-    /// (see [`IncrementalEval::mover_payoff_at`]). Valid for comparing
-    /// candidates of the *same* organization only.
-    pub fn mover_payoff_incremental<A: AccuracyModel>(
-        &self,
-        eval: &IncrementalEval<'_, A>,
-        i: usize,
-        candidate: Strategy,
-    ) -> f64 {
-        match self {
-            Objective::Full => eval.mover_payoff_at(i, candidate),
-            Objective::WithoutRedistribution => {
-                eval.payoff_without_redistribution_at(i, candidate)
-            }
-        }
-    }
-
-    fn d_deriv_incremental<A: AccuracyModel>(
-        &self,
-        eval: &IncrementalEval<'_, A>,
-        i: usize,
-        candidate: Strategy,
-    ) -> f64 {
-        match self {
-            Objective::Full => eval.payoff_d_deriv_at(i, candidate),
-            Objective::WithoutRedistribution => {
-                eval.payoff_without_redistribution_d_deriv_at(i, candidate)
-            }
-        }
-    }
-}
-
 /// A best response together with the payoff it attains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestResponse {
     /// The maximizing strategy.
     pub strategy: Strategy,
-    /// The payoff `C_i` at the maximizing strategy (under the chosen
-    /// objective).
+    /// The payoff `C_i` at the maximizing strategy.
     pub payoff: f64,
 }
 
@@ -104,13 +32,10 @@ pub fn best_response<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     profile: &StrategyProfile,
     i: usize,
-    objective: Objective,
 ) -> Option<BestResponse> {
     let levels = game.market().org(i).compute_level_count();
     let mut best: Option<BestResponse> = None;
-    for candidate in
-        (0..levels).filter_map(|level| level_candidate(game, profile, i, level, objective))
-    {
+    for candidate in (0..levels).filter_map(|level| level_candidate(game, profile, i, level)) {
         if best.map_or(true, |b| candidate.payoff > b.payoff) {
             best = Some(candidate);
         }
@@ -125,16 +50,14 @@ pub fn best_response<A: AccuracyModel>(
 /// [`best_response`].
 ///
 /// The returned [`BestResponse::payoff`] is the **mover objective**
-/// ([`Objective::mover_payoff_incremental`]): exact for
-/// [`Objective::WithoutRedistribution`], shifted by the mover-invariant
-/// redistribution cross-term for [`Objective::Full`]. The maximizing
-/// *strategy* agrees with the exact path up to bisection rounding; the
-/// payoff field must only be compared against other mover-objective
-/// values for the same organization.
+/// ([`IncrementalEval::mover_payoff_at`]): `C_i` shifted by the
+/// mover-invariant redistribution cross-term (exact at γ = 0). The
+/// maximizing *strategy* agrees with the exact path up to bisection
+/// rounding; the payoff field must only be compared against other
+/// mover-objective values for the same organization.
 pub fn best_response_incremental<A: AccuracyModel>(
     eval: &IncrementalEval<'_, A>,
     i: usize,
-    objective: Objective,
 ) -> Option<BestResponse> {
     let market = eval.game().market();
     let levels = market.org(i).compute_level_count();
@@ -143,11 +66,9 @@ pub fn best_response_incremental<A: AccuracyModel>(
         let Some((lo, hi)) = market.feasible_range(i, level) else {
             continue;
         };
-        let d = bisect_concave_max(lo, hi, |d| {
-            objective.d_deriv_incremental(eval, i, Strategy::new(d, level))
-        });
+        let d = bisect_concave_max(lo, hi, |d| eval.payoff_d_deriv_at(i, Strategy::new(d, level)));
         let candidate = Strategy::new(d, level);
-        let payoff = objective.mover_payoff_incremental(eval, i, candidate);
+        let payoff = eval.mover_payoff_at(i, candidate);
         if best.map_or(true, |b| payoff > b.payoff) {
             best = Some(BestResponse { strategy: candidate, payoff });
         }
@@ -162,12 +83,11 @@ fn level_candidate<A: AccuracyModel>(
     profile: &StrategyProfile,
     i: usize,
     level: usize,
-    objective: Objective,
 ) -> Option<BestResponse> {
     let (lo, hi) = game.market().feasible_range(i, level)?;
-    let d = maximize_concave_1d(game, profile, i, level, lo, hi, objective);
+    let d = maximize_concave_1d(game, profile, i, level, lo, hi);
     let candidate = Strategy::new(d, level);
-    let payoff = objective.payoff(game, &profile.with(i, candidate), i);
+    let payoff = game.payoff(&profile.with(i, candidate), i);
     Some(BestResponse { strategy: candidate, payoff })
 }
 
@@ -180,10 +100,9 @@ fn maximize_concave_1d<A: AccuracyModel>(
     level: usize,
     lo: f64,
     hi: f64,
-    objective: Objective,
 ) -> f64 {
     bisect_concave_max(lo, hi, |d| {
-        objective.d_deriv(game, &profile.with(i, Strategy::new(d, level)), i)
+        game.payoff_d_deriv(&profile.with(i, Strategy::new(d, level)), i)
     })
 }
 
@@ -229,7 +148,7 @@ mod tests {
         let g = game(4, 17);
         let profile = StrategyProfile::minimal(g.market());
         for i in 0..4 {
-            let br = best_response(&g, &profile, i, Objective::Full).unwrap();
+            let br = best_response(&g, &profile, i).unwrap();
             // No grid alternative may beat the reported best response.
             for level in 0..g.market().org(i).compute_level_count() {
                 if let Some((lo, hi)) = g.market().feasible_range(i, level) {
@@ -252,22 +171,28 @@ mod tests {
         let g = game(5, 29);
         let profile = StrategyProfile::minimal(g.market());
         for i in 0..5 {
-            let br = best_response(&g, &profile, i, Objective::Full).unwrap();
+            let br = best_response(&g, &profile, i).unwrap();
             let updated = profile.with(i, br.strategy);
             updated.validate(g.market()).unwrap();
         }
     }
 
+    /// The same market with redistribution switched off (γ = 0): the
+    /// game WPR's organizations play.
+    fn zero_gamma(g: &CoopetitionGame<SqrtAccuracy>) -> CoopetitionGame<SqrtAccuracy> {
+        g.with_params(g.market().params().with_gamma(0.0)).unwrap()
+    }
+
     #[test]
     fn wpr_objective_contributes_no_more_than_full() {
         // Redistribution only adds incentive to contribute, so at γ > 0
-        // the WPR best response never exceeds the full one in d.
+        // the WPR (γ = 0) best response never exceeds the full one in d.
         let g = game(4, 31);
+        let g0 = zero_gamma(&g);
         let profile = StrategyProfile::minimal(g.market());
         for i in 0..4 {
-            let full = best_response(&g, &profile, i, Objective::Full).unwrap();
-            let wpr =
-                best_response(&g, &profile, i, Objective::WithoutRedistribution).unwrap();
+            let full = best_response(&g, &profile, i).unwrap();
+            let wpr = best_response(&g0, &profile, i).unwrap();
             assert!(
                 wpr.strategy.d <= full.strategy.d + 1e-9,
                 "i={i}: wpr d {} > full d {}",
@@ -279,20 +204,21 @@ mod tests {
 
     #[test]
     fn incremental_best_response_matches_the_exact_path() {
-        let g = game(8, 17);
-        let profile = StrategyProfile::minimal(g.market());
-        let eval = IncrementalEval::new(&g, profile.clone());
-        for i in 0..8 {
-            for objective in [Objective::Full, Objective::WithoutRedistribution] {
-                let exact = best_response(&g, &profile, i, objective).unwrap();
-                let inc = best_response_incremental(&eval, i, objective).unwrap();
+        let full = game(8, 17);
+        for g in [zero_gamma(&full), full] {
+            let gamma = g.market().params().gamma;
+            let profile = StrategyProfile::minimal(g.market());
+            let eval = IncrementalEval::new(&g, profile.clone());
+            for i in 0..8 {
+                let exact = best_response(&g, &profile, i).unwrap();
+                let inc = best_response_incremental(&eval, i).unwrap();
                 assert_eq!(
                     inc.strategy.level, exact.strategy.level,
-                    "i={i} {objective:?}: level mismatch"
+                    "i={i} γ={gamma}: level mismatch"
                 );
                 assert!(
                     (inc.strategy.d - exact.strategy.d).abs() < 1e-9,
-                    "i={i} {objective:?}: d {} vs {}",
+                    "i={i} γ={gamma}: d {} vs {}",
                     inc.strategy.d,
                     exact.strategy.d
                 );
@@ -301,10 +227,8 @@ mod tests {
                 // payoff) — i.e. both paths find the same optimum.
                 let true_inc = g.payoff(&profile.with(i, inc.strategy), i);
                 assert!(
-                    (true_inc - exact.payoff).abs()
-                        <= 1e-9 * exact.payoff.abs().max(1.0)
-                        || objective == Objective::WithoutRedistribution,
-                    "i={i}: true payoff {} vs exact {}",
+                    (true_inc - exact.payoff).abs() <= 1e-9 * exact.payoff.abs().max(1.0),
+                    "i={i} γ={gamma}: true payoff {} vs exact {}",
                     true_inc,
                     exact.payoff
                 );
@@ -313,17 +237,28 @@ mod tests {
     }
 
     #[test]
-    fn zero_gamma_makes_objectives_agree() {
-        let g0 = game(3, 5);
-        let params = g0.market().params().with_gamma(0.0);
-        let g = g0.with_params(params).unwrap();
+    fn zero_gamma_best_response_maximizes_the_payoff_less_redistribution() {
+        // WPR's objective on the real market is C_i − R_i; the γ = 0
+        // game's best response must beat every grid alternative under it.
+        let g = game(3, 5);
+        let g0 = zero_gamma(&g);
         let profile = StrategyProfile::minimal(g.market());
+        let wpr_payoff = |p: &StrategyProfile, i| g.payoff(p, i) - g.redistribution(p, i);
         for i in 0..3 {
-            let a = best_response(&g, &profile, i, Objective::Full).unwrap();
-            let b =
-                best_response(&g, &profile, i, Objective::WithoutRedistribution).unwrap();
-            assert!((a.strategy.d - b.strategy.d).abs() < 1e-9);
-            assert_eq!(a.strategy.level, b.strategy.level);
+            let br = best_response(&g0, &profile, i).unwrap();
+            let at_br = wpr_payoff(&profile.with(i, br.strategy), i);
+            assert!((at_br - br.payoff).abs() <= 1e-9 * br.payoff.abs().max(1.0));
+            for level in 0..g.market().org(i).compute_level_count() {
+                let Some((lo, hi)) = g.market().feasible_range(i, level) else { continue };
+                for k in 0..=40 {
+                    let d = lo + (hi - lo) * k as f64 / 40.0;
+                    let alt = wpr_payoff(&profile.with(i, Strategy::new(d, level)), i);
+                    assert!(
+                        alt <= at_br + 1e-6 * at_br.abs().max(1.0),
+                        "i={i} level={level} d={d}: {alt} > {at_br}"
+                    );
+                }
+            }
         }
     }
 }

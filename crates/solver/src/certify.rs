@@ -8,14 +8,14 @@
 //! unilateral improvement is known, not sampled. A profile is an
 //! ε-Nash equilibrium (Definition 6) iff that improvement is ≤ ε.
 
-use crate::bestresponse::{best_response, Objective};
+use crate::bestresponse::best_response;
 use crate::error::{Result, SolveError};
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
 use tradefl_core::strategy::StrategyProfile;
 
 /// The outcome of certifying a strategy profile.
-// lint:allow(unreferenced-pub-type): paper API: the result of E10's equilibrium certificate, which certify_nash and certify_nash_for return
+// lint:allow(unreferenced-pub-type): paper API: the result of E10's equilibrium certificate, which certify_nash returns
 #[derive(Debug, Clone, PartialEq)]
 pub struct NashCertificate {
     /// The largest payoff improvement any organization can achieve by
@@ -36,7 +36,9 @@ impl NashCertificate {
     }
 }
 
-/// Certifies `profile` under the full payoff (Eq. 11).
+/// Certifies `profile` under the full payoff (Eq. 11) of `game`. A WPR
+/// equilibrium certifies on the γ = 0 game, whose payoff is Eq. (11)
+/// with every `R_i` zero.
 ///
 /// # Examples
 ///
@@ -65,29 +67,14 @@ pub fn certify_nash<A: AccuracyModel>(
     game: &CoopetitionGame<A>,
     profile: &StrategyProfile,
 ) -> Result<NashCertificate> {
-    certify_nash_for(game, profile, Objective::Full)
-}
-
-/// Certifies `profile` under an explicit objective (use
-/// [`Objective::WithoutRedistribution`] for WPR equilibria).
-///
-/// # Errors
-///
-/// See [`certify_nash`].
-// lint:allow(unreferenced-pub-fn): paper API: E10's certificate under an explicit accuracy model
-pub fn certify_nash_for<A: AccuracyModel>(
-    game: &CoopetitionGame<A>,
-    profile: &StrategyProfile,
-    objective: Objective,
-) -> Result<NashCertificate> {
     profile.validate(game.market())?;
     let n = game.market().len();
     let mut gains = Vec::with_capacity(n);
     let mut worst_org = 0;
     let mut epsilon = f64::NEG_INFINITY;
     for i in 0..n {
-        let current = objective.payoff(game, profile, i);
-        let br = best_response(game, profile, i, objective)
+        let current = game.payoff(profile, i);
+        let br = best_response(game, profile, i)
             .ok_or(SolveError::InfeasibleProblem { org: i })?;
         let gain = (br.payoff - current).max(0.0);
         if gain > epsilon {
@@ -102,7 +89,7 @@ pub fn certify_nash_for<A: AccuracyModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{solve_gca, solve_scheme, GcaOptions};
+    use crate::baselines::{solve_gca, solve_scheme};
     use crate::dbr::DbrSolver;
     use crate::outcome::Scheme;
     use tradefl_core::accuracy::SqrtAccuracy;
@@ -130,8 +117,8 @@ mod tests {
     fn wpr_equilibrium_certifies_under_its_own_objective_only() {
         let g = game(6, 9);
         let wpr = solve_scheme(&g, Scheme::Wpr).unwrap();
-        let under_wpr =
-            certify_nash_for(&g, &wpr.profile, Objective::WithoutRedistribution).unwrap();
+        let g0 = g.with_params(g.market().params().with_gamma(0.0)).unwrap();
+        let under_wpr = certify_nash(&g0, &wpr.profile).unwrap();
         assert!(under_wpr.is_epsilon_nash(1e-4 * wpr.welfare.abs()));
         // Under the FULL payoff, the WPR profile leaves money on the
         // table: redistribution makes deviating profitable.
@@ -148,7 +135,7 @@ mod tests {
     fn restricted_baseline_fails_full_certification() {
         // GCA's tied compute levels are generally not best responses.
         let g = game(6, 21);
-        let gca = solve_gca(&g, GcaOptions::default()).unwrap();
+        let gca = solve_gca(&g).unwrap();
         let cert = certify_nash(&g, &gca.profile).unwrap();
         assert!(
             cert.epsilon > 1e-3,

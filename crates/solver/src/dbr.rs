@@ -6,7 +6,7 @@
 //! improving move strictly increases the potential and the dynamics
 //! reach a Nash equilibrium in finitely many effective updates \[33\].
 
-use crate::bestresponse::{best_response_incremental, Objective};
+use crate::bestresponse::best_response_incremental;
 use crate::error::{Result, SolveError};
 use crate::outcome::{Equilibrium, Scheme};
 use tradefl_runtime::obs;
@@ -79,14 +79,14 @@ pub enum UpdateOrder {
     },
 }
 
-/// Options for [`DbrSolver`].
+/// Options for [`DbrSolver`]. Every organization best-responds to the
+/// full payoff `C_i` (Eq. 11) of the game it is given; the WPR baseline
+/// is the same dynamics on the γ = 0 game
+/// ([`crate::baselines::solve_scheme`] with [`Scheme::Wpr`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbrOptions {
     /// Maximum number of rounds `H`.
     pub max_rounds: usize,
-    /// Payoff each organization best-responds to (`Full` for DBR, or
-    /// `WithoutRedistribution` for the WPR baseline).
-    pub objective: Objective,
     /// Update order within a round.
     pub order: UpdateOrder,
     /// Step damping `κ ∈ (0, 1]`: each organization moves its data
@@ -104,7 +104,6 @@ impl Default for DbrOptions {
     fn default() -> Self {
         Self {
             max_rounds: 200,
-            objective: Objective::Full,
             order: UpdateOrder::RoundRobin,
             damping: 1.0,
         }
@@ -118,7 +117,8 @@ pub struct DbrSolver {
 }
 
 impl DbrSolver {
-    /// Creates a solver with default options (full payoff, round-robin).
+    /// Creates a solver with default options (exact best responses,
+    /// round-robin).
     pub fn new() -> Self {
         Self::default()
     }
@@ -206,11 +206,8 @@ impl DbrSolver {
                 // `IncrementalEval::mover_payoff_at`), so improvement
                 // tests and argmaxes are unaffected and every evaluation
                 // stays O(log N).
-                let current = self
-                    .options
-                    .objective
-                    .mover_payoff_incremental(&eval, i, profile[i]);
-                let br = best_response_incremental(&eval, i, self.options.objective)
+                let current = eval.mover_payoff_at(i, profile[i]);
+                let br = best_response_incremental(&eval, i)
                     .ok_or(SolveError::InfeasibleProblem { org: i })?;
                 // Damped step toward the best response; the candidate is
                 // only accepted if it improves the mover's payoff, which
@@ -225,21 +222,14 @@ impl DbrSolver {
                 } else {
                     let damped_profile = profile.with(i, stepped);
                     if damped_profile.validate(game.market()).is_ok()
-                        && self
-                            .options
-                            .objective
-                            .mover_payoff_incremental(&eval, i, stepped)
-                            > current
+                        && eval.mover_payoff_at(i, stepped) > current
                     {
                         stepped
                     } else {
                         br.strategy
                     }
                 };
-                let payoff_at = self
-                    .options
-                    .objective
-                    .mover_payoff_incremental(&eval, i, candidate);
+                let payoff_at = eval.mover_payoff_at(i, candidate);
                 // Single-entry profile distance, computed directly (the
                 // other entries contribute 0 to the max).
                 let moved = {
@@ -288,9 +278,7 @@ impl DbrSolver {
             // improvement in a full round is below solver precision —
             // in a (weighted) potential game residual micro-moves of
             // that size cannot accumulate into anything (prevents
-            // cycling near knife-edge level ties). The criterion uses
-            // the *objective's* payoffs, so it is correct for the WPR
-            // variant too.
+            // cycling near knife-edge level ties).
             if !any_change || round_gain <= 1e-10 * payoff_scale {
                 converged = true;
                 break;
@@ -307,10 +295,6 @@ impl DbrSolver {
                     .unwrap_or(f64::NAN),
             });
         }
-        let scheme = match self.options.objective {
-            Objective::Full => Scheme::Dbr,
-            Objective::WithoutRedistribution => Scheme::Wpr,
-        };
         // Large markets skip the per-round rows; the trace still ends
         // with the final profile's payoffs (Fig. 5's right edge).
         if !trace_every_round {
@@ -322,7 +306,7 @@ impl DbrSolver {
         debug_assert_eq!(profile.len(), eval.profile().len());
         drop(profile);
         Ok(Equilibrium::from_eval(
-            scheme,
+            Scheme::Dbr,
             &eval,
             rounds,
             converged,
@@ -425,12 +409,7 @@ mod tests {
     fn wpr_contributes_less_data_than_dbr() {
         let g = game(10, 42);
         let dbr = DbrSolver::new().solve(&g).unwrap();
-        let wpr = DbrSolver::with_options(DbrOptions {
-            objective: Objective::WithoutRedistribution,
-            ..DbrOptions::default()
-        })
-        .solve(&g)
-        .unwrap();
+        let wpr = crate::baselines::solve_scheme(&g, Scheme::Wpr).unwrap();
         assert_eq!(wpr.scheme, Scheme::Wpr);
         assert!(
             dbr.total_fraction > wpr.total_fraction,

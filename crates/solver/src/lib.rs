@@ -27,7 +27,8 @@
 //! * [`cgbd`] — Algorithm 1 plus the brute-force optimality oracle;
 //! * [`bestresponse`] — single-organization best responses (Def. 9);
 //! * [`dbr`] — Algorithm 2;
-//! * [`baselines`] — GCA, FIP, TOS and the scheme dispatcher;
+//! * [`baselines`] — GCA, FIP, TOS and the scheme dispatcher, which
+//!   also runs WPR as DBR on the γ = 0 market;
 //! * [`social`] — the centralized welfare optimum and price of anarchy;
 //! * [`outcome`] — equilibrium metrics and iteration traces;
 //! * [`error`] — solver errors.
@@ -48,9 +49,9 @@ pub mod primal;
 pub mod social;
 pub mod tuning;
 
-pub use baselines::{solve_fip, solve_gca, solve_scheme, solve_tos, FipOptions, GcaOptions};
-pub use bestresponse::{best_response, best_response_incremental, BestResponse, Objective};
-pub use certify::{certify_nash, certify_nash_for, NashCertificate};
+pub use baselines::{solve_fip, solve_gca, solve_scheme, solve_tos};
+pub use bestresponse::{best_response, best_response_incremental, BestResponse};
+pub use certify::{certify_nash, NashCertificate};
 pub use cgbd::{exhaustive_optimum, CgbdOptions, CgbdReport, CgbdSolver};
 pub use dbr::{DbrOptions, DbrSolver, UpdateOrder};
 pub use error::SolveError;

@@ -61,13 +61,15 @@ pub struct Equilibrium {
     /// to hitting the iteration cap).
     pub converged: bool,
     /// Potential value `U` after each iteration (Fig. 4), including the
-    /// initial profile at index 0.
+    /// initial profile at index 0. WPR's is the potential of the γ = 0
+    /// market its dynamics run on, so its last entry is not
+    /// [`Self::potential`].
     pub potential_trace: Vec<f64>,
     /// Payoff of each organization after each iteration (Fig. 5):
     /// `payoff_traces[iter][org]`. Each row costs an `O(N²)` pass, so
-    /// solvers may thin the history on very large markets (DBR records
-    /// only the final row beyond a few hundred organizations); the
-    /// last row is always the final profile's payoffs.
+    /// solvers may thin the history (DBR records only the final row
+    /// beyond a few hundred organizations, WPR only ever the final
+    /// row); the last row is always the final profile's payoffs.
     pub payoff_traces: Vec<Vec<f64>>,
     /// Social welfare at the final profile (Figs. 6-8, 10-11).
     pub welfare: f64,

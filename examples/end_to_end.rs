@@ -38,11 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Counterfactual: same market without payoff redistribution (WPR).
     let market = MarketConfig::table_ii().build(42)?;
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
-    let wpr = tradefl::solver::DbrSolver::with_options(tradefl::solver::DbrOptions {
-        objective: tradefl::solver::Objective::WithoutRedistribution,
-        ..Default::default()
-    })
-    .solve(&game)?;
+    let wpr = tradefl::solver::solve_scheme(&game, Scheme::Wpr)?;
     println!(
         "\nwithout TradeFL, organizations would contribute only {:.2} (vs {:.2}) units of data",
         wpr.total_fraction, report.equilibrium.total_fraction

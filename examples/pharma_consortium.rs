@@ -55,11 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
 
     // Without compensation, the fiercest competitors hold back data.
-    let wpr = DbrSolver::with_options(tradefl::solver::DbrOptions {
-        objective: tradefl::solver::Objective::WithoutRedistribution,
-        ..Default::default()
-    })
-    .solve(&game)?;
+    let wpr = tradefl::solver::solve_scheme(&game, Scheme::Wpr)?;
     // With TradeFL's payoff redistribution:
     let dbr = DbrSolver::new().solve(&game)?;
     println!("contributed data: without compensation {:.2}, with TradeFL {:.2} (of {n})",

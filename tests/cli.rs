@@ -19,6 +19,17 @@ fn a_runtime_error_exits_1_without_the_usage_text() {
 }
 
 #[test]
+fn a_solver_that_does_not_converge_names_its_scheme() {
+    // WPR at seed 0 is the one Table II scheme and seed in 0..40 whose
+    // dynamics hit the 200-round cap; the error names WPR, not the DBR
+    // it runs on the γ = 0 market, and the residual is that run's.
+    let out = tradefl(&["solve", "--scheme", "wpr", "--seed", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr, "error: wpr did not converge after 200 iterations (residual 4.472e-10)\n");
+}
+
+#[test]
 fn the_largest_settleable_market_settles() {
     // 71 orgs is the last size whose `payoffCalculate` fits the call gas.
     let out = tradefl(&["settle", "--orgs", "71"]);

@@ -136,6 +136,32 @@ fn dbr_equilibria_match_their_golden_fingerprints() {
 }
 
 #[test]
+fn wpr_equilibria_match_their_golden_fingerprints() {
+    // Recorded while WPR still best-responded to a separate
+    // redistribution-free objective on the real market; WPR is now DBR
+    // on the γ = 0 market, re-evaluated on the real one. Each
+    // fingerprint also covers the final payoff trace row.
+    let cases = [
+        (MarketConfig::table_ii(), 1, None, 0x7c9c_dc39_b56a_20e4),
+        (MarketConfig::table_ii(), 2, None, 0x2fbb_df44_5475_fbbf),
+        (MarketConfig::table_ii(), 3, None, 0x8b97_4fc5_5297_8995),
+        (MarketConfig::table_ii().with_orgs(64), 1, None, 0xd2be_7b3d_a591_bbad),
+        (MarketConfig::table_ii().with_orgs(1000), 1, Some(0.01), 0x13f2_9a70_78fb_7630),
+    ];
+    for (config, seed, density, golden) in cases {
+        let market = match density {
+            Some(density) => config.build_sparse(seed, density).unwrap(),
+            None => config.build(seed).unwrap(),
+        };
+        let g = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
+        let eq = tradefl::solver::solve_scheme(&g, Scheme::Wpr).unwrap();
+        let payoffs = eq.payoff_traces.last().unwrap().iter().map(|v| v.to_bits());
+        let got = fnv1a(std::iter::once(equilibrium_fingerprint(&eq)).chain(payoffs));
+        assert_eq!(got, golden, "n={}, seed {seed}: {got:#018x}", g.market().len());
+    }
+}
+
+#[test]
 fn incremental_aggregates_match_their_golden_fingerprint() {
     use tradefl_core::incremental::IncrementalEval;
 

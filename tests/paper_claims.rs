@@ -4,7 +4,7 @@
 
 use tradefl::fl::probe::{quick_probe, SqrtFit};
 use tradefl::prelude::*;
-use tradefl::solver::baselines::{solve_fip, solve_gca, solve_tos, FipOptions, GcaOptions};
+use tradefl::solver::baselines::{solve_fip, solve_gca, solve_tos};
 
 fn game_with_gamma(gamma: f64, seed: u64) -> CoopetitionGame<SqrtAccuracy> {
     let mut cfg = MarketConfig::table_ii().with_orgs(6);
@@ -17,12 +17,7 @@ fn redistribution_increases_data_contribution() {
     // §I: "increases the amount of contributed data by up to 64%".
     let game = game_with_gamma(5.12e-9, 1);
     let dbr = DbrSolver::new().solve(&game).unwrap();
-    let wpr = DbrSolver::with_options(tradefl::solver::DbrOptions {
-        objective: tradefl::solver::Objective::WithoutRedistribution,
-        ..Default::default()
-    })
-    .solve(&game)
-    .unwrap();
+    let wpr = tradefl::solver::solve_scheme(&game, Scheme::Wpr).unwrap();
     assert!(
         dbr.total_fraction > wpr.total_fraction * 1.2,
         "dbr {} vs wpr {}",
@@ -56,8 +51,8 @@ fn damage_decreases_with_gamma() {
 fn scheme_ordering_matches_fig6() {
     let game = game_with_gamma(5.12e-9, 4);
     let dbr = DbrSolver::new().solve(&game).unwrap();
-    let fip = solve_fip(&game, FipOptions::default()).unwrap();
-    let gca = solve_gca(&game, GcaOptions::default()).unwrap();
+    let fip = solve_fip(&game).unwrap();
+    let gca = solve_gca(&game).unwrap();
     let tol = 1e-6 * dbr.potential.abs().max(1.0);
     assert!(dbr.potential >= fip.potential - tol);
     assert!(dbr.potential >= gca.potential - tol);

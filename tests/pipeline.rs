@@ -38,12 +38,7 @@ fn equilibrium_beats_wpr_on_contribution_in_the_pipeline_market() {
     let report = Pipeline::new(PipelineConfig::quick()).run(5).unwrap();
     let market = MarketConfig::table_ii().with_orgs(4).build(5).unwrap();
     let game = CoopetitionGame::new(market, SqrtAccuracy::paper_default());
-    let wpr = tradefl::solver::DbrSolver::with_options(tradefl::solver::DbrOptions {
-        objective: tradefl::solver::Objective::WithoutRedistribution,
-        ..Default::default()
-    })
-    .solve(&game)
-    .unwrap();
+    let wpr = tradefl::solver::solve_scheme(&game, Scheme::Wpr).unwrap();
     assert!(
         report.equilibrium.total_fraction >= wpr.total_fraction,
         "redistribution must not reduce contribution: {} vs {}",
