@@ -332,19 +332,24 @@ const MARKET_HOT_FNS: &[&str] = &[
 ];
 
 /// The fns in core/incremental.rs the rule covers — the per-candidate
-/// bisection steady state (`O(log N)` evaluations plus the one
-/// `O(deg)` mover dot) and the `O(log N)` commit. The `O(N²)`
-/// evaluator constructor and trace-row helpers allocate freely.
+/// best-response steady state: building a mover's view (the stack copy
+/// of its tree path), the view's memo lookup and `O(log N)` path fold,
+/// its payoff and derivative queries, the one `O(deg)` mover dot, and
+/// the `O(log N)` commit. The `O(N²)` evaluator constructor and
+/// trace-row helpers allocate freely.
 const INCREMENTAL_HOT_FNS: &[&str] = &[
     "rho_res",
-    "payoff_at",
-    "mover_payoff_at",
-    "common_terms",
-    "payoff_d_deriv_at",
+    "mover",
+    "path",
+    "total_with",
+    "slot",
+    "payoff",
+    "payoff_with",
+    "mover_payoff",
+    "d_deriv",
     "commit",
     "resource_index_of",
     "set",
-    "total_with",
 ];
 
 /// Per-file hot-fn lists for `no-alloc-in-hot-loop` (kernel.rs is

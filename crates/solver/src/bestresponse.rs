@@ -8,7 +8,7 @@
 
 use tradefl_core::accuracy::AccuracyModel;
 use tradefl_core::game::CoopetitionGame;
-use tradefl_core::incremental::IncrementalEval;
+use tradefl_core::incremental::MoverView;
 use tradefl_core::strategy::{Strategy, StrategyProfile};
 
 /// A best response together with the payoff it attains.
@@ -43,32 +43,34 @@ pub fn best_response<A: AccuracyModel>(
     best
 }
 
-/// [`best_response`] through an [`IncrementalEval`]: every candidate
-/// evaluation is `O(log N)` instead of `O(N)`, so the whole search
-/// costs `O(levels · log N)` — the building block of the sub-quadratic
-/// DBR sweep. Merges levels with the same first-maximum-wins rule as
-/// [`best_response`].
+/// [`best_response`] through one organization's [`MoverView`]: every
+/// candidate evaluation folds the view's copied `O(log N)` tree path
+/// instead of an `O(N)` pass, so the whole search costs
+/// `O(levels · log N)` — the building block of the sub-quadratic DBR
+/// sweep. Levels probing the same `d` (`D_min`, a shared deadline cap)
+/// share the view's memoised `Ω` terms. Merges levels with the same
+/// first-maximum-wins rule as [`best_response`].
 ///
 /// The returned [`BestResponse::payoff`] is the **mover objective**
-/// ([`IncrementalEval::mover_payoff_at`]): `C_i` shifted by the
+/// ([`MoverView::mover_payoff`]): `C_i` shifted by the
 /// mover-invariant redistribution cross-term (exact at γ = 0). The
 /// maximizing *strategy* agrees with the exact path up to bisection
 /// rounding; the payoff field must only be compared against other
 /// mover-objective values for the same organization.
 pub fn best_response_incremental<A: AccuracyModel>(
-    eval: &IncrementalEval<'_, A>,
-    i: usize,
+    view: &mut MoverView<'_, '_, A>,
 ) -> Option<BestResponse> {
-    let market = eval.game().market();
+    let i = view.org();
+    let market = view.game().market();
     let levels = market.org(i).compute_level_count();
     let mut best: Option<BestResponse> = None;
     for level in 0..levels {
         let Some((lo, hi)) = market.feasible_range(i, level) else {
             continue;
         };
-        let d = bisect_concave_max(lo, hi, |d| eval.payoff_d_deriv_at(i, Strategy::new(d, level)));
+        let d = bisect_concave_max(lo, hi, |d| view.d_deriv(Strategy::new(d, level)));
         let candidate = Strategy::new(d, level);
-        let payoff = eval.mover_payoff_at(i, candidate);
+        let payoff = view.mover_payoff(candidate);
         if best.map_or(true, |b| payoff > b.payoff) {
             best = Some(BestResponse { strategy: candidate, payoff });
         }
@@ -110,7 +112,7 @@ fn maximize_concave_1d<A: AccuracyModel>(
 /// given its (monotonically non-increasing) derivative. Both the exact
 /// and the incremental search funnel through this one routine, so their
 /// candidate sequences are identical given identical derivative values.
-fn bisect_concave_max(lo: f64, hi: f64, deriv_at: impl Fn(f64) -> f64) -> f64 {
+fn bisect_concave_max(lo: f64, hi: f64, mut deriv_at: impl FnMut(f64) -> f64) -> f64 {
     if deriv_at(lo) <= 0.0 {
         return lo;
     }
@@ -137,6 +139,7 @@ mod tests {
     use super::*;
     use tradefl_core::accuracy::SqrtAccuracy;
     use tradefl_core::config::MarketConfig;
+    use tradefl_core::incremental::IncrementalEval;
 
     fn game(n: usize, seed: u64) -> CoopetitionGame<SqrtAccuracy> {
         let market = MarketConfig::table_ii().with_orgs(n).build(seed).unwrap();
@@ -211,7 +214,7 @@ mod tests {
             let eval = IncrementalEval::new(&g, profile.clone());
             for i in 0..8 {
                 let exact = best_response(&g, &profile, i).unwrap();
-                let inc = best_response_incremental(&eval, i).unwrap();
+                let inc = best_response_incremental(&mut eval.mover(i)).unwrap();
                 assert_eq!(
                     inc.strategy.level, exact.strategy.level,
                     "i={i} γ={gamma}: level mismatch"

@@ -177,8 +177,7 @@ impl CgbdSolver {
                 } else {
                     // Large markets: one O(nnz) evaluator pass instead
                     // of N O(N) payoff recomputations.
-                    let eval = IncrementalEval::new(game, profile.clone());
-                    (0..n).map(|i| eval.payoff_at(i, profile[i], eval.rho_res(i))).collect()
+                    IncrementalEval::new(game, profile).payoff_vector()
                 });
                 let cut = Cut::optimality(game, sol.d, sol.multipliers);
                 tables.push_cut(game, &cut);

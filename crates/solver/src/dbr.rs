@@ -49,7 +49,7 @@ fn trace_payoffs<A: AccuracyModel>(eval: &IncrementalEval<'_, A>, pool: &Pool) -
             s.spawn(move || {
                 for (k, slot) in chunk.iter_mut().enumerate() {
                     let i = t * per + k;
-                    *slot = eval.payoff_at(i, eval.profile()[i], eval.rho_res(i));
+                    *slot = eval.payoff(i);
                 }
             });
         }
@@ -203,33 +203,35 @@ impl DbrSolver {
                 // All of this mover's payoffs are "mover objective"
                 // values: exact up to an additive constant that does not
                 // depend on π_i (the redistribution cross-term — see
-                // `IncrementalEval::mover_payoff_at`), so improvement
-                // tests and argmaxes are unaffected and every evaluation
-                // stays O(log N).
-                let current = eval.mover_payoff_at(i, profile[i]);
-                let br = best_response_incremental(&eval, i)
+                // `MoverView::mover_payoff`), so improvement tests and
+                // argmaxes are unaffected and every evaluation stays
+                // O(log N). One view serves the whole move: it copies
+                // i's tree path once and shares Ω terms across queries.
+                let mut view = eval.mover(i);
+                let current = view.mover_payoff(profile[i]);
+                let br = best_response_incremental(&mut view)
                     .ok_or(SolveError::InfeasibleProblem { org: i })?;
                 // Damped step toward the best response; the candidate is
                 // only accepted if it improves the mover's payoff, which
                 // keeps the potential monotone even across level jumps.
                 let kappa = self.options.damping.clamp(1e-6, 1.0);
-                let stepped = tradefl_core::strategy::Strategy::new(
-                    profile[i].d + kappa * (br.strategy.d - profile[i].d),
-                    br.strategy.level,
-                );
-                let candidate = if kappa >= 1.0 {
-                    br.strategy
+                let (candidate, payoff_at) = if kappa >= 1.0 {
+                    (br.strategy, br.payoff)
                 } else {
+                    let stepped = tradefl_core::strategy::Strategy::new(
+                        profile[i].d + kappa * (br.strategy.d - profile[i].d),
+                        br.strategy.level,
+                    );
                     let damped_profile = profile.with(i, stepped);
-                    if damped_profile.validate(game.market()).is_ok()
-                        && eval.mover_payoff_at(i, stepped) > current
+                    let candidate = if damped_profile.validate(game.market()).is_ok()
+                        && view.mover_payoff(stepped) > current
                     {
                         stepped
                     } else {
                         br.strategy
-                    }
+                    };
+                    (candidate, view.mover_payoff(candidate))
                 };
-                let payoff_at = eval.mover_payoff_at(i, candidate);
                 // Single-entry profile distance, computed directly (the
                 // other entries contribute 0 to the max).
                 let moved = {

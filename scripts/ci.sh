@@ -114,9 +114,16 @@ echo "==> benchmark cycle: one tradebench cycle per workload is correct"
 # per pair 0.49-0.58 against serial tuning (seeds 1 and 7, 2-core
 # x86-64-v4 host). Tuning with its grid pass and golden-section pair
 # solved on the pool shortens wall_s by about a third, so the same build
-# reads 0.63-0.88 there (20 runs, same seeds and host).
+# reads 0.63-0.88 there (20 runs, same seeds and host), under a bound of
+# 1.0. Best responses through one per-mover view (a copied tree path
+# and shared per-d terms) then halved wall_s with the build unchanged,
+# so every ratio rose: the bucketed build reads 1.14-1.57 at seed 1
+# (22 runs) and 1.36-1.67 at seed 7 (6 runs), and the build that sorts
+# all drawn pairs at once and re-sorts every row, on the same solver,
+# 1.82-2.43 (22 runs) and 1.92-2.08 (6 runs; runs alternated, same
+# host). The bound, 1.0 before, sits between the two ranges.
 max_replication_overhead=10
-max_setup_over_wall=1.0
+max_setup_over_wall=1.7
 for w in pipeline_n64 sessions_faulty tune_n10000; do
   trace=0
   [ "$w" = sessions_faulty ] && trace=1

@@ -170,10 +170,9 @@ fn incremental_aggregates_match_their_golden_fingerprint() {
     let mut eval = IncrementalEval::new(&g, StrategyProfile::minimal(market));
     let mut words = Vec::new();
     for i in 0..market.len() {
-        let s = eval.profile()[i];
         words.extend([
             eval.rho_res(i),
-            eval.payoff_at(i, s, eval.rho_res(i)),
+            eval.payoff(i),
             market.weight(i),
             market.competition_pressure(i),
         ]);
