@@ -134,9 +134,7 @@ impl<A: AccuracyModel> CoopetitionGame<A> {
         let omega_without_i =
             omega - profile[i].d * self.market.org(i).effective_bits();
         let marginal = self.accuracy.gain(omega) - self.accuracy.gain(omega_without_i.max(0.0));
-        let weighted_p =
-            self.market.rho_row_sum(i, |j, rho| rho * self.market.org(j).profitability());
-        weighted_p * marginal
+        self.market.damage_weight(i) * marginal
     }
 
     /// Contributed-resource index `d_i s_i + λ f_i` used by Eq. (9).

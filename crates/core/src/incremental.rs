@@ -4,7 +4,8 @@
 //! handful of aggregates over the market: the effective data volume
 //! `Ω = Σ_j d_j θ_j s_j`, the per-organization resource indices
 //! `res_j = d_j s_j + λ f_j`, and strategy-*independent* constants
-//! (`q_i`, `z_i`, `Σ_j ρ_{i,j} p_j`). A best-response search at
+//! (`q_i`, `z_i`, `Σ_j ρ_{i,j} p_j`, which the market sums once and the
+//! evaluator reads). A best-response search at
 //! organization `i` evaluates the payoff and its `d`-derivative at a
 //! handful of candidate `(d, level)` pairs, and the only aggregate a
 //! candidate perturbs is `Ω` — by exactly one addend. [`IncrementalEval`]
@@ -148,20 +149,14 @@ impl LeafPath {
 /// Incremental payoff evaluator over a [`CoopetitionGame`].
 ///
 /// Holds the current strategy profile plus the aggregates described in
-/// the module docs. Constructing one is `O(N²)` (the per-organization
-/// constants each take an `O(N)` pass); every candidate evaluation
-/// afterwards is `O(log N)`, and committing an accepted move is
-/// `O(log N)` too.
+/// the module docs. Constructing one is `O(N)`: it reads no `ρ` entry,
+/// because the strategy-independent constants are the market's own row
+/// sums. Every candidate evaluation afterwards is `O(log N)`, and
+/// committing an accepted move is `O(log N)` too.
 #[derive(Debug)]
 pub struct IncrementalEval<'g, A> {
     game: &'g CoopetitionGame<A>,
     profile: StrategyProfile,
-    /// `q_i = Σ_j ρ_{i,j}` — strategy-independent.
-    q: Vec<f64>,
-    /// `z_i = p_i − Σ_j ρ_{i,j} p_j` — strategy-independent.
-    z: Vec<f64>,
-    /// `Σ_j ρ_{i,j} p_j` (Eq. 7's damage weights) — strategy-independent.
-    weighted_p: Vec<f64>,
     /// `res_j = d_j s_j + λ f_j` at the current profile.
     res: Vec<f64>,
     /// `Ω` aggregated over leaves `d_j θ_j s_j`.
@@ -174,33 +169,13 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         let market = game.market();
         let n = market.len();
         assert_eq!(profile.len(), n, "profile length mismatch");
-        // One pass over each ρ row's stored entries yields all three
-        // per-org constants (q_i, Σ_j ρ p_j, and z_i = p_i − Σ_j ρ p_j)
-        // in O(nnz). Both sums run in ascending j from +0.0, the order
-        // of `Market::rho_row_sum`, so they are bit-identical to
-        // `market.competition_pressure`/`weight`.
-        let p: Vec<f64> = (0..n).map(|j| market.org(j).profitability()).collect();
-        let mut q = vec![0.0f64; n];
-        let mut weighted_p = vec![0.0f64; n];
-        let mut z = vec![0.0f64; n];
-        for i in 0..n {
-            let mut row_q = 0.0f64;
-            let mut row_wp = 0.0f64;
-            for (j, rho) in market.rho_row(i) {
-                row_q += rho;
-                row_wp += rho * p[j];
-            }
-            q[i] = row_q;
-            weighted_p[i] = row_wp;
-            z[i] = p[i] - row_wp;
-        }
         let res: Vec<f64> =
             (0..n).map(|i| Self::resource_index_of(game, &profile[i], i)).collect();
         let leaves: Vec<f64> = (0..n)
             .map(|i| profile[i].d * market.org(i).effective_bits())
             .collect();
         let omega = SumTree::new(&leaves);
-        Self { game, profile, q, z, weighted_p, res, omega }
+        Self { game, profile, res, omega }
     }
 
     /// The current strategy profile.
@@ -264,18 +239,17 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
         self.mover(i).payoff(self.profile[i])
     }
 
-    /// The full payoff vector at the current profile (one `O(N)`
-    /// [`Self::rho_res`] per organization — `O(N²)` total, but with a
-    /// single fused multiply-add per cell; used once per DBR round for
-    /// the trace rows).
+    /// The full payoff vector at the current profile (one `O(deg)`
+    /// [`Self::rho_res`] per organization — `O(N log N + nnz)` total;
+    /// used once per DBR round for the trace rows).
     pub fn payoff_vector(&self) -> Vec<f64> {
         (0..self.profile.len()).map(|i| self.payoff(i)).collect()
     }
 
     /// Total coopetition damage `Σ_i D_i` (the Fig. 9 y-axis) at the
-    /// current profile in `O(N)`: the cached damage weights
-    /// `Σ_j ρ_{i,j} p_j` replace the `O(N)` sum
-    /// [`CoopetitionGame::damage`] performs per organization.
+    /// current profile in `O(N)`: one `Ω` from the tree replaces the
+    /// `O(N)` [`StrategyProfile::total_data`] that
+    /// [`CoopetitionGame::damage`] recomputes per organization.
     pub fn total_damage(&self) -> f64 {
         let accuracy = self.game.accuracy();
         let market = self.game.market();
@@ -285,17 +259,15 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
             .map(|i| {
                 let without =
                     omega - self.profile[i].d * market.org(i).effective_bits();
-                self.weighted_p[i] * (gain - accuracy.gain(without.max(0.0)))
+                market.damage_weight(i) * (gain - accuracy.gain(without.max(0.0)))
             })
             .sum()
     }
 
     /// The exact weighted potential `U = P(Ω) + Σ_i h_i(π_i)/z_i`
-    /// (Theorem 1) at the current profile, in `O(N)`: the cached `q_i`
-    /// and `z_i` replace [`crate::market::Market::competition_pressure`]
-    /// and `weight`'s per-call `O(N)` ρ-row sums, which make
-    /// [`CoopetitionGame::potential`] `O(N²)`. Agrees with the game to
-    /// floating-point reassociation (`Ω` comes from the tree).
+    /// (Theorem 1) at the current profile, in `O(N)`. Agrees with
+    /// [`CoopetitionGame::potential`] to floating-point reassociation
+    /// (`Ω` comes from the tree).
     pub fn potential(&self) -> f64 {
         let market = self.game.market();
         let params = market.params();
@@ -307,8 +279,9 @@ impl<'g, A: AccuracyModel> IncrementalEval<'g, A> {
                 let f = org.frequency(s.level);
                 let comp = params.kappa * f * f * org.eta() * s.d * org.data_bits();
                 let energy = comp + org.comm_energy();
-                let h = -params.omega_e * energy + params.gamma * self.q[i] * self.res[i];
-                h / self.z[i]
+                let h = -params.omega_e * energy
+                    + params.gamma * market.competition_pressure(i) * self.res[i];
+                h / market.weight(i)
             })
             .sum();
         p + own
@@ -428,7 +401,7 @@ impl<'g, A: AccuracyModel> MoverView<'_, 'g, A> {
                 let gain = accuracy.gain(omega);
                 let revenue = org.profitability() * gain;
                 let omega_without = (omega - candidate.d * org.effective_bits()).max(0.0);
-                let damage = self.eval.weighted_p[i] * (gain - accuracy.gain(omega_without));
+                let damage = market.damage_weight(i) * (gain - accuracy.gain(omega_without));
                 self.memo[k].revenue_damage = Some((revenue, damage));
                 (revenue, damage)
             }
@@ -440,7 +413,7 @@ impl<'g, A: AccuracyModel> MoverView<'_, 'g, A> {
         // The dot is a serial chain of adds; computing it after the
         // divisions above lets the two overlap.
         let rho_res_i = if full { self.eval.rho_res(i) } else { 0.0 };
-        let redistribution = params.gamma * (self.eval.q[i] * res_i - rho_res_i);
+        let redistribution = params.gamma * (market.competition_pressure(i) * res_i - rho_res_i);
         revenue - overhead - damage + redistribution
     }
 
@@ -456,14 +429,15 @@ impl<'g, A: AccuracyModel> MoverView<'_, 'g, A> {
             Some(term) => term,
             None => {
                 let gain_deriv = game.accuracy().gain_deriv(self.memo[k].omega);
-                let term = self.eval.z[i] * gain_deriv * org.effective_bits();
+                let term = market.weight(i) * gain_deriv * org.effective_bits();
                 self.memo[k].deriv = Some(term);
                 term
             }
         };
         let f = org.frequency(candidate.level);
         shared
-            + (params.gamma * self.eval.q[i] - params.omega_e * params.kappa * f * f * org.eta())
+            + (params.gamma * market.competition_pressure(i)
+                - params.omega_e * params.kappa * f * f * org.eta())
                 * org.data_bits()
     }
 }
@@ -524,7 +498,7 @@ mod tests {
         let comp = params.kappa * f * f * org.eta() * candidate.d * org.data_bits();
         let overhead = params.omega_e * (comp + org.comm_energy());
         let omega_without = (omega - candidate.d * org.effective_bits()).max(0.0);
-        let damage = eval.weighted_p[i] * (gain - accuracy.gain(omega_without));
+        let damage = market.damage_weight(i) * (gain - accuracy.gain(omega_without));
         (revenue, overhead, damage)
     }
 
@@ -537,7 +511,8 @@ mod tests {
         let (revenue, overhead, damage) = reference_common_terms(eval, i, candidate);
         let gamma = eval.game.market().params().gamma;
         let res_i = IncrementalEval::resource_index_of(eval.game, &candidate, i);
-        revenue - overhead - damage + gamma * (eval.q[i] * res_i - rho_res_i)
+        let q = eval.game.market().competition_pressure(i);
+        revenue - overhead - damage + gamma * (q * res_i - rho_res_i)
     }
 
     fn reference_mover_payoff_at(
@@ -548,7 +523,8 @@ mod tests {
         let (revenue, overhead, damage) = reference_common_terms(eval, i, candidate);
         let gamma = eval.game.market().params().gamma;
         let res_i = IncrementalEval::resource_index_of(eval.game, &candidate, i);
-        revenue - overhead - damage + gamma * (eval.q[i] * res_i)
+        let q = eval.game.market().competition_pressure(i);
+        revenue - overhead - damage + gamma * (q * res_i)
     }
 
     fn reference_d_deriv_at(
@@ -562,8 +538,9 @@ mod tests {
         let omega = reference_total_with(&eval.omega, i, candidate.d * org.effective_bits());
         let f = org.frequency(candidate.level);
         let s = org.data_bits();
-        eval.z[i] * eval.game.accuracy().gain_deriv(omega) * org.effective_bits()
-            + (params.gamma * eval.q[i] - params.omega_e * params.kappa * f * f * org.eta()) * s
+        let (z, q) = (market.weight(i), market.competition_pressure(i));
+        z * eval.game.accuracy().gain_deriv(omega) * org.effective_bits()
+            + (params.gamma * q - params.omega_e * params.kappa * f * f * org.eta()) * s
     }
 
     #[test]

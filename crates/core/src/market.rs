@@ -91,8 +91,8 @@ impl Default for MechanismParams {
 /// holds its non-zero entries `ρ_ij` in `cols[row_ptr[i]..row_ptr[i+1]]`
 /// (strictly ascending) with matching `vals`.
 ///
-/// Every mechanism sum over a row goes through [`Market::rho_row_sum`]:
-/// ascending `j`, accumulator started at `+0.0`. From `+0.0` the
+/// Every mechanism sum over a row runs in [`Market::rho_row_sum`]'s
+/// order: ascending `j`, accumulator started at `+0.0`. From `+0.0` the
 /// accumulator can never become `−0.0`, and adding `±0.0` to anything
 /// else is a bitwise no-op, so skipping the zeros (the diagonal
 /// included) yields exactly the bits a full dense row sum would.
@@ -339,6 +339,41 @@ fn check_entry(i: usize, j: usize, v: f64, transpose: f64) -> Result<()> {
     Ok(())
 }
 
+/// The per-organization sums over `ρ`'s rows that no mechanism
+/// parameter changes (§IV, Theorem 1): `q_i`, `Σ_j ρ_ij p_j` and `z_i`.
+/// [`Market::with_rho`] computes them in one O(nnz) pass, in
+/// [`Market::rho_row_sum`]'s order, so each is bitwise the row sum it
+/// replaces; every [`Market::with_params`] rebuild shares them.
+#[derive(Debug, Clone, PartialEq)]
+struct RowSums {
+    /// `q_i = Σ_j ρ_ij`.
+    pressure: Vec<f64>,
+    /// `Σ_j ρ_ij p_j`, Eq. 7's damage weight.
+    damage_weight: Vec<f64>,
+    /// `z_i = p_i − Σ_j ρ_ij p_j`.
+    weight: Vec<f64>,
+}
+
+impl RowSums {
+    fn new(orgs: &[Organization], rho: &RhoMatrix) -> Self {
+        let n = orgs.len();
+        let mut sums = Self {
+            pressure: Vec::with_capacity(n),
+            damage_weight: Vec::with_capacity(n),
+            weight: Vec::with_capacity(n),
+        };
+        for (i, org) in orgs.iter().enumerate() {
+            let (q, wp) = rho.row_iter(i).fold((0.0f64, 0.0f64), |(q, wp), (j, v)| {
+                (q + v, wp + v * orgs[j].profitability())
+            });
+            sums.pressure.push(q);
+            sums.damage_weight.push(wp);
+            sums.weight.push(org.profitability() - wp);
+        }
+        sums
+    }
+}
+
 /// The set of organizations `𝒪`, the competition-intensity matrix `ρ`,
 /// and the mechanism parameters — everything §III needs that is not the
 /// data-accuracy function.
@@ -351,14 +386,16 @@ fn check_entry(i: usize, j: usize, v: f64, transpose: f64) -> Result<()> {
 /// * every organization can meet the deadline at `D_min` on its fastest
 ///   compute level (otherwise it cannot participate at all).
 ///
-/// The organizations and `ρ` never change after construction, so they
-/// are shared behind [`Arc`]s: a clone or a [`Market::with_params`]
-/// rebuild copies two pointers, and `ρ` is validated once, when it is
-/// first built.
+/// The organizations, `ρ` and the row sums over it (`q_i`,
+/// `Σ_j ρ_ij p_j`, `z_i`) never change after construction, so they are
+/// shared behind [`Arc`]s: a clone or a [`Market::with_params`] rebuild
+/// copies three pointers, and `ρ` is validated and summed once, when it
+/// is first built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Market {
     orgs: Arc<Vec<Organization>>,
     rho: Arc<RhoMatrix>,
+    sums: Arc<RowSums>,
     params: MechanismParams,
 }
 
@@ -398,7 +435,8 @@ impl Market {
         Self::with_rho(orgs, RhoMatrix { n, row_ptr, cols, vals }, params)
     }
 
-    /// Builds and validates a market from a CSR `ρ` in O(N + nnz).
+    /// Builds and validates a market from a CSR `ρ` in O(N + nnz),
+    /// summing each row once for the per-organization constants.
     ///
     /// # Errors
     ///
@@ -414,12 +452,14 @@ impl Market {
             return Err(ModelError::NonPositive { name: "|N|", value: 0.0 });
         }
         rho.validate(n)?;
-        Self { orgs: Arc::new(orgs), rho: Arc::new(rho), params }.checked()
+        let sums = Arc::new(RowSums::new(&orgs, &rho));
+        Self { orgs: Arc::new(orgs), rho: Arc::new(rho), sums, params }.checked()
     }
 
     /// Runs every invariant that depends on the parameters or on the
-    /// organizations against a validated `ρ`: the parameter ranges,
-    /// `z_i > 0`, and deadline feasibility at `D_min`. O(N + nnz).
+    /// organizations against a validated, summed `ρ`: the parameter
+    /// ranges, `z_i > 0`, and deadline feasibility at `D_min`. O(N); it
+    /// reads no `ρ` entry.
     fn checked(self) -> Result<Self> {
         self.params.validate()?;
         for (i, org) in self.orgs.iter().enumerate() {
@@ -486,7 +526,8 @@ impl Market {
     /// `Σ_j term(j, ρ_ij)` over row `i`'s stored entries, in ascending
     /// `j` from a `+0.0` accumulator (`f64: Sum` would start at `−0.0`
     /// and return it for an empty row). Every mechanism sum over a ρ
-    /// row uses this, so all of them share one accumulation order.
+    /// row uses this or, for the cached row sums, its order, so all of
+    /// them share one accumulation order.
     pub fn rho_row_sum(&self, i: usize, mut term: impl FnMut(usize, f64) -> f64) -> f64 {
         self.rho.row_iter(i).fold(0.0, |acc, (j, v)| acc + term(j, v))
     }
@@ -506,30 +547,42 @@ impl Market {
         &self.params
     }
 
-    /// Replaces the mechanism parameters (used by γ/ϖ_e sweeps). The
-    /// organizations and `ρ` are shared with `self`, not copied, and
-    /// `ρ` is not re-validated (no parameter can change it); every
-    /// parameter-dependent invariant is re-checked.
+    /// Replaces the mechanism parameters (used by γ/ϖ_e sweeps) in
+    /// O(N). The organizations, `ρ` and its row sums are shared with
+    /// `self`, not copied; `ρ` is neither re-validated nor read (no
+    /// parameter can change it), and every parameter-dependent
+    /// invariant is re-checked.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] if the new parameters are invalid or make
     /// some organization unable to participate within the deadline.
     pub fn with_params(&self, params: MechanismParams) -> Result<Self> {
-        Self { orgs: Arc::clone(&self.orgs), rho: Arc::clone(&self.rho), params }.checked()
+        Self {
+            orgs: Arc::clone(&self.orgs),
+            rho: Arc::clone(&self.rho),
+            sums: Arc::clone(&self.sums),
+            params,
+        }
+        .checked()
     }
 
-    /// Total competition pressure on `i`: `q_i = Σ_j ρ_{i,j}`.
+    /// Total competition pressure on `i`: `q_i = Σ_j ρ_{i,j}`; O(1).
     pub fn competition_pressure(&self, i: usize) -> f64 {
-        self.rho_row_sum(i, |_, rho| rho)
+        self.sums.pressure[i]
+    }
+
+    /// The damage weight `Σ_j ρ_{i,j} p_j` of Eq. 7: `D_i` per unit of
+    /// the accuracy gain `i`'s data adds; O(1).
+    pub fn damage_weight(&self, i: usize) -> f64 {
+        self.sums.damage_weight[i]
     }
 
     /// The weighted-potential-game weight
     /// `z_i = p_i − Σ_j ρ_{i,j} p_j` (Theorem 1); strictly positive by
-    /// construction.
+    /// construction; O(1).
     pub fn weight(&self, i: usize) -> f64 {
-        let pressure = self.rho_row_sum(i, |j, rho| rho * self.orgs[j].profitability());
-        self.orgs[i].profitability() - pressure
+        self.sums.weight[i]
     }
 
     /// Largest data fraction organization `i` can train within the
@@ -927,6 +980,14 @@ mod tests {
         (n, triplets)
     }
 
+    /// `[q_i, Σ_j ρ_ij p_j, z_i]` summed through [`Market::rho_row_sum`]
+    /// per query: the reference the cached row sums must match.
+    fn row_sums_reference(m: &Market, i: usize) -> [f64; 3] {
+        let q = m.rho_row_sum(i, |_, rho| rho);
+        let wp = m.rho_row_sum(i, |j, rho| rho * m.org(j).profitability());
+        [q, wp, m.org(i).profitability() - wp]
+    }
+
     props! {
         #![cases = 256]
 
@@ -1060,6 +1121,42 @@ mod tests {
             let rho = RhoMatrix { n, row_ptr, cols, vals };
             prop_assert_eq!(rho.validate(n), validate_reference(&rho, n));
         }
+
+        fn cached_row_sums_equal_the_row_sum_reference_bitwise(g) {
+            let (n, mut triplets) = valid_triplets(g);
+            if g.bool(0.3) {
+                // One organization with an empty row.
+                let e = g.usize(0..n);
+                triplets.retain(|t| t.0 != e && t.1 != e);
+            }
+            // ρ ≡ 0 sometimes; otherwise each row sums below 0.4, so
+            // z_i > p_i − 0.4 · max p > 0.
+            let zero = g.bool(0.2);
+            for t in &mut triplets {
+                t.2 = if zero { 0.0 } else { t.2 * 0.8 / n as f64 };
+            }
+            let orgs: Vec<Organization> = (0..n).map(|_| org(g.f64(1000.0..2000.0))).collect();
+            let mut rows = vec![vec![0.0; n]; n];
+            for &(i, j, v) in &triplets {
+                rows[i][j] = v;
+                rows[j][i] = v;
+            }
+            let params = MechanismParams::paper_default();
+            let sparse = RhoMatrix::from_triplets(n, &triplets).unwrap();
+            let markets = [
+                Market::new(orgs.clone(), rows, params.clone()).unwrap(),
+                Market::with_rho(orgs, sparse, params).unwrap(),
+            ];
+            for m in &markets {
+                for i in 0..n {
+                    let cached = [m.competition_pressure(i), m.damage_weight(i), m.weight(i)];
+                    prop_assert_eq!(
+                        cached.map(f64::to_bits),
+                        row_sums_reference(m, i).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     /// A Table II market from `build` and one from `build_sparse`.
@@ -1078,6 +1175,7 @@ mod tests {
             assert_eq!(rebuilt, fresh);
             assert!(std::ptr::eq(m.rho_matrix(), rebuilt.rho_matrix()));
             assert!(std::ptr::eq(m.orgs(), rebuilt.orgs()));
+            assert!(Arc::ptr_eq(&m.sums, &rebuilt.sums));
         }
     }
 

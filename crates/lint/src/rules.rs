@@ -316,11 +316,11 @@ const MODEL_HOT_FNS: &[&str] = &["forward_with", "sgd_step_with", "evaluate_with
 /// (subset materialization, slot construction) allocates freely.
 const FED_HOT_FNS: &[&str] = &["run_round", "train_group", "local_train"];
 
-/// The fns in core/market.rs the rule covers — the O(nnz) ρ row
-/// accessors the DBR sweep leans on at N=10k: indexed lookup, the row
-/// iterator, the row-sum helper and the pressure/weight formulas built
-/// on it. Constructors (`from_triplets`, `new`, …) allocate
-/// freely.
+/// The fns in core/market.rs the rule covers — the ρ accessors the
+/// DBR sweep leans on at N=10k: indexed lookup, the O(deg) row
+/// iterator and row-sum helper, and the O(1) reads of the cached row
+/// sums (pressure, damage weight, weight). Constructors
+/// (`from_triplets`, `new`, …) allocate freely.
 const MARKET_HOT_FNS: &[&str] = &[
     "get",
     "row_iter",
@@ -328,6 +328,7 @@ const MARKET_HOT_FNS: &[&str] = &[
     "rho_row",
     "rho_row_sum",
     "competition_pressure",
+    "damage_weight",
     "weight",
 ];
 
@@ -335,7 +336,7 @@ const MARKET_HOT_FNS: &[&str] = &[
 /// best-response steady state: building a mover's view (the stack copy
 /// of its tree path), the view's memo lookup and `O(log N)` path fold,
 /// its payoff and derivative queries, the one `O(deg)` mover dot, and
-/// the `O(log N)` commit. The `O(N²)` evaluator constructor and
+/// the `O(log N)` commit. The `O(N)` evaluator constructor and
 /// trace-row helpers allocate freely.
 const INCREMENTAL_HOT_FNS: &[&str] = &[
     "rho_res",

@@ -141,10 +141,9 @@ impl CgbdSolver {
             None => (0..n).map(|i| market.org(i).compute_level_count() - 1).collect(),
         };
         let mut cuts: Vec<Cut> = Vec::new();
-        // Incremental master state: per-org constants computed once,
-        // each iteration appends only its new cut's table (PR-7's
-        // IncrementalEval treatment applied to the Benders master).
-        let mut tables = CutTables::new(game);
+        // Incremental master state: each iteration appends only its
+        // new cut's table.
+        let mut tables = CutTables::default();
         let mut visited: BTreeSet<Vec<usize>> = BTreeSet::new();
         let mut ub = f64::INFINITY;
         let mut lb = f64::NEG_INFINITY;

@@ -18,7 +18,7 @@ use tradefl_core::incremental::IncrementalEval;
 use tradefl_core::strategy::StrategyProfile;
 
 /// Minimum organization count before the per-round payoff trace rows
-/// (the `O(N²)` ρ·res matvec) are split across the pool. Each element
+/// (the `O(nnz)` ρ·res matvec) are split across the pool. Each element
 /// of the row is computed independently and written to its own slot,
 /// so the pooled row is bit-identical to the serial
 /// [`IncrementalEval::payoff_vector`] for any worker count; below this
@@ -26,7 +26,7 @@ use tradefl_core::strategy::StrategyProfile;
 const POOLED_TRACE_MIN_ORGS: usize = 512;
 
 /// Maximum organization count for which the solver records a payoff
-/// trace row after *every* round. Each row costs one `O(N²)` pass over
+/// trace row after *every* round. Each row costs one `O(nnz)` pass over
 /// the ρ matrix — at figure scale (≤ a few dozen organizations,
 /// Fig. 5) that is negligible and the full per-iteration history is
 /// kept; at N ≥ this bound only the final row is recorded, so the
@@ -154,7 +154,7 @@ impl DbrSolver {
     /// sub-quadratic in the organization count. The inner best
     /// responses no longer fan out to the pool (each one is
     /// microseconds at any market size, far below dispatch cost); the
-    /// pool instead parallelizes the per-round `O(N²)` payoff trace
+    /// pool instead parallelizes the per-round `O(nnz)` payoff trace
     /// matvec on large markets (`trace_payoffs`). Every pooled
     /// element is computed independently and lands in its own slot,
     /// so results are bit-identical for every worker count.
@@ -175,7 +175,7 @@ impl DbrSolver {
         let mut eval = IncrementalEval::new(game, start.clone());
         let mut profile = start;
         let mut potential_trace = vec![eval.potential()];
-        // Payoff rows cost one O(N²) ρ pass each; figure-scale markets
+        // Payoff rows cost one O(nnz) ρ pass each; figure-scale markets
         // keep the full per-iteration history, large ones record only
         // the final row (pushed after the loop).
         let trace_every_round = n < TRACE_EVERY_ROUND_MAX_ORGS;

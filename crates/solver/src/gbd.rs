@@ -382,16 +382,15 @@ pub fn traverse_reference<A: AccuracyModel>(
 /// which is why the reference path is kept byte-stable and the
 /// selection between paths depends only on the instance size.
 ///
-/// Tables are **incremental**: [`CutTables::new`] caches the
-/// strategy-independent per-organization constants (`z_i`, `q_i` —
-/// one O(nnz) ρ pass total instead of one O(N) row sweep per cut per
-/// organization), and [`CutTables::push_cut`] appends a single cut's
-/// table in O(N · levels). CGBD keeps one table set alive across its
-/// whole master-iteration loop, pushing only each iteration's new cut
-/// — bit-identical to rebuilding from scratch, because every table
-/// entry is a pure function of the cut and the cached constants
-/// (pinned by `tests/determinism.rs`).
-#[derive(Debug)]
+/// Tables are **incremental**: [`CutTables::push_cut`] appends a single
+/// cut's table in O(N · levels), reading the strategy-independent
+/// `z_i` and `q_i` the market summed once. CGBD keeps one table set
+/// alive across its whole master-iteration loop, starting from
+/// [`CutTables::default`] and pushing only each iteration's new cut —
+/// bit-identical to rebuilding from scratch, because every table entry
+/// is a pure function of the cut and the market (pinned by
+/// `tests/determinism.rs`).
+#[derive(Debug, Default)]
 pub struct CutTables {
     /// `(base, per_org)` for each optimality cut: value at a candidate
     /// is `base + Σ_i per_org[i][levels[i]]`.
@@ -399,26 +398,12 @@ pub struct CutTables {
     /// `per_org` for each feasibility cut: violation is
     /// `Σ_i per_org[i][levels[i]]`, infeasible when `> 1e-9`.
     feasibility: Vec<Vec<Vec<f64>>>,
-    /// Cached `z_i = p_i − Σ_j ρ_ij p_j` (exactly `market.weight(i)`).
-    z: Vec<f64>,
-    /// Cached `q_i = Σ_j ρ_ij` (exactly `market.competition_pressure(i)`).
-    q: Vec<f64>,
     /// Cuts folded in so far.
     cuts: usize,
 }
 
 impl CutTables {
-    /// Empty tables with the per-organization constants precomputed —
-    /// the start of an incremental master-iteration sequence.
-    pub fn new<A: AccuracyModel>(game: &CoopetitionGame<A>) -> Self {
-        let market = game.market();
-        let n = market.len();
-        let z: Vec<f64> = (0..n).map(|i| market.weight(i)).collect();
-        let q: Vec<f64> = (0..n).map(|i| market.competition_pressure(i)).collect();
-        CutTables { optimality: Vec::new(), feasibility: Vec::new(), z, q, cuts: 0 }
-    }
-
-    /// Appends one cut's lookup table using the cached constants:
+    /// Appends one cut's lookup table using the market's row sums:
     /// O(N · levels), no ρ access at all.
     pub fn push_cut<A: AccuracyModel>(&mut self, game: &CoopetitionGame<A>, cut: &Cut) {
         let market = game.market();
@@ -432,8 +417,8 @@ impl CutTables {
                     .map(|i| {
                         let org = market.org(i);
                         let s = org.data_bits();
-                        let z = self.z[i];
-                        let q = self.q[i];
+                        let z = market.weight(i);
+                        let q = market.competition_pressure(i);
                         org.compute_levels()
                             .iter()
                             .map(|&f| {
@@ -483,7 +468,7 @@ impl CutTables {
     /// [`CutTables::push_cut`] per cut, so scratch and incremental
     /// construction are bit-identical by definition.
     pub fn build<A: AccuracyModel>(game: &CoopetitionGame<A>, cuts: &[Cut]) -> Self {
-        let mut tables = CutTables::new(game);
+        let mut tables = CutTables::default();
         for cut in cuts {
             tables.push_cut(game, cut);
         }

@@ -66,7 +66,7 @@ pub struct Equilibrium {
     /// [`Self::potential`].
     pub potential_trace: Vec<f64>,
     /// Payoff of each organization after each iteration (Fig. 5):
-    /// `payoff_traces[iter][org]`. Each row costs an `O(N²)` pass, so
+    /// `payoff_traces[iter][org]`. Each row costs a pass over ρ, so
     /// solvers may thin the history (DBR records only the final row
     /// beyond a few hundred organizations, WPR only ever the final
     /// row); the last row is always the final profile's payoffs.
@@ -116,7 +116,7 @@ impl Equilibrium {
     /// at the final profile, in `O(N)` instead of
     /// the game's `O(N²)` recomputation: welfare sums the last payoff
     /// trace row (the evaluator's own final payoff vector), potential
-    /// and total damage use the evaluator's cached per-org constants.
+    /// and total damage take `Ω` from the evaluator's tree.
     /// Values differ from [`Self::from_profile`]'s only by
     /// floating-point reassociation.
     pub fn from_eval<A: AccuracyModel>(

@@ -77,9 +77,7 @@ pub fn welfare_d_grad<A: AccuracyModel>(
     let n = market.len();
     let omega = profile.total_data(market);
     let p_total: f64 = market.orgs().iter().map(|o| o.profitability()).sum();
-    let w: Vec<f64> = (0..n)
-        .map(|i| market.rho_row_sum(i, |j, rho| rho * market.org(j).profitability()))
-        .collect();
+    let w: Vec<f64> = (0..n).map(|i| market.damage_weight(i)).collect();
     let w_total: f64 = w.iter().sum();
     let p_deriv = game.accuracy().gain_deriv(omega);
     // P'(Ω − d_k s_k) for every k.

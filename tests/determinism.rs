@@ -351,7 +351,7 @@ fn incremental_cut_tables_match_scratch_rebuild_bitwise() {
         Cut::optimality(&g, vec![0.9; 6], vec![0.01; 6]),
     ];
     let mut cuts: Vec<Cut> = Vec::new();
-    let mut incremental = CutTables::new(&g);
+    let mut incremental = CutTables::default();
     // Sample candidates across the 4^6 space.
     let candidates: Vec<Vec<usize>> =
         (0..64).map(|k| (0..6).map(|i| (k >> i) & 1).collect()).collect();
@@ -378,7 +378,7 @@ fn incremental_cgbd_master_is_bit_identical_to_scratch() {
 
     let g = game(9); // 6 orgs → 4^6 = 4096 candidates
     let mut cuts: Vec<Cut> = Vec::new();
-    let mut tables = CutTables::new(&g);
+    let mut tables = CutTables::default();
     let mut visited: BTreeSet<Vec<usize>> = BTreeSet::new();
     visited.insert(vec![3; 6]);
     for cut in [
